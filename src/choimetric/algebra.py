@@ -78,29 +78,11 @@ class ConcreteAlgebra:
     def coords_of(self, mat: np.ndarray) -> np.ndarray:
         return self._pinv @ np.asarray(mat, dtype=complex).ravel()
 
-    def projection_residual(self, mat: np.ndarray) -> float:
-        """Relative distance from mat to the span of the basis."""
-        mat = np.asarray(mat, dtype=complex)
-        coords = self.coords_of(mat)
-        back = self.realize(coords)
-        return linalg.frobenius(back - mat) / max(1.0, linalg.frobenius(mat))
-
     def element(self, coords) -> "AlgebraElement":
         coords = np.asarray(coords, dtype=complex)
         if coords.shape != (self.dim,):
             raise AlgebraMismatch(
                 f"coordinate vector of length {coords.shape} for dim-{self.dim} algebra")
-        return AlgebraElement(self, coords)
-
-    def element_from_matrix(self, mat, tol=1e-8) -> "AlgebraElement":
-        resid = self.projection_residual(mat)
-        if resid > tol:
-            raise AlgebraMismatch(f"matrix outside the span (residual {resid:.2e})")
-        return self.element(self.coords_of(mat))
-
-    def basis_element(self, i: int) -> "AlgebraElement":
-        coords = np.zeros(self.dim, dtype=complex)
-        coords[i] = 1.0
         return AlgebraElement(self, coords)
 
     def unit(self) -> "AlgebraElement":
@@ -145,10 +127,6 @@ class AlgebraElement:
 
     def adjoint(self) -> "AlgebraElement":
         return AlgebraElement(self.algebra, self.algebra.adjoint_of_coords(self.coords))
-
-    def is_selfadjoint(self, tol=EPS_STRUCT) -> bool:
-        amb = self.ambient()
-        return linalg.is_hermitian(amb, tol)
 
     def is_positive(self, tol=EPS_PSD) -> bool:
         """Positivity of the ambient realization (equivalently, positivity in
@@ -211,11 +189,6 @@ class LinearFunctional:
         gram = alg.adjoint_coords @ prod_vals
         object.__setattr__(self, "_gns_cache", gram)
         return gram
-
-    def is_hermitian(self, tol=EPS_STRUCT) -> bool:
-        star_vals = self.algebra.adjoint_coords @ self.values
-        scale = max(1.0, float(np.abs(self.values).max(initial=0.0)))
-        return float(np.abs(star_vals - np.conj(self.values)).max()) <= tol * scale
 
     def is_positive(self, tol=EPS_PSD) -> bool:
         gram = self.gns_gram()
@@ -436,11 +409,6 @@ def opposite_algebra(a: ConcreteAlgebra) -> ConcreteAlgebra:
                           a.unit_coords.copy(), name=f"{a.name}^op",
                           factors=factors, op_of=a)
     return out
-
-
-def op_element(x: AlgebraElement) -> AlgebraElement:
-    """The element x^op of the opposite algebra (identity on coordinates)."""
-    return AlgebraElement(opposite_algebra(x.algebra), x.coords.copy())
 
 
 def _swap_axes(k: int, i: int, j: int):

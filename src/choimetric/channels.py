@@ -57,9 +57,6 @@ class ChannelMap:
             raise AlgebraMismatch("element not in the channel's source algebra")
         return AlgebraElement(self.target, self.matrix @ x.coords)
 
-    def apply_coords(self, coords: np.ndarray) -> np.ndarray:
-        return self.matrix @ coords
-
     def __add__(self, other):
         _check_parallel(self, other)
         return ChannelMap(self.source, self.target, self.matrix + other.matrix)

@@ -1,9 +1,12 @@
 """Command-line interface.
 
 Verbs: validate, choi, omega, classify, mk, delta, dl, wasserstein,
-kasparov, group-gen, stability, chaining, embedding, run-all.  File formats
+kasparov, group-gen, stability, chaining, embedding, run-all.  Each verb
+takes only the flags it reads (`choimetric <verb> --help`).  File formats
 are documented in the io module and the README.  Results are printed as JSON
-records {value | "inf", status, gap, seed}; experiment verbs write CSV.
+records {value | "inf", status, gap, seed}; the suite verbs (stability,
+chaining, embedding, run-all) run acceptance suites and write CSV with
+--out.  Input errors print `error: ...` and exit 1.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -32,9 +36,7 @@ from .groups import (
     direct_product,
     klein_twist_cocycle,
     multiplier_channel,
-    canonical_trace,
     symmetric_group_3,
-    twisted_group_algebra,
     word_length,
 )
 from .metrics import (
@@ -66,8 +68,7 @@ def _result_json(value, status, gap, seed=None, extra=None):
 
 
 def _load_group(path):
-    group, cocycle, length = io.group_from_dict(io.load_json(path))
-    return group, cocycle, length
+    return io.group_from_dict(io.load_json(path))
 
 
 def cmd_validate(args):
@@ -165,18 +166,12 @@ def cmd_mk(args):
 
 def cmd_delta(args):
     group, cocycle, length = _load_group(args.group)
-    if length is None:
-        length = word_length(group)
-    ga = twisted_group_algebra(group, cocycle)
-    tau = canonical_trace(ga)
     phi = io.pdf_from_dict(io.load_json(args.pdf), group)
     psi = io.pdf_from_dict(io.load_json(args.pdf2), group)
-    ctx_triple = experiments.length_dirac(ga, length)
-    ctx_triple_op = experiments.length_dirac_op(ga, length)
-    product = kasparov_product(ctx_triple, ctx_triple_op)
-    res = delta_distance(multiplier_channel(phi, ga), multiplier_channel(psi, ga),
-                         tau, CommutatorSeminorm(product),
-                         tolerance=args.tolerance)
+    ctx = experiments.build_group_context(group, cocycle, length)
+    res = delta_distance(multiplier_channel(phi, ctx.ga),
+                         multiplier_channel(psi, ctx.ga), ctx.tau, ctx.seminorm,
+                         tolerance=args.tolerance, setup=ctx.setup)
     print(_result_json(res.value, res.status, res.dual_gap, args.seed))
     return 0 if res.status in ("optimal", "infinite") else 1
 
@@ -198,7 +193,7 @@ def cmd_dl(args):
                       seed=args.seed, tolerance=args.tolerance)
     print(_result_json(res.value, res.status, 0.0, args.seed,
                        extra={"converged": res.converged}))
-    return 0
+    return 0 if res.status in ("optimal", "infinite") else 1
 
 
 def cmd_wasserstein(args):
@@ -254,33 +249,39 @@ def cmd_group_gen(args):
     return 0
 
 
-def _experiment_cmd(runner_kwargs_fn):
-    def run(args):
-        records = runner_kwargs_fn(args)
-        if args.out:
-            experiments.emit_report(records, args.out)
-        passed = sum(r.ok for r in records)
-        print(f"{passed}/{len(records)} records passed")
-        return 0 if passed == len(records) else 1
-    return run
+def _report(records, out):
+    if out:
+        experiments.emit_report(records, out)
+    passed = sum(r.ok for r in records)
+    print(f"{passed}/{len(records)} records passed")
+    return 0 if passed == len(records) else 1
 
 
-cmd_stability = _experiment_cmd(
-    lambda args: experiments.run_stability(seed=args.seed,
-                                           trials=args.trials or 25))
-cmd_chaining = _experiment_cmd(
-    lambda args: experiments.run_chaining(seed=args.seed,
-                                          quadruples=args.trials or 100))
-cmd_embedding = _experiment_cmd(
-    lambda args: experiments.run_embedding(seed=args.seed,
-                                           trials=args.trials or 100))
+def cmd_suite(args):
+    """One acceptance suite at its acceptance size, or at --trials."""
+    suite = dict(experiments.ACCEPTANCE_SUITES)[args.verb]
+    if args.trials:
+        (size,) = suite.keywords
+        suite = partial(suite, **{size: args.trials})
+    return _report(suite(args.seed), args.out)
 
 
 def cmd_run_all(args):
-    records, passed = experiments.run_all(seed=args.seed, out=args.out)
-    ok_count = sum(r.ok for r in records)
-    print(f"{ok_count}/{len(records)} records passed")
-    return 0 if passed else 1
+    return _report(experiments.run_all(args.seed), args.out)
+
+
+# Flags shared by several verbs; each verb names the ones it reads.
+FLAGS = {
+    "--seed": {"type": int, "default": 0},
+    "--trials": {"type": int, "default": 0,
+                 "help": "suite size (default: the acceptance size)"},
+    "--tolerance": {"type": float, "default": 1e-7},
+    "--max-iter": {"type": int, "default": 200},
+    "--out": {"default": None},
+    "--m-max": {"type": int, "default": 0},
+    "--algebras": {"nargs": "*", "default": [],
+                   "help": "algebra JSON files for name resolution"},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -290,93 +291,75 @@ def build_parser() -> argparse.ArgumentParser:
                     "Choi-Jamiolkowski functionals and spectral-triple seminorms")
     sub = p.add_subparsers(dest="verb", required=True)
 
-    def common(sp, algebras=True):
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--trials", type=int, default=0)
-        sp.add_argument("--tolerance", type=float, default=1e-7)
-        sp.add_argument("--max-iter", dest="max_iter", type=int, default=200)
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--m-max", dest="m_max", type=int, default=0)
-        if algebras:
-            sp.add_argument("--algebras", nargs="*", default=[],
-                            help="algebra JSON files for name resolution")
+    def verb(name, fn, help, flags):
+        sp = sub.add_parser(name, help=help)
+        for flag in flags:
+            sp.add_argument(flag, **FLAGS[flag])
+        sp.set_defaults(fn=fn)
+        return sp
 
-    sp = sub.add_parser("validate", help="validate an input file")
+    sp = verb("validate", cmd_validate, "validate an input file", ["--algebras"])
     sp.add_argument("file")
     sp.add_argument("--kind", required=True,
                     choices=["algebra", "functional", "trace", "channel",
                              "triple", "group", "pdf"])
     sp.add_argument("--group", default=None, help="group file (for --kind pdf)")
-    common(sp)
-    sp.set_defaults(fn=cmd_validate)
 
-    sp = sub.add_parser("choi", help="Choi matrix of a channel")
+    sp = verb("choi", cmd_choi, "Choi matrix of a channel", ["--out", "--algebras"])
     sp.add_argument("--channel", required=True)
-    common(sp)
-    sp.set_defaults(fn=cmd_choi)
 
-    sp = sub.add_parser("omega", help="associated functional of a channel")
+    sp = verb("omega", cmd_omega, "associated functional of a channel",
+              ["--out", "--algebras"])
     sp.add_argument("--channel", required=True)
     sp.add_argument("--trace", required=True)
-    common(sp)
-    sp.set_defaults(fn=cmd_omega)
 
-    sp = sub.add_parser("classify", help="CP / trace-channel / unital flags")
+    sp = verb("classify", cmd_classify, "CP / trace-channel / unital flags",
+              ["--algebras"])
     sp.add_argument("--channel", required=True)
     sp.add_argument("--trace", required=True)
-    sp.add_argument("--trace-source", dest="trace_source", default=None)
-    common(sp)
-    sp.set_defaults(fn=cmd_classify)
+    sp.add_argument("--trace-source", default=None)
 
-    sp = sub.add_parser("mk", help="Monge-Kantorovich distance between functionals")
+    sp = verb("mk", cmd_mk, "Monge-Kantorovich distance between functionals",
+              ["--seed", "--tolerance", "--max-iter", "--algebras"])
     sp.add_argument("--triple", required=True)
     sp.add_argument("--phi", required=True)
     sp.add_argument("--psi", required=True)
-    common(sp)
-    sp.set_defaults(fn=cmd_mk)
 
-    sp = sub.add_parser("delta", help="Delta distance between group multipliers")
+    sp = verb("delta", cmd_delta, "Delta distance between group multipliers",
+              ["--seed", "--tolerance"])
     sp.add_argument("--group", required=True)
     sp.add_argument("--pdf", required=True)
     sp.add_argument("--pdf2", required=True)
-    common(sp, algebras=False)
-    sp.set_defaults(fn=cmd_delta)
 
-    sp = sub.add_parser("dl", help="D_L distance between unital CP maps")
+    sp = verb("dl", cmd_dl, "D_L distance between unital CP maps",
+              ["--seed", "--tolerance", "--m-max", "--algebras"])
     sp.add_argument("--channel", required=True)
     sp.add_argument("--channel2", required=True)
     sp.add_argument("--triple", default=None)
     sp.add_argument("--starts", type=int, default=8)
-    common(sp)
-    sp.set_defaults(fn=cmd_dl)
 
-    sp = sub.add_parser("wasserstein", help="trace-norm dual distance")
+    sp = verb("wasserstein", cmd_wasserstein, "trace-norm dual distance",
+              ["--seed", "--tolerance"])
     sp.add_argument("--problem", required=True,
                     help='JSON file {"l_matrices": [...], "rho1": ..., "rho2": ...}')
-    common(sp, algebras=False)
-    sp.set_defaults(fn=cmd_wasserstein)
 
-    sp = sub.add_parser("kasparov", help="exterior product of two triples")
+    sp = verb("kasparov", cmd_kasparov, "exterior product of two triples",
+              ["--out", "--algebras"])
     sp.add_argument("--triple", required=True)
     sp.add_argument("--triple2", required=True)
     sp.add_argument("--name", default=None)
-    common(sp)
-    sp.set_defaults(fn=cmd_kasparov)
 
-    sp = sub.add_parser("group-gen", help="generate a builtin group file")
+    sp = verb("group-gen", cmd_group_gen, "generate a builtin group file", ["--out"])
     sp.add_argument("--kind", required=True,
                     choices=["cyclic", "dihedral", "symmetric3", "product",
                              "klein-twisted"])
     sp.add_argument("--n", type=int, default=2)
     sp.add_argument("--m", type=int, default=2)
-    common(sp, algebras=False)
-    sp.set_defaults(fn=cmd_group_gen)
 
-    for verb, fn in (("stability", cmd_stability), ("chaining", cmd_chaining),
-                     ("embedding", cmd_embedding), ("run-all", cmd_run_all)):
-        sp = sub.add_parser(verb, help=f"run the {verb} experiment suite")
-        common(sp, algebras=False)
-        sp.set_defaults(fn=fn)
+    for name in ("stability", "chaining", "embedding"):
+        verb(name, cmd_suite, f"run the {name} acceptance suite",
+             ["--seed", "--trials", "--out"])
+    verb("run-all", cmd_run_all, "run every acceptance suite", ["--seed", "--out"])
     return p
 
 

@@ -66,10 +66,6 @@ class SeminormNotCommutatorForm(ChoimetricError):
     pass
 
 
-class SolverDivergence(ChoimetricError):
-    pass
-
-
 class Infeasible(ChoimetricError):
     """The linear constraint of a dual trace-norm program has no solution;
     the corresponding primal Monge-Kantorovich distance is infinite."""
@@ -98,14 +94,6 @@ class NotPositiveDefinite(ChoimetricError):
 
 
 # --- geometry -------------------------------------------------------------------
-
-class GradingMissing(ChoimetricError):
-    pass
-
-
-class GradingUnexpected(ChoimetricError):
-    pass
-
 
 class InvalidSpectralTriple(ChoimetricError):
     pass

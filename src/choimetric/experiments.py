@@ -10,10 +10,9 @@ status are recorded as failures, never silently dropped.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -88,15 +87,6 @@ class ExperimentRecord:
     ms: float = 0.0
 
 
-@dataclass
-class ExperimentSpec:
-    kind: str
-    seed: int = 0
-    trials: int = 0                      # 0 = suite default
-    tolerance: float = DEFAULT_TOL
-    inputs: dict = field(default_factory=dict)
-
-
 def _num(x) -> str:
     if x is None:
         return ""
@@ -118,33 +108,18 @@ def emit_report(records: list[ExperimentRecord], path: str):
             ]) + "\n")
 
 
-def worker_count() -> int:
-    env = os.environ.get("CHOIMETRIC_THREADS", "")
-    if env.strip():
-        return max(1, int(env))
-    return 1
-
-
 def _run_trials(fn, trials: int, seed: int):
     """fn(trial_index, rng) -> list of records; merged in trial order."""
-    rngs = child_rngs(seed, trials)
-
-    def timed(i):
+    records = []
+    for i, rng in enumerate(child_rngs(seed, trials)):
         t0 = time.perf_counter()
-        recs = fn(i, rngs[i])
+        recs = fn(i, rng)
         ms = (time.perf_counter() - t0) * 1000.0
         for r in recs:
             r.ms = ms / max(1, len(recs))
             r.seed = seed
-        return recs
-
-    workers = worker_count()
-    if workers == 1:
-        batches = [timed(i) for i in range(trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(timed, range(trials)))
-    return [r for batch in batches for r in batch]
+        records.extend(recs)
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -171,31 +146,15 @@ def builtin_group(key: str):
 @dataclass
 class GroupContext:
     """Everything needed for Delta distances between multipliers on one
-    twisted group algebra: the length Dirac pair, its Kasparov product
-    seminorm over A (x) A^op, and the prepared (restricted) solver setup."""
+    twisted group algebra: the length Dirac Kasparov product seminorm over
+    A (x) A^op, and the prepared (restricted) solver setup."""
 
-    key: str
     group: object
     ga: object
     tau: object
-    length: LengthFunction
-    triple: SpectralTriple
-    triple_op: SpectralTriple
     carrier: object
     seminorm: CommutatorSeminorm
     setup: object
-    restriction: np.ndarray | None
-
-
-def _char_fixed_pairs(group, chars):
-    """Pairs (a, b) whose product is fixed by every 1-dimensional character."""
-    keep = []
-    for a in group.elements():
-        for b in group.elements():
-            c = group.mul(a, b)
-            if all(abs(chi[c] - 1.0) < 1e-9 for chi in chars):
-                keep.append((a, b))
-    return keep
 
 
 def _check_phase_invariance(seminorm, weights, rng, samples=3, tol=1e-8):
@@ -205,6 +164,31 @@ def _check_phase_invariance(seminorm, weights, rng, samples=3, tol=1e-8):
         a, b = seminorm.eval_coords(weights * x), seminorm.eval_coords(x)
         if abs(a - b) > tol * (1.0 + abs(b)):
             raise AssertionError("claimed symmetry does not preserve the seminorm")
+
+
+def _char_restriction(seminorm, group, amp: int = 1) -> np.ndarray:
+    """Columns spanning the coordinates fixed by the dual-group phase
+    automorphisms: the pairs (a, b) whose product is fixed by every
+    1-dimensional character.  Coordinates are ordered (i, a, j, b), with
+    i, j over `amp` amplification indices (amp=1: plain pairs (a, b)).
+    Checks on samples that every phase preserves the seminorm."""
+    chars = one_dim_characters(group)
+    g = group.order
+    pairs = [(a, b) for a in group.elements() for b in group.elements()
+             if all(abs(chi[group.mul(a, b)] - 1.0) < 1e-9 for chi in chars)]
+    cols = np.zeros((seminorm.algebra.dim, amp * amp * len(pairs)), dtype=complex)
+    k = 0
+    for i in range(amp):
+        for j in range(amp):
+            for a, b in pairs:
+                cols[((i * g + a) * amp + j) * g + b, k] = 1.0
+                k += 1
+    rng = np.random.default_rng(99)
+    ones = np.ones(amp)
+    for chi in chars:
+        weights = np.einsum("i,a,j,b->iajb", ones, chi, ones, chi).reshape(-1)
+        _check_phase_invariance(seminorm, weights, rng)
+    return cols
 
 
 def length_dirac(ga, length: LengthFunction) -> SpectralTriple:
@@ -222,35 +206,26 @@ def length_dirac_op(ga, length: LengthFunction) -> SpectralTriple:
     return SpectralTriple(op, ga.right_rep, dirac).validate()
 
 
-def group_context(key: str, restrict: bool = True,
-                  length: LengthFunction | None = None) -> GroupContext:
-    group, cocycle = builtin_group(key)
+def build_group_context(group, cocycle=None, length: LengthFunction | None = None,
+                        restrict: bool = True) -> GroupContext:
+    """The Kasparov product of the length Dirac triples of C*(G, sigma) and
+    its opposite (word length when `length` is None), with the solver setup
+    restricted to the character-fixed coordinates when `restrict` is set.
+    The restriction is a sup over a phase-invariant subspace that holds the
+    multiplier differences, so it loses nothing on multiplier pairs."""
     ga = twisted_group_algebra(group, cocycle)
-    tau = canonical_trace(ga)
     if length is None:
         length = word_length(group)
-    t_left = length_dirac(ga, length)
-    t_right = length_dirac_op(ga, length)
     carrier = tensor_algebra(ga.algebra, opposite_algebra(ga.algebra))
-    product = kasparov_product(t_left, t_right, carrier=carrier)
-    seminorm = CommutatorSeminorm(product)
-    restriction = None
-    if restrict:
-        chars = one_dim_characters(group)
-        pairs = _char_fixed_pairs(group, chars)
-        d = carrier.dim
-        n = group.order
-        cols = np.zeros((d, len(pairs)), dtype=complex)
-        for k, (a, b) in enumerate(pairs):
-            cols[a * n + b, k] = 1.0
-        rng = np.random.default_rng(99)
-        for chi in chars:
-            weights = np.outer(chi, chi).reshape(-1)
-            _check_phase_invariance(seminorm, weights, rng)
-        restriction = cols
-    setup = prepare_ball(seminorm, restriction)
-    return GroupContext(key, group, ga, tau, length, t_left, t_right,
-                        carrier, seminorm, setup, restriction)
+    seminorm = CommutatorSeminorm(kasparov_product(
+        length_dirac(ga, length), length_dirac_op(ga, length), carrier=carrier))
+    restriction = _char_restriction(seminorm, group) if restrict else None
+    return GroupContext(group, ga, canonical_trace(ga), carrier, seminorm,
+                        prepare_ball(seminorm, restriction))
+
+
+def group_context(key: str, restrict: bool = True) -> GroupContext:
+    return build_group_context(*builtin_group(key), restrict=restrict)
 
 
 @dataclass
@@ -270,8 +245,7 @@ class StabilityContext:
     dims: tuple
 
 
-def stability_context(key: str, n: int = 2,
-                      l_matrices=None, restrict: bool = True) -> StabilityContext:
+def stability_context(key: str, n: int = 2, restrict: bool = True) -> StabilityContext:
     """Assemble the amplified seminorm L_n = L_{(d_n x d_n) x (d_A x d_B)}
     o Sigma_[23] together with the normalized amplification trace.
 
@@ -283,21 +257,13 @@ def stability_context(key: str, n: int = 2,
     base = group_context(key, restrict=restrict)
     mn = matrix_algebra(n)
     mn_op = opposite_algebra(mn)
-    if l_matrices is None:
-        l_matrices = [np.diag([1.0] * (n // 2) + [-1.0] * (n - n // 2))]
-    hn = n * len(l_matrices)
-    dirac_n = sum(np.kron(np.asarray(l, complex), _unit_matrix(len(l_matrices), i))
-                  for i, l in enumerate(l_matrices))
-    rep_n = np.array([np.kron(b, np.eye(len(l_matrices))) for b in mn.basis])
-    t_n = SpectralTriple(mn, rep_n, dirac_n).validate()
-    t_n_op = SpectralTriple(mn_op, np.array(
-        [np.kron(b, np.eye(len(l_matrices))) for b in mn_op.basis]),
-        dirac_n).validate()
+    dirac_n = np.diag([1.0] * (n // 2) + [-1.0] * (n - n // 2)).astype(complex)
+    t_n = SpectralTriple(mn, mn.basis, dirac_n).validate()
+    t_n_op = SpectralTriple(mn_op, mn_op.basis, dirac_n).validate()
     nn_carrier = tensor_algebra(mn, mn_op)
     t_nn = kasparov_product(t_n, t_n_op, carrier=nn_carrier)
     kasp_carrier = tensor_algebra(nn_carrier, base.carrier)
-    product_total = kasparov_product(t_nn, kasparov_product(
-        base.triple, base.triple_op, carrier=base.carrier), carrier=kasp_carrier)
+    product_total = kasparov_product(t_nn, base.seminorm.triple, carrier=kasp_carrier)
 
     amp_source = tensor_algebra(mn, base.ga.algebra)
     amp_target_op = opposite_algebra(amp_source)
@@ -314,35 +280,11 @@ def stability_context(key: str, n: int = 2,
     perm[np.arange(d), idx] = 1.0        # kasp coords = perm @ omega coords
     seminorm_n = PullbackSeminorm(CommutatorSeminorm(product_total), perm,
                                   omega_carrier)
-    restriction = None
-    if restrict:
-        chars = one_dim_characters(base.group)
-        pairs = _char_fixed_pairs(base.group, chars)
-        cols = np.zeros((d, n * n * n * n * len(pairs)), dtype=complex)
-        k = 0
-        for i in range(n * n):
-            for j in range(n * n):
-                for a, b in pairs:
-                    col = ((i * g_order + a) * n * n + j) * g_order + b
-                    cols[col, k] = 1.0
-                    k += 1
-        rng = np.random.default_rng(98)
-        for chi in chars:
-            w = np.einsum("a,b->ab", chi, chi)
-            weights = np.einsum("i,a,j,b->iajb", np.ones(n * n), chi,
-                                np.ones(n * n), chi).reshape(-1)
-            _check_phase_invariance(seminorm_n, weights, rng)
-        restriction = cols
+    restriction = _char_restriction(seminorm_n, base.group, n * n) if restrict else None
     setup_n = prepare_ball(seminorm_n, restriction)
     return StabilityContext(base, n, mn, trace_n, amp_source, amp_trace,
                             omega_carrier, seminorm_n, setup_n, perm,
                             kasp_carrier, product_total, dims)
-
-
-def _unit_matrix(n, i):
-    e = np.zeros((n, n), dtype=complex)
-    e[i, i] = 1.0
-    return e
 
 
 def cp_corpus():
@@ -731,9 +673,7 @@ def _stability_hypothesis_audit(ctx: StabilityContext, seed: int,
     from .geometry import right_tensor_seminorm
     nn_alg = ctx.kasp_carrier.factors
     nn_carrier = tensor_algebra(nn_alg[0], nn_alg[1])
-    cond1_core = right_tensor_seminorm(
-        nn_carrier, kasparov_product(base.triple, base.triple_op,
-                                     carrier=base.carrier))
+    cond1_core = right_tensor_seminorm(nn_carrier, base.seminorm.triple)
     cond1 = PullbackSeminorm(cond1_core, ctx.sigma23, ctx.omega_carrier)
     worst1 = 0.0
     for _ in range(samples):
@@ -979,147 +919,26 @@ def run_metric_axioms(seed: int = 0, triples: int = 10,
 
 
 # ---------------------------------------------------------------------------
-# instance files and file-driven runs
-# ---------------------------------------------------------------------------
-
-EXPERIMENT_KINDS = ("stability", "chaining", "embedding",
-                    "cp-characterization", "duality", "seminorm-domination",
-                    "contraction")
-
-
-def generate_instance(kind: str, seed: int, out_dir: str) -> dict:
-    """Write a runnable instance of the given experiment kind as JSON files;
-    deterministic given the seed.  Returns {role: path}."""
-    import os.path
-
-    from . import io
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    paths = {}
-
-    def put(role, name, data):
-        path = os.path.join(out_dir, name)
-        io.save_json(data, path)
-        paths[role] = path
-
-    if kind in ("stability", "chaining", "contraction"):
-        group = cyclic_group(2 + seed % 3)
-        length = word_length(group)
-        put("group", f"{kind}-group.json", io.group_to_dict(group, None, length))
-        count = 4 if kind == "chaining" else 2
-        for k in range(count):
-            phi = generate.random_pdf(rng, group)
-            data = io.pdf_to_dict(phi)
-            data["group"] = group.name
-            put(f"pdf{k + 1}", f"{kind}-pdf{k + 1}.json", data)
-    elif kind in ("embedding", "cp-characterization"):
-        m2 = matrix_algebra(2)
-        m2.name = "M2"
-        tr = standard_matrix_trace(m2)
-        put("algebra", f"{kind}-m2.json", io.algebra_to_dict(m2))
-        put("trace", f"{kind}-trace.json", io.functional_to_dict(tr))
-        ch = generate.random_kraus_channel(rng, m2, m2)
-        put("channel", f"{kind}-channel.json", io.channel_to_dict(ch))
-    elif kind == "duality":
-        n = 2 + seed % 2
-        ls = [generate.random_hermitian(rng, n) for _ in range(2)]
-        put("problem", "duality-problem.json", {
-            "l_matrices": [io.matrix_to_json(l) for l in ls],
-            "rho1": io.matrix_to_json(generate.random_density(rng, n)),
-            "rho2": io.matrix_to_json(generate.random_density(rng, n)),
-        })
-    elif kind == "seminorm-domination":
-        ga = twisted_group_algebra(cyclic_group(2))
-        ga.algebra.name = "Z2alg"
-        put("algebra", "domination-algebra.json", io.algebra_to_dict(ga.algebra))
-        t = length_dirac(ga, word_length(cyclic_group(2)))
-        put("triple", "domination-triple.json", io.triple_to_dict(t))
-    else:
-        raise ValueError(f"unknown experiment kind {kind!r}")
-    return paths
-
-
-def run_experiment(spec: ExperimentSpec) -> list[ExperimentRecord]:
-    """Dispatch one experiment kind; any referenced input files are loaded
-    and validated before a single solve starts."""
-    from . import io
-    inputs = dict(spec.inputs)
-    loaded = {}
-    if inputs:
-        if "group" in inputs:
-            loaded["group"], loaded["cocycle"], loaded["length"] = \
-                io.group_from_dict(io.load_json(inputs["group"]))
-        for key, path in inputs.items():
-            if key.startswith("pdf"):
-                loaded[key] = io.pdf_from_dict(io.load_json(path), loaded["group"])
-        if "problem" in inputs:
-            loaded["problem"] = io.load_json(inputs["problem"])
-    trials = spec.trials or 0
-    if spec.kind == "stability":
-        return run_stability(seed=spec.seed, trials=trials or 25)
-    if spec.kind == "chaining":
-        if {"pdf1", "pdf2", "pdf3", "pdf4"} <= loaded.keys():
-            return _chaining_single(loaded, spec)
-        return run_chaining(seed=spec.seed, quadruples=trials or 100)
-    if spec.kind == "embedding":
-        return run_embedding(seed=spec.seed, trials=trials or 100)
-    if spec.kind == "cp-characterization":
-        return run_cp_characterization(seed=spec.seed, trials=trials or 200)
-    if spec.kind == "duality":
-        return run_duality(seed=spec.seed, trials=trials or 50)
-    if spec.kind == "seminorm-domination":
-        return run_kasparov(seed=spec.seed, samples=trials or 500)
-    if spec.kind == "contraction":
-        return run_contraction(seed=spec.seed, pairs=trials or 500)
-    raise ValueError(f"unknown experiment kind {spec.kind!r}")
-
-
-def _chaining_single(loaded, spec: ExperimentSpec) -> list[ExperimentRecord]:
-    """One chaining quadruple from explicit input files."""
-    group = loaded["group"]
-    ga = twisted_group_algebra(group, loaded.get("cocycle"))
-    tau = canonical_trace(ga)
-    length = loaded.get("length") or word_length(group)
-    t = length_dirac(ga, length)
-    top = length_dirac_op(ga, length)
-    seminorm = CommutatorSeminorm(kasparov_product(t, top))
-    mults = [multiplier_channel(loaded[f"pdf{k}"], ga) for k in (1, 2, 3, 4)]
-    lhs = delta_distance(compose(mults[0], mults[1]),
-                         compose(mults[2], mults[3]), tau, seminorm,
-                         tolerance=spec.tolerance)
-    d13 = delta_distance(mults[0], mults[2], tau, seminorm,
-                         tolerance=spec.tolerance)
-    d24 = delta_distance(mults[1], mults[3], tau, seminorm,
-                         tolerance=spec.tolerance)
-    slack = (d13.value + d24.value) - lhs.value
-    ok = slack >= -2 * spec.tolerance and lhs.status == "optimal"
-    return [ExperimentRecord("chaining", 0, spec.seed, lhs.value,
-                             d13.value + d24.value, slack, lhs.status, ok)]
-
-
-# ---------------------------------------------------------------------------
 # the shipped acceptance configuration
 # ---------------------------------------------------------------------------
 
+# (name, suite(seed)) at acceptance sizes; each sized suite binds exactly one
+# size keyword, which the CLI's --trials replaces.
 ACCEPTANCE_SUITES = (
-    ("cp-characterization", lambda seed: run_cp_characterization(seed, trials=200)),
-    ("embedding", lambda seed: run_embedding(seed, trials=100)),
-    ("flip", lambda seed: run_flip(seed, trials=50)),
-    ("adjoints", lambda seed: run_adjoints(seed, trials=60)),
-    ("kasparov", lambda seed: run_kasparov(seed, samples=500)),
-    ("stability", lambda seed: run_stability(seed, trials=25)),
-    ("chaining", lambda seed: run_chaining(seed, quadruples=100)),
-    ("contraction", lambda seed: run_contraction(seed, pairs=500)),
-    ("duality", lambda seed: run_duality(seed, trials=50)),
-    ("mk-correctness", lambda seed: run_mk_correctness(seed)),
-    ("metric-axioms", lambda seed: run_metric_axioms(seed, triples=10)),
+    ("cp-characterization", partial(run_cp_characterization, trials=200)),
+    ("embedding", partial(run_embedding, trials=100)),
+    ("flip", partial(run_flip, trials=50)),
+    ("adjoints", partial(run_adjoints, trials=60)),
+    ("kasparov", partial(run_kasparov, samples=500)),
+    ("stability", partial(run_stability, trials=25)),
+    ("chaining", partial(run_chaining, quadruples=100)),
+    ("contraction", partial(run_contraction, pairs=500)),
+    ("duality", partial(run_duality, trials=50)),
+    ("mk-correctness", run_mk_correctness),
+    ("metric-axioms", partial(run_metric_axioms, triples=10)),
 )
 
 
-def run_all(seed: int = 0, out: str | None = None):
-    """Run the full acceptance configuration; returns (records, all_passed)."""
-    records = []
-    for name, fn in ACCEPTANCE_SUITES:
-        records.extend(fn(seed))
-    if out:
-        emit_report(records, out)
-    return records, all(r.ok for r in records)
+def run_all(seed: int = 0) -> list[ExperimentRecord]:
+    """Run the full acceptance configuration."""
+    return [r for _, suite in ACCEPTANCE_SUITES for r in suite(seed)]

@@ -9,7 +9,6 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import (
-    AlgebraElement,
     ConcreteAlgebra,
     LinearFunctional,
     TraceFunctional,
@@ -17,7 +16,7 @@ from .algebra import (
     tensor_algebra,
 )
 from .channels import ChannelMap, channel_from_omega, trace_of_unit_image
-from .groups import FiniteGroup, PositiveDefiniteFunction, word_length
+from .groups import FiniteGroup, PositiveDefiniteFunction
 
 
 def child_rngs(seed: int, count: int) -> list[np.random.Generator]:
@@ -48,15 +47,6 @@ def random_density(rng, n: int, rank: int | None = None) -> np.ndarray:
 def random_unitary(rng, n: int) -> np.ndarray:
     q, r = np.linalg.qr(random_complex(rng, n, n))
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
-def random_element(rng, alg: ConcreteAlgebra) -> AlgebraElement:
-    return alg.element(random_complex(rng, alg.dim))
-
-
-def random_selfadjoint_element(rng, alg: ConcreteAlgebra) -> AlgebraElement:
-    x = random_element(rng, alg)
-    return 0.5 * (x + x.adjoint())
 
 
 def random_positive_functional(rng, alg: ConcreteAlgebra) -> LinearFunctional:
@@ -132,10 +122,3 @@ def random_pdf(rng, group: FiniteGroup, terms: int = 3,
         vals[group.identity] = 1.0
     return PositiveDefiniteFunction(group, vals)
 
-
-def random_length(rng, group: FiniteGroup):
-    """Weighted word length over the group's canonical generators."""
-    gens = list(group.generators) or [a for a in group.elements()
-                                      if a != group.identity]
-    weights = 0.5 + rng.random(len(gens)) * 1.5
-    return word_length(group, gens, weights)

@@ -44,10 +44,6 @@ class SpectralTriple:
     def even(self) -> bool:
         return self.grading is not None
 
-    def rep_of(self, x) -> np.ndarray:
-        coords = x.coords if isinstance(x, AlgebraElement) else np.asarray(x, complex)
-        return np.tensordot(coords, self.rep, axes=1)
-
     def commutator_matrices(self) -> np.ndarray:
         """[D, pi(B_i)] stacked; the coordinate-linear commutator map."""
         return self.dirac @ self.rep - self.rep @ self.dirac
@@ -208,11 +204,6 @@ def opposite_seminorm(lip: Seminorm) -> Seminorm:
     return PullbackSeminorm(lip, np.eye(lip.algebra.dim, dtype=complex), op)
 
 
-def pullback_seminorm(lip: Seminorm, coord_map: np.ndarray,
-                      algebra: ConcreteAlgebra) -> Seminorm:
-    return PullbackSeminorm(lip, coord_map, algebra)
-
-
 def left_tensor_seminorm(triple_a: SpectralTriple, algebra_b: ConcreteAlgebra,
                          rep_b: np.ndarray | None = None,
                          carrier: ConcreteAlgebra | None = None) -> CommutatorSeminorm:
@@ -369,22 +360,6 @@ def gradient_dirac_triple(l_mats, algebra: ConcreteAlgebra | None = None) -> Spe
     dirac[:n, n:] = v.conj().T
     rep = np.array([np.kron(np.eye(1 + nn), b) for b in algebra.basis])
     # reorder: our H is C^n (+) (C^N (x) C^n); kron(I_{N+1}, b) matches that
-    return SpectralTriple(algebra, rep, dirac).validate()
-
-
-def diagonal_matrix_dirac_triple(l_mats, algebra: ConcreteAlgebra | None = None) -> SpectralTriple:
-    """Odd triple over M_n with the block-diagonal Dirac sum_i L_i (x) e_ii;
-    its seminorm is max_i || [L_i, a] ||."""
-    l_mats = [np.asarray(l, dtype=complex) for l in l_mats]
-    n = l_mats[0].shape[0]
-    nn = len(l_mats)
-    if algebra is None:
-        from .algebra import matrix_algebra
-        algebra = matrix_algebra(n)
-    dirac = np.zeros((n * nn, n * nn), dtype=complex)
-    for i, l in enumerate(l_mats):
-        dirac[i * n:(i + 1) * n, i * n:(i + 1) * n] = l
-    rep = np.array([np.kron(np.eye(nn), b) for b in algebra.basis])
     return SpectralTriple(algebra, rep, dirac).validate()
 
 

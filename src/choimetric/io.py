@@ -45,7 +45,7 @@ def vector_to_json(v: np.ndarray):
 
 def _as_complex(pair, where):
     if (not isinstance(pair, (list, tuple))) or len(pair) != 2:
-        raise ValueError(f"{where}: complex numbers are [re, im] pairs")
+        raise ChoimetricError(f"{where}: complex numbers are [re, im] pairs")
     return complex(float(pair[0]), float(pair[1]))
 
 
@@ -72,7 +72,7 @@ def algebra_from_dict(data: dict) -> ConcreteAlgebra:
     n = int(data["ambient_dim"])
     basis = np.array([matrix_from_json(b, "basis") for b in data["basis"]])
     if basis.shape[1:] != (n, n):
-        raise ValueError(f"basis matrices are not {n}x{n}")
+        raise ChoimetricError(f"basis matrices are not {n}x{n}")
     return build_algebra(basis, name=str(data.get("name", "")))
 
 
@@ -85,11 +85,11 @@ def functional_to_dict(phi: LinearFunctional) -> dict:
 def functional_from_dict(data: dict, registry: dict) -> LinearFunctional:
     name = data["algebra"]
     if name not in registry:
-        raise ValueError(f"unknown algebra reference {name!r}")
+        raise ChoimetricError(f"unknown algebra reference {name!r}")
     alg = registry[name]
     values = vector_from_json(data["values"], "values")
     if values.shape != (alg.dim,):
-        raise ValueError("functional length does not match the algebra dimension")
+        raise ChoimetricError("functional length does not match the algebra dimension")
     return LinearFunctional(alg, values)
 
 
@@ -110,7 +110,7 @@ def channel_to_dict(ch: ChannelMap) -> dict:
 def channel_from_dict(data: dict, registry: dict) -> ChannelMap:
     for key in ("source", "target"):
         if data[key] not in registry:
-            raise ValueError(f"unknown algebra reference {data[key]!r}")
+            raise ChoimetricError(f"unknown algebra reference {data[key]!r}")
     src, tgt = registry[data["source"]], registry[data["target"]]
     mat = matrix_from_json(data["matrix"], "matrix")
     return ChannelMap(src, tgt, mat)
@@ -130,7 +130,7 @@ def triple_to_dict(t: SpectralTriple) -> dict:
 
 def triple_from_dict(data: dict, registry: dict) -> SpectralTriple:
     if data["algebra"] not in registry:
-        raise ValueError(f"unknown algebra reference {data['algebra']!r}")
+        raise ChoimetricError(f"unknown algebra reference {data['algebra']!r}")
     alg = registry[data["algebra"]]
     h = int(data["hilbert_dim"])
     rep = np.array([matrix_from_json(r, "rep") for r in data["rep"]])
@@ -138,7 +138,7 @@ def triple_from_dict(data: dict, registry: dict) -> SpectralTriple:
     grading = (matrix_from_json(data["grading"], "grading")
                if data.get("grading") is not None else None)
     if rep.shape != (alg.dim, h, h) or dirac.shape != (h, h):
-        raise ValueError("triple shapes are inconsistent with hilbert_dim")
+        raise ChoimetricError("triple shapes are inconsistent with hilbert_dim")
     return SpectralTriple(alg, rep, dirac, grading).validate()
 
 
@@ -170,14 +170,10 @@ def group_from_dict(data: dict):
     return g, cocycle, length
 
 
-def pdf_to_dict(phi: PositiveDefiniteFunction) -> dict:
-    return {"group": "", "values": vector_to_json(phi.values)}
-
-
 def pdf_from_dict(data: dict, group: FiniteGroup) -> PositiveDefiniteFunction:
     values = vector_from_json(data["values"], "values")
     if values.shape != (group.order,):
-        raise ValueError("positive definite function length mismatch")
+        raise ChoimetricError("positive definite function length mismatch")
     return PositiveDefiniteFunction(group, values)
 
 

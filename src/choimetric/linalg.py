@@ -18,11 +18,6 @@ def frobenius(m: np.ndarray) -> float:
     return float(np.linalg.norm(m))
 
 
-def inner_hs(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product <a, b> = tr(a* b)."""
-    return complex(np.vdot(a, b))
-
-
 def operator_norm(m: np.ndarray) -> float:
     """Largest singular value."""
     if m.size == 0:
@@ -30,19 +25,8 @@ def operator_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def is_hermitian(m: np.ndarray, tol: float = EPS_STRUCT) -> bool:
-    scale = max(1.0, float(np.abs(m).max(initial=0.0)))
-    return frobenius(m - dagger(m)) <= tol * scale
-
-
 def hermitian_part(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + dagger(m))
-
-
-def min_max_eig(m: np.ndarray) -> tuple[float, float]:
-    """Extreme eigenvalues of the Hermitian part of m."""
-    lam = np.linalg.eigvalsh(hermitian_part(m))
-    return float(lam[0]), float(lam[-1])
 
 
 def is_psd(m: np.ndarray, tol: float = EPS_PSD) -> bool:
@@ -61,26 +45,6 @@ def is_positive_definite(m: np.ndarray, tol: float = EPS_PSD) -> bool:
     lam = np.linalg.eigvalsh(hermitian_part(m))
     mag = max(float(np.abs(lam).max(initial=0.0)), 1.0)
     return float(lam[0]) > tol * mag
-
-
-def is_unitary(m: np.ndarray, tol: float = EPS_STRUCT) -> bool:
-    n = m.shape[0]
-    return frobenius(dagger(m) @ m - np.eye(n)) <= tol * n
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.kron(a, b)
-
-
-def kron_many(mats) -> np.ndarray:
-    out = None
-    for m in mats:
-        out = m if out is None else np.kron(out, m)
-    return out
-
-
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
 
 
 def real_from_complex_columns(cols: np.ndarray) -> np.ndarray:

@@ -1,0 +1,45 @@
+"""Every top-level function and class of the package is used somewhere in
+the package or its tests, apart from its own definition.  A name counts as
+used where it is read (`name`, `module.name`) or imported, so a re-export in
+`__init__` is a use."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "choimetric"
+
+
+def _used_names(node) -> Counter:
+    names = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            names[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            names[sub.name.split(".")[-1]] += 1
+    return names
+
+
+def unused_definitions() -> list[str]:
+    files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in files}
+    used = Counter()
+    for tree in trees.values():
+        used.update(_used_names(tree))
+    unused = []
+    for path, tree in trees.items():
+        if path.parent != PACKAGE:
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                # uses inside its own definition (recursion) do not count
+                if used[node.name] - _used_names(node)[node.name] == 0:
+                    unused.append(f"{path.name}:{node.lineno} {node.name}")
+    return unused
+
+
+def test_no_unused_top_level_definitions():
+    assert unused_definitions() == []

@@ -55,21 +55,6 @@ def test_cli_embedding_suite(tmp_path):
     assert all(r["pass"] == "1" for r in rows)
 
 
-def test_worker_env_cap(monkeypatch):
-    monkeypatch.setenv("CHOIMETRIC_THREADS", "2")
-    assert E.worker_count() == 2
-    monkeypatch.delenv("CHOIMETRIC_THREADS")
-    assert E.worker_count() == 1
-
-
-def test_threaded_matches_serial(monkeypatch):
-    serial = E.run_duality(seed=5, trials=4)
-    monkeypatch.setenv("CHOIMETRIC_THREADS", "3")
-    threaded = E.run_duality(seed=5, trials=4)
-    assert [r.lhs for r in serial] == [r.lhs for r in threaded]
-    assert [r.ok for r in serial] == [r.ok for r in threaded]
-
-
 def test_stability_small():
     recs = E.run_stability(seed=0, trials=2, groups=("Z2",),
                            general_trials=(1,), audit_samples=5)
@@ -83,43 +68,3 @@ def test_chaining_small():
     recs = E.run_chaining(seed=0, quadruples=2, groups=("Z2", "S3"))
     assert all(r.ok for r in recs)
     assert all(r.slack >= -2e-7 for r in recs)
-
-
-def test_generate_instance_deterministic(tmp_path):
-    d1 = tmp_path / "a"
-    d2 = tmp_path / "b"
-    d1.mkdir()
-    d2.mkdir()
-    p1 = E.generate_instance("chaining", 7, str(d1))
-    p2 = E.generate_instance("chaining", 7, str(d2))
-    assert set(p1) == {"group", "pdf1", "pdf2", "pdf3", "pdf4"}
-    for role in p1:
-        assert open(p1[role]).read() == open(p2[role]).read()
-
-
-def test_run_experiment_from_files(tmp_path):
-    paths = E.generate_instance("chaining", 3, str(tmp_path))
-    spec = E.ExperimentSpec("chaining", seed=3,
-                            inputs={"group": paths["group"],
-                                    **{f"pdf{k}": paths[f"pdf{k}"]
-                                       for k in (1, 2, 3, 4)}})
-    recs = E.run_experiment(spec)
-    assert len(recs) == 1 and recs[0].ok
-
-
-def test_run_experiment_validates_before_solving(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{broken")
-    spec = E.ExperimentSpec("chaining", inputs={"group": str(bad)})
-    import pytest
-    from choimetric.errors import ChoimetricError
-    with pytest.raises(ChoimetricError):
-        E.run_experiment(spec)
-
-
-def test_generate_instance_all_kinds(tmp_path):
-    for kind in E.EXPERIMENT_KINDS:
-        sub = tmp_path / kind
-        sub.mkdir()
-        paths = E.generate_instance(kind, 1, str(sub))
-        assert paths

@@ -3,12 +3,23 @@ import json
 import numpy as np
 import pytest
 
-from choimetric import cyclic_group, identity_channel, word_length
-from choimetric import io
+from choimetric import (
+    CommutatorSeminorm,
+    canonical_trace,
+    cyclic_group,
+    delta_distance,
+    identity_channel,
+    io,
+    kasparov_product,
+    multiplier_channel,
+    word_length,
+)
+from choimetric import cli
 from choimetric.cli import main
 from choimetric.errors import ChoimetricError
-from choimetric.experiments import length_dirac
+from choimetric.experiments import length_dirac, length_dirac_op
 from choimetric.groups import twisted_group_algebra
+from choimetric.metrics import DLResult
 
 
 def write(tmp_path, name, data):
@@ -98,6 +109,17 @@ def test_cli_group_gen_and_delta(tmp_path, capsys):
     rec = json.loads(capsys.readouterr().out.strip())
     assert rec["status"] == "optimal"
     assert rec["value"] > 0
+    # the CLI solves on the character-restricted subspace; the unrestricted
+    # Kasparov seminorm gives the same value
+    group, _, length = io.group_from_dict(io.load_json(gpath))
+    ga = twisted_group_algebra(group)
+    seminorm = CommutatorSeminorm(kasparov_product(length_dirac(ga, length),
+                                                   length_dirac_op(ga, length)))
+    pdfs = [io.pdf_from_dict(io.load_json(p), group) for p in (phi, psi)]
+    full = delta_distance(*(multiplier_channel(p, ga) for p in pdfs),
+                          canonical_trace(ga), seminorm)
+    assert full.status == "optimal"
+    assert abs(rec["value"] - full.value) <= 1e-6
 
 
 def test_cli_mk(tmp_path, capsys):
@@ -145,23 +167,47 @@ def test_cli_missing_file_is_an_error(tmp_path, capsys):
                  "--kind", "algebra"]) == 1
 
 
-def test_cli_dl(tmp_path, capsys):
-    from choimetric import diagonal_algebra
+def test_cli_bad_input_file_is_an_error(tmp_path, capsys):
+    gpath = str(tmp_path / "z2.json")
+    assert main(["group-gen", "--kind", "cyclic", "--n", "2",
+                 "--out", gpath]) == 0
+    bad = write(tmp_path, "bad.json",
+                {"group": "Z2", "values": [[1, 0], [0.5, 0], [0.2, 0]]})
+    assert main(["validate", bad, "--kind", "pdf", "--group", gpath]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["run-all", "--trials", "3"],
+    ["delta", "--group", "g.json", "--pdf", "p.json", "--pdf2", "q.json",
+     "--max-iter", "5"],
+])
+def test_cli_rejects_flags_the_verb_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def _dl_files(tmp_path):
+    """Two unital CP maps on diag(2), the triple and the algebra file."""
+    from choimetric import ChannelMap, diagonal_algebra
     d2 = diagonal_algebra(2)
     d2.name = "diag2"
     alg = write(tmp_path, "d2.json", io.algebra_to_dict(d2))
-    import numpy as np
-    f = write(tmp_path, "f.json", io.channel_to_dict(
-        __import__("choimetric").ChannelMap(
-            d2, d2, np.array([[0.7, 0.3], [0.3, 0.7]], dtype=complex))))
-    g = write(tmp_path, "g.json", io.channel_to_dict(
-        __import__("choimetric").ChannelMap(
-            d2, d2, np.array([[0.2, 0.8], [0.8, 0.2]], dtype=complex))))
+    f = write(tmp_path, "f.json", io.channel_to_dict(ChannelMap(
+        d2, d2, np.array([[0.7, 0.3], [0.3, 0.7]], dtype=complex))))
+    g = write(tmp_path, "g.json", io.channel_to_dict(ChannelMap(
+        d2, d2, np.array([[0.2, 0.8], [0.8, 0.2]], dtype=complex))))
     x = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
     t = write(tmp_path, "t.json", {"algebra": "diag2", "hilbert_dim": 2,
                                    "rep": [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]],
                                            [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]],
                                    "dirac": x, "grading": None})
+    return f, g, t, alg
+
+
+def test_cli_dl(tmp_path, capsys):
+    f, g, t, alg = _dl_files(tmp_path)
     assert main(["dl", "--channel", f, "--channel2", g, "--triple", t,
                  "--algebras", alg, "--starts", "4"]) == 0
     rec = json.loads(capsys.readouterr().out.strip())
@@ -171,3 +217,14 @@ def test_cli_dl(tmp_path, capsys):
                  "--m-max", "2", "--starts", "2"]) == 0
     rec2 = json.loads(capsys.readouterr().out.strip())
     assert rec2["status"] == "lower_bound" and len(rec2["per_m"]) == 2
+
+
+def test_cli_dl_nonconvergence_exits_1(tmp_path, capsys, monkeypatch):
+    f, g, t, alg = _dl_files(tmp_path)
+    monkeypatch.setattr(cli, "dl_distance", lambda *a, **k: DLResult(
+        0.5, False, "heuristic_nonconvergence"))
+    assert main(["dl", "--channel", f, "--channel2", g, "--triple", t,
+                 "--algebras", alg]) == 1
+    rec = json.loads(capsys.readouterr().out.strip())
+    assert rec["status"] == "heuristic_nonconvergence"
+    assert rec["converged"] is False
