@@ -231,9 +231,7 @@ def group_context(key: str, restrict: bool = True) -> GroupContext:
 @dataclass
 class StabilityContext:
     base: GroupContext
-    n: int
     mn: object
-    trace_n: object
     amp_source: object
     amp_trace: object
     omega_carrier: object
@@ -241,7 +239,6 @@ class StabilityContext:
     setup_n: object
     sigma23: np.ndarray
     kasp_carrier: object
-    product_total: SpectralTriple
     dims: tuple
 
 
@@ -282,9 +279,8 @@ def stability_context(key: str, n: int = 2, restrict: bool = True) -> StabilityC
                                   omega_carrier)
     restriction = _char_restriction(seminorm_n, base.group, n * n) if restrict else None
     setup_n = prepare_ball(seminorm_n, restriction)
-    return StabilityContext(base, n, mn, trace_n, amp_source, amp_trace,
-                            omega_carrier, seminorm_n, setup_n, perm,
-                            kasp_carrier, product_total, dims)
+    return StabilityContext(base, mn, amp_source, amp_trace, omega_carrier,
+                            seminorm_n, setup_n, perm, kasp_carrier, dims)
 
 
 def cp_corpus():

@@ -46,7 +46,24 @@ def vector_to_json(v: np.ndarray):
 def _as_complex(pair, where):
     if (not isinstance(pair, (list, tuple))) or len(pair) != 2:
         raise ChoimetricError(f"{where}: complex numbers are [re, im] pairs")
-    return complex(float(pair[0]), float(pair[1]))
+    try:
+        return complex(float(pair[0]), float(pair[1]))
+    except (TypeError, ValueError) as exc:
+        raise ChoimetricError(f"{where}: {pair!r} is not a pair of numbers") from exc
+
+
+def _field(data, key, where):
+    """data[key], or a ChoimetricError naming the missing key."""
+    if not isinstance(data, dict) or key not in data:
+        raise ChoimetricError(f"{where}: missing key {key!r}")
+    return data[key]
+
+
+def _numbers(values, dtype, where) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise ChoimetricError(f"{where}: entries must be numbers") from exc
 
 
 def matrix_from_json(rows, where="matrix") -> np.ndarray:
@@ -158,20 +175,21 @@ def group_to_dict(g: FiniteGroup, cocycle: Cocycle | None = None,
 
 
 def group_from_dict(data: dict):
-    g = group_from_table(data["mult_table"], int(data["identity"]),
-                         name=str(data.get("name", "G")),
+    table = _numbers(_field(data, "mult_table", "group"), int, "mult_table")
+    identity = _numbers(_field(data, "identity", "group"), int, "identity")
+    g = group_from_table(table, int(identity), name=str(data.get("name", "G")),
                          generators=data.get("generators", ()))
     cocycle = None
     if data.get("cocycle") is not None:
         cocycle = Cocycle(g, matrix_from_json(data["cocycle"], "cocycle"))
     length = None
     if data.get("length") is not None:
-        length = LengthFunction(g, np.array(data["length"], dtype=float))
+        length = LengthFunction(g, _numbers(data["length"], float, "length"))
     return g, cocycle, length
 
 
 def pdf_from_dict(data: dict, group: FiniteGroup) -> PositiveDefiniteFunction:
-    values = vector_from_json(data["values"], "values")
+    values = vector_from_json(_field(data, "values", "pdf"), "values")
     if values.shape != (group.order,):
         raise ChoimetricError("positive definite function length mismatch")
     return PositiveDefiniteFunction(group, values)

@@ -5,8 +5,19 @@ L(a) <= 1 } is solved with the operator-norm constraint written as the
 linear matrix inequality [[I, C(a)], [C(a)*, I]] >= 0, after a kernel
 pre-pass that either certifies the value is infinite or eliminates the
 kernel directions.  The constraint matrices are split into independent
-blocks along the connected components of their joint support, which the
-interior-point solver exploits directly.
+blocks along the connected components of their joint support.
+
+The symmetry of the group and of the Kasparov product makes most of those
+blocks copies of one another: the same pencil C - sum y_i A_i up to a
+unitary change of basis.  `prepare_ball` assembles the blocks once, sorts
+them into classes by the spectra of their pencils at a few fixed random y,
+and keeps one block per class.  Every solve goes through
+`_solve_certified`: the interior-point solver sees the kept blocks only,
+and the exact slack of every dropped block is checked at the returned y.
+The reduced primal is the full primal with X = 0 on the dropped blocks, so
+a y that passes is a primal-dual pair of the full program with the same
+gap; a y that fails is discarded and the full program solved.  A wrong
+grouping costs time, never a wrong value.
 
 Restricting the optimization to self-adjoint elements loses nothing: the
 seminorms are *-invariant and the functional differences Hermitian, so the
@@ -169,20 +180,48 @@ def _assemble_blocks(families: list[np.ndarray], nvars: int):
     return blocks, naux
 
 
+def _split_copies(blocks, samples: int = 3, rel_tol: float = 1e-9):
+    """Sort blocks into classes of copies and keep one block per class.
+
+    Two blocks are taken as copies when their pencils C - sum y_i A_i have
+    the same spectrum at `samples` fixed random y: a unitary change of basis
+    turns one into the other, so both impose the same constraint on y.
+    Returns (kept, dropped).  A wrong match costs a second solve, never a
+    wrong value: `_solve_certified` checks every dropped block at the
+    solution.
+    """
+    if len(blocks) < 2:
+        return list(blocks), []
+    ys = np.random.default_rng(0).standard_normal((samples, blocks[0][1].shape[0]))
+    spectra = [np.linalg.eigvalsh(cmat[None] - np.tensordot(ys, astack, axes=1))
+               for cmat, astack in blocks]
+    kept, dropped = [], []
+    for k, spec in enumerate(spectra):
+        scale = rel_tol * (1.0 + float(np.abs(spec).max(initial=0.0)))
+        copy = any(spectra[j].shape == spec.shape
+                   and float(np.abs(spectra[j] - spec).max(initial=0.0)) <= scale
+                   for j in kept)
+        (dropped if copy else kept).append(k)
+    return [blocks[k] for k in kept], [blocks[k] for k in dropped]
+
+
 # ---------------------------------------------------------------------------
 # the ball maximization core
 # ---------------------------------------------------------------------------
 
 @dataclass
 class _BallSetup:
-    """Cached reduction of a (seminorm, subspace) pair for repeated solves."""
+    """Cached reduction of a (seminorm, subspace) pair for repeated solves:
+    the kernel split and the SDP blocks of the unit ball on the range, one
+    block per class of copies in `kept` and the other copies in `dropped`."""
     algebra: ConcreteAlgebra
     rows: np.ndarray                 # (r, d) self-adjoint coordinate basis
-    families: list[np.ndarray]
     null_basis: np.ndarray           # (r, n0)
     range_basis: np.ndarray          # (r, q)
-    reduced: list[np.ndarray]
     projector: np.ndarray | None
+    kept: list                       # (C, Astack) blocks passed to the solver
+    dropped: list                    # copies of kept blocks, checked at the end
+    naux: int                        # split-level variables after the q range ones
 
 
 def prepare_ball(seminorm: Seminorm,
@@ -197,12 +236,43 @@ def prepare_ball(seminorm: Seminorm,
     null = null_space_real(flat.T)
     rng_basis = row_space_real(flat.T)
     reduced = [np.einsum("iq,ixy->qxy", rng_basis, f) for f in families]
+    blocks, naux = _assemble_blocks(reduced, rng_basis.shape[1])
+    kept, dropped = _split_copies(blocks)
     projector = None
     if restrict_to is not None:
         s = np.asarray(restrict_to, dtype=complex)
         gram = s.conj().T @ s
         projector = s @ np.linalg.solve(gram, s.conj().T)
-    return _BallSetup(alg, rows, families, null, rng_basis, reduced, projector)
+    return _BallSetup(alg, rows, null, rng_basis, projector, kept, dropped, naux)
+
+
+def _psd_violation(cmat: np.ndarray, astack: np.ndarray, y: np.ndarray) -> float:
+    """Distance of the slack C - sum y_i A_i from the PSD cone, normalised
+    as `sdp.solve_sdp` normalises its dual infeasibility."""
+    lam = np.linalg.eigvalsh(cmat - np.tensordot(y, astack, axes=1))
+    negative = float(np.linalg.norm(np.minimum(lam, 0.0)))
+    return negative / (1.0 + float(np.linalg.norm(cmat)))
+
+
+def _solve_certified(b: np.ndarray, kept: list, dropped: list, tol: float,
+                     max_iter: int) -> sdp.SDPResult:
+    """The one SDP solve path of this module: solve on the kept blocks,
+    then check the dropped ones at the returned y.
+
+    The reduced primal is the full primal with X_k = 0 on the dropped
+    blocks, so a y whose dropped slacks pass the check is a primal-dual pair
+    of the full program with the same gap.  Their violation is folded into
+    the dual infeasibility; past the feasibility tolerance the full program
+    is solved instead.
+    """
+    feas_tol = sdp.feasibility_tolerance(tol)
+    res = sdp.solve_sdp(b, kept, tol=tol, feas_tol=feas_tol, max_iter=max_iter)
+    violation = max((_psd_violation(c, a, res.y) for c, a in dropped), default=0.0)
+    if violation > feas_tol:
+        return sdp.solve_sdp(b, kept + dropped, tol=tol, feas_tol=feas_tol,
+                             max_iter=max_iter)
+    res.dual_infeas = max(res.dual_infeas, violation)
+    return res
 
 
 def _maximize_linear(setup: _BallSetup, values: np.ndarray, tol: float,
@@ -232,9 +302,8 @@ def _maximize_linear(setup: _BallSetup, values: np.ndarray, tol: float,
     flip = -1.0 if gred[int(np.argmax(np.abs(gred)))] < 0 else 1.0
     b_obj = flip * gred / scale
     q = gred.shape[0]
-    blocks, naux = _assemble_blocks(setup.reduced, q)
-    b_full = np.concatenate([b_obj, np.zeros(naux)])
-    res = sdp.solve_sdp(b_full, blocks, tol=tol, max_iter=max_iter)
+    res = _solve_certified(np.concatenate([b_obj, np.zeros(setup.naux)]),
+                           setup.kept, setup.dropped, tol, max_iter)
     coords = setup.rows.T @ (setup.range_basis @ (flip * res.y[:q]))
     status = "optimal" if res.status == "optimal" else "max_iter"
     return MKResult(res.value * scale, AlgebraElement(alg, coords),
@@ -314,8 +383,11 @@ def _mk_hyperplane(problem: MKProblem, diff: np.ndarray,
             return MKResult(best_val, AlgebraElement(alg, coords),
                             upper - best_val, "optimal")
         if best_val > 0.01 * box:
-            raise Infeasible("unit ball appears unbounded along the objective; "
-                             "the distance is infinite or the box is too small")
+            # the unit ball is unbounded along the objective: the distance is
+            # infinite, witnessed by the direction the planes could not cut
+            wit = rows.T @ (best_t / np.linalg.norm(best_t))
+            return MKResult(math.inf, None, 0.0, "infinite",
+                            kernel_witness=AlgebraElement(alg, wit))
         h = subgrad(t, lt)
         cuts_a.append(h)
         cuts_b.append(1.0 - lt + float(h @ t))
@@ -464,7 +536,7 @@ def wasserstein_dual(rho1: np.ndarray, rho2: np.ndarray, l_mats,
         b[a] = -0.5 * float(np.trace(hp).real)
     for bq, hq in enumerate(herm_q):
         b[npar + bq] = -0.5 * float(np.trace(hq).real)
-    res = sdp.solve_sdp(b, [(cmat, astack)], tol=tol, max_iter=max_iter)
+    res = _solve_certified(b, [(cmat, astack)], [], tol, max_iter)
     coeff = res.y[npar + qpar:]
     u_final = [u0[i] + sum(c * mats[i] for c, mats in zip(coeff, null_mats))
                for i in range(nn)]
@@ -493,7 +565,7 @@ def dl_distance(f: ChannelMap, g: ChannelMap, seminorm: Seminorm,
     inner linear SDP (fixed unit vector) and re-extremizing the vector.
 
     The result is a certified lower bound; `converged` reports whether every
-    start stalled before the round cap.
+    start stalled before the round cap with every inner solve optimal.
     """
     if validate:
         for name, ch in (("first", f), ("second", g)):
@@ -536,19 +608,21 @@ def dl_distance(f: ChannelMap, g: ChannelMap, seminorm: Seminorm,
             if scale < 1e-13:
                 converged = True
                 break
-            blocks, naux = _assemble_blocks(setup.reduced, gred.shape[0])
-            res = sdp.solve_sdp(np.concatenate([gred / scale, np.zeros(naux)]),
-                                blocks, tol=tolerance)
+            res = _solve_certified(np.concatenate([gred / scale, np.zeros(setup.naux)]),
+                                   setup.kept, setup.dropped, tolerance, 200)
             t = setup.range_basis @ res.y[:gred.shape[0]]
             big = np.tensordot(t, imgs, axes=1)
             lam, vecs = np.linalg.eigh(hermitian_part(big))
             idx = int(np.argmax(np.abs(lam)))
             new_val = float(np.abs(lam[idx]))
             xi = vecs[:, idx]
-            if new_val <= val * (1 + 1e-9) + tolerance:
+            # a non-optimal inner solve still gives a point of the ball, so
+            # new_val stays a lower bound, but its start has not converged
+            inexact = res.status != "optimal"
+            if inexact or new_val <= val * (1 + 1e-9) + tolerance:
                 val = max(val, new_val)
                 opt_coords = setup.rows.T @ t
-                converged = True
+                converged = not inexact
                 break
             val = new_val
             opt_coords = setup.rows.T @ t
@@ -558,8 +632,8 @@ def dl_distance(f: ChannelMap, g: ChannelMap, seminorm: Seminorm,
             best = val
             best_opt = opt_coords
     if not all_converged:
-        warnings.warn("D_L ascent hit the round cap; value is a lower bound",
-                      stacklevel=2)
+        warnings.warn("D_L ascent hit the round cap or a non-optimal inner "
+                      "solve; value is a lower bound", stacklevel=2)
     optimizer = AlgebraElement(setup.algebra, best_opt) if best_opt is not None else None
     return DLResult(best, all_converged,
                     "optimal" if all_converged else "heuristic_nonconvergence",

@@ -85,6 +85,11 @@ def _chol_psd(w):
     raise np.linalg.LinAlgError("scaling matrix not positive definite")
 
 
+def feasibility_tolerance(tol: float) -> float:
+    """The residual tolerance `solve_sdp` uses when it is given none."""
+    return max(10 * tol, 1e-8)
+
+
 def solve_sdp(b, blocks, tol=1e-7, feas_tol=None, max_iter=200,
               step_frac=0.98) -> SDPResult:
     """Solve the block SDP; `blocks` is a list of (C, Astack) pairs with C of
@@ -92,7 +97,7 @@ def solve_sdp(b, blocks, tol=1e-7, feas_tol=None, max_iter=200,
     b = np.asarray(b, dtype=float)
     m = b.shape[0]
     if feas_tol is None:
-        feas_tol = max(10 * tol, 1e-8)
+        feas_tol = feasibility_tolerance(tol)
     cs = [np.asarray(c, dtype=complex) for c, _ in blocks]
     stacks = [np.asarray(a, dtype=complex) for _, a in blocks]
     sizes = [c.shape[0] for c in cs]

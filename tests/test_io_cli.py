@@ -177,6 +177,22 @@ def test_cli_bad_input_file_is_an_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("kind, data", [
+    ("pdf", {"group": "Z2"}),
+    ("pdf", {"group": "Z2", "values": [[1, 0], ["a", 0]]}),
+    ("group", {"order": 2, "identity": 0}),
+    ("group", {"mult_table": [[0, 1], [1, "a"]], "identity": 0}),
+])
+def test_cli_malformed_input_file_is_an_error(tmp_path, capsys, kind, data):
+    # a missing key or a non-numeric entry is an input error, not a traceback
+    gpath = str(tmp_path / "z2.json")
+    assert main(["group-gen", "--kind", "cyclic", "--n", "2",
+                 "--out", gpath]) == 0
+    bad = write(tmp_path, "bad.json", data)
+    assert main(["validate", bad, "--kind", kind, "--group", gpath]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 @pytest.mark.parametrize("argv", [
     ["run-all", "--trials", "3"],
     ["delta", "--group", "g.json", "--pdf", "p.json", "--pdf2", "q.json",

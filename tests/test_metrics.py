@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -22,9 +23,10 @@ from choimetric import (
     multiplier_channel,
     wasserstein_dual,
 )
+from choimetric import identity_channel, sdp, tensor_channel
 from choimetric.errors import Infeasible, NotTraceChannel
-from choimetric.experiments import group_context
-from choimetric.generate import random_density, random_hermitian, random_state
+from choimetric.experiments import group_context, stability_context
+from choimetric.generate import random_density, random_hermitian, random_pdf, random_state
 from choimetric.geometry import Seminorm, gradient_dirac_triple
 from choimetric.groups import PositiveDefiniteFunction, cyclic_group
 from choimetric.metrics import commutative_pure_states
@@ -296,7 +298,7 @@ def test_sum_seminorm_mk(rng, d2):
     assert abs(res.value - 0.5) < 1e-6
 
 
-def test_hyperplane_fallback(d2):
+def test_hyperplane_fallback(d2, m2):
     lip = CommutatorSeminorm(SpectralTriple(d2, d2.basis, X))
 
     class Opaque(Seminorm):
@@ -310,6 +312,18 @@ def test_hyperplane_fallback(d2):
     dp, dq = point_states(d2)
     res = mk_between(dp, dq, Opaque(lip), tolerance=1e-5)
     assert abs(res.value - 1.0) < 1e-3
+    # an unbounded ball is the "infinite" status with a witness, as on the
+    # SDP path: a diagonal Dirac on M_2 leaves the diagonal unconstrained
+    diag = CommutatorSeminorm(SpectralTriple(m2, m2.basis,
+                                             np.diag([1.0, -1.0]).astype(complex)))
+    phi = LinearFunctional(m2, m2.basis[:, 0, 0].astype(complex))
+    psi = LinearFunctional(m2, m2.basis[:, 1, 1].astype(complex))
+    res = mk_between(phi, psi, Opaque(diag), warn_on_nonstates=False)
+    assert res.status == "infinite" and math.isinf(res.value)
+    assert res.optimizer is None
+    wit = res.kernel_witness.coords
+    assert diag.eval_coords(wit) < 1e-3
+    assert abs((phi.values - psi.values) @ wit) > 0.5
 
 
 def test_right_tensor_seminorm_kernel_witness(rng, m2):
@@ -394,3 +408,113 @@ def test_state_sup_right_branch(rng):
         lb = state_sup_lower_bound(z, "right", lip_b, ga.algebra,
                                    samples=60, rng=rng)
         assert lb <= rt.eval_coords(z) + 1e-9
+
+
+def test_dl_flags_nonoptimal_inner_solves(monkeypatch, d2):
+    # an inner solve that stops short of optimal leaves its start unconverged
+    lip = CommutatorSeminorm(SpectralTriple(d2, d2.basis, X))
+    g = ChannelMap(d2, d2, np.array([[0.7, 0.3], [0.3, 0.7]], dtype=complex))
+    h = ChannelMap(d2, d2, np.array([[0.2, 0.8], [0.8, 0.2]], dtype=complex))
+    solve = sdp.solve_sdp
+
+    def capped(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        res.status = "max_iter"
+        return res
+
+    monkeypatch.setattr(sdp, "solve_sdp", capped)
+    with pytest.warns(UserWarning):
+        res = dl_distance(g, h, lip, starts=2, seed=1)
+    assert not res.converged
+    assert res.status == "heuristic_nonconvergence"
+    assert res.value <= 0.5 + 1e-6          # still a lower bound
+
+
+# ---------------------------------------------------------------------------
+# one solved copy per class of equivalent blocks
+# ---------------------------------------------------------------------------
+
+def _every_block(setup):
+    """The same ball with every block handed to the solver."""
+    return dataclasses.replace(setup, kept=setup.kept + setup.dropped, dropped=[])
+
+
+def _counting_solver(monkeypatch):
+    calls = []
+    solve = sdp.solve_sdp
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[1]))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(sdp, "solve_sdp", counted)
+    return calls
+
+
+def _amplified(ctx, f):
+    return tensor_channel(identity_channel(ctx.mn), f,
+                          source=ctx.amp_source, target=ctx.amp_source)
+
+
+@pytest.mark.parametrize("key", ["Z2", "Z3", "Z4", "S3", "amplified Z2"])
+def test_reduced_solve_matches_full_solve(key, monkeypatch):
+    if key.startswith("amplified"):
+        ctx = stability_context(key.split()[1])
+        base = ctx.base
+
+        def args(f, g):
+            return _amplified(ctx, f), _amplified(ctx, g), ctx.amp_trace, ctx.seminorm_n
+
+        setup = ctx.setup_n
+    else:
+        base = group_context(key)
+
+        def args(f, g):
+            return f, g, base.tau, base.seminorm
+
+        setup = base.setup
+    full = _every_block(setup)
+    calls = _counting_solver(monkeypatch)
+    rng = np.random.default_rng(31)
+    for _ in range(3):
+        f, g = (multiplier_channel(random_pdf(rng, base.group), base.ga) for _ in range(2))
+        reduced = delta_distance(*args(f, g), tolerance=1e-9, setup=setup)
+        every = delta_distance(*args(f, g), tolerance=1e-9, setup=full)
+        assert reduced.status == every.status == "optimal"
+        assert abs(reduced.value - every.value) <= 1e-7
+    # no dropped copy failed its check: one solve on the kept blocks each
+    assert calls == [len(setup.kept), len(full.kept)] * 3
+
+
+@pytest.mark.parametrize("build, kept, total", [
+    (lambda: group_context("Z2").setup, 1, 8),
+    (lambda: group_context("Z3").setup, 2, 8),
+    (lambda: group_context("Z4").setup, 2, 8),
+    (lambda: group_context("S3").setup, 2, 4),
+    (lambda: stability_context("Z2").setup_n, 1, 4),
+    (lambda: stability_context("Z3").setup_n, 2, 6),
+    (lambda: stability_context("Z2", restrict=False).setup_n, 1, 2),
+])
+def test_kept_block_counts(build, kept, total):
+    setup = build()
+    assert (len(setup.kept), len(setup.kept) + len(setup.dropped)) == (kept, total)
+
+
+def test_wrong_copy_falls_back_to_the_full_solve(monkeypatch):
+    # a block whose pencil differs (twice the A-stack halves the ball) marked
+    # as a dropped copy: the check rejects the reduced y and solves them all
+    ctx = group_context("Z2")
+    cmat, astack = ctx.setup.kept[0]
+    wrong = dataclasses.replace(ctx.setup, dropped=[(cmat, 2.0 * astack)])
+    rng = np.random.default_rng(5)
+    f, g = (multiplier_channel(random_pdf(rng, ctx.group), ctx.ga) for _ in range(2))
+    right = delta_distance(f, g, ctx.tau, ctx.seminorm, tolerance=1e-9,
+                           setup=ctx.setup)
+    every = delta_distance(f, g, ctx.tau, ctx.seminorm, tolerance=1e-9,
+                           setup=_every_block(wrong))
+    calls = _counting_solver(monkeypatch)
+    res = delta_distance(f, g, ctx.tau, ctx.seminorm, tolerance=1e-9, setup=wrong)
+    assert calls == [1, 2]
+    assert res.status == every.status == "optimal"
+    assert abs(res.value - every.value) <= 1e-9
+    assert abs(res.value - 0.5 * right.value) <= 1e-7
