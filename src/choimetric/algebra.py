@@ -36,6 +36,8 @@ class ConcreteAlgebra:
     ----------
     basis : (d, N, N) array; the ordered basis.
     structure : (d, d, d) array; B_i B_j = sum_k structure[i, j, k] B_k.
+        The constructor also takes a function that returns it; the function
+        is called the first time `structure` is read.
     adjoint_coords : (d, d) array; row i holds the coordinates of B_i^*.
     unit_coords : (d,) array; coordinates of the two-sided identity.
     factors : tuple of atomic tensor factors when built by tensor_algebra.
@@ -45,7 +47,8 @@ class ConcreteAlgebra:
     def __init__(self, basis, structure, adjoint_coords, unit_coords,
                  name="", factors=(), op_of=None):
         self.basis = np.asarray(basis, dtype=complex)
-        self.structure = np.asarray(structure, dtype=complex)
+        self._structure = (structure if callable(structure)
+                           else np.asarray(structure, dtype=complex))
         self.adjoint_coords = np.asarray(adjoint_coords, dtype=complex)
         self.unit_coords = np.asarray(unit_coords, dtype=complex)
         self.name = name
@@ -55,6 +58,12 @@ class ConcreteAlgebra:
         self._flat = self.basis.reshape(d, n * n)
         self._pinv = np.linalg.pinv(self._flat.T)
         self._swap_cache = {}
+
+    @property
+    def structure(self) -> np.ndarray:
+        if callable(self._structure):
+            self._structure = np.asarray(self._structure(), dtype=complex)
+        return self._structure
 
     # -- basic shape -----------------------------------------------------
 
@@ -376,15 +385,17 @@ def tensor_algebra(a: ConcreteAlgebra, b: ConcreteAlgebra, name=None) -> Concret
     da, db = a.dim, b.dim
     basis = np.einsum("aij,bkl->abikjl", a.basis, b.basis).reshape(
         da * db, a.ambient_dim * b.ambient_dim, a.ambient_dim * b.ambient_dim)
-    structure = np.einsum("ace,bdf->abcdef", a.structure, b.structure).reshape(
-        da * db, da * db, da * db)
     adjoint = np.einsum("ac,bd->abcd", a.adjoint_coords, b.adjoint_coords).reshape(
         da * db, da * db)
     unit = np.outer(a.unit_coords, b.unit_coords).reshape(da * db)
     factors = (a.factors or (a,)) + (b.factors or (b,))
     label = name or f"({a.name})@({b.name})"
-    return ConcreteAlgebra(basis, structure, adjoint, unit,
-                           name=label, factors=factors)
+    # the structure tensor is cubic in the dimension and unread by most
+    # callers: ConcreteAlgebra builds it the first time it is read
+    return ConcreteAlgebra(
+        basis, lambda: np.einsum("ace,bdf->abcdef", a.structure, b.structure).reshape(
+            da * db, da * db, da * db),
+        adjoint, unit, name=label, factors=factors)
 
 
 def tensor_many(algebras, name=None) -> ConcreteAlgebra:
@@ -403,9 +414,9 @@ def opposite_algebra(a: ConcreteAlgebra) -> ConcreteAlgebra:
     if a.op_of is not None:
         return a.op_of
     basis = a.basis.transpose(0, 2, 1)
-    structure = a.structure.transpose(1, 0, 2)
     factors = tuple(opposite_algebra(f) for f in a.factors) if a.factors else ()
-    out = ConcreteAlgebra(basis, structure, a.adjoint_coords.copy(),
+    out = ConcreteAlgebra(basis, lambda: a.structure.transpose(1, 0, 2),
+                          a.adjoint_coords.copy(),
                           a.unit_coords.copy(), name=f"{a.name}^op",
                           factors=factors, op_of=a)
     return out

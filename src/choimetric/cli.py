@@ -198,9 +198,13 @@ def cmd_dl(args):
 
 def cmd_wasserstein(args):
     data = io.load_json(args.problem)
-    ls = [io.matrix_from_json(m, "l_matrices") for m in data["l_matrices"]]
-    rho1 = io.matrix_from_json(data["rho1"], "rho1")
-    rho2 = io.matrix_from_json(data["rho2"], "rho2")
+    ls = io._matrices(data, "l_matrices", "problem")
+    rho1 = io.matrix_from_json(io._field(data, "rho1", "problem"), "rho1")
+    rho2 = io.matrix_from_json(io._field(data, "rho2", "problem"), "rho2")
+    if ls.ndim != 3 or ls.shape[1] != ls.shape[2] or not (
+            rho1.shape == rho2.shape == ls.shape[1:]):
+        raise ChoimetricError("problem: l_matrices, rho1 and rho2 must be "
+                              "square matrices of one size")
     try:
         res = wasserstein_dual(rho1, rho2, ls, tol=args.tolerance)
     except ChoimetricError as exc:

@@ -77,6 +77,8 @@ def _validate_group(g: FiniteGroup):
     if t.min() < 0 or t.max() >= n:
         raise InvalidGroup("table entries out of range")
     e = g.identity
+    if not 0 <= e < n:
+        raise InvalidGroup("identity out of range")
     if not (np.array_equal(t[e], np.arange(n)) and np.array_equal(t[:, e], np.arange(n))):
         raise InvalidGroup("identity law fails")
     # associativity over the full table

@@ -52,27 +52,51 @@ def _as_complex(pair, where):
         raise ChoimetricError(f"{where}: {pair!r} is not a pair of numbers") from exc
 
 
-def _field(data, key, where):
-    """data[key], or a ChoimetricError naming the missing key."""
+_KINDS = {list: "a list", str: "a string", (int, float): "a number"}
+
+
+def _field(data, key, where, kind=None):
+    """data[key], or a ChoimetricError naming the missing key or, when
+    `kind` is given, a value that is not a list, a string or a number."""
     if not isinstance(data, dict) or key not in data:
         raise ChoimetricError(f"{where}: missing key {key!r}")
-    return data[key]
+    value = data[key]
+    if kind is not None and not isinstance(value, kind):
+        raise ChoimetricError(f"{where}: {key!r} must be {_KINDS[kind]}")
+    return value
+
+
+def _algebra_ref(data, key, registry, where) -> ConcreteAlgebra:
+    name = _field(data, key, where, str)
+    if name not in registry:
+        raise ChoimetricError(f"unknown algebra reference {name!r}")
+    return registry[name]
 
 
 def _numbers(values, dtype, where) -> np.ndarray:
     try:
         return np.asarray(values, dtype=dtype)
     except (TypeError, ValueError) as exc:
-        raise ChoimetricError(f"{where}: entries must be numbers") from exc
+        raise ChoimetricError(
+            f"{where}: entries must be numbers, in rows of equal length") from exc
 
 
 def matrix_from_json(rows, where="matrix") -> np.ndarray:
-    return np.array([[_as_complex(z, where) for z in row] for row in rows],
-                    dtype=complex)
+    if not isinstance(rows, list):
+        raise ChoimetricError(f"{where}: a matrix is a list of rows")
+    return _numbers([vector_from_json(r, where) for r in rows], complex, where)
 
 
 def vector_from_json(entries, where="vector") -> np.ndarray:
+    if not isinstance(entries, list):
+        raise ChoimetricError(f"{where}: expected a list of [re, im] pairs")
     return np.array([_as_complex(z, where) for z in entries], dtype=complex)
+
+
+def _matrices(data, key, where) -> np.ndarray:
+    """The list of matrices data[key], stacked."""
+    return _numbers([matrix_from_json(m, key) for m in _field(data, key, where, list)],
+                    complex, key)
 
 
 # -- algebras ---------------------------------------------------------------
@@ -86,8 +110,8 @@ def algebra_to_dict(alg: ConcreteAlgebra) -> dict:
 
 
 def algebra_from_dict(data: dict) -> ConcreteAlgebra:
-    n = int(data["ambient_dim"])
-    basis = np.array([matrix_from_json(b, "basis") for b in data["basis"]])
+    n = int(_field(data, "ambient_dim", "algebra", (int, float)))
+    basis = _matrices(data, "basis", "algebra")
     if basis.shape[1:] != (n, n):
         raise ChoimetricError(f"basis matrices are not {n}x{n}")
     return build_algebra(basis, name=str(data.get("name", "")))
@@ -100,11 +124,8 @@ def functional_to_dict(phi: LinearFunctional) -> dict:
 
 
 def functional_from_dict(data: dict, registry: dict) -> LinearFunctional:
-    name = data["algebra"]
-    if name not in registry:
-        raise ChoimetricError(f"unknown algebra reference {name!r}")
-    alg = registry[name]
-    values = vector_from_json(data["values"], "values")
+    alg = _algebra_ref(data, "algebra", registry, "functional")
+    values = vector_from_json(_field(data, "values", "functional"), "values")
     if values.shape != (alg.dim,):
         raise ChoimetricError("functional length does not match the algebra dimension")
     return LinearFunctional(alg, values)
@@ -125,11 +146,9 @@ def channel_to_dict(ch: ChannelMap) -> dict:
 
 
 def channel_from_dict(data: dict, registry: dict) -> ChannelMap:
-    for key in ("source", "target"):
-        if data[key] not in registry:
-            raise ChoimetricError(f"unknown algebra reference {data[key]!r}")
-    src, tgt = registry[data["source"]], registry[data["target"]]
-    mat = matrix_from_json(data["matrix"], "matrix")
+    src = _algebra_ref(data, "source", registry, "channel")
+    tgt = _algebra_ref(data, "target", registry, "channel")
+    mat = matrix_from_json(_field(data, "matrix", "channel"), "matrix")
     return ChannelMap(src, tgt, mat)
 
 
@@ -146,12 +165,10 @@ def triple_to_dict(t: SpectralTriple) -> dict:
 
 
 def triple_from_dict(data: dict, registry: dict) -> SpectralTriple:
-    if data["algebra"] not in registry:
-        raise ChoimetricError(f"unknown algebra reference {data['algebra']!r}")
-    alg = registry[data["algebra"]]
-    h = int(data["hilbert_dim"])
-    rep = np.array([matrix_from_json(r, "rep") for r in data["rep"]])
-    dirac = matrix_from_json(data["dirac"], "dirac")
+    alg = _algebra_ref(data, "algebra", registry, "triple")
+    h = int(_field(data, "hilbert_dim", "triple", (int, float)))
+    rep = _matrices(data, "rep", "triple")
+    dirac = matrix_from_json(_field(data, "dirac", "triple"), "dirac")
     grading = (matrix_from_json(data["grading"], "grading")
                if data.get("grading") is not None else None)
     if rep.shape != (alg.dim, h, h) or dirac.shape != (h, h):
@@ -175,16 +192,19 @@ def group_to_dict(g: FiniteGroup, cocycle: Cocycle | None = None,
 
 
 def group_from_dict(data: dict):
-    table = _numbers(_field(data, "mult_table", "group"), int, "mult_table")
-    identity = _numbers(_field(data, "identity", "group"), int, "identity")
-    g = group_from_table(table, int(identity), name=str(data.get("name", "G")),
-                         generators=data.get("generators", ()))
+    table = _numbers(_field(data, "mult_table", "group", list), int, "mult_table")
+    identity = int(_field(data, "identity", "group", (int, float)))
+    generators = (_field(data, "generators", "group", list)
+                  if "generators" in data else ())
+    g = group_from_table(table, identity, name=str(data.get("name", "G")),
+                         generators=generators)
     cocycle = None
     if data.get("cocycle") is not None:
         cocycle = Cocycle(g, matrix_from_json(data["cocycle"], "cocycle"))
     length = None
     if data.get("length") is not None:
-        length = LengthFunction(g, _numbers(data["length"], float, "length"))
+        length = LengthFunction(g, _numbers(_field(data, "length", "group", list),
+                                            float, "length"))
     return g, cocycle, length
 
 

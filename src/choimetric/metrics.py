@@ -69,7 +69,7 @@ class MKResult:
     value: float                             # math.inf when the metric is infinite
     optimizer: AlgebraElement | None
     dual_gap: float
-    status: str                              # "optimal" | "infinite" | "max_iter"
+    status: str                  # "optimal" | "infinite" | "max_iter" | "stalled"
     kernel_witness: AlgebraElement | None = None
     iterations: int = 0
 
@@ -103,38 +103,23 @@ def _norm_families(seminorm: Seminorm, rows: np.ndarray) -> list[np.ndarray]:
 
 def _split_components(kstack: np.ndarray, rel_tol: float = 1e-12):
     """Connected components of the joint row/column support of a stack of
-    matrices; each component yields an independent operator-norm block."""
-    r, h, w = kstack.shape
+    matrices, in the order of their first rows; each component yields an
+    independent operator-norm block."""
     scale = float(np.abs(kstack).max(initial=0.0))
     if scale == 0.0:
         return []
     support = (np.abs(kstack) > rel_tol * scale).any(axis=0)
-    parent = list(range(h + w))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    rows_nz, cols_nz = np.nonzero(support)
-    for a, b in zip(rows_nz, cols_nz):
-        union(a, h + b)
-    groups = {}
-    for a, b in zip(rows_nz, cols_nz):
-        groups.setdefault(find(a), [set(), set()])
-    for a, b in zip(rows_nz, cols_nz):
-        root = find(a)
-        groups[root][0].add(a)
-        groups[root][1].add(b)
+    # rows that share a column, closed under chains by squaring until stable
+    reach = support @ support.T
+    while not np.array_equal(reach, wider := reach @ reach):
+        reach = wider
     comps = []
-    for rows_set, cols_set in groups.values():
-        comps.append((np.array(sorted(rows_set)), np.array(sorted(cols_set))))
+    seen = np.zeros(len(reach), dtype=bool)
+    for i in np.flatnonzero(reach.diagonal()):
+        if not seen[i]:
+            rows = np.flatnonzero(reach[i])
+            seen[rows] = True
+            comps.append((rows, np.flatnonzero(support[rows].any(axis=0))))
     return comps
 
 
@@ -305,9 +290,8 @@ def _maximize_linear(setup: _BallSetup, values: np.ndarray, tol: float,
     res = _solve_certified(np.concatenate([b_obj, np.zeros(setup.naux)]),
                            setup.kept, setup.dropped, tol, max_iter)
     coords = setup.rows.T @ (setup.range_basis @ (flip * res.y[:q]))
-    status = "optimal" if res.status == "optimal" else "max_iter"
     return MKResult(res.value * scale, AlgebraElement(alg, coords),
-                    res.gap * scale, status, iterations=res.iterations)
+                    res.gap * scale, res.status, iterations=res.iterations)
 
 
 def mk_distance(problem: MKProblem) -> MKResult:
@@ -540,8 +524,7 @@ def wasserstein_dual(rho1: np.ndarray, rho2: np.ndarray, l_mats,
     coeff = res.y[npar + qpar:]
     u_final = [u0[i] + sum(c * mats[i] for c, mats in zip(coeff, null_mats))
                for i in range(nn)]
-    status = "optimal" if res.status == "optimal" else "max_iter"
-    return WassersteinResult(-res.value, u_final, res.gap, status, res.iterations)
+    return WassersteinResult(-res.value, u_final, res.gap, res.status, res.iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -561,8 +544,10 @@ def dl_distance(f: ChannelMap, g: ChannelMap, seminorm: Seminorm,
                 starts: int = 8, seed: int = 0, tolerance: float = 1e-7,
                 max_rounds: int = 40, validate: bool = True) -> DLResult:
     """D_L(F, G) = sup_psi mk_L(F* psi, G* psi), reduced to the norm ascent
-    sup { ||(F - G)(a)|| : L(a) <= 1 } and solved by alternating between the
-    inner linear SDP (fixed unit vector) and re-extremizing the vector.
+    sup { ||(F - G)(a)|| : L(a) <= 1 } and solved by alternating two steps.
+    The inner step fixes a unit vector xi and solves the MK program between
+    the pullbacks F* psi and G* psi of its vector state psi; the outer step
+    re-extremizes xi on (F - G)(a) at the optimizer a.
 
     The result is a certified lower bound; `converged` reports whether every
     start stalled before the round cap with every inner solve optimal.
@@ -579,8 +564,6 @@ def dl_distance(f: ChannelMap, g: ChannelMap, seminorm: Seminorm,
     diffmat = f.matrix - g.matrix
     target = f.target
     nb = target.ambient_dim
-    # ambient images of the self-adjoint directions under F - G
-    imgs = np.einsum("rb,mb,mxy->rxy", setup.rows, diffmat, target.basis)
 
     rng = np.random.default_rng(seed)
     best = 0.0
@@ -592,52 +575,38 @@ def dl_distance(f: ChannelMap, g: ChannelMap, seminorm: Seminorm,
         xi /= np.linalg.norm(xi)
         val = 0.0
         converged = False
-        opt_coords = None
+        opt = None
         for _ in range(max_rounds):
-            gvec = np.einsum("x,rxy,y->r", xi.conj(), imgs, xi).real
-            # kernel directions with visible objective make D_L infinite
-            if setup.null_basis.shape[1]:
-                along = setup.null_basis.T @ gvec
-                if float(np.abs(along).max(initial=0.0)) > 1e-9 * max(
-                        1.0, float(np.abs(gvec).max(initial=0.0))):
-                    wit = setup.rows.T @ setup.null_basis[:, int(np.argmax(np.abs(along)))]
-                    return DLResult(math.inf, True, "infinite",
-                                    optimizer=AlgebraElement(setup.algebra, wit))
-            gred = setup.range_basis.T @ gvec
-            scale = float(np.linalg.norm(gred))
-            if scale < 1e-13:
-                converged = True
-                break
-            res = _solve_certified(np.concatenate([gred / scale, np.zeros(setup.naux)]),
-                                   setup.kept, setup.dropped, tolerance, 200)
-            t = setup.range_basis @ res.y[:gred.shape[0]]
-            big = np.tensordot(t, imgs, axes=1)
-            lam, vecs = np.linalg.eigh(hermitian_part(big))
+            psi = np.einsum("x,mxy,y->m", xi.conj(), target.basis, xi)
+            res = _maximize_linear(setup, diffmat.T @ psi, tolerance, 200)
+            if res.status == "infinite":
+                return DLResult(math.inf, True, "infinite",
+                                optimizer=res.kernel_witness)
+            lam, vecs = np.linalg.eigh(hermitian_part(
+                target.realize(diffmat @ res.optimizer.coords)))
             idx = int(np.argmax(np.abs(lam)))
             new_val = float(np.abs(lam[idx]))
             xi = vecs[:, idx]
             # a non-optimal inner solve still gives a point of the ball, so
             # new_val stays a lower bound, but its start has not converged
             inexact = res.status != "optimal"
-            if inexact or new_val <= val * (1 + 1e-9) + tolerance:
-                val = max(val, new_val)
-                opt_coords = setup.rows.T @ t
+            stop = inexact or new_val <= val * (1 + 1e-9) + tolerance
+            val = max(val, new_val)
+            opt = res.optimizer
+            if stop:
                 converged = not inexact
                 break
-            val = new_val
-            opt_coords = setup.rows.T @ t
         per_start.append(val)
         all_converged = all_converged and converged
         if val > best:
             best = val
-            best_opt = opt_coords
+            best_opt = opt
     if not all_converged:
         warnings.warn("D_L ascent hit the round cap or a non-optimal inner "
                       "solve; value is a lower bound", stacklevel=2)
-    optimizer = AlgebraElement(setup.algebra, best_opt) if best_opt is not None else None
     return DLResult(best, all_converged,
                     "optimal" if all_converged else "heuristic_nonconvergence",
-                    per_start, optimizer)
+                    per_start, best_opt)
 
 
 def commutative_pure_states(alg: ConcreteAlgebra, tries: int = 5):

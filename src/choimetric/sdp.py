@@ -13,11 +13,14 @@ Mehrotra-style adaptive centering (one Schur build, two solves per
 iteration).  Intended problem sizes: a few hundred scalar variables and
 blocks up to a few hundred rows; everything is dense eigen/Cholesky based.
 
-The reported `value` is the dual objective b'y of the final iterate, whose
-slack Z is kept positive definite throughout, so for the metric programs in
-this package it is always the value of a feasible point.  `status` is
-"optimal" only when the relative gap and both residuals meet their
-tolerances; otherwise the best iterate found is returned with "max_iter".
+The reported `value` is the dual objective b'y of the returned iterate,
+whose slack Z is kept positive definite throughout, so for the metric
+programs in this package it is always the value of a feasible point.
+`status` is "optimal" when the returned iterate meets the relative-gap and both residual
+tolerances.  Otherwise it says why the iteration ended: "max_iter" when it
+reached the iteration cap, "stalled" when it stopped earlier (no progress
+for several iterations, tiny steps, the numerical floor, or a failed
+factorization); the better of the final and the best iterate is returned.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ class SDPResult:
     primal_infeas: float
     dual_infeas: float
     iterations: int
-    status: str                      # "optimal" | "max_iter"
+    status: str                      # "optimal" | "max_iter" | "stalled"
 
 
 def _eigh_sqrt_pair(m):
@@ -136,8 +139,12 @@ def solve_sdp(b, blocks, tol=1e-7, feas_tol=None, max_iter=200,
                     for rd, c in zip(rds, cs)), default=0.0)
         return rp, rds, gap, obj_d, obj_p, rel_gap, pinf, dinf
 
+    def step(mats, dmats):
+        return min(1.0, step_frac * min((_max_step(s, d) for s, d in zip(mats, dmats)),
+                                        default=np.inf))
+
     best = None
-    status = "max_iter"
+    status = "stalled"
     it = 0
     small_steps = 0
     stall = 0
@@ -147,8 +154,7 @@ def solve_sdp(b, blocks, tol=1e-7, feas_tol=None, max_iter=200,
             break
         merit = max(rel_gap, pinf, dinf)
         if best is None or merit < best[0]:
-            best = (merit, y.copy(), obj_d, obj_p, abs(obj_p - obj_d),
-                    rel_gap, pinf, dinf, it)
+            best = (merit, y.copy(), obj_d, obj_p, rel_gap, pinf, dinf)
             stall = 0
         else:
             stall += 1
@@ -164,14 +170,13 @@ def solve_sdp(b, blocks, tol=1e-7, feas_tol=None, max_iter=200,
             break
 
         # NT scaling and Schur complement
-        ws, ls, zinvs = [], [], []
+        ws, zinvs = [], []
         schur = np.zeros((m, m))
         try:
             for x, z, stack in zip(xs, zs, stacks):
                 w = _nt_scaling(x, z)
                 lw = _chol_psd(w)
                 ws.append(w)
-                ls.append(lw)
                 lam, u = np.linalg.eigh(z)
                 lam = np.maximum(lam, 1e-250)
                 zinvs.append((u / lam) @ u.conj().T)
@@ -195,19 +200,13 @@ def solve_sdp(b, blocks, tol=1e-7, feas_tol=None, max_iter=200,
         if schur_f is None:
             break
 
-        def schur_solve(rhs):
-            dy = scipy.linalg.cho_solve(schur_f, rhs)
-            resid = rhs - schur @ dy
-            dy += scipy.linalg.cho_solve(schur_f, resid)
-            return dy
-
         def solve_direction(sigma_mu):
-            raux = []
-            for x, z, w, rd, zinv in zip(xs, zs, ws, rds, zinvs):
-                rc = sigma_mu * zinv - x
-                raux.append(rc - w @ rd @ w)
+            raux = [sigma_mu * zinv - x - w @ rd @ w
+                    for x, w, rd, zinv in zip(xs, ws, rds, zinvs)]
             rhs = rp - a_apply(raux)
-            dy = schur_solve(rhs)
+            # Schur solve with one step of iterative refinement
+            dy = scipy.linalg.cho_solve(schur_f, rhs)
+            dy += scipy.linalg.cho_solve(schur_f, rhs - schur @ dy)
             adys = a_adjoint(dy)
             dzs = [rd - ady for rd, ady in zip(rds, adys)]
             dxs = [ra + w @ ady @ w for ra, w, ady in zip(raux, ws, adys)]
@@ -217,21 +216,15 @@ def solve_sdp(b, blocks, tol=1e-7, feas_tol=None, max_iter=200,
 
         mu = gap / ntot
         # predictor: pure affine step fixes the centering weight
-        dy_a, dxs_a, dzs_a = solve_direction(0.0)
-        ap = min(1.0, step_frac * min((_max_step(x, dx) for x, dx in zip(xs, dxs_a)),
-                                      default=np.inf))
-        ad = min(1.0, step_frac * min((_max_step(z, dz) for z, dz in zip(zs, dzs_a)),
-                                      default=np.inf))
+        _, dxs_a, dzs_a = solve_direction(0.0)
+        ap, ad = step(xs, dxs_a), step(zs, dzs_a)
         gap_aff = sum((np.vdot(x + ap * dx, z + ad * dz)).real
                       for x, dx, z, dz in zip(xs, dxs_a, zs, dzs_a))
         ratio = max(gap_aff, 0.0) / max(gap, 1e-300)
         sigma = float(np.clip(min(ratio, 1.0) ** 3, 1e-8, 0.9))
 
         dy, dxs, dzs = solve_direction(sigma * mu)
-        ap = min(1.0, step_frac * min((_max_step(x, dx) for x, dx in zip(xs, dxs)),
-                                      default=np.inf))
-        ad = min(1.0, step_frac * min((_max_step(z, dz) for z, dz in zip(zs, dzs)),
-                                      default=np.inf))
+        ap, ad = step(xs, dxs), step(zs, dzs)
         xs = [0.5 * ((x + ap * dx) + (x + ap * dx).conj().T) for x, dx in zip(xs, dxs)]
         zs = [0.5 * ((z + ad * dz) + (z + ad * dz).conj().T) for z, dz in zip(zs, dzs)]
         y = y + ad * dy
@@ -242,23 +235,18 @@ def solve_sdp(b, blocks, tol=1e-7, feas_tol=None, max_iter=200,
                 break
         else:
             small_steps = 0
+    else:
+        status = "max_iter"
 
+    # the final iterate; after an early stop, the best one if that is better
+    _, _, gap, obj_d, obj_p, rel_gap, pinf, dinf = diagnostics()
     if status != "optimal":
-        # re-check the final iterate, then fall back to the best one
-        rp, rds, gap, obj_d, obj_p, rel_gap, pinf, dinf = diagnostics()
-        if np.isfinite(gap):
-            merit = max(rel_gap, pinf, dinf)
-            if best is None or merit < best[0]:
-                best = (merit, y.copy(), obj_d, obj_p, abs(obj_p - obj_d),
-                        rel_gap, pinf, dinf, it)
-        _, y, obj_d, obj_p, gap_abs, rel_gap, pinf, dinf, it_best = best
+        final = (max(rel_gap, pinf, dinf), y, obj_d, obj_p, rel_gap, pinf, dinf)
+        if np.isfinite(gap) and (best is None or final[0] < best[0]):
+            best = final
+        _, y, obj_d, obj_p, rel_gap, pinf, dinf = best
         if rel_gap <= tol and pinf <= feas_tol and dinf <= feas_tol:
             status = "optimal"
-        return SDPResult(y=y, value=obj_d, primal_value=obj_p, gap=gap_abs,
-                         rel_gap=rel_gap, primal_infeas=pinf, dual_infeas=dinf,
-                         iterations=it, status=status)
-
-    rp, rds, gap, obj_d, obj_p, rel_gap, pinf, dinf = diagnostics()
     return SDPResult(y=y, value=obj_d, primal_value=obj_p,
                      gap=abs(obj_p - obj_d), rel_gap=rel_gap,
                      primal_infeas=pinf, dual_infeas=dinf,

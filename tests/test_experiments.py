@@ -68,3 +68,19 @@ def test_chaining_small():
     recs = E.run_chaining(seed=0, quadruples=2, groups=("Z2", "S3"))
     assert all(r.ok for r in recs)
     assert all(r.slack >= -2e-7 for r in recs)
+
+
+def test_duality_record_takes_the_status_of_the_nonoptimal_solve(monkeypatch):
+    # an optimal primal and a stalled dual: the record says "stalled", fails
+    true_dual = E.wasserstein_dual
+
+    def stalled(*args, **kwargs):
+        res = true_dual(*args, **kwargs)
+        res.status = "stalled"
+        return res
+
+    monkeypatch.setattr(E, "wasserstein_dual", stalled)
+    recs = E.run_duality(seed=1, trials=3)
+    finite = [r for r in recs if r.status != "infinite"]
+    assert finite
+    assert all(r.status == "stalled" and not r.ok for r in finite)

@@ -182,14 +182,31 @@ def test_cli_bad_input_file_is_an_error(tmp_path, capsys):
     ("pdf", {"group": "Z2", "values": [[1, 0], ["a", 0]]}),
     ("group", {"order": 2, "identity": 0}),
     ("group", {"mult_table": [[0, 1], [1, "a"]], "identity": 0}),
+    ("group", {"mult_table": [[0, 1], [1, 0]], "identity": [0, 1]}),
+    ("group", {"mult_table": [[0, 1], [1, 0]], "identity": 5}),
+    ("pdf", {"group": "Z2", "values": 5}),
+    ("channel", {"source": "diag2", "target": "diag2"}),
+    ("algebra", {"ambient_dim": 2, "name": "diag2"}),
+    ("functional", {"algebra": "diag2"}),
+    ("problem", {"rho1": [[[1, 0]]], "rho2": [[[1, 0]]]}),
+    ("problem", {"l_matrices": [[[[1, 0]]]], "rho1": [], "rho2": [[[1, 0]]]}),
 ])
 def test_cli_malformed_input_file_is_an_error(tmp_path, capsys, kind, data):
-    # a missing key or a non-numeric entry is an input error, not a traceback
+    # a missing key, a value of the wrong type or shape, or a non-numeric
+    # entry is an input error, not a traceback
+    from choimetric import diagonal_algebra
     gpath = str(tmp_path / "z2.json")
     assert main(["group-gen", "--kind", "cyclic", "--n", "2",
                  "--out", gpath]) == 0
+    d2 = diagonal_algebra(2)
+    d2.name = "diag2"
+    alg = write(tmp_path, "d2.json", io.algebra_to_dict(d2))
     bad = write(tmp_path, "bad.json", data)
-    assert main(["validate", bad, "--kind", kind, "--group", gpath]) == 1
+    if kind == "problem":
+        argv = ["wasserstein", "--problem", bad]
+    else:
+        argv = ["validate", bad, "--kind", kind, "--group", gpath, "--algebras", alg]
+    assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error:")
 
 

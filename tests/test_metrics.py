@@ -29,7 +29,7 @@ from choimetric.experiments import group_context, stability_context
 from choimetric.generate import random_density, random_hermitian, random_pdf, random_state
 from choimetric.geometry import Seminorm, gradient_dirac_triple
 from choimetric.groups import PositiveDefiniteFunction, cyclic_group
-from choimetric.metrics import commutative_pure_states
+from choimetric.metrics import _split_components, commutative_pure_states
 from choimetric.oracles import grid_ball_maximize
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -428,6 +428,22 @@ def test_dl_flags_nonoptimal_inner_solves(monkeypatch, d2):
     assert not res.converged
     assert res.status == "heuristic_nonconvergence"
     assert res.value <= 0.5 + 1e-6          # still a lower bound
+
+
+def test_split_components_on_hand_made_stacks():
+    stack = np.zeros((2, 6, 5))
+    # rows 3 and 0 linked through column 4, row 4 joins them via column 1;
+    # row 1 alone with column 2; row 2, row 5 and columns 0, 3 are empty
+    stack[0, 3, 4] = 1.0
+    stack[1, 0, 4] = -2.0
+    stack[1, 0, 1] = 0.5
+    stack[0, 4, 1] = 3.0
+    stack[1, 1, 2] = 1.0
+    stack[0, 5, 0] = 1e-14          # below the relative support tolerance
+    comps = _split_components(stack)
+    assert [(r.tolist(), c.tolist()) for r, c in comps] == [
+        ([0, 3, 4], [1, 4]), ([1], [2])]
+    assert _split_components(np.zeros((3, 4, 4))) == []
 
 
 # ---------------------------------------------------------------------------
