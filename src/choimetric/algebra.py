@@ -505,11 +505,6 @@ def swap_op_functional(phi: LinearFunctional, i: int, j: int) -> LinearFunctiona
     return LinearFunctional(target, values)
 
 
-# operation-style aliases
-swap_factors = swap_element
-swap_op_factors = swap_op_element
-
-
 def tensor_functional(phi: LinearFunctional, psi: LinearFunctional,
                       target: ConcreteAlgebra | None = None) -> LinearFunctional:
     """(phi (x) psi) on the tensor algebra of the two carriers."""

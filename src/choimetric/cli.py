@@ -19,7 +19,7 @@ from functools import partial
 
 import numpy as np
 
-from . import experiments, io
+from . import experiments, io, sdp
 from .channels import (
     choi_matrix,
     is_completely_positive,
@@ -280,7 +280,7 @@ FLAGS = {
     "--trials": {"type": int, "default": 0,
                  "help": "suite size (default: the acceptance size)"},
     "--tolerance": {"type": float, "default": 1e-7},
-    "--max-iter": {"type": int, "default": 200},
+    "--max-iter": {"type": int, "default": sdp.MAX_ITER},
     "--out": {"default": None},
     "--m-max": {"type": int, "default": 0},
     "--algebras": {"nargs": "*", "default": [],

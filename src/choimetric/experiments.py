@@ -108,6 +108,12 @@ def emit_report(records: list[ExperimentRecord], path: str):
             ]) + "\n")
 
 
+def _first_nonoptimal(*statuses: str) -> str:
+    """The status a record of several solves carries: the first that is not
+    "optimal", or "optimal"."""
+    return next((s for s in statuses if s != "optimal"), "optimal")
+
+
 def _run_trials(fn, trials: int, seed: int):
     """fn(trial_index, rng) -> list of records; merged in trial order."""
     records = []
@@ -617,7 +623,7 @@ def run_stability(seed: int = 0, trials: int = 25, n: int = 2,
             dn = delta_distance(f_n, g_n, use.amp_trace, use.seminorm_n,
                                 tolerance=solver_tol, setup=use.setup_n)
             gap = abs(dn.value - d1.value)
-            status = dn.status if dn.status != "optimal" else d1.status
+            status = _first_nonoptimal(dn.status, d1.status)
             ok = status == "optimal" and gap <= tolerance
             name = "stability-generic" if generic else "stability"
             return [ExperimentRecord(name, i, 0, dn.value, d1.value,
@@ -653,10 +659,10 @@ def _restriction_cross_check(ctx: StabilityContext, ctx_full: StabilityContext,
     d_full = delta_distance(f_n, g_n, ctx_full.amp_trace, ctx_full.seminorm_n,
                             tolerance=1e-9, setup=ctx_full.setup_n)
     gap = abs(d_res.value - d_full.value)
-    ok = gap <= 1e-6 and d_res.status == d_full.status == "optimal"
+    status = _first_nonoptimal(d_res.status, d_full.status)
     return ExperimentRecord("stability-restriction-check", 0, seed,
                             d_res.value, d_full.value, 1e-6 - gap,
-                            d_res.status, ok)
+                            status, status == "optimal" and gap <= 1e-6)
 
 
 def _stability_hypothesis_audit(ctx: StabilityContext, seed: int,
@@ -728,12 +734,10 @@ def run_chaining(seed: int = 0, quadruples: int = 100,
             d24 = delta_distance(mults[1], mults[3], ctx.tau, ctx.seminorm,
                                  tolerance=solver_tol, setup=ctx.setup)
             slack = (d13.value + d24.value) - lhs.value
-            statuses = {lhs.status, d13.status, d24.status}
-            ok = statuses == {"optimal"} and slack >= -2 * solver_tol
+            status = _first_nonoptimal(lhs.status, d13.status, d24.status)
+            ok = status == "optimal" and slack >= -2 * solver_tol
             return [ExperimentRecord("chaining", i, 0, lhs.value,
-                                     d13.value + d24.value, slack,
-                                     "optimal" if statuses == {"optimal"}
-                                     else ";".join(sorted(statuses)), ok)]
+                                     d13.value + d24.value, slack, status, ok)]
 
         recs = _run_trials(one, quadruples, seed + 211 * gi)
         for r in recs:
@@ -803,9 +807,7 @@ def run_duality(seed: int = 0, trials: int = 50,
                                      tolerance if agree else -1.0,
                                      "infinite", agree)]
         gap = abs(primal.value - dual_value)
-        # the status of the first of the two solves that is not optimal
-        status = next((s for s in (primal.status, dual_status) if s != "optimal"),
-                      "optimal")
+        status = _first_nonoptimal(primal.status, dual_status)
         ok = status == "optimal" and gap <= tolerance
         return [ExperimentRecord("duality", i, 0, primal.value, dual_value,
                                  tolerance - gap, status, ok)]
@@ -868,51 +870,41 @@ def run_metric_axioms(seed: int = 0, triples: int = 10,
                       solver_tol: float = 1e-9) -> list[ExperimentRecord]:
     """Symmetry (to 1e-12) and the triangle inequality (to 2e-7) for mk on
     random states and for Delta on random multiplier trace channels."""
-    records = []
     alg = matrix_algebra(2)
     rng0 = np.random.default_rng(seed)
     ls = [generate.random_hermitian(rng0, 2) for _ in range(2)]
     lip = CommutatorSeminorm(gradient_dirac_triple(ls, algebra=alg))
 
-    def one(i, rng):
-        sts = [generate.random_state(rng, alg) for _ in range(3)]
-        d12 = mk_between(sts[0], sts[1], lip, tolerance=solver_tol)
-        d21 = mk_between(sts[1], sts[0], lip, tolerance=solver_tol)
-        d23 = mk_between(sts[1], sts[2], lip, tolerance=solver_tol)
-        d13 = mk_between(sts[0], sts[2], lip, tolerance=solver_tol)
-        sym = abs(d12.value - d21.value)
-        tri = d12.value + d23.value + 2e-7 - d13.value
-        solved = all(r.status == "optimal" for r in (d12, d21, d23, d13))
-        return [ExperimentRecord("mk-symmetry", i, 0, sym, 1e-12, 1e-12 - sym,
-                                 d12.status, solved and sym <= 1e-12),
-                ExperimentRecord("mk-triangle", i, 0, d13.value,
-                                 d12.value + d23.value, tri, d13.status,
-                                 solved and tri >= 0)]
+    def axioms(name, draw, dist):
+        """Trials on three points from draw(rng), measured by dist."""
+        def one(i, rng):
+            pts = draw(rng)
+            d12, d21, d23, d13 = (dist(pts[a], pts[b])
+                                  for a, b in ((0, 1), (1, 0), (1, 2), (0, 2)))
+            sym = abs(d12.value - d21.value)
+            tri = d12.value + d23.value + 2e-7 - d13.value
+            status = _first_nonoptimal(d12.status, d21.status, d23.status,
+                                       d13.status)
+            solved = status == "optimal"
+            return [ExperimentRecord(f"{name}-symmetry", i, 0, sym, 1e-12,
+                                     1e-12 - sym, status, solved and sym <= 1e-12),
+                    ExperimentRecord(f"{name}-triangle", i, 0, d13.value,
+                                     d12.value + d23.value, tri, status,
+                                     solved and tri >= 0)]
+        return one
 
-    records.extend(_run_trials(one, triples, seed))
+    records = _run_trials(
+        axioms("mk", lambda rng: [generate.random_state(rng, alg) for _ in range(3)],
+               lambda p, q: mk_between(p, q, lip, tolerance=solver_tol)),
+        triples, seed)
     ctx = group_context("Z3")
-
-    def one_delta(i, rng, ctx=ctx):
-        phis = [generate.random_pdf(rng, ctx.group) for _ in range(3)]
-        ms = [multiplier_channel(p, ctx.ga) for p in phis]
-        d12 = delta_distance(ms[0], ms[1], ctx.tau, ctx.seminorm,
-                             tolerance=solver_tol, setup=ctx.setup)
-        d21 = delta_distance(ms[1], ms[0], ctx.tau, ctx.seminorm,
-                             tolerance=solver_tol, setup=ctx.setup)
-        d23 = delta_distance(ms[1], ms[2], ctx.tau, ctx.seminorm,
-                             tolerance=solver_tol, setup=ctx.setup)
-        d13 = delta_distance(ms[0], ms[2], ctx.tau, ctx.seminorm,
-                             tolerance=solver_tol, setup=ctx.setup)
-        sym = abs(d12.value - d21.value)
-        tri = d12.value + d23.value + 2e-7 - d13.value
-        solved = all(r.status == "optimal" for r in (d12, d21, d23, d13))
-        return [ExperimentRecord("delta-symmetry", i, 0, sym, 1e-12,
-                                 1e-12 - sym, d12.status, solved and sym <= 1e-12),
-                ExperimentRecord("delta-triangle", i, 0, d13.value,
-                                 d12.value + d23.value, tri, d13.status,
-                                 solved and tri >= 0)]
-
-    records.extend(_run_trials(one_delta, max(1, triples // 2), seed + 5))
+    records.extend(_run_trials(
+        axioms("delta",
+               lambda rng: [multiplier_channel(generate.random_pdf(rng, ctx.group),
+                                               ctx.ga) for _ in range(3)],
+               lambda f, g: delta_distance(f, g, ctx.tau, ctx.seminorm,
+                                           tolerance=solver_tol, setup=ctx.setup)),
+        max(1, triples // 2), seed + 5))
     return records
 
 

@@ -59,7 +59,7 @@ class MKProblem:
     psi: LinearFunctional
     seminorm: Seminorm
     tolerance: float = 1e-7
-    max_iter: int = 200
+    max_iter: int = sdp.MAX_ITER
     restrict_to: np.ndarray | None = None   # columns spanning a *-closed subspace
     warn_on_nonstates: bool = True
 
@@ -399,7 +399,7 @@ def delta_distance(f: ChannelMap, g: ChannelMap, tau: TraceFunctional,
     if setup is None:
         setup = prepare_ball(seminorm, restrict_to)
     diff = np.asarray(om_f.values - om_g.values, dtype=complex)
-    return _maximize_linear(setup, diff, tolerance, 200)
+    return _maximize_linear(setup, diff, tolerance, sdp.MAX_ITER)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +434,7 @@ def _herm_param_basis(n: int) -> np.ndarray:
 
 
 def wasserstein_dual(rho1: np.ndarray, rho2: np.ndarray, l_mats,
-                     tol: float = 1e-7, max_iter: int = 200) -> WassersteinResult:
+                     tol: float = 1e-7, max_iter: int = sdp.MAX_ITER) -> WassersteinResult:
     """Trace-norm minimization dual to the Monge-Kantorovich program over
     self-adjoint elements with the stacked-commutator constraint norm:
 
@@ -578,7 +578,7 @@ def dl_distance(f: ChannelMap, g: ChannelMap, seminorm: Seminorm,
         opt = None
         for _ in range(max_rounds):
             psi = np.einsum("x,mxy,y->m", xi.conj(), target.basis, xi)
-            res = _maximize_linear(setup, diffmat.T @ psi, tolerance, 200)
+            res = _maximize_linear(setup, diffmat.T @ psi, tolerance, sdp.MAX_ITER)
             if res.status == "infinite":
                 return DLResult(math.inf, True, "infinite",
                                 optimizer=res.kernel_witness)
@@ -656,7 +656,7 @@ def dl_distance_pure_states(f: ChannelMap, g: ChannelMap,
     best_res = None
     for chi in chars:
         diff = pullback_state(f, chi).values - pullback_state(g, chi).values
-        res = _maximize_linear(setup, np.asarray(diff, complex), tolerance, 200)
+        res = _maximize_linear(setup, np.asarray(diff, complex), tolerance, sdp.MAX_ITER)
         if res.status == "infinite":
             return res
         if res.value > best:

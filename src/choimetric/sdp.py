@@ -11,7 +11,9 @@ Solves the pair
 over complex Hermitian blocks, with Nesterov-Todd scaled directions and
 Mehrotra-style adaptive centering (one Schur build, two solves per
 iteration).  Intended problem sizes: a few hundred scalar variables and
-blocks up to a few hundred rows; everything is dense eigen/Cholesky based.
+blocks up to a few hundred rows.  Each iteration factors every block's
+iterate (X, Z) once, by three dense eigendecompositions that give the NT
+scaling, Z^{-1} and both step lengths; one Cholesky factors the Schur matrix.
 
 The reported `value` is the dual objective b'y of the returned iterate,
 whose slack Z is kept positive definite throughout, so for the metric
@@ -44,48 +46,38 @@ class SDPResult:
     status: str                      # "optimal" | "max_iter" | "stalled"
 
 
-def _eigh_sqrt_pair(m):
-    """(m^{1/2}, m^{-1/2}) for Hermitian positive definite m."""
-    lam, u = np.linalg.eigh(m)
-    lam = np.maximum(lam, 1e-300)
-    root = np.sqrt(lam)
-    return (u * root) @ u.conj().T, (u / root) @ u.conj().T
+# the fraction of the distance to the cone boundary taken per step
+_STEP_FRAC = 0.98
+# the iteration cap every solve in the package uses
+MAX_ITER = 200
 
 
-def _nt_scaling(x, z):
-    """W with W Z W = X, via W = Z^{-1/2} (Z^{1/2} X Z^{1/2})^{1/2} Z^{-1/2}."""
-    e, einv = _eigh_sqrt_pair(z)
-    t, _ = _eigh_sqrt_pair(e @ x @ e)
-    w = einv @ t @ einv
-    return 0.5 * (w + w.conj().T)
+def _factor_iterate(x, z):
+    """Every factorization one iteration needs of a block's iterate (X, Z).
+
+    From eigh(Z) = U diag(lam) U*, eigh(Z^{1/2} X Z^{1/2}) = V diag(mu) V*
+    and eigh(X) it returns the floor ratio lam_min / max(1, max |Z_ij|), the
+    Nesterov-Todd factor L = Z^{-1/2} V mu^{1/4} and scaling W = L L* (so
+    W Z W = X), Z^{-1}, and step factors R with R* R = X^{-1} and Z^{-1}."""
+    lam, u = np.linalg.eigh(z)
+    floor = float(lam[0]) / max(1.0, float(np.abs(z).max()))
+    root = np.sqrt(np.maximum(lam, 1e-300))
+    z_half = (u * root) @ u.conj().T
+    mu, v = np.linalg.eigh(z_half @ x @ z_half)
+    lw = ((u / root) @ (u.conj().T @ v)) * np.maximum(mu, 1e-300) ** 0.25
+    lx, ux = np.linalg.eigh(x)
+    lx = np.maximum(lx, 1e-14 * max(lx[-1], 1.0))
+    return (floor, lw, lw @ lw.conj().T, (u / root ** 2) @ u.conj().T,
+            (ux / np.sqrt(lx)).conj().T, (u / root).conj().T)
 
 
-def _max_step(s, ds):
-    """sup { a : s + a ds >= 0 } for Hermitian s > 0."""
-    try:
-        chol = np.linalg.cholesky(s)
-    except np.linalg.LinAlgError:
-        lam, u = np.linalg.eigh(s)
-        lam = np.maximum(lam, 1e-14 * max(lam.max(), 1.0))
-        chol = (u * np.sqrt(lam)) @ u.conj().T
-    inner = scipy.linalg.solve_triangular(chol, ds, lower=True)
-    inner = scipy.linalg.solve_triangular(
-        chol, inner.conj().T, lower=True).conj().T
+def _max_step(rinv, ds):
+    """sup { a : s + a ds >= 0 } for Hermitian s > 0 with rinv* rinv = s^{-1}."""
+    inner = rinv @ ds @ rinv.conj().T
     lam_min = float(np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))[0])
     if lam_min >= -1e-14:
         return np.inf
     return -1.0 / lam_min
-
-
-def _chol_psd(w):
-    jitter = 0.0
-    scale = max(float(np.abs(w).max(initial=0.0)), 1e-30)
-    for _ in range(6):
-        try:
-            return np.linalg.cholesky(w + jitter * np.eye(w.shape[0]))
-        except np.linalg.LinAlgError:
-            jitter = max(jitter * 10, 1e-14 * scale)
-    raise np.linalg.LinAlgError("scaling matrix not positive definite")
 
 
 def feasibility_tolerance(tol: float) -> float:
@@ -93,8 +85,8 @@ def feasibility_tolerance(tol: float) -> float:
     return max(10 * tol, 1e-8)
 
 
-def solve_sdp(b, blocks, tol=1e-7, feas_tol=None, max_iter=200,
-              step_frac=0.98) -> SDPResult:
+def solve_sdp(b, blocks, tol=1e-7, feas_tol=None,
+              max_iter=MAX_ITER) -> SDPResult:
     """Solve the block SDP; `blocks` is a list of (C, Astack) pairs with C of
     shape (n, n) and Astack of shape (m, n, n), all Hermitian."""
     b = np.asarray(b, dtype=float)
@@ -139,9 +131,9 @@ def solve_sdp(b, blocks, tol=1e-7, feas_tol=None, max_iter=200,
                     for rd, c in zip(rds, cs)), default=0.0)
         return rp, rds, gap, obj_d, obj_p, rel_gap, pinf, dinf
 
-    def step(mats, dmats):
-        return min(1.0, step_frac * min((_max_step(s, d) for s, d in zip(mats, dmats)),
-                                        default=np.inf))
+    def step(rinvs, dmats):
+        return min(1.0, _STEP_FRAC * min((_max_step(r, d) for r, d in zip(rinvs, dmats)),
+                                         default=np.inf))
 
     best = None
     status = "stalled"
@@ -163,28 +155,20 @@ def solve_sdp(b, blocks, tol=1e-7, feas_tol=None, max_iter=200,
             break
         if stall >= 8:
             break
-        # iterates at the numerical floor: further steps only inject noise
-        z_floor = min(float(np.linalg.eigvalsh(z)[0]) /
-                      max(1.0, float(np.abs(z).max())) for z in zs)
-        if gap <= 1e-13 * (1.0 + abs(obj_d)) or z_floor < 1e-14:
-            break
-
-        # NT scaling and Schur complement
-        ws, zinvs = [], []
-        schur = np.zeros((m, m))
         try:
-            for x, z, stack in zip(xs, zs, stacks):
-                w = _nt_scaling(x, z)
-                lw = _chol_psd(w)
-                ws.append(w)
-                lam, u = np.linalg.eigh(z)
-                lam = np.maximum(lam, 1e-250)
-                zinvs.append((u / lam) @ u.conj().T)
-                g = np.matmul(lw.conj().T[None], np.matmul(stack, lw[None]))
-                gmat = g.reshape(m, -1)
-                schur += (gmat @ gmat.conj().T).real
+            floors, lws, ws, zinvs, rxs, rzs = zip(*map(_factor_iterate, xs, zs))
         except np.linalg.LinAlgError:
             break
+        # iterates at the numerical floor: further steps only inject noise
+        if gap <= 1e-13 * (1.0 + abs(obj_d)) or min(floors) < 1e-14:
+            break
+
+        # Schur complement of the NT-scaled system
+        schur = np.zeros((m, m))
+        for lw, stack in zip(lws, stacks):
+            g = np.matmul(lw.conj().T[None], np.matmul(stack, lw[None]))
+            gmat = g.reshape(m, -1)
+            schur += (gmat @ gmat.conj().T).real
         if not np.all(np.isfinite(schur)):
             break
         schur = 0.5 * (schur + schur.T)
@@ -217,14 +201,14 @@ def solve_sdp(b, blocks, tol=1e-7, feas_tol=None, max_iter=200,
         mu = gap / ntot
         # predictor: pure affine step fixes the centering weight
         _, dxs_a, dzs_a = solve_direction(0.0)
-        ap, ad = step(xs, dxs_a), step(zs, dzs_a)
+        ap, ad = step(rxs, dxs_a), step(rzs, dzs_a)
         gap_aff = sum((np.vdot(x + ap * dx, z + ad * dz)).real
                       for x, dx, z, dz in zip(xs, dxs_a, zs, dzs_a))
         ratio = max(gap_aff, 0.0) / max(gap, 1e-300)
         sigma = float(np.clip(min(ratio, 1.0) ** 3, 1e-8, 0.9))
 
         dy, dxs, dzs = solve_direction(sigma * mu)
-        ap, ad = step(xs, dxs), step(zs, dzs)
+        ap, ad = step(rxs, dxs), step(rzs, dzs)
         xs = [0.5 * ((x + ap * dx) + (x + ap * dx).conj().T) for x, dx in zip(xs, dxs)]
         zs = [0.5 * ((z + ad * dz) + (z + ad * dz).conj().T) for z, dz in zip(zs, dzs)]
         y = y + ad * dy

@@ -1,4 +1,5 @@
 import csv
+import itertools
 
 import choimetric.experiments as E
 from choimetric.cli import main
@@ -84,3 +85,36 @@ def test_duality_record_takes_the_status_of_the_nonoptimal_solve(monkeypatch):
     finite = [r for r in recs if r.status != "infinite"]
     assert finite
     assert all(r.status == "stalled" and not r.ok for r in finite)
+
+
+def _stall_call(fn, which):
+    """fn, except that the calls for which which(*args, **kwargs) holds
+    report "stalled"."""
+    def wrapped(*args, **kwargs):
+        res = fn(*args, **kwargs)
+        if which(*args, **kwargs):
+            res.status = "stalled"
+        return res
+    return wrapped
+
+
+def test_metric_axioms_record_the_stalled_solve(monkeypatch):
+    # the 2nd of the four mk solves of a trial stalls: both records of the
+    # trial say "stalled" and fail
+    calls = itertools.count(1)
+    monkeypatch.setattr(E, "mk_between", _stall_call(
+        E.mk_between, lambda *a, **k: next(calls) == 2))
+    recs = E.run_metric_axioms(seed=0, triples=2)
+    mk = {(r.experiment, r.trial): r for r in recs}
+    for kind in ("mk-symmetry", "mk-triangle"):
+        assert mk[kind, 0].status == "stalled" and not mk[kind, 0].ok
+        assert mk[kind, 1].status == "optimal" and mk[kind, 1].ok
+
+
+def test_restriction_cross_check_records_the_stalled_solve(monkeypatch):
+    ctx = E.stability_context("Z2")
+    ctx_full = E.stability_context("Z2", restrict=False)
+    monkeypatch.setattr(E, "delta_distance", _stall_call(
+        E.delta_distance, lambda *a, setup=None, **k: setup is ctx_full.setup_n))
+    rec = E._restriction_cross_check(ctx, ctx_full, seed=0)
+    assert rec.status == "stalled" and not rec.ok

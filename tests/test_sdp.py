@@ -1,6 +1,17 @@
 import numpy as np
+import pytest
 
-from choimetric.sdp import solve_sdp
+from choimetric import sdp
+from choimetric.sdp import _factor_iterate, _max_step, solve_sdp
+
+
+def _random_pd(rng, n):
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return m @ m.conj().T + 0.1 * np.eye(n)
+
+
+def _close(a, b, rel):
+    return np.linalg.norm(a - b) <= rel * np.linalg.norm(b)
 
 
 def test_scalar_lp():
@@ -90,4 +101,59 @@ def test_iteration_cap_reports_max_iter():
     assert res.status == "max_iter"
     # the reported iterate is still dual feasible, so the value is usable
     slack = np.eye(6) - np.tensordot(res.y, mats, axes=1)
+    assert np.linalg.eigvalsh(slack)[0] > -1e-9
+
+
+@pytest.mark.parametrize("n", [1, 4, 9])
+def test_factor_iterate_gives_nt_scaling_and_step_factors(n):
+    rng = np.random.default_rng(100 + n)
+    x, z = _random_pd(rng, n), _random_pd(rng, n)
+    floor, lw, w, zinv, rx, rz = _factor_iterate(x, z)
+    assert _close(w @ z @ w, x, 1e-10)
+    assert _close(lw @ lw.conj().T, w, 1e-10)
+    assert _close(zinv @ z, np.eye(n), 1e-10)
+    assert _close(rx.conj().T @ rx @ x, np.eye(n), 1e-10)
+    assert _close(rz.conj().T @ rz @ z, np.eye(n), 1e-10)
+    lam = np.linalg.eigvalsh(z)
+    assert floor == pytest.approx(lam[0] / max(1.0, np.abs(z).max()), rel=1e-10)
+
+
+def test_max_step_reaches_the_cone_boundary():
+    rng = np.random.default_rng(11)
+    for n in (1, 4, 9):
+        s = _random_pd(rng, n)
+        ds = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        ds = 0.5 * (ds + ds.conj().T)
+        ds -= (np.linalg.eigvalsh(ds)[0] + 1.0) * np.eye(n)   # lam_min(ds) = -1
+        rs = _factor_iterate(np.eye(n), s)[5]
+        a = _max_step(rs, ds)
+        assert np.isfinite(a)
+        lam = np.linalg.eigvalsh(s + a * ds)
+        assert abs(lam[0]) <= 1e-9 * np.linalg.norm(s, 2)
+        assert np.linalg.eigvalsh(s + 0.99 * a * ds)[0] > 0
+        # a positive semidefinite direction never leaves the cone
+        psd = _random_pd(rng, n)
+        assert _max_step(rs, psd) == np.inf
+
+
+def test_failed_factorization_reports_stalled(monkeypatch):
+    rng = np.random.default_rng(5)
+    n, m = 6, 4
+    mats = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
+    mats = 0.5 * (mats + mats.conj().transpose(0, 2, 1))
+    b = rng.standard_normal(m)
+    calls = []
+    true_factor = sdp._factor_iterate
+
+    def failing(x, z):
+        calls.append(1)
+        if len(calls) == 4:
+            raise np.linalg.LinAlgError("eigh did not converge")
+        return true_factor(x, z)
+
+    monkeypatch.setattr(sdp, "_factor_iterate", failing)
+    res = solve_sdp(b, [(np.eye(n, dtype=complex), mats)], tol=1e-12)
+    assert res.status == "stalled"
+    assert res.iterations == 4 < sdp.MAX_ITER
+    slack = np.eye(n) - np.tensordot(res.y, mats, axes=1)
     assert np.linalg.eigvalsh(slack)[0] > -1e-9
