@@ -43,14 +43,14 @@ from .channels import (
     trace_adjoint,
     trace_of_unit_image,
 )
-from .errors import Infeasible
+from .errors import Infeasible, InvalidSpectralTriple
 from .generate import child_rngs
 from .geometry import (
     CommutatorSeminorm,
-    PullbackSeminorm,
     SpectralTriple,
     gradient_dirac_triple,
     kasparov_product,
+    right_tensor_seminorm,
     seminorm_domination_check,
 )
 from .groups import (
@@ -66,10 +66,13 @@ from .groups import (
     twisted_group_algebra,
     word_length,
 )
+from .linalg import EPS_STRUCT
 from .metrics import delta_distance, mk_between, prepare_ball, wasserstein_dual
 from .oracles import classical_path_metric, grid_ball_maximize
 
 DEFAULT_TOL = 1e-7
+# solver tolerance of the suites that compare values to 1e-5 or finer
+SOLVER_TOL = 1e-9
 CSV_COLUMNS = ("experiment", "trial", "seed", "lhs", "rhs", "slack",
                "status", "pass", "ms")
 
@@ -163,12 +166,12 @@ class GroupContext:
     setup: object
 
 
-def _check_phase_invariance(seminorm, weights, rng, samples=3, tol=1e-8):
+def _check_phase_invariance(seminorm, weights, rng):
     d = seminorm.algebra.dim
-    for _ in range(samples):
+    for _ in range(3):
         x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         a, b = seminorm.eval_coords(weights * x), seminorm.eval_coords(x)
-        if abs(a - b) > tol * (1.0 + abs(b)):
+        if abs(a - b) > 1e-8 * (1.0 + abs(b)):
             raise AssertionError("claimed symmetry does not preserve the seminorm")
 
 
@@ -241,11 +244,25 @@ class StabilityContext:
     amp_source: object
     amp_trace: object
     omega_carrier: object
-    seminorm_n: PullbackSeminorm
+    seminorm_n: CommutatorSeminorm
     setup_n: object
-    sigma23: np.ndarray
-    kasp_carrier: object
-    dims: tuple
+    nn_carrier: object           # M_n (x) M_n^op
+    to_omega: np.ndarray         # Sigma_[23]: omega coordinate k is Kasparov
+                                 # coordinate to_omega[k]
+
+    def amplify(self, f):
+        """id_n (x) F on the amplified source M_n (x) A."""
+        return tensor_channel(identity_channel(self.mn), f,
+                              source=self.amp_source, target=self.amp_source)
+
+
+def _omega_seminorm(triple: SpectralTriple, carrier, to_omega) -> CommutatorSeminorm:
+    """The commutator seminorm of a triple over (M_n (x) M_n^op) (x) (A (x) B),
+    read on the omega-carrier (M_n (x) A) (x) (M_n (x) B) through the
+    factor flip Sigma_[23].  Not validated: the flip is a *-isomorphism of
+    the carriers, so the relabelled triple is valid when `triple` is."""
+    return CommutatorSeminorm(SpectralTriple(carrier, triple.rep[to_omega],
+                                             triple.dirac, triple.grading))
 
 
 def stability_context(key: str, n: int = 2, restrict: bool = True) -> StabilityContext:
@@ -265,8 +282,7 @@ def stability_context(key: str, n: int = 2, restrict: bool = True) -> StabilityC
     t_n_op = SpectralTriple(mn_op, mn_op.basis, dirac_n).validate()
     nn_carrier = tensor_algebra(mn, mn_op)
     t_nn = kasparov_product(t_n, t_n_op, carrier=nn_carrier)
-    kasp_carrier = tensor_algebra(nn_carrier, base.carrier)
-    product_total = kasparov_product(t_nn, base.seminorm.triple, carrier=kasp_carrier)
+    product_total = kasparov_product(t_nn, base.seminorm.triple)
 
     amp_source = tensor_algebra(mn, base.ga.algebra)
     amp_target_op = opposite_algebra(amp_source)
@@ -275,18 +291,15 @@ def stability_context(key: str, n: int = 2, restrict: bool = True) -> StabilityC
         mn, np.trace(mn.basis, axis1=1, axis2=2) / n))
     amp_trace = tensor_trace(trace_n, base.tau, target=amp_source)
 
+    # omega coordinate (i, a, j, b) reads Kasparov coordinate (i, j, a, b)
     g_order = base.group.order
-    dims = (n * n, g_order, n * n, g_order)
-    d = omega_carrier.dim
-    idx = np.arange(d).reshape(dims).transpose(0, 2, 1, 3).reshape(-1)
-    perm = np.zeros((d, d))
-    perm[np.arange(d), idx] = 1.0        # kasp coords = perm @ omega coords
-    seminorm_n = PullbackSeminorm(CommutatorSeminorm(product_total), perm,
-                                  omega_carrier)
+    to_omega = np.arange(omega_carrier.dim).reshape(
+        n * n, n * n, g_order, g_order).transpose(0, 2, 1, 3).reshape(-1)
+    seminorm_n = _omega_seminorm(product_total, omega_carrier, to_omega)
     restriction = _char_restriction(seminorm_n, base.group, n * n) if restrict else None
     setup_n = prepare_ball(seminorm_n, restriction)
     return StabilityContext(base, mn, amp_source, amp_trace, omega_carrier,
-                            seminorm_n, setup_n, perm, kasp_carrier, dims)
+                            seminorm_n, setup_n, nn_carrier, to_omega)
 
 
 def cp_corpus():
@@ -307,8 +320,8 @@ def cp_corpus():
 # suites
 # ---------------------------------------------------------------------------
 
-def run_cp_characterization(seed: int = 0, trials: int = 200,
-                            tolerance: float = 1e-10) -> list[ExperimentRecord]:
+def run_cp_characterization(seed: int = 0, trials: int = 200) -> list[ExperimentRecord]:
+    tolerance = 1e-10
     corpus = cp_corpus()
     pairs = [(s, t) for s in corpus for t in corpus]
 
@@ -354,10 +367,10 @@ def run_cp_characterization(seed: int = 0, trials: int = 200,
     return records
 
 
-def run_embedding(seed: int = 0, trials: int = 100,
-                  tolerance: float = 1e-10) -> list[ExperimentRecord]:
+def run_embedding(seed: int = 0, trials: int = 100) -> list[ExperimentRecord]:
     """Density of omega vs transposed Choi matrix, and the state <=>
     normalization equivalence."""
+    tolerance = 1e-10
     sizes = [(2, 2), (2, 3), (3, 2), (3, 3)]
     algs = {n: matrix_algebra(n) for n in (2, 3)}
     traces = {n: standard_matrix_trace(algs[n]) for n in (2, 3)}
@@ -388,9 +401,9 @@ def run_embedding(seed: int = 0, trials: int = 100,
     return _run_trials(one, trials, seed)
 
 
-def run_flip(seed: int = 0, trials: int = 50,
-             tolerance: float = 1e-11) -> list[ExperimentRecord]:
+def run_flip(seed: int = 0, trials: int = 50) -> list[ExperimentRecord]:
     """omega_{tau (x) tau'}(F (x) G) = Sigma*_[23](omega(F) (x) omega(G))."""
+    tolerance = 1e-11
     m2 = matrix_algebra(2)
     d2 = diagonal_algebra(2)
     tr_m2 = standard_matrix_trace(m2)
@@ -431,8 +444,8 @@ def run_flip(seed: int = 0, trials: int = 50,
     return _run_trials(one, trials, seed)
 
 
-def run_adjoints(seed: int = 0, trials: int = 60,
-                 tolerance: float = 1e-10) -> list[ExperimentRecord]:
+def run_adjoints(seed: int = 0, trials: int = 60) -> list[ExperimentRecord]:
+    tolerance = 1e-10
     corpus = cp_corpus()
 
     def one(i, rng):
@@ -496,18 +509,16 @@ def _toy_triples():
     return {"odd": odd, "even": even, "odd_m2": odd_m2, "even_m2": even_m2}
 
 
-def run_kasparov(seed: int = 0, samples: int = 500,
-                 tolerance: float = 1e-9) -> list[ExperimentRecord]:
+def run_kasparov(seed: int = 0, samples: int = 500) -> list[ExperimentRecord]:
     toys = _toy_triples()
     records = []
     trial = 0
     for pa in ("odd", "even"):
         for pb in ("odd", "even"):
-            product = kasparov_product(toys[pa], toys[pb])
             try:
-                product.validate(tol=tolerance)
+                kasparov_product(toys[pa], toys[pb])     # validates the product
                 ok = True
-            except Exception:
+            except InvalidSpectralTriple:
                 ok = False
             records.append(ExperimentRecord("kasparov-invariants", trial, seed,
                                             1.0, 1.0, 0.0 if ok else -1.0,
@@ -573,13 +584,12 @@ def _as_opposite_triple(t: SpectralTriple) -> SpectralTriple:
     return SpectralTriple(op, rep, t.dirac.T.copy(), grading).validate()
 
 
-def run_stability(seed: int = 0, trials: int = 25, n: int = 2,
-                  groups=("Z2", "Z3"), tolerance: float = 1e-5,
-                  solver_tol: float = 1e-9, general_trials=(3, 1),
+def run_stability(seed: int = 0, trials: int = 25, groups=("Z2", "Z3"),
+                  general_trials=(3, 1),
                   audit_samples: int = 25) -> list[ExperimentRecord]:
     """Delta_n(id_n (x) F, id_n (x) G) versus Delta_1(F, G) for random
     trace-channel pairs (multipliers plus a few fully generic ones), with
-    the sampled hypothesis audit.
+    the sampled hypothesis audit, at n = 2.
 
     Multiplier differences are supported on the character-fixed coordinate
     pairs, and the dual-group phase automorphisms preserve the Kasparov
@@ -589,39 +599,32 @@ def run_stability(seed: int = 0, trials: int = 25, n: int = 2,
     trace channels run unrestricted, and one trial cross-checks the two
     paths against each other.
     """
+    tolerance = 1e-5
     records = []
     per_group = [trials // len(groups) + (1 if i < trials % len(groups) else 0)
                  for i in range(len(groups))]
     trial_no = 0
     for gi, key in enumerate(groups):
-        ctx = stability_context(key, n=n)
-        base = ctx.base
+        ctx = stability_context(key)
         n_general = general_trials[gi] if gi < len(general_trials) else 0
-        ctx_full = stability_context(key, n=n, restrict=False) if n_general else None
+        ctx_full = stability_context(key, restrict=False) if n_general else None
 
-        def one(i, rng, ctx=ctx, base=base, ctx_full=ctx_full,
-                n_general=n_general):
+        def one(i, rng, ctx=ctx, ctx_full=ctx_full, n_general=n_general):
             generic = i < n_general
+            use = ctx_full if generic else ctx
+            base = use.base
             if generic:
-                f = generate.random_trace_channel(rng, base.ga.algebra,
-                                                  base.ga.algebra, base.tau)
-                g = generate.random_trace_channel(rng, base.ga.algebra,
-                                                  base.ga.algebra, base.tau)
-                use = ctx_full
-                d1 = delta_distance(f, g, base.tau, base.seminorm,
-                                    tolerance=solver_tol)
+                f, g = (generate.random_trace_channel(rng, base.ga.algebra,
+                                                      base.ga.algebra, base.tau)
+                        for _ in range(2))
             else:
-                f = multiplier_channel(generate.random_pdf(rng, base.group), base.ga)
-                g = multiplier_channel(generate.random_pdf(rng, base.group), base.ga)
-                use = ctx
-                d1 = delta_distance(f, g, base.tau, base.seminorm,
-                                    tolerance=solver_tol, setup=base.setup)
-            f_n = tensor_channel(identity_channel(use.mn), f,
-                                 source=use.amp_source, target=use.amp_source)
-            g_n = tensor_channel(identity_channel(use.mn), g,
-                                 source=use.amp_source, target=use.amp_source)
-            dn = delta_distance(f_n, g_n, use.amp_trace, use.seminorm_n,
-                                tolerance=solver_tol, setup=use.setup_n)
+                f, g = (multiplier_channel(generate.random_pdf(rng, base.group), base.ga)
+                        for _ in range(2))
+            d1 = delta_distance(f, g, base.tau, base.seminorm,
+                                tolerance=SOLVER_TOL, setup=base.setup)
+            dn = delta_distance(use.amplify(f), use.amplify(g), use.amp_trace,
+                                use.seminorm_n, tolerance=SOLVER_TOL,
+                                setup=use.setup_n)
             gap = abs(dn.value - d1.value)
             status = _first_nonoptimal(dn.status, d1.status)
             ok = status == "optimal" and gap <= tolerance
@@ -650,14 +653,11 @@ def _restriction_cross_check(ctx: StabilityContext, ctx_full: StabilityContext,
     base = ctx.base
     f = multiplier_channel(generate.random_pdf(rng, base.group), base.ga)
     g = multiplier_channel(generate.random_pdf(rng, base.group), base.ga)
-    f_n = tensor_channel(identity_channel(ctx.mn), f,
-                         source=ctx.amp_source, target=ctx.amp_source)
-    g_n = tensor_channel(identity_channel(ctx.mn), g,
-                         source=ctx.amp_source, target=ctx.amp_source)
+    f_n, g_n = ctx.amplify(f), ctx.amplify(g)
     d_res = delta_distance(f_n, g_n, ctx.amp_trace, ctx.seminorm_n,
-                           tolerance=1e-9, setup=ctx.setup_n)
+                           tolerance=SOLVER_TOL, setup=ctx.setup_n)
     d_full = delta_distance(f_n, g_n, ctx_full.amp_trace, ctx_full.seminorm_n,
-                            tolerance=1e-9, setup=ctx_full.setup_n)
+                            tolerance=SOLVER_TOL, setup=ctx_full.setup_n)
     gap = abs(d_res.value - d_full.value)
     status = _first_nonoptimal(d_res.status, d_full.status)
     return ExperimentRecord("stability-restriction-check", 0, seed,
@@ -672,11 +672,9 @@ def _stability_hypothesis_audit(ctx: StabilityContext, seed: int,
     whenever L_1(x) <= 1."""
     rng = np.random.default_rng(seed)
     base = ctx.base
-    from .geometry import right_tensor_seminorm
-    nn_alg = ctx.kasp_carrier.factors
-    nn_carrier = tensor_algebra(nn_alg[0], nn_alg[1])
-    cond1_core = right_tensor_seminorm(nn_carrier, base.seminorm.triple)
-    cond1 = PullbackSeminorm(cond1_core, ctx.sigma23, ctx.omega_carrier)
+    cond1 = _omega_seminorm(
+        right_tensor_seminorm(ctx.nn_carrier, base.seminorm.triple).triple,
+        ctx.omega_carrier, ctx.to_omega)
     worst1 = 0.0
     for _ in range(samples):
         x = rng.standard_normal(ctx.omega_carrier.dim) \
@@ -685,18 +683,14 @@ def _stability_hypothesis_audit(ctx: StabilityContext, seed: int,
         rhs = ctx.seminorm_n.eval_coords(x)
         worst1 = max(worst1, lhs - rhs)
     worst2 = 0.0
-    unit_nn = nn_carrier.unit_coords
+    unit_nn = ctx.nn_carrier.unit_coords
     for _ in range(samples):
         x = rng.standard_normal(base.carrier.dim) \
             + 1j * rng.standard_normal(base.carrier.dim)
         l1 = base.seminorm.eval_coords(x)
         if l1 < 1e-12:
             continue
-        x = x / l1
-        kasp_coords = np.outer(unit_nn, x).reshape(-1)
-        omega_coords = kasp_coords.reshape(
-            ctx.dims[0], ctx.dims[2], ctx.dims[1], ctx.dims[3]).transpose(
-            0, 2, 1, 3).reshape(-1)
+        omega_coords = np.outer(unit_nn, x / l1).reshape(-1)[ctx.to_omega]
         worst2 = max(worst2, ctx.seminorm_n.eval_coords(omega_coords) - 1.0)
     tol = 1e-8
     return [
@@ -708,8 +702,7 @@ def _stability_hypothesis_audit(ctx: StabilityContext, seed: int,
 
 
 def run_chaining(seed: int = 0, quadruples: int = 100,
-                 groups=("Z2", "Z3", "Z4", "S3"),
-                 solver_tol: float = DEFAULT_TOL) -> list[ExperimentRecord]:
+                 groups=("Z2", "Z3", "Z4", "S3")) -> list[ExperimentRecord]:
     """Delta(M_{p1} o M_{p2}, M_{p3} o M_{p4}) <= Delta(M_{p1}, M_{p3})
     + Delta(M_{p2}, M_{p4}) over random normalized positive definite
     quadruples, with the length Dirac Kasparov seminorm."""
@@ -727,15 +720,15 @@ def run_chaining(seed: int = 0, quadruples: int = 100,
                 assert is_trace_channel(mults[outer], ctx.tau)
             lhs = delta_distance(compose(mults[0], mults[1]),
                                  compose(mults[2], mults[3]), ctx.tau,
-                                 ctx.seminorm, tolerance=solver_tol,
+                                 ctx.seminorm, tolerance=DEFAULT_TOL,
                                  setup=ctx.setup)
             d13 = delta_distance(mults[0], mults[2], ctx.tau, ctx.seminorm,
-                                 tolerance=solver_tol, setup=ctx.setup)
+                                 tolerance=DEFAULT_TOL, setup=ctx.setup)
             d24 = delta_distance(mults[1], mults[3], ctx.tau, ctx.seminorm,
-                                 tolerance=solver_tol, setup=ctx.setup)
+                                 tolerance=DEFAULT_TOL, setup=ctx.setup)
             slack = (d13.value + d24.value) - lhs.value
             status = _first_nonoptimal(lhs.status, d13.status, d24.status)
-            ok = status == "optimal" and slack >= -2 * solver_tol
+            ok = status == "optimal" and slack >= -2 * DEFAULT_TOL
             return [ExperimentRecord("chaining", i, 0, lhs.value,
                                      d13.value + d24.value, slack, status, ok)]
 
@@ -747,13 +740,11 @@ def run_chaining(seed: int = 0, quadruples: int = 100,
     return records
 
 
-def run_contraction(seed: int = 0, pairs: int = 500,
-                    groups=("Z2", "Z3", "Z4", "S3"),
-                    slack: float = 1e-9) -> list[ExperimentRecord]:
+def run_contraction(seed: int = 0, pairs: int = 500) -> list[ExperimentRecord]:
     """L(M_phi(x)) <= L(x) for normalized positive definite phi, with the
-    plain length Dirac seminorm."""
+    plain length Dirac seminorm, up to the relative slack EPS_STRUCT."""
     records = []
-    for gi, key in enumerate(groups):
+    for gi, key in enumerate(("Z2", "Z3", "Z4", "S3")):
         group, cocycle = builtin_group(key)
         ga = twisted_group_algebra(group, cocycle)
         triple = length_dirac(ga, word_length(group))
@@ -765,22 +756,20 @@ def run_contraction(seed: int = 0, pairs: int = 500,
         for _ in range(n_funcs):
             phi = generate.random_pdf(rng, group)
             rep = multiplier_contraction_check(phi, triple,
-                                               samples=pairs // n_funcs,
-                                               rng=rng, slack=slack)
+                                               samples=pairs // n_funcs, rng=rng)
             worst_ratio = max(worst_ratio, rep.max_ratio)
             worst_excess = max(worst_excess, rep.max_excess)
             violations += rep.violations
         records.append(ExperimentRecord("contraction", gi, seed, worst_ratio,
-                                        1.0 + slack, -float(violations),
+                                        1.0 + EPS_STRUCT, -float(violations),
                                         "optimal", violations == 0))
     return records
 
 
-def run_duality(seed: int = 0, trials: int = 50,
-                tolerance: float = 1e-5,
-                solver_tol: float = 1e-9) -> list[ExperimentRecord]:
+def run_duality(seed: int = 0, trials: int = 50) -> list[ExperimentRecord]:
     """Primal Monge-Kantorovich versus the trace-norm dual on matrix Dirac
     instances, including agreement on infinite distances."""
+    tolerance = 1e-5
     sizes = [(2, 1), (2, 2), (2, 3), (3, 2), (3, 3)]
 
     algs = {n: matrix_algebra(n) for n in (2, 3)}
@@ -794,10 +783,10 @@ def run_duality(seed: int = 0, trials: int = 50,
         lip = CommutatorSeminorm(gradient_dirac_triple(ls, algebra=alg))
         phi1 = LinearFunctional(alg, np.einsum("xy,byx->b", rho1, alg.basis))
         phi2 = LinearFunctional(alg, np.einsum("xy,byx->b", rho2, alg.basis))
-        primal = mk_between(phi1, phi2, lip, tolerance=solver_tol,
+        primal = mk_between(phi1, phi2, lip, tolerance=SOLVER_TOL,
                             warn_on_nonstates=False)
         try:
-            dual = wasserstein_dual(rho1, rho2, ls, tol=solver_tol)
+            dual = wasserstein_dual(rho1, rho2, ls, tol=SOLVER_TOL)
             dual_value, dual_status = dual.value, dual.status
         except Infeasible:
             dual_value, dual_status = math.inf, "infeasible"
@@ -815,8 +804,7 @@ def run_duality(seed: int = 0, trials: int = 50,
     return _run_trials(one, trials, seed)
 
 
-def run_mk_correctness(seed: int = 0,
-                       solver_tol: float = 1e-9) -> list[ExperimentRecord]:
+def run_mk_correctness(seed: int = 0) -> list[ExperimentRecord]:
     """Closed-form two-point distances and the three-point path metric
     against the exhaustive grid oracle."""
     records = []
@@ -826,7 +814,7 @@ def run_mk_correctness(seed: int = 0,
         lip = CommutatorSeminorm(SpectralTriple(d2, d2.basis, x))
         delta_p = LinearFunctional(d2, np.array([1.0, 0.0], dtype=complex))
         delta_q = LinearFunctional(d2, np.array([0.0, 1.0], dtype=complex))
-        res = mk_between(delta_p, delta_q, lip, tolerance=solver_tol)
+        res = mk_between(delta_p, delta_q, lip, tolerance=SOLVER_TOL)
         gap = abs(res.value - dist)
         records.append(ExperimentRecord("mk-two-point", k, seed, res.value,
                                         dist, 1e-7 - gap, res.status,
@@ -847,7 +835,7 @@ def run_mk_correctness(seed: int = 0,
     expected = {(0, 1): paths[0, 1], (0, 2): paths[0, 2], (1, 2): paths[1, 2]}
     trial = 0
     for (i, j), truth in expected.items():
-        res = mk_between(states[i], states[j], lip, tolerance=solver_tol)
+        res = mk_between(states[i], states[j], lip, tolerance=SOLVER_TOL)
         # grid oracle over (t_1, t_2) with the third coordinate pinned to 0;
         # shifting by multiples of the unit does not change the objective
         diff = states[i].values - states[j].values
@@ -866,8 +854,7 @@ def run_mk_correctness(seed: int = 0,
     return records
 
 
-def run_metric_axioms(seed: int = 0, triples: int = 10,
-                      solver_tol: float = 1e-9) -> list[ExperimentRecord]:
+def run_metric_axioms(seed: int = 0, triples: int = 10) -> list[ExperimentRecord]:
     """Symmetry (to 1e-12) and the triangle inequality (to 2e-7) for mk on
     random states and for Delta on random multiplier trace channels."""
     alg = matrix_algebra(2)
@@ -895,7 +882,7 @@ def run_metric_axioms(seed: int = 0, triples: int = 10,
 
     records = _run_trials(
         axioms("mk", lambda rng: [generate.random_state(rng, alg) for _ in range(3)],
-               lambda p, q: mk_between(p, q, lip, tolerance=solver_tol)),
+               lambda p, q: mk_between(p, q, lip, tolerance=SOLVER_TOL)),
         triples, seed)
     ctx = group_context("Z3")
     records.extend(_run_trials(
@@ -903,7 +890,7 @@ def run_metric_axioms(seed: int = 0, triples: int = 10,
                lambda rng: [multiplier_channel(generate.random_pdf(rng, ctx.group),
                                                ctx.ga) for _ in range(3)],
                lambda f, g: delta_distance(f, g, ctx.tau, ctx.seminorm,
-                                           tolerance=solver_tol, setup=ctx.setup)),
+                                           tolerance=SOLVER_TOL, setup=ctx.setup)),
         max(1, triples // 2), seed + 5))
     return records
 

@@ -48,7 +48,10 @@ class SpectralTriple:
         """[D, pi(B_i)] stacked; the coordinate-linear commutator map."""
         return self.dirac @ self.rep - self.rep @ self.dirac
 
-    def validate(self, tol: float = EPS_STRUCT):
+    def validate(self):
+        """Raise InvalidSpectralTriple unless this is a faithful unital
+        *-representation with a Hermitian Dirac (and a grading), to EPS_STRUCT."""
+        tol = EPS_STRUCT
         alg, rep, dirac = self.algebra, self.rep, self.dirac
         d, h, _ = rep.shape
         if d != alg.dim or dirac.shape != (h, h):
@@ -233,11 +236,10 @@ def right_tensor_seminorm(algebra_a: ConcreteAlgebra, triple_b: SpectralTriple,
     return CommutatorSeminorm(SpectralTriple(carrier, rep, dirac))
 
 
-def tensor_sum_seminorm(triple_a: SpectralTriple, triple_b: SpectralTriple,
-                        carrier: ConcreteAlgebra | None = None) -> SumSeminorm:
+def tensor_sum_seminorm(triple_a: SpectralTriple,
+                        triple_b: SpectralTriple) -> SumSeminorm:
     """L_{A (x) B} = L_A (x) 1 + 1 (x) L_B with both parts in commutator form."""
-    if carrier is None:
-        carrier = tensor_algebra(triple_a.algebra, triple_b.algebra)
+    carrier = tensor_algebra(triple_a.algebra, triple_b.algebra)
     left = left_tensor_seminorm(triple_a, triple_b.algebra, rep_b=triple_b.rep,
                                 carrier=carrier)
     right = right_tensor_seminorm(triple_a.algebra, triple_b, rep_a=triple_a.rep,
@@ -290,10 +292,9 @@ def _tensor_rep(rep_a: np.ndarray, rep_b: np.ndarray) -> np.ndarray:
 
 
 def kasparov_product(ta: SpectralTriple, tb: SpectralTriple,
-                     carrier: ConcreteAlgebra | None = None,
-                     validate: bool = True) -> SpectralTriple:
+                     carrier: ConcreteAlgebra | None = None) -> SpectralTriple:
     """Exterior Kasparov product over the tensor algebra, in all four parity
-    combinations.
+    combinations; the product is validated before it is returned.
 
     even x even : D_A (x) 1 + gamma_A (x) D_B, grading gamma_A (x) gamma_B
     odd  x odd  : doubled space, off-diagonal blocks D_A (x) 1 +- i 1 (x) D_B,
@@ -330,10 +331,7 @@ def kasparov_product(ta: SpectralTriple, tb: SpectralTriple,
     else:
         dirac = np.kron(ta.dirac, ib) + np.kron(ta.grading, tb.dirac)
         out = SpectralTriple(carrier, rep0, dirac, None)
-
-    if validate:
-        out.validate()
-    return out
+    return out.validate()
 
 
 def gradient_dirac_triple(l_mats, algebra: ConcreteAlgebra | None = None) -> SpectralTriple:
@@ -372,10 +370,10 @@ class DominationReport:
 
 def seminorm_domination_check(ta: SpectralTriple, tb: SpectralTriple,
                               samples: int = 100,
-                              rng: np.random.Generator | None = None,
-                              slack: float = EPS_STRUCT) -> DominationReport:
+                              rng: np.random.Generator | None = None
+                              ) -> DominationReport:
     """Check (1 (x) L_B) <= L_{A x B} and (L_A (x) 1) <= L_{A x B} on random
-    elements of the tensor algebra."""
+    elements of the tensor algebra, up to the relative slack EPS_STRUCT."""
     rng = rng or np.random.default_rng(0)
     carrier = tensor_algebra(ta.algebra, tb.algebra)
     product = kasparov_product(ta, tb, carrier=carrier)
@@ -387,7 +385,7 @@ def seminorm_domination_check(ta: SpectralTriple, tb: SpectralTriple,
     for _ in range(samples):
         coords = rng.standard_normal(carrier.dim) + 1j * rng.standard_normal(carrier.dim)
         lprod = big.eval_coords(coords)
-        tolerance = slack * max(1.0, lprod)
+        tolerance = EPS_STRUCT * max(1.0, lprod)
         for part in (left, right):
             gap = part.eval_coords(coords) - lprod
             worst = max(worst, gap)

@@ -434,9 +434,10 @@ class ContractionReport:
 
 def multiplier_contraction_check(phi: PositiveDefiniteFunction, triple,
                                  samples: int = 200,
-                                 rng: np.random.Generator | None = None,
-                                 slack: float = EPS_STRUCT) -> ContractionReport:
-    """Check L(M_phi(x)) <= L(x) on random elements for a normalized phi."""
+                                 rng: np.random.Generator | None = None
+                                 ) -> ContractionReport:
+    """Check L(M_phi(x)) <= L(x) on random elements for a normalized phi,
+    up to the relative slack EPS_STRUCT."""
     if not phi.is_normalized():
         raise NotPositiveDefinite("contraction check needs phi(e) = 1")
     rng = rng or np.random.default_rng(0)
@@ -455,6 +456,6 @@ def multiplier_contraction_check(phi: PositiveDefiniteFunction, triple,
         max_excess = max(max_excess, excess)
         if lx > 1e-12:
             max_ratio = max(max_ratio, lmx / lx)
-        if excess > slack * max(1.0, lx):
+        if excess > EPS_STRUCT * max(1.0, lx):
             violations += 1
     return ContractionReport(samples, violations, max_ratio, max_excess)

@@ -52,26 +52,20 @@ def real_from_complex_columns(cols: np.ndarray) -> np.ndarray:
     return np.vstack([cols.real, cols.imag])
 
 
-def null_space_real(mat: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
-    """Orthonormal basis of the null space of a real matrix, columns."""
+def row_and_null_space_real(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases of the row space and of the null space of a real
+    matrix, as columns, from one SVD; singular values at most 1e-12 * s_max
+    * max(shape) count as zero."""
     if mat.size == 0:
-        return np.eye(mat.shape[1])
+        return np.zeros((mat.shape[1], 0)), np.eye(mat.shape[1])
     # the economy SVD already carries the complete right factor when the
     # matrix has at least as many rows as columns
     full = mat.shape[0] < mat.shape[1]
     _, s, vh = np.linalg.svd(mat, full_matrices=full)
-    if s.size == 0:
-        return vh.conj().T
-    tol = s[0] * rtol * max(mat.shape)
-    rank = int(np.sum(s > tol))
-    return vh[rank:].conj().T
+    rank = int(np.sum(s > s[0] * 1e-12 * max(mat.shape)))
+    return vh[:rank].conj().T, vh[rank:].conj().T
 
 
-def row_space_real(mat: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
-    """Orthonormal basis of the row space of a real matrix, columns."""
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    if s.size == 0:
-        return np.zeros((mat.shape[1], 0))
-    tol = s[0] * rtol * max(mat.shape)
-    rank = int(np.sum(s > tol))
-    return vh[:rank].conj().T
+def null_space_real(mat: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the null space of a real matrix, columns."""
+    return row_and_null_space_real(mat)[1]

@@ -50,7 +50,7 @@ from .channels import (
 )
 from .errors import AlgebraMismatch, Infeasible, SeminormNotCommutatorForm
 from .geometry import AmbientNormSeminorm, Seminorm, SumSeminorm
-from .linalg import hermitian_part
+from .linalg import hermitian_part, null_space_real, row_and_null_space_real
 
 
 @dataclass
@@ -60,7 +60,6 @@ class MKProblem:
     seminorm: Seminorm
     tolerance: float = 1e-7
     max_iter: int = sdp.MAX_ITER
-    restrict_to: np.ndarray | None = None   # columns spanning a *-closed subspace
     warn_on_nonstates: bool = True
 
 
@@ -101,14 +100,14 @@ def _norm_families(seminorm: Seminorm, rows: np.ndarray) -> list[np.ndarray]:
     return [np.einsum("rb,bxy->rxy", rows, mats)]
 
 
-def _split_components(kstack: np.ndarray, rel_tol: float = 1e-12):
+def _split_components(kstack: np.ndarray):
     """Connected components of the joint row/column support of a stack of
     matrices, in the order of their first rows; each component yields an
     independent operator-norm block."""
     scale = float(np.abs(kstack).max(initial=0.0))
     if scale == 0.0:
         return []
-    support = (np.abs(kstack) > rel_tol * scale).any(axis=0)
+    support = (np.abs(kstack) > 1e-12 * scale).any(axis=0)
     # rows that share a column, closed under chains by squaring until stable
     reach = support @ support.T
     while not np.array_equal(reach, wider := reach @ reach):
@@ -165,24 +164,25 @@ def _assemble_blocks(families: list[np.ndarray], nvars: int):
     return blocks, naux
 
 
-def _split_copies(blocks, samples: int = 3, rel_tol: float = 1e-9):
+def _split_copies(blocks):
     """Sort blocks into classes of copies and keep one block per class.
 
     Two blocks are taken as copies when their pencils C - sum y_i A_i have
-    the same spectrum at `samples` fixed random y: a unitary change of basis
-    turns one into the other, so both impose the same constraint on y.
+    the same spectrum, to relative 1e-9, at 3 fixed random y: a unitary
+    change of basis turns one into the other, so both impose the same
+    constraint on y.
     Returns (kept, dropped).  A wrong match costs a second solve, never a
     wrong value: `_solve_certified` checks every dropped block at the
     solution.
     """
     if len(blocks) < 2:
         return list(blocks), []
-    ys = np.random.default_rng(0).standard_normal((samples, blocks[0][1].shape[0]))
+    ys = np.random.default_rng(0).standard_normal((3, blocks[0][1].shape[0]))
     spectra = [np.linalg.eigvalsh(cmat[None] - np.tensordot(ys, astack, axes=1))
                for cmat, astack in blocks]
     kept, dropped = [], []
     for k, spec in enumerate(spectra):
-        scale = rel_tol * (1.0 + float(np.abs(spec).max(initial=0.0)))
+        scale = 1e-9 * (1.0 + float(np.abs(spec).max(initial=0.0)))
         copy = any(spectra[j].shape == spec.shape
                    and float(np.abs(spectra[j] - spec).max(initial=0.0)) <= scale
                    for j in kept)
@@ -217,9 +217,7 @@ def prepare_ball(seminorm: Seminorm,
     flat = np.hstack([np.hstack([f.reshape(f.shape[0], -1).real,
                                  f.reshape(f.shape[0], -1).imag])
                       for f in families])
-    from .linalg import null_space_real, row_space_real
-    null = null_space_real(flat.T)
-    rng_basis = row_space_real(flat.T)
+    rng_basis, null = row_and_null_space_real(flat.T)
     reduced = [np.einsum("iq,ixy->qxy", rng_basis, f) for f in families]
     blocks, naux = _assemble_blocks(reduced, rng_basis.shape[1])
     kept, dropped = _split_copies(blocks)
@@ -304,7 +302,7 @@ def mk_distance(problem: MKProblem) -> MKResult:
                       "proceeding on the difference", stacklevel=2)
     diff = np.asarray(phi.values - psi.values, dtype=complex)
     try:
-        setup = prepare_ball(problem.seminorm, problem.restrict_to)
+        setup = prepare_ball(problem.seminorm)
     except SeminormNotCommutatorForm:
         return _mk_hyperplane(problem, diff)
     return _maximize_linear(setup, diff, problem.tolerance, problem.max_iter)
@@ -318,14 +316,15 @@ def mk_between(phi, psi, seminorm, **kw) -> MKResult:
 # generic fallback: supporting hyperplanes over the unit ball
 # ---------------------------------------------------------------------------
 
-def _mk_hyperplane(problem: MKProblem, diff: np.ndarray,
-                   box: float = 1e4, max_cuts: int = 400) -> MKResult:
-    """Kelley-style cutting planes using only seminorm evaluations; the
-    documented slower path for seminorms without a linear matrix form."""
+def _mk_hyperplane(problem: MKProblem, diff: np.ndarray) -> MKResult:
+    """Kelley-style cutting planes using only seminorm evaluations, at most
+    400 cuts in the box [-1e4, 1e4]^r; the documented slower path for
+    seminorms without a linear matrix form."""
     from scipy.optimize import linprog
+    box = 1e4
     lip = problem.seminorm
     alg = lip.algebra
-    rows = selfadjoint_basis(alg, problem.restrict_to)
+    rows = selfadjoint_basis(alg)
     g = (rows @ diff).real
     r = g.shape[0]
     if float(np.linalg.norm(g)) < 1e-14:
@@ -346,7 +345,7 @@ def _mk_hyperplane(problem: MKProblem, diff: np.ndarray,
     best_val, best_t = 0.0, np.zeros(r)
     upper = math.inf
     tol = max(problem.tolerance, 1e-5)
-    for _ in range(max_cuts):
+    for _ in range(400):
         res = linprog(-g, A_ub=np.array(cuts_a) if cuts_a else None,
                       b_ub=np.array(cuts_b) if cuts_b else None,
                       bounds=[(-box, box)] * r, method="highs")
@@ -386,18 +385,15 @@ def _mk_hyperplane(problem: MKProblem, diff: np.ndarray,
 
 def delta_distance(f: ChannelMap, g: ChannelMap, tau: TraceFunctional,
                    seminorm: Seminorm, tolerance: float = 1e-7,
-                   restrict_to: np.ndarray | None = None,
-                   setup: _BallSetup | None = None,
-                   enforce: bool = True) -> MKResult:
+                   setup: _BallSetup | None = None) -> MKResult:
     """Delta(F, G) = mk_L(omega(F), omega(G)) on trace channels."""
-    if enforce:
-        check_trace_channel(f, tau, label="first argument")
-        check_trace_channel(g, tau, label="second argument")
+    check_trace_channel(f, tau, label="first argument")
+    check_trace_channel(g, tau, label="second argument")
     carrier = seminorm.algebra
     om_f = omega_tau(f, tau, carrier=carrier)
     om_g = omega_tau(g, tau, carrier=carrier)
     if setup is None:
-        setup = prepare_ball(seminorm, restrict_to)
+        setup = prepare_ball(seminorm)
     diff = np.asarray(om_f.values - om_g.values, dtype=complex)
     return _maximize_linear(setup, diff, tolerance, sdp.MAX_ITER)
 
@@ -434,7 +430,7 @@ def _herm_param_basis(n: int) -> np.ndarray:
 
 
 def wasserstein_dual(rho1: np.ndarray, rho2: np.ndarray, l_mats,
-                     tol: float = 1e-7, max_iter: int = sdp.MAX_ITER) -> WassersteinResult:
+                     tol: float = 1e-7) -> WassersteinResult:
     """Trace-norm minimization dual to the Monge-Kantorovich program over
     self-adjoint elements with the stacked-commutator constraint norm:
 
@@ -477,7 +473,6 @@ def wasserstein_dual(rho1: np.ndarray, rho2: np.ndarray, l_mats,
         raise Infeasible(
             f"rho1 - rho2 outside the commutator range (residual {resid:.2e})")
 
-    from .linalg import null_space_real
     null = null_space_real(tmat)
 
     def unpack(realvec):
@@ -520,7 +515,7 @@ def wasserstein_dual(rho1: np.ndarray, rho2: np.ndarray, l_mats,
         b[a] = -0.5 * float(np.trace(hp).real)
     for bq, hq in enumerate(herm_q):
         b[npar + bq] = -0.5 * float(np.trace(hq).real)
-    res = _solve_certified(b, [(cmat, astack)], [], tol, max_iter)
+    res = _solve_certified(b, [(cmat, astack)], [], tol, sdp.MAX_ITER)
     coeff = res.y[npar + qpar:]
     u_final = [u0[i] + sum(c * mats[i] for c, mats in zip(coeff, null_mats))
                for i in range(nn)]
@@ -541,8 +536,7 @@ class DLResult:
 
 
 def dl_distance(f: ChannelMap, g: ChannelMap, seminorm: Seminorm,
-                starts: int = 8, seed: int = 0, tolerance: float = 1e-7,
-                max_rounds: int = 40, validate: bool = True) -> DLResult:
+                starts: int = 8, seed: int = 0, tolerance: float = 1e-7) -> DLResult:
     """D_L(F, G) = sup_psi mk_L(F* psi, G* psi), reduced to the norm ascent
     sup { ||(F - G)(a)|| : L(a) <= 1 } and solved by alternating two steps.
     The inner step fixes a unit vector xi and solves the MK program between
@@ -550,14 +544,13 @@ def dl_distance(f: ChannelMap, g: ChannelMap, seminorm: Seminorm,
     re-extremizes xi on (F - G)(a) at the optimizer a.
 
     The result is a certified lower bound; `converged` reports whether every
-    start stalled before the round cap with every inner solve optimal.
+    start stalled before the cap of 40 rounds with every inner solve optimal.
     """
-    if validate:
-        for name, ch in (("first", f), ("second", g)):
-            if not is_unital(ch):
-                raise AlgebraMismatch(f"{name} argument is not unital")
-            if not cp_oracle_npositivity(ch):
-                raise AlgebraMismatch(f"{name} argument is not completely positive")
+    for name, ch in (("first", f), ("second", g)):
+        if not is_unital(ch):
+            raise AlgebraMismatch(f"{name} argument is not unital")
+        if not cp_oracle_npositivity(ch):
+            raise AlgebraMismatch(f"{name} argument is not completely positive")
     if not f.source.same_as(seminorm.algebra):
         raise AlgebraMismatch("seminorm not over the channels' source")
     setup = prepare_ball(seminorm)
@@ -576,7 +569,7 @@ def dl_distance(f: ChannelMap, g: ChannelMap, seminorm: Seminorm,
         val = 0.0
         converged = False
         opt = None
-        for _ in range(max_rounds):
+        for _ in range(40):
             psi = np.einsum("x,mxy,y->m", xi.conj(), target.basis, xi)
             res = _maximize_linear(setup, diffmat.T @ psi, tolerance, sdp.MAX_ITER)
             if res.status == "infinite":
@@ -609,13 +602,13 @@ def dl_distance(f: ChannelMap, g: ChannelMap, seminorm: Seminorm,
                     per_start, best_opt)
 
 
-def commutative_pure_states(alg: ConcreteAlgebra, tries: int = 5):
+def commutative_pure_states(alg: ConcreteAlgebra):
     """Characters of a commutative concrete algebra, as state functionals."""
     if not alg.is_commutative():
         raise AlgebraMismatch("pure-state enumeration needs a commutative algebra")
     rng = np.random.default_rng(7)
     rows = selfadjoint_basis(alg)
-    for _ in range(tries):
+    for _ in range(5):
         generic = alg.realize(rows.T @ rng.standard_normal(rows.shape[0]))
         lam, u = np.linalg.eigh(hermitian_part(generic))
         splits = [0]
@@ -646,8 +639,7 @@ def commutative_pure_states(alg: ConcreteAlgebra, tries: int = 5):
     raise AlgebraMismatch("failed to separate the characters numerically")
 
 
-def dl_distance_pure_states(f: ChannelMap, g: ChannelMap,
-                            seminorm: Seminorm, tolerance: float = 1e-7):
+def dl_distance_pure_states(f: ChannelMap, g: ChannelMap, seminorm: Seminorm):
     """Exact D_L for commutative targets: the outer supremum is attained at
     an extreme point of the state space, so enumerate the characters."""
     chars = commutative_pure_states(f.target)
@@ -656,7 +648,7 @@ def dl_distance_pure_states(f: ChannelMap, g: ChannelMap,
     best_res = None
     for chi in chars:
         diff = pullback_state(f, chi).values - pullback_state(g, chi).values
-        res = _maximize_linear(setup, np.asarray(diff, complex), tolerance, sdp.MAX_ITER)
+        res = _maximize_linear(setup, np.asarray(diff, complex), 1e-7, sdp.MAX_ITER)
         if res.status == "infinite":
             return res
         if res.value > best:
@@ -665,17 +657,12 @@ def dl_distance_pure_states(f: ChannelMap, g: ChannelMap,
     return best_res if best_res is not None else MKResult(0.0, None, 0.0, "optimal")
 
 
-def dl_stabilized(f: ChannelMap, g: ChannelMap, m_max: int,
-                  seminorm_family=None, **kw):
+def dl_stabilized(f: ChannelMap, g: ChannelMap, m_max: int, **kw):
     """Truncated stabilization: max over m = 1..m_max of D on the m-fold
     amplifications, with the operator norm as the seminorm on each level."""
     from .channels import amplify
     values = []
     for m in range(1, m_max + 1):
         fm, gm = amplify(m, f), amplify(m, g)
-        if seminorm_family is not None:
-            lm = seminorm_family(m, fm.source)
-        else:
-            lm = AmbientNormSeminorm(fm.source)
-        values.append(dl_distance(fm, gm, lm, **kw).value)
+        values.append(dl_distance(fm, gm, AmbientNormSeminorm(fm.source), **kw).value)
     return max(values), values

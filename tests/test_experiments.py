@@ -1,8 +1,11 @@
 import csv
 import itertools
 
+import pytest
+
 import choimetric.experiments as E
 from choimetric.cli import main
+from choimetric.errors import InvalidSpectralTriple
 
 
 def read_rows(path):
@@ -65,6 +68,17 @@ def test_stability_small():
     assert "stability-restriction-check" in kinds
 
 
+@pytest.mark.parametrize("key, order", [("Z2", 2), ("Z3", 3)])
+def test_amplified_triple_is_valid_on_the_omega_carrier(key, order):
+    ctx = E.stability_context(key)
+    ctx.seminorm_n.triple.validate()
+    # omega coordinate (i, a, j, b) reads Kasparov coordinate (i, j, a, b),
+    # with i, j over the 4 coordinates of M_2 and a, b over the group
+    i, a, j, b = 1, order - 1, 2, 0
+    assert ctx.to_omega[((i * order + a) * 4 + j) * order + b] \
+        == ((i * 4 + j) * order + a) * order + b
+
+
 def test_chaining_small():
     recs = E.run_chaining(seed=0, quadruples=2, groups=("Z2", "S3"))
     assert all(r.ok for r in recs)
@@ -118,3 +132,17 @@ def test_restriction_cross_check_records_the_stalled_solve(monkeypatch):
         E.delta_distance, lambda *a, setup=None, **k: setup is ctx_full.setup_n))
     rec = E._restriction_cross_check(ctx, ctx_full, seed=0)
     assert rec.status == "stalled" and not rec.ok
+
+
+def test_kasparov_record_fails_on_an_invalid_product(monkeypatch):
+    true_product = E.kasparov_product
+
+    def odd_even_fails(ta, tb, *args, **kwargs):
+        if not ta.even and tb.even:
+            raise InvalidSpectralTriple("rejected for the test")
+        return true_product(ta, tb, *args, **kwargs)
+
+    monkeypatch.setattr(E, "kasparov_product", odd_even_fails)
+    recs = [r for r in E.run_kasparov(seed=0, samples=4)
+            if r.experiment == "kasparov-invariants"]
+    assert [r.ok for r in recs] == [True, False, True, True]

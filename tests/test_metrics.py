@@ -23,7 +23,7 @@ from choimetric import (
     multiplier_channel,
     wasserstein_dual,
 )
-from choimetric import identity_channel, sdp, tensor_channel
+from choimetric import sdp
 from choimetric.errors import Infeasible, NotTraceChannel
 from choimetric.experiments import group_context, stability_context
 from choimetric.generate import random_density, random_hermitian, random_pdf, random_state
@@ -467,11 +467,6 @@ def _counting_solver(monkeypatch):
     return calls
 
 
-def _amplified(ctx, f):
-    return tensor_channel(identity_channel(ctx.mn), f,
-                          source=ctx.amp_source, target=ctx.amp_source)
-
-
 @pytest.mark.parametrize("key", ["Z2", "Z3", "Z4", "S3", "amplified Z2"])
 def test_reduced_solve_matches_full_solve(key, monkeypatch):
     if key.startswith("amplified"):
@@ -479,7 +474,7 @@ def test_reduced_solve_matches_full_solve(key, monkeypatch):
         base = ctx.base
 
         def args(f, g):
-            return _amplified(ctx, f), _amplified(ctx, g), ctx.amp_trace, ctx.seminorm_n
+            return ctx.amplify(f), ctx.amplify(g), ctx.amp_trace, ctx.seminorm_n
 
         setup = ctx.setup_n
     else:
