@@ -194,8 +194,7 @@ class LinearFunctional:
         if cached is not None:
             return cached
         alg = self.algebra
-        prod_vals = np.einsum("mjr,r->mj", alg.structure, self.values)
-        gram = alg.adjoint_coords @ prod_vals
+        gram = alg.adjoint_coords @ (alg.structure @ self.values)
         object.__setattr__(self, "_gns_cache", gram)
         return gram
 

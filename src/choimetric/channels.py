@@ -101,13 +101,17 @@ def _omega_value_matrix(f: ChannelMap, tau: TraceFunctional) -> np.ndarray:
 def omega_tau(f: ChannelMap, tau: TraceFunctional,
               carrier: ConcreteAlgebra | None = None) -> OmegaFunctional:
     """Choi-Jamiolkowski functional of a channel with respect to a trace on
-    its target."""
+    its target, on `carrier` (built as source (x) target^op when None)."""
     if not isinstance(tau, TraceFunctional):
         raise TraceMismatch("omega_tau requires a validated trace")
     if tau.algebra is not f.target and not tau.algebra.same_as(f.target):
         raise TraceMismatch("trace does not live on the channel target")
     if carrier is None:
         carrier = tensor_algebra(f.source, opposite_algebra(f.target))
+    elif carrier.dim != f.source.dim * f.target.dim:
+        raise AlgebraMismatch(
+            f"carrier of dim {carrier.dim} for a {f.source.dim} -> "
+            f"{f.target.dim} channel")
     values = _omega_value_matrix(f, tau).reshape(-1)
     return OmegaFunctional(carrier, values, channel=f, trace=tau)
 
@@ -214,16 +218,20 @@ def is_trace_channel(f: ChannelMap, tau: TraceFunctional,
     return abs(trace_of_unit_image(f, tau) - 1.0) <= tol
 
 
-def check_trace_channel(f: ChannelMap, tau: TraceFunctional, label="channel"):
-    """Raise NotTraceChannel naming the failed predicate."""
+def check_trace_channel(f: ChannelMap, tau: TraceFunctional, label="channel",
+                        carrier: ConcreteAlgebra | None = None) -> OmegaFunctional:
+    """Raise NotTraceChannel naming the failed predicate; otherwise return
+    omega_tau(F) on `carrier`, the functional whose positivity was tested."""
     failures = []
-    if not is_completely_positive(f, tau).is_cp:
+    verdict = is_completely_positive(f, tau, carrier=carrier)
+    if not verdict.is_cp:
         failures.append("not completely positive")
     normal = trace_of_unit_image(f, tau)
     if abs(normal - 1.0) > EPS_STRUCT:
         failures.append(f"tau(F(1)) = {normal:.6g} != 1")
     if failures:
         raise NotTraceChannel(f"{label}: " + "; ".join(failures))
+    return verdict.functional
 
 
 def is_unital(f: ChannelMap, tol: float = EPS_STRUCT) -> bool:

@@ -649,6 +649,7 @@ def _restriction_cross_check(ctx: StabilityContext, ctx_full: StabilityContext,
     """The restricted and unrestricted amplified solves must agree on a
     multiplier pair: the restriction is a sup over a subset, so equality
     certifies it loses nothing."""
+    t0 = time.perf_counter()
     rng = np.random.default_rng(seed + 4242)
     base = ctx.base
     f = multiplier_channel(generate.random_pdf(rng, base.group), base.ga)
@@ -662,7 +663,8 @@ def _restriction_cross_check(ctx: StabilityContext, ctx_full: StabilityContext,
     status = _first_nonoptimal(d_res.status, d_full.status)
     return ExperimentRecord("stability-restriction-check", 0, seed,
                             d_res.value, d_full.value, 1e-6 - gap,
-                            status, status == "optimal" and gap <= 1e-6)
+                            status, status == "optimal" and gap <= 1e-6,
+                            (time.perf_counter() - t0) * 1000.0)
 
 
 def _stability_hypothesis_audit(ctx: StabilityContext, seed: int,
@@ -670,6 +672,7 @@ def _stability_hypothesis_audit(ctx: StabilityContext, seed: int,
     """Sampled check of the two seminorm conditions behind stability:
     (1 (x) L_1) o Sigma_23 <= L_n, and L_n(Sigma_23(1 (x) 1 (x) x)) <= 1
     whenever L_1(x) <= 1."""
+    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     base = ctx.base
     cond1 = _omega_seminorm(
@@ -682,6 +685,8 @@ def _stability_hypothesis_audit(ctx: StabilityContext, seed: int,
         lhs = cond1.eval_coords(x)
         rhs = ctx.seminorm_n.eval_coords(x)
         worst1 = max(worst1, lhs - rhs)
+    ms1 = (time.perf_counter() - t0) * 1000.0
+    t0 = time.perf_counter()
     worst2 = 0.0
     unit_nn = ctx.nn_carrier.unit_coords
     for _ in range(samples):
@@ -692,12 +697,13 @@ def _stability_hypothesis_audit(ctx: StabilityContext, seed: int,
             continue
         omega_coords = np.outer(unit_nn, x / l1).reshape(-1)[ctx.to_omega]
         worst2 = max(worst2, ctx.seminorm_n.eval_coords(omega_coords) - 1.0)
+    ms2 = (time.perf_counter() - t0) * 1000.0
     tol = 1e-8
     return [
         ExperimentRecord("stability-hypothesis-1", trial, seed, worst1, 0.0,
-                         tol - worst1, "optimal", worst1 <= tol),
+                         tol - worst1, "optimal", worst1 <= tol, ms1),
         ExperimentRecord("stability-hypothesis-2", trial, seed, worst2, 0.0,
-                         tol - worst2, "optimal", worst2 <= tol),
+                         tol - worst2, "optimal", worst2 <= tol, ms2),
     ]
 
 

@@ -83,12 +83,12 @@ class SpectralTriple:
                 if float(np.abs(lhs - rhs).max()) > 1e3 * tol * sc:
                     raise InvalidSpectralTriple("representation fails the product law")
         # star
-        adj = np.einsum("ik,kxy->ixy", alg.adjoint_coords, rep)
+        flat = rep.reshape(d, h * h)
+        adj = (alg.adjoint_coords @ flat).reshape(d, h, h)
         if float(np.abs(rep.conj().transpose(0, 2, 1) - adj).max()) > 1e3 * tol * rscale:
             raise InvalidSpectralTriple("representation fails the adjoint law")
         # faithful
-        flat = rep.reshape(d, h * h)
-        if np.linalg.matrix_rank(flat, tol=1e-10 * max(1.0, rscale)) < d:
+        if _rank(flat, 1e-10 * max(1.0, rscale)) < d:
             raise InvalidSpectralTriple("representation is not faithful")
         if self.grading is not None:
             g = self.grading
@@ -101,6 +101,12 @@ class SpectralTriple:
             if float(np.abs(g @ dirac + dirac @ g).max()) > 1e3 * tol * scale:
                 raise InvalidSpectralTriple("grading does not anticommute with the Dirac matrix")
         return self
+
+
+def _rank(flat: np.ndarray, tol: float) -> int:
+    """Rank of a wide (d, m) matrix at absolute singular-value tolerance
+    `tol`, from the R factor of its transpose (the same singular values)."""
+    return int(np.linalg.matrix_rank(np.linalg.qr(flat.T, mode="r"), tol=tol))
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,6 @@ from .channels import (
     check_trace_channel,
     cp_oracle_npositivity,
     is_unital,
-    omega_tau,
     pullback_state,
 )
 from .errors import AlgebraMismatch, Infeasible, SeminormNotCommutatorForm
@@ -386,12 +385,14 @@ def _mk_hyperplane(problem: MKProblem, diff: np.ndarray) -> MKResult:
 def delta_distance(f: ChannelMap, g: ChannelMap, tau: TraceFunctional,
                    seminorm: Seminorm, tolerance: float = 1e-7,
                    setup: _BallSetup | None = None) -> MKResult:
-    """Delta(F, G) = mk_L(omega(F), omega(G)) on trace channels."""
-    check_trace_channel(f, tau, label="first argument")
-    check_trace_channel(g, tau, label="second argument")
+    """Delta(F, G) = mk_L(omega(F), omega(G)) on trace channels.
+
+    The seminorm lives on the omega-carrier A (x) B^op, so both arguments
+    are checked for complete positivity on that carrier and solved with the
+    functionals the checks return."""
     carrier = seminorm.algebra
-    om_f = omega_tau(f, tau, carrier=carrier)
-    om_g = omega_tau(g, tau, carrier=carrier)
+    om_f = check_trace_channel(f, tau, label="first argument", carrier=carrier)
+    om_g = check_trace_channel(g, tau, label="second argument", carrier=carrier)
     if setup is None:
         setup = prepare_ball(seminorm)
     diff = np.asarray(om_f.values - om_g.values, dtype=complex)

@@ -92,6 +92,15 @@ def test_structure_constants_reconstruct_products(m3, rng):
     assert np.abs(lhs - rhs).max() < 1e-12
 
 
+def test_gns_gram_matches_ambient_products(m2, rng):
+    # [phi(B_i^* B_j)] from the realized products, on the Choi carrier
+    carrier = tensor_algebra(m2, opposite_algebra(m2))
+    phi = LinearFunctional(carrier, rng.standard_normal(16) + 1j * rng.standard_normal(16))
+    ref = np.array([[phi.values @ carrier.coords_of(bi.conj().T @ bj)
+                     for bj in carrier.basis] for bi in carrier.basis])
+    assert np.abs(phi.gns_gram() - ref).max() < 1e-12
+
+
 def test_tensor_algebra_kron_order(m2, d2):
     t = tensor_algebra(m2, d2)
     assert t.dim == 8

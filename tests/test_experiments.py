@@ -134,6 +134,14 @@ def test_restriction_cross_check_records_the_stalled_solve(monkeypatch):
     assert rec.status == "stalled" and not rec.ok
 
 
+def test_stability_side_records_time_their_own_work():
+    ctx = E.stability_context("Z2")
+    ctx_full = E.stability_context("Z2", restrict=False)
+    assert E._restriction_cross_check(ctx, ctx_full, seed=0).ms > 0
+    audit = E._stability_hypothesis_audit(ctx, seed=0, samples=2, trial=0)
+    assert [r.ms > 0 for r in audit] == [True, True]
+
+
 def test_kasparov_record_fails_on_an_invalid_product(monkeypatch):
     true_product = E.kasparov_product
 

@@ -44,6 +44,34 @@ def test_triple_validation_catches_bad_grading(d2):
         SpectralTriple(d2, d2.basis, Z, Z).validate()
 
 
+def test_triple_validation_catches_the_adjoint_law(m2):
+    # conjugation by a non-unitary S is unital and multiplicative but not *-preserving
+    s = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
+    rep = s @ m2.basis @ np.linalg.inv(s)
+    with pytest.raises(InvalidSpectralTriple, match="adjoint law"):
+        SpectralTriple(m2, rep, Z).validate()
+
+
+def test_triple_validation_catches_an_unfaithful_rep(d2):
+    # e_1 -> [[1]], e_2 -> [[0]] is a unital *-homomorphism with a kernel
+    rep = np.array([[[1.0]], [[0.0]]], dtype=complex)
+    with pytest.raises(InvalidSpectralTriple, match="not faithful"):
+        SpectralTriple(d2, rep, np.zeros((1, 1))).validate()
+
+
+def test_faithfulness_rank_matches_matrix_rank():
+    from choimetric.experiments import stability_context
+    from choimetric.geometry import _rank
+    rep = stability_context("Z2").seminorm_n.triple.rep
+    d, h, _ = rep.shape
+    flat = rep.reshape(d, h * h)
+    tol = 1e-10 * max(1.0, float(np.abs(rep).max()) ** 2)
+    assert _rank(flat, tol) == np.linalg.matrix_rank(flat, tol=tol) == d
+    # and on a rank-deficient stack: the last row a combination of two others
+    flat[-1] = flat[0] - 2.0 * flat[1]
+    assert _rank(flat, tol) == np.linalg.matrix_rank(flat, tol=tol) == d - 1
+
+
 def test_two_point_seminorm(d2):
     lip = CommutatorSeminorm(two_point_triple())
     assert abs(lip.eval_coords(np.array([3.0, 1.0])) - 2.0) < 1e-12

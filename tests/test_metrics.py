@@ -24,7 +24,7 @@ from choimetric import (
     wasserstein_dual,
 )
 from choimetric import sdp
-from choimetric.errors import Infeasible, NotTraceChannel
+from choimetric.errors import AlgebraMismatch, Infeasible, NotTraceChannel
 from choimetric.experiments import group_context, stability_context
 from choimetric.generate import random_density, random_hermitian, random_pdf, random_state
 from choimetric.geometry import Seminorm, gradient_dirac_triple
@@ -170,6 +170,69 @@ def test_delta_requires_trace_channels(z2_algebra, z2_trace, z2_length):
     double = 2.0 * identity_channel(z2_algebra.algebra)
     with pytest.raises(NotTraceChannel):
         delta_distance(double, double, ctx.tau, ctx.seminorm)
+
+
+def _count_algebra_builds(monkeypatch):
+    """A list that grows by one for each ConcreteAlgebra built from now on."""
+    from choimetric.algebra import ConcreteAlgebra
+    builds = []
+    init = ConcreteAlgebra.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ConcreteAlgebra, "__init__", counted)
+    return builds
+
+
+@pytest.mark.parametrize("amplified", [False, True])
+def test_delta_builds_no_algebra(amplified, monkeypatch):
+    # both arguments are checked on the context's own carrier
+    rng = np.random.default_rng(8)
+    if amplified:
+        ctx = stability_context("Z2")
+        base = ctx.base
+        f, g = (ctx.amplify(multiplier_channel(random_pdf(rng, base.group), base.ga))
+                for _ in range(2))
+        args = (f, g, ctx.amp_trace, ctx.seminorm_n)
+        setup = ctx.setup_n
+    else:
+        base = group_context("Z2")
+        f, g = (multiplier_channel(random_pdf(rng, base.group), base.ga)
+                for _ in range(2))
+        args = (f, g, base.tau, base.seminorm)
+        setup = base.setup
+    builds = _count_algebra_builds(monkeypatch)
+    res = delta_distance(*args, tolerance=1e-9, setup=setup)
+    assert res.status == "optimal"
+    assert builds == []
+
+
+def test_delta_rejects_a_non_cp_amplified_argument():
+    # the partial transpose T (x) id on M_2 (x) C*(Z2) is unital, so it keeps
+    # tau(F(1)) = 1 and fails on complete positivity alone
+    from choimetric import identity_channel, tensor_channel
+    ctx = stability_context("Z2")
+    base = ctx.base
+    flip = np.eye(4)[[0, 2, 1, 3]]          # e_ij -> e_ji on M_2
+    partial_t = tensor_channel(ChannelMap(ctx.mn, ctx.mn, flip),
+                               identity_channel(base.ga.algebra),
+                               source=ctx.amp_source, target=ctx.amp_source)
+    m = ctx.amplify(multiplier_channel(
+        PositiveDefiniteFunction(cyclic_group(2), [1.0, 0.5]), base.ga))
+    with pytest.raises(NotTraceChannel, match="second argument: not completely positive$"):
+        delta_distance(m, partial_t, ctx.amp_trace, ctx.seminorm_n, setup=ctx.setup_n)
+
+
+def test_delta_rejects_a_carrier_of_the_wrong_dimension(d2, monkeypatch):
+    ctx = group_context("Z2")
+    m = multiplier_channel(PositiveDefiniteFunction(cyclic_group(2), [1.0, 0.5]), ctx.ga)
+    lip = CommutatorSeminorm(SpectralTriple(d2, d2.basis, X).validate())
+    builds = _count_algebra_builds(monkeypatch)
+    with pytest.raises(AlgebraMismatch):
+        delta_distance(m, m, ctx.tau, lip)
+    assert builds == []
 
 
 def test_delta_zero_on_equal_channels():
