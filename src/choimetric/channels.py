@@ -164,26 +164,13 @@ def cp_oracle_npositivity(f: ChannelMap, tol: float = EPS_PSD) -> bool:
     dimension this single PSD test decides complete positivity.  It never
     consults a trace or the associated functional.
     """
-    return _block_gram_min_eig(f) >= -tol * max(1.0, _block_gram_scale(f))
-
-
-def _block_gram(f: ChannelMap) -> np.ndarray:
     src, tgt = f.source, f.target
-    d = src.dim
+    d, n = src.dim, tgt.ambient_dim
     prod = np.einsum("im,mjk->ijk", src.adjoint_coords, src.structure)
     fp = np.einsum("ijk,bk->ijb", prod, f.matrix)
-    amb = np.einsum("ijb,bxy->ixjy", fp, tgt.basis)
-    n = tgt.ambient_dim
-    return amb.reshape(d * n, d * n)
-
-
-def _block_gram_min_eig(f: ChannelMap) -> float:
-    g = _block_gram(f)
-    return float(np.linalg.eigvalsh(linalg.hermitian_part(g))[0])
-
-
-def _block_gram_scale(f: ChannelMap) -> float:
-    return float(np.abs(_block_gram(f)).max(initial=0.0))
+    gram = np.einsum("ijb,bxy->ixjy", fp, tgt.basis).reshape(d * n, d * n)
+    min_eig = float(np.linalg.eigvalsh(linalg.hermitian_part(gram))[0])
+    return min_eig >= -tol * max(1.0, float(np.abs(gram).max(initial=0.0)))
 
 
 def is_k_positive_sampled(f: ChannelMap, k: int, trials: int = 20,

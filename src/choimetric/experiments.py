@@ -161,7 +161,6 @@ class GroupContext:
     group: object
     ga: object
     tau: object
-    carrier: object
     seminorm: CommutatorSeminorm
     setup: object
 
@@ -229,7 +228,7 @@ def build_group_context(group, cocycle=None, length: LengthFunction | None = Non
     seminorm = CommutatorSeminorm(kasparov_product(
         length_dirac(ga, length), length_dirac_op(ga, length), carrier=carrier))
     restriction = _char_restriction(seminorm, group) if restrict else None
-    return GroupContext(group, ga, canonical_trace(ga), carrier, seminorm,
+    return GroupContext(group, ga, canonical_trace(ga), seminorm,
                         prepare_ball(seminorm, restriction))
 
 
@@ -243,8 +242,7 @@ class StabilityContext:
     mn: object
     amp_source: object
     amp_trace: object
-    omega_carrier: object
-    seminorm_n: CommutatorSeminorm
+    seminorm_n: CommutatorSeminorm   # over the omega-carrier
     setup_n: object
     nn_carrier: object           # M_n (x) M_n^op
     to_omega: np.ndarray         # Sigma_[23]: omega coordinate k is Kasparov
@@ -298,8 +296,8 @@ def stability_context(key: str, n: int = 2, restrict: bool = True) -> StabilityC
     seminorm_n = _omega_seminorm(product_total, omega_carrier, to_omega)
     restriction = _char_restriction(seminorm_n, base.group, n * n) if restrict else None
     setup_n = prepare_ball(seminorm_n, restriction)
-    return StabilityContext(base, mn, amp_source, amp_trace, omega_carrier,
-                            seminorm_n, setup_n, nn_carrier, to_omega)
+    return StabilityContext(base, mn, amp_source, amp_trace, seminorm_n, setup_n,
+                            nn_carrier, to_omega)
 
 
 def cp_corpus():
@@ -675,13 +673,13 @@ def _stability_hypothesis_audit(ctx: StabilityContext, seed: int,
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     base = ctx.base
+    omega = ctx.seminorm_n.algebra
     cond1 = _omega_seminorm(
         right_tensor_seminorm(ctx.nn_carrier, base.seminorm.triple).triple,
-        ctx.omega_carrier, ctx.to_omega)
+        omega, ctx.to_omega)
     worst1 = 0.0
     for _ in range(samples):
-        x = rng.standard_normal(ctx.omega_carrier.dim) \
-            + 1j * rng.standard_normal(ctx.omega_carrier.dim)
+        x = rng.standard_normal(omega.dim) + 1j * rng.standard_normal(omega.dim)
         lhs = cond1.eval_coords(x)
         rhs = ctx.seminorm_n.eval_coords(x)
         worst1 = max(worst1, lhs - rhs)
@@ -689,9 +687,9 @@ def _stability_hypothesis_audit(ctx: StabilityContext, seed: int,
     t0 = time.perf_counter()
     worst2 = 0.0
     unit_nn = ctx.nn_carrier.unit_coords
+    d = base.seminorm.algebra.dim
     for _ in range(samples):
-        x = rng.standard_normal(base.carrier.dim) \
-            + 1j * rng.standard_normal(base.carrier.dim)
+        x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         l1 = base.seminorm.eval_coords(x)
         if l1 < 1e-12:
             continue

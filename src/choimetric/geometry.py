@@ -19,8 +19,8 @@ from .algebra import (
     opposite_algebra,
     tensor_algebra,
 )
-from .errors import AlgebraMismatch, InvalidSpectralTriple
-from .linalg import EPS_STRUCT, operator_norm
+from .errors import AlgebraMismatch, InvalidSpectralTriple, SeminormNotCommutatorForm
+from .linalg import EPS_STRUCT, contract_stack, operator_norm
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,8 @@ class SpectralTriple:
                 u = rng.standard_normal(d) + 1j * rng.standard_normal(d)
                 v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
                 lhs = np.tensordot(u, rep, axes=1) @ np.tensordot(v, rep, axes=1)
-                rhs = np.tensordot(alg.multiply_coords(u, v), rep, axes=1)
+                uv = alg.coords_of(alg.realize(u) @ alg.realize(v))
+                rhs = np.tensordot(uv, rep, axes=1)
                 sc = rscale * float(np.linalg.norm(u) * np.linalg.norm(v))
                 if float(np.abs(lhs - rhs).max()) > 1e3 * tol * sc:
                     raise InvalidSpectralTriple("representation fails the product law")
@@ -114,15 +115,20 @@ def _rank(flat: np.ndarray, tol: float) -> int:
 # ---------------------------------------------------------------------------
 
 class Seminorm:
-    """Base for seminorm evaluators over a fixed algebra.
+    """A seminorm over a fixed algebra in the one form the Monge-Kantorovich
+    solver reads: L(x) = sum_k || sum_i x_i F_k[i] || for `families`, a
+    tuple of complex stacks F_k of shape (d, p, q).
 
-    Subclasses either expose `linear_matrices()` -- complex matrices C_i per
-    basis coordinate with L(x) = || sum_i coords_i C_i || -- or only pointwise
-    evaluation, in which case the Monge-Kantorovich solver is restricted to
-    its generic fallback path.
+    A subclass that can only evaluate pointwise overrides `eval_coords` and
+    leaves `families` None; the solver then takes its cutting-plane path.
     """
 
     algebra: ConcreteAlgebra
+    families: tuple[np.ndarray, ...] | None = None
+
+    def __init__(self, algebra: ConcreteAlgebra, families):
+        self.algebra = algebra
+        self.families = tuple(families)
 
     def __call__(self, x: AlgebraElement) -> float:
         if x.algebra is not self.algebra and not x.algebra.same_as(self.algebra):
@@ -130,25 +136,24 @@ class Seminorm:
         return self.eval_coords(x.coords)
 
     def eval_coords(self, coords: np.ndarray) -> float:
-        raise NotImplementedError
+        return sum(operator_norm(np.tensordot(coords, f, axes=1)) for f in self.families)
 
-    def linear_matrices(self):
-        return None
+
+def require_families(seminorm: Seminorm) -> tuple[np.ndarray, ...]:
+    """The norm families of `seminorm`; SeminormNotCommutatorForm when it
+    evaluates pointwise only."""
+    if seminorm.families is None:
+        raise SeminormNotCommutatorForm(
+            f"{type(seminorm).__name__} evaluates pointwise only")
+    return seminorm.families
 
 
 class CommutatorSeminorm(Seminorm):
     """L(a) = || [D, pi(a)] || from a spectral triple."""
 
     def __init__(self, triple: SpectralTriple):
+        super().__init__(triple.algebra, (triple.commutator_matrices(),))
         self.triple = triple
-        self.algebra = triple.algebra
-        self._mats = triple.commutator_matrices()
-
-    def eval_coords(self, coords):
-        return operator_norm(np.tensordot(coords, self._mats, axes=1))
-
-    def linear_matrices(self):
-        return self._mats
 
 
 class AmbientNormSeminorm(Seminorm):
@@ -156,13 +161,7 @@ class AmbientNormSeminorm(Seminorm):
     kernel); used by the stabilized metric on matrix amplifications."""
 
     def __init__(self, algebra: ConcreteAlgebra):
-        self.algebra = algebra
-
-    def eval_coords(self, coords):
-        return operator_norm(self.algebra.realize(coords))
-
-    def linear_matrices(self):
-        return self.algebra.basis
+        super().__init__(algebra, (algebra.basis,))
 
 
 class PullbackSeminorm(Seminorm):
@@ -170,18 +169,9 @@ class PullbackSeminorm(Seminorm):
 
     def __init__(self, base: Seminorm, coord_map: np.ndarray,
                  algebra: ConcreteAlgebra):
-        self.base = base
-        self.coord_map = np.asarray(coord_map, dtype=complex)
-        self.algebra = algebra
-
-    def eval_coords(self, coords):
-        return self.base.eval_coords(self.coord_map @ coords)
-
-    def linear_matrices(self):
-        inner = self.base.linear_matrices()
-        if inner is None:
-            return None
-        return np.einsum("bd,bxy->dxy", self.coord_map, inner)
+        tmap = np.asarray(coord_map, dtype=complex).T
+        super().__init__(algebra, (contract_stack(tmap, f)
+                                   for f in require_families(base)))
 
 
 class SumSeminorm(Seminorm):
@@ -190,27 +180,12 @@ class SumSeminorm(Seminorm):
     def __init__(self, left: Seminorm, right: Seminorm):
         if not left.algebra.same_as(right.algebra):
             raise AlgebraMismatch("sum of seminorms over different algebras")
-        self.left = left
-        self.right = right
-        self.algebra = left.algebra
-
-    def eval_coords(self, coords):
-        return self.left.eval_coords(coords) + self.right.eval_coords(coords)
-
-    def members(self):
-        out = []
-        for part in (self.left, self.right):
-            if isinstance(part, SumSeminorm):
-                out.extend(part.members())
-            else:
-                out.append(part)
-        return out
+        super().__init__(left.algebra, require_families(left) + require_families(right))
 
 
 def opposite_seminorm(lip: Seminorm) -> Seminorm:
-    """L_{A^op}(a^op) = L_A(a); the identity on coordinates."""
-    op = opposite_algebra(lip.algebra)
-    return PullbackSeminorm(lip, np.eye(lip.algebra.dim, dtype=complex), op)
+    """L_{A^op}(a^op) = L_A(a): the same families on the opposite algebra."""
+    return Seminorm(opposite_algebra(lip.algebra), require_families(lip))
 
 
 def left_tensor_seminorm(triple_a: SpectralTriple, algebra_b: ConcreteAlgebra,

@@ -25,6 +25,11 @@ def operator_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
 
 
+def contract_stack(mat: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """The stack sum_i mat[r, i] stack[i] over r, as one matrix product."""
+    return (mat @ stack.reshape(len(stack), -1)).reshape((len(mat),) + stack.shape[1:])
+
+
 def hermitian_part(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + dagger(m))
 

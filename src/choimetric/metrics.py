@@ -47,9 +47,14 @@ from .channels import (
     is_unital,
     pullback_state,
 )
-from .errors import AlgebraMismatch, Infeasible, SeminormNotCommutatorForm
-from .geometry import AmbientNormSeminorm, Seminorm, SumSeminorm
-from .linalg import hermitian_part, null_space_real, row_and_null_space_real
+from .errors import AlgebraMismatch, Infeasible
+from .geometry import AmbientNormSeminorm, Seminorm, require_families
+from .linalg import (
+    contract_stack,
+    hermitian_part,
+    null_space_real,
+    row_and_null_space_real,
+)
 
 
 @dataclass
@@ -81,22 +86,9 @@ class MKResult:
 # ---------------------------------------------------------------------------
 
 def _norm_families(seminorm: Seminorm, rows: np.ndarray) -> list[np.ndarray]:
-    """Commutator images of the self-adjoint basis directions, one stack per
-    norm summand (sums of seminorms get one family per member)."""
-    if isinstance(seminorm, SumSeminorm):
-        stacks = []
-        for member in seminorm.members():
-            mats = member.linear_matrices()
-            if mats is None:
-                raise SeminormNotCommutatorForm(
-                    f"{type(member).__name__} exposes no linear matrix form")
-            stacks.append(np.einsum("rb,bxy->rxy", rows, mats))
-        return stacks
-    mats = seminorm.linear_matrices()
-    if mats is None:
-        raise SeminormNotCommutatorForm(
-            f"{type(seminorm).__name__} exposes no linear matrix form")
-    return [np.einsum("rb,bxy->rxy", rows, mats)]
+    """The norm families of the seminorm on the self-adjoint basis
+    directions `rows`, one stack per norm summand."""
+    return [contract_stack(rows, f) for f in require_families(seminorm)]
 
 
 def _split_components(kstack: np.ndarray):
@@ -217,7 +209,7 @@ def prepare_ball(seminorm: Seminorm,
                                  f.reshape(f.shape[0], -1).imag])
                       for f in families])
     rng_basis, null = row_and_null_space_real(flat.T)
-    reduced = [np.einsum("iq,ixy->qxy", rng_basis, f) for f in families]
+    reduced = [contract_stack(rng_basis.T, f) for f in families]
     blocks, naux = _assemble_blocks(reduced, rng_basis.shape[1])
     kept, dropped = _split_copies(blocks)
     projector = None
@@ -300,11 +292,10 @@ def mk_distance(problem: MKProblem) -> MKResult:
         warnings.warn("mk_distance applied to non-state functionals; "
                       "proceeding on the difference", stacklevel=2)
     diff = np.asarray(phi.values - psi.values, dtype=complex)
-    try:
-        setup = prepare_ball(problem.seminorm)
-    except SeminormNotCommutatorForm:
+    if problem.seminorm.families is None:
         return _mk_hyperplane(problem, diff)
-    return _maximize_linear(setup, diff, problem.tolerance, problem.max_iter)
+    return _maximize_linear(prepare_ball(problem.seminorm), diff,
+                            problem.tolerance, problem.max_iter)
 
 
 def mk_between(phi, psi, seminorm, **kw) -> MKResult:
@@ -318,7 +309,7 @@ def mk_between(phi, psi, seminorm, **kw) -> MKResult:
 def _mk_hyperplane(problem: MKProblem, diff: np.ndarray) -> MKResult:
     """Kelley-style cutting planes using only seminorm evaluations, at most
     400 cuts in the box [-1e4, 1e4]^r; the documented slower path for
-    seminorms without a linear matrix form."""
+    seminorms that evaluate pointwise only."""
     from scipy.optimize import linprog
     box = 1e4
     lip = problem.seminorm

@@ -16,9 +16,9 @@ from choimetric import (
     tensor_algebra,
     tensor_sum_seminorm,
 )
-from choimetric.errors import InvalidSpectralTriple
+from choimetric.errors import InvalidSpectralTriple, SeminormNotCommutatorForm
 from choimetric.experiments import _kernel_identity_cases, _toy_triples
-from choimetric.geometry import gradient_dirac_triple, state_sup_lower_bound
+from choimetric.geometry import Seminorm, gradient_dirac_triple, state_sup_lower_bound
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -185,7 +185,8 @@ def test_sum_seminorm_members(d2):
     t = two_point_triple()
     lip = CommutatorSeminorm(t)
     s = SumSeminorm(SumSeminorm(lip, lip), lip)
-    assert len(s.members()) == 3
+    assert len(s.families) == 3
+    assert all(f is lip.families[0] for f in s.families)
     x = np.array([1.0, -1.0], dtype=complex)
     assert abs(s.eval_coords(x) - 3 * lip.eval_coords(x)) < 1e-12
 
@@ -193,7 +194,10 @@ def test_sum_seminorm_members(d2):
 def test_tensor_sum_seminorm(rng):
     toys = _toy_triples()
     s = tensor_sum_seminorm(toys["odd"], toys["odd"])
-    left, right = s.members()
+    d2 = toys["odd"].algebra
+    left = left_tensor_seminorm(toys["odd"], d2, rep_b=toys["odd"].rep)
+    right = right_tensor_seminorm(d2, toys["odd"], rep_a=toys["odd"].rep)
+    assert len(s.families) == 2
     x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     assert abs(s.eval_coords(x)
                - left.eval_coords(x) - right.eval_coords(x)) < 1e-12
@@ -205,9 +209,31 @@ def test_pullback_seminorm(rng, m2):
     pb = PullbackSeminorm(lip, cmap, m2)
     x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     assert abs(pb.eval_coords(x) - lip.eval_coords(cmap @ x)) < 1e-12
-    mats = pb.linear_matrices()
+    (mats,) = pb.families
     assert np.abs(np.tensordot(x, mats, axes=1)
                   - m2.realize(cmap @ x)).max() < 1e-12
+
+
+class _PointwiseOnly(Seminorm):
+    """A seminorm known only through its values."""
+
+    def __init__(self, algebra):
+        self.algebra = algebra
+
+    def eval_coords(self, coords):
+        return float(np.abs(coords).max())
+
+
+def test_sum_and_pullback_of_a_pointwise_seminorm_raise(d2):
+    lip = CommutatorSeminorm(two_point_triple())
+    opaque = _PointwiseOnly(d2)
+    assert opaque.families is None
+    with pytest.raises(SeminormNotCommutatorForm):
+        SumSeminorm(lip, opaque)
+    with pytest.raises(SeminormNotCommutatorForm):
+        SumSeminorm(opaque, lip)
+    with pytest.raises(SeminormNotCommutatorForm):
+        PullbackSeminorm(opaque, np.eye(2), d2)
 
 
 def test_gradient_dirac_triple_seminorm(rng, m2):

@@ -10,6 +10,7 @@ from choimetric import (
     CommutatorSeminorm,
     LinearFunctional,
     MKProblem,
+    PullbackSeminorm,
     SpectralTriple,
     SumSeminorm,
     delta_distance,
@@ -21,6 +22,7 @@ from choimetric import (
     mk_between,
     mk_distance,
     multiplier_channel,
+    opposite_seminorm,
     wasserstein_dual,
 )
 from choimetric import sdp
@@ -29,7 +31,12 @@ from choimetric.experiments import group_context, stability_context
 from choimetric.generate import random_density, random_hermitian, random_pdf, random_state
 from choimetric.geometry import Seminorm, gradient_dirac_triple
 from choimetric.groups import PositiveDefiniteFunction, cyclic_group
-from choimetric.metrics import _split_components, commutative_pure_states
+from choimetric.metrics import (
+    _maximize_linear,
+    _split_components,
+    commutative_pure_states,
+    prepare_ball,
+)
 from choimetric.oracles import grid_ball_maximize
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -259,15 +266,14 @@ def test_delta_multiplier_family_linear():
     # doubled product Dirac stretches it by exactly sqrt(2)
     assert abs(kappas[0] - 1.0 / np.sqrt(2.0)) < 1e-7
     # the same constant from the grid oracle on the restricted program
-    from choimetric.metrics import prepare_ball
     setup = ctx.setup
-    g = np.zeros(ctx.carrier.dim)
+    g = np.zeros(ctx.seminorm.algebra.dim)
     # difference functional sits on the lambda_1 (x) lambda_1^op coordinate
     mt = multiplier_channel(PositiveDefiniteFunction(cyclic_group(2), [1, 1.0]), ctx.ga)
     ms = multiplier_channel(PositiveDefiniteFunction(cyclic_group(2), [1, 0.0]), ctx.ga)
     from choimetric.channels import omega_tau
-    diff = omega_tau(mt, ctx.tau, carrier=ctx.carrier).values \
-        - omega_tau(ms, ctx.tau, carrier=ctx.carrier).values
+    diff = omega_tau(mt, ctx.tau, carrier=ctx.seminorm.algebra).values \
+        - omega_tau(ms, ctx.tau, carrier=ctx.seminorm.algebra).values
     gvec = (setup.rows @ diff).real
 
     def ball(t):
@@ -359,6 +365,30 @@ def test_sum_seminorm_mk(rng, d2):
     dp, dq = point_states(d2)
     res = mk_between(dp, dq, total, tolerance=1e-9)
     assert abs(res.value - 0.5) < 1e-6
+
+
+def test_pullback_of_a_sum_solves_on_the_sdp_path(d2):
+    lip = CommutatorSeminorm(SpectralTriple(d2, d2.basis, X))
+    pulled = PullbackSeminorm(SumSeminorm(lip, lip), np.eye(2), d2)
+    dp, dq = point_states(d2)
+    res = _maximize_linear(prepare_ball(pulled), dp.values - dq.values,
+                           1e-10, sdp.MAX_ITER)
+    assert res.status == "optimal"
+    assert abs(res.value - 0.5) < 1e-8
+
+
+def test_opposite_seminorm_has_the_same_mk_values(rng, m2):
+    lip = CommutatorSeminorm(gradient_dirac_triple([X, np.diag([1.0, -1.0])],
+                                                   algebra=m2))
+    lop = opposite_seminorm(lip)
+    for _ in range(3):
+        phi, psi = random_state(rng, m2), random_state(rng, m2)
+        phi_op = LinearFunctional(lop.algebra, phi.values)
+        psi_op = LinearFunctional(lop.algebra, psi.values)
+        want = mk_between(phi, psi, lip, tolerance=1e-9)
+        got = mk_between(phi_op, psi_op, lop, tolerance=1e-9)
+        assert want.status == got.status == "optimal"
+        assert abs(got.value - want.value) < 1e-8
 
 
 def test_hyperplane_fallback(d2, m2):
