@@ -4,13 +4,16 @@ An algebra is an ordered basis of ambient N x N complex matrices whose span
 is closed under products and adjoints, together with derived data: structure
 constants, adjoint coordinates, and the coordinates of the two-sided unit.
 Elements and linear functionals are coordinate vectors over that basis.
-Everything is immutable after construction.
+Everything is immutable after construction.  `tensor_algebra` and
+`opposite_algebra` return one shared object per operand tuple for as long as
+it is in use, so nothing may mutate an algebra once it is built.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -54,10 +57,11 @@ class ConcreteAlgebra:
         self.name = name
         self.factors = tuple(factors)
         self.op_of = op_of
+
+    @cached_property
+    def _pinv(self) -> np.ndarray:
         d, n, _ = self.basis.shape
-        self._flat = self.basis.reshape(d, n * n)
-        self._pinv = np.linalg.pinv(self._flat.T)
-        self._swap_cache = {}
+        return np.linalg.pinv(self.basis.reshape(d, n * n).T)
 
     @property
     def structure(self) -> np.ndarray:
@@ -108,17 +112,18 @@ class ConcreteAlgebra:
     def adjoint_of_coords(self, c: np.ndarray) -> np.ndarray:
         return self.adjoint_coords.T @ np.conj(c)
 
-    def is_commutative(self, tol=EPS_STRUCT) -> bool:
-        return float(np.abs(self.structure - self.structure.transpose(1, 0, 2)).max()) <= tol
+    def is_commutative(self) -> bool:
+        s = self.structure
+        return float(np.abs(s - s.transpose(1, 0, 2)).max()) <= EPS_STRUCT
 
-    def same_as(self, other: "ConcreteAlgebra", tol=1e-10) -> bool:
-        """Structural equality: identical ambient basis and unit."""
+    def same_as(self, other: "ConcreteAlgebra") -> bool:
+        """Structural equality: identical ambient basis and unit, to 1e-10."""
         if self is other:
             return True
         if self.basis.shape != other.basis.shape:
             return False
-        return (np.abs(self.basis - other.basis).max() <= tol
-                and np.abs(self.unit_coords - other.unit_coords).max() <= tol)
+        return (np.abs(self.basis - other.basis).max() <= 1e-10
+                and np.abs(self.unit_coords - other.unit_coords).max() <= 1e-10)
 
     def factor_dims(self) -> tuple[int, ...]:
         if not self.factors:
@@ -137,10 +142,10 @@ class AlgebraElement:
     def adjoint(self) -> "AlgebraElement":
         return AlgebraElement(self.algebra, self.algebra.adjoint_of_coords(self.coords))
 
-    def is_positive(self, tol=EPS_PSD) -> bool:
+    def is_positive(self) -> bool:
         """Positivity of the ambient realization (equivalently, positivity in
         the algebra, since the span is a C*-subalgebra)."""
-        return linalg.is_psd(self.ambient(), tol)
+        return linalg.is_psd(self.ambient(), EPS_PSD)
 
     def norm(self) -> float:
         return linalg.operator_norm(self.ambient())
@@ -168,7 +173,7 @@ class AlgebraElement:
 
 
 def _require_same_algebra(a, b):
-    if a.algebra is not b.algebra and not a.algebra.same_as(b.algebra):
+    if not a.algebra.same_as(b.algebra):
         raise AlgebraMismatch("elements of different algebras")
 
 
@@ -181,7 +186,7 @@ class LinearFunctional:
 
     def __call__(self, x) -> complex:
         if isinstance(x, AlgebraElement):
-            if x.algebra is not self.algebra and not x.algebra.same_as(self.algebra):
+            if not x.algebra.same_as(self.algebra):
                 raise AlgebraMismatch("functional applied to element of another algebra")
             coords = x.coords
         else:
@@ -198,14 +203,14 @@ class LinearFunctional:
         object.__setattr__(self, "_gns_cache", gram)
         return gram
 
-    def is_positive(self, tol=EPS_PSD) -> bool:
+    def is_positive(self) -> bool:
         gram = self.gns_gram()
         scale = max(1.0, float(np.abs(gram).max(initial=0.0)))
-        if linalg.frobenius(gram - linalg.dagger(gram)) > 1e3 * tol * scale:
+        if linalg.frobenius(gram - linalg.dagger(gram)) > 1e3 * EPS_PSD * scale:
             return False
         lam = np.linalg.eigvalsh(linalg.hermitian_part(gram))
         mag = max(float(np.abs(lam).max(initial=0.0)), 1.0)
-        return float(lam[0]) >= -tol * mag
+        return float(lam[0]) >= -EPS_PSD * mag
 
     def positivity_witness(self):
         """Most negative Gram eigenvalue and the coordinates of an element
@@ -217,8 +222,8 @@ class LinearFunctional:
     def unit_value(self) -> complex:
         return complex(self.values @ self.algebra.unit_coords)
 
-    def is_state(self, tol=EPS_STRUCT) -> bool:
-        return self.is_positive() and abs(self.unit_value() - 1.0) <= tol
+    def is_state(self) -> bool:
+        return self.is_positive() and abs(self.unit_value() - 1.0) <= EPS_STRUCT
 
     def __add__(self, other):
         return LinearFunctional(self.algebra, self.values + other.values)
@@ -253,12 +258,12 @@ class TraceFunctional(LinearFunctional):
         return linalg.is_positive_definite(gram, EPS_PSD)
 
 
-def as_trace(phi: LinearFunctional, tol=EPS_STRUCT) -> TraceFunctional:
+def as_trace(phi: LinearFunctional) -> TraceFunctional:
     """Validate traciality and positivity, returning a TraceFunctional."""
     alg = phi.algebra
     prods = np.einsum("ijr,r->ij", alg.structure, phi.values)
     scale = max(1.0, float(np.abs(prods).max(initial=0.0)))
-    if float(np.abs(prods - prods.T).max()) > tol * scale:
+    if float(np.abs(prods - prods.T).max()) > EPS_STRUCT * scale:
         raise NotATrace("values do not vanish on commutators")
     tau = TraceFunctional(alg, np.asarray(phi.values, dtype=complex))
     if float(np.abs(phi.values).max(initial=0.0)) == 0.0:
@@ -279,7 +284,7 @@ def require_faithful(tau: TraceFunctional):
 # construction
 # ---------------------------------------------------------------------------
 
-def build_algebra(basis, name="", tol=EPS_STRUCT) -> ConcreteAlgebra:
+def build_algebra(basis, name="") -> ConcreteAlgebra:
     """Validate a matrix span and derive its structure data.
 
     Raises LinearlyDependentBasis, NotClosedUnderProduct,
@@ -295,7 +300,7 @@ def build_algebra(basis, name="", tol=EPS_STRUCT) -> ConcreteAlgebra:
 
     flat = basis.reshape(d, n * n)
     svals = np.linalg.svd(flat, compute_uv=False)
-    if svals[-1] <= tol * max(svals[0], 1.0):
+    if svals[-1] <= EPS_STRUCT * max(svals[0], 1.0):
         raise LinearlyDependentBasis(
             f"smallest singular value {svals[-1]:.2e} of the basis Gram system")
     pinv = np.linalg.pinv(flat.T)
@@ -303,7 +308,7 @@ def build_algebra(basis, name="", tol=EPS_STRUCT) -> ConcreteAlgebra:
     def project(mat, err, what):
         coords = pinv @ mat.ravel()
         resid = np.linalg.norm(flat.T @ coords - mat.ravel())
-        if resid > tol * max(1.0, np.linalg.norm(mat)):
+        if resid > EPS_STRUCT * max(1.0, np.linalg.norm(mat)):
             raise err(f"{what} lies outside the span (residual {resid:.2e})")
         return coords
 
@@ -318,11 +323,11 @@ def build_algebra(basis, name="", tol=EPS_STRUCT) -> ConcreteAlgebra:
         adjoint_coords[i] = project(basis[i].conj().T,
                                     NotClosedUnderAdjoint, f"B_{i}^*")
 
-    unit_coords = _solve_unit(structure, tol)
+    unit_coords = _solve_unit(structure)
     return ConcreteAlgebra(basis, structure, adjoint_coords, unit_coords, name=name)
 
 
-def _solve_unit(structure, tol):
+def _solve_unit(structure):
     d = structure.shape[0]
     # e with e . B_j = B_j and B_j . e = B_j for all j, solved jointly.
     left = structure.transpose(1, 2, 0).reshape(d * d, d)    # rows (j, r), cols k
@@ -332,7 +337,7 @@ def _solve_unit(structure, tol):
     rhs = np.concatenate([target, target])
     e, *_ = np.linalg.lstsq(big, rhs, rcond=None)
     resid = np.linalg.norm(big @ e - rhs)
-    if resid > tol * d:
+    if resid > EPS_STRUCT * d:
         raise NoUnit(f"no two-sided identity in the span (residual {resid:.2e})")
     return e
 
@@ -374,13 +379,26 @@ def standard_matrix_trace(alg: ConcreteAlgebra, normalized=False) -> TraceFuncti
 # tensor products, opposites, swaps
 # ---------------------------------------------------------------------------
 
-def tensor_algebra(a: ConcreteAlgebra, b: ConcreteAlgebra, name=None) -> ConcreteAlgebra:
-    """Kronecker realization of a (x) b with basis pairs in row-major order.
+# Tensor products and opposites already built, keyed by the ids of their
+# operands.  Weak values: an entry lives only while its algebra is in use,
+# and an algebra holds its operands, so their ids cannot be reused meanwhile.
+# Caching on the operand instead would tie operand and product in a cycle
+# that lives until a full garbage collection.
+_BUILT = weakref.WeakValueDictionary()
+
+
+def tensor_algebra(a: ConcreteAlgebra, b: ConcreteAlgebra) -> ConcreteAlgebra:
+    """Kronecker realization of a (x) b with basis pairs in row-major order;
+    the same object for the same operands while it is in use.
 
     Structure data is assembled exactly from the factors; at finite dimension
     the C*-norm on the algebraic tensor product is unique, so the Kronecker
     realization is the tensor product.
     """
+    key = ("tensor", id(a), id(b))
+    out = _BUILT.get(key)
+    if out is not None:
+        return out
     da, db = a.dim, b.dim
     basis = np.einsum("aij,bkl->abikjl", a.basis, b.basis).reshape(
         da * db, a.ambient_dim * b.ambient_dim, a.ambient_dim * b.ambient_dim)
@@ -388,36 +406,37 @@ def tensor_algebra(a: ConcreteAlgebra, b: ConcreteAlgebra, name=None) -> Concret
         da * db, da * db)
     unit = np.outer(a.unit_coords, b.unit_coords).reshape(da * db)
     factors = (a.factors or (a,)) + (b.factors or (b,))
-    label = name or f"({a.name})@({b.name})"
     # the structure tensor is cubic in the dimension and unread by most
     # callers: ConcreteAlgebra builds it the first time it is read
-    return ConcreteAlgebra(
+    out = ConcreteAlgebra(
         basis, lambda: np.einsum("ace,bdf->abcdef", a.structure, b.structure).reshape(
             da * db, da * db, da * db),
-        adjoint, unit, name=label, factors=factors)
-
-
-def tensor_many(algebras, name=None) -> ConcreteAlgebra:
-    out = reduce(tensor_algebra, algebras)
-    if name:
-        out.name = name
+        adjoint, unit, name=f"({a.name})@({b.name})", factors=factors)
+    out._operands = (a, b)
+    _BUILT[key] = out
     return out
 
 
 def opposite_algebra(a: ConcreteAlgebra) -> ConcreteAlgebra:
-    """Opposite algebra realized by entrywise transposition of the basis.
+    """Opposite algebra realized by entrywise transposition of the basis;
+    the same object for the same operand while it is in use.
 
     The coordinate map b -> b^op is the identity; products reverse through
     the structure constants.  Applying it twice returns the original object.
     """
     if a.op_of is not None:
         return a.op_of
+    key = ("op", id(a))
+    out = _BUILT.get(key)
+    if out is not None:
+        return out
     basis = a.basis.transpose(0, 2, 1)
     factors = tuple(opposite_algebra(f) for f in a.factors) if a.factors else ()
     out = ConcreteAlgebra(basis, lambda: a.structure.transpose(1, 0, 2),
                           a.adjoint_coords.copy(),
                           a.unit_coords.copy(), name=f"{a.name}^op",
                           factors=factors, op_of=a)
+    _BUILT[key] = out
     return out
 
 
@@ -429,18 +448,13 @@ def _swap_axes(k: int, i: int, j: int):
 
 def swap_algebra(a: ConcreteAlgebra, i: int, j: int) -> ConcreteAlgebra:
     """Target algebra of the flip of tensor factors i and j (0-based)."""
-    key = ("swap", i, j)
-    if key in a._swap_cache:
-        return a._swap_cache[key]
     factors = list(a.factors)
     if not factors:
         raise NotATensorAlgebra("swap requires a tensor algebra")
     if not (0 <= i < len(factors) and 0 <= j < len(factors)):
         raise FactorMismatch(f"factor indices ({i}, {j}) out of range")
     factors[i], factors[j] = factors[j], factors[i]
-    out = tensor_many(factors)
-    a._swap_cache[key] = out
-    return out
+    return reduce(tensor_algebra, factors)
 
 
 def swap_element(x: AlgebraElement, i: int, j: int) -> AlgebraElement:
@@ -468,9 +482,6 @@ def swap_functional(phi: LinearFunctional, i: int, j: int) -> LinearFunctional:
 def swap_op_algebra(a: ConcreteAlgebra, i: int, j: int) -> ConcreteAlgebra:
     """Target of Sigma^op_[ij]: factor i must be plain and factor j an
     opposite algebra; they trade places and op-ness."""
-    key = ("swap_op", i, j)
-    if key in a._swap_cache:
-        return a._swap_cache[key]
     factors = list(a.factors)
     if not factors:
         raise NotATensorAlgebra("swap requires a tensor algebra")
@@ -480,9 +491,7 @@ def swap_op_algebra(a: ConcreteAlgebra, i: int, j: int) -> ConcreteAlgebra:
             "Sigma^op needs a plain algebra in position i and an opposite algebra in position j")
     factors[i] = fj.op_of
     factors[j] = opposite_algebra(fi)
-    out = tensor_many(factors)
-    a._swap_cache[key] = out
-    return out
+    return reduce(tensor_algebra, factors)
 
 
 def swap_op_element(x: AlgebraElement, i: int, j: int) -> AlgebraElement:
@@ -504,18 +513,14 @@ def swap_op_functional(phi: LinearFunctional, i: int, j: int) -> LinearFunctiona
     return LinearFunctional(target, values)
 
 
-def tensor_functional(phi: LinearFunctional, psi: LinearFunctional,
-                      target: ConcreteAlgebra | None = None) -> LinearFunctional:
+def tensor_functional(phi: LinearFunctional, psi: LinearFunctional) -> LinearFunctional:
     """(phi (x) psi) on the tensor algebra of the two carriers."""
-    if target is None:
-        target = tensor_algebra(phi.algebra, psi.algebra)
     values = np.outer(phi.values, psi.values).reshape(-1)
-    return LinearFunctional(target, values)
+    return LinearFunctional(tensor_algebra(phi.algebra, psi.algebra), values)
 
 
-def tensor_trace(tau: TraceFunctional, sigma: TraceFunctional,
-                 target: ConcreteAlgebra | None = None) -> TraceFunctional:
-    phi = tensor_functional(tau, sigma, target)
+def tensor_trace(tau: TraceFunctional, sigma: TraceFunctional) -> TraceFunctional:
+    phi = tensor_functional(tau, sigma)
     return TraceFunctional(phi.algebra, phi.values)
 
 
@@ -523,18 +528,15 @@ def tensor_trace(tau: TraceFunctional, sigma: TraceFunctional,
 # mu_tau and densities
 # ---------------------------------------------------------------------------
 
-def evaluate_mu_tau(b: ConcreteAlgebra, tau: TraceFunctional,
-                    carrier: ConcreteAlgebra | None = None) -> LinearFunctional:
+def evaluate_mu_tau(b: ConcreteAlgebra, tau: TraceFunctional) -> LinearFunctional:
     """The multiplication functional mu_tau(b1 (x) b2^op) = tau(b1 b2) on
     B (x) B^op; positive for every trace tau."""
     if not isinstance(tau, TraceFunctional):
         raise NotATrace("mu_tau requires a validated trace")
-    if tau.algebra is not b and not tau.algebra.same_as(b):
+    if not tau.algebra.same_as(b):
         raise AlgebraMismatch("trace lives on a different algebra")
-    if carrier is None:
-        carrier = tensor_algebra(b, opposite_algebra(b))
     values = tau.bilinear_gram().reshape(-1)
-    return LinearFunctional(carrier, values)
+    return LinearFunctional(tensor_algebra(b, opposite_algebra(b)), values)
 
 
 def density_from_functional(phi: LinearFunctional, tau: TraceFunctional):
@@ -545,7 +547,7 @@ def density_from_functional(phi: LinearFunctional, tau: TraceFunctional):
     """
     require_faithful(tau)
     alg = phi.algebra
-    if tau.algebra is not alg and not tau.algebra.same_as(alg):
+    if not tau.algebra.same_as(alg):
         raise AlgebraMismatch("functional and trace live on different algebras")
     gram = tau.bilinear_gram()            # gram[k, j] = tau(B_k B_j)
     coords = np.linalg.solve(gram.T, phi.values)

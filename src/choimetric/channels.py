@@ -53,7 +53,7 @@ class ChannelMap:
         object.__setattr__(self, "matrix", m)
 
     def __call__(self, x: AlgebraElement) -> AlgebraElement:
-        if x.algebra is not self.source and not x.algebra.same_as(self.source):
+        if not x.algebra.same_as(self.source):
             raise AlgebraMismatch("element not in the channel's source algebra")
         return AlgebraElement(self.target, self.matrix @ x.coords)
 
@@ -98,22 +98,16 @@ def _omega_value_matrix(f: ChannelMap, tau: TraceFunctional) -> np.ndarray:
     return f.matrix.T @ tb
 
 
-def omega_tau(f: ChannelMap, tau: TraceFunctional,
-              carrier: ConcreteAlgebra | None = None) -> OmegaFunctional:
+def omega_tau(f: ChannelMap, tau: TraceFunctional) -> OmegaFunctional:
     """Choi-Jamiolkowski functional of a channel with respect to a trace on
-    its target, on `carrier` (built as source (x) target^op when None)."""
+    its target, on source (x) target^op."""
     if not isinstance(tau, TraceFunctional):
         raise TraceMismatch("omega_tau requires a validated trace")
-    if tau.algebra is not f.target and not tau.algebra.same_as(f.target):
+    if not tau.algebra.same_as(f.target):
         raise TraceMismatch("trace does not live on the channel target")
-    if carrier is None:
-        carrier = tensor_algebra(f.source, opposite_algebra(f.target))
-    elif carrier.dim != f.source.dim * f.target.dim:
-        raise AlgebraMismatch(
-            f"carrier of dim {carrier.dim} for a {f.source.dim} -> "
-            f"{f.target.dim} channel")
     values = _omega_value_matrix(f, tau).reshape(-1)
-    return OmegaFunctional(carrier, values, channel=f, trace=tau)
+    return OmegaFunctional(tensor_algebra(f.source, opposite_algebra(f.target)),
+                           values, channel=f, trace=tau)
 
 
 def channel_from_omega(values, source: ConcreteAlgebra, target: ConcreteAlgebra,
@@ -139,24 +133,22 @@ class CPVerdict:
     functional: OmegaFunctional
 
 
-def is_completely_positive(f: ChannelMap, tau: TraceFunctional,
-                           tol: float = EPS_PSD,
-                           carrier: ConcreteAlgebra | None = None) -> CPVerdict:
+def is_completely_positive(f: ChannelMap, tau: TraceFunctional) -> CPVerdict:
     """Complete positivity via positivity of the associated functional.
 
     Returns the verdict together with the most negative eigenvalue of the
     GNS Gram matrix and, on failure, a witness x with omega(x^* x) < 0.
     """
     require_faithful(tau)
-    om = omega_tau(f, tau, carrier=carrier)
+    om = omega_tau(f, tau)
     eig, vec = om.positivity_witness()
     gram_scale = max(1.0, float(np.abs(om.gns_gram()).max(initial=0.0)))
-    ok = eig >= -tol * gram_scale
+    ok = eig >= -EPS_PSD * gram_scale
     witness = None if ok else AlgebraElement(om.algebra, vec)
     return CPVerdict(ok, eig, witness, om)
 
 
-def cp_oracle_npositivity(f: ChannelMap, tol: float = EPS_PSD) -> bool:
+def cp_oracle_npositivity(f: ChannelMap) -> bool:
     """Independent complete-positivity oracle.
 
     Tests positivity of the block matrix [F(b_i^* b_j)]_{ij} realized
@@ -170,12 +162,11 @@ def cp_oracle_npositivity(f: ChannelMap, tol: float = EPS_PSD) -> bool:
     fp = np.einsum("ijk,bk->ijb", prod, f.matrix)
     gram = np.einsum("ijb,bxy->ixjy", fp, tgt.basis).reshape(d * n, d * n)
     min_eig = float(np.linalg.eigvalsh(linalg.hermitian_part(gram))[0])
-    return min_eig >= -tol * max(1.0, float(np.abs(gram).max(initial=0.0)))
+    return min_eig >= -EPS_PSD * max(1.0, float(np.abs(gram).max(initial=0.0)))
 
 
 def is_k_positive_sampled(f: ChannelMap, k: int, trials: int = 20,
-                          rng: np.random.Generator | None = None,
-                          tol: float = EPS_PSD) -> bool:
+                          rng: np.random.Generator | None = None) -> bool:
     """Necessary condition for k-positivity on random k-tuples."""
     rng = rng or np.random.default_rng(0)
     src, tgt = f.source, f.target
@@ -188,7 +179,7 @@ def is_k_positive_sampled(f: ChannelMap, k: int, trials: int = 20,
             for j in range(k):
                 prod = src.multiply_coords(ai_star, tuples[j])
                 block[i * n:(i + 1) * n, j * n:(j + 1) * n] = tgt.realize(f.matrix @ prod)
-        if not linalg.is_psd(block, tol):
+        if not linalg.is_psd(block, EPS_PSD):
             return False
     return True
 
@@ -197,20 +188,19 @@ def trace_of_unit_image(f: ChannelMap, tau: TraceFunctional) -> complex:
     return complex(tau.values @ (f.matrix @ f.source.unit_coords))
 
 
-def is_trace_channel(f: ChannelMap, tau: TraceFunctional,
-                     tol: float = EPS_STRUCT) -> bool:
+def is_trace_channel(f: ChannelMap, tau: TraceFunctional) -> bool:
     """CP and tau(F(1)) = 1."""
     if not is_completely_positive(f, tau).is_cp:
         return False
-    return abs(trace_of_unit_image(f, tau) - 1.0) <= tol
+    return abs(trace_of_unit_image(f, tau) - 1.0) <= EPS_STRUCT
 
 
-def check_trace_channel(f: ChannelMap, tau: TraceFunctional, label="channel",
-                        carrier: ConcreteAlgebra | None = None) -> OmegaFunctional:
+def check_trace_channel(f: ChannelMap, tau: TraceFunctional,
+                        label="channel") -> OmegaFunctional:
     """Raise NotTraceChannel naming the failed predicate; otherwise return
-    omega_tau(F) on `carrier`, the functional whose positivity was tested."""
+    omega_tau(F), the functional whose positivity was tested."""
     failures = []
-    verdict = is_completely_positive(f, tau, carrier=carrier)
+    verdict = is_completely_positive(f, tau)
     if not verdict.is_cp:
         failures.append("not completely positive")
     normal = trace_of_unit_image(f, tau)
@@ -221,15 +211,15 @@ def check_trace_channel(f: ChannelMap, tau: TraceFunctional, label="channel",
     return verdict.functional
 
 
-def is_unital(f: ChannelMap, tol: float = EPS_STRUCT) -> bool:
+def is_unital(f: ChannelMap) -> bool:
     image = f.matrix @ f.source.unit_coords
-    return float(np.abs(image - f.target.unit_coords).max()) <= tol
+    return float(np.abs(image - f.target.unit_coords).max()) <= EPS_STRUCT
 
 
 def is_trace_preserving(f: ChannelMap, tau_src: TraceFunctional,
-                        tau_tgt: TraceFunctional, tol: float = EPS_STRUCT) -> bool:
+                        tau_tgt: TraceFunctional) -> bool:
     lhs = f.matrix.T @ tau_tgt.values
-    return float(np.abs(lhs - tau_src.values).max()) <= tol
+    return float(np.abs(lhs - tau_src.values).max()) <= EPS_STRUCT
 
 
 # ---------------------------------------------------------------------------
@@ -243,17 +233,12 @@ def compose(g: ChannelMap, f: ChannelMap) -> ChannelMap:
     return ChannelMap(f.source, g.target, g.matrix @ f.matrix)
 
 
-def tensor_channel(f: ChannelMap, g: ChannelMap,
-                   source: ConcreteAlgebra | None = None,
-                   target: ConcreteAlgebra | None = None) -> ChannelMap:
-    if source is None:
-        source = tensor_algebra(f.source, g.source)
-    if target is None:
-        target = tensor_algebra(f.target, g.target)
-    return ChannelMap(source, target, np.kron(f.matrix, g.matrix))
+def tensor_channel(f: ChannelMap, g: ChannelMap) -> ChannelMap:
+    return ChannelMap(tensor_algebra(f.source, g.source),
+                      tensor_algebra(f.target, g.target), np.kron(f.matrix, g.matrix))
 
 
-def amplify(n: int, f: ChannelMap, **kw) -> ChannelMap:
+def amplify(n: int, f: ChannelMap) -> ChannelMap:
     """id_n (x) F on M_n (x) A; amplify(1, F) is F itself."""
     if n < 1:
         raise ValueError("amplification order must be >= 1")
@@ -261,7 +246,7 @@ def amplify(n: int, f: ChannelMap, **kw) -> ChannelMap:
         return f
     from .algebra import matrix_algebra
     mn = matrix_algebra(n)
-    return tensor_channel(identity_channel(mn), f, **kw)
+    return tensor_channel(identity_channel(mn), f)
 
 
 def trace_adjoint(f: ChannelMap, tau_src: TraceFunctional,
@@ -269,9 +254,9 @@ def trace_adjoint(f: ChannelMap, tau_src: TraceFunctional,
     """The map F# with tau_tgt(F(a) b) = tau_src(a F#(b))."""
     require_faithful(tau_src)
     require_faithful(tau_tgt)
-    if tau_src.algebra is not f.source and not tau_src.algebra.same_as(f.source):
+    if not tau_src.algebra.same_as(f.source):
         raise TraceMismatch("source trace lives elsewhere")
-    if tau_tgt.algebra is not f.target and not tau_tgt.algebra.same_as(f.target):
+    if not tau_tgt.algebra.same_as(f.target):
         raise TraceMismatch("target trace lives elsewhere")
     ta = tau_src.bilinear_gram()
     w = _omega_value_matrix(f, tau_tgt)          # w[i, j] = tau_tgt(F(A_i) B_j)
@@ -325,22 +310,19 @@ def kms_orthonormal_basis(alg: ConcreteAlgebra, tau: TraceFunctional) -> np.ndar
     return np.conj(np.linalg.inv(chol))
 
 
-def kms_choi_element(f: ChannelMap, tau: TraceFunctional,
-                     carrier: ConcreteAlgebra | None = None) -> AlgebraElement:
+def kms_choi_element(f: ChannelMap, tau: TraceFunctional) -> AlgebraElement:
     """The element sum_i F(b_i) (x) (b_i^*)^op of A (x) A^op for a
     KMS-orthonormal basis {b_i}; positive exactly when F is CP."""
     if not f.source.same_as(f.target):
         raise AlgebraMismatch("the KMS Choi element needs an endomorphism")
     alg = f.source
     w = kms_orthonormal_basis(alg, tau)
-    if carrier is None:
-        carrier = tensor_algebra(alg, opposite_algebra(alg))
     coords = np.zeros((alg.dim, alg.dim), dtype=complex)
     for r in range(alg.dim):
         u = f.matrix @ w[r]
         v = alg.adjoint_of_coords(w[r])
         coords += np.outer(u, v)
-    return AlgebraElement(carrier, coords.reshape(-1))
+    return AlgebraElement(tensor_algebra(alg, opposite_algebra(alg)), coords.reshape(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +331,6 @@ def kms_choi_element(f: ChannelMap, tau: TraceFunctional,
 
 def pullback_state(f: ChannelMap, psi: LinearFunctional) -> LinearFunctional:
     """F^* psi = psi o F on the source algebra."""
-    if psi.algebra is not f.target and not psi.algebra.same_as(f.target):
+    if not psi.algebra.same_as(f.target):
         raise AlgebraMismatch("functional not on the channel target")
     return LinearFunctional(f.source, f.matrix.T @ psi.values)

@@ -220,9 +220,10 @@ def cmd_kasparov(args):
     ta = io.triple_from_dict(io.load_json(args.triple), registry)
     tb = io.triple_from_dict(io.load_json(args.triple2), registry)
     product = kasparov_product(ta, tb)
-    product.algebra.name = args.name or f"({ta.algebra.name})@({tb.algebra.name})"
-    out = {"algebra": io.algebra_to_dict(product.algebra),
-           "triple": io.triple_to_dict(product)}
+    # the product's algebra is shared with other callers: name the copies
+    name = args.name or product.algebra.name
+    out = {"algebra": {**io.algebra_to_dict(product.algebra), "name": name},
+           "triple": {**io.triple_to_dict(product), "algebra": name}}
     if args.out:
         io.save_json(out, args.out)
     print(json.dumps({"hilbert_dim": product.hilbert_dim,

@@ -224,9 +224,8 @@ def build_group_context(group, cocycle=None, length: LengthFunction | None = Non
     ga = twisted_group_algebra(group, cocycle)
     if length is None:
         length = word_length(group)
-    carrier = tensor_algebra(ga.algebra, opposite_algebra(ga.algebra))
     seminorm = CommutatorSeminorm(kasparov_product(
-        length_dirac(ga, length), length_dirac_op(ga, length), carrier=carrier))
+        length_dirac(ga, length), length_dirac_op(ga, length)))
     restriction = _char_restriction(seminorm, group) if restrict else None
     return GroupContext(group, ga, canonical_trace(ga), seminorm,
                         prepare_ball(seminorm, restriction))
@@ -240,7 +239,6 @@ def group_context(key: str, restrict: bool = True) -> GroupContext:
 class StabilityContext:
     base: GroupContext
     mn: object
-    amp_source: object
     amp_trace: object
     seminorm_n: CommutatorSeminorm   # over the omega-carrier
     setup_n: object
@@ -250,15 +248,17 @@ class StabilityContext:
 
     def amplify(self, f):
         """id_n (x) F on the amplified source M_n (x) A."""
-        return tensor_channel(identity_channel(self.mn), f,
-                              source=self.amp_source, target=self.amp_source)
+        return tensor_channel(identity_channel(self.mn), f)
 
 
-def _omega_seminorm(triple: SpectralTriple, carrier, to_omega) -> CommutatorSeminorm:
-    """The commutator seminorm of a triple over (M_n (x) M_n^op) (x) (A (x) B),
-    read on the omega-carrier (M_n (x) A) (x) (M_n (x) B) through the
+def _omega_seminorm(triple: SpectralTriple, to_omega) -> CommutatorSeminorm:
+    """The commutator seminorm of a triple over (M_n (x) M_n^op) (x) (A (x) B^op),
+    read on the omega-carrier (M_n (x) A) (x) (M_n (x) B)^op through the
     factor flip Sigma_[23].  Not validated: the flip is a *-isomorphism of
     the carriers, so the relabelled triple is valid when `triple` is."""
+    mn, _, a, b_op = triple.algebra.factors
+    carrier = tensor_algebra(tensor_algebra(mn, a), opposite_algebra(
+        tensor_algebra(mn, opposite_algebra(b_op))))
     return CommutatorSeminorm(SpectralTriple(carrier, triple.rep[to_omega],
                                              triple.dirac, triple.grading))
 
@@ -278,26 +278,22 @@ def stability_context(key: str, n: int = 2, restrict: bool = True) -> StabilityC
     dirac_n = np.diag([1.0] * (n // 2) + [-1.0] * (n - n // 2)).astype(complex)
     t_n = SpectralTriple(mn, mn.basis, dirac_n).validate()
     t_n_op = SpectralTriple(mn_op, mn_op.basis, dirac_n).validate()
-    nn_carrier = tensor_algebra(mn, mn_op)
-    t_nn = kasparov_product(t_n, t_n_op, carrier=nn_carrier)
+    t_nn = kasparov_product(t_n, t_n_op)
     product_total = kasparov_product(t_nn, base.seminorm.triple)
 
-    amp_source = tensor_algebra(mn, base.ga.algebra)
-    amp_target_op = opposite_algebra(amp_source)
-    omega_carrier = tensor_algebra(amp_source, amp_target_op)
     trace_n = as_trace(LinearFunctional(
         mn, np.trace(mn.basis, axis1=1, axis2=2) / n))
-    amp_trace = tensor_trace(trace_n, base.tau, target=amp_source)
+    amp_trace = tensor_trace(trace_n, base.tau)
 
     # omega coordinate (i, a, j, b) reads Kasparov coordinate (i, j, a, b)
     g_order = base.group.order
-    to_omega = np.arange(omega_carrier.dim).reshape(
+    to_omega = np.arange(product_total.algebra.dim).reshape(
         n * n, n * n, g_order, g_order).transpose(0, 2, 1, 3).reshape(-1)
-    seminorm_n = _omega_seminorm(product_total, omega_carrier, to_omega)
+    seminorm_n = _omega_seminorm(product_total, to_omega)
     restriction = _char_restriction(seminorm_n, base.group, n * n) if restrict else None
     setup_n = prepare_ball(seminorm_n, restriction)
-    return StabilityContext(base, mn, amp_source, amp_trace, seminorm_n, setup_n,
-                            nn_carrier, to_omega)
+    return StabilityContext(base, mn, amp_trace, seminorm_n, setup_n,
+                            t_nn.algebra, to_omega)
 
 
 def cp_corpus():
@@ -372,20 +368,18 @@ def run_embedding(seed: int = 0, trials: int = 100) -> list[ExperimentRecord]:
     sizes = [(2, 2), (2, 3), (3, 2), (3, 3)]
     algs = {n: matrix_algebra(n) for n in (2, 3)}
     traces = {n: standard_matrix_trace(algs[n]) for n in (2, 3)}
-    carriers = {}
-    for n, m in sizes:
-        carrier = tensor_algebra(algs[n], opposite_algebra(algs[m]))
-        carriers[(n, m)] = (carrier, standard_matrix_trace(carrier))
+    carrier_traces = {
+        (n, m): standard_matrix_trace(tensor_algebra(algs[n], opposite_algebra(algs[m])))
+        for n, m in sizes}
 
     def one(i, rng):
         n, m = sizes[i % len(sizes)]
         src, tgt = algs[n], algs[m]
-        carrier, carrier_trace = carriers[(n, m)]
         f = generate.random_kraus_channel(rng, src, tgt, kraus_rank=rng.integers(1, 4))
         if i % 2:
             f = (1.0 / trace_of_unit_image(f, traces[m]).real) * f
-        om = omega_tau(f, traces[m], carrier=carrier)
-        density, _ = density_from_functional(om, carrier_trace)
+        om = omega_tau(f, traces[m])
+        density, _ = density_from_functional(om, carrier_traces[(n, m)])
         resid = float(np.abs(density.ambient() - choi_matrix(f).T).max())
         rec_a = ExperimentRecord("embedding-density", i, 0, resid, tolerance,
                                  tolerance - resid, "optimal", resid <= tolerance)
@@ -406,34 +400,16 @@ def run_flip(seed: int = 0, trials: int = 50) -> list[ExperimentRecord]:
     d2 = diagonal_algebra(2)
     tr_m2 = standard_matrix_trace(m2)
     tr_d2 = standard_matrix_trace(d2)
-    combos = [((m2, tr_m2), (m2, tr_m2)), ((m2, tr_m2), (d2, tr_d2)),
-              ((d2, tr_d2), (m2, tr_m2))]
-    cache = {}
-
-    def carrier_for(a, tau_b, c, tau_d):
-        key = (id(a), id(c))
-        if key not in cache:
-            prod_src = tensor_algebra(a, c)
-            big = tensor_algebra(prod_src, opposite_algebra(prod_src))
-            small_f = tensor_algebra(a, opposite_algebra(a))
-            small_g = tensor_algebra(c, opposite_algebra(c))
-            outer = tensor_algebra(small_f, small_g)
-            prod_trace = as_trace(tensor_trace(tau_b, tau_d, target=prod_src))
-            prod_trace.bilinear_gram()       # warm the cache once per combo
-            cache[key] = (big, small_f, small_g, outer, prod_trace)
-        return cache[key]
+    pairs = [(tr_m2, tr_m2), (tr_m2, tr_d2), (tr_d2, tr_m2)]
+    # the trace on each product source, validated once per pair
+    combos = [(tau_b, tau_d, as_trace(tensor_trace(tau_b, tau_d))) for tau_b, tau_d in pairs]
 
     def one(i, rng):
-        (a, tau_b), (c, tau_d) = combos[i % len(combos)]
-        big, small_f, small_g, outer, prod_trace = carrier_for(a, tau_b, c, tau_d)
-        f = generate.random_cp_channel(rng, a, a, tau_b, carrier=small_f)
-        g = generate.random_cp_channel(rng, c, c, tau_d, carrier=small_g)
-        fg = tensor_channel(f, g)
-        lhs = omega_tau(fg, prod_trace, carrier=big)
-        rhs_small = tensor_functional(omega_tau(f, tau_b, carrier=small_f),
-                                      omega_tau(g, tau_d, carrier=small_g),
-                                      target=outer)
-        rhs = swap_functional(rhs_small, 1, 2)
+        tau_b, tau_d, prod_trace = combos[i % len(combos)]
+        f = generate.random_cp_channel(rng, tau_b.algebra, tau_b.algebra, tau_b)
+        g = generate.random_cp_channel(rng, tau_d.algebra, tau_d.algebra, tau_d)
+        lhs = omega_tau(tensor_channel(f, g), prod_trace)
+        rhs = swap_functional(tensor_functional(omega_tau(f, tau_b), omega_tau(g, tau_d)), 1, 2)
         resid = float(np.abs(lhs.values - rhs.values).max())
         ok = resid <= tolerance
         return [ExperimentRecord("flip", i, 0, resid, tolerance,
@@ -675,8 +651,7 @@ def _stability_hypothesis_audit(ctx: StabilityContext, seed: int,
     base = ctx.base
     omega = ctx.seminorm_n.algebra
     cond1 = _omega_seminorm(
-        right_tensor_seminorm(ctx.nn_carrier, base.seminorm.triple).triple,
-        omega, ctx.to_omega)
+        right_tensor_seminorm(ctx.nn_carrier, base.seminorm.triple).triple, ctx.to_omega)
     worst1 = 0.0
     for _ in range(samples):
         x = rng.standard_normal(omega.dim) + 1j * rng.standard_normal(omega.dim)

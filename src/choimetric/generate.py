@@ -68,13 +68,10 @@ def random_linear_map(rng, src: ConcreteAlgebra, tgt: ConcreteAlgebra) -> Channe
 
 def random_cp_channel(rng, src: ConcreteAlgebra, tgt: ConcreteAlgebra,
                       tau: TraceFunctional,
-                      carrier: ConcreteAlgebra | None = None,
                       normalize: str | None = None) -> ChannelMap:
     """Random completely positive map obtained by inverting the functional
     embedding on a random positive functional of A (x) B^op."""
-    if carrier is None:
-        carrier = tensor_algebra(src, opposite_algebra(tgt))
-    phi = random_positive_functional(rng, carrier)
+    phi = random_positive_functional(rng, tensor_algebra(src, opposite_algebra(tgt)))
     f = channel_from_omega(phi.values, src, tgt, tau)
     if normalize == "trace_channel":
         mass = trace_of_unit_image(f, tau)
@@ -82,8 +79,8 @@ def random_cp_channel(rng, src: ConcreteAlgebra, tgt: ConcreteAlgebra,
     return f
 
 
-def random_trace_channel(rng, src, tgt, tau, carrier=None) -> ChannelMap:
-    return random_cp_channel(rng, src, tgt, tau, carrier, normalize="trace_channel")
+def random_trace_channel(rng, src, tgt, tau) -> ChannelMap:
+    return random_cp_channel(rng, src, tgt, tau, normalize="trace_channel")
 
 
 def random_kraus_channel(rng, src: ConcreteAlgebra, tgt: ConcreteAlgebra,

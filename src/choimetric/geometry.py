@@ -131,7 +131,7 @@ class Seminorm:
         self.families = tuple(families)
 
     def __call__(self, x: AlgebraElement) -> float:
-        if x.algebra is not self.algebra and not x.algebra.same_as(self.algebra):
+        if not x.algebra.same_as(self.algebra):
             raise AlgebraMismatch("seminorm applied outside its algebra")
         return self.eval_coords(x.coords)
 
@@ -189,43 +189,36 @@ def opposite_seminorm(lip: Seminorm) -> Seminorm:
 
 
 def left_tensor_seminorm(triple_a: SpectralTriple, algebra_b: ConcreteAlgebra,
-                         rep_b: np.ndarray | None = None,
-                         carrier: ConcreteAlgebra | None = None) -> CommutatorSeminorm:
+                         rep_b: np.ndarray | None = None) -> CommutatorSeminorm:
     """(L_A (x) 1) on A (x) B, evaluated as the commutator seminorm of the
     Dirac D_A (x) 1 on the tensor representation (the two agree as Lipschitz
     seminorms)."""
     if rep_b is None:
         rep_b = algebra_b.basis
-    if carrier is None:
-        carrier = tensor_algebra(triple_a.algebra, algebra_b)
     hb = rep_b.shape[1]
     rep = _tensor_rep(triple_a.rep, rep_b)
     dirac = np.kron(triple_a.dirac, np.eye(hb))
-    return CommutatorSeminorm(SpectralTriple(carrier, rep, dirac))
+    return CommutatorSeminorm(SpectralTriple(
+        tensor_algebra(triple_a.algebra, algebra_b), rep, dirac))
 
 
 def right_tensor_seminorm(algebra_a: ConcreteAlgebra, triple_b: SpectralTriple,
-                          rep_a: np.ndarray | None = None,
-                          carrier: ConcreteAlgebra | None = None) -> CommutatorSeminorm:
+                          rep_a: np.ndarray | None = None) -> CommutatorSeminorm:
     if rep_a is None:
         rep_a = algebra_a.basis
-    if carrier is None:
-        carrier = tensor_algebra(algebra_a, triple_b.algebra)
     ha = rep_a.shape[1]
     rep = _tensor_rep(rep_a, triple_b.rep)
     dirac = np.kron(np.eye(ha), triple_b.dirac)
-    return CommutatorSeminorm(SpectralTriple(carrier, rep, dirac))
+    return CommutatorSeminorm(SpectralTriple(
+        tensor_algebra(algebra_a, triple_b.algebra), rep, dirac))
 
 
 def tensor_sum_seminorm(triple_a: SpectralTriple,
                         triple_b: SpectralTriple) -> SumSeminorm:
     """L_{A (x) B} = L_A (x) 1 + 1 (x) L_B with both parts in commutator form."""
-    carrier = tensor_algebra(triple_a.algebra, triple_b.algebra)
-    left = left_tensor_seminorm(triple_a, triple_b.algebra, rep_b=triple_b.rep,
-                                carrier=carrier)
-    right = right_tensor_seminorm(triple_a.algebra, triple_b, rep_a=triple_a.rep,
-                                  carrier=carrier)
-    return SumSeminorm(left, right)
+    return SumSeminorm(
+        left_tensor_seminorm(triple_a, triple_b.algebra, rep_b=triple_b.rep),
+        right_tensor_seminorm(triple_a.algebra, triple_b, rep_a=triple_a.rep))
 
 
 def state_sup_lower_bound(tensor_coords: np.ndarray, side: str,
@@ -272,8 +265,7 @@ def _tensor_rep(rep_a: np.ndarray, rep_b: np.ndarray) -> np.ndarray:
     return out.reshape(da * db, ha * hb, ha * hb)
 
 
-def kasparov_product(ta: SpectralTriple, tb: SpectralTriple,
-                     carrier: ConcreteAlgebra | None = None) -> SpectralTriple:
+def kasparov_product(ta: SpectralTriple, tb: SpectralTriple) -> SpectralTriple:
     """Exterior Kasparov product over the tensor algebra, in all four parity
     combinations; the product is validated before it is returned.
 
@@ -283,8 +275,7 @@ def kasparov_product(ta: SpectralTriple, tb: SpectralTriple,
     odd  x even : D_A (x) gamma_B + 1 (x) D_B, no grading
     even x odd  : D_A (x) 1 + gamma_A (x) D_B, no grading
     """
-    if carrier is None:
-        carrier = tensor_algebra(ta.algebra, tb.algebra)
+    carrier = tensor_algebra(ta.algebra, tb.algebra)
     ha, hb = ta.hilbert_dim, tb.hilbert_dim
     ia, ib = np.eye(ha), np.eye(hb)
     rep0 = _tensor_rep(ta.rep, tb.rep)
@@ -356,15 +347,14 @@ def seminorm_domination_check(ta: SpectralTriple, tb: SpectralTriple,
     """Check (1 (x) L_B) <= L_{A x B} and (L_A (x) 1) <= L_{A x B} on random
     elements of the tensor algebra, up to the relative slack EPS_STRUCT."""
     rng = rng or np.random.default_rng(0)
-    carrier = tensor_algebra(ta.algebra, tb.algebra)
-    product = kasparov_product(ta, tb, carrier=carrier)
-    big = CommutatorSeminorm(product)
-    left = left_tensor_seminorm(ta, tb.algebra, rep_b=tb.rep, carrier=carrier)
-    right = right_tensor_seminorm(ta.algebra, tb, rep_a=ta.rep, carrier=carrier)
+    big = CommutatorSeminorm(kasparov_product(ta, tb))
+    left = left_tensor_seminorm(ta, tb.algebra, rep_b=tb.rep)
+    right = right_tensor_seminorm(ta.algebra, tb, rep_a=ta.rep)
+    d = big.algebra.dim
     violations = 0
     worst = 0.0
     for _ in range(samples):
-        coords = rng.standard_normal(carrier.dim) + 1j * rng.standard_normal(carrier.dim)
+        coords = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         lprod = big.eval_coords(coords)
         tolerance = EPS_STRUCT * max(1.0, lprod)
         for part in (left, right):

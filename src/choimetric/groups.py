@@ -406,8 +406,8 @@ class PositiveDefiniteFunction:
                 mat[i, j] = self.values[g.mul(g.inv(j), i)]
         return mat
 
-    def is_normalized(self, tol=EPS_STRUCT) -> bool:
-        return abs(self.values[self.group.identity] - 1.0) <= tol
+    def is_normalized(self) -> bool:
+        return abs(self.values[self.group.identity] - 1.0) <= EPS_STRUCT
 
     def circ(self) -> "PositiveDefiniteFunction":
         """phi°(g) = phi(g^-1); positive definite together with phi."""

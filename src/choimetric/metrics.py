@@ -323,7 +323,8 @@ def _mk_hyperplane(problem: MKProblem, diff: np.ndarray) -> MKResult:
     def eval_l(t):
         return lip.eval_coords(rows.T @ t)
 
-    def subgrad(t, f0, h=1e-6):
+    def subgrad(t):
+        h = 1e-6
         out = np.zeros(r)
         for i in range(r):
             e = np.zeros(r)
@@ -361,7 +362,7 @@ def _mk_hyperplane(problem: MKProblem, diff: np.ndarray) -> MKResult:
             wit = rows.T @ (best_t / np.linalg.norm(best_t))
             return MKResult(math.inf, None, 0.0, "infinite",
                             kernel_witness=AlgebraElement(alg, wit))
-        h = subgrad(t, lt)
+        h = subgrad(t)
         cuts_a.append(h)
         cuts_b.append(1.0 - lt + float(h @ t))
     coords = rows.T @ best_t
@@ -378,12 +379,14 @@ def delta_distance(f: ChannelMap, g: ChannelMap, tau: TraceFunctional,
                    setup: _BallSetup | None = None) -> MKResult:
     """Delta(F, G) = mk_L(omega(F), omega(G)) on trace channels.
 
-    The seminorm lives on the omega-carrier A (x) B^op, so both arguments
-    are checked for complete positivity on that carrier and solved with the
+    Both arguments are checked for complete positivity on their omega-carrier
+    A (x) B^op, which must be the seminorm's algebra, and solved with the
     functionals the checks return."""
-    carrier = seminorm.algebra
-    om_f = check_trace_channel(f, tau, label="first argument", carrier=carrier)
-    om_g = check_trace_channel(g, tau, label="second argument", carrier=carrier)
+    om_f = check_trace_channel(f, tau, label="first argument")
+    om_g = check_trace_channel(g, tau, label="second argument")
+    if not (om_f.algebra.same_as(seminorm.algebra)
+            and om_g.algebra.same_as(seminorm.algebra)):
+        raise AlgebraMismatch("seminorm not defined over source (x) target^op")
     if setup is None:
         setup = prepare_ball(seminorm)
     diff = np.asarray(om_f.values - om_g.values, dtype=complex)

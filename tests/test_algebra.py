@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -115,6 +118,25 @@ def test_tensor_associativity_reindex(m2, d2):
     # same flattened factor order -> identical structure data
     assert np.abs(left.basis - right.basis).max() < 1e-12
     assert np.abs(left.structure - right.structure).max() < 1e-12
+
+
+def test_tensor_and_opposite_are_one_object_per_operand(m2, d2):
+    assert tensor_algebra(m2, d2) is tensor_algebra(m2, d2)
+    assert opposite_algebra(m2) is opposite_algebra(m2)
+    assert opposite_algebra(opposite_algebra(m2)) is m2
+
+
+def test_an_unheld_tensor_product_is_freed_at_once():
+    # nothing but its holders keeps a product alive, not even a cycle
+    a, b = matrix_algebra(2), diagonal_algebra(2)
+    gc.disable()
+    try:
+        product = weakref.ref(tensor_algebra(a, b))
+        assert product() is None
+        opposite = weakref.ref(opposite_algebra(tensor_algebra(a, b)))
+        assert opposite() is None
+    finally:
+        gc.enable()
 
 
 def test_opposite_realizes_transpose(m2):

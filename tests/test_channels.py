@@ -77,10 +77,12 @@ def test_omega_factors_through_mu(m2, tr2, rng):
     f = random_cp_channel(rng, m2, m2, tr2)
     op = opposite_algebra(m2)
     carrier = tensor_algebra(m2, op)
-    mu = evaluate_mu_tau(m2, tr2, carrier=carrier)
-    fid = tensor_channel(f, identity_channel(op), source=carrier, target=carrier)
+    mu = evaluate_mu_tau(m2, tr2)
+    fid = tensor_channel(f, identity_channel(op))
+    assert fid.source is fid.target is mu.algebra is carrier
     two_path = LinearFunctional(carrier, fid.matrix.T @ mu.values)
-    om = omega_tau(f, tr2, carrier=carrier)
+    om = omega_tau(f, tr2)
+    assert om.algebra is carrier
     assert np.abs(two_path.values - om.values).max() < 1e-12
 
 
@@ -302,9 +304,10 @@ def test_kms_choi_element(m2, tr2, d2, rng):
     # displayed identity: omega(F) = pairing(tau_kms(F)) o Sigma^op
     f = random_cp_channel(rng, m2, m2, tr2)
     el_f = kms_choi_element(f, tr2)
-    carrier = el_f.algebra
     tau_op = TraceFunctional(opposite_algebra(m2), tr2.values)
-    pairing = functional_from_element(el_f, tensor_trace(tr2, tau_op, target=carrier))
+    carrier_trace = tensor_trace(tr2, tau_op)
+    assert carrier_trace.algebra is el_f.algebra
+    pairing = functional_from_element(el_f, carrier_trace)
     om = swap_op_functional(pairing, 0, 1)
     assert np.abs(om.values - omega_tau(f, tr2).values).max() < 1e-10
     # positivity tracks complete positivity
@@ -317,8 +320,8 @@ def test_kms_choi_element(m2, tr2, d2, rng):
 def test_embedding_density_equals_transposed_choi(m2, m3, tr3, rng):
     from choimetric.algebra import density_from_functional, standard_matrix_trace
     f = random_kraus_channel(rng, m2, m3)
-    carrier = tensor_algebra(m2, opposite_algebra(m3))
-    om = omega_tau(f, tr3, carrier=carrier)
-    carrier_trace = standard_matrix_trace(carrier)
+    om = omega_tau(f, tr3)
+    assert om.algebra is tensor_algebra(m2, opposite_algebra(m3))
+    carrier_trace = standard_matrix_trace(om.algebra)
     density, _ = density_from_functional(om, carrier_trace)
     assert np.abs(density.ambient() - choi_matrix(f).T).max() < 1e-10

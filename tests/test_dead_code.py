@@ -1,7 +1,8 @@
 """Every top-level function and class of the package is used somewhere in
 the package or its tests, apart from its own definition.  A name counts as
 used where it is read (`name`, `module.name`) or imported, so a re-export in
-`__init__` is a use."""
+`__init__` is a use.  And every name a package module other than `__init__`
+imports is read in that module."""
 
 import ast
 from collections import Counter
@@ -43,3 +44,24 @@ def unused_definitions() -> list[str]:
 
 def test_no_unused_top_level_definitions():
     assert unused_definitions() == []
+
+
+def unused_imports() -> list[str]:
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in read:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    return unused
+
+
+def test_no_unused_imports():
+    assert unused_imports() == []

@@ -154,9 +154,8 @@ def test_domination(rng):
     report = seminorm_domination_check(toys["odd_m2"], t_g, samples=100, rng=rng)
     assert report.violations == 0
     # on x = 1 (x) b the left factor seminorm equals L_B(b)
-    carrier = tensor_algebra(toys["odd_m2"].algebra, ga.algebra)
-    right = right_tensor_seminorm(toys["odd_m2"].algebra, t_g,
-                                  rep_a=toys["odd_m2"].rep, carrier=carrier)
+    right = right_tensor_seminorm(toys["odd_m2"].algebra, t_g, rep_a=toys["odd_m2"].rep)
+    assert right.algebra is tensor_algebra(toys["odd_m2"].algebra, ga.algebra)
     lip_b = CommutatorSeminorm(t_g)
     b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     embedded = np.outer(toys["odd_m2"].algebra.unit_coords, b).reshape(-1)

@@ -157,9 +157,13 @@ def test_cli_kasparov(tmp_path, capsys):
     tpath = write(tmp_path, "t.json", io.triple_to_dict(t))
     out = str(tmp_path / "prod.json")
     assert main(["kasparov", "--triple", tpath, "--triple2", tpath,
-                 "--algebras", alg, "--out", out]) == 0
+                 "--algebras", alg, "--out", out, "--name", "P"]) == 0
     rec = json.loads(capsys.readouterr().out.strip())
     assert rec["hilbert_dim"] == 8 and rec["even"]
+    data = io.load_json(out)
+    assert data["algebra"]["name"] == data["triple"]["algebra"] == "P"
+    registry = {"P": io.algebra_from_dict(data["algebra"])}
+    assert io.triple_from_dict(data["triple"], registry).hilbert_dim == 8
 
 
 def test_cli_missing_file_is_an_error(tmp_path, capsys):

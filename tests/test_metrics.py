@@ -224,8 +224,7 @@ def test_delta_rejects_a_non_cp_amplified_argument():
     base = ctx.base
     flip = np.eye(4)[[0, 2, 1, 3]]          # e_ij -> e_ji on M_2
     partial_t = tensor_channel(ChannelMap(ctx.mn, ctx.mn, flip),
-                               identity_channel(base.ga.algebra),
-                               source=ctx.amp_source, target=ctx.amp_source)
+                               identity_channel(base.ga.algebra))
     m = ctx.amplify(multiplier_channel(
         PositiveDefiniteFunction(cyclic_group(2), [1.0, 0.5]), base.ga))
     with pytest.raises(NotTraceChannel, match="second argument: not completely positive$"):
@@ -240,6 +239,15 @@ def test_delta_rejects_a_carrier_of_the_wrong_dimension(d2, monkeypatch):
     with pytest.raises(AlgebraMismatch):
         delta_distance(m, m, ctx.tau, lip)
     assert builds == []
+
+
+def test_delta_rejects_a_seminorm_on_another_algebra_of_the_same_dimension(m2, tr2):
+    # M_2 (x) M_2^op and C*(Z4) (x) C*(Z4)^op are both 16-dimensional
+    half_id = 0.5 * ChannelMap(m2, m2, np.eye(4))
+    depolarizing = ChannelMap(m2, m2, 0.25 * np.outer(
+        m2.unit_coords, np.trace(m2.basis, axis1=1, axis2=2)))
+    with pytest.raises(AlgebraMismatch):
+        delta_distance(half_id, depolarizing, tr2, group_context("Z4").seminorm)
 
 
 def test_delta_zero_on_equal_channels():
@@ -272,8 +280,9 @@ def test_delta_multiplier_family_linear():
     mt = multiplier_channel(PositiveDefiniteFunction(cyclic_group(2), [1, 1.0]), ctx.ga)
     ms = multiplier_channel(PositiveDefiniteFunction(cyclic_group(2), [1, 0.0]), ctx.ga)
     from choimetric.channels import omega_tau
-    diff = omega_tau(mt, ctx.tau, carrier=ctx.seminorm.algebra).values \
-        - omega_tau(ms, ctx.tau, carrier=ctx.seminorm.algebra).values
+    om_t, om_s = omega_tau(mt, ctx.tau), omega_tau(ms, ctx.tau)
+    assert om_t.algebra is om_s.algebra is ctx.seminorm.algebra
+    diff = om_t.values - om_s.values
     gvec = (setup.rows @ diff).real
 
     def ball(t):
@@ -323,8 +332,8 @@ def test_delta_matches_wasserstein_on_m2(rng, m2, tr2):
     lip = CommutatorSeminorm(gradient_dirac_triple(ls, algebra=carrier))
     res = delta_distance(idn, dep, tr2, lip, tolerance=1e-8)
     carrier_trace = standard_matrix_trace(carrier)
-    d1, _ = density_from_functional(omega_tau(idn, tr2, carrier=carrier), carrier_trace)
-    d2_, _ = density_from_functional(omega_tau(dep, tr2, carrier=carrier), carrier_trace)
+    d1, _ = density_from_functional(omega_tau(idn, tr2), carrier_trace)
+    d2_, _ = density_from_functional(omega_tau(dep, tr2), carrier_trace)
     dual = wasserstein_dual(d1.ambient(), d2_.ambient(), ls, tol=1e-8)
     assert abs(res.value - dual.value) < 1e-5
 
@@ -429,11 +438,11 @@ def test_right_tensor_seminorm_kernel_witness(rng, m2):
     ga = twisted_group_algebra(cyclic_group(2))
     t_b = length_dirac(ga, word_length(cyclic_group(2)))
     lip = right_tensor_seminorm(m2, t_b)
-    carrier = lip.algebra
     s1, s2 = random_state(rng, m2), random_state(rng, m2)
     sb = random_state(rng, ga.algebra)
-    phi = tensor_functional(s1, sb, target=carrier)
-    psi = tensor_functional(s2, sb, target=carrier)
+    phi = tensor_functional(s1, sb)
+    psi = tensor_functional(s2, sb)
+    assert phi.algebra is psi.algebra is lip.algebra
     res = mk_between(phi, psi, lip, warn_on_nonstates=False)
     assert res.status == "infinite"
     witness = res.kernel_witness.coords.reshape(4, 2)
