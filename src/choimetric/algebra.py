@@ -4,16 +4,17 @@ An algebra is an ordered basis of ambient N x N complex matrices whose span
 is closed under products and adjoints, together with derived data: structure
 constants, adjoint coordinates, and the coordinates of the two-sided unit.
 Elements and linear functionals are coordinate vectors over that basis.
-Everything is immutable after construction.  `tensor_algebra` and
-`opposite_algebra` return one shared object per operand tuple for as long as
-it is in use, so nothing may mutate an algebra once it is built.
+Everything is immutable after construction.  `matrix_algebra` returns one
+shared object per size, and `tensor_algebra` and `opposite_algebra` one per
+operand tuple for as long as it is in use, so nothing may mutate an algebra
+once it is built.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 
 import numpy as np
 
@@ -98,9 +99,6 @@ class ConcreteAlgebra:
                 f"coordinate vector of length {coords.shape} for dim-{self.dim} algebra")
         return AlgebraElement(self, coords)
 
-    def unit(self) -> "AlgebraElement":
-        return AlgebraElement(self, self.unit_coords.copy())
-
     def zero(self) -> "AlgebraElement":
         return AlgebraElement(self, np.zeros(self.dim, dtype=complex))
 
@@ -138,9 +136,6 @@ class AlgebraElement:
 
     def ambient(self) -> np.ndarray:
         return self.algebra.realize(self.coords)
-
-    def adjoint(self) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, self.algebra.adjoint_of_coords(self.coords))
 
     def is_positive(self) -> bool:
         """Positivity of the ambient realization (equivalently, positivity in
@@ -342,23 +337,24 @@ def _solve_unit(structure):
     return e
 
 
-def matrix_algebra(n: int, name=None) -> ConcreteAlgebra:
+@cache
+def matrix_algebra(n: int) -> ConcreteAlgebra:
     """Full matrix algebra M_n with the standard matrix-unit basis, ordered
-    row-major: e_11, e_12, ..., e_nn."""
+    row-major: e_11, e_12, ..., e_nn.  One object per n, shared by every
+    caller."""
     basis = np.zeros((n * n, n, n), dtype=complex)
     for i in range(n):
         for j in range(n):
             basis[i * n + j, i, j] = 1.0
-    alg = build_algebra(basis, name=name or f"M{n}")
-    return alg
+    return build_algebra(basis, name=f"M{n}")
 
 
-def diagonal_algebra(n: int, name=None) -> ConcreteAlgebra:
+def diagonal_algebra(n: int) -> ConcreteAlgebra:
     """Commutative algebra of diagonal n x n matrices (functions on n points)."""
     basis = np.zeros((n, n, n), dtype=complex)
     for i in range(n):
         basis[i, i, i] = 1.0
-    return build_algebra(basis, name=name or f"diag{n}")
+    return build_algebra(basis, name=f"diag{n}")
 
 
 def scalar_algebra() -> ConcreteAlgebra:

@@ -18,6 +18,7 @@ from .algebra import (
     ConcreteAlgebra,
     LinearFunctional,
     TraceFunctional,
+    matrix_algebra,
     opposite_algebra,
     require_faithful,
     swap_op_functional,
@@ -244,9 +245,7 @@ def amplify(n: int, f: ChannelMap) -> ChannelMap:
         raise ValueError("amplification order must be >= 1")
     if n == 1:
         return f
-    from .algebra import matrix_algebra
-    mn = matrix_algebra(n)
-    return tensor_channel(identity_channel(mn), f)
+    return tensor_channel(identity_channel(matrix_algebra(n)), f)
 
 
 def trace_adjoint(f: ChannelMap, tau_src: TraceFunctional,

@@ -40,11 +40,10 @@ from .groups import (
     word_length,
 )
 from .metrics import (
-    MKProblem,
     delta_distance,
     dl_distance,
     dl_stabilized,
-    mk_distance,
+    mk_between,
     wasserstein_dual,
 )
 
@@ -157,9 +156,8 @@ def cmd_mk(args):
     triple = io.triple_from_dict(io.load_json(args.triple), registry)
     phi = io.functional_from_dict(io.load_json(args.phi), registry)
     psi = io.functional_from_dict(io.load_json(args.psi), registry)
-    res = mk_distance(MKProblem(phi, psi, CommutatorSeminorm(triple),
-                                tolerance=args.tolerance,
-                                max_iter=args.max_iter))
+    res = mk_between(phi, psi, CommutatorSeminorm(triple),
+                     tolerance=args.tolerance, max_iter=args.max_iter)
     print(_result_json(res.value, res.status, res.dual_gap, args.seed))
     return 0 if res.status in ("optimal", "infinite") else 1
 

@@ -62,10 +62,6 @@ class NotTraceChannel(ChoimetricError):
 
 # --- metrics ------------------------------------------------------------------
 
-class SeminormNotCommutatorForm(ChoimetricError):
-    pass
-
-
 class Infeasible(ChoimetricError):
     """The linear constraint of a dual trace-norm program has no solution;
     the corresponding primal Monge-Kantorovich distance is infinite."""

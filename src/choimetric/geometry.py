@@ -16,10 +16,11 @@ from . import linalg
 from .algebra import (
     AlgebraElement,
     ConcreteAlgebra,
+    matrix_algebra,
     opposite_algebra,
     tensor_algebra,
 )
-from .errors import AlgebraMismatch, InvalidSpectralTriple, SeminormNotCommutatorForm
+from .errors import AlgebraMismatch, InvalidSpectralTriple
 from .linalg import EPS_STRUCT, contract_stack, operator_norm
 
 
@@ -117,14 +118,12 @@ def _rank(flat: np.ndarray, tol: float) -> int:
 class Seminorm:
     """A seminorm over a fixed algebra in the one form the Monge-Kantorovich
     solver reads: L(x) = sum_k || sum_i x_i F_k[i] || for `families`, a
-    tuple of complex stacks F_k of shape (d, p, q).
-
-    A subclass that can only evaluate pointwise overrides `eval_coords` and
-    leaves `families` None; the solver then takes its cutting-plane path.
+    tuple of complex stacks F_k of shape (d, p, q).  Every seminorm has
+    `families`: the solver reads nothing else.
     """
 
     algebra: ConcreteAlgebra
-    families: tuple[np.ndarray, ...] | None = None
+    families: tuple[np.ndarray, ...]
 
     def __init__(self, algebra: ConcreteAlgebra, families):
         self.algebra = algebra
@@ -137,15 +136,6 @@ class Seminorm:
 
     def eval_coords(self, coords: np.ndarray) -> float:
         return sum(operator_norm(np.tensordot(coords, f, axes=1)) for f in self.families)
-
-
-def require_families(seminorm: Seminorm) -> tuple[np.ndarray, ...]:
-    """The norm families of `seminorm`; SeminormNotCommutatorForm when it
-    evaluates pointwise only."""
-    if seminorm.families is None:
-        raise SeminormNotCommutatorForm(
-            f"{type(seminorm).__name__} evaluates pointwise only")
-    return seminorm.families
 
 
 class CommutatorSeminorm(Seminorm):
@@ -171,7 +161,7 @@ class PullbackSeminorm(Seminorm):
                  algebra: ConcreteAlgebra):
         tmap = np.asarray(coord_map, dtype=complex).T
         super().__init__(algebra, (contract_stack(tmap, f)
-                                   for f in require_families(base)))
+                                   for f in base.families))
 
 
 class SumSeminorm(Seminorm):
@@ -180,12 +170,12 @@ class SumSeminorm(Seminorm):
     def __init__(self, left: Seminorm, right: Seminorm):
         if not left.algebra.same_as(right.algebra):
             raise AlgebraMismatch("sum of seminorms over different algebras")
-        super().__init__(left.algebra, require_families(left) + require_families(right))
+        super().__init__(left.algebra, left.families + right.families)
 
 
 def opposite_seminorm(lip: Seminorm) -> Seminorm:
     """L_{A^op}(a^op) = L_A(a): the same families on the opposite algebra."""
-    return Seminorm(opposite_algebra(lip.algebra), require_families(lip))
+    return Seminorm(opposite_algebra(lip.algebra), lip.families)
 
 
 def left_tensor_seminorm(triple_a: SpectralTriple, algebra_b: ConcreteAlgebra,
@@ -319,7 +309,6 @@ def gradient_dirac_triple(l_mats, algebra: ConcreteAlgebra | None = None) -> Spe
     n = l_mats[0].shape[0]
     nn = len(l_mats)
     if algebra is None:
-        from .algebra import matrix_algebra
         algebra = matrix_algebra(n)
     h = n + n * nn
     v = np.zeros((n * nn, n), dtype=complex)

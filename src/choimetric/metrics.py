@@ -42,29 +42,19 @@ from .algebra import (
 )
 from .channels import (
     ChannelMap,
+    amplify,
     check_trace_channel,
     cp_oracle_npositivity,
     is_unital,
-    pullback_state,
 )
 from .errors import AlgebraMismatch, Infeasible
-from .geometry import AmbientNormSeminorm, Seminorm, require_families
+from .geometry import AmbientNormSeminorm, Seminorm
 from .linalg import (
     contract_stack,
     hermitian_part,
     null_space_real,
     row_and_null_space_real,
 )
-
-
-@dataclass
-class MKProblem:
-    phi: LinearFunctional
-    psi: LinearFunctional
-    seminorm: Seminorm
-    tolerance: float = 1e-7
-    max_iter: int = sdp.MAX_ITER
-    warn_on_nonstates: bool = True
 
 
 @dataclass
@@ -76,20 +66,10 @@ class MKResult:
     kernel_witness: AlgebraElement | None = None
     iterations: int = 0
 
-    @property
-    def finite(self) -> bool:
-        return self.status != "infinite"
-
 
 # ---------------------------------------------------------------------------
 # seminorm encodings
 # ---------------------------------------------------------------------------
-
-def _norm_families(seminorm: Seminorm, rows: np.ndarray) -> list[np.ndarray]:
-    """The norm families of the seminorm on the self-adjoint basis
-    directions `rows`, one stack per norm summand."""
-    return [contract_stack(rows, f) for f in require_families(seminorm)]
-
 
 def _split_components(kstack: np.ndarray):
     """Connected components of the joint row/column support of a stack of
@@ -204,7 +184,8 @@ def prepare_ball(seminorm: Seminorm,
                  restrict_to: np.ndarray | None = None) -> _BallSetup:
     alg = seminorm.algebra
     rows = selfadjoint_basis(alg, restrict_to)
-    families = _norm_families(seminorm, rows)
+    # the norm families on the self-adjoint directions, one per summand
+    families = [contract_stack(rows, f) for f in seminorm.families]
     flat = np.hstack([np.hstack([f.reshape(f.shape[0], -1).real,
                                  f.reshape(f.shape[0], -1).imag])
                       for f in families])
@@ -283,91 +264,19 @@ def _maximize_linear(setup: _BallSetup, values: np.ndarray, tol: float,
                     res.gap * scale, res.status, iterations=res.iterations)
 
 
-def mk_distance(problem: MKProblem) -> MKResult:
-    """The Monge-Kantorovich extended metric between two functionals."""
-    phi, psi = problem.phi, problem.psi
-    if not phi.algebra.same_as(problem.seminorm.algebra):
+def mk_between(phi: LinearFunctional, psi: LinearFunctional, seminorm: Seminorm,
+               tolerance: float = 1e-7, max_iter: int = sdp.MAX_ITER,
+               warn_on_nonstates: bool = True) -> MKResult:
+    """The Monge-Kantorovich extended metric between two functionals on the
+    seminorm's algebra."""
+    if not (phi.algebra.same_as(seminorm.algebra)
+            and psi.algebra.same_as(seminorm.algebra)):
         raise AlgebraMismatch("seminorm not defined over the functionals' algebra")
-    if problem.warn_on_nonstates and not (phi.is_state() and psi.is_state()):
-        warnings.warn("mk_distance applied to non-state functionals; "
+    if warn_on_nonstates and not (phi.is_state() and psi.is_state()):
+        warnings.warn("mk_between applied to non-state functionals; "
                       "proceeding on the difference", stacklevel=2)
     diff = np.asarray(phi.values - psi.values, dtype=complex)
-    if problem.seminorm.families is None:
-        return _mk_hyperplane(problem, diff)
-    return _maximize_linear(prepare_ball(problem.seminorm), diff,
-                            problem.tolerance, problem.max_iter)
-
-
-def mk_between(phi, psi, seminorm, **kw) -> MKResult:
-    return mk_distance(MKProblem(phi, psi, seminorm, **kw))
-
-
-# ---------------------------------------------------------------------------
-# generic fallback: supporting hyperplanes over the unit ball
-# ---------------------------------------------------------------------------
-
-def _mk_hyperplane(problem: MKProblem, diff: np.ndarray) -> MKResult:
-    """Kelley-style cutting planes using only seminorm evaluations, at most
-    400 cuts in the box [-1e4, 1e4]^r; the documented slower path for
-    seminorms that evaluate pointwise only."""
-    from scipy.optimize import linprog
-    box = 1e4
-    lip = problem.seminorm
-    alg = lip.algebra
-    rows = selfadjoint_basis(alg)
-    g = (rows @ diff).real
-    r = g.shape[0]
-    if float(np.linalg.norm(g)) < 1e-14:
-        return MKResult(0.0, alg.zero(), 0.0, "optimal")
-
-    def eval_l(t):
-        return lip.eval_coords(rows.T @ t)
-
-    def subgrad(t):
-        h = 1e-6
-        out = np.zeros(r)
-        for i in range(r):
-            e = np.zeros(r)
-            e[i] = h
-            out[i] = (eval_l(t + e) - eval_l(t - e)) / (2 * h)
-        return out
-
-    cuts_a, cuts_b = [], []
-    best_val, best_t = 0.0, np.zeros(r)
-    upper = math.inf
-    tol = max(problem.tolerance, 1e-5)
-    for _ in range(400):
-        res = linprog(-g, A_ub=np.array(cuts_a) if cuts_a else None,
-                      b_ub=np.array(cuts_b) if cuts_b else None,
-                      bounds=[(-box, box)] * r, method="highs")
-        if not res.success:
-            break
-        t = res.x
-        upper = float(g @ t)
-        lt = eval_l(t)
-        if lt <= 1 + 1e-9:
-            if g @ t > best_val:
-                best_val, best_t = float(g @ t), t
-        elif lt > 0:
-            scaled = t / lt
-            if g @ scaled > best_val:
-                best_val, best_t = float(g @ scaled), scaled
-        if upper - best_val <= tol * max(1.0, abs(upper)):
-            coords = rows.T @ best_t
-            return MKResult(best_val, AlgebraElement(alg, coords),
-                            upper - best_val, "optimal")
-        if best_val > 0.01 * box:
-            # the unit ball is unbounded along the objective: the distance is
-            # infinite, witnessed by the direction the planes could not cut
-            wit = rows.T @ (best_t / np.linalg.norm(best_t))
-            return MKResult(math.inf, None, 0.0, "infinite",
-                            kernel_witness=AlgebraElement(alg, wit))
-        h = subgrad(t)
-        cuts_a.append(h)
-        cuts_b.append(1.0 - lt + float(h @ t))
-    coords = rows.T @ best_t
-    return MKResult(best_val, AlgebraElement(alg, coords),
-                    max(0.0, upper - best_val), "max_iter")
+    return _maximize_linear(prepare_ball(seminorm), diff, tolerance, max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +455,8 @@ def dl_distance(f: ChannelMap, g: ChannelMap, seminorm: Seminorm,
             raise AlgebraMismatch(f"{name} argument is not unital")
         if not cp_oracle_npositivity(ch):
             raise AlgebraMismatch(f"{name} argument is not completely positive")
+    if not (g.source.same_as(f.source) and g.target.same_as(f.target)):
+        raise AlgebraMismatch("the two channels have different sources or targets")
     if not f.source.same_as(seminorm.algebra):
         raise AlgebraMismatch("seminorm not over the channels' source")
     setup = prepare_ball(seminorm)
@@ -597,65 +508,9 @@ def dl_distance(f: ChannelMap, g: ChannelMap, seminorm: Seminorm,
                     per_start, best_opt)
 
 
-def commutative_pure_states(alg: ConcreteAlgebra):
-    """Characters of a commutative concrete algebra, as state functionals."""
-    if not alg.is_commutative():
-        raise AlgebraMismatch("pure-state enumeration needs a commutative algebra")
-    rng = np.random.default_rng(7)
-    rows = selfadjoint_basis(alg)
-    for _ in range(5):
-        generic = alg.realize(rows.T @ rng.standard_normal(rows.shape[0]))
-        lam, u = np.linalg.eigh(hermitian_part(generic))
-        splits = [0]
-        for i in range(1, len(lam)):
-            if lam[i] - lam[i - 1] > 1e-6 * max(1.0, float(np.abs(lam).max())):
-                splits.append(i)
-        splits.append(len(lam))
-        chars = []
-        ok = True
-        for s, e in zip(splits, splits[1:]):
-            block = u[:, s:e]
-            vals = np.einsum("xk,bxy,yk->b", block.conj(), alg.basis, block) / (e - s)
-            phi = LinearFunctional(alg, vals)
-            if abs(phi.unit_value()) < 1e-8:
-                continue          # eigenspace outside the algebra's support
-            # multiplicativity check
-            prod_vals = np.einsum("ijk,k->ij", alg.structure, vals)
-            if float(np.abs(prod_vals - np.outer(vals, vals)).max()) > 1e-7:
-                ok = False
-                break
-            chars.append(phi)
-        if ok and chars:
-            unique = []
-            for phi in chars:
-                if not any(np.abs(phi.values - o.values).max() < 1e-8 for o in unique):
-                    unique.append(phi)
-            return unique
-    raise AlgebraMismatch("failed to separate the characters numerically")
-
-
-def dl_distance_pure_states(f: ChannelMap, g: ChannelMap, seminorm: Seminorm):
-    """Exact D_L for commutative targets: the outer supremum is attained at
-    an extreme point of the state space, so enumerate the characters."""
-    chars = commutative_pure_states(f.target)
-    setup = prepare_ball(seminorm)
-    best = 0.0
-    best_res = None
-    for chi in chars:
-        diff = pullback_state(f, chi).values - pullback_state(g, chi).values
-        res = _maximize_linear(setup, np.asarray(diff, complex), 1e-7, sdp.MAX_ITER)
-        if res.status == "infinite":
-            return res
-        if res.value > best:
-            best = res.value
-            best_res = res
-    return best_res if best_res is not None else MKResult(0.0, None, 0.0, "optimal")
-
-
 def dl_stabilized(f: ChannelMap, g: ChannelMap, m_max: int, **kw):
     """Truncated stabilization: max over m = 1..m_max of D on the m-fold
     amplifications, with the operator norm as the seminorm on each level."""
-    from .channels import amplify
     values = []
     for m in range(1, m_max + 1):
         fm, gm = amplify(m, f), amplify(m, g)

@@ -1,10 +1,24 @@
-"""Independent low-tech oracles used to cross-check the solver paths."""
+"""Independent low-tech oracles used to cross-check the solver paths.
+
+The grid and the cutting planes only evaluate norms and never reach the
+semidefinite program.  The D_L enumeration solves the inner MK distances
+with `mk_between` but takes the outer supremum exactly, over the characters
+of a commutative target, where `dl_distance` ascends heuristically.
+"""
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
+
+from .algebra import ConcreteAlgebra, LinearFunctional, selfadjoint_basis
+from .channels import ChannelMap, pullback_state
+from .errors import AlgebraMismatch
+from .geometry import Seminorm
+from .linalg import contract_stack, hermitian_part, row_and_null_space_real
+from .metrics import MKResult, mk_between
 
 
 def grid_ball_maximize(objective: np.ndarray, ball_eval, radius: float,
@@ -55,3 +69,95 @@ def classical_path_metric(weights: dict, n_points: int) -> np.ndarray:
                 if dist[i, k] + dist[k, j] < dist[i, j]:
                     dist[i, j] = dist[i, k] + dist[k, j]
     return dist
+
+
+def cutting_plane_maximize(objective: np.ndarray, stacks) -> tuple[float, float]:
+    """Kelley's cutting planes for sup { g . t : sum_k || sum_i t_i F_k[i] || <= 1 }
+    over real t, with g = `objective` and F_k the complex stacks `stacks`.
+
+    Returns a bracket (lower, upper) of the supremum, valid to the LP
+    solver's feasibility tolerance and narrower than 1e-7 relative unless
+    200 cuts were not enough, or (inf, inf) when the ball is unbounded
+    along g.  Each cut s . t <= 1 takes s from the top
+    singular pair (u_k, v_k) of every summand, s_i = sum_k Re u_k* F_k[i] v_k:
+    an exact subgradient, and a valid cut because N(x) >= s . x for every x
+    when N is a seminorm.  The linear programs run on the range of the
+    stacks, inside a box that contains the ball: there ||t|| <= sqrt(p) N(t)
+    / sigma, for sigma the smallest nonzero singular value of the stacked
+    map and p the largest rank a summand can have.
+    """
+    from scipy.optimize import linprog
+    g = np.asarray(objective, dtype=float)
+    flat = np.hstack([np.hstack([f.reshape(len(f), -1).real,
+                                 f.reshape(len(f), -1).imag]) for f in stacks])
+    rng_basis, null = row_and_null_space_real(flat.T)
+    if float(np.abs(null.T @ g).max(initial=0.0)) > 1e-9 * max(1.0, float(np.abs(g).max())):
+        return math.inf, math.inf
+    gr = rng_basis.T @ g
+    if not gr.any():
+        return 0.0, 0.0
+    reduced = [contract_stack(rng_basis.T, f) for f in stacks]
+    sigma = float(np.linalg.svd(rng_basis.T @ flat, compute_uv=False).min())
+    box = math.sqrt(max(min(f.shape[1:]) for f in stacks)) / sigma
+    cuts, lower, upper = [], 0.0, math.inf
+    for _ in range(200):
+        res = linprog(-gr, A_ub=np.array(cuts) if cuts else None,
+                      b_ub=np.ones(len(cuts)) if cuts else None,
+                      bounds=[(-box, box)] * len(gr), method="highs")
+        t, upper = res.x, -res.fun
+        cut, norm = np.zeros(len(gr)), 0.0
+        for f in reduced:
+            u, sv, vh = np.linalg.svd(np.tensordot(t, f, axes=1))
+            cut += np.einsum("x,ixy,y->i", u[:, 0].conj(), f, vh[0].conj()).real
+            norm += sv[0]
+        lower = max(lower, float(gr @ t) / norm)
+        if upper - lower <= 1e-7 * max(1.0, upper):
+            break
+        cuts.append(cut)
+    return lower, upper
+
+
+def commutative_pure_states(alg: ConcreteAlgebra) -> list[LinearFunctional]:
+    """Characters of a commutative concrete algebra, as state functionals."""
+    if not alg.is_commutative():
+        raise AlgebraMismatch("pure-state enumeration needs a commutative algebra")
+    rng = np.random.default_rng(7)
+    rows = selfadjoint_basis(alg)
+    for _ in range(5):
+        generic = alg.realize(rows.T @ rng.standard_normal(rows.shape[0]))
+        lam, u = np.linalg.eigh(hermitian_part(generic))
+        splits = [0]
+        for i in range(1, len(lam)):
+            if lam[i] - lam[i - 1] > 1e-6 * max(1.0, float(np.abs(lam).max())):
+                splits.append(i)
+        splits.append(len(lam))
+        chars = []
+        ok = True
+        for s, e in zip(splits, splits[1:]):
+            block = u[:, s:e]
+            vals = np.einsum("xk,bxy,yk->b", block.conj(), alg.basis, block) / (e - s)
+            phi = LinearFunctional(alg, vals)
+            if abs(phi.unit_value()) < 1e-8:
+                continue          # eigenspace outside the algebra's support
+            # multiplicativity check
+            prod_vals = np.einsum("ijk,k->ij", alg.structure, vals)
+            if float(np.abs(prod_vals - np.outer(vals, vals)).max()) > 1e-7:
+                ok = False
+                break
+            chars.append(phi)
+        if ok and chars:
+            unique = []
+            for phi in chars:
+                if not any(np.abs(phi.values - o.values).max() < 1e-8 for o in unique):
+                    unique.append(phi)
+            return unique
+    raise AlgebraMismatch("failed to separate the characters numerically")
+
+
+def dl_distance_pure_states(f: ChannelMap, g: ChannelMap, seminorm: Seminorm) -> MKResult:
+    """Exact D_L for commutative targets: the outer supremum is attained at
+    an extreme point of the state space, so it is the largest MK distance
+    between the pullbacks of a character."""
+    return max((mk_between(pullback_state(f, chi), pullback_state(g, chi), seminorm)
+                for chi in commutative_pure_states(f.target)),
+               key=lambda res: res.value)

@@ -238,6 +238,8 @@ def test_amplify(m2, tr2, rng):
     f = random_trace_channel(rng, m2, m2, tr2)
     assert amplify(1, f) is f
     amp = amplify(2, f)
+    # one M_2 object, so both amplifications share one tensor product
+    assert amp.source is amplify(2, f).source
     assert amp.matrix.shape == (16, 16)
     assert np.abs(amp.matrix - np.kron(np.eye(4), f.matrix)).max() < 1e-14
 

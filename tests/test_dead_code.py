@@ -1,8 +1,9 @@
 """Every top-level function and class of the package is used somewhere in
 the package or its tests, apart from its own definition.  A name counts as
 used where it is read (`name`, `module.name`) or imported, so a re-export in
-`__init__` is a use.  And every name a package module other than `__init__`
-imports is read in that module."""
+`__init__` is a use.  Every public method or property of a package class
+is read as an attribute somewhere in the package or its tests.  And every name a package module other than `__init__` imports
+is read in that module."""
 
 import ast
 from collections import Counter
@@ -44,6 +45,29 @@ def unused_definitions() -> list[str]:
 
 def test_no_unused_top_level_definitions():
     assert unused_definitions() == []
+
+
+def unused_methods() -> list[str]:
+    files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in files}
+    read = {sub.attr for tree in trees.values() for sub in ast.walk(tree)
+            if isinstance(sub, ast.Attribute)}
+    unused = []
+    for path, tree in trees.items():
+        if path.parent != PACKAGE:
+            continue
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (isinstance(node, ast.FunctionDef)
+                        and not node.name.startswith("_") and node.name not in read):
+                    unused.append(f"{path.name}:{node.lineno} {cls.name}.{node.name}")
+    return unused
+
+
+def test_no_unused_public_methods():
+    assert unused_methods() == []
 
 
 def unused_imports() -> list[str]:

@@ -16,9 +16,9 @@ from choimetric import (
     tensor_algebra,
     tensor_sum_seminorm,
 )
-from choimetric.errors import InvalidSpectralTriple, SeminormNotCommutatorForm
+from choimetric.errors import InvalidSpectralTriple
 from choimetric.experiments import _kernel_identity_cases, _toy_triples
-from choimetric.geometry import Seminorm, gradient_dirac_triple, state_sup_lower_bound
+from choimetric.geometry import gradient_dirac_triple, state_sup_lower_bound
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -211,28 +211,6 @@ def test_pullback_seminorm(rng, m2):
     (mats,) = pb.families
     assert np.abs(np.tensordot(x, mats, axes=1)
                   - m2.realize(cmap @ x)).max() < 1e-12
-
-
-class _PointwiseOnly(Seminorm):
-    """A seminorm known only through its values."""
-
-    def __init__(self, algebra):
-        self.algebra = algebra
-
-    def eval_coords(self, coords):
-        return float(np.abs(coords).max())
-
-
-def test_sum_and_pullback_of_a_pointwise_seminorm_raise(d2):
-    lip = CommutatorSeminorm(two_point_triple())
-    opaque = _PointwiseOnly(d2)
-    assert opaque.families is None
-    with pytest.raises(SeminormNotCommutatorForm):
-        SumSeminorm(lip, opaque)
-    with pytest.raises(SeminormNotCommutatorForm):
-        SumSeminorm(opaque, lip)
-    with pytest.raises(SeminormNotCommutatorForm):
-        PullbackSeminorm(opaque, np.eye(2), d2)
 
 
 def test_gradient_dirac_triple_seminorm(rng, m2):

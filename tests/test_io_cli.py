@@ -138,6 +138,22 @@ def test_cli_mk(tmp_path, capsys):
     assert abs(rec["value"] - 1.0) < 1e-6
 
 
+def test_cli_mk_rejects_a_psi_on_another_algebra(tmp_path, capsys, m2):
+    ga = twisted_group_algebra(cyclic_group(2))
+    ga.algebra.name = "Z2alg"
+    algs = [write(tmp_path, "alg.json", io.algebra_to_dict(ga.algebra)),
+            write(tmp_path, "m2.json", io.algebra_to_dict(m2))]
+    t = length_dirac(ga, word_length(cyclic_group(2)))
+    tpath = write(tmp_path, "t.json", io.triple_to_dict(t))
+    phi = write(tmp_path, "phi.json",
+                {"algebra": "Z2alg", "values": [[1, 0], [0.5, 0]]})
+    psi = write(tmp_path, "psi.json",
+                {"algebra": "M2", "values": [[0.5, 0], [0, 0], [0, 0], [0.5, 0]]})
+    assert main(["mk", "--triple", tpath, "--phi", phi, "--psi", psi,
+                 "--algebras", *algs]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_cli_wasserstein(tmp_path, capsys):
     prob = write(tmp_path, "w.json", {
         "l_matrices": [[[[0, 0], [1, 0]], [[1, 0], [0, 0]]]],

@@ -3,41 +3,44 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choimetric import (
     AmbientNormSeminorm,
     ChannelMap,
     CommutatorSeminorm,
     LinearFunctional,
-    MKProblem,
     PullbackSeminorm,
     SpectralTriple,
     SumSeminorm,
     delta_distance,
     diagonal_algebra,
     dl_distance,
-    dl_distance_pure_states,
     dl_stabilized,
+    identity_channel,
     matrix_algebra,
     mk_between,
-    mk_distance,
     multiplier_channel,
     opposite_seminorm,
+    selfadjoint_basis,
     wasserstein_dual,
 )
 from choimetric import sdp
 from choimetric.errors import AlgebraMismatch, Infeasible, NotTraceChannel
 from choimetric.experiments import group_context, stability_context
 from choimetric.generate import random_density, random_hermitian, random_pdf, random_state
-from choimetric.geometry import Seminorm, gradient_dirac_triple
-from choimetric.groups import PositiveDefiniteFunction, cyclic_group
-from choimetric.metrics import (
-    _maximize_linear,
-    _split_components,
+from choimetric.geometry import gradient_dirac_triple
+from choimetric.groups import PositiveDefiniteFunction, cyclic_group, twisted_group_algebra
+from choimetric.linalg import contract_stack
+from choimetric.metrics import _maximize_linear, _split_components, prepare_ball
+from choimetric.oracles import (
+    classical_path_metric,
     commutative_pure_states,
-    prepare_ball,
+    cutting_plane_maximize,
+    dl_distance_pure_states,
+    grid_ball_maximize,
 )
-from choimetric.oracles import grid_ball_maximize
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -68,15 +71,28 @@ def test_identical_states(d2):
     assert np.abs(res.optimizer.coords).max() == 0.0
 
 
-def test_three_point_path_metric_and_grid_oracle():
+def path_seminorm(w01, w12):
+    """The commutator seminorm of the three-point path with edge weights
+    w01 and w12: point 1 sits on two Hilbert-space lines, one per edge."""
     d3 = diagonal_algebra(3)
     dirac = np.zeros((4, 4), dtype=complex)
-    dirac[0, 1] = dirac[1, 0] = 1.0
-    dirac[2, 3] = dirac[3, 2] = 1.0
+    dirac[0, 1] = dirac[1, 0] = 1.0 / w01
+    dirac[2, 3] = dirac[3, 2] = 1.0 / w12
     rep = np.zeros((3, 4, 4), dtype=complex)
     rep[0, 0, 0] = rep[1, 1, 1] = rep[1, 2, 2] = rep[2, 3, 3] = 1.0
-    lip = CommutatorSeminorm(SpectralTriple(d3, rep, dirac))
-    states = point_states(d3)
+    return CommutatorSeminorm(SpectralTriple(d3, rep, dirac))
+
+
+def cutting_plane_bracket(phi, psi, lip):
+    """The cutting-plane oracle on the self-adjoint coordinates of mk_L."""
+    rows = selfadjoint_basis(lip.algebra)
+    return cutting_plane_maximize((rows @ (phi.values - psi.values)).real,
+                                  [contract_stack(rows, f) for f in lip.families])
+
+
+def test_three_point_path_metric_and_grid_oracle():
+    lip = path_seminorm(1.0, 1.0)
+    states = point_states(lip.algebra)
     expected = {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 2.0}
     for (i, j), truth in expected.items():
         res = mk_between(states[i], states[j], lip, tolerance=1e-9)
@@ -112,7 +128,20 @@ def test_nonstate_warning(d2):
     phi = LinearFunctional(d2, np.array([2.0, 0.0], dtype=complex))
     psi = LinearFunctional(d2, np.array([0.0, 1.0], dtype=complex))
     with pytest.warns(UserWarning):
-        mk_distance(MKProblem(phi, psi, lip))
+        mk_between(phi, psi, lip)
+
+
+def test_mk_rejects_a_psi_on_another_algebra(m2, m3, rng):
+    lip = CommutatorSeminorm(gradient_dirac_triple([X], algebra=m2))
+    phi = random_state(rng, m2)
+    # C*(Z4) has M_2's dimension; M_3 has another
+    z4 = twisted_group_algebra(cyclic_group(4)).algebra
+    for other in (z4, m3):
+        psi = LinearFunctional(other, other.unit_coords / other.ambient_dim)
+        with pytest.raises(AlgebraMismatch):
+            mk_between(phi, psi, lip)
+        with pytest.raises(AlgebraMismatch):
+            mk_between(psi, phi, lip)
 
 
 def test_mk_symmetry_is_exact(m2, rng):
@@ -357,6 +386,14 @@ def test_dl_zero_and_commutative_target(rng, d2):
     assert len(chars) == 2
 
 
+def test_dl_rejects_channels_on_other_algebras(m2):
+    # C*(Z4) has M_2's dimension, so only the objects tell them apart
+    z4 = twisted_group_algebra(cyclic_group(4)).algebra
+    with pytest.raises(AlgebraMismatch):
+        dl_distance(identity_channel(m2), identity_channel(z4),
+                    AmbientNormSeminorm(m2), starts=1)
+
+
 def test_dl_stabilized_monotone(rng, d2):
     g = ChannelMap(d2, d2, np.array([[0.7, 0.3], [0.3, 0.7]], dtype=complex))
     h = ChannelMap(d2, d2, np.array([[0.2, 0.8], [0.8, 0.2]], dtype=complex))
@@ -400,32 +437,50 @@ def test_opposite_seminorm_has_the_same_mk_values(rng, m2):
         assert abs(got.value - want.value) < 1e-8
 
 
-def test_hyperplane_fallback(d2, m2):
-    lip = CommutatorSeminorm(SpectralTriple(d2, d2.basis, X))
-
-    class Opaque(Seminorm):
-        def __init__(self, inner):
-            self.inner = inner
-            self.algebra = inner.algebra
-
-        def eval_coords(self, coords):
-            return self.inner.eval_coords(coords)
-
-    dp, dq = point_states(d2)
-    res = mk_between(dp, dq, Opaque(lip), tolerance=1e-5)
-    assert abs(res.value - 1.0) < 1e-3
-    # an unbounded ball is the "infinite" status with a witness, as on the
-    # SDP path: a diagonal Dirac on M_2 leaves the diagonal unconstrained
+def test_hyperplane_fallback(m2):
+    # cutting planes bracket the path distance 2.838 + 0.3323 at the kink
+    # of L where central-difference cuts stopped short, at 3.169460
+    lip = path_seminorm(2.838, 0.3323)
+    states = point_states(lip.algebra)
+    lower, upper = cutting_plane_bracket(states[0], states[2], lip)
+    assert lower <= 3.1703 <= upper and upper - lower < 1e-6
+    # an unbounded ball is (inf, inf): a diagonal Dirac on M_2 leaves the
+    # diagonal unconstrained
     diag = CommutatorSeminorm(SpectralTriple(m2, m2.basis,
                                              np.diag([1.0, -1.0]).astype(complex)))
     phi = LinearFunctional(m2, m2.basis[:, 0, 0].astype(complex))
     psi = LinearFunctional(m2, m2.basis[:, 1, 1].astype(complex))
-    res = mk_between(phi, psi, Opaque(diag), warn_on_nonstates=False)
-    assert res.status == "infinite" and math.isinf(res.value)
-    assert res.optimizer is None
-    wit = res.kernel_witness.coords
-    assert diag.eval_coords(wit) < 1e-3
-    assert abs((phi.values - psi.values) @ wit) > 0.5
+    assert cutting_plane_bracket(phi, psi, diag) == (math.inf, math.inf)
+    assert cutting_plane_bracket(phi, phi, diag) == (0.0, 0.0)
+
+
+def test_cutting_planes_bracket_the_sdp_value(m2, rng):
+    # a sum of two commutator seminorms, so each cut adds two subgradients
+    for _ in range(3):
+        ls = [random_hermitian(rng, 2) for _ in range(3)]
+        lip = SumSeminorm(CommutatorSeminorm(gradient_dirac_triple(ls[:2], algebra=m2)),
+                          CommutatorSeminorm(gradient_dirac_triple(ls[2:], algebra=m2)))
+        phi, psi = random_state(rng, m2), random_state(rng, m2)
+        value = mk_between(phi, psi, lip, tolerance=1e-10).value
+        lower, upper = cutting_plane_bracket(phi, psi, lip)
+        assert lower - 1e-8 <= value <= upper + 1e-8
+        assert upper - lower <= 1e-6 * value
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.floats(0.2, 5.0), st.floats(0.2, 5.0))
+def test_path_metric_properties(w01, w12):
+    lip = path_seminorm(w01, w12)
+    states = point_states(lip.algebra)
+    truth = classical_path_metric({(0, 1): w01, (1, 2): w12}, 3)
+    for i, j in ((0, 1), (1, 2), (0, 2)):
+        there = mk_between(states[i], states[j], lip, tolerance=1e-9)
+        back = mk_between(states[j], states[i], lip, tolerance=1e-9)
+        assert there.status == "optimal"
+        assert abs(there.value - truth[i, j]) <= 1e-6 * truth[i, j]
+        assert there.value == back.value
+        lower, upper = cutting_plane_bracket(states[i], states[j], lip)
+        assert lower - 1e-6 * truth[i, j] <= there.value <= upper + 1e-6 * truth[i, j]
 
 
 def test_right_tensor_seminorm_kernel_witness(rng, m2):
