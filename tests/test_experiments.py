@@ -101,6 +101,13 @@ def test_duality_record_takes_the_status_of_the_nonoptimal_solve(monkeypatch):
     assert all(r.status == "stalled" and not r.ok for r in finite)
 
 
+def test_seed_2027_duality_trial_13_is_optimal():
+    # its wasserstein_dual solve stopped "stalled" just above the 1e-9 gap
+    # tolerance under Nesterov-Todd scaling without a second-order corrector
+    rec = E.run_duality(seed=2027, trials=14)[13]
+    assert (rec.trial, rec.status, rec.ok) == (13, "optimal", True)
+
+
 def _stall_call(fn, which):
     """fn, except that the calls for which which(*args, **kwargs) holds
     report "stalled"."""

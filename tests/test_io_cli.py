@@ -29,7 +29,7 @@ def write(tmp_path, name, data):
 
 
 def test_algebra_round_trip(tmp_path, m2):
-    m2.name = "M2"
+    assert m2.name == "M2"
     path = write(tmp_path, "m2.json", io.algebra_to_dict(m2))
     back = io.algebra_from_dict(io.load_json(path))
     assert np.abs(back.basis - m2.basis).max() < 1e-12
@@ -37,7 +37,7 @@ def test_algebra_round_trip(tmp_path, m2):
 
 
 def test_functional_and_channel_round_trip(tmp_path, m2, tr2):
-    m2.name = "M2"
+    assert m2.name == "M2"
     registry = {"M2": m2}
     tau_path = write(tmp_path, "tr.json", io.functional_to_dict(tr2))
     tau = io.trace_from_dict(io.load_json(tau_path), registry)
@@ -73,7 +73,7 @@ def test_malformed_json_fails_fast(tmp_path):
 
 
 def test_cli_validate_and_classify(tmp_path, m2, tr2):
-    m2.name = "M2"
+    assert m2.name == "M2"
     alg = write(tmp_path, "m2.json", io.algebra_to_dict(m2))
     tau = write(tmp_path, "tr.json", io.functional_to_dict(tr2))
     ch = write(tmp_path, "id.json", io.channel_to_dict(identity_channel(m2)))
@@ -84,7 +84,7 @@ def test_cli_validate_and_classify(tmp_path, m2, tr2):
 
 
 def test_cli_choi_and_omega(tmp_path, m2, tr2, capsys):
-    m2.name = "M2"
+    assert m2.name == "M2"
     alg = write(tmp_path, "m2.json", io.algebra_to_dict(m2))
     tau = write(tmp_path, "tr.json", io.functional_to_dict(tr2))
     ch = write(tmp_path, "id.json", io.channel_to_dict(identity_channel(m2)))
@@ -219,7 +219,7 @@ def test_cli_malformed_input_file_is_an_error(tmp_path, capsys, kind, data):
     assert main(["group-gen", "--kind", "cyclic", "--n", "2",
                  "--out", gpath]) == 0
     d2 = diagonal_algebra(2)
-    d2.name = "diag2"
+    assert d2.name == "diag2"
     alg = write(tmp_path, "d2.json", io.algebra_to_dict(d2))
     bad = write(tmp_path, "bad.json", data)
     if kind == "problem":
@@ -245,7 +245,7 @@ def _dl_files(tmp_path):
     """Two unital CP maps on diag(2), the triple and the algebra file."""
     from choimetric import ChannelMap, diagonal_algebra
     d2 = diagonal_algebra(2)
-    d2.name = "diag2"
+    assert d2.name == "diag2"
     alg = write(tmp_path, "d2.json", io.algebra_to_dict(d2))
     f = write(tmp_path, "f.json", io.channel_to_dict(ChannelMap(
         d2, d2, np.array([[0.7, 0.3], [0.3, 0.7]], dtype=complex))))

@@ -33,7 +33,12 @@ from choimetric.generate import random_density, random_hermitian, random_pdf, ra
 from choimetric.geometry import gradient_dirac_triple
 from choimetric.groups import PositiveDefiniteFunction, cyclic_group, twisted_group_algebra
 from choimetric.linalg import contract_stack
-from choimetric.metrics import _maximize_linear, _split_components, prepare_ball
+from choimetric.metrics import (
+    _maximize_linear,
+    _solve_certified,
+    _split_components,
+    prepare_ball,
+)
 from choimetric.oracles import (
     classical_path_metric,
     commutative_pure_states,
@@ -686,3 +691,16 @@ def test_wrong_copy_falls_back_to_the_full_solve(monkeypatch):
     assert res.status == every.status == "optimal"
     assert abs(res.value - every.value) <= 1e-9
     assert abs(res.value - 0.5 * right.value) <= 1e-7
+
+
+def test_solve_certified_passes_the_reason_through():
+    # the reduced solve, and the full solve after a wrong copy fails its check
+    ctx = group_context("Z2")
+    cmat, astack = ctx.setup.kept[0]
+    b = np.zeros(astack.shape[0])
+    b[0] = 1.0
+    for dropped in ([], [(cmat, 2.0 * astack)]):
+        res = _solve_certified(b, ctx.setup.kept, dropped, 1e-9, sdp.MAX_ITER)
+        assert (res.status, res.reason) == ("optimal", "converged")
+        capped = _solve_certified(b, ctx.setup.kept, dropped, 1e-9, 1)
+        assert (capped.status, capped.reason) == ("max_iter", "max_iter")
