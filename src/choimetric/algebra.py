@@ -436,51 +436,49 @@ def opposite_algebra(a: ConcreteAlgebra) -> ConcreteAlgebra:
     return out
 
 
-def _swap_axes(k: int, i: int, j: int):
-    axes = list(range(k))
-    axes[i], axes[j] = axes[j], axes[i]
-    return axes
-
-
-def swap_algebra(a: ConcreteAlgebra, i: int, j: int) -> ConcreteAlgebra:
-    """Target algebra of the flip of tensor factors i and j (0-based)."""
+def _swap_factors(a: ConcreteAlgebra, i: int, j: int) -> list:
+    """The tensor factors of `a`, once i and j are known to index two of them."""
     factors = list(a.factors)
     if not factors:
         raise NotATensorAlgebra("swap requires a tensor algebra")
     if not (0 <= i < len(factors) and 0 <= j < len(factors)):
         raise FactorMismatch(f"factor indices ({i}, {j}) out of range")
+    return factors
+
+
+def _swap_coords(a: ConcreteAlgebra, coords: np.ndarray, i: int, j: int) -> np.ndarray:
+    """Coordinates over `a` with the indices of factors i and j exchanged."""
+    dims = a.factor_dims()
+    axes = list(range(len(dims)))
+    axes[i], axes[j] = axes[j], axes[i]
+    return coords.reshape(dims).transpose(axes).reshape(-1)
+
+
+def swap_algebra(a: ConcreteAlgebra, i: int, j: int) -> ConcreteAlgebra:
+    """Target algebra of the flip of tensor factors i and j (0-based)."""
+    factors = _swap_factors(a, i, j)
     factors[i], factors[j] = factors[j], factors[i]
     return reduce(tensor_algebra, factors)
 
 
 def swap_element(x: AlgebraElement, i: int, j: int) -> AlgebraElement:
     """Sigma_[ij] applied to an element of a tensor algebra."""
-    a = x.algebra
-    target = swap_algebra(a, i, j)
-    dims = a.factor_dims()
-    axes = _swap_axes(len(dims), i, j)
-    coords = x.coords.reshape(dims).transpose(axes).reshape(-1)
-    return AlgebraElement(target, coords)
+    return AlgebraElement(swap_algebra(x.algebra, i, j),
+                          _swap_coords(x.algebra, x.coords, i, j))
 
 
 def swap_functional(phi: LinearFunctional, i: int, j: int) -> LinearFunctional:
     """Pushforward of a functional under Sigma_[ij]; since the flip is an
     involution this also computes pullbacks (apply it to a functional living
     on the swapped algebra)."""
-    a = phi.algebra
-    target = swap_algebra(a, i, j)
-    dims = a.factor_dims()
-    axes = _swap_axes(len(dims), i, j)
-    values = phi.values.reshape(dims).transpose(axes).reshape(-1)
-    return LinearFunctional(target, values)
+    return LinearFunctional(swap_algebra(phi.algebra, i, j),
+                            _swap_coords(phi.algebra, phi.values, i, j))
 
 
 def swap_op_algebra(a: ConcreteAlgebra, i: int, j: int) -> ConcreteAlgebra:
     """Target of Sigma^op_[ij]: factor i must be plain and factor j an
     opposite algebra; they trade places and op-ness."""
-    factors = list(a.factors)
-    if not factors:
-        raise NotATensorAlgebra("swap requires a tensor algebra")
+    factors = _swap_factors(a, i, j)
     fi, fj = factors[i], factors[j]
     if fi.op_of is not None or fj.op_of is None:
         raise FactorMismatch(
@@ -492,21 +490,13 @@ def swap_op_algebra(a: ConcreteAlgebra, i: int, j: int) -> ConcreteAlgebra:
 
 def swap_op_element(x: AlgebraElement, i: int, j: int) -> AlgebraElement:
     """Sigma^op_[ij](... a ... b^op ...) = ... b ... a^op ... on coordinates."""
-    a = x.algebra
-    target = swap_op_algebra(a, i, j)
-    dims = a.factor_dims()
-    axes = _swap_axes(len(dims), i, j)
-    coords = x.coords.reshape(dims).transpose(axes).reshape(-1)
-    return AlgebraElement(target, coords)
+    return AlgebraElement(swap_op_algebra(x.algebra, i, j),
+                          _swap_coords(x.algebra, x.coords, i, j))
 
 
 def swap_op_functional(phi: LinearFunctional, i: int, j: int) -> LinearFunctional:
-    a = phi.algebra
-    target = swap_op_algebra(a, i, j)
-    dims = a.factor_dims()
-    axes = _swap_axes(len(dims), i, j)
-    values = phi.values.reshape(dims).transpose(axes).reshape(-1)
-    return LinearFunctional(target, values)
+    return LinearFunctional(swap_op_algebra(phi.algebra, i, j),
+                            _swap_coords(phi.algebra, phi.values, i, j))
 
 
 def tensor_functional(phi: LinearFunctional, psi: LinearFunctional) -> LinearFunctional:

@@ -28,6 +28,7 @@ from .errors import (
     InvalidLength,
     NotPositiveDefinite,
 )
+from .geometry import CommutatorSeminorm
 from .linalg import EPS_PSD, EPS_STRUCT, hermitian_part
 
 
@@ -442,7 +443,6 @@ def multiplier_contraction_check(phi: PositiveDefiniteFunction, triple,
         raise NotPositiveDefinite("contraction check needs phi(e) = 1")
     rng = rng or np.random.default_rng(0)
     alg = triple.algebra
-    from .geometry import CommutatorSeminorm
     lip = CommutatorSeminorm(triple)
     mult = np.diag(phi.values)
     violations = 0

@@ -315,3 +315,7 @@ def test_swap_requires_tensor_structure(m2, rng):
         swap_op_element(y, 0, 1)
     with pytest.raises(FactorMismatch):
         swap_element(y, 0, 5)
+    mixed = tensor_algebra(m2, opposite_algebra(m2))
+    z = mixed.element(np.zeros(16, dtype=complex))
+    with pytest.raises(FactorMismatch):
+        swap_op_element(z, 0, 5)

@@ -161,3 +161,20 @@ def test_kasparov_record_fails_on_an_invalid_product(monkeypatch):
     recs = [r for r in E.run_kasparov(seed=0, samples=4)
             if r.experiment == "kasparov-invariants"]
     assert [r.ok for r in recs] == [True, False, True, True]
+
+
+def test_mk_three_point_fails_off_the_path_metric(monkeypatch):
+    # the grid oracle still agrees with the solver; only the path metric is off
+    true_paths = E.classical_path_metric
+    monkeypatch.setattr(E, "classical_path_metric",
+                        lambda *args, **kwargs: 1.5 * true_paths(*args, **kwargs))
+    recs = [r for r in E.run_mk_correctness(seed=0) if r.experiment == "mk-three-point"]
+    assert len(recs) == 3
+    assert all(r.slack < 0 and not r.ok for r in recs)
+
+
+def test_cp_transpose_witness_fails_when_the_oracle_accepts(monkeypatch):
+    monkeypatch.setattr(E, "cp_oracle_npositivity", lambda f: True)
+    (rec,) = [r for r in E.run_cp_characterization(seed=0, trials=1)
+              if r.experiment == "cp-transpose-witness"]
+    assert rec.slack < 0 and not rec.ok

@@ -14,6 +14,7 @@ from choimetric import (
     PullbackSeminorm,
     SpectralTriple,
     SumSeminorm,
+    amplify,
     delta_distance,
     diagonal_algebra,
     dl_distance,
@@ -234,7 +235,7 @@ def test_delta_builds_no_algebra(amplified, monkeypatch):
     if amplified:
         ctx = stability_context("Z2")
         base = ctx.base
-        f, g = (ctx.amplify(multiplier_channel(random_pdf(rng, base.group), base.ga))
+        f, g = (amplify(ctx.n, multiplier_channel(random_pdf(rng, base.group), base.ga))
                 for _ in range(2))
         args = (f, g, ctx.amp_trace, ctx.seminorm_n)
         setup = ctx.setup_n
@@ -256,10 +257,10 @@ def test_delta_rejects_a_non_cp_amplified_argument():
     from choimetric import identity_channel, tensor_channel
     ctx = stability_context("Z2")
     base = ctx.base
+    m2 = matrix_algebra(ctx.n)
     flip = np.eye(4)[[0, 2, 1, 3]]          # e_ij -> e_ji on M_2
-    partial_t = tensor_channel(ChannelMap(ctx.mn, ctx.mn, flip),
-                               identity_channel(base.ga.algebra))
-    m = ctx.amplify(multiplier_channel(
+    partial_t = tensor_channel(ChannelMap(m2, m2, flip), identity_channel(base.ga.algebra))
+    m = amplify(ctx.n, multiplier_channel(
         PositiveDefiniteFunction(cyclic_group(2), [1.0, 0.5]), base.ga))
     with pytest.raises(NotTraceChannel, match="second argument: not completely positive$"):
         delta_distance(m, partial_t, ctx.amp_trace, ctx.seminorm_n, setup=ctx.setup_n)
@@ -636,7 +637,7 @@ def test_reduced_solve_matches_full_solve(key, monkeypatch):
         base = ctx.base
 
         def args(f, g):
-            return ctx.amplify(f), ctx.amplify(g), ctx.amp_trace, ctx.seminorm_n
+            return amplify(ctx.n, f), amplify(ctx.n, g), ctx.amp_trace, ctx.seminorm_n
 
         setup = ctx.setup_n
     else:
