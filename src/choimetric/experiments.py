@@ -748,12 +748,11 @@ def run_duality(seed: int = 0, trials: int = 50) -> list[ExperimentRecord]:
             dual_value, dual_status = dual.value, dual.status
         except Infeasible:
             dual_value, dual_status = math.inf, "infeasible"
-        if primal.status == "infinite" or math.isinf(dual_value):
-            agree = primal.status == "infinite" and math.isinf(dual_value)
-            return [_record("duality", i, primal.value, dual_value,
-                            tolerance if agree else -1.0, "infinite")]
+        if primal.status == "infinite" and math.isinf(dual_value):
+            return [_record("duality", i, primal.value, dual_value, tolerance, "infinite")]
+        one_infinite = primal.status == "infinite" or math.isinf(dual_value)
         return [_record("duality", i, primal.value, dual_value,
-                        tolerance - abs(primal.value - dual_value),
+                        -1.0 if one_infinite else tolerance - abs(primal.value - dual_value),
                         _first_nonoptimal(primal.status, dual_status))]
 
     return _run_trials(one, trials, seed)

@@ -11,13 +11,23 @@ The symmetry of the group and of the Kasparov product makes most of those
 blocks copies of one another: the same pencil C - sum y_i A_i up to a
 unitary change of basis.  `prepare_ball` assembles the blocks once, sorts
 them into classes by the spectra of their pencils at a few fixed random y,
-and keeps one block per class.  Every solve goes through
-`_solve_certified`: the interior-point solver sees the kept blocks only,
-and the exact slack of every dropped block is checked at the returned y.
-The reduced primal is the full primal with X = 0 on the dropped blocks, so
-a y that passes is a primal-dual pair of the full program with the same
-gap; a y that fails is discarded and the full program solved.  A wrong
-grouping costs time, never a wrong value.
+and keeps one block per class.  A kept block of `_SPLIT_MIN_ROWS` rows or
+more is then replaced by its irreducible pieces: the *-algebra that its C
+and A_i generate is, up to a unitary, a direct sum of full matrix algebras,
+each repeated some number of times, and the block becomes the compressions
+(W*CW, W*A_iW) onto one copy of each summand.  Equal pieces are again kept
+once.
+
+Every solve goes through `_solve_certified`: the interior-point solver sees
+the kept blocks and pieces only, and the exact slack of every block it did
+not see verbatim, the dropped copies and the split blocks, is checked at
+the returned y.  A compression W*ZW of a PSD Z is PSD, so the reduced
+program is a relaxation; its primal lifts to the sum of W X W* over the
+pieces of a split block and to 0 on a dropped copy, a primal of the full
+program with the same objective.  So a y that passes is a primal-dual pair
+of the full program with the reduced gap, whatever W the split found; a y
+that fails is discarded and the full program solved.  A wrong grouping or split costs
+time, never a wrong value.
 
 Restricting the optimization to self-adjoint elements loses nothing: the
 seminorms are *-invariant and the functional differences Hermitian, so the
@@ -71,6 +81,21 @@ class MKResult:
 # seminorm encodings
 # ---------------------------------------------------------------------------
 
+def _components(adjacency: np.ndarray) -> list[np.ndarray]:
+    """Connected components of a symmetric boolean adjacency matrix, in the
+    order of their first nodes; a node without a self-loop is in none."""
+    # closed under chains by squaring until stable
+    while not np.array_equal(adjacency, wider := adjacency @ adjacency):
+        adjacency = wider
+    comps = []
+    seen = np.zeros(len(adjacency), dtype=bool)
+    for i in np.flatnonzero(adjacency.diagonal()):
+        if not seen[i]:
+            comps.append(np.flatnonzero(adjacency[i]))
+            seen[comps[-1]] = True
+    return comps
+
+
 def _split_components(kstack: np.ndarray):
     """Connected components of the joint row/column support of a stack of
     matrices, in the order of their first rows; each component yields an
@@ -79,18 +104,9 @@ def _split_components(kstack: np.ndarray):
     if scale == 0.0:
         return []
     support = (np.abs(kstack) > 1e-12 * scale).any(axis=0)
-    # rows that share a column, closed under chains by squaring until stable
-    reach = support @ support.T
-    while not np.array_equal(reach, wider := reach @ reach):
-        reach = wider
-    comps = []
-    seen = np.zeros(len(reach), dtype=bool)
-    for i in np.flatnonzero(reach.diagonal()):
-        if not seen[i]:
-            rows = np.flatnonzero(reach[i])
-            seen[rows] = True
-            comps.append((rows, np.flatnonzero(support[rows].any(axis=0))))
-    return comps
+    # rows that share a column
+    return [(rows, np.flatnonzero(support[rows].any(axis=0)))
+            for rows in _components(support @ support.T)]
 
 
 def _norm_block(kslice: np.ndarray) -> np.ndarray:
@@ -143,13 +159,13 @@ def _split_copies(blocks):
     change of basis turns one into the other, so both impose the same
     constraint on y.
     Returns (kept, dropped).  A wrong match costs a second solve, never a
-    wrong value: `_solve_certified` checks every dropped block at the
-    solution.
+    wrong value: `_solve_certified` checks every dropped block of the
+    assembled program at the solution.
     """
     if len(blocks) < 2:
         return list(blocks), []
     ys = np.random.default_rng(0).standard_normal((3, blocks[0][1].shape[0]))
-    spectra = [np.linalg.eigvalsh(cmat[None] - np.tensordot(ys, astack, axes=1))
+    spectra = [np.linalg.eigvalsh(cmat[None] - contract_stack(ys, astack))
                for cmat, astack in blocks]
     kept, dropped = [], []
     for k, spec in enumerate(spectra):
@@ -161,6 +177,69 @@ def _split_copies(blocks):
     return [blocks[k] for k in kept], [blocks[k] for k in dropped]
 
 
+# blocks with fewer rows stay whole: at that size the per-block cost of an
+# iteration outweighs the flops a split saves
+_SPLIT_MIN_ROWS = 16
+
+
+def _generic_element(gens: np.ndarray, rng) -> np.ndarray:
+    """A random Hermitian element A(r) + A(s)^2 + i[A(r), A(s)] + t C of the
+    complex *-algebra that gens = (C, A_1, ..., A_m) generates.  The
+    commutator term matters: real combinations of the A_i and their Jordan
+    products have doubled spectra on summands of quaternionic type."""
+    r, s = rng.standard_normal((2, len(gens) - 1))
+    a_r, a_s = contract_stack(np.stack([r, s]), gens[1:])
+    return a_r + a_s @ a_s + 1j * (a_r @ a_s - a_s @ a_r) + rng.standard_normal() * gens[0]
+
+
+def _irreducible_pieces(block) -> list:
+    """One block (C, Astack) split into compressions (W*CW, W*A_iW), one
+    per irreducible summand of the *-algebra that C and the A_i generate, by
+    the randomized method of Murota, Kanno, Kojima and Kojima (Japan J. Ind.
+    Appl. Math. 27, 2010).
+
+    The eigenspaces of a generic element H cluster by eigenvalue; the
+    support of the generators between clusters joins them into isotypic
+    components.  A component whose clusters all have r > 1 vectors is r
+    copies of one summand and keeps one: the vectors P_c B u0 over its
+    clusters c, for u0 in one cluster and a second generic element B.  Any
+    other component is kept whole.  Returns [block] when nothing splits.
+    """
+    cmat, astack = block
+    n = cmat.shape[0]
+    gens = np.concatenate([cmat[None], astack])
+    rng = np.random.default_rng(0)
+    lam, vecs = np.linalg.eigh(_generic_element(gens, rng))
+    gaps = np.diff(lam) > 1e-8 * max(1.0, float(np.abs(lam).max()))
+    label = np.concatenate([[0], np.cumsum(gaps)])
+    nclusters = int(label[-1]) + 1
+    # clusters joined by some generator
+    coupling = np.abs(vecs.conj().T @ gens @ vecs).max(axis=0)
+    onehot = np.eye(nclusters, dtype=bool)[label]
+    joined = onehot.T @ (coupling > 1e-9 * float(coupling.max())) @ onehot
+    b_gen = _generic_element(gens, rng)
+    bases = []
+    for comp in _components(joined | np.eye(nclusters, dtype=bool)):
+        cols = [vecs[:, label == c] for c in comp]
+        if len({v.shape[1] for v in cols}) == 1 and cols[0].shape[1] > 1:
+            u0 = cols[0][:, 0]
+            bu = b_gen @ u0
+            basis = np.stack([u0] + [v @ (v.conj().T @ bu) for v in cols[1:]], axis=1)
+            norms = np.linalg.norm(basis, axis=0)
+            if norms.min() > 1e-8 * float(np.linalg.norm(bu)):
+                bases.append(basis / norms)
+                continue
+        bases.append(np.hstack(cols))
+    if len(bases) == 1 and bases[0].shape[1] == n:
+        return [block]
+    pieces = []
+    for w in bases:
+        p = w.conj().T @ gens @ w
+        p = 0.5 * (p + p.conj().transpose(0, 2, 1))
+        pieces.append((p[0], p[1:]))
+    return pieces
+
+
 # ---------------------------------------------------------------------------
 # the ball maximization core
 # ---------------------------------------------------------------------------
@@ -168,15 +247,18 @@ def _split_copies(blocks):
 @dataclass
 class _BallSetup:
     """Cached reduction of a (seminorm, subspace) pair for repeated solves:
-    the kernel split and the SDP blocks of the unit ball on the range, one
-    block per class of copies in `kept` and the other copies in `dropped`."""
+    the kernel split and the SDP blocks of the unit ball on the range.  The
+    solver sees `kept`: one block per class of copies, large ones replaced by
+    one piece per class of irreducible summands.  `checked` holds every
+    block of `full` that the solver does not see verbatim."""
     algebra: ConcreteAlgebra
     rows: np.ndarray                 # (r, d) self-adjoint coordinate basis
     null_basis: np.ndarray           # (r, n0)
     range_basis: np.ndarray          # (r, q)
     projector: np.ndarray | None
     kept: list                       # (C, Astack) blocks passed to the solver
-    dropped: list                    # copies of kept blocks, checked at the end
+    checked: list                    # copies and split blocks, checked at the end
+    full: list                       # every block: the program of the fallback
     naux: int                        # split-level variables after the q range ones
 
 
@@ -192,40 +274,51 @@ def prepare_ball(seminorm: Seminorm,
     rng_basis, null = row_and_null_space_real(flat.T)
     reduced = [contract_stack(rng_basis.T, f) for f in families]
     blocks, naux = _assemble_blocks(reduced, rng_basis.shape[1])
-    kept, dropped = _split_copies(blocks)
+    classes, copies = _split_copies(blocks)
+    kept, _ = _split_copies([piece for block in classes for piece in (
+        _irreducible_pieces(block) if len(block[0]) >= _SPLIT_MIN_ROWS else [block])])
+    # the classes split into pieces, or dropped as copies of pieces
+    checked = copies + [block for block in classes
+                        if not any(block is piece for piece in kept)]
     projector = None
     if restrict_to is not None:
         s = np.asarray(restrict_to, dtype=complex)
         gram = s.conj().T @ s
         projector = s @ np.linalg.solve(gram, s.conj().T)
-    return _BallSetup(alg, rows, null, rng_basis, projector, kept, dropped, naux)
+    return _BallSetup(alg, rows, null, rng_basis, projector, kept, checked, blocks, naux)
 
 
 def _psd_violation(cmat: np.ndarray, astack: np.ndarray, y: np.ndarray) -> float:
     """Distance of the slack C - sum y_i A_i from the PSD cone, normalised
-    as `sdp.solve_sdp` normalises its dual infeasibility."""
-    lam = np.linalg.eigvalsh(cmat - np.tensordot(y, astack, axes=1))
-    negative = float(np.linalg.norm(np.minimum(lam, 0.0)))
-    return negative / (1.0 + float(np.linalg.norm(cmat)))
+    as `sdp.solve_sdp` normalises its dual infeasibility; 0 when the slack
+    has a Cholesky factor."""
+    slack = cmat - (y @ astack.reshape(len(y), -1)).reshape(cmat.shape)
+    try:
+        np.linalg.cholesky(slack)
+    except np.linalg.LinAlgError:
+        negative = float(np.linalg.norm(np.minimum(np.linalg.eigvalsh(slack), 0.0)))
+        return negative / (1.0 + float(np.linalg.norm(cmat)))
+    return 0.0
 
 
-def _solve_certified(b: np.ndarray, kept: list, dropped: list, tol: float,
-                     max_iter: int) -> sdp.SDPResult:
+def _solve_certified(b: np.ndarray, kept: list, checked: list, full: list,
+                     tol: float, max_iter: int) -> sdp.SDPResult:
     """The one SDP solve path of this module: solve on the kept blocks,
-    then check the dropped ones at the returned y.
+    then check at the returned y every block of the full program that the
+    solver did not see verbatim.
 
-    The reduced primal is the full primal with X_k = 0 on the dropped
-    blocks, so a y whose dropped slacks pass the check is a primal-dual pair
-    of the full program with the same gap.  Their violation is folded into
-    the dual infeasibility; past the feasibility tolerance the full program
-    is solved instead.
+    Each kept block is a block of `full` or a compression W*ZW of one, so
+    the kept program is a relaxation, and its primal X lifts to W X W*, a
+    primal of the full program with the same objective.  A y whose checked
+    slacks pass is therefore a primal-dual pair of the full program with the
+    same gap.  Their violation is folded into the dual infeasibility; past
+    the feasibility tolerance the full program is solved instead.
     """
     feas_tol = sdp.feasibility_tolerance(tol)
     res = sdp.solve_sdp(b, kept, tol=tol, feas_tol=feas_tol, max_iter=max_iter)
-    violation = max((_psd_violation(c, a, res.y) for c, a in dropped), default=0.0)
+    violation = max((_psd_violation(c, a, res.y) for c, a in checked), default=0.0)
     if violation > feas_tol:
-        return sdp.solve_sdp(b, kept + dropped, tol=tol, feas_tol=feas_tol,
-                             max_iter=max_iter)
+        return sdp.solve_sdp(b, full, tol=tol, feas_tol=feas_tol, max_iter=max_iter)
     res.dual_infeas = max(res.dual_infeas, violation)
     return res
 
@@ -258,7 +351,7 @@ def _maximize_linear(setup: _BallSetup, values: np.ndarray, tol: float,
     b_obj = flip * gred / scale
     q = gred.shape[0]
     res = _solve_certified(np.concatenate([b_obj, np.zeros(setup.naux)]),
-                           setup.kept, setup.dropped, tol, max_iter)
+                           setup.kept, setup.checked, setup.full, tol, max_iter)
     coords = setup.rows.T @ (setup.range_basis @ (flip * res.y[:q]))
     return MKResult(res.value * scale, AlgebraElement(alg, coords),
                     res.gap * scale, res.status, iterations=res.iterations)
@@ -419,7 +512,8 @@ def wasserstein_dual(rho1: np.ndarray, rho2: np.ndarray, l_mats,
         b[a] = -0.5 * float(np.trace(hp).real)
     for bq, hq in enumerate(herm_q):
         b[npar + bq] = -0.5 * float(np.trace(hq).real)
-    res = _solve_certified(b, [(cmat, astack)], [], tol, sdp.MAX_ITER)
+    block = [(cmat, astack)]
+    res = _solve_certified(b, block, [], block, tol, sdp.MAX_ITER)
     coeff = res.y[npar + qpar:]
     u_final = [u0[i] + sum(c * mats[i] for c, mats in zip(coeff, null_mats))
                for i in range(nn)]

@@ -131,7 +131,7 @@ def solve_sdp(b, blocks, tol=1e-7, feas_tol=None,
         return out
 
     def a_adjoint(y):
-        return [np.tensordot(y, stack, axes=1) for stack in stacks]
+        return [(y @ stack.reshape(m, -1)).reshape(n, n) for stack, n in zip(stacks, sizes)]
 
     # feasible-on-the-dual-side start: shift C into the cone if needed
     zs = []

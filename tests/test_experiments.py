@@ -1,11 +1,12 @@
 import csv
 import itertools
+import math
 
 import pytest
 
 import choimetric.experiments as E
 from choimetric.cli import main
-from choimetric.errors import InvalidSpectralTriple
+from choimetric.errors import Infeasible, InvalidSpectralTriple
 
 
 def read_rows(path):
@@ -99,6 +100,19 @@ def test_duality_record_takes_the_status_of_the_nonoptimal_solve(monkeypatch):
     finite = [r for r in recs if r.status != "infinite"]
     assert finite
     assert all(r.status == "stalled" and not r.ok for r in finite)
+
+
+def test_duality_record_names_the_infeasible_dual(monkeypatch):
+    # a finite, optimal primal against a dual that raises Infeasible: the
+    # sides disagree, so the record is "infeasible", not "infinite", and fails
+    def infeasible(*args, **kwargs):
+        raise Infeasible("rejected for the test")
+
+    monkeypatch.setattr(E, "wasserstein_dual", infeasible)
+    recs = E.run_duality(seed=1, trials=3)
+    finite = [r for r in recs if math.isfinite(r.lhs)]
+    assert finite
+    assert all(r.status == "infeasible" and not r.ok for r in finite)
 
 
 def test_seed_2027_duality_trial_13_is_optimal():

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -27,17 +28,24 @@ from choimetric import (
     selfadjoint_basis,
     wasserstein_dual,
 )
-from choimetric import sdp
+from choimetric import metrics, sdp
 from choimetric.errors import AlgebraMismatch, Infeasible, NotTraceChannel
-from choimetric.experiments import group_context, stability_context
+from choimetric.experiments import (
+    group_context,
+    run_duality,
+    run_mk_correctness,
+    stability_context,
+)
 from choimetric.generate import random_density, random_hermitian, random_pdf, random_state
 from choimetric.geometry import gradient_dirac_triple
 from choimetric.groups import PositiveDefiniteFunction, cyclic_group, twisted_group_algebra
 from choimetric.linalg import contract_stack
 from choimetric.metrics import (
+    _irreducible_pieces,
     _maximize_linear,
     _solve_certified,
     _split_components,
+    _split_copies,
     prepare_ball,
 )
 from choimetric.oracles import (
@@ -615,7 +623,7 @@ def test_split_components_on_hand_made_stacks():
 
 def _every_block(setup):
     """The same ball with every block handed to the solver."""
-    return dataclasses.replace(setup, kept=setup.kept + setup.dropped, dropped=[])
+    return dataclasses.replace(setup, kept=setup.full, checked=[])
 
 
 def _counting_solver(monkeypatch):
@@ -630,7 +638,7 @@ def _counting_solver(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("key", ["Z2", "Z3", "Z4", "S3", "amplified Z2"])
+@pytest.mark.parametrize("key", ["Z2", "Z3", "Z4", "S3", "amplified Z2", "amplified Z3"])
 def test_reduced_solve_matches_full_solve(key, monkeypatch):
     if key.startswith("amplified"):
         ctx = stability_context(key.split()[1])
@@ -656,8 +664,24 @@ def test_reduced_solve_matches_full_solve(key, monkeypatch):
         every = delta_distance(*args(f, g), tolerance=1e-9, setup=full)
         assert reduced.status == every.status == "optimal"
         assert abs(reduced.value - every.value) <= 1e-7
-    # no dropped copy failed its check: one solve on the kept blocks each
+    # no checked block failed its check: one solve on the kept blocks each
     assert calls == [len(setup.kept), len(full.kept)] * 3
+
+
+_SETUPS = {
+    "Z2": lambda: group_context("Z2").setup,
+    "Z3": lambda: group_context("Z3").setup,
+    "Z4": lambda: group_context("Z4").setup,
+    "S3": lambda: group_context("S3").setup,
+    "amplified Z2": lambda: stability_context("Z2").setup_n,
+    "amplified Z3": lambda: stability_context("Z3").setup_n,
+    "amplified Z2, unrestricted": lambda: stability_context("Z2", restrict=False).setup_n,
+}
+
+
+@functools.cache
+def _setup(key):
+    return _SETUPS[key]()
 
 
 @pytest.mark.parametrize("build, kept, total", [
@@ -670,8 +694,97 @@ def test_reduced_solve_matches_full_solve(key, monkeypatch):
     (lambda: stability_context("Z2", restrict=False).setup_n, 1, 2),
 ])
 def test_kept_block_counts(build, kept, total):
+    # classes of copies among the assembled blocks, before any block splits
     setup = build()
-    assert (len(setup.kept), len(setup.kept) + len(setup.dropped)) == (kept, total)
+    assert (len(_split_copies(setup.full)[0]), len(setup.full)) == (kept, total)
+
+
+_PIECE_SIZES = {
+    "Z2": [2],
+    "Z3": [3, 6],
+    "Z4": [8, 8],
+    "S3": [36, 18, 18],
+    "amplified Z2": [8, 8],
+    "amplified Z3": [24, 24, 24],
+    "amplified Z2, unrestricted": [16, 16],
+}
+
+
+@pytest.mark.parametrize("key", list(_PIECE_SIZES))
+def test_kept_piece_sizes(key):
+    # blocks of 16 rows or more go to the solver as their irreducible pieces,
+    # and every block it does not see verbatim is checked
+    setup = _setup(key)
+    assert [len(cmat) for cmat, _ in setup.kept] == _PIECE_SIZES[key]
+    verbatim = [k for k in setup.kept if any(k is block for block in setup.full)]
+    assert len(verbatim) + len(setup.checked) == len(setup.full)
+
+
+def _lam_min(blocks, y):
+    """The smallest eigenvalue of the slacks C - sum y_i A_i of the blocks."""
+    return min(np.linalg.eigvalsh(c - contract_stack(y[None], a)[0])[0] for c, a in blocks)
+
+
+@pytest.mark.parametrize("key", list(_SETUPS))
+def test_kept_pieces_give_the_smallest_slack_eigenvalue(key):
+    # the pieces are the summands of each block up to unitary equivalence,
+    # so at any y they carry the smallest eigenvalue of every slack
+    setup = _setup(key)
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        y = rng.standard_normal(setup.full[0][1].shape[0])
+        assert abs(_lam_min(setup.kept, y) - _lam_min(setup.full, y)) <= 1e-9
+
+
+def test_gradient_dirac_blocks_split_without_losing_the_slack():
+    # a 2x2 gradient Dirac ball: the quaternionic blocks whose Kramers-doubled
+    # spectra a real generic element cannot resolve
+    rng = np.random.default_rng(3)
+    alg = matrix_algebra(2)
+    ls = [random_hermitian(rng, 2) for _ in range(3)]
+    setup = prepare_ball(CommutatorSeminorm(gradient_dirac_triple(ls, algebra=alg)))
+    for block in setup.full:
+        pieces = _irreducible_pieces(block)
+        for _ in range(5):
+            y = rng.standard_normal(block[1].shape[0])
+            assert abs(_lam_min(pieces, y) - _lam_min([block], y)) <= 1e-9
+
+
+@pytest.mark.parametrize("suite", [lambda: run_duality(2026, trials=5),
+                                   lambda: run_mk_correctness(2026)],
+                         ids=["duality", "mk-correctness"])
+def test_small_balls_solve_once(suite, monkeypatch):
+    # no reduced solve of the duality or MK suites falls back to the full one
+    certified = []
+    solve_certified = metrics._solve_certified
+
+    def counted(*args, **kwargs):
+        certified.append(1)
+        return solve_certified(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "_solve_certified", counted)
+    calls = _counting_solver(monkeypatch)
+    suite()
+    assert certified and len(calls) == len(certified)
+
+
+def test_wrong_piece_falls_back_to_the_full_solve(monkeypatch):
+    # pieces with half the A-stack claim a ball twice as large, a looser
+    # program than the blocks they came from: the check of the split blocks
+    # rejects the reduced y and the full program is solved
+    ctx = stability_context("Z2")
+    setup = ctx.setup_n
+    wrong = dataclasses.replace(setup, kept=[(c, 0.5 * a) for c, a in setup.kept])
+    rng = np.random.default_rng(5)
+    f, g = (amplify(ctx.n, multiplier_channel(random_pdf(rng, ctx.base.group), ctx.base.ga))
+            for _ in range(2))
+    args = (f, g, ctx.amp_trace, ctx.seminorm_n)
+    every = delta_distance(*args, tolerance=1e-9, setup=_every_block(setup))
+    calls = _counting_solver(monkeypatch)
+    res = delta_distance(*args, tolerance=1e-9, setup=wrong)
+    assert calls == [len(setup.kept), len(setup.full)]
+    assert res.status == every.status == "optimal"
+    assert abs(res.value - every.value) <= 1e-9
 
 
 def test_wrong_copy_falls_back_to_the_full_solve(monkeypatch):
@@ -679,7 +792,8 @@ def test_wrong_copy_falls_back_to_the_full_solve(monkeypatch):
     # as a dropped copy: the check rejects the reduced y and solves them all
     ctx = group_context("Z2")
     cmat, astack = ctx.setup.kept[0]
-    wrong = dataclasses.replace(ctx.setup, dropped=[(cmat, 2.0 * astack)])
+    bad = (cmat, 2.0 * astack)
+    wrong = dataclasses.replace(ctx.setup, checked=[bad], full=ctx.setup.kept + [bad])
     rng = np.random.default_rng(5)
     f, g = (multiplier_channel(random_pdf(rng, ctx.group), ctx.ga) for _ in range(2))
     right = delta_distance(f, g, ctx.tau, ctx.seminorm, tolerance=1e-9,
@@ -700,8 +814,9 @@ def test_solve_certified_passes_the_reason_through():
     cmat, astack = ctx.setup.kept[0]
     b = np.zeros(astack.shape[0])
     b[0] = 1.0
-    for dropped in ([], [(cmat, 2.0 * astack)]):
-        res = _solve_certified(b, ctx.setup.kept, dropped, 1e-9, sdp.MAX_ITER)
+    for checked in ([], [(cmat, 2.0 * astack)]):
+        full = ctx.setup.kept + checked
+        res = _solve_certified(b, ctx.setup.kept, checked, full, 1e-9, sdp.MAX_ITER)
         assert (res.status, res.reason) == ("optimal", "converged")
-        capped = _solve_certified(b, ctx.setup.kept, dropped, 1e-9, 1)
+        capped = _solve_certified(b, ctx.setup.kept, checked, full, 1e-9, 1)
         assert (capped.status, capped.reason) == ("max_iter", "max_iter")
