@@ -48,6 +48,9 @@ class ConcreteAlgebra:
     op_of : the underlying algebra when built by opposite_algebra.
     """
 
+    # the two operands (a, b) when built by tensor_algebra(a, b)
+    _operands = None
+
     def __init__(self, basis, structure, adjoint_coords, unit_coords,
                  name="", factors=(), op_of=None):
         self.basis = np.asarray(basis, dtype=complex)
@@ -107,6 +110,21 @@ class ConcreteAlgebra:
     def multiply_coords(self, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
         return np.einsum("i,j,ijk->k", c1, c2, self.structure)
 
+    def pairing(self, values: np.ndarray) -> np.ndarray:
+        """The matrix [v(B_i B_j)]_{ij} of the functional with basis values v.
+
+        A tensor product a (x) b contracts v with the operands' structure
+        tensors, one matrix product each, and never builds its own."""
+        if self._operands is None:
+            return self.structure @ values
+        a, b = self._operands
+        da, db = a.dim, b.dim
+        # half[(i, j), l] = sum_k a.structure[i, j, k] v[(k, l)]
+        half = a.structure.reshape(da * da, da) @ values.reshape(da, db)
+        # full[(p, q), (i, j)] = v(B_(i, p) B_(j, q))
+        full = b.structure.reshape(db * db, db) @ half.T
+        return full.reshape(db, db, da, da).transpose(2, 0, 3, 1).reshape(da * db, da * db)
+
     def adjoint_of_coords(self, c: np.ndarray) -> np.ndarray:
         return self.adjoint_coords.T @ np.conj(c)
 
@@ -140,7 +158,7 @@ class AlgebraElement:
     def is_positive(self) -> bool:
         """Positivity of the ambient realization (equivalently, positivity in
         the algebra, since the span is a C*-subalgebra)."""
-        return linalg.is_psd(self.ambient(), EPS_PSD)
+        return linalg.is_psd(self.ambient())
 
     def norm(self) -> float:
         return linalg.operator_norm(self.ambient())
@@ -194,18 +212,12 @@ class LinearFunctional:
         if cached is not None:
             return cached
         alg = self.algebra
-        gram = alg.adjoint_coords @ (alg.structure @ self.values)
+        gram = alg.adjoint_coords @ alg.pairing(self.values)
         object.__setattr__(self, "_gns_cache", gram)
         return gram
 
     def is_positive(self) -> bool:
-        gram = self.gns_gram()
-        scale = max(1.0, float(np.abs(gram).max(initial=0.0)))
-        if linalg.frobenius(gram - linalg.dagger(gram)) > 1e3 * EPS_PSD * scale:
-            return False
-        lam = np.linalg.eigvalsh(linalg.hermitian_part(gram))
-        mag = max(float(np.abs(lam).max(initial=0.0)), 1.0)
-        return float(lam[0]) >= -EPS_PSD * mag
+        return linalg.is_psd(self.gns_gram())
 
     def positivity_witness(self):
         """Most negative Gram eigenvalue and the coordinates of an element
@@ -243,24 +255,22 @@ class TraceFunctional(LinearFunctional):
         """The matrix [tau(B_i B_j)]_{ij} (no adjoints)."""
         cached = getattr(self, "_bilinear_cache", None)
         if cached is None:
-            cached = np.einsum("ijr,r->ij", self.algebra.structure, self.values)
+            cached = self.algebra.pairing(self.values)
             object.__setattr__(self, "_bilinear_cache", cached)
         return cached
 
     @property
     def faithful(self) -> bool:
-        gram = linalg.hermitian_part(self.gns_gram())
-        return linalg.is_positive_definite(gram, EPS_PSD)
+        return linalg.psd_margin(self.gns_gram()) > EPS_PSD
 
 
 def as_trace(phi: LinearFunctional) -> TraceFunctional:
     """Validate traciality and positivity, returning a TraceFunctional."""
-    alg = phi.algebra
-    prods = np.einsum("ijr,r->ij", alg.structure, phi.values)
+    tau = TraceFunctional(phi.algebra, np.asarray(phi.values, dtype=complex))
+    prods = tau.bilinear_gram()
     scale = max(1.0, float(np.abs(prods).max(initial=0.0)))
     if float(np.abs(prods - prods.T).max()) > EPS_STRUCT * scale:
         raise NotATrace("values do not vanish on commutators")
-    tau = TraceFunctional(alg, np.asarray(phi.values, dtype=complex))
     if float(np.abs(phi.values).max(initial=0.0)) == 0.0:
         raise NotATrace("zero functional")
     if not tau.is_positive():
@@ -362,13 +372,9 @@ def scalar_algebra() -> ConcreteAlgebra:
     return build_algebra(np.ones((1, 1, 1), dtype=complex), name="C")
 
 
-def standard_matrix_trace(alg: ConcreteAlgebra, normalized=False) -> TraceFunctional:
-    """Ambient matrix trace restricted to the algebra, optionally divided by
-    the ambient dimension."""
-    vals = np.trace(alg.basis, axis1=1, axis2=2)
-    if normalized:
-        vals = vals / alg.ambient_dim
-    return as_trace(LinearFunctional(alg, vals))
+def standard_matrix_trace(alg: ConcreteAlgebra) -> TraceFunctional:
+    """Ambient matrix trace restricted to the algebra."""
+    return as_trace(LinearFunctional(alg, np.trace(alg.basis, axis1=1, axis2=2)))
 
 
 # ---------------------------------------------------------------------------

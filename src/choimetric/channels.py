@@ -85,30 +85,21 @@ def zero_channel(src: ConcreteAlgebra, tgt: ConcreteAlgebra) -> ChannelMap:
     return ChannelMap(src, tgt, np.zeros((tgt.dim, src.dim), dtype=complex))
 
 
-@dataclass(frozen=True)
-class OmegaFunctional(LinearFunctional):
-    """The functional a (x) b^op -> tau(F(a) b), tagged with its origin."""
-
-    channel: ChannelMap = None
-    trace: TraceFunctional = None
-
-
 def _omega_value_matrix(f: ChannelMap, tau: TraceFunctional) -> np.ndarray:
     """Matrix W[i, j] = tau(F(A_i) B_j)."""
     tb = tau.bilinear_gram()
     return f.matrix.T @ tb
 
 
-def omega_tau(f: ChannelMap, tau: TraceFunctional) -> OmegaFunctional:
-    """Choi-Jamiolkowski functional of a channel with respect to a trace on
-    its target, on source (x) target^op."""
+def omega_tau(f: ChannelMap, tau: TraceFunctional) -> LinearFunctional:
+    """Choi-Jamiolkowski functional a (x) b^op -> tau(F(a) b) of a channel
+    with respect to a trace on its target, on source (x) target^op."""
     if not isinstance(tau, TraceFunctional):
         raise TraceMismatch("omega_tau requires a validated trace")
     if not tau.algebra.same_as(f.target):
         raise TraceMismatch("trace does not live on the channel target")
     values = _omega_value_matrix(f, tau).reshape(-1)
-    return OmegaFunctional(tensor_algebra(f.source, opposite_algebra(f.target)),
-                           values, channel=f, trace=tau)
+    return LinearFunctional(tensor_algebra(f.source, opposite_algebra(f.target)), values)
 
 
 def channel_from_omega(values, source: ConcreteAlgebra, target: ConcreteAlgebra,
@@ -131,7 +122,7 @@ class CPVerdict:
     is_cp: bool
     min_eigenvalue: float
     witness: AlgebraElement | None
-    functional: OmegaFunctional
+    functional: LinearFunctional
 
 
 def is_completely_positive(f: ChannelMap, tau: TraceFunctional) -> CPVerdict:
@@ -180,7 +171,7 @@ def is_k_positive_sampled(f: ChannelMap, k: int, trials: int = 20,
             for j in range(k):
                 prod = src.multiply_coords(ai_star, tuples[j])
                 block[i * n:(i + 1) * n, j * n:(j + 1) * n] = tgt.realize(f.matrix @ prod)
-        if not linalg.is_psd(block, EPS_PSD):
+        if not linalg.is_psd(block):
             return False
     return True
 
@@ -189,27 +180,31 @@ def trace_of_unit_image(f: ChannelMap, tau: TraceFunctional) -> complex:
     return complex(tau.values @ (f.matrix @ f.source.unit_coords))
 
 
-def is_trace_channel(f: ChannelMap, tau: TraceFunctional) -> bool:
-    """CP and tau(F(1)) = 1."""
-    if not is_completely_positive(f, tau).is_cp:
-        return False
-    return abs(trace_of_unit_image(f, tau) - 1.0) <= EPS_STRUCT
-
-
 def check_trace_channel(f: ChannelMap, tau: TraceFunctional,
-                        label="channel") -> OmegaFunctional:
+                        label="channel") -> LinearFunctional:
     """Raise NotTraceChannel naming the failed predicate; otherwise return
-    omega_tau(F), the functional whose positivity was tested."""
+    omega_tau(F), the functional whose positivity was tested: F is CP
+    exactly when it is positive, and tau(F(1)) = 1."""
+    require_faithful(tau)
+    om = omega_tau(f, tau)
     failures = []
-    verdict = is_completely_positive(f, tau)
-    if not verdict.is_cp:
+    if not om.is_positive():
         failures.append("not completely positive")
     normal = trace_of_unit_image(f, tau)
     if abs(normal - 1.0) > EPS_STRUCT:
         failures.append(f"tau(F(1)) = {normal:.6g} != 1")
     if failures:
         raise NotTraceChannel(f"{label}: " + "; ".join(failures))
-    return verdict.functional
+    return om
+
+
+def is_trace_channel(f: ChannelMap, tau: TraceFunctional) -> bool:
+    """Whether check_trace_channel passes."""
+    try:
+        check_trace_channel(f, tau)
+    except NotTraceChannel:
+        return False
+    return True
 
 
 def is_unital(f: ChannelMap) -> bool:

@@ -33,14 +33,13 @@ def random_hermitian(rng, n: int) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def random_psd(rng, n: int, rank: int | None = None) -> np.ndarray:
-    k = rank or n
-    c = random_complex(rng, n, k)
+def random_psd(rng, n: int) -> np.ndarray:
+    c = random_complex(rng, n, n)
     return c @ c.conj().T
 
 
-def random_density(rng, n: int, rank: int | None = None) -> np.ndarray:
-    p = random_psd(rng, n, rank)
+def random_density(rng, n: int) -> np.ndarray:
+    p = random_psd(rng, n)
     return p / np.trace(p).real
 
 
@@ -67,20 +66,17 @@ def random_linear_map(rng, src: ConcreteAlgebra, tgt: ConcreteAlgebra) -> Channe
 
 
 def random_cp_channel(rng, src: ConcreteAlgebra, tgt: ConcreteAlgebra,
-                      tau: TraceFunctional,
-                      normalize: str | None = None) -> ChannelMap:
+                      tau: TraceFunctional) -> ChannelMap:
     """Random completely positive map obtained by inverting the functional
     embedding on a random positive functional of A (x) B^op."""
     phi = random_positive_functional(rng, tensor_algebra(src, opposite_algebra(tgt)))
-    f = channel_from_omega(phi.values, src, tgt, tau)
-    if normalize == "trace_channel":
-        mass = trace_of_unit_image(f, tau)
-        f = ChannelMap(src, tgt, f.matrix / mass)
-    return f
+    return channel_from_omega(phi.values, src, tgt, tau)
 
 
 def random_trace_channel(rng, src, tgt, tau) -> ChannelMap:
-    return random_cp_channel(rng, src, tgt, tau, normalize="trace_channel")
+    """random_cp_channel scaled to tau(F(1)) = 1."""
+    f = random_cp_channel(rng, src, tgt, tau)
+    return ChannelMap(src, tgt, f.matrix / trace_of_unit_image(f, tau))
 
 
 def random_kraus_channel(rng, src: ConcreteAlgebra, tgt: ConcreteAlgebra,
@@ -98,15 +94,14 @@ def random_kraus_channel(rng, src: ConcreteAlgebra, tgt: ConcreteAlgebra,
     return ChannelMap(src, tgt, np.array(cols).T)
 
 
-def random_pdf(rng, group: FiniteGroup, terms: int = 3,
-               normalized: bool = True) -> PositiveDefiniteFunction:
-    """phi(g) = sum_j w_j <xi_j, lambda_g xi_j> over the untwisted regular
-    representation; positive definite by construction."""
+def random_pdf(rng, group: FiniteGroup) -> PositiveDefiniteFunction:
+    """phi(g) = sum_j w_j <xi_j, lambda_g xi_j> over three terms of the
+    untwisted regular representation, with sum_j w_j = 1 and phi(e) = 1;
+    positive definite by construction."""
     n = group.order
     vals = np.zeros(n, dtype=complex)
-    weights = rng.random(terms) + 0.1
-    if normalized:
-        weights = weights / weights.sum()
+    weights = rng.random(3) + 0.1
+    weights = weights / weights.sum()
     for w in weights:
         xi = random_complex(rng, n)
         xi = xi / np.linalg.norm(xi)
@@ -115,7 +110,6 @@ def random_pdf(rng, group: FiniteGroup, terms: int = 3,
             for x in group.elements():
                 shifted[group.mul(g, x)] = xi[x]
             vals[g] += w * np.vdot(xi, shifted)
-    if normalized:
-        vals[group.identity] = 1.0
+    vals[group.identity] = 1.0
     return PositiveDefiniteFunction(group, vals)
 

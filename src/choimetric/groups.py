@@ -8,7 +8,6 @@ spectral triples over the opposite algebra.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
 
@@ -257,34 +256,26 @@ class LengthFunction:
                 f"{vals[a]} + {vals[b]}")
 
 
-def word_length(g: FiniteGroup, generators=None, weights=None) -> LengthFunction:
-    """Weighted word length by Dijkstra from the identity over a symmetric
-    generating set."""
-    gens = list(generators if generators is not None else g.generators)
-    if not gens:
-        gens = [a for a in g.elements() if a != g.identity]
+def word_length(g: FiniteGroup) -> LengthFunction:
+    """Word length over the symmetric closure of the group's generators (of
+    every non-identity element when it names none), by breadth-first search
+    from the identity."""
+    gens = list(g.generators) or [a for a in g.elements() if a != g.identity]
     gens = sorted({*gens, *(g.inv(a) for a in gens)})
-    if weights is None:
-        wmap = {a: 1.0 for a in gens}
-    else:
-        wmap = dict(zip(gens, weights))
-        for a in list(wmap):
-            wmap[g.inv(a)] = min(wmap.get(g.inv(a), wmap[a]), wmap[a])
     dist = np.full(g.order, np.inf)
     dist[g.identity] = 0.0
-    heap = [(0.0, g.identity)]
-    while heap:
-        d, x = heapq.heappop(heap)
-        if d > dist[x]:
-            continue
-        for a in gens:
-            y = g.mul(a, x)
-            nd = d + wmap[a]
-            if nd < dist[y] - 1e-15:
-                dist[y] = nd
-                heapq.heappush(heap, (nd, y))
+    frontier = [g.identity]
+    while frontier:
+        reached = []
+        for x in frontier:
+            for a in gens:
+                y = g.mul(a, x)
+                if np.isinf(dist[y]):
+                    dist[y] = dist[x] + 1.0
+                    reached.append(y)
+        frontier = reached
     if np.isinf(dist).any():
-        raise InvalidLength("the given set does not generate the group")
+        raise InvalidLength("the generators do not generate the group")
     return LengthFunction(g, dist)
 
 

@@ -34,22 +34,21 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + dagger(m))
 
 
-def is_psd(m: np.ndarray, tol: float = EPS_PSD) -> bool:
-    """PSD test with an eigenvalue floor relative to the largest magnitude
-    eigenvalue.  The matrix must also be Hermitian to the same relative
-    tolerance."""
+def psd_margin(m: np.ndarray) -> float:
+    """Smallest eigenvalue over max(1, largest eigenvalue magnitude), or -inf
+    when m is not Hermitian: ||m - m^*||_F above 10 EPS_PSD max(1, max |m_ij|)
+    min(n, 100)."""
     scale = max(1.0, float(np.abs(m).max(initial=0.0)))
-    if frobenius(m - dagger(m)) > 10 * tol * scale * m.shape[0]:
-        return False
+    if frobenius(m - dagger(m)) > 10 * EPS_PSD * scale * min(m.shape[0], 100):
+        return -np.inf
     lam = np.linalg.eigvalsh(hermitian_part(m))
-    mag = max(float(np.abs(lam).max(initial=0.0)), 1.0)
-    return float(lam[0]) >= -tol * mag
+    return float(lam[0]) / max(float(np.abs(lam).max(initial=0.0)), 1.0)
 
 
-def is_positive_definite(m: np.ndarray, tol: float = EPS_PSD) -> bool:
-    lam = np.linalg.eigvalsh(hermitian_part(m))
-    mag = max(float(np.abs(lam).max(initial=0.0)), 1.0)
-    return float(lam[0]) > tol * mag
+def is_psd(m: np.ndarray) -> bool:
+    """Hermitian, with no eigenvalue below -EPS_PSD relative to the largest
+    magnitude one (or to 1)."""
+    return psd_margin(m) >= -EPS_PSD
 
 
 def real_from_complex_columns(cols: np.ndarray) -> np.ndarray:

@@ -140,8 +140,7 @@ def commutative_pure_states(alg: ConcreteAlgebra) -> list[LinearFunctional]:
             if abs(phi.unit_value()) < 1e-8:
                 continue          # eigenspace outside the algebra's support
             # multiplicativity check
-            prod_vals = np.einsum("ijk,k->ij", alg.structure, vals)
-            if float(np.abs(prod_vals - np.outer(vals, vals)).max()) > 1e-7:
+            if float(np.abs(alg.pairing(vals) - np.outer(vals, vals)).max()) > 1e-7:
                 ok = False
                 break
             chars.append(phi)

@@ -8,6 +8,7 @@ from choimetric import (
     LinearFunctional,
     as_trace,
     build_algebra,
+    cyclic_group,
     density_from_functional,
     diagonal_algebra,
     evaluate_mu_tau,
@@ -19,6 +20,7 @@ from choimetric import (
     swap_op_element,
     tensor_algebra,
     tensor_trace,
+    twisted_group_algebra,
 )
 from choimetric.algebra import functional_from_element, selfadjoint_basis
 from choimetric.errors import (
@@ -29,6 +31,7 @@ from choimetric.errors import (
     NotClosedUnderProduct,
     NotFaithful,
 )
+from choimetric.experiments import stability_context
 
 
 def unit_matrix(n, i, j):
@@ -118,6 +121,17 @@ def test_tensor_associativity_reindex(m2, d2):
     # same flattened factor order -> identical structure data
     assert np.abs(left.basis - right.basis).max() < 1e-12
     assert np.abs(left.structure - right.structure).max() < 1e-12
+
+
+@pytest.mark.parametrize("carrier", [
+    lambda: tensor_algebra(matrix_algebra(2), opposite_algebra(matrix_algebra(3))),
+    lambda: tensor_algebra(twisted_group_algebra(cyclic_group(3)).algebra, matrix_algebra(2)),
+    lambda: stability_context("Z2").seminorm_n.algebra,
+], ids=["M2 x M3^op", "C*(Z3) x M2", "omega-carrier of amplified Z2"])
+def test_pairing_contracts_the_structure_tensor(carrier, rng):
+    alg = carrier()
+    values = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
+    assert np.abs(alg.pairing(values) - alg.structure @ values).max() <= 1e-12
 
 
 def test_tensor_and_opposite_are_one_object_per_operand(m2, d2):

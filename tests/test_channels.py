@@ -200,8 +200,8 @@ def test_omega_state_iff_trace_channel(m2, tr2, rng):
     for _ in range(10):
         f = random_linear_map(rng, m2, m2)
         if rng.random() < 0.6:
-            f = random_cp_channel(rng, m2, m2, tr2,
-                                  normalize="trace_channel" if rng.random() < 0.5 else None)
+            make = random_trace_channel if rng.random() < 0.5 else random_cp_channel
+            f = make(rng, m2, m2, tr2)
         assert omega_tau(f, tr2).is_state() == is_trace_channel(f, tr2)
 
 

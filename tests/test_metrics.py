@@ -21,9 +21,11 @@ from choimetric import (
     dl_distance,
     dl_stabilized,
     identity_channel,
+    is_trace_channel,
     matrix_algebra,
     mk_between,
     multiplier_channel,
+    omega_tau,
     opposite_seminorm,
     selfadjoint_basis,
     wasserstein_dual,
@@ -272,6 +274,34 @@ def test_delta_rejects_a_non_cp_amplified_argument():
         PositiveDefiniteFunction(cyclic_group(2), [1.0, 0.5]), base.ga))
     with pytest.raises(NotTraceChannel, match="second argument: not completely positive$"):
         delta_distance(m, partial_t, ctx.amp_trace, ctx.seminorm_n, setup=ctx.setup_n)
+
+
+def test_delta_rejects_a_map_that_is_not_star_preserving():
+    # diag(1, 0.3 + 0.4i) on C*(Z2) sends the self-adjoint lambda_g to a
+    # multiple that is not: its omega-Gram is not Hermitian, so it is no
+    # trace channel, and Delta against its conjugate has no value
+    ctx = group_context("Z2")
+    alg = ctx.ga.algebra
+    f = ChannelMap(alg, alg, np.diag([1.0, 0.3 + 0.4j]))
+    g = ChannelMap(alg, alg, np.diag([1.0, 0.3 - 0.4j]))
+    assert not is_trace_channel(f, ctx.tau)
+    assert omega_tau(f, ctx.tau).is_state() == is_trace_channel(f, ctx.tau)
+    with pytest.raises(NotTraceChannel, match="first argument: not completely positive$"):
+        delta_distance(f, g, ctx.tau, ctx.seminorm, setup=ctx.setup)
+
+
+def test_delta_leaves_the_omega_carrier_structure_unbuilt():
+    # the CP checks contract the omega functionals with the factors'
+    # structure tensors, not with the 144^3 one of the carrier
+    ctx = stability_context("Z3")
+    alg = ctx.seminorm_n.algebra
+    rng = np.random.default_rng(11)
+    f, g = (amplify(ctx.n, multiplier_channel(random_pdf(rng, ctx.base.group), ctx.base.ga))
+            for _ in range(2))
+    res = delta_distance(f, g, ctx.amp_trace, ctx.seminorm_n, setup=ctx.setup_n)
+    assert callable(alg._structure)
+    assert res.status == "optimal"
+    assert abs(res.value - 0.5843053396587482) <= 1e-9
 
 
 def test_delta_rejects_a_carrier_of_the_wrong_dimension(d2, monkeypatch):
