@@ -11,16 +11,11 @@ from .algebra import (
     build_algebra,
     density_from_functional,
     diagonal_algebra,
-    evaluate_mu_tau,
     matrix_algebra,
     opposite_algebra,
-    scalar_algebra,
     selfadjoint_basis,
     standard_matrix_trace,
-    swap_element,
     swap_functional,
-    swap_op_element,
-    swap_op_functional,
     tensor_algebra,
     tensor_functional,
     tensor_trace,
@@ -37,25 +32,19 @@ from .channels import (
     is_trace_channel,
     is_trace_preserving,
     is_unital,
-    kms_choi_element,
     omega_tau,
     tensor_channel,
     trace_adjoint,
-    zero_channel,
 )
 from .geometry import (
     AmbientNormSeminorm,
     CommutatorSeminorm,
-    PullbackSeminorm,
     Seminorm,
     SpectralTriple,
-    SumSeminorm,
     kasparov_product,
     left_tensor_seminorm,
-    opposite_seminorm,
     right_tensor_seminorm,
     seminorm_domination_check,
-    tensor_sum_seminorm,
 )
 from .groups import (
     Cocycle,

@@ -95,13 +95,6 @@ class ConcreteAlgebra:
     def coords_of(self, mat: np.ndarray) -> np.ndarray:
         return self._pinv @ np.asarray(mat, dtype=complex).ravel()
 
-    def element(self, coords) -> "AlgebraElement":
-        coords = np.asarray(coords, dtype=complex)
-        if coords.shape != (self.dim,):
-            raise AlgebraMismatch(
-                f"coordinate vector of length {coords.shape} for dim-{self.dim} algebra")
-        return AlgebraElement(self, coords)
-
     def zero(self) -> "AlgebraElement":
         return AlgebraElement(self, np.zeros(self.dim, dtype=complex))
 
@@ -243,10 +236,6 @@ class LinearFunctional:
 
     __rmul__ = __mul__
 
-    def pullback(self, coord_map: np.ndarray, source: ConcreteAlgebra) -> "LinearFunctional":
-        """phi o T where T has coordinate matrix coord_map (d_target x d_source)."""
-        return LinearFunctional(source, coord_map.T @ self.values)
-
 
 class TraceFunctional(LinearFunctional):
     """A positive tracial functional; construct via as_trace()."""
@@ -367,11 +356,6 @@ def diagonal_algebra(n: int) -> ConcreteAlgebra:
     return build_algebra(basis, name=f"diag{n}")
 
 
-def scalar_algebra() -> ConcreteAlgebra:
-    """The one-dimensional algebra C, the identity object of the tensor."""
-    return build_algebra(np.ones((1, 1, 1), dtype=complex), name="C")
-
-
 def standard_matrix_trace(alg: ConcreteAlgebra) -> TraceFunctional:
     """Ambient matrix trace restricted to the algebra."""
     return as_trace(LinearFunctional(alg, np.trace(alg.basis, axis1=1, axis2=2)))
@@ -467,41 +451,11 @@ def swap_algebra(a: ConcreteAlgebra, i: int, j: int) -> ConcreteAlgebra:
     return reduce(tensor_algebra, factors)
 
 
-def swap_element(x: AlgebraElement, i: int, j: int) -> AlgebraElement:
-    """Sigma_[ij] applied to an element of a tensor algebra."""
-    return AlgebraElement(swap_algebra(x.algebra, i, j),
-                          _swap_coords(x.algebra, x.coords, i, j))
-
-
 def swap_functional(phi: LinearFunctional, i: int, j: int) -> LinearFunctional:
     """Pushforward of a functional under Sigma_[ij]; since the flip is an
     involution this also computes pullbacks (apply it to a functional living
     on the swapped algebra)."""
     return LinearFunctional(swap_algebra(phi.algebra, i, j),
-                            _swap_coords(phi.algebra, phi.values, i, j))
-
-
-def swap_op_algebra(a: ConcreteAlgebra, i: int, j: int) -> ConcreteAlgebra:
-    """Target of Sigma^op_[ij]: factor i must be plain and factor j an
-    opposite algebra; they trade places and op-ness."""
-    factors = _swap_factors(a, i, j)
-    fi, fj = factors[i], factors[j]
-    if fi.op_of is not None or fj.op_of is None:
-        raise FactorMismatch(
-            "Sigma^op needs a plain algebra in position i and an opposite algebra in position j")
-    factors[i] = fj.op_of
-    factors[j] = opposite_algebra(fi)
-    return reduce(tensor_algebra, factors)
-
-
-def swap_op_element(x: AlgebraElement, i: int, j: int) -> AlgebraElement:
-    """Sigma^op_[ij](... a ... b^op ...) = ... b ... a^op ... on coordinates."""
-    return AlgebraElement(swap_op_algebra(x.algebra, i, j),
-                          _swap_coords(x.algebra, x.coords, i, j))
-
-
-def swap_op_functional(phi: LinearFunctional, i: int, j: int) -> LinearFunctional:
-    return LinearFunctional(swap_op_algebra(phi.algebra, i, j),
                             _swap_coords(phi.algebra, phi.values, i, j))
 
 
@@ -517,19 +471,8 @@ def tensor_trace(tau: TraceFunctional, sigma: TraceFunctional) -> TraceFunctiona
 
 
 # ---------------------------------------------------------------------------
-# mu_tau and densities
+# densities
 # ---------------------------------------------------------------------------
-
-def evaluate_mu_tau(b: ConcreteAlgebra, tau: TraceFunctional) -> LinearFunctional:
-    """The multiplication functional mu_tau(b1 (x) b2^op) = tau(b1 b2) on
-    B (x) B^op; positive for every trace tau."""
-    if not isinstance(tau, TraceFunctional):
-        raise NotATrace("mu_tau requires a validated trace")
-    if not tau.algebra.same_as(b):
-        raise AlgebraMismatch("trace lives on a different algebra")
-    values = tau.bilinear_gram().reshape(-1)
-    return LinearFunctional(tensor_algebra(b, opposite_algebra(b)), values)
-
 
 def density_from_functional(phi: LinearFunctional, tau: TraceFunctional):
     """Solve phi(x) = tau(b x) for b; returns (b, in_D_tau).
@@ -547,12 +490,6 @@ def density_from_functional(phi: LinearFunctional, tau: TraceFunctional):
     trace_of_b = complex(tau.values @ coords)
     member = b.is_positive() and abs(trace_of_b - 1.0) <= 1e-8
     return b, member
-
-
-def functional_from_element(x: AlgebraElement, tau: TraceFunctional) -> LinearFunctional:
-    """The pairing functional y -> tau(x y)."""
-    gram = tau.bilinear_gram()
-    return LinearFunctional(x.algebra, x.coords @ gram)
 
 
 def selfadjoint_basis(alg: ConcreteAlgebra,

@@ -21,7 +21,6 @@ from .algebra import (
     matrix_algebra,
     opposite_algebra,
     require_faithful,
-    swap_op_functional,
     tensor_algebra,
 )
 from .errors import (
@@ -79,10 +78,6 @@ def _check_parallel(f, g):
 
 def identity_channel(alg: ConcreteAlgebra) -> ChannelMap:
     return ChannelMap(alg, alg, np.eye(alg.dim, dtype=complex), name="id")
-
-
-def zero_channel(src: ConcreteAlgebra, tgt: ConcreteAlgebra) -> ChannelMap:
-    return ChannelMap(src, tgt, np.zeros((tgt.dim, src.dim), dtype=complex))
 
 
 def _omega_value_matrix(f: ChannelMap, tau: TraceFunctional) -> np.ndarray:
@@ -155,25 +150,6 @@ def cp_oracle_npositivity(f: ChannelMap) -> bool:
     gram = np.einsum("ijb,bxy->ixjy", fp, tgt.basis).reshape(d * n, d * n)
     min_eig = float(np.linalg.eigvalsh(linalg.hermitian_part(gram))[0])
     return min_eig >= -EPS_PSD * max(1.0, float(np.abs(gram).max(initial=0.0)))
-
-
-def is_k_positive_sampled(f: ChannelMap, k: int, trials: int = 20,
-                          rng: np.random.Generator | None = None) -> bool:
-    """Necessary condition for k-positivity on random k-tuples."""
-    rng = rng or np.random.default_rng(0)
-    src, tgt = f.source, f.target
-    n = tgt.ambient_dim
-    for _ in range(trials):
-        tuples = rng.standard_normal((k, src.dim)) + 1j * rng.standard_normal((k, src.dim))
-        block = np.empty((k * n, k * n), dtype=complex)
-        for i in range(k):
-            ai_star = src.adjoint_of_coords(tuples[i])
-            for j in range(k):
-                prod = src.multiply_coords(ai_star, tuples[j])
-                block[i * n:(i + 1) * n, j * n:(j + 1) * n] = tgt.realize(f.matrix @ prod)
-        if not linalg.is_psd(block):
-            return False
-    return True
 
 
 def trace_of_unit_image(f: ChannelMap, tau: TraceFunctional) -> complex:
@@ -258,14 +234,6 @@ def trace_adjoint(f: ChannelMap, tau_src: TraceFunctional,
     return ChannelMap(f.target, f.source, sharp, name=f"{f.name}#" if f.name else "")
 
 
-def omega_of_adjoint(f: ChannelMap, tau_src: TraceFunctional,
-                     tau_tgt: TraceFunctional) -> LinearFunctional:
-    """omega_{tau_A}(F#) computed as omega_{tau_B}(F) o Sigma^op, without
-    constructing F# (used to cross-check trace_adjoint)."""
-    om = omega_tau(f, tau_tgt)
-    return swap_op_functional(om, 0, 1)
-
-
 # ---------------------------------------------------------------------------
 # Choi matrices
 # ---------------------------------------------------------------------------
@@ -294,29 +262,6 @@ def choi_matrix(f: ChannelMap) -> np.ndarray:
             img = f.target.realize(f.matrix[:, i * n + j])
             out[i * m:(i + 1) * m, j * m:(j + 1) * m] = img
     return out
-
-
-def kms_orthonormal_basis(alg: ConcreteAlgebra, tau: TraceFunctional) -> np.ndarray:
-    """Rows are coordinates of a basis orthonormal for <x, y> = tau(x^* y)."""
-    require_faithful(tau)
-    gram = linalg.hermitian_part(tau.gns_gram())
-    chol = np.linalg.cholesky(gram)
-    return np.conj(np.linalg.inv(chol))
-
-
-def kms_choi_element(f: ChannelMap, tau: TraceFunctional) -> AlgebraElement:
-    """The element sum_i F(b_i) (x) (b_i^*)^op of A (x) A^op for a
-    KMS-orthonormal basis {b_i}; positive exactly when F is CP."""
-    if not f.source.same_as(f.target):
-        raise AlgebraMismatch("the KMS Choi element needs an endomorphism")
-    alg = f.source
-    w = kms_orthonormal_basis(alg, tau)
-    coords = np.zeros((alg.dim, alg.dim), dtype=complex)
-    for r in range(alg.dim):
-        u = f.matrix @ w[r]
-        v = alg.adjoint_of_coords(w[r])
-        coords += np.outer(u, v)
-    return AlgebraElement(tensor_algebra(alg, opposite_algebra(alg)), coords.reshape(-1))
 
 
 # ---------------------------------------------------------------------------

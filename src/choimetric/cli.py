@@ -4,9 +4,9 @@ Verbs: validate, choi, omega, classify, mk, delta, dl, wasserstein,
 kasparov, group-gen, stability, chaining, embedding, run-all.  Each verb
 takes only the flags it reads (`choimetric <verb> --help`).  File formats
 are documented in the io module and the README.  Results are printed as JSON
-records {value | "inf", status, gap, seed}; the suite verbs (stability,
-chaining, embedding, run-all) run acceptance suites and write CSV with
---out.  Input errors print `error: ...` and exit 1.
+records {value | "inf", status, gap}, with the seed on `dl`; the suite verbs
+(stability, chaining, embedding, run-all) run acceptance suites and write
+CSV with --out.  Input errors print `error: ...` and exit 1.
 """
 
 from __future__ import annotations
@@ -58,12 +58,9 @@ def _registry(paths):
     return registry
 
 
-def _result_json(value, status, gap, seed=None, extra=None):
-    rec = {"value": "inf" if math.isinf(value) else value,
-           "status": status, "gap": gap, "seed": seed}
-    if extra:
-        rec.update(extra)
-    return json.dumps(rec)
+def _result_json(value, status, gap, **extra):
+    return json.dumps({"value": "inf" if math.isinf(value) else value,
+                       "status": status, "gap": gap, **extra})
 
 
 def _load_group(path):
@@ -158,7 +155,7 @@ def cmd_mk(args):
     psi = io.functional_from_dict(io.load_json(args.psi), registry)
     res = mk_between(phi, psi, CommutatorSeminorm(triple),
                      tolerance=args.tolerance, max_iter=args.max_iter)
-    print(_result_json(res.value, res.status, res.dual_gap, args.seed))
+    print(_result_json(res.value, res.status, res.dual_gap))
     return 0 if res.status in ("optimal", "infinite") else 1
 
 
@@ -170,7 +167,7 @@ def cmd_delta(args):
     res = delta_distance(multiplier_channel(phi, ctx.ga),
                          multiplier_channel(psi, ctx.ga), ctx.tau, ctx.seminorm,
                          tolerance=args.tolerance, setup=ctx.setup)
-    print(_result_json(res.value, res.status, res.dual_gap, args.seed))
+    print(_result_json(res.value, res.status, res.dual_gap))
     return 0 if res.status in ("optimal", "infinite") else 1
 
 
@@ -178,6 +175,8 @@ def cmd_dl(args):
     registry = _registry(args.algebras)
     f = io.channel_from_dict(io.load_json(args.channel), registry)
     g = io.channel_from_dict(io.load_json(args.channel2), registry)
+    if args.m_max and args.triple:
+        raise ChoimetricError("dl takes either --triple or --m-max, not both")
     if args.m_max:
         value, per_m = dl_stabilized(f, g, args.m_max, starts=args.starts,
                                      seed=args.seed, tolerance=args.tolerance)
@@ -189,27 +188,19 @@ def cmd_dl(args):
     triple = io.triple_from_dict(io.load_json(args.triple), registry)
     res = dl_distance(f, g, CommutatorSeminorm(triple), starts=args.starts,
                       seed=args.seed, tolerance=args.tolerance)
-    print(_result_json(res.value, res.status, 0.0, args.seed,
-                       extra={"converged": res.converged}))
+    print(_result_json(res.value, res.status, 0.0, seed=args.seed,
+                       converged=res.converged))
     return 0 if res.status in ("optimal", "infinite") else 1
 
 
 def cmd_wasserstein(args):
-    data = io.load_json(args.problem)
-    ls = io._matrices(data, "l_matrices", "problem")
-    rho1 = io.matrix_from_json(io._field(data, "rho1", "problem"), "rho1")
-    rho2 = io.matrix_from_json(io._field(data, "rho2", "problem"), "rho2")
-    if ls.ndim != 3 or ls.shape[1] != ls.shape[2] or not (
-            rho1.shape == rho2.shape == ls.shape[1:]):
-        raise ChoimetricError("problem: l_matrices, rho1 and rho2 must be "
-                              "square matrices of one size")
+    ls, rho1, rho2 = io.problem_from_dict(io.load_json(args.problem))
     try:
         res = wasserstein_dual(rho1, rho2, ls, tol=args.tolerance)
     except ChoimetricError as exc:
-        print(_result_json(math.inf, "infeasible", 0.0, args.seed,
-                           extra={"reason": str(exc)}))
+        print(_result_json(math.inf, "infeasible", 0.0, reason=str(exc)))
         return 0
-    print(_result_json(res.value, res.status, res.gap, args.seed))
+    print(_result_json(res.value, res.status, res.gap))
     return 0 if res.status == "optimal" else 1
 
 
@@ -323,13 +314,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trace-source", default=None)
 
     sp = verb("mk", cmd_mk, "Monge-Kantorovich distance between functionals",
-              ["--seed", "--tolerance", "--max-iter", "--algebras"])
+              ["--tolerance", "--max-iter", "--algebras"])
     sp.add_argument("--triple", required=True)
     sp.add_argument("--phi", required=True)
     sp.add_argument("--psi", required=True)
 
     sp = verb("delta", cmd_delta, "Delta distance between group multipliers",
-              ["--seed", "--tolerance"])
+              ["--tolerance"])
     sp.add_argument("--group", required=True)
     sp.add_argument("--pdf", required=True)
     sp.add_argument("--pdf2", required=True)
@@ -342,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--starts", type=int, default=8)
 
     sp = verb("wasserstein", cmd_wasserstein, "trace-norm dual distance",
-              ["--seed", "--tolerance"])
+              ["--tolerance"])
     sp.add_argument("--problem", required=True,
                     help='JSON file {"l_matrices": [...], "rho1": ..., "rho2": ...}')
 

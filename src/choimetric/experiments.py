@@ -521,42 +521,6 @@ def run_kasparov(seed: int = 0, samples: int = 500) -> list[ExperimentRecord]:
     return records
 
 
-def _kernel_identity_cases(seed: int = 0):
-    """L_{(d_n x d_n) x (d_A x d_B)}(1 (x) 1 (x) x) = L_{d_A x d_B}(x) over
-    all eight parity combinations of the three input triples."""
-    toys = _toy_triples()
-    rng = np.random.default_rng(seed)
-    results = []
-    for pn in ("odd_m2", "even_m2"):
-        t_n = toys[pn]
-        nn = kasparov_product(t_n, _as_opposite_triple(t_n))
-        for pa in ("odd", "even"):
-            for pb in ("odd", "even"):
-                inner = kasparov_product(toys[pa], toys[pb])
-                total = kasparov_product(nn, inner)
-                lip_total = CommutatorSeminorm(total)
-                lip_inner = CommutatorSeminorm(inner)
-                worst = 0.0
-                for _ in range(5):
-                    d = inner.algebra.dim
-                    x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-                    embedded = np.outer(nn.algebra.unit_coords, x).reshape(-1)
-                    worst = max(worst, abs(lip_total.eval_coords(embedded)
-                                           - lip_inner.eval_coords(x)))
-                results.append(((pn, pa, pb), worst))
-    return results
-
-
-def _as_opposite_triple(t: SpectralTriple) -> SpectralTriple:
-    """View a triple as a triple for the opposite algebra through the
-    transpose identification: pi^op(b^op) = pi(b)^t, with the transposed
-    Dirac and grading."""
-    op = opposite_algebra(t.algebra)
-    rep = t.rep.transpose(0, 2, 1).copy()
-    grading = t.grading.T.copy() if t.grading is not None else None
-    return SpectralTriple(op, rep, t.dirac.T.copy(), grading).validate()
-
-
 def run_stability(seed: int = 0, trials: int = 25, groups=("Z2", "Z3"),
                   general_trials=(3, 1),
                   audit_samples: int = 25) -> list[ExperimentRecord]:

@@ -43,11 +43,6 @@ def random_density(rng, n: int) -> np.ndarray:
     return p / np.trace(p).real
 
 
-def random_unitary(rng, n: int) -> np.ndarray:
-    q, r = np.linalg.qr(random_complex(rng, n, n))
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
 def random_positive_functional(rng, alg: ConcreteAlgebra) -> LinearFunctional:
     """phi(x) = tr(R x) with a random ambient PSD weight R; always positive."""
     r = random_psd(rng, alg.ambient_dim)

@@ -17,11 +17,10 @@ from .algebra import (
     AlgebraElement,
     ConcreteAlgebra,
     matrix_algebra,
-    opposite_algebra,
     tensor_algebra,
 )
 from .errors import AlgebraMismatch, InvalidSpectralTriple
-from .linalg import EPS_STRUCT, contract_stack, operator_norm
+from .linalg import EPS_STRUCT, operator_norm
 
 
 @dataclass(frozen=True)
@@ -117,17 +116,12 @@ def _rank(flat: np.ndarray, tol: float) -> int:
 
 class Seminorm:
     """A seminorm over a fixed algebra in the one form the Monge-Kantorovich
-    solver reads: L(x) = sum_k || sum_i x_i F_k[i] || for `families`, a
-    tuple of complex stacks F_k of shape (d, p, q).  Every seminorm has
-    `families`: the solver reads nothing else.
-    """
+    solver reads: L(x) = || sum_i x_i M[i] || for `matrices`, a complex
+    stack M of shape (d, p, q)."""
 
-    algebra: ConcreteAlgebra
-    families: tuple[np.ndarray, ...]
-
-    def __init__(self, algebra: ConcreteAlgebra, families):
+    def __init__(self, algebra: ConcreteAlgebra, matrices: np.ndarray):
         self.algebra = algebra
-        self.families = tuple(families)
+        self.matrices = matrices
 
     def __call__(self, x: AlgebraElement) -> float:
         if not x.algebra.same_as(self.algebra):
@@ -135,14 +129,14 @@ class Seminorm:
         return self.eval_coords(x.coords)
 
     def eval_coords(self, coords: np.ndarray) -> float:
-        return sum(operator_norm(np.tensordot(coords, f, axes=1)) for f in self.families)
+        return operator_norm(np.tensordot(coords, self.matrices, axes=1))
 
 
 class CommutatorSeminorm(Seminorm):
     """L(a) = || [D, pi(a)] || from a spectral triple."""
 
     def __init__(self, triple: SpectralTriple):
-        super().__init__(triple.algebra, (triple.commutator_matrices(),))
+        super().__init__(triple.algebra, triple.commutator_matrices())
         self.triple = triple
 
 
@@ -151,31 +145,7 @@ class AmbientNormSeminorm(Seminorm):
     kernel); used by the stabilized metric on matrix amplifications."""
 
     def __init__(self, algebra: ConcreteAlgebra):
-        super().__init__(algebra, (algebra.basis,))
-
-
-class PullbackSeminorm(Seminorm):
-    """L(T x) for a coordinate-linear map T into the base seminorm's algebra."""
-
-    def __init__(self, base: Seminorm, coord_map: np.ndarray,
-                 algebra: ConcreteAlgebra):
-        tmap = np.asarray(coord_map, dtype=complex).T
-        super().__init__(algebra, (contract_stack(tmap, f)
-                                   for f in base.families))
-
-
-class SumSeminorm(Seminorm):
-    """Pointwise sum of two seminorms on the same algebra."""
-
-    def __init__(self, left: Seminorm, right: Seminorm):
-        if not left.algebra.same_as(right.algebra):
-            raise AlgebraMismatch("sum of seminorms over different algebras")
-        super().__init__(left.algebra, left.families + right.families)
-
-
-def opposite_seminorm(lip: Seminorm) -> Seminorm:
-    """L_{A^op}(a^op) = L_A(a): the same families on the opposite algebra."""
-    return Seminorm(opposite_algebra(lip.algebra), lip.families)
+        super().__init__(algebra, algebra.basis)
 
 
 def left_tensor_seminorm(triple_a: SpectralTriple, algebra_b: ConcreteAlgebra,
@@ -201,47 +171,6 @@ def right_tensor_seminorm(algebra_a: ConcreteAlgebra, triple_b: SpectralTriple,
     dirac = np.kron(np.eye(ha), triple_b.dirac)
     return CommutatorSeminorm(SpectralTriple(
         tensor_algebra(algebra_a, triple_b.algebra), rep, dirac))
-
-
-def tensor_sum_seminorm(triple_a: SpectralTriple,
-                        triple_b: SpectralTriple) -> SumSeminorm:
-    """L_{A (x) B} = L_A (x) 1 + 1 (x) L_B with both parts in commutator form."""
-    return SumSeminorm(
-        left_tensor_seminorm(triple_a, triple_b.algebra, rep_b=triple_b.rep),
-        right_tensor_seminorm(triple_a.algebra, triple_b, rep_a=triple_a.rep))
-
-
-def state_sup_lower_bound(tensor_coords: np.ndarray, side: str,
-                          lip: Seminorm, other: ConcreteAlgebra,
-                          samples: int = 200,
-                          rng: np.random.Generator | None = None) -> float:
-    """Sampling lower bound for the state-supremum form of a tensor seminorm.
-
-    For side='left' this estimates (L_A (x) 1)(z) = sup_psi L_A((id (x) psi) z)
-    by sampling states psi on the other factor; always a lower bound of the
-    commutator-form value.
-    """
-    rng = rng or np.random.default_rng(0)
-    da = lip.algebra.dim
-    db = other.dim
-    z = np.asarray(tensor_coords, complex)
-    if side == "left":
-        block = z.reshape(da, db)
-    else:
-        block = z.reshape(db, da).T
-    best = 0.0
-    n = other.ambient_dim
-    unit = other.realize(other.unit_coords)
-    for _ in range(samples):
-        c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        rho = c @ c.conj().T
-        vals = np.einsum("xy,byx->b", rho, other.basis)
-        mass = complex(np.trace(rho @ unit))
-        if abs(mass) < 1e-12:
-            continue
-        sliced = block @ (vals / mass)
-        best = max(best, lip.eval_coords(sliced))
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -56,9 +56,6 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         return int(self.inverse[a])
 
-    def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.mult, self.mult.T))
-
     def same_as(self, other: "FiniteGroup") -> bool:
         return (self is other
                 or (self.order == other.order
@@ -329,16 +326,13 @@ def klein_twist_cocycle(g: FiniteGroup) -> Cocycle:
 
 @dataclass
 class GroupAlgebra:
-    """Twisted group algebra with its left and right regular representations."""
+    """Twisted group algebra with its right regular representation; the
+    left one is `algebra.basis`."""
 
     group: FiniteGroup
     cocycle: Cocycle
     algebra: ConcreteAlgebra
     right_rep: np.ndarray            # (n, n, n); rho_g matrices
-
-    @property
-    def left_rep(self) -> np.ndarray:
-        return self.algebra.basis
 
 
 def twisted_group_algebra(g: FiniteGroup, sigma: Cocycle | None = None) -> GroupAlgebra:

@@ -1,5 +1,5 @@
 """JSON file formats for algebras, functionals, channels, triples, groups,
-and positive definite functions.
+positive definite functions and Wasserstein problems.
 
 Complex numbers are two-element arrays [re, im]; matrices are nested lists
 of rows.  Loading always re-validates: a corrupt file fails before any
@@ -119,10 +119,6 @@ def algebra_from_dict(data: dict) -> ConcreteAlgebra:
 
 # -- functionals ---------------------------------------------------------------
 
-def functional_to_dict(phi: LinearFunctional) -> dict:
-    return {"algebra": phi.algebra.name, "values": vector_to_json(phi.values)}
-
-
 def functional_from_dict(data: dict, registry: dict) -> LinearFunctional:
     alg = _algebra_ref(data, "algebra", registry, "functional")
     values = vector_from_json(_field(data, "values", "functional"), "values")
@@ -136,14 +132,6 @@ def trace_from_dict(data: dict, registry: dict) -> TraceFunctional:
 
 
 # -- channels --------------------------------------------------------------------
-
-def channel_to_dict(ch: ChannelMap) -> dict:
-    return {
-        "source": ch.source.name,
-        "target": ch.target.name,
-        "matrix": matrix_to_json(ch.matrix),
-    }
-
 
 def channel_from_dict(data: dict, registry: dict) -> ChannelMap:
     src = _algebra_ref(data, "source", registry, "channel")
@@ -213,6 +201,21 @@ def pdf_from_dict(data: dict, group: FiniteGroup) -> PositiveDefiniteFunction:
     if values.shape != (group.order,):
         raise ChoimetricError("positive definite function length mismatch")
     return PositiveDefiniteFunction(group, values)
+
+
+# -- Wasserstein problems --------------------------------------------------------
+
+def problem_from_dict(data: dict):
+    """(l_matrices, rho1, rho2) of a matricial Wasserstein-1 problem, all
+    square matrices of one size."""
+    ls = _matrices(data, "l_matrices", "problem")
+    rho1 = matrix_from_json(_field(data, "rho1", "problem"), "rho1")
+    rho2 = matrix_from_json(_field(data, "rho2", "problem"), "rho2")
+    if ls.ndim != 3 or ls.shape[1] != ls.shape[2] or not (
+            rho1.shape == rho2.shape == ls.shape[1:]):
+        raise ChoimetricError("problem: l_matrices, rho1 and rho2 must be "
+                              "square matrices of one size")
+    return ls, rho1, rho2
 
 
 # -- files -----------------------------------------------------------------------

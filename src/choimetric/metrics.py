@@ -109,46 +109,18 @@ def _split_components(kstack: np.ndarray):
             for rows in _components(support @ support.T)]
 
 
-def _norm_block(kslice: np.ndarray) -> np.ndarray:
-    """Hermitian LMI matrices [[0, K], [K*, 0]] for a stack of K slices."""
-    r, nr, nc = kslice.shape
-    out = np.zeros((r, nr + nc, nr + nc), dtype=complex)
-    out[:, :nr, nr:] = kslice
-    out[:, nr:, :nr] = kslice.conj().transpose(0, 2, 1)
-    return out
-
-
-def _assemble_blocks(families: list[np.ndarray], nvars: int):
-    """Blocks for { L <= 1 } with L a norm or a sum of norms.
-
-    A single family uses unit right-hand sides; k families introduce k - 1
-    split-level variables s_i with levels (s_1, ..., s_{k-1}, 1 - sum s_i).
-    """
-    naux = max(0, len(families) - 1)
-    total = nvars + naux
+def _assemble_blocks(kstack: np.ndarray) -> list:
+    """Blocks (I, -[[0, K], [K*, 0]]) for { ||sum_i y_i K_i|| <= 1 }, one per
+    support component of the stack, with K the slices of that component."""
     blocks = []
-    for fam_idx, fam in enumerate(families):
-        comps = _split_components(fam)
-        if not comps and naux:
-            comps = [(np.array([], dtype=int), np.array([], dtype=int))]
-        for rows_idx, cols_idx in comps:
-            nr, nc = len(rows_idx), len(cols_idx)
-            size = max(nr + nc, 1)
-            astack = np.zeros((total, size, size), dtype=complex)
-            if nr + nc:
-                kslice = fam[:, rows_idx][:, :, cols_idx]
-                astack[:nvars] = -_norm_block(kslice)
-            if naux == 0:
-                cmat = np.eye(size, dtype=complex)
-            elif fam_idx < len(families) - 1:
-                cmat = np.zeros((size, size), dtype=complex)
-                astack[nvars + fam_idx] += -np.eye(size)
-            else:
-                cmat = np.eye(size, dtype=complex)
-                for i in range(naux):
-                    astack[nvars + i] += np.eye(size)
-            blocks.append((cmat, astack))
-    return blocks, naux
+    for rows, cols in _split_components(kstack):
+        kslice = kstack[:, rows][:, :, cols]
+        r, nr, nc = kslice.shape
+        norm = np.zeros((r, nr + nc, nr + nc), dtype=complex)
+        norm[:, :nr, nr:] = kslice
+        norm[:, nr:, :nr] = kslice.conj().transpose(0, 2, 1)
+        blocks.append((np.eye(nr + nc, dtype=complex), -norm))
+    return blocks
 
 
 def _split_copies(blocks):
@@ -259,21 +231,17 @@ class _BallSetup:
     kept: list                       # (C, Astack) blocks passed to the solver
     checked: list                    # copies and split blocks, checked at the end
     full: list                       # every block: the program of the fallback
-    naux: int                        # split-level variables after the q range ones
 
 
 def prepare_ball(seminorm: Seminorm,
                  restrict_to: np.ndarray | None = None) -> _BallSetup:
     alg = seminorm.algebra
     rows = selfadjoint_basis(alg, restrict_to)
-    # the norm families on the self-adjoint directions, one per summand
-    families = [contract_stack(rows, f) for f in seminorm.families]
-    flat = np.hstack([np.hstack([f.reshape(f.shape[0], -1).real,
-                                 f.reshape(f.shape[0], -1).imag])
-                      for f in families])
-    rng_basis, null = row_and_null_space_real(flat.T)
-    reduced = [contract_stack(rng_basis.T, f) for f in families]
-    blocks, naux = _assemble_blocks(reduced, rng_basis.shape[1])
+    # the norm stack on the self-adjoint directions
+    stack = contract_stack(rows, seminorm.matrices)
+    flat = stack.reshape(len(stack), -1)
+    rng_basis, null = row_and_null_space_real(np.hstack([flat.real, flat.imag]).T)
+    blocks = _assemble_blocks(contract_stack(rng_basis.T, stack))
     classes, copies = _split_copies(blocks)
     kept, _ = _split_copies([piece for block in classes for piece in (
         _irreducible_pieces(block) if len(block[0]) >= _SPLIT_MIN_ROWS else [block])])
@@ -285,7 +253,7 @@ def prepare_ball(seminorm: Seminorm,
         s = np.asarray(restrict_to, dtype=complex)
         gram = s.conj().T @ s
         projector = s @ np.linalg.solve(gram, s.conj().T)
-    return _BallSetup(alg, rows, null, rng_basis, projector, kept, checked, blocks, naux)
+    return _BallSetup(alg, rows, null, rng_basis, projector, kept, checked, blocks)
 
 
 def _psd_violation(cmat: np.ndarray, astack: np.ndarray, y: np.ndarray) -> float:
@@ -348,11 +316,9 @@ def _maximize_linear(setup: _BallSetup, values: np.ndarray, tol: float,
         return MKResult(0.0, alg.zero(), 0.0, "optimal")
     # canonical sign so that mk(phi, psi) and mk(psi, phi) solve one program
     flip = -1.0 if gred[int(np.argmax(np.abs(gred)))] < 0 else 1.0
-    b_obj = flip * gred / scale
-    q = gred.shape[0]
-    res = _solve_certified(np.concatenate([b_obj, np.zeros(setup.naux)]),
-                           setup.kept, setup.checked, setup.full, tol, max_iter)
-    coords = setup.rows.T @ (setup.range_basis @ (flip * res.y[:q]))
+    res = _solve_certified(flip * gred / scale, setup.kept, setup.checked,
+                           setup.full, tol, max_iter)
+    coords = setup.rows.T @ (setup.range_basis @ (flip * res.y))
     return MKResult(res.value * scale, AlgebraElement(alg, coords),
                     res.gap * scale, res.status, iterations=res.iterations)
 
@@ -409,21 +375,27 @@ class WassersteinResult:
 
 
 def _herm_param_basis(n: int) -> np.ndarray:
-    mats = []
-    for a in range(n):
-        m = np.zeros((n, n), dtype=complex)
-        m[a, a] = 1.0
-        mats.append(m)
-    for a in range(n):
-        for b in range(a + 1, n):
-            m = np.zeros((n, n), dtype=complex)
-            m[a, b] = m[b, a] = 1.0
-            mats.append(m)
-            m = np.zeros((n, n), dtype=complex)
-            m[a, b] = 1j
-            m[b, a] = -1j
-            mats.append(m)
-    return np.array(mats)
+    """A real basis of the n x n Hermitian matrices: the diagonal units, then
+    for each entry (a, b) above the diagonal E_ab + E_ba and i E_ab - i E_ba."""
+    a, b = np.triu_indices(n, 1)
+    sym = n + 2 * np.arange(len(a))
+    out = np.zeros((n + 2 * len(a), n, n), dtype=complex)
+    out[np.arange(n), np.arange(n), np.arange(n)] = 1.0
+    out[sym, a, b] = out[sym, b, a] = 1.0
+    out[sym + 1, a, b] = 1j
+    out[sym + 1, b, a] = -1j
+    return out
+
+
+def _vec_herm(mats: np.ndarray) -> np.ndarray:
+    """Real coordinates of the Hermitian parts of a stack of square
+    matrices: the diagonal, then Re and Im of each entry above it."""
+    h = 0.5 * (mats + mats.conj().swapaxes(-1, -2))
+    rows, cols = np.triu_indices(h.shape[-1], 1)
+    upper = h[..., rows, cols]
+    pairs = np.stack([upper.real, upper.imag], axis=-1)
+    return np.concatenate([h.diagonal(axis1=-2, axis2=-1).real,
+                           pairs.reshape(pairs.shape[:-2] + (-1,))], axis=-1)
 
 
 def wasserstein_dual(rho1: np.ndarray, rho2: np.ndarray, l_mats,
@@ -439,85 +411,54 @@ def wasserstein_dual(rho1: np.ndarray, rho2: np.ndarray, l_mats,
     Infeasible when the difference is outside the range of the constraint
     map, which is exactly when the primal distance is infinite.
     """
-    l_mats = [np.asarray(l, dtype=complex) for l in l_mats]
-    n = l_mats[0].shape[0]
-    nn = len(l_mats)
+    ls = np.asarray(l_mats, dtype=complex)
+    nn, n, _ = ls.shape
     target = np.asarray(rho1, dtype=complex) - np.asarray(rho2, dtype=complex)
 
-    def vec_herm(mat):
-        h = 0.5 * (mat + mat.conj().T)
-        parts = [h[a, a].real for a in range(n)]
-        for a in range(n):
-            for c in range(a + 1, n):
-                parts.extend([h[a, c].real, h[a, c].imag])
-        return np.array(parts)
-
-    # real-linear constraint map u -> herm(sum [L_i, u_i])
-    cols = []
-    for i in range(nn):
-        for a in range(n):
-            for c in range(n):
-                e = np.zeros((n, n), dtype=complex)
-                e[a, c] = 1.0
-                k = l_mats[i] @ e - e @ l_mats[i]
-                cols.append(vec_herm(k))
-                cols.append(vec_herm(1j * k))
-    tmat = np.array(cols).T
-    rhs = vec_herm(target)
+    # real-linear constraint map u -> herm(sum [L_i, u_i]) on the real and
+    # imaginary parts of the entries u_i[a, c]: comm[i, a, c] = [L_i, E_ac]
+    eye = np.eye(n)
+    comm = np.einsum("ixa,cy->iacxy", ls, eye) - np.einsum("xa,icy->iacxy", eye, ls)
+    tmat = _vec_herm(np.stack([comm, 1j * comm], axis=3)).reshape(2 * nn * n * n, -1).T
+    rhs = _vec_herm(target)
     sol, *_ = np.linalg.lstsq(tmat, rhs, rcond=None)
     resid = float(np.linalg.norm(tmat @ sol - rhs))
     if resid > 1e-8 * (1.0 + float(np.linalg.norm(rhs))):
         raise Infeasible(
             f"rho1 - rho2 outside the commutator range (residual {resid:.2e})")
 
-    null = null_space_real(tmat)
-
-    def unpack(realvec):
-        out = []
-        for i in range(nn):
-            block = realvec[2 * i * n * n:2 * (i + 1) * n * n]
-            re = block[0::2].reshape(n, n)
-            im = block[1::2].reshape(n, n)
-            out.append(re + 1j * im)
-        return out
-
-    u0 = unpack(sol)
-    null_mats = [unpack(null[:, k]) for k in range(null.shape[1])]
+    def unpack(realvecs):
+        """Real coordinate vectors (last axis) as (nn, n, n) stacks of u_i."""
+        parts = realvecs.reshape(realvecs.shape[:-1] + (nn, n, n, 2))
+        return parts[..., 0] + 1j * parts[..., 1]
 
     def stack(mats):
         # the pairing tr(U^dagger stack([L_i, a])) = sum_i tr(u_i [L_i, a])
         # aligns the operator-norm constraint with || stack(u_i^dagger) ||_1
-        return np.vstack([m.conj().T for m in mats])
+        return mats.conj().swapaxes(-1, -2).reshape(mats.shape[:-3] + (nn * n, n))
 
-    u0_stack = stack(u0)
+    u0 = unpack(sol)
+    null_mats = unpack(null_space_real(tmat).T)
     herm_p = _herm_param_basis(nn * n)
     herm_q = _herm_param_basis(n)
-    npar, qpar, spar = len(herm_p), len(herm_q), len(null_mats)
-    m = npar + qpar + spar
-    size = nn * n + n
-    cmat = np.zeros((size, size), dtype=complex)
-    cmat[:nn * n, nn * n:] = u0_stack
-    cmat[nn * n:, :nn * n] = u0_stack.conj().T
-    astack = np.zeros((m, size, size), dtype=complex)
-    for a, hp in enumerate(herm_p):
-        astack[a, :nn * n, :nn * n] = -hp
-    for bq, hq in enumerate(herm_q):
-        astack[npar + bq, nn * n:, nn * n:] = -hq
-    for s, mats in enumerate(null_mats):
-        blockm = stack(mats)
-        astack[npar + qpar + s, :nn * n, nn * n:] = -blockm
-        astack[npar + qpar + s, nn * n:, :nn * n] = -blockm.conj().T
-    b = np.zeros(m)
-    for a, hp in enumerate(herm_p):
-        b[a] = -0.5 * float(np.trace(hp).real)
-    for bq, hq in enumerate(herm_q):
-        b[npar + bq] = -0.5 * float(np.trace(hq).real)
+    npar, qpar = len(herm_p), len(herm_q)
+    top = nn * n
+    u0_stack, null_stacks = stack(u0), stack(null_mats)
+    cmat = np.zeros((top + n, top + n), dtype=complex)
+    cmat[:top, top:] = u0_stack
+    cmat[top:, :top] = u0_stack.conj().T
+    astack = np.zeros((npar + qpar + len(null_mats), top + n, top + n), dtype=complex)
+    astack[:npar, :top, :top] = -herm_p
+    astack[npar:npar + qpar, top:, top:] = -herm_q
+    astack[npar + qpar:, :top, top:] = -null_stacks
+    astack[npar + qpar:, top:, :top] = -null_stacks.conj().swapaxes(1, 2)
+    b = np.zeros(len(astack))
+    b[:npar + qpar] = -0.5 * np.concatenate([np.trace(herm_p, axis1=1, axis2=2),
+                                             np.trace(herm_q, axis1=1, axis2=2)]).real
     block = [(cmat, astack)]
     res = _solve_certified(b, block, [], block, tol, sdp.MAX_ITER)
-    coeff = res.y[npar + qpar:]
-    u_final = [u0[i] + sum(c * mats[i] for c, mats in zip(coeff, null_mats))
-               for i in range(nn)]
-    return WassersteinResult(-res.value, u_final, res.gap, res.status, res.iterations)
+    u_final = u0 + sum(c * mats for c, mats in zip(res.y[npar + qpar:], null_mats))
+    return WassersteinResult(-res.value, list(u_final), res.gap, res.status, res.iterations)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Independent low-tech oracles used to cross-check the solver paths.
 
-The grid and the cutting planes only evaluate norms and never reach the
-semidefinite program.  The D_L enumeration solves the inner MK distances
-with `mk_between` but takes the outer supremum exactly, over the characters
-of a commutative target, where `dl_distance` ascends heuristically.
+The grid, the cutting planes and the state-supremum sampling only evaluate
+norms and never reach the semidefinite program.  The D_L enumeration solves
+the inner MK distances with `mk_between` but takes the outer supremum
+exactly, over the characters of a commutative target, where `dl_distance`
+ascends heuristically.  Only tests call the cutting planes, the D_L
+enumeration and the state-supremum bound: a record that called one would be
+a new record of the acceptance report.
 """
 
 from __future__ import annotations
@@ -71,50 +74,79 @@ def classical_path_metric(weights: dict, n_points: int) -> np.ndarray:
     return dist
 
 
-def cutting_plane_maximize(objective: np.ndarray, stacks) -> tuple[float, float]:
-    """Kelley's cutting planes for sup { g . t : sum_k || sum_i t_i F_k[i] || <= 1 }
-    over real t, with g = `objective` and F_k the complex stacks `stacks`.
+def cutting_plane_maximize(objective: np.ndarray, stack: np.ndarray) -> tuple[float, float]:
+    """Kelley's cutting planes for sup { g . t : || sum_i t_i M[i] || <= 1 }
+    over real t, with g = `objective` and M the complex stack `stack`.
 
     Returns a bracket (lower, upper) of the supremum, valid to the LP
     solver's feasibility tolerance and narrower than 1e-7 relative unless
     200 cuts were not enough, or (inf, inf) when the ball is unbounded
-    along g.  Each cut s . t <= 1 takes s from the top
-    singular pair (u_k, v_k) of every summand, s_i = sum_k Re u_k* F_k[i] v_k:
-    an exact subgradient, and a valid cut because N(x) >= s . x for every x
-    when N is a seminorm.  The linear programs run on the range of the
-    stacks, inside a box that contains the ball: there ||t|| <= sqrt(p) N(t)
-    / sigma, for sigma the smallest nonzero singular value of the stacked
-    map and p the largest rank a summand can have.
+    along g.  Each cut s . t <= 1 takes s from the top singular pair (u, v)
+    of sum_i t_i M[i], s_i = Re u* M[i] v: an exact subgradient, and a
+    valid cut because N(x) >= s . x for every x when N is a seminorm.  The
+    linear programs run on the range of the stack, inside a box that
+    contains the ball: there ||t|| <= sqrt(p) N(t) / sigma, for sigma the
+    smallest nonzero singular value of the stacked map and p the largest
+    rank that sum_i t_i M[i] can have.
     """
     from scipy.optimize import linprog
     g = np.asarray(objective, dtype=float)
-    flat = np.hstack([np.hstack([f.reshape(len(f), -1).real,
-                                 f.reshape(len(f), -1).imag]) for f in stacks])
+    flat = stack.reshape(len(stack), -1)
+    flat = np.hstack([flat.real, flat.imag])
     rng_basis, null = row_and_null_space_real(flat.T)
     if float(np.abs(null.T @ g).max(initial=0.0)) > 1e-9 * max(1.0, float(np.abs(g).max())):
         return math.inf, math.inf
     gr = rng_basis.T @ g
     if not gr.any():
         return 0.0, 0.0
-    reduced = [contract_stack(rng_basis.T, f) for f in stacks]
+    reduced = contract_stack(rng_basis.T, stack)
     sigma = float(np.linalg.svd(rng_basis.T @ flat, compute_uv=False).min())
-    box = math.sqrt(max(min(f.shape[1:]) for f in stacks)) / sigma
+    box = math.sqrt(min(stack.shape[1:])) / sigma
     cuts, lower, upper = [], 0.0, math.inf
     for _ in range(200):
         res = linprog(-gr, A_ub=np.array(cuts) if cuts else None,
                       b_ub=np.ones(len(cuts)) if cuts else None,
                       bounds=[(-box, box)] * len(gr), method="highs")
         t, upper = res.x, -res.fun
-        cut, norm = np.zeros(len(gr)), 0.0
-        for f in reduced:
-            u, sv, vh = np.linalg.svd(np.tensordot(t, f, axes=1))
-            cut += np.einsum("x,ixy,y->i", u[:, 0].conj(), f, vh[0].conj()).real
-            norm += sv[0]
-        lower = max(lower, float(gr @ t) / norm)
+        u, sv, vh = np.linalg.svd(np.tensordot(t, reduced, axes=1))
+        lower = max(lower, float(gr @ t) / sv[0])
         if upper - lower <= 1e-7 * max(1.0, upper):
             break
-        cuts.append(cut)
+        cuts.append(np.einsum("x,ixy,y->i", u[:, 0].conj(), reduced, vh[0].conj()).real)
     return lower, upper
+
+
+def state_sup_lower_bound(tensor_coords: np.ndarray, side: str,
+                          lip: Seminorm, other: ConcreteAlgebra,
+                          samples: int = 200,
+                          rng: np.random.Generator | None = None) -> float:
+    """Sampling lower bound for the state-supremum form of a tensor seminorm.
+
+    For side='left' this estimates (L_A (x) 1)(z) = sup_psi L_A((id (x) psi) z)
+    by sampling states psi on the other factor; always a lower bound of the
+    commutator-form value.
+    """
+    rng = rng or np.random.default_rng(0)
+    da = lip.algebra.dim
+    db = other.dim
+    z = np.asarray(tensor_coords, complex)
+    if side == "left":
+        block = z.reshape(da, db)
+    else:
+        block = z.reshape(db, da).T
+    best = 0.0
+    n = other.ambient_dim
+    unit = other.realize(other.unit_coords)
+    for _ in range(samples):
+        c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        rho = c @ c.conj().T
+        vals = np.einsum("xy,byx->b", rho, other.basis)
+        mass = complex(np.trace(rho @ unit))
+        if abs(mass) < 1e-12:
+            continue
+        sliced = block @ (vals / mass)
+        best = max(best, lip.eval_coords(sliced))
+    return best
 
 
 def commutative_pure_states(alg: ConcreteAlgebra) -> list[LinearFunctional]:

@@ -1,15 +1,64 @@
+"""Fixtures, and the constructs of the paper that only tests use: the
+multiplication functional mu_tau, the pairing functional of an element, and
+the flip Sigma^op that trades a plain and an opposite tensor factor.  Test
+modules import the functions with `from conftest import ...`."""
+
+from functools import reduce
+
 import numpy as np
 import pytest
 
 from choimetric import (
+    AlgebraElement,
+    LinearFunctional,
+    TraceFunctional,
     canonical_trace,
     cyclic_group,
     diagonal_algebra,
     matrix_algebra,
+    opposite_algebra,
     standard_matrix_trace,
+    tensor_algebra,
     twisted_group_algebra,
     word_length,
 )
+from choimetric.algebra import _swap_coords, _swap_factors
+from choimetric.errors import AlgebraMismatch, FactorMismatch, NotATrace
+
+
+def evaluate_mu_tau(b, tau: TraceFunctional) -> LinearFunctional:
+    """The multiplication functional mu_tau(b1 (x) b2^op) = tau(b1 b2) on
+    B (x) B^op; positive for every trace tau."""
+    if not isinstance(tau, TraceFunctional):
+        raise NotATrace("mu_tau requires a validated trace")
+    if not tau.algebra.same_as(b):
+        raise AlgebraMismatch("trace lives on a different algebra")
+    values = tau.bilinear_gram().reshape(-1)
+    return LinearFunctional(tensor_algebra(b, opposite_algebra(b)), values)
+
+
+def functional_from_element(x: AlgebraElement, tau: TraceFunctional) -> LinearFunctional:
+    """The pairing functional y -> tau(x y)."""
+    return LinearFunctional(x.algebra, x.coords @ tau.bilinear_gram())
+
+
+def swap_op_algebra(a, i: int, j: int):
+    """Target of Sigma^op_[ij]: factor i must be plain and factor j an
+    opposite algebra; they trade places and op-ness."""
+    factors = _swap_factors(a, i, j)
+    fi, fj = factors[i], factors[j]
+    if fi.op_of is not None or fj.op_of is None:
+        raise FactorMismatch(
+            "Sigma^op needs a plain algebra in position i and an opposite algebra in position j")
+    factors[i] = fj.op_of
+    factors[j] = opposite_algebra(fi)
+    return reduce(tensor_algebra, factors)
+
+
+def swap_op_functional(phi: LinearFunctional, i: int, j: int) -> LinearFunctional:
+    """Sigma^op_[ij](... a ... b^op ...) = ... b ... a^op ... on the values."""
+    return LinearFunctional(swap_op_algebra(phi.algebra, i, j),
+                            _swap_coords(phi.algebra, phi.values, i, j))
 
 
 @pytest.fixture(scope="session")

@@ -5,24 +5,23 @@ import numpy as np
 import pytest
 
 from choimetric import (
+    AlgebraElement,
+    ChannelMap,
     LinearFunctional,
     as_trace,
     build_algebra,
     cyclic_group,
     density_from_functional,
     diagonal_algebra,
-    evaluate_mu_tau,
     matrix_algebra,
     opposite_algebra,
-    scalar_algebra,
-    swap_element,
     swap_functional,
-    swap_op_element,
     tensor_algebra,
     tensor_trace,
     twisted_group_algebra,
 )
-from choimetric.algebra import functional_from_element, selfadjoint_basis
+from choimetric.algebra import selfadjoint_basis
+from choimetric.channels import pullback_state
 from choimetric.errors import (
     LinearlyDependentBasis,
     NoUnit,
@@ -32,6 +31,7 @@ from choimetric.errors import (
     NotFaithful,
 )
 from choimetric.experiments import stability_context
+from conftest import evaluate_mu_tau, functional_from_element, swap_op_functional
 
 
 def unit_matrix(n, i, j):
@@ -49,13 +49,6 @@ def test_diagonal_algebra(d2):
     assert d2.dim == 2
     assert np.allclose(d2.unit_coords, [1, 1])
     assert d2.is_commutative()
-
-
-def test_scalar_algebra_is_tensor_unit(m2):
-    c = scalar_algebra()
-    t = tensor_algebra(c, m2)
-    assert t.dim == m2.dim
-    assert np.allclose(t.basis, m2.basis)
 
 
 def test_rejects_non_closed_adjoint():
@@ -168,6 +161,13 @@ def test_opposite_product_law(m3, rng):
     assert np.abs(lhs - rhs).max() < 1e-12
 
 
+def test_scalar_algebra_is_tensor_unit(m2):
+    c = build_algebra(np.ones((1, 1, 1), dtype=complex), name="C")
+    t = tensor_algebra(c, m2)
+    assert t.dim == m2.dim
+    assert np.allclose(t.basis, m2.basis)
+
+
 def test_opposite_of_commutative_is_identical(d2):
     op = opposite_algebra(d2)
     assert np.abs(op.structure - d2.structure).max() == 0.0
@@ -175,9 +175,9 @@ def test_opposite_of_commutative_is_identical(d2):
 
 def test_swap_involution(m2, d2, rng):
     t = tensor_algebra(m2, d2)
-    x = t.element(rng.standard_normal(8) + 1j * rng.standard_normal(8))
-    y = swap_element(swap_element(x, 0, 1), 0, 1)
-    assert np.abs(y.coords - x.coords).max() == 0.0
+    x = LinearFunctional(t, rng.standard_normal(8) + 1j * rng.standard_normal(8))
+    y = swap_functional(swap_functional(x, 0, 1), 0, 1)
+    assert np.abs(y.values - x.values).max() == 0.0
 
 
 def test_swap_three_factors_index_permutation(m2, d2):
@@ -186,10 +186,10 @@ def test_swap_three_factors_index_permutation(m2, d2):
     # basis index (i, j, k) = (1, 2, 0) moves to (1, 0, 2) under Sigma_[23]
     idx = (1 * 4 + 2) * 2 + 0
     x[idx] = 1.0
-    swapped = swap_element(t.element(x), 1, 2)
+    swapped = swap_functional(LinearFunctional(t, x), 1, 2)
     tgt_idx = (1 * 2 + 0) * 4 + 2
-    assert swapped.coords[tgt_idx] == 1.0
-    assert np.count_nonzero(swapped.coords) == 1
+    assert swapped.values[tgt_idx] == 1.0
+    assert np.count_nonzero(swapped.values) == 1
 
 
 def test_swap_preserves_positivity(m2, rng):
@@ -207,10 +207,10 @@ def test_swap_op_pairing(m2, rng):
     t = tensor_algebra(m2, op)
     a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     b = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    x = t.element(np.outer(a, b).reshape(-1))          # a (x) b^op
-    sw = swap_op_element(x, 0, 1)                       # b (x) a^op
+    x = LinearFunctional(t, np.outer(a, b).reshape(-1))     # a (x) b^op
+    sw = swap_op_functional(x, 0, 1)                        # b (x) a^op
     expected = np.outer(b, a).reshape(-1)
-    assert np.abs(sw.coords - expected).max() < 1e-12
+    assert np.abs(sw.values - expected).max() < 1e-12
 
 
 def test_mu_tau_matrix_units(m2, tr2):
@@ -295,9 +295,9 @@ def test_selfadjoint_basis_dimension(m3):
 def test_pullback_functional(m2, rng):
     phi = LinearFunctional(m2, rng.standard_normal(4) + 1j * rng.standard_normal(4))
     cmap = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    pulled = phi.pullback(cmap, m2)
+    pulled = pullback_state(ChannelMap(m2, m2, cmap), phi)
     x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    assert abs(pulled(m2.element(x)) - phi(m2.element(cmap @ x))) < 1e-12
+    assert abs(pulled(AlgebraElement(m2, x)) - phi(AlgebraElement(m2, cmap @ x))) < 1e-12
 
 
 def test_mu_tau_positive_across_corpus():
@@ -320,16 +320,16 @@ def test_mu_tau_positive_across_corpus():
 
 def test_swap_requires_tensor_structure(m2, rng):
     from choimetric.errors import FactorMismatch, NotATensorAlgebra
-    x = m2.element(rng.standard_normal(4).astype(complex))
+    x = LinearFunctional(m2, rng.standard_normal(4).astype(complex))
     with pytest.raises(NotATensorAlgebra):
-        swap_element(x, 0, 1)
+        swap_functional(x, 0, 1)
     t = tensor_algebra(m2, m2)    # both factors plain: no op position
-    y = t.element(np.zeros(16, dtype=complex))
+    y = LinearFunctional(t, np.zeros(16, dtype=complex))
     with pytest.raises(FactorMismatch):
-        swap_op_element(y, 0, 1)
+        swap_op_functional(y, 0, 1)
     with pytest.raises(FactorMismatch):
-        swap_element(y, 0, 5)
+        swap_functional(y, 0, 5)
     mixed = tensor_algebra(m2, opposite_algebra(m2))
-    z = mixed.element(np.zeros(16, dtype=complex))
+    z = LinearFunctional(mixed, np.zeros(16, dtype=complex))
     with pytest.raises(FactorMismatch):
-        swap_op_element(z, 0, 5)
+        swap_op_functional(z, 0, 5)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from choimetric import (
+    AlgebraElement,
     ChannelMap,
     LinearFunctional,
     TraceFunctional,
@@ -16,34 +17,88 @@ from choimetric import (
     is_trace_channel,
     is_trace_preserving,
     is_unital,
-    kms_choi_element,
     omega_tau,
     opposite_algebra,
     standard_matrix_trace,
     swap_functional,
-    swap_op_functional,
     tensor_algebra,
     tensor_channel,
     tensor_functional,
     tensor_trace,
     trace_adjoint,
-    zero_channel,
 )
-from choimetric.algebra import functional_from_element
-from choimetric.channels import (
-    check_trace_channel,
-    is_k_positive_sampled,
-    omega_of_adjoint,
-    trace_of_unit_image,
+from choimetric.algebra import require_faithful
+from choimetric.channels import check_trace_channel, trace_of_unit_image
+from choimetric.errors import (
+    AlgebraMismatch,
+    NotMatrixUnitsBasis,
+    NotTraceChannel,
+    TraceMismatch,
 )
-from choimetric.errors import NotMatrixUnitsBasis, NotTraceChannel, TraceMismatch
 from choimetric.generate import (
+    random_complex,
     random_cp_channel,
     random_kraus_channel,
     random_linear_map,
     random_trace_channel,
-    random_unitary,
 )
+from choimetric.linalg import hermitian_part, is_psd
+from conftest import evaluate_mu_tau, functional_from_element, swap_op_functional
+
+
+def zero_channel(src, tgt) -> ChannelMap:
+    return ChannelMap(src, tgt, np.zeros((tgt.dim, src.dim), dtype=complex))
+
+
+def random_unitary(rng, n: int) -> np.ndarray:
+    q, r = np.linalg.qr(random_complex(rng, n, n))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def is_k_positive_sampled(f: ChannelMap, k: int, trials: int = 20,
+                          rng: np.random.Generator | None = None) -> bool:
+    """Necessary condition for k-positivity on random k-tuples."""
+    rng = rng or np.random.default_rng(0)
+    src, tgt = f.source, f.target
+    n = tgt.ambient_dim
+    for _ in range(trials):
+        tuples = rng.standard_normal((k, src.dim)) + 1j * rng.standard_normal((k, src.dim))
+        block = np.empty((k * n, k * n), dtype=complex)
+        for i in range(k):
+            ai_star = src.adjoint_of_coords(tuples[i])
+            for j in range(k):
+                prod = src.multiply_coords(ai_star, tuples[j])
+                block[i * n:(i + 1) * n, j * n:(j + 1) * n] = tgt.realize(f.matrix @ prod)
+        if not is_psd(block):
+            return False
+    return True
+
+
+def omega_of_adjoint(f: ChannelMap, tau_src: TraceFunctional,
+                     tau_tgt: TraceFunctional) -> LinearFunctional:
+    """omega_{tau_A}(F#) computed as omega_{tau_B}(F) o Sigma^op, without
+    constructing F# (a cross-check of trace_adjoint)."""
+    return swap_op_functional(omega_tau(f, tau_tgt), 0, 1)
+
+
+def kms_orthonormal_basis(alg, tau: TraceFunctional) -> np.ndarray:
+    """Rows are coordinates of a basis orthonormal for <x, y> = tau(x^* y)."""
+    require_faithful(tau)
+    chol = np.linalg.cholesky(hermitian_part(tau.gns_gram()))
+    return np.conj(np.linalg.inv(chol))
+
+
+def kms_choi_element(f: ChannelMap, tau: TraceFunctional) -> AlgebraElement:
+    """The element sum_i F(b_i) (x) (b_i^*)^op of A (x) A^op for a
+    KMS-orthonormal basis {b_i}; positive exactly when F is CP."""
+    if not f.source.same_as(f.target):
+        raise AlgebraMismatch("the KMS Choi element needs an endomorphism")
+    alg = f.source
+    w = kms_orthonormal_basis(alg, tau)
+    coords = np.zeros((alg.dim, alg.dim), dtype=complex)
+    for r in range(alg.dim):
+        coords += np.outer(f.matrix @ w[r], alg.adjoint_of_coords(w[r]))
+    return AlgebraElement(tensor_algebra(alg, opposite_algebra(alg)), coords.reshape(-1))
 
 
 def transpose_channel(m2):
@@ -73,7 +128,6 @@ def test_omega_zero_channel(m2, tr2):
 
 def test_omega_factors_through_mu(m2, tr2, rng):
     # two-path evaluation: omega(F) = mu_tau o (F (x) id)
-    from choimetric.algebra import evaluate_mu_tau
     f = random_cp_channel(rng, m2, m2, tr2)
     op = opposite_algebra(m2)
     carrier = tensor_algebra(m2, op)

@@ -38,12 +38,16 @@ def test_group_laws_validated():
         group_from_table([[1, 0], [0, 1]], 0)
 
 
+def is_abelian(g) -> bool:
+    return bool(np.array_equal(g.mult, g.mult.T))
+
+
 def test_builtin_groups():
-    assert cyclic_group(4).is_abelian()
-    assert not symmetric_group_3().is_abelian()
+    assert is_abelian(cyclic_group(4))
+    assert not is_abelian(symmetric_group_3())
     assert dihedral_group(4).order == 8
     k4 = direct_product(cyclic_group(2), cyclic_group(2))
-    assert k4.is_abelian() and k4.order == 4
+    assert is_abelian(k4) and k4.order == 4
 
 
 def test_characters():
@@ -105,9 +109,10 @@ def test_twisted_product_law():
 def test_left_right_representations_commute():
     s3 = symmetric_group_3()
     ga = twisted_group_algebra(s3)
+    left = ga.algebra.basis
     for a in s3.elements():
         for b in s3.elements():
-            comm = ga.left_rep[a] @ ga.right_rep[b] - ga.right_rep[b] @ ga.left_rep[a]
+            comm = left[a] @ ga.right_rep[b] - ga.right_rep[b] @ left[a]
             assert np.abs(comm).max() < 1e-12
 
 

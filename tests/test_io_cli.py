@@ -22,6 +22,15 @@ from choimetric.groups import twisted_group_algebra
 from choimetric.metrics import DLResult
 
 
+def functional_to_dict(phi) -> dict:
+    return {"algebra": phi.algebra.name, "values": io.vector_to_json(phi.values)}
+
+
+def channel_to_dict(ch) -> dict:
+    return {"source": ch.source.name, "target": ch.target.name,
+            "matrix": io.matrix_to_json(ch.matrix)}
+
+
 def write(tmp_path, name, data):
     path = tmp_path / name
     io.save_json(data, str(path))
@@ -39,10 +48,10 @@ def test_algebra_round_trip(tmp_path, m2):
 def test_functional_and_channel_round_trip(tmp_path, m2, tr2):
     assert m2.name == "M2"
     registry = {"M2": m2}
-    tau_path = write(tmp_path, "tr.json", io.functional_to_dict(tr2))
+    tau_path = write(tmp_path, "tr.json", functional_to_dict(tr2))
     tau = io.trace_from_dict(io.load_json(tau_path), registry)
     assert np.abs(tau.values - tr2.values).max() < 1e-12
-    ch_path = write(tmp_path, "id.json", io.channel_to_dict(identity_channel(m2)))
+    ch_path = write(tmp_path, "id.json", channel_to_dict(identity_channel(m2)))
     ch = io.channel_from_dict(io.load_json(ch_path), registry)
     assert np.abs(ch.matrix - np.eye(4)).max() == 0
 
@@ -75,8 +84,8 @@ def test_malformed_json_fails_fast(tmp_path):
 def test_cli_validate_and_classify(tmp_path, m2, tr2):
     assert m2.name == "M2"
     alg = write(tmp_path, "m2.json", io.algebra_to_dict(m2))
-    tau = write(tmp_path, "tr.json", io.functional_to_dict(tr2))
-    ch = write(tmp_path, "id.json", io.channel_to_dict(identity_channel(m2)))
+    tau = write(tmp_path, "tr.json", functional_to_dict(tr2))
+    ch = write(tmp_path, "id.json", channel_to_dict(identity_channel(m2)))
     assert main(["validate", alg, "--kind", "algebra"]) == 0
     assert main(["validate", tau, "--kind", "trace", "--algebras", alg]) == 0
     assert main(["classify", "--channel", ch, "--trace", tau,
@@ -86,8 +95,8 @@ def test_cli_validate_and_classify(tmp_path, m2, tr2):
 def test_cli_choi_and_omega(tmp_path, m2, tr2, capsys):
     assert m2.name == "M2"
     alg = write(tmp_path, "m2.json", io.algebra_to_dict(m2))
-    tau = write(tmp_path, "tr.json", io.functional_to_dict(tr2))
-    ch = write(tmp_path, "id.json", io.channel_to_dict(identity_channel(m2)))
+    tau = write(tmp_path, "tr.json", functional_to_dict(tr2))
+    ch = write(tmp_path, "id.json", channel_to_dict(identity_channel(m2)))
     assert main(["choi", "--channel", ch, "--algebras", alg]) == 0
     eigs = json.loads(capsys.readouterr().out.strip())
     assert abs(max(eigs) - 2.0) < 1e-9
@@ -136,6 +145,7 @@ def test_cli_mk(tmp_path, capsys):
                  "--algebras", alg]) == 0
     rec = json.loads(capsys.readouterr().out.strip())
     assert abs(rec["value"] - 1.0) < 1e-6
+    assert "seed" not in rec
 
 
 def test_cli_mk_rejects_a_psi_on_another_algebra(tmp_path, capsys, m2):
@@ -234,6 +244,7 @@ def test_cli_malformed_input_file_is_an_error(tmp_path, capsys, kind, data):
     ["run-all", "--trials", "3"],
     ["delta", "--group", "g.json", "--pdf", "p.json", "--pdf2", "q.json",
      "--max-iter", "5"],
+    ["mk", "--triple", "t.json", "--phi", "p.json", "--psi", "q.json", "--seed", "1"],
 ])
 def test_cli_rejects_flags_the_verb_does_not_read(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -247,9 +258,9 @@ def _dl_files(tmp_path):
     d2 = diagonal_algebra(2)
     assert d2.name == "diag2"
     alg = write(tmp_path, "d2.json", io.algebra_to_dict(d2))
-    f = write(tmp_path, "f.json", io.channel_to_dict(ChannelMap(
+    f = write(tmp_path, "f.json", channel_to_dict(ChannelMap(
         d2, d2, np.array([[0.7, 0.3], [0.3, 0.7]], dtype=complex))))
-    g = write(tmp_path, "g.json", io.channel_to_dict(ChannelMap(
+    g = write(tmp_path, "g.json", channel_to_dict(ChannelMap(
         d2, d2, np.array([[0.2, 0.8], [0.8, 0.2]], dtype=complex))))
     x = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
     t = write(tmp_path, "t.json", {"algebra": "diag2", "hilbert_dim": 2,
@@ -270,6 +281,16 @@ def test_cli_dl(tmp_path, capsys):
                  "--m-max", "2", "--starts", "2"]) == 0
     rec2 = json.loads(capsys.readouterr().out.strip())
     assert rec2["status"] == "lower_bound" and len(rec2["per_m"]) == 2
+
+
+def test_cli_dl_rejects_a_triple_next_to_m_max(tmp_path, capsys):
+    # the stabilized path reads no triple; a file that is not a triple
+    # must not pass without a word either
+    f, g, t, alg = _dl_files(tmp_path)
+    for triple in (t, f):
+        assert main(["dl", "--channel", f, "--channel2", g, "--triple", triple,
+                     "--algebras", alg, "--m-max", "2", "--starts", "2"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
 
 def test_cli_dl_nonconvergence_exits_1(tmp_path, capsys, monkeypatch):

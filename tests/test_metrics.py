@@ -12,9 +12,8 @@ from choimetric import (
     ChannelMap,
     CommutatorSeminorm,
     LinearFunctional,
-    PullbackSeminorm,
+    Seminorm,
     SpectralTriple,
-    SumSeminorm,
     amplify,
     delta_distance,
     diagonal_algebra,
@@ -26,7 +25,7 @@ from choimetric import (
     mk_between,
     multiplier_channel,
     omega_tau,
-    opposite_seminorm,
+    opposite_algebra,
     selfadjoint_basis,
     wasserstein_dual,
 )
@@ -103,7 +102,7 @@ def cutting_plane_bracket(phi, psi, lip):
     """The cutting-plane oracle on the self-adjoint coordinates of mk_L."""
     rows = selfadjoint_basis(lip.algebra)
     return cutting_plane_maximize((rows @ (phi.values - psi.values)).real,
-                                  [contract_stack(rows, f) for f in lip.families])
+                                  contract_stack(rows, lip.matrices))
 
 
 def test_three_point_path_metric_and_grid_oracle():
@@ -448,29 +447,11 @@ def test_dl_stabilized_monotone(rng, d2):
     assert per_m[1] >= per_m[0] - 1e-8
 
 
-def test_sum_seminorm_mk(rng, d2):
-    # mk over L + L equals half the mk over L (unit ball shrinks by 2)
-    lip = CommutatorSeminorm(SpectralTriple(d2, d2.basis, X))
-    total = SumSeminorm(lip, lip)
-    dp, dq = point_states(d2)
-    res = mk_between(dp, dq, total, tolerance=1e-9)
-    assert abs(res.value - 0.5) < 1e-6
-
-
-def test_pullback_of_a_sum_solves_on_the_sdp_path(d2):
-    lip = CommutatorSeminorm(SpectralTriple(d2, d2.basis, X))
-    pulled = PullbackSeminorm(SumSeminorm(lip, lip), np.eye(2), d2)
-    dp, dq = point_states(d2)
-    res = _maximize_linear(prepare_ball(pulled), dp.values - dq.values,
-                           1e-10, sdp.MAX_ITER)
-    assert res.status == "optimal"
-    assert abs(res.value - 0.5) < 1e-8
-
-
 def test_opposite_seminorm_has_the_same_mk_values(rng, m2):
+    # L_{A^op}(a^op) = L_A(a): the same stack over the opposite algebra
     lip = CommutatorSeminorm(gradient_dirac_triple([X, np.diag([1.0, -1.0])],
                                                    algebra=m2))
-    lop = opposite_seminorm(lip)
+    lop = Seminorm(opposite_algebra(m2), lip.matrices)
     for _ in range(3):
         phi, psi = random_state(rng, m2), random_state(rng, m2)
         phi_op = LinearFunctional(lop.algebra, phi.values)
@@ -499,11 +480,10 @@ def test_hyperplane_fallback(m2):
 
 
 def test_cutting_planes_bracket_the_sdp_value(m2, rng):
-    # a sum of two commutator seminorms, so each cut adds two subgradients
+    # the stacked-commutator norm of three L matrices on M_2
     for _ in range(3):
         ls = [random_hermitian(rng, 2) for _ in range(3)]
-        lip = SumSeminorm(CommutatorSeminorm(gradient_dirac_triple(ls[:2], algebra=m2)),
-                          CommutatorSeminorm(gradient_dirac_triple(ls[2:], algebra=m2)))
+        lip = CommutatorSeminorm(gradient_dirac_triple(ls, algebra=m2))
         phi, psi = random_state(rng, m2), random_state(rng, m2)
         value = mk_between(phi, psi, lip, tolerance=1e-10).value
         lower, upper = cutting_plane_bracket(phi, psi, lip)
@@ -599,7 +579,8 @@ def test_dl_infinite_when_difference_sees_the_kernel(m2, rng):
 def test_state_sup_right_branch(rng):
     from choimetric.experiments import _toy_triples
     from choimetric import cyclic_group, twisted_group_algebra
-    from choimetric.geometry import right_tensor_seminorm, state_sup_lower_bound
+    from choimetric.geometry import right_tensor_seminorm
+    from choimetric.oracles import state_sup_lower_bound
     toys = _toy_triples()
     ga = twisted_group_algebra(cyclic_group(2))
     rt = right_tensor_seminorm(ga.algebra, toys["odd_m2"])
