@@ -292,6 +292,16 @@ def _omega_seminorm(triple: SpectralTriple, to_omega) -> CommutatorSeminorm:
                                              triple.dirac, triple.grading))
 
 
+def amplifier_triple(n: int) -> SpectralTriple:
+    """d_n x d_n: the Kasparov product of the odd triple (M_n, C^n,
+    diag(1, ..., -1, ...)) and its opposite on the same C^n."""
+    mn = matrix_algebra(n)
+    mn_op = opposite_algebra(mn)
+    dirac_n = np.diag([1.0] * (n // 2) + [-1.0] * (n - n // 2)).astype(complex)
+    return kasparov_product(SpectralTriple(mn, mn.basis, dirac_n),
+                            SpectralTriple(mn_op, mn_op.basis, dirac_n))
+
+
 def stability_context(key: str, n: int = 2, restrict: bool = True) -> StabilityContext:
     """Assemble the amplified seminorm L_n = L_{(d_n x d_n) x (d_A x d_B)}
     o Sigma_[23] together with the normalized amplification trace.
@@ -302,14 +312,10 @@ def stability_context(key: str, n: int = 2, restrict: bool = True) -> StabilityC
     equality requires.
     """
     base = group_context(key, restrict=restrict)
-    mn = matrix_algebra(n)
-    mn_op = opposite_algebra(mn)
-    dirac_n = np.diag([1.0] * (n // 2) + [-1.0] * (n - n // 2)).astype(complex)
-    t_n = SpectralTriple(mn, mn.basis, dirac_n).validate()
-    t_n_op = SpectralTriple(mn_op, mn_op.basis, dirac_n).validate()
-    t_nn = kasparov_product(t_n, t_n_op)
+    t_nn = amplifier_triple(n)
     product_total = kasparov_product(t_nn, base.seminorm.triple)
 
+    mn = matrix_algebra(n)
     trace_n = as_trace(LinearFunctional(
         mn, np.trace(mn.basis, axis1=1, axis2=2) / n))
     amp_trace = tensor_trace(trace_n, base.tau)
@@ -493,7 +499,8 @@ def run_kasparov(seed: int = 0, samples: int = 500) -> list[ExperimentRecord]:
     records = []
     for trial, (pa, pb) in enumerate(itertools.product(("odd", "even"), repeat=2)):
         try:
-            kasparov_product(toys[pa], toys[pb])     # validates the product
+            # raises unless both factors and the product are triples
+            kasparov_product(toys[pa], toys[pb])
             valid = True
         except InvalidSpectralTriple:
             valid = False

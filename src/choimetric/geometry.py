@@ -4,6 +4,15 @@ At finite dimension every commutator is bounded and the compact-resolvent
 condition is vacuous, so a triple is a faithful unital *-representation
 together with a Hermitian Dirac matrix and an optional grading.  Seminorm
 domains are the whole algebra.
+
+`SpectralTriple.validate` is the one full check, for every triple built
+from raw matrices: the operator laws on the Hilbert space (Hermitian Dirac;
+a grading that is a Hermitian involution anticommuting with it), then the
+laws of the representation (unital, multiplicative, *-preserving, faithful,
+commuting with the grading).  A Kasparov product is checked through its
+factors: both pass the full check, the product passes the operator laws,
+and its faithfulness is read from the factors' singular values; its other
+representation laws follow from the factors' (see `kasparov_product`).
 """
 
 from __future__ import annotations
@@ -50,16 +59,38 @@ class SpectralTriple:
 
     def validate(self):
         """Raise InvalidSpectralTriple unless this is a faithful unital
-        *-representation with a Hermitian Dirac (and a grading), to EPS_STRUCT."""
+        *-representation with a Hermitian Dirac (and a grading), to EPS_STRUCT:
+        the operator laws, then the representation laws."""
+        self._check_operators()
+        self._check_representation()
+        return self
+
+    def _check_operators(self):
+        """The laws on the Hilbert space alone, O(h^3): the Dirac is Hermitian,
+        and a grading is a Hermitian involution that anticommutes with it."""
         tol = EPS_STRUCT
-        alg, rep, dirac = self.algebra, self.rep, self.dirac
-        d, h, _ = rep.shape
-        if d != alg.dim or dirac.shape != (h, h):
+        d, h, _ = self.rep.shape
+        dirac = self.dirac
+        if d != self.algebra.dim or dirac.shape != (h, h):
             raise InvalidSpectralTriple("shape mismatch between rep and dirac")
-        scale = max(1.0, float(np.abs(dirac).max(initial=0.0)))
-        if linalg.frobenius(dirac - linalg.dagger(dirac)) > tol * scale * h:
+        if not linalg.is_hermitian(dirac):
             raise InvalidSpectralTriple("Dirac matrix is not Hermitian")
-        # unital
+        if self.grading is not None:
+            g = self.grading
+            if linalg.frobenius(g - linalg.dagger(g)) > tol * h:
+                raise InvalidSpectralTriple("grading is not Hermitian")
+            if linalg.frobenius(g @ g - np.eye(h)) > tol * h:
+                raise InvalidSpectralTriple("grading does not square to one")
+            scale = max(1.0, float(np.abs(dirac).max(initial=0.0)))
+            if float(np.abs(g @ dirac + dirac @ g).max()) > 1e3 * tol * scale:
+                raise InvalidSpectralTriple("grading does not anticommute with the Dirac matrix")
+
+    def _check_representation(self):
+        """The laws of the representation: unital, multiplicative,
+        *-preserving, faithful, and commuting with the grading."""
+        tol = EPS_STRUCT
+        alg, rep = self.algebra, self.rep
+        d, h, _ = rep.shape
         unit_img = np.tensordot(alg.unit_coords, rep, axes=1)
         if linalg.frobenius(unit_img - np.eye(h)) > tol * h:
             raise InvalidSpectralTriple("representation is not unital")
@@ -83,31 +114,43 @@ class SpectralTriple:
                 sc = rscale * float(np.linalg.norm(u) * np.linalg.norm(v))
                 if float(np.abs(lhs - rhs).max()) > 1e3 * tol * sc:
                     raise InvalidSpectralTriple("representation fails the product law")
-        # star
         flat = rep.reshape(d, h * h)
         adj = (alg.adjoint_coords @ flat).reshape(d, h, h)
         if float(np.abs(rep.conj().transpose(0, 2, 1) - adj).max()) > 1e3 * tol * rscale:
             raise InvalidSpectralTriple("representation fails the adjoint law")
-        # faithful
-        if _rank(flat, 1e-10 * max(1.0, rscale)) < d:
+        if _rank(flat, _FAITHFUL_TOL * rscale) < d:
             raise InvalidSpectralTriple("representation is not faithful")
         if self.grading is not None:
             g = self.grading
-            if linalg.frobenius(g - linalg.dagger(g)) > tol * h:
-                raise InvalidSpectralTriple("grading is not Hermitian")
-            if linalg.frobenius(g @ g - np.eye(h)) > tol * h:
-                raise InvalidSpectralTriple("grading does not square to one")
             if float(np.abs(g @ rep - rep @ g).max()) > 1e3 * tol * rscale:
                 raise InvalidSpectralTriple("grading does not commute with the representation")
-            if float(np.abs(g @ dirac + dirac @ g).max()) > 1e3 * tol * scale:
-                raise InvalidSpectralTriple("grading does not anticommute with the Dirac matrix")
-        return self
+
+
+# a representation is faithful when every singular value of its flattened
+# stack exceeds this multiple of its scale max(1, max |pi(B_i)_jk|^2)
+_FAITHFUL_TOL = 1e-10
 
 
 def _rank(flat: np.ndarray, tol: float) -> int:
     """Rank of a wide (d, m) matrix at absolute singular-value tolerance
     `tol`, from the R factor of its transpose (the same singular values)."""
     return int(np.linalg.matrix_rank(np.linalg.qr(flat.T, mode="r"), tol=tol))
+
+
+def _tensor_rank(ta: SpectralTriple, tb: SpectralTriple, copies: int) -> int:
+    """The rank `_rank` gives the flattened pi_A (x) pi_B, repeated on
+    `copies` diagonal blocks, at the threshold of the product triple, read
+    from the factors' singular values.
+
+    Up to a permutation of columns the flattened pi_A (x) pi_B is
+    kron(flat_A, flat_B), whose singular values are the products
+    sigma_A,i sigma_B,j; `copies` repeats of its columns scale them by
+    sqrt(copies).  Its largest entry is the product of the factors'."""
+    sa, sb = (np.linalg.svd(t.rep.reshape(t.rep.shape[0], -1), compute_uv=False)
+              for t in (ta, tb))
+    amax = float(np.abs(ta.rep).max()) * float(np.abs(tb.rep).max())
+    tol = _FAITHFUL_TOL * max(1.0, amax ** 2)
+    return int(np.count_nonzero(np.sqrt(copies) * np.multiply.outer(sa, sb) > tol))
 
 
 # ---------------------------------------------------------------------------
@@ -186,14 +229,26 @@ def _tensor_rep(rep_a: np.ndarray, rep_b: np.ndarray) -> np.ndarray:
 
 def kasparov_product(ta: SpectralTriple, tb: SpectralTriple) -> SpectralTriple:
     """Exterior Kasparov product over the tensor algebra, in all four parity
-    combinations; the product is validated before it is returned.
+    combinations; raises InvalidSpectralTriple unless it is a spectral triple.
 
     even x even : D_A (x) 1 + gamma_A (x) D_B, grading gamma_A (x) gamma_B
     odd  x odd  : doubled space, off-diagonal blocks D_A (x) 1 +- i 1 (x) D_B,
                   grading diag(1, -1)
     odd  x even : D_A (x) gamma_B + 1 (x) D_B, no grading
     even x odd  : D_A (x) 1 + gamma_A (x) D_B, no grading
+
+    The check costs what the factors cost, not the product: both factors
+    pass the full `validate`, the product passes the operator laws, and its
+    faithfulness is decided from the factors (`_tensor_rank`).  The other
+    representation laws follow from the factors': the carrier's unit,
+    structure constants and adjoint are the tensor products of the factors',
+    so pi_A (x) pi_B (on each diagonal copy of the doubled space) is unital,
+    multiplicative and *-preserving when pi_A and pi_B are, and the grading
+    gamma_A (x) gamma_B, or diag(1, -1) (x) 1, commutes with it when the
+    factor gradings commute with their representations.
     """
+    ta.validate()
+    tb.validate()
     carrier = tensor_algebra(ta.algebra, tb.algebra)
     ha, hb = ta.hilbert_dim, tb.hilbert_dim
     ia, ib = np.eye(ha), np.eye(hb)
@@ -222,7 +277,10 @@ def kasparov_product(ta: SpectralTriple, tb: SpectralTriple) -> SpectralTriple:
     else:
         dirac = np.kron(ta.dirac, ib) + np.kron(ta.grading, tb.dirac)
         out = SpectralTriple(carrier, rep0, dirac, None)
-    return out.validate()
+    out._check_operators()
+    if _tensor_rank(ta, tb, out.hilbert_dim // (ha * hb)) < carrier.dim:
+        raise InvalidSpectralTriple("representation is not faithful")
+    return out
 
 
 def gradient_dirac_triple(l_mats, algebra: ConcreteAlgebra | None = None) -> SpectralTriple:

@@ -29,6 +29,7 @@ from .groups import (
     PositiveDefiniteFunction,
     group_from_table,
 )
+from .linalg import is_hermitian
 
 
 def complex_to_json(z: complex):
@@ -207,7 +208,7 @@ def pdf_from_dict(data: dict, group: FiniteGroup) -> PositiveDefiniteFunction:
 
 def problem_from_dict(data: dict):
     """(l_matrices, rho1, rho2) of a matricial Wasserstein-1 problem, all
-    square matrices of one size."""
+    square matrices of one size, with rho1 and rho2 Hermitian."""
     ls = _matrices(data, "l_matrices", "problem")
     rho1 = matrix_from_json(_field(data, "rho1", "problem"), "rho1")
     rho2 = matrix_from_json(_field(data, "rho2", "problem"), "rho2")
@@ -215,6 +216,9 @@ def problem_from_dict(data: dict):
             rho1.shape == rho2.shape == ls.shape[1:]):
         raise ChoimetricError("problem: l_matrices, rho1 and rho2 must be "
                               "square matrices of one size")
+    for name, rho in (("rho1", rho1), ("rho2", rho2)):
+        if not is_hermitian(rho):
+            raise ChoimetricError(f"problem: {name} is not Hermitian")
     return ls, rho1, rho2
 
 

@@ -18,6 +18,12 @@ def frobenius(m: np.ndarray) -> float:
     return float(np.linalg.norm(m))
 
 
+def is_hermitian(m: np.ndarray) -> bool:
+    """||m - m^*||_F at most EPS_STRUCT max(1, max |m_ij|) n."""
+    scale = max(1.0, float(np.abs(m).max(initial=0.0)))
+    return frobenius(m - dagger(m)) <= EPS_STRUCT * scale * m.shape[0]
+
+
 def operator_norm(m: np.ndarray) -> float:
     """Largest singular value."""
     if m.size == 0:

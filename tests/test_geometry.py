@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,14 +10,24 @@ from choimetric import (
     diagonal_algebra,
     kasparov_product,
     left_tensor_seminorm,
+    matrix_algebra,
     opposite_algebra,
     right_tensor_seminorm,
     seminorm_domination_check,
     tensor_algebra,
+    twisted_group_algebra,
+    word_length,
 )
+from choimetric import experiments as E
 from choimetric.errors import InvalidSpectralTriple
 from choimetric.experiments import _toy_triples
-from choimetric.geometry import gradient_dirac_triple
+from choimetric.geometry import (
+    _FAITHFUL_TOL,
+    _rank,
+    _tensor_rank,
+    _tensor_rep,
+    gradient_dirac_triple,
+)
 from choimetric.oracles import state_sup_lower_bound
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -68,6 +80,110 @@ def test_faithfulness_rank_matches_matrix_rank():
     # and on a rank-deficient stack: the last row a combination of two others
     flat[-1] = flat[0] - 2.0 * flat[1]
     assert _rank(flat, tol) == np.linalg.matrix_rank(flat, tol=tol) == d - 1
+
+
+def _corrupt_factor(law: str, parity: str) -> SpectralTriple:
+    """A triple that breaks one law and keeps the others, built without the
+    check; the even ones carry a grading that commutes with the
+    representation and anticommutes with the Dirac unless `law` names it."""
+    d2 = diagonal_algebra(2)
+    if law == "Dirac matrix is not Hermitian":
+        return SpectralTriple(d2, d2.basis, np.array([[0.0, 1.0], [0.0, 0.0]]),
+                              Z if parity == "even" else None)
+    if law == "product law":
+        # unital and *-preserving, but e_1 does not go to a projection
+        rep = np.array([np.diag([1.0, 0.5]), np.diag([0.0, 0.5])])
+        return SpectralTriple(d2, rep, X, Z if parity == "even" else None)
+    if law == "adjoint law":
+        # conjugation by a non-unitary S on M_2
+        m2 = matrix_algebra(2)
+        s = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
+        rep = s @ m2.basis @ np.linalg.inv(s)
+        if parity == "odd":
+            return SpectralTriple(m2, rep, Z)
+        return SpectralTriple(m2, np.array([np.kron(np.eye(2), r) for r in rep]),
+                              np.kron(X, np.eye(2)), np.kron(Z, np.eye(2)))
+    if law == "not faithful":
+        if parity == "odd":
+            return SpectralTriple(d2, np.array([[[1.0]], [[0.0]]]), np.zeros((1, 1)))
+        return SpectralTriple(d2, np.array([np.eye(2), np.zeros((2, 2))]), X, Z)
+    if law == "does not commute":
+        return SpectralTriple(d2, d2.basis, Z, X)
+    assert law == "does not anticommute"
+    return SpectralTriple(d2, d2.basis, Z, Z)
+
+
+CORRUPTIONS = [(law, parity)
+               for law in ("Dirac matrix is not Hermitian", "product law",
+                           "adjoint law", "not faithful")
+               for parity in ("odd", "even")] + [
+    ("does not commute", "even"), ("does not anticommute", "even")]
+
+
+@pytest.mark.parametrize("partner", ["odd", "even"])
+@pytest.mark.parametrize("position", ["first", "second"])
+@pytest.mark.parametrize("law, parity", CORRUPTIONS)
+def test_kasparov_product_rejects_a_corrupted_factor(law, parity, position, partner):
+    bad = _corrupt_factor(law, parity)
+    with pytest.raises(InvalidSpectralTriple, match=law):
+        bad.validate()
+    good = _toy_triples()[partner]
+    factors = (bad, good) if position == "first" else (good, bad)
+    with pytest.raises(InvalidSpectralTriple, match=law):
+        kasparov_product(*factors)
+
+
+def _suite_factors(case):
+    """The factors of a Kasparov product that the suites build: the length
+    Dirac triples of the S3 group context, or d_2 x d_2 and a group
+    context's product for the amplified contexts."""
+    if case == "S3":
+        group, cocycle = E.builtin_group("S3")
+        ga = twisted_group_algebra(group, cocycle)
+        length = word_length(group)
+        return E.length_dirac(ga, length), E.length_dirac_op(ga, length)
+    key, restrict = case
+    return (E.amplifier_triple(2),
+            E.group_context(key, restrict=restrict).seminorm.triple)
+
+
+@pytest.mark.parametrize("case", ["S3", ("Z2", True), ("Z2", False), ("Z3", True)],
+                         ids=["S3", "amplified Z2", "amplified Z2 unrestricted",
+                              "amplified Z3"])
+def test_suite_products_pass_the_full_check(case):
+    ta, tb = _suite_factors(case)
+    product = kasparov_product(ta, tb)
+    product.validate()
+    # the faithfulness decision read from the factors is the full check's
+    d, h, _ = product.rep.shape
+    tol = _FAITHFUL_TOL * max(1.0, float(np.abs(product.rep).max()) ** 2)
+    copies = 1 if ta.even or tb.even else 2
+    assert _tensor_rank(ta, tb, copies) == _rank(product.rep.reshape(d, h * h), tol) == d
+
+
+@pytest.mark.parametrize("copies", [1, 2])
+def test_tensor_rank_matches_rank_on_an_unfaithful_factor(copies):
+    bad = _corrupt_factor("not faithful", "odd")
+    good = _toy_triples()["odd_m2"]
+    rep = _tensor_rep(bad.rep, good.rep)
+    flat = np.concatenate([rep.reshape(len(rep), -1)] * copies, axis=1)
+    tol = _FAITHFUL_TOL * max(1.0, float(np.abs(rep).max()) ** 2)
+    assert _tensor_rank(bad, good, copies) == _rank(flat, tol) == 4
+
+
+def test_kasparov_product_allocates_about_its_representation():
+    # checked through its factors, the amplified Z3 product needs no
+    # transient of its own size beyond the representation it returns
+    t_nn = E.amplifier_triple(2)
+    t_z3 = E.group_context("Z3").seminorm.triple
+    tracemalloc.start()
+    try:
+        product = kasparov_product(t_nn, t_z3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert product.rep.shape == (144, 144, 144)
+    assert peak <= 1.5 * product.rep.nbytes
 
 
 def test_two_point_seminorm(d2):

@@ -220,10 +220,17 @@ def test_cli_bad_input_file_is_an_error(tmp_path, capsys):
     ("functional", {"algebra": "diag2"}),
     ("problem", {"rho1": [[[1, 0]]], "rho2": [[[1, 0]]]}),
     ("problem", {"l_matrices": [[[[1, 0]]]], "rho1": [], "rho2": [[[1, 0]]]}),
+    ("problem", {"l_matrices": [[[[0, 0], [1, 0]], [[1, 0], [0, 0]]]],
+                 "rho1": [[[1, 0], [1, 0]], [[-1, 0], [0, 0]]],
+                 "rho2": [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]}),
+    ("problem", {"l_matrices": [[[[0, 0], [1, 0]], [[1, 0], [0, 0]]]],
+                 "rho1": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]],
+                 "rho2": [[[0, 0], [0, 1]], [[0, 1], [1, 0]]]}),
 ])
 def test_cli_malformed_input_file_is_an_error(tmp_path, capsys, kind, data):
-    # a missing key, a value of the wrong type or shape, or a non-numeric
-    # entry is an input error, not a traceback
+    # a missing key, a value of the wrong type or shape, a non-numeric
+    # entry or a rho that is not Hermitian is an input error, not a
+    # traceback or a solve of its Hermitian part
     from choimetric import diagonal_algebra
     gpath = str(tmp_path / "z2.json")
     assert main(["group-gen", "--kind", "cyclic", "--n", "2",
