@@ -254,6 +254,9 @@ def _report(records, out):
 def cmd_suite(args):
     """One acceptance suite at its acceptance size, or at --trials."""
     suite = dict(experiments.ACCEPTANCE_SUITES)[args.verb]
+    if args.trials < 0:
+        raise ChoimetricError(f"--trials {args.trials}: give a positive suite size, "
+                              "or 0 for the acceptance size")
     if args.trials:
         (size,) = suite.keywords
         suite = partial(suite, **{size: args.trials})

@@ -69,6 +69,8 @@ class FiniteGroup:
 def _validate_group(g: FiniteGroup):
     n = g.order
     t = g.mult
+    if n < 1:
+        raise InvalidGroup(f"order {n}: a group has at least one element")
     if t.shape != (n, n):
         raise InvalidGroup("multiplication table shape mismatch")
     if t.min() < 0 or t.max() >= n:

@@ -11,12 +11,13 @@ The symmetry of the group and of the Kasparov product makes most of those
 blocks copies of one another: the same pencil C - sum y_i A_i up to a
 unitary change of basis.  `prepare_ball` assembles the blocks once, sorts
 them into classes by the spectra of their pencils at a few fixed random y,
-and keeps one block per class.  A kept block of `_SPLIT_MIN_ROWS` rows or
-more is then replaced by its irreducible pieces: the *-algebra that its C
-and A_i generate is, up to a unitary, a direct sum of full matrix algebras,
-each repeated some number of times, and the block becomes the compressions
-(W*CW, W*A_iW) onto one copy of each summand.  Equal pieces are again kept
-once.
+and keeps one block per class.  Every kept block is then replaced by its
+irreducible pieces: the *-algebra that its C and A_i generate is, up to a
+unitary, a direct sum of full matrix algebras, each repeated some number of
+times, and the block becomes the compressions (W*CW, W*A_iW) onto one copy
+of each summand.  Equal pieces are again kept once.  Small blocks split
+too: the solver stacks the blocks of one size, so pieces save flops and
+cost calls only for each new size.
 
 Every solve goes through `_solve_certified`: the interior-point solver sees
 the kept blocks and pieces only, and the exact slack of every block it did
@@ -149,11 +150,6 @@ def _split_copies(blocks):
     return [blocks[k] for k in kept], [blocks[k] for k in dropped]
 
 
-# blocks with fewer rows stay whole: at that size the per-block cost of an
-# iteration outweighs the flops a split saves
-_SPLIT_MIN_ROWS = 16
-
-
 def _generic_element(gens: np.ndarray, rng) -> np.ndarray:
     """A random Hermitian element A(r) + A(s)^2 + i[A(r), A(s)] + t C of the
     complex *-algebra that gens = (C, A_1, ..., A_m) generates.  The
@@ -220,8 +216,8 @@ def _irreducible_pieces(block) -> list:
 class _BallSetup:
     """Cached reduction of a (seminorm, subspace) pair for repeated solves:
     the kernel split and the SDP blocks of the unit ball on the range.  The
-    solver sees `kept`: one block per class of copies, large ones replaced by
-    one piece per class of irreducible summands.  `checked` holds every
+    solver sees `kept`: one block per class of copies, each replaced by one
+    piece per class of irreducible summands.  `checked` holds every
     block of `full` that the solver does not see verbatim."""
     algebra: ConcreteAlgebra
     rows: np.ndarray                 # (r, d) self-adjoint coordinate basis
@@ -243,8 +239,8 @@ def prepare_ball(seminorm: Seminorm,
     rng_basis, null = row_and_null_space_real(np.hstack([flat.real, flat.imag]).T)
     blocks = _assemble_blocks(contract_stack(rng_basis.T, stack))
     classes, copies = _split_copies(blocks)
-    kept, _ = _split_copies([piece for block in classes for piece in (
-        _irreducible_pieces(block) if len(block[0]) >= _SPLIT_MIN_ROWS else [block])])
+    kept, _ = _split_copies([piece for block in classes
+                             for piece in _irreducible_pieces(block)])
     # the classes split into pieces, or dropped as copies of pieces
     checked = copies + [block for block in classes
                         if not any(block is piece for piece in kept)]

@@ -12,11 +12,18 @@ over complex Hermitian blocks, with the HKM search direction (Helmberg,
 Rendl, Vanderbei and Wolkowicz 1996) and Mehrotra's predictor-corrector, as
 in SDPT3: one Schur build and two solves per iteration, the second with the
 predictor's second-order term dX dZ.  Intended problem sizes: a few hundred
-scalar variables and blocks up to a few hundred rows.  Each iteration takes
-the Cholesky factors of every block's X and Z and their triangular inverses,
-which give the Schur matrix M_ij = Re tr(A_i X A_j Z^{-1}), Z^{-1} and the
-step factors, with no eigendecomposition; a step length is the smallest
-eigenvalue of one scaled direction; one Cholesky factors the Schur matrix.
+scalar variables and blocks up to a few hundred rows.
+
+Blocks of one size are held as one stack: C, X and Z of shape (k, n, n) and
+A of shape (m, k, n, n).  So each iteration does its work once per block
+size, not once per block.  It takes the Cholesky factors of the X and Z of
+a size group and their triangular inverses in one stacked call each, which
+give the Schur matrix M_ij = Re tr(A_i X A_j Z^{-1}), Z^{-1} and the step
+factors, with no eigendecomposition.  The Schur matrix and A(X) are real:
+M is one real SYRK on the float64 view of the G_i = R_Z A_i L_X, and A(X)
+one real matvec.  The step lengths of a size group come from one `eigvalsh`
+of its scaled X and Z directions stacked together, and LAPACK's `dpotrf`
+and `dpotrs` factor the Schur matrix and solve with it.
 
 The reported `value` is the dual objective b'y of the returned iterate,
 whose slack Z is kept positive definite throughout, so for the metric
@@ -66,43 +73,105 @@ _STEP_FRAC = 0.98
 MAX_ITER = 200
 
 
-def _cholesky(s):
-    """The lower Cholesky factor L of s = L L* and its inverse."""
-    lower, info = scipy.linalg.lapack.zpotrf(s, lower=1)
-    if info == 0:
-        inv, info = scipy.linalg.lapack.ztrtri(lower, lower=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"Cholesky factor of a block failed (info {info})")
-    return lower, inv
+def _real(a: np.ndarray) -> np.ndarray:
+    """The float64 view of a complex array, its last axis twice as long."""
+    return a.view(np.float64)
 
 
-def _factor_iterate(x, z):
-    """Every factorization one iteration needs of a block's iterate (X, Z).
-
-    From the Cholesky factors X = L_X L_X* and Z = L_Z L_Z* it returns the
-    floor ratio (1 / ||Z^{-1}||_F) / max(1, max |Z_ij|), a lower bound on
-    lam_min(Z) / max(1, max |Z_ij|); L_X; R_Z = L_Z^{-1}, so that
-    Z^{-1} = R_Z* R_Z; Z^{-1}; and R_X = L_X^{-1}, so that X^{-1} = R_X* R_X.
-    R_X and R_Z are the step factors of `_max_step`."""
-    lx, rx = _cholesky(x)
-    _, rz = _cholesky(z)
-    zinv = rz.conj().T @ rz
-    floor = 1.0 / float(np.linalg.norm(zinv)) / max(1.0, float(np.abs(z).max()))
-    return floor, lx, rz, zinv, rx
+def _dot(u: np.ndarray, v: np.ndarray) -> float:
+    """Re <u, v> of two complex stacks of one shape."""
+    return float(_real(u.reshape(-1)) @ _real(v.reshape(-1)))
 
 
-def _max_step(rinv, ds):
-    """sup { a : s + a ds >= 0 } for Hermitian s > 0 with rinv* rinv = s^{-1}."""
-    inner = rinv @ ds @ rinv.conj().T
-    # numpy's eigvalsh, not scipy's one-eigenvalue heevr: with more than one
-    # BLAS thread, the spinning threads of scipy's separate OpenBLAS pool made
-    # every solve several times slower
-    lam_min = float(np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))[0])
-    if not np.isfinite(lam_min):
+def _norms(s: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of each matrix of a complex stack."""
+    v = _real(s.reshape(len(s), -1))
+    return np.sqrt((v * v).sum(axis=1))
+
+
+def _herm(s: np.ndarray) -> np.ndarray:
+    return 0.5 * (s + s.conj().swapaxes(-1, -2))
+
+
+class _SizeGroup:
+    """The k blocks of one size n as stacks: C of shape (k, n, n) and A of
+    shape (m, k, n, n), with A's float64 view flattened per A_i for A(X)
+    and A*(y), and the two work arrays of the Schur build."""
+
+    def __init__(self, blocks):
+        self.c = np.asarray([cmat for cmat, _ in blocks], dtype=complex)
+        self.a = np.asarray(np.stack([astack for _, astack in blocks], axis=1), dtype=complex)
+        self.rows = _real(self.a.reshape(len(self.a), -1))
+        self.cnorm = 1.0 + _norms(self.c)
+        # reused: a fresh array per iteration costs page faults once A passes
+        # about a megabyte
+        self._left, self._g = np.empty_like(self.a), np.empty_like(self.a)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """A(X)_i = sum_k Re tr(A_ik X_k*), which is Re tr(A_ik X_k) for
+        Hermitian X_k."""
+        return self.rows @ _real(x.reshape(-1))
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        """A*(y)_k = sum_i y_i A_ik."""
+        return (y @ self.rows).view(complex).reshape(self.c.shape)
+
+    def schur(self, lx: np.ndarray, rz: np.ndarray) -> np.ndarray:
+        """The group's term of the Schur matrix, M_ij = Re tr(A_i X A_j
+        Z^{-1}) = Re <G_i, G_j> summed over its blocks, for G_i = R_Z A_i L_X:
+        one SYRK on the float64 view of the G_i."""
+        np.matmul(rz, self.a, out=self._left)
+        np.matmul(self._left, lx, out=self._g)
+        g = _real(self._g.reshape(len(self.a), -1))
+        return g @ g.T
+
+
+def _group_by_size(blocks) -> list:
+    """The (C, A) blocks as one `_SizeGroup` per block size, in the order of
+    their first blocks."""
+    by_size: dict[int, list] = {}
+    for block in blocks:
+        by_size.setdefault(len(block[0]), []).append(block)
+    return [_SizeGroup(group) for group in by_size.values()]
+
+
+def _factor(s: np.ndarray):
+    """The lower Cholesky factors L of a stack s = L L* and their inverses;
+    raises LinAlgError when a matrix of the stack has no factor."""
+    lower = np.linalg.cholesky(s)
+    return lower, np.linalg.inv(lower)
+
+
+def _schur_factor(schur: np.ndarray):
+    """The lower Cholesky factor of the Schur matrix plus the smallest of 8
+    growing jitters that makes it positive definite, or None."""
+    jitter = 1e-13 * max(schur.diagonal().max(initial=0.0), 1.0)
+    eye = np.eye(len(schur))
+    for _ in range(8):
+        factor, info = scipy.linalg.lapack.dpotrf(schur + jitter * eye, lower=1)
+        if info == 0:
+            return factor
+        jitter *= 100
+    return None
+
+
+def _smallest_eigenvalues(rinv: np.ndarray, ds: np.ndarray) -> np.ndarray:
+    """lam_min(R dS R*) for each matrix of the stacks; s + a ds stays PSD for
+    every a <= -1 / lam_min when R* R = s^{-1} and lam_min < 0."""
+    inner = rinv @ ds @ rinv.conj().swapaxes(-1, -2)
+    # eigvalsh reads the lower triangle alone, so inner needs no Hermitian
+    # part.  numpy's eigvalsh, not scipy's one-eigenvalue heevr: with more
+    # than one BLAS thread, the spinning threads of scipy's separate OpenBLAS
+    # pool made every solve several times slower
+    lam = np.linalg.eigvalsh(inner)[:, 0]
+    if not np.all(np.isfinite(lam)):
         raise np.linalg.LinAlgError("the step direction is not finite")
-    if lam_min >= -1e-14:
-        return np.inf
-    return -1.0 / lam_min
+    return lam
+
+
+def _step(lam_min: float) -> float:
+    """The step length for the smallest scaled eigenvalue of a direction."""
+    return 1.0 if lam_min >= -1e-14 else min(1.0, _STEP_FRAC * (-1.0 / lam_min))
 
 
 def feasibility_tolerance(tol: float) -> float:
@@ -118,47 +187,41 @@ def solve_sdp(b, blocks, tol=1e-7, feas_tol=None,
     m = b.shape[0]
     if feas_tol is None:
         feas_tol = feasibility_tolerance(tol)
-    cs = [np.asarray(c, dtype=complex) for c, _ in blocks]
-    stacks = [np.asarray(a, dtype=complex) for _, a in blocks]
-    sizes = [c.shape[0] for c in cs]
-    ntot = sum(sizes)
+    groups = _group_by_size(blocks)
+    cs = [group.c for group in groups]
+    ntot = sum(c.shape[0] * c.shape[1] for c in cs)
 
     def a_apply(mats):
-        """A(X)_i = sum_k Re tr(A_ik X_k)."""
-        out = np.zeros(m)
-        for stack, xk in zip(stacks, mats):
-            out += (stack.reshape(m, -1) @ np.conj(xk).ravel()).real
-        return out
+        return sum(group.apply(x) for group, x in zip(groups, mats))
 
     def a_adjoint(y):
-        return [(y @ stack.reshape(m, -1)).reshape(n, n) for stack, n in zip(stacks, sizes)]
+        return [group.adjoint(y) for group in groups]
 
     # feasible-on-the-dual-side start: shift C into the cone if needed
     zs = []
     for c in cs:
-        lam_min = float(np.linalg.eigvalsh(0.5 * (c + c.conj().T))[0])
-        scale = max(1.0, float(np.abs(c).max(initial=0.0)))
-        shift = max(0.0, 0.1 * scale - lam_min)
-        zs.append(0.5 * (c + c.conj().T) + shift * np.eye(c.shape[0]))
+        h = _herm(c)
+        lam_min = np.linalg.eigvalsh(h)[:, 0]
+        scale = np.maximum(1.0, np.abs(c).max(axis=(1, 2)))
+        shift = np.maximum(0.0, 0.1 * scale - lam_min)
+        zs.append(h + shift[:, None, None] * np.eye(c.shape[1]))
     scale_x = max(1.0, float(np.abs(b).max(initial=0.0)))
-    xs = [scale_x * np.eye(n, dtype=complex) for n in sizes]
+    xs = [np.broadcast_to(scale_x * np.eye(c.shape[1], dtype=complex), c.shape).copy()
+          for c in cs]
+    bnorm = 1.0 + float(np.sqrt(b @ b))
     y = np.zeros(m)
 
     def diagnostics():
         rp = b - a_apply(xs)
         rds = [c - ay - z for c, ay, z in zip(cs, a_adjoint(y), zs)]
-        gap = sum((np.vdot(x, z)).real for x, z in zip(xs, zs))
+        gap = sum(_dot(x, z) for x, z in zip(xs, zs))
         obj_d = float(b @ y)
-        obj_p = sum((np.vdot(c, x)).real for c, x in zip(cs, xs))
+        obj_p = sum(_dot(c, x) for c, x in zip(cs, xs))
         rel_gap = abs(gap) / (1.0 + abs(obj_d) + abs(obj_p))
-        pinf = float(np.linalg.norm(rp)) / (1.0 + float(np.linalg.norm(b)))
-        dinf = max((np.linalg.norm(rd) / (1.0 + np.linalg.norm(c))
-                    for rd, c in zip(rds, cs)), default=0.0)
+        pinf = float(np.sqrt(rp @ rp)) / bnorm
+        dinf = max((float((_norms(rd) / group.cnorm).max())
+                    for rd, group in zip(rds, groups)), default=0.0)
         return rp, rds, gap, obj_d, obj_p, rel_gap, pinf, dinf
-
-    def step(rinvs, dmats):
-        return min(1.0, _STEP_FRAC * min((_max_step(r, d) for r, d in zip(rinvs, dmats)),
-                                         default=np.inf))
 
     best = None
     reason = "max_iter"
@@ -182,38 +245,36 @@ def solve_sdp(b, blocks, tol=1e-7, feas_tol=None,
         if stall >= 8:
             reason = "no_progress"
             break
+        # X = L_X L_X*, Z = L_Z L_Z*, and R = L^{-1}: one stack per group
         try:
-            floors, lxs, rzs, zinvs, rxs = zip(*map(_factor_iterate, xs, zs))
+            factors = [_factor(np.concatenate([x, z])) for x, z in zip(xs, zs)]
         except np.linalg.LinAlgError:
             reason = "factorization_failed"
             break
+        lxs = [lower[:len(x)] for (lower, _), x in zip(factors, xs)]
+        rzs = [rinv[len(x):] for (_, rinv), x in zip(factors, xs)]
+        zinvs = [rz.conj().swapaxes(1, 2) @ rz for rz in rzs]
+        # 1 / ||Z^{-1}||_F, a lower bound on lam_min(Z), relative to max |Z_ij|
+        floor = min(float((1.0 / _norms(zinv)
+                           / np.maximum(1.0, np.abs(z).max(axis=(1, 2)))).min())
+                    for zinv, z in zip(zinvs, zs))
         # iterates at the numerical floor: further steps only inject noise
-        if gap <= 1e-13 * (1.0 + abs(obj_d)) or min(floors) < 1e-14:
+        if gap <= 1e-13 * (1.0 + abs(obj_d)) or floor < 1e-14:
             reason = "numerical_floor"
             break
 
         # Schur complement of the HKM system: M_ij = Re tr(A_i X A_j Z^{-1})
-        schur = np.zeros((m, m))
-        for lx, rz, stack in zip(lxs, rzs, stacks):
-            g = np.matmul(rz[None], np.matmul(stack, lx[None]))
-            gmat = g.reshape(m, -1)
-            schur += (gmat @ gmat.conj().T).real
+        schur = sum(group.schur(lx, rz) for group, lx, rz in zip(groups, lxs, rzs))
         if not np.all(np.isfinite(schur)):
             reason = "non_finite"
             break
-        schur = 0.5 * (schur + schur.T)
-        jitter = 1e-13 * max(schur.diagonal().max(initial=0.0), 1.0)
-        schur_f = None
-        for _ in range(8):
-            try:
-                schur_f = scipy.linalg.cho_factor(
-                    schur + jitter * np.eye(m), lower=True)
-                break
-            except np.linalg.LinAlgError:
-                jitter *= 100
+        schur_f = _schur_factor(schur)
         if schur_f is None:
             reason = "schur_failed"
             break
+
+        def schur_solve(rhs):
+            return scipy.linalg.lapack.dpotrs(schur_f, rhs, lower=1)[0]
 
         # dX = herm(sigma_mu Z^{-1} - X - left Z^{-1} + X A*(dy) Z^{-1}), where
         # left is X R_d plus the corrector's second-order term
@@ -222,22 +283,29 @@ def solve_sdp(b, blocks, tol=1e-7, feas_tol=None,
                     for x, left, zinv in zip(xs, lefts, zinvs)]
             rhs = rp - a_apply(raux)
             # Schur solve with one step of iterative refinement
-            dy = scipy.linalg.cho_solve(schur_f, rhs)
-            dy += scipy.linalg.cho_solve(schur_f, rhs - schur @ dy)
+            dy = schur_solve(rhs)
+            dy += schur_solve(rhs - schur @ dy)
             adys = a_adjoint(dy)
-            dzs = [rd - ady for rd, ady in zip(rds, adys)]
-            dxs = [ra + x @ ady @ zinv for ra, x, ady, zinv in zip(raux, xs, adys, zinvs)]
-            dxs = [0.5 * (d + d.conj().T) for d in dxs]
-            dzs = [0.5 * (d + d.conj().T) for d in dzs]
+            dxs = [_herm(ra + x @ ady @ zinv) for ra, x, ady, zinv in zip(raux, xs, adys, zinvs)]
+            dzs = [_herm(rd - ady) for rd, ady in zip(rds, adys)]
             return dy, dxs, dzs
+
+        def steps(dxs, dzs):
+            """Primal and dual step lengths: one eigvalsh per size group."""
+            lam_x = lam_z = np.inf
+            for (_, rinv), dx, dz in zip(factors, dxs, dzs):
+                lam = _smallest_eigenvalues(rinv, np.concatenate([dx, dz]))
+                lam_x = min(lam_x, float(lam[:len(dx)].min()))
+                lam_z = min(lam_z, float(lam[len(dx):].min()))
+            return _step(lam_x), _step(lam_z)
 
         mu = gap / ntot
         xrds = [x @ rd for x, rd in zip(xs, rds)]
         try:
             # predictor: pure affine step fixes the centering weight
             _, dxs_a, dzs_a = solve_direction(0.0, xrds)
-            ap, ad = step(rxs, dxs_a), step(rzs, dzs_a)
-            gap_aff = sum((np.vdot(x + ap * dx, z + ad * dz)).real
+            ap, ad = steps(dxs_a, dzs_a)
+            gap_aff = sum(_dot(x + ap * dx, z + ad * dz)
                           for x, dx, z, dz in zip(xs, dxs_a, zs, dzs_a))
             ratio = max(gap_aff, 0.0) / max(gap, 1e-300)
             sigma = float(np.clip(min(ratio, 1.0) ** 3, 1e-8, 0.9))
@@ -245,12 +313,12 @@ def solve_sdp(b, blocks, tol=1e-7, feas_tol=None,
             # corrector: Mehrotra's second-order term dX_a dZ_a
             dy, dxs, dzs = solve_direction(
                 sigma * mu, [xr + dx @ dz for xr, dx, dz in zip(xrds, dxs_a, dzs_a)])
-            ap, ad = step(rxs, dxs), step(rzs, dzs)
+            ap, ad = steps(dxs, dzs)
         except np.linalg.LinAlgError:
             reason = "factorization_failed"
             break
-        xs = [0.5 * ((x + ap * dx) + (x + ap * dx).conj().T) for x, dx in zip(xs, dxs)]
-        zs = [0.5 * ((z + ad * dz) + (z + ad * dz).conj().T) for z, dz in zip(zs, dzs)]
+        xs = [_herm(x + ap * dx) for x, dx in zip(xs, dxs)]
+        zs = [_herm(z + ad * dz) for z, dz in zip(zs, dzs)]
         y = y + ad * dy
 
         if max(ap, ad) < 1e-5:

@@ -36,6 +36,9 @@ def test_group_laws_validated():
         group_from_table([[0, 1], [1, 1]], 0)
     with pytest.raises(InvalidGroup):
         group_from_table([[1, 0], [0, 1]], 0)
+    # the empty table: no identity, and no entry to range-check
+    with pytest.raises(InvalidGroup):
+        group_from_table(np.zeros((0, 0), dtype=int), 0)
 
 
 def is_abelian(g) -> bool:

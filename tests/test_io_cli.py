@@ -259,6 +259,20 @@ def test_cli_rejects_flags_the_verb_does_not_read(argv, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    # a negative suite size, which would reach SeedSequence.spawn
+    ["chaining", "--trials", "-2"],
+    ["stability", "--trials", "-2"],
+    ["embedding", "--trials", "-2"],
+    # a group of order 0, whose empty table has no entry to range-check
+    ["group-gen", "--kind", "cyclic", "--n", "0"],
+    ["group-gen", "--kind", "product", "--n", "0"],
+])
+def test_cli_out_of_range_size_is_an_error(argv, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def _dl_files(tmp_path):
     """Two unital CP maps on diag(2), the triple and the algebra file."""
     from choimetric import ChannelMap, diagonal_algebra

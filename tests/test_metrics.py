@@ -711,9 +711,9 @@ def test_kept_block_counts(build, kept, total):
 
 
 _PIECE_SIZES = {
-    "Z2": [2],
-    "Z3": [3, 6],
-    "Z4": [8, 8],
+    "Z2": [1, 1],
+    "Z3": [3, 3, 3],
+    "Z4": [4] + [1] * 8,
     "S3": [36, 18, 18],
     "amplified Z2": [8, 8],
     "amplified Z3": [24, 24, 24],
@@ -723,8 +723,8 @@ _PIECE_SIZES = {
 
 @pytest.mark.parametrize("key", list(_PIECE_SIZES))
 def test_kept_piece_sizes(key):
-    # blocks of 16 rows or more go to the solver as their irreducible pieces,
-    # and every block it does not see verbatim is checked
+    # every kept block goes to the solver as its irreducible pieces, and
+    # every block it does not see verbatim is checked
     setup = _setup(key)
     assert [len(cmat) for cmat, _ in setup.kept] == _PIECE_SIZES[key]
     verbatim = [k for k in setup.kept if any(k is block for block in setup.full)]
@@ -802,9 +802,11 @@ def test_wrong_copy_falls_back_to_the_full_solve(monkeypatch):
     # a block whose pencil differs (twice the A-stack halves the ball) marked
     # as a dropped copy: the check rejects the reduced y and solves them all
     ctx = group_context("Z2")
-    cmat, astack = ctx.setup.kept[0]
+    # Z2's blocks are copies of one block, which the solver is handed whole
+    (block,), _ = _split_copies(ctx.setup.full)
+    cmat, astack = block
     bad = (cmat, 2.0 * astack)
-    wrong = dataclasses.replace(ctx.setup, checked=[bad], full=ctx.setup.kept + [bad])
+    wrong = dataclasses.replace(ctx.setup, kept=[block], checked=[bad], full=[block, bad])
     rng = np.random.default_rng(5)
     f, g = (multiplier_channel(random_pdf(rng, ctx.group), ctx.ga) for _ in range(2))
     right = delta_distance(f, g, ctx.tau, ctx.seminorm, tolerance=1e-9,

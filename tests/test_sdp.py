@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from choimetric import sdp
-from choimetric.sdp import _factor_iterate, _max_step, solve_sdp
+from choimetric.sdp import _factor, _group_by_size, _smallest_eigenvalues, solve_sdp
 
 
 def _random_pd(rng, n):
@@ -112,81 +112,168 @@ def test_iteration_cap_reports_max_iter():
     assert np.linalg.eigvalsh(slack)[0] > -1e-9
 
 
+def _random_hermitian_stack(rng, m, n):
+    mats = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
+    return 0.5 * (mats + mats.conj().transpose(0, 2, 1))
+
+
 @pytest.mark.parametrize("n", [1, 4, 9])
-def test_factor_iterate_gives_cholesky_factors(n):
+def test_factor_gives_cholesky_factors(n):
     rng = np.random.default_rng(100 + n)
-    x, z = _random_pd(rng, n), _random_pd(rng, n)
-    floor, lx, rz, zinv, rx = _factor_iterate(x, z)
-    assert np.allclose(np.triu(lx, 1), 0) and np.allclose(np.triu(rz, 1), 0)
-    assert _close(lx @ lx.conj().T, x, 1e-10)
-    assert _close(rz @ z @ rz.conj().T, np.eye(n), 1e-10)
-    assert _close(zinv @ z, np.eye(n), 1e-10)
-    assert _close(rz.conj().T @ rz, zinv, 1e-12)
-    assert _close(rx.conj().T @ rx @ x, np.eye(n), 1e-10)
-    lam = np.linalg.eigvalsh(z)
-    assert 0 < floor <= (1 + 1e-12) * lam[0] / max(1.0, np.abs(z).max())
+    s = np.stack([_random_pd(rng, n) for _ in range(3)])
+    lower, rinv = _factor(s)
+    for sk, lk, rk in zip(s, lower, rinv):
+        assert np.allclose(np.triu(lk, 1), 0) and np.allclose(np.triu(rk, 1), 0)
+        assert _close(lk @ lk.conj().T, sk, 1e-10)
+        assert _close(rk @ sk @ rk.conj().T, np.eye(n), 1e-10)
+        assert _close(rk.conj().T @ rk @ sk, np.eye(n), 1e-10)
+        # the solver's floor: 1 / ||S^{-1}||_F bounds lam_min(S) from below
+        floor = 1.0 / np.linalg.norm(rk.conj().T @ rk)
+        assert 0 < floor <= (1 + 1e-12) * np.linalg.eigvalsh(sk)[0]
 
 
-def test_factor_iterate_raises_on_an_indefinite_block():
-    z = np.diag([1.0, -1e-3]).astype(complex)
+def test_factor_raises_on_an_indefinite_block():
+    s = np.stack([np.eye(2), np.diag([1.0, -1e-3])]).astype(complex)
     with pytest.raises(np.linalg.LinAlgError):
-        _factor_iterate(np.eye(2, dtype=complex), z)
+        _factor(s)
 
 
 def test_hkm_schur_matches_the_dense_formula():
+    # one size group of k blocks: M_ij = sum_k Re tr(A_ik X_k A_jk Z_k^{-1})
     rng = np.random.default_rng(12)
-    for n, m in ((1, 2), (5, 3), (8, 6)):
-        x, z = _random_pd(rng, n), _random_pd(rng, n)
-        mats = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
-        mats = 0.5 * (mats + mats.conj().transpose(0, 2, 1))
-        _, lx, rz, zinv, _ = _factor_iterate(x, z)
-        p = (rz[None] @ mats @ lx[None]).reshape(m, -1)
-        schur = (p @ p.conj().T).real
-        dense = np.array([[np.trace(ai @ x @ aj @ zinv).real for aj in mats]
-                          for ai in mats])
+    for n, m, k in ((1, 2, 3), (5, 3, 1), (8, 6, 2)):
+        blocks = [(np.eye(n, dtype=complex), _random_hermitian_stack(rng, m, n))
+                  for _ in range(k)]
+        (group,) = _group_by_size(blocks)
+        xs = np.stack([_random_pd(rng, n) for _ in range(k)])
+        zs = np.stack([_random_pd(rng, n) for _ in range(k)])
+        lower, rinv = _factor(np.concatenate([xs, zs]))
+        schur = group.schur(lower[:k], rinv[k:])
+        dense = sum(np.array([[np.trace(ai @ x @ aj @ np.linalg.inv(z)).real for aj in mats]
+                              for ai in mats])
+                    for (_, mats), x, z in zip(blocks, xs, zs))
         assert np.abs(schur - dense).max() <= 1e-10 * max(1.0, np.abs(dense).max())
 
 
-def test_max_step_reaches_the_cone_boundary():
+def test_size_groups_apply_the_constraint_map():
+    # A(X)_i = sum_k Re tr(A_ik X_k) and A*(y)_k = sum_i y_i A_ik per group
+    rng = np.random.default_rng(13)
+    m = 3
+    blocks = [(np.eye(n, dtype=complex), _random_hermitian_stack(rng, m, n)) for n in (2, 3, 2)]
+    groups = _group_by_size(blocks)
+    assert [group.c.shape for group in groups] == [(2, 2, 2), (1, 3, 3)]
+    xs = [_random_pd(rng, n) for n in (2, 3, 2)]
+    y = rng.standard_normal(m)
+    applied = groups[0].apply(np.stack([xs[0], xs[2]])) + groups[1].apply(xs[1][None])
+    dense = sum(np.array([np.trace(a @ x).real for a in mats]) for (_, mats), x in zip(blocks, xs))
+    assert _close(applied, dense, 1e-12)
+    adjoint = groups[0].adjoint(y)
+    for got, (_, mats) in zip(adjoint, [blocks[0], blocks[2]]):
+        assert _close(got, np.tensordot(y, mats, axes=1), 1e-12)
+
+
+def test_smallest_eigenvalues_reach_the_cone_boundary():
     rng = np.random.default_rng(11)
     for n in (1, 4, 9):
-        s = _random_pd(rng, n)
-        ds = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        ds = 0.5 * (ds + ds.conj().T)
-        ds -= (np.linalg.eigvalsh(ds)[0] + 1.0) * np.eye(n)   # lam_min(ds) = -1
-        rs = _factor_iterate(np.eye(n), s)[2]
-        a = _max_step(rs, ds)
-        assert np.isfinite(a)
-        lam = np.linalg.eigvalsh(s + a * ds)
-        assert abs(lam[0]) <= 1e-9 * np.linalg.norm(s, 2)
-        assert np.linalg.eigvalsh(s + 0.99 * a * ds)[0] > 0
+        s = np.stack([_random_pd(rng, n) for _ in range(2)])
+        ds = _random_hermitian_stack(rng, 2, n)
+        # lam_min(ds) = -1
+        ds -= (np.linalg.eigvalsh(ds)[:, :1, None] + 1.0) * np.eye(n)
+        rinv = _factor(s)[1]
+        lam = _smallest_eigenvalues(rinv, ds)
+        assert np.all(lam < 0)
+        for sk, dk, a in zip(s, ds, -1.0 / lam):
+            assert abs(np.linalg.eigvalsh(sk + a * dk)[0]) <= 1e-9 * np.linalg.norm(sk, 2)
+            assert np.linalg.eigvalsh(sk + 0.99 * a * dk)[0] > 0
         # a positive semidefinite direction never leaves the cone
-        psd = _random_pd(rng, n)
-        assert _max_step(rs, psd) == np.inf
+        psd = np.stack([_random_pd(rng, n) for _ in range(2)])
+        assert np.all(_smallest_eigenvalues(rinv, psd) > 0)
 
 
-def test_max_step_raises_on_a_non_finite_direction():
-    ds = np.eye(3, dtype=complex)
-    ds[0, 1] = np.nan
+def test_smallest_eigenvalues_raise_on_a_non_finite_direction():
+    ds = np.eye(3, dtype=complex)[None].repeat(2, axis=0)
+    ds[1, 0, 1] = np.nan
     with pytest.raises(np.linalg.LinAlgError):
-        _max_step(np.eye(3, dtype=complex), ds)
+        _smallest_eigenvalues(np.eye(3, dtype=complex)[None].repeat(2, axis=0), ds)
+
+
+def _mixed_program(seed):
+    """A bounded program of blocks of three sizes, two of them twice."""
+    rng = np.random.default_rng(seed)
+    m = 4
+    blocks = [(_random_pd(rng, n), _random_hermitian_stack(rng, m, n)) for n in (3, 5, 3, 1, 5)]
+    return rng.standard_normal(m), blocks
+
+
+@pytest.mark.parametrize("seed", [21, 22, 23])
+def test_block_order_does_not_change_the_solve(seed):
+    # the blocks regroup by size, so any order is the same program up to the
+    # order of floating-point sums; the Schur matrix of the last iteration
+    # has a condition number of 1e6 to 1e8, which turns those into a few
+    # 1e-12 of value
+    b, blocks = _mixed_program(seed)
+    ref = solve_sdp(b, blocks)
+    assert ref.status == "optimal"
+    for order in ([4, 3, 2, 1, 0], [1, 0, 3, 4, 2], [3, 1, 2, 0, 4]):
+        res = solve_sdp(b, [blocks[k] for k in order])
+        assert (res.status, res.reason, res.iterations) == (ref.status, ref.reason, ref.iterations)
+        assert abs(res.value - ref.value) <= 1e-11 * abs(ref.value)
+
+
+def _block_diagonal(blocks):
+    """The blocks as one block-diagonal (C, A) block."""
+    sizes = [len(c) for c, _ in blocks]
+    n, m = sum(sizes), blocks[0][1].shape[0]
+    cmat = np.zeros((n, n), dtype=complex)
+    astack = np.zeros((m, n, n), dtype=complex)
+    start = 0
+    for (c, a), size in zip(blocks, sizes):
+        cmat[start:start + size, start:start + size] = c
+        astack[:, start:start + size, start:start + size] = a
+        start += size
+    return cmat, astack
+
+
+@pytest.mark.parametrize("seed", [21, 22, 23])
+def test_block_diagonal_merge_gives_the_same_value(seed):
+    # one dense block holding every block on its diagonal: one size group of
+    # one block, solved with no stacking at all
+    b, blocks = _mixed_program(seed)
+    stacked = solve_sdp(b, blocks, tol=1e-10)
+    merged = solve_sdp(b, [_block_diagonal(blocks)], tol=1e-10)
+    assert stacked.status == merged.status == "optimal"
+    assert abs(stacked.value - merged.value) <= 1e-9 * max(1.0, abs(merged.value))
+
+
+def test_a_stalling_block_stalls_the_solve_among_converging_ones():
+    # C = -1 with A = 0 can never be made PSD: the dual is infeasible, so
+    # the steps shrink and the solve stops early, wherever the 1-row block
+    # sits among 1-row and larger blocks that converge without it
+    b, blocks = _mixed_program(21)
+    assert solve_sdp(b, blocks).status == "optimal"
+    bad = (-np.eye(1, dtype=complex), np.zeros((len(b), 1, 1), dtype=complex))
+    runs = [solve_sdp(b, order) for order in
+            (blocks + [bad], [bad] + blocks, blocks[:3] + [bad] + blocks[3:])]
+    for res in runs:
+        assert (res.status, res.reason) == ("stalled", "small_steps")
+        assert res.iterations == runs[0].iterations < sdp.MAX_ITER
+        # the residual of -1 - Z <= -1 in that block, over 1 + ||C|| = 2
+        assert res.dual_infeas >= 0.5 - 1e-6
 
 
 def _random_program(seed, n=6, m=4):
     rng = np.random.default_rng(seed)
-    mats = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
-    mats = 0.5 * (mats + mats.conj().transpose(0, 2, 1))
-    return rng.standard_normal(m), [(np.eye(n, dtype=complex), mats)]
+    return rng.standard_normal(m), [(np.eye(n, dtype=complex), _random_hermitian_stack(rng, m, n))]
 
 
-def _fail_fourth_call(monkeypatch, name):
-    """Make the 4th call of sdp.<name> raise LinAlgError."""
+def _fail_call(monkeypatch, name, count):
+    """Make call number `count` of sdp.<name> raise LinAlgError."""
     calls = []
     true_function = getattr(sdp, name)
 
     def failing(*args):
         calls.append(1)
-        if len(calls) == 4:
+        if len(calls) == count:
             raise np.linalg.LinAlgError("factorization failed")
         return true_function(*args)
 
@@ -201,26 +288,33 @@ def _check_stalled_iterate(res, blocks):
 
 
 def test_failed_factorization_reports_stalled(monkeypatch):
+    # one factorization of the X and Z stack per size group and iteration
     b, blocks = _random_program(5)
-    _fail_fourth_call(monkeypatch, "_factor_iterate")
+    _fail_call(monkeypatch, "_factor", 4)
     res = solve_sdp(b, blocks, tol=1e-12)
     assert res.iterations == 4 < sdp.MAX_ITER
     _check_stalled_iterate(res, blocks)
 
 
 def test_failed_step_length_reports_stalled(monkeypatch):
-    # four step lengths per block and iteration: the 4th is iteration 1's last
+    # two step-length calls per size group and iteration, for the predictor
+    # and the corrector: the 2nd is iteration 1's last
     b, blocks = _random_program(5)
-    _fail_fourth_call(monkeypatch, "_max_step")
+    _fail_call(monkeypatch, "_smallest_eigenvalues", 2)
     res = solve_sdp(b, blocks, tol=1e-12)
     assert res.iterations == 1
     _check_stalled_iterate(res, blocks)
 
 
 def test_failed_schur_factorization_reports_stalled(monkeypatch):
-    def failing(*args, **kwargs):
-        raise np.linalg.LinAlgError("not positive definite")
+    # dpotrf reports every jittered Schur matrix indefinite
+    calls = []
 
-    monkeypatch.setattr(sdp.scipy.linalg, "cho_factor", failing)
+    def indefinite(a, lower=0):
+        calls.append(1)
+        return a, 1
+
+    monkeypatch.setattr(sdp.scipy.linalg.lapack, "dpotrf", indefinite)
     res = solve_sdp(*_random_program(5), tol=1e-12)
     assert (res.status, res.reason, res.iterations) == ("stalled", "schur_failed", 1)
+    assert len(calls) == 8
