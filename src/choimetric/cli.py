@@ -364,6 +364,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # SeedSequence and default_rng take no negative seed
+        if getattr(args, "seed", 0) < 0:
+            raise ChoimetricError(f"--seed {args.seed}: give a non-negative seed")
         return args.fn(args)
     except ChoimetricError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -49,6 +49,7 @@ from .errors import Infeasible, InvalidSpectralTriple
 from .generate import child_rngs
 from .geometry import (
     CommutatorSeminorm,
+    Seminorm,
     SpectralTriple,
     gradient_dirac_triple,
     kasparov_product,
@@ -68,7 +69,7 @@ from .groups import (
     twisted_group_algebra,
     word_length,
 )
-from .linalg import EPS_STRUCT
+from .linalg import EPS_STRUCT, complex_samples
 from .metrics import delta_distance, mk_between, prepare_ball, wasserstein_dual
 from .oracles import classical_path_metric, grid_ball_maximize
 
@@ -199,12 +200,10 @@ class GroupContext:
 
 
 def _check_phase_invariance(seminorm, weights, rng):
-    d = seminorm.algebra.dim
-    for _ in range(3):
-        x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        a, b = seminorm.eval_coords(weights * x), seminorm.eval_coords(x)
-        if abs(a - b) > 1e-8 * (1.0 + abs(b)):
-            raise AssertionError("claimed symmetry does not preserve the seminorm")
+    x = complex_samples(rng, 3, seminorm.algebra.dim)
+    a, b = seminorm.eval_coords(weights * x), seminorm.eval_coords(x)
+    if (np.abs(a - b) > 1e-8 * (1.0 + b)).any():
+        raise AssertionError("claimed symmetry does not preserve the seminorm")
 
 
 def _char_restriction(seminorm, group, amp: int = 1) -> np.ndarray:
@@ -273,23 +272,21 @@ class StabilityContext:
     base: GroupContext
     n: int                           # amplification order
     amp_trace: object
-    seminorm_n: CommutatorSeminorm   # over the omega-carrier
+    seminorm_n: Seminorm             # over the omega-carrier
     setup_n: object
     nn_carrier: object           # M_n (x) M_n^op
     to_omega: np.ndarray         # Sigma_[23]: omega coordinate k is Kasparov
                                  # coordinate to_omega[k]
 
 
-def _omega_seminorm(triple: SpectralTriple, to_omega) -> CommutatorSeminorm:
-    """The commutator seminorm of a triple over (M_n (x) M_n^op) (x) (A (x) B^op),
-    read on the omega-carrier (M_n (x) A) (x) (M_n (x) B)^op through the
-    factor flip Sigma_[23].  Not validated: the flip is a *-isomorphism of
-    the carriers, so the relabelled triple is valid when `triple` is."""
-    mn, _, a, b_op = triple.algebra.factors
+def _omega_seminorm(seminorm: Seminorm, to_omega) -> Seminorm:
+    """A seminorm over (M_n (x) M_n^op) (x) (A (x) B^op), read on the
+    omega-carrier (M_n (x) A) (x) (M_n (x) B)^op through the factor flip
+    Sigma_[23]: the same norm stack with its rows reindexed."""
+    mn, _, a, b_op = seminorm.algebra.factors
     carrier = tensor_algebra(tensor_algebra(mn, a), opposite_algebra(
         tensor_algebra(mn, opposite_algebra(b_op))))
-    return CommutatorSeminorm(SpectralTriple(carrier, triple.rep[to_omega],
-                                             triple.dirac, triple.grading))
+    return Seminorm(carrier, seminorm.matrices[to_omega])
 
 
 def amplifier_triple(n: int) -> SpectralTriple:
@@ -324,7 +321,7 @@ def stability_context(key: str, n: int = 2, restrict: bool = True) -> StabilityC
     g_order = base.group.order
     to_omega = np.arange(product_total.algebra.dim).reshape(
         n * n, n * n, g_order, g_order).transpose(0, 2, 1, 3).reshape(-1)
-    seminorm_n = _omega_seminorm(product_total, to_omega)
+    seminorm_n = _omega_seminorm(CommutatorSeminorm(product_total), to_omega)
     restriction = _char_restriction(seminorm_n, base.group, n * n) if restrict else None
     setup_n = prepare_ball(seminorm_n, restriction)
     return StabilityContext(base, n, amp_trace, seminorm_n, setup_n,
@@ -610,27 +607,19 @@ def _stability_hypothesis_audit(ctx: StabilityContext, seed: int,
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     base = ctx.base
-    omega = ctx.seminorm_n.algebra
     cond1 = _omega_seminorm(
-        right_tensor_seminorm(ctx.nn_carrier, base.seminorm.triple).triple, ctx.to_omega)
-    worst1 = 0.0
-    for _ in range(samples):
-        x = rng.standard_normal(omega.dim) + 1j * rng.standard_normal(omega.dim)
-        lhs = cond1.eval_coords(x)
-        rhs = ctx.seminorm_n.eval_coords(x)
-        worst1 = max(worst1, lhs - rhs)
+        right_tensor_seminorm(ctx.nn_carrier, base.seminorm.triple), ctx.to_omega)
+    x = complex_samples(rng, samples, ctx.seminorm_n.algebra.dim)
+    worst1 = float((cond1.eval_coords(x) - ctx.seminorm_n.eval_coords(x)).max(initial=0.0))
     ms1 = (time.perf_counter() - t0) * 1000.0
     t0 = time.perf_counter()
-    worst2 = 0.0
+    x = complex_samples(rng, samples, base.seminorm.algebra.dim)
+    l1 = base.seminorm.eval_coords(x)
+    nonzero = l1 >= 1e-12
+    x = x[nonzero] / l1[nonzero, None]
     unit_nn = ctx.nn_carrier.unit_coords
-    d = base.seminorm.algebra.dim
-    for _ in range(samples):
-        x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        l1 = base.seminorm.eval_coords(x)
-        if l1 < 1e-12:
-            continue
-        omega_coords = np.outer(unit_nn, x / l1).reshape(-1)[ctx.to_omega]
-        worst2 = max(worst2, ctx.seminorm_n.eval_coords(omega_coords) - 1.0)
+    omega_coords = (unit_nn[:, None] * x[:, None, :]).reshape(len(x), -1)[:, ctx.to_omega]
+    worst2 = float((ctx.seminorm_n.eval_coords(omega_coords) - 1.0).max(initial=0.0))
     ms2 = (time.perf_counter() - t0) * 1000.0
     tol = 1e-8
     return [_record("stability-hypothesis-1", trial, worst1, 0.0, tol - worst1,
@@ -683,14 +672,12 @@ def run_contraction(seed: int = 0, pairs: int = 500) -> list[ExperimentRecord]:
         rng = np.random.default_rng(seed + gi)
         n_funcs = max(1, pairs // 50)
         worst_ratio = 0.0
-        worst_excess = -math.inf
         violations = 0
         for _ in range(n_funcs):
             phi = generate.random_pdf(rng, group)
             rep = multiplier_contraction_check(phi, triple,
                                                samples=pairs // n_funcs, rng=rng)
             worst_ratio = max(worst_ratio, rep.max_ratio)
-            worst_excess = max(worst_excess, rep.max_excess)
             violations += rep.violations
         records.append(_record("contraction", gi, worst_ratio, 1.0 + EPS_STRUCT,
                                -float(violations), seed=seed))

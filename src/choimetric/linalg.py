@@ -24,11 +24,19 @@ def is_hermitian(m: np.ndarray) -> bool:
     return frobenius(m - dagger(m)) <= EPS_STRUCT * scale * m.shape[0]
 
 
-def operator_norm(m: np.ndarray) -> float:
-    """Largest singular value."""
-    if m.size == 0:
-        return 0.0
-    return float(np.linalg.norm(m, 2))
+def operator_norm(m: np.ndarray):
+    """Largest singular value of a matrix, as a float, or of each matrix of
+    a (k, p, q) stack, as an array of k, from one batched SVD."""
+    norms = np.linalg.norm(m, 2, axis=(-2, -1)) if m.size else np.zeros(m.shape[:-2])
+    return float(norms) if m.ndim == 2 else norms
+
+
+def complex_samples(rng: np.random.Generator, k: int, d: int) -> np.ndarray:
+    """A (k, d) stack whose row r is rng.standard_normal(d) + 1j *
+    rng.standard_normal(d), drawn row after row: the points of k draws in
+    turn, from one call."""
+    z = rng.standard_normal((k, 2, d))
+    return z[:, 0] + 1j * z[:, 1]
 
 
 def contract_stack(mat: np.ndarray, stack: np.ndarray) -> np.ndarray:

@@ -279,10 +279,10 @@ def _solve_certified(b: np.ndarray, kept: list, checked: list, full: list,
     the feasibility tolerance the full program is solved instead.
     """
     feas_tol = sdp.feasibility_tolerance(tol)
-    res = sdp.solve_sdp(b, kept, tol=tol, feas_tol=feas_tol, max_iter=max_iter)
+    res = sdp.solve_sdp(b, kept, tol=tol, max_iter=max_iter)
     violation = max((_psd_violation(c, a, res.y) for c, a in checked), default=0.0)
     if violation > feas_tol:
-        return sdp.solve_sdp(b, full, tol=tol, feas_tol=feas_tol, max_iter=max_iter)
+        return sdp.solve_sdp(b, full, tol=tol, max_iter=max_iter)
     res.dual_infeas = max(res.dual_infeas, violation)
     return res
 

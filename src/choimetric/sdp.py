@@ -175,18 +175,16 @@ def _step(lam_min: float) -> float:
 
 
 def feasibility_tolerance(tol: float) -> float:
-    """The residual tolerance `solve_sdp` uses when it is given none."""
+    """The residual tolerance `solve_sdp` uses at gap tolerance `tol`."""
     return max(10 * tol, 1e-8)
 
 
-def solve_sdp(b, blocks, tol=1e-7, feas_tol=None,
-              max_iter=MAX_ITER) -> SDPResult:
+def solve_sdp(b, blocks, tol=1e-7, max_iter=MAX_ITER) -> SDPResult:
     """Solve the block SDP; `blocks` is a list of (C, Astack) pairs with C of
     shape (n, n) and Astack of shape (m, n, n), all Hermitian."""
     b = np.asarray(b, dtype=float)
     m = b.shape[0]
-    if feas_tol is None:
-        feas_tol = feasibility_tolerance(tol)
+    feas_tol = feasibility_tolerance(tol)
     groups = _group_by_size(blocks)
     cs = [group.c for group in groups]
     ntot = sum(c.shape[0] * c.shape[1] for c in cs)

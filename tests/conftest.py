@@ -1,7 +1,8 @@
 """Fixtures, and the constructs of the paper that only tests use: the
-multiplication functional mu_tau, the pairing functional of an element, and
-the flip Sigma^op that trades a plain and an opposite tensor factor.  Test
-modules import the functions with `from conftest import ...`."""
+multiplication functional mu_tau, the pairing functional of an element, the
+flip Sigma^op that trades a plain and an opposite tensor factor, and the
+amplified Kasparov triple relabelled onto the omega-carrier.  Test modules
+import the functions with `from conftest import ...`."""
 
 from functools import reduce
 
@@ -12,8 +13,10 @@ from choimetric import (
     AlgebraElement,
     LinearFunctional,
     TraceFunctional,
+    SpectralTriple,
     canonical_trace,
     cyclic_group,
+    kasparov_product,
     diagonal_algebra,
     matrix_algebra,
     opposite_algebra,
@@ -24,6 +27,7 @@ from choimetric import (
 )
 from choimetric.algebra import _swap_coords, _swap_factors
 from choimetric.errors import AlgebraMismatch, FactorMismatch, NotATrace
+from choimetric.experiments import amplifier_triple
 
 
 def evaluate_mu_tau(b, tau: TraceFunctional) -> LinearFunctional:
@@ -35,6 +39,15 @@ def evaluate_mu_tau(b, tau: TraceFunctional) -> LinearFunctional:
         raise AlgebraMismatch("trace lives on a different algebra")
     values = tau.bilinear_gram().reshape(-1)
     return LinearFunctional(tensor_algebra(b, opposite_algebra(b)), values)
+
+
+def omega_triple(ctx) -> SpectralTriple:
+    """The Kasparov product (d_n x d_n) x (d_A x d_B) of a stability context,
+    with its representation read on the omega-carrier through the context's
+    factor flip Sigma_[23] (not validated)."""
+    product = kasparov_product(amplifier_triple(ctx.n), ctx.base.seminorm.triple)
+    return SpectralTriple(ctx.seminorm_n.algebra, product.rep[ctx.to_omega],
+                          product.dirac, product.grading)
 
 
 def functional_from_element(x: AlgebraElement, tau: TraceFunctional) -> LinearFunctional:

@@ -2,11 +2,13 @@ import csv
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 import choimetric.experiments as E
 from choimetric.cli import main
 from choimetric.errors import Infeasible, InvalidSpectralTriple
+from conftest import omega_triple
 
 
 def read_rows(path):
@@ -72,7 +74,10 @@ def test_stability_small():
 @pytest.mark.parametrize("key, order", [("Z2", 2), ("Z3", 3)])
 def test_amplified_triple_is_valid_on_the_omega_carrier(key, order):
     ctx = E.stability_context(key)
-    ctx.seminorm_n.triple.validate()
+    relabelled = omega_triple(ctx)
+    relabelled.validate()
+    # the amplified seminorm is the relabelled triple's commutator seminorm
+    assert np.array_equal(relabelled.commutator_matrices(), ctx.seminorm_n.matrices)
     # omega coordinate (i, a, j, b) reads Kasparov coordinate (i, j, a, b),
     # with i, j over the 4 coordinates of M_2 and a, b over the group
     i, a, j, b = 1, order - 1, 2, 0

@@ -29,6 +29,7 @@ from choimetric.geometry import (
     gradient_dirac_triple,
 )
 from choimetric.oracles import state_sup_lower_bound
+from conftest import omega_triple
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -72,7 +73,11 @@ def test_triple_validation_catches_an_unfaithful_rep(d2):
 def test_faithfulness_rank_matches_matrix_rank():
     from choimetric.experiments import stability_context
     from choimetric.geometry import _rank
-    rep = stability_context("Z2").seminorm_n.triple.rep
+    ctx = stability_context("Z2")
+    relabelled = omega_triple(ctx)
+    # the amplified seminorm is the relabelled triple's commutator seminorm
+    assert np.array_equal(relabelled.commutator_matrices(), ctx.seminorm_n.matrices)
+    rep = relabelled.rep
     d, h, _ = rep.shape
     flat = rep.reshape(d, h * h)
     tol = 1e-10 * max(1.0, float(np.abs(rep).max()) ** 2)
@@ -266,6 +271,49 @@ def test_domination(rng):
     b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     embedded = np.outer(toys["odd_m2"].algebra.unit_coords, b).reshape(-1)
     assert abs(right.eval_coords(embedded) - lip_b.eval_coords(b)) < 1e-10
+
+
+def test_complex_samples_are_successive_draws():
+    from choimetric.generate import random_complex
+    from choimetric.linalg import complex_samples
+    for d in (4, 36):
+        rows = complex_samples(np.random.default_rng(7), 5, d)
+        rng = np.random.default_rng(7)
+        draws = np.array([rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                          for _ in range(5)])
+        assert np.array_equal(rows, draws)
+        # random_complex draws every real part first: other points
+        assert not np.allclose(rows, random_complex(np.random.default_rng(7), 5, d))
+
+
+def test_eval_coords_on_a_stack_matches_single_calls(rng):
+    toys = _toy_triples()
+    lip = CommutatorSeminorm(kasparov_product(toys["even_m2"], toys["odd"]))
+    d = lip.algebra.dim
+    xs = rng.standard_normal((6, d)) + 1j * rng.standard_normal((6, d))
+    stacked = lip.eval_coords(xs)
+    singles = [lip.eval_coords(x) for x in xs]
+    assert all(isinstance(v, float) for v in singles)
+    assert np.allclose(stacked, singles, rtol=1e-12, atol=0.0)
+    assert lip.eval_coords(np.zeros((0, d))).shape == (0,)
+
+
+@pytest.mark.parametrize("pa, pb", [("odd_m2", "odd"), ("odd_m2", "even"),
+                                    ("even_m2", "odd"), ("even_m2", "even")])
+def test_tensor_seminorms_are_the_tensor_dirac_commutators(pa, pb):
+    toys = _toy_triples()
+    ta, tb = toys[pa], toys[pb]
+    carrier = tensor_algebra(ta.algebra, tb.algebra)
+    rep = _tensor_rep(ta.rep, tb.rep)
+    ha, hb = ta.hilbert_dim, tb.hilbert_dim
+    for tensor, dirac in (
+            (left_tensor_seminorm(ta, tb.algebra, rep_b=tb.rep),
+             np.kron(ta.dirac, np.eye(hb))),
+            (right_tensor_seminorm(ta.algebra, tb, rep_a=ta.rep),
+             np.kron(np.eye(ha), tb.dirac))):
+        reference = CommutatorSeminorm(SpectralTriple(carrier, rep, dirac))
+        assert tensor.algebra is carrier
+        assert np.abs(tensor.matrices - reference.matrices).max() < 1e-12
 
 
 def _as_opposite_triple(t: SpectralTriple) -> SpectralTriple:

@@ -267,6 +267,11 @@ def test_cli_rejects_flags_the_verb_does_not_read(argv, capsys):
     # a group of order 0, whose empty table has no entry to range-check
     ["group-gen", "--kind", "cyclic", "--n", "0"],
     ["group-gen", "--kind", "product", "--n", "0"],
+    # a negative seed, which SeedSequence and default_rng reject
+    ["embedding", "--seed", "-1"],
+    ["chaining", "--seed", "-1"],
+    ["stability", "--seed", "-1"],
+    ["run-all", "--seed", "-1"],
 ])
 def test_cli_out_of_range_size_is_an_error(argv, capsys):
     assert main(argv) == 1
@@ -302,6 +307,14 @@ def test_cli_dl(tmp_path, capsys):
                  "--m-max", "2", "--starts", "2"]) == 0
     rec2 = json.loads(capsys.readouterr().out.strip())
     assert rec2["status"] == "lower_bound" and len(rec2["per_m"]) == 2
+
+
+def test_cli_dl_rejects_a_negative_seed(tmp_path, capsys):
+    f, g, t, alg = _dl_files(tmp_path)
+    for path in (["--triple", t], ["--m-max", "2"]):
+        assert main(["dl", "--channel", f, "--channel2", g, *path,
+                     "--algebras", alg, "--starts", "2", "--seed", "-1"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
 
 def test_cli_dl_rejects_a_triple_next_to_m_max(tmp_path, capsys):

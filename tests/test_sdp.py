@@ -24,10 +24,10 @@ def test_scalar_lp():
 
 
 def test_early_stop_reports_stalled():
-    # with zero tolerances the LP stops making progress before the cap
+    # with a zero gap tolerance the LP stops making progress before the cap
     b = np.array([1.0])
     blocks = [(np.array([[3.0]], dtype=complex), np.array([[[1.0]]], dtype=complex))]
-    res = solve_sdp(b, blocks, tol=0.0, feas_tol=0.0, max_iter=200)
+    res = solve_sdp(b, blocks, tol=0.0, max_iter=200)
     assert (res.status, res.reason) == ("stalled", "numerical_floor")
     assert res.iterations < 200
     assert abs(res.value - 3.0) < 1e-8
