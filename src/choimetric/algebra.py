@@ -386,8 +386,7 @@ def tensor_algebra(a: ConcreteAlgebra, b: ConcreteAlgebra) -> ConcreteAlgebra:
     if out is not None:
         return out
     da, db = a.dim, b.dim
-    basis = np.einsum("aij,bkl->abikjl", a.basis, b.basis).reshape(
-        da * db, a.ambient_dim * b.ambient_dim, a.ambient_dim * b.ambient_dim)
+    basis = linalg.kron_stack(a.basis, b.basis)
     adjoint = np.einsum("ac,bd->abcd", a.adjoint_coords, b.adjoint_coords).reshape(
         da * db, da * db)
     unit = np.outer(a.unit_coords, b.unit_coords).reshape(da * db)
@@ -493,21 +492,20 @@ def density_from_functional(phi: LinearFunctional, tau: TraceFunctional):
 
 
 def selfadjoint_basis(alg: ConcreteAlgebra,
-                      subspace: np.ndarray | None = None) -> np.ndarray:
+                      keep: np.ndarray | None = None) -> np.ndarray:
     """Real basis of the self-adjoint part, as rows of complex coordinates.
 
-    With `subspace` (a d x k complex matrix of coordinate columns spanning a
-    *-closed subspace) the basis parametrizes only self-adjoint elements of
-    that subspace.
+    With `keep` (indices of coordinates that span a *-closed subspace) the
+    basis parametrizes only self-adjoint elements supported on them.
     """
     d = alg.dim
-    if subspace is None:
-        subspace = np.eye(d, dtype=complex)
-    k = subspace.shape[1]
-    # element c = subspace @ w, w in C^k ~ R^{2k}; require adjoint(c) = c.
+    s_mat = np.eye(d, dtype=complex)
+    if keep is not None:
+        s_mat = s_mat[:, keep]
+    k = s_mat.shape[1]
+    # element c = S w, w in C^k ~ R^{2k}; require adjoint(c) = c.
     adj = alg.adjoint_coords.T      # coords(x^*) = adj @ conj(coords(x))
     # map w -> adjoint(Sw) - Sw as a real-linear map on (Re w, Im w)
-    s_mat = subspace
     a_on_s = adj @ np.conj(s_mat)   # image of conj-part
     # c(w) = S (u + iv); c* = adj conj(S) (u - iv)
     # condition: adj conj(S) u - i adj conj(S) v - S u - i S v = 0

@@ -58,6 +58,7 @@ from .geometry import (
 )
 from .groups import (
     LengthFunction,
+    commutator_subgroup,
     cyclic_group,
     direct_product,
     klein_twist_cocycle,
@@ -207,28 +208,24 @@ def _check_phase_invariance(seminorm, weights, rng):
 
 
 def _char_restriction(seminorm, group, amp: int = 1) -> np.ndarray:
-    """Columns spanning the coordinates fixed by the dual-group phase
-    automorphisms: the pairs (a, b) whose product is fixed by every
-    1-dimensional character.  Coordinates are ordered (i, a, j, b), with
-    i, j over `amp` amplification indices (amp=1: plain pairs (a, b)).
+    """The coordinates fixed by the dual-group phase automorphisms: the
+    pairs (a, b) whose product lies in the commutator subgroup, the common
+    kernel of the 1-dimensional characters.  Coordinates are ordered
+    (i, a, j, b), with i, j over `amp` amplification indices (amp=1: plain
+    pairs (a, b)); the indices run over (i, j), then over the pairs.
     Checks on samples that every phase preserves the seminorm."""
-    chars = one_dim_characters(group)
+    commutators = commutator_subgroup(group)
     g = group.order
-    pairs = [(a, b) for a in group.elements() for b in group.elements()
-             if all(abs(chi[group.mul(a, b)] - 1.0) < 1e-9 for chi in chars)]
-    cols = np.zeros((seminorm.algebra.dim, amp * amp * len(pairs)), dtype=complex)
-    k = 0
-    for i in range(amp):
-        for j in range(amp):
-            for a, b in pairs:
-                cols[((i * g + a) * amp + j) * g + b, k] = 1.0
-                k += 1
+    a, b = np.array([(a, b) for a in group.elements() for b in group.elements()
+                     if group.mul(a, b) in commutators]).T
+    i, j = np.divmod(np.arange(amp * amp), amp)
+    keep = (((i[:, None] * g + a) * amp + j[:, None]) * g + b).reshape(-1)
     rng = np.random.default_rng(99)
     ones = np.ones(amp)
-    for chi in chars:
+    for chi in one_dim_characters(group):
         weights = np.einsum("i,a,j,b->iajb", ones, chi, ones, chi).reshape(-1)
         _check_phase_invariance(seminorm, weights, rng)
-    return cols
+    return keep
 
 
 def length_dirac(ga, length: LengthFunction) -> SpectralTriple:
@@ -258,9 +255,9 @@ def build_group_context(group, cocycle=None, length: LengthFunction | None = Non
         length = word_length(group)
     seminorm = CommutatorSeminorm(kasparov_product(
         length_dirac(ga, length), length_dirac_op(ga, length)))
-    restriction = _char_restriction(seminorm, group) if restrict else None
+    keep = _char_restriction(seminorm, group) if restrict else None
     return GroupContext(group, ga, canonical_trace(ga), seminorm,
-                        prepare_ball(seminorm, restriction))
+                        prepare_ball(seminorm, keep))
 
 
 def group_context(key: str, restrict: bool = True) -> GroupContext:
@@ -322,8 +319,8 @@ def stability_context(key: str, n: int = 2, restrict: bool = True) -> StabilityC
     to_omega = np.arange(product_total.algebra.dim).reshape(
         n * n, n * n, g_order, g_order).transpose(0, 2, 1, 3).reshape(-1)
     seminorm_n = _omega_seminorm(CommutatorSeminorm(product_total), to_omega)
-    restriction = _char_restriction(seminorm_n, base.group, n * n) if restrict else None
-    setup_n = prepare_ball(seminorm_n, restriction)
+    keep = _char_restriction(seminorm_n, base.group, n * n) if restrict else None
+    setup_n = prepare_ball(seminorm_n, keep)
     return StabilityContext(base, n, amp_trace, seminorm_n, setup_n,
                             t_nn.algebra, to_omega)
 

@@ -29,7 +29,7 @@ from .algebra import (
     tensor_algebra,
 )
 from .errors import AlgebraMismatch, InvalidSpectralTriple
-from .linalg import EPS_STRUCT, operator_norm
+from .linalg import EPS_STRUCT, kron_stack, operator_norm
 
 
 @dataclass(frozen=True)
@@ -202,7 +202,7 @@ def left_tensor_seminorm(triple_a: SpectralTriple, algebra_b: ConcreteAlgebra,
     if rep_b is None:
         rep_b = algebra_b.basis
     return Seminorm(tensor_algebra(triple_a.algebra, algebra_b),
-                    _tensor_rep(triple_a.commutator_matrices(), rep_b))
+                    kron_stack(triple_a.commutator_matrices(), rep_b))
 
 
 def right_tensor_seminorm(algebra_a: ConcreteAlgebra, triple_b: SpectralTriple,
@@ -212,19 +212,12 @@ def right_tensor_seminorm(algebra_a: ConcreteAlgebra, triple_b: SpectralTriple,
     if rep_a is None:
         rep_a = algebra_a.basis
     return Seminorm(tensor_algebra(algebra_a, triple_b.algebra),
-                    _tensor_rep(rep_a, triple_b.commutator_matrices()))
+                    kron_stack(rep_a, triple_b.commutator_matrices()))
 
 
 # ---------------------------------------------------------------------------
 # Kasparov exterior products
 # ---------------------------------------------------------------------------
-
-def _tensor_rep(rep_a: np.ndarray, rep_b: np.ndarray) -> np.ndarray:
-    da, ha, _ = rep_a.shape
-    db, hb, _ = rep_b.shape
-    out = np.einsum("aij,bkl->abikjl", rep_a, rep_b)
-    return out.reshape(da * db, ha * hb, ha * hb)
-
 
 def kasparov_product(ta: SpectralTriple, tb: SpectralTriple) -> SpectralTriple:
     """Exterior Kasparov product over the tensor algebra, in all four parity
@@ -251,7 +244,7 @@ def kasparov_product(ta: SpectralTriple, tb: SpectralTriple) -> SpectralTriple:
     carrier = tensor_algebra(ta.algebra, tb.algebra)
     ha, hb = ta.hilbert_dim, tb.hilbert_dim
     ia, ib = np.eye(ha), np.eye(hb)
-    rep0 = _tensor_rep(ta.rep, tb.rep)
+    rep0 = kron_stack(ta.rep, tb.rep)
 
     if ta.even and tb.even:
         dirac = np.kron(ta.dirac, ib) + np.kron(ta.grading, tb.dirac)

@@ -88,6 +88,9 @@ def _validate_group(g: FiniteGroup):
     for a in range(n):
         if len(set(t[a])) != n:
             raise InvalidGroup(f"row {a} is not a permutation")
+    for a in g.generators:
+        if isinstance(a, bool) or not isinstance(a, (int, np.integer)) or not 0 <= a < n:
+            raise InvalidGroup(f"generator {a!r} is not an element index in [0, {n})")
 
 
 # -- constructors ------------------------------------------------------------

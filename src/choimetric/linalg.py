@@ -44,6 +44,13 @@ def contract_stack(mat: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return (mat @ stack.reshape(len(stack), -1)).reshape((len(mat),) + stack.shape[1:])
 
 
+def kron_stack(stack_a: np.ndarray, stack_b: np.ndarray) -> np.ndarray:
+    """The Kronecker products stack_a[i] (x) stack_b[j], over (i, j) in
+    row-major order, as one (len(a) len(b), p r, q s) stack."""
+    (da, p, q), (db, r, s) = stack_a.shape, stack_b.shape
+    return np.einsum("aij,bkl->abikjl", stack_a, stack_b).reshape(da * db, p * r, q * s)
+
+
 def hermitian_part(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + dagger(m))
 

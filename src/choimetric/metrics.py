@@ -58,7 +58,7 @@ from .channels import (
     cp_oracle_npositivity,
     is_unital,
 )
-from .errors import AlgebraMismatch, Infeasible
+from .errors import AlgebraMismatch, ChoimetricError, Infeasible
 from .geometry import AmbientNormSeminorm, Seminorm
 from .linalg import (
     contract_stack,
@@ -131,23 +131,23 @@ def _split_copies(blocks):
     the same spectrum, to relative 1e-9, at 3 fixed random y: a unitary
     change of basis turns one into the other, so both impose the same
     constraint on y.
-    Returns (kept, dropped).  A wrong match costs a second solve, never a
+    Returns the kept blocks.  A wrong match costs a second solve, never a
     wrong value: `_solve_certified` checks every dropped block of the
     assembled program at the solution.
     """
     if len(blocks) < 2:
-        return list(blocks), []
+        return list(blocks)
     ys = np.random.default_rng(0).standard_normal((3, blocks[0][1].shape[0]))
     spectra = [np.linalg.eigvalsh(cmat[None] - contract_stack(ys, astack))
                for cmat, astack in blocks]
-    kept, dropped = [], []
+    kept = []
     for k, spec in enumerate(spectra):
         scale = 1e-9 * (1.0 + float(np.abs(spec).max(initial=0.0)))
-        copy = any(spectra[j].shape == spec.shape
+        if not any(spectra[j].shape == spec.shape
                    and float(np.abs(spectra[j] - spec).max(initial=0.0)) <= scale
-                   for j in kept)
-        (dropped if copy else kept).append(k)
-    return [blocks[k] for k in kept], [blocks[k] for k in dropped]
+                   for j in kept):
+            kept.append(k)
+    return [blocks[k] for k in kept]
 
 
 def _generic_element(gens: np.ndarray, rng) -> np.ndarray:
@@ -214,42 +214,32 @@ def _irreducible_pieces(block) -> list:
 
 @dataclass
 class _BallSetup:
-    """Cached reduction of a (seminorm, subspace) pair for repeated solves:
-    the kernel split and the SDP blocks of the unit ball on the range.  The
-    solver sees `kept`: one block per class of copies, each replaced by one
-    piece per class of irreducible summands.  `checked` holds every
-    block of `full` that the solver does not see verbatim."""
+    """Cached reduction of a (seminorm, coordinates) pair for repeated
+    solves: the kernel split and the SDP blocks of the unit ball on the
+    range.  The solver sees `kept`: one block per class of copies, each
+    replaced by one piece per class of irreducible summands."""
     algebra: ConcreteAlgebra
+    keep: np.ndarray | None          # coordinate indices of the ball; None: all
     rows: np.ndarray                 # (r, d) self-adjoint coordinate basis
     null_basis: np.ndarray           # (r, n0)
     range_basis: np.ndarray          # (r, q)
-    projector: np.ndarray | None
     kept: list                       # (C, Astack) blocks passed to the solver
-    checked: list                    # copies and split blocks, checked at the end
     full: list                       # every block: the program of the fallback
 
 
-def prepare_ball(seminorm: Seminorm,
-                 restrict_to: np.ndarray | None = None) -> _BallSetup:
+def prepare_ball(seminorm: Seminorm, keep: np.ndarray | None = None) -> _BallSetup:
+    """The unit ball of `seminorm` on the self-adjoint elements supported on
+    the coordinates `keep` (on all of them when None)."""
     alg = seminorm.algebra
-    rows = selfadjoint_basis(alg, restrict_to)
+    rows = selfadjoint_basis(alg, keep)
     # the norm stack on the self-adjoint directions
     stack = contract_stack(rows, seminorm.matrices)
     flat = stack.reshape(len(stack), -1)
     rng_basis, null = row_and_null_space_real(np.hstack([flat.real, flat.imag]).T)
     blocks = _assemble_blocks(contract_stack(rng_basis.T, stack))
-    classes, copies = _split_copies(blocks)
-    kept, _ = _split_copies([piece for block in classes
-                             for piece in _irreducible_pieces(block)])
-    # the classes split into pieces, or dropped as copies of pieces
-    checked = copies + [block for block in classes
-                        if not any(block is piece for piece in kept)]
-    projector = None
-    if restrict_to is not None:
-        s = np.asarray(restrict_to, dtype=complex)
-        gram = s.conj().T @ s
-        projector = s @ np.linalg.solve(gram, s.conj().T)
-    return _BallSetup(alg, rows, null, rng_basis, projector, kept, checked, blocks)
+    kept = _split_copies([piece for block in _split_copies(blocks)
+                          for piece in _irreducible_pieces(block)])
+    return _BallSetup(alg, keep, rows, null, rng_basis, kept, blocks)
 
 
 def _psd_violation(cmat: np.ndarray, astack: np.ndarray, y: np.ndarray) -> float:
@@ -265,11 +255,11 @@ def _psd_violation(cmat: np.ndarray, astack: np.ndarray, y: np.ndarray) -> float
     return 0.0
 
 
-def _solve_certified(b: np.ndarray, kept: list, checked: list, full: list,
+def _solve_certified(b: np.ndarray, kept: list, full: list,
                      tol: float, max_iter: int) -> sdp.SDPResult:
     """The one SDP solve path of this module: solve on the kept blocks,
-    then check at the returned y every block of the full program that the
-    solver did not see verbatim.
+    then check at the returned y every block of the full program that is
+    not a kept block: the dropped copies and the split blocks.
 
     Each kept block is a block of `full` or a compression W*ZW of one, so
     the kept program is a relaxation, and its primal X lifts to W X W*, a
@@ -280,7 +270,8 @@ def _solve_certified(b: np.ndarray, kept: list, checked: list, full: list,
     """
     feas_tol = sdp.feasibility_tolerance(tol)
     res = sdp.solve_sdp(b, kept, tol=tol, max_iter=max_iter)
-    violation = max((_psd_violation(c, a, res.y) for c, a in checked), default=0.0)
+    violation = max((_psd_violation(*block, res.y) for block in full
+                     if not any(block is k for k in kept)), default=0.0)
     if violation > feas_tol:
         return sdp.solve_sdp(b, full, tol=tol, max_iter=max_iter)
     res.dual_infeas = max(res.dual_infeas, violation)
@@ -291,11 +282,11 @@ def _maximize_linear(setup: _BallSetup, values: np.ndarray, tol: float,
                      max_iter: int) -> MKResult:
     """sup { Re f(a) : a self-adjoint, L(a) <= 1 } for f given by `values`."""
     alg = setup.algebra
-    if setup.projector is not None:
-        resid = float(np.abs(values - setup.projector.T @ values).max())
+    if setup.keep is not None:
+        resid = float(np.abs(np.delete(values, setup.keep)).max(initial=0.0))
         if resid > 1e-8 * (1.0 + float(np.abs(values).max(initial=0.0))):
             raise AlgebraMismatch(
-                "objective not supported on the restriction subspace "
+                "objective not supported on the kept coordinates "
                 f"(residual {resid:.2e})")
     g = (setup.rows @ values).real
     # kernel pre-pass
@@ -312,8 +303,7 @@ def _maximize_linear(setup: _BallSetup, values: np.ndarray, tol: float,
         return MKResult(0.0, alg.zero(), 0.0, "optimal")
     # canonical sign so that mk(phi, psi) and mk(psi, phi) solve one program
     flip = -1.0 if gred[int(np.argmax(np.abs(gred)))] < 0 else 1.0
-    res = _solve_certified(flip * gred / scale, setup.kept, setup.checked,
-                           setup.full, tol, max_iter)
+    res = _solve_certified(flip * gred / scale, setup.kept, setup.full, tol, max_iter)
     coords = setup.rows.T @ (setup.range_basis @ (flip * res.y))
     return MKResult(res.value * scale, AlgebraElement(alg, coords),
                     res.gap * scale, res.status, iterations=res.iterations)
@@ -452,7 +442,7 @@ def wasserstein_dual(rho1: np.ndarray, rho2: np.ndarray, l_mats,
     b[:npar + qpar] = -0.5 * np.concatenate([np.trace(herm_p, axis1=1, axis2=2),
                                              np.trace(herm_q, axis1=1, axis2=2)]).real
     block = [(cmat, astack)]
-    res = _solve_certified(b, block, [], block, tol, sdp.MAX_ITER)
+    res = _solve_certified(b, block, block, tol, sdp.MAX_ITER)
     u_final = u0 + sum(c * mats for c, mats in zip(res.y[npar + qpar:], null_mats))
     return WassersteinResult(-res.value, list(u_final), res.gap, res.status, res.iterations)
 
@@ -481,6 +471,8 @@ def dl_distance(f: ChannelMap, g: ChannelMap, seminorm: Seminorm,
     The result is a certified lower bound; `converged` reports whether every
     start stalled before the cap of 40 rounds with every inner solve optimal.
     """
+    if starts < 1:
+        raise ChoimetricError(f"starts {starts}: give at least one start")
     for name, ch in (("first", f), ("second", g)):
         if not is_unital(ch):
             raise AlgebraMismatch(f"{name} argument is not unital")
@@ -500,7 +492,7 @@ def dl_distance(f: ChannelMap, g: ChannelMap, seminorm: Seminorm,
     best_opt = None
     per_start = []
     all_converged = True
-    for _ in range(max(1, starts)):
+    for _ in range(starts):
         xi = rng.standard_normal(nb) + 1j * rng.standard_normal(nb)
         xi /= np.linalg.norm(xi)
         val = 0.0
@@ -542,6 +534,8 @@ def dl_distance(f: ChannelMap, g: ChannelMap, seminorm: Seminorm,
 def dl_stabilized(f: ChannelMap, g: ChannelMap, m_max: int, **kw):
     """Truncated stabilization: max over m = 1..m_max of D on the m-fold
     amplifications, with the operator norm as the seminorm on each level."""
+    if m_max < 1:
+        raise ChoimetricError(f"m_max {m_max}: give at least one level")
     values = []
     for m in range(1, m_max + 1):
         fm, gm = amplify(m, f), amplify(m, g)

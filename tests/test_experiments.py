@@ -1,6 +1,7 @@
 import csv
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import choimetric.experiments as E
 from choimetric.cli import main
 from choimetric.errors import Infeasible, InvalidSpectralTriple
+from choimetric.groups import dihedral_group, one_dim_characters
 from conftest import omega_triple
 
 
@@ -149,6 +151,44 @@ def test_metric_axioms_record_the_stalled_solve(monkeypatch):
     for kind in ("mk-symmetry", "mk-triangle"):
         assert mk[kind, 0].status == "stalled" and not mk[kind, 0].ok
         assert mk[kind, 1].status == "optimal" and mk[kind, 1].ok
+
+
+def _character_fixed_coordinates(group, amp):
+    """The coordinates (i, a, j, b) with chi(ab) = 1 for every 1-dimensional
+    character chi, found by testing the character values, in (i, j, pair)
+    order."""
+    chars = one_dim_characters(group)
+    g = group.order
+    pairs = [(a, b) for a in group.elements() for b in group.elements()
+             if all(abs(chi[group.mul(a, b)] - 1.0) < 1e-9 for chi in chars)]
+    return [((i * g + a) * amp + j) * g + b
+            for i in range(amp) for j in range(amp) for a, b in pairs]
+
+
+@pytest.mark.parametrize("key", ["Z2", "Z3", "Z4", "S3", "Z2xZ2", "Z2xZ2-twisted", "D4"])
+def test_char_restriction_keeps_the_character_fixed_coordinates(key):
+    # the commutator subgroup is the common kernel of the 1-dimensional
+    # characters, so its pairs are the pairs the characters fix
+    group, cocycle = (dihedral_group(4), None) if key == "D4" else E.builtin_group(key)
+    seminorm = E.build_group_context(group, cocycle, restrict=False).seminorm
+    keep = E._char_restriction(seminorm, group)
+    assert keep.tolist() == _character_fixed_coordinates(group, 1)
+    # amplified coordinates; the indices do not depend on the seminorm, so
+    # a zero seminorm, which every phase preserves, stands in for it
+    dim = 16 * group.order ** 2
+    zero = SimpleNamespace(algebra=SimpleNamespace(dim=dim),
+                           eval_coords=lambda x: np.zeros(len(x)))
+    keep = E._char_restriction(zero, group, 4)
+    assert keep.tolist() == _character_fixed_coordinates(group, 4)
+
+
+def test_char_restriction_checks_the_phase_invariance():
+    # |x_(0,0) + x_(0,1)| on C*(Z3) (x) C*(Z3)^op: a phase moves x_(0,1) only
+    group, _ = E.builtin_group("Z3")
+    norm = SimpleNamespace(algebra=SimpleNamespace(dim=9),
+                           eval_coords=lambda x: np.abs(x[:, 0] + x[:, 1]))
+    with pytest.raises(AssertionError):
+        E._char_restriction(norm, group)
 
 
 def test_restriction_cross_check_records_the_stalled_solve(monkeypatch):

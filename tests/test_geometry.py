@@ -25,9 +25,9 @@ from choimetric.geometry import (
     _FAITHFUL_TOL,
     _rank,
     _tensor_rank,
-    _tensor_rep,
     gradient_dirac_triple,
 )
+from choimetric.linalg import kron_stack
 from choimetric.oracles import state_sup_lower_bound
 from conftest import omega_triple
 
@@ -170,7 +170,7 @@ def test_suite_products_pass_the_full_check(case):
 def test_tensor_rank_matches_rank_on_an_unfaithful_factor(copies):
     bad = _corrupt_factor("not faithful", "odd")
     good = _toy_triples()["odd_m2"]
-    rep = _tensor_rep(bad.rep, good.rep)
+    rep = kron_stack(bad.rep, good.rep)
     flat = np.concatenate([rep.reshape(len(rep), -1)] * copies, axis=1)
     tol = _FAITHFUL_TOL * max(1.0, float(np.abs(rep).max()) ** 2)
     assert _tensor_rank(bad, good, copies) == _rank(flat, tol) == 4
@@ -304,7 +304,7 @@ def test_tensor_seminorms_are_the_tensor_dirac_commutators(pa, pb):
     toys = _toy_triples()
     ta, tb = toys[pa], toys[pb]
     carrier = tensor_algebra(ta.algebra, tb.algebra)
-    rep = _tensor_rep(ta.rep, tb.rep)
+    rep = kron_stack(ta.rep, tb.rep)
     ha, hb = ta.hilbert_dim, tb.hilbert_dim
     for tensor, dirac in (
             (left_tensor_seminorm(ta, tb.algebra, rep_b=tb.rep),

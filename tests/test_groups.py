@@ -39,6 +39,13 @@ def test_group_laws_validated():
     # the empty table: no identity, and no entry to range-check
     with pytest.raises(InvalidGroup):
         group_from_table(np.zeros((0, 0), dtype=int), 0)
+    # a generator is an element index: no float, string, bool or index
+    # outside [0, order), which word_length would read or wrap around
+    z3 = cyclic_group(3).mult
+    for gens in ([5], ["a"], [1.5], [-1], [True], [1, 3]):
+        with pytest.raises(InvalidGroup):
+            group_from_table(z3, 0, generators=gens)
+    assert group_from_table(z3, 0, generators=[np.int64(2)]).generators == (2,)
 
 
 def is_abelian(g) -> bool:

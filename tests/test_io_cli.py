@@ -214,6 +214,10 @@ def test_cli_bad_input_file_is_an_error(tmp_path, capsys):
     ("group", {"mult_table": [[0, 1], [1, "a"]], "identity": 0}),
     ("group", {"mult_table": [[0, 1], [1, 0]], "identity": [0, 1]}),
     ("group", {"mult_table": [[0, 1], [1, 0]], "identity": 5}),
+    ("group", {"mult_table": [[0, 1], [1, 0]], "identity": 0, "generators": [5]}),
+    ("group", {"mult_table": [[0, 1], [1, 0]], "identity": 0, "generators": ["a"]}),
+    ("group", {"mult_table": [[0, 1], [1, 0]], "identity": 0, "generators": [0.5]}),
+    ("group", {"mult_table": [[0, 1], [1, 0]], "identity": 0, "generators": [-1]}),
     ("pdf", {"group": "Z2", "values": 5}),
     ("channel", {"source": "diag2", "target": "diag2"}),
     ("algebra", {"ambient_dim": 2, "name": "diag2"}),
@@ -315,6 +319,20 @@ def test_cli_dl_rejects_a_negative_seed(tmp_path, capsys):
         assert main(["dl", "--channel", f, "--channel2", g, *path,
                      "--algebras", alg, "--starts", "2", "--seed", "-1"]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("bad", [["--m-max", "-1"],
+                                 ["--m-max", "2", "--starts", "0"],
+                                 ["--m-max", "2", "--starts", "-5"],
+                                 ["--starts", "0"],
+                                 ["--starts", "-5"]])
+def test_cli_dl_rejects_no_starts_and_no_levels(tmp_path, capsys, bad):
+    # neither a silent single start nor an empty maximum
+    f, g, t, alg = _dl_files(tmp_path)
+    path = [] if "--m-max" in bad else ["--triple", t]
+    assert main(["dl", "--channel", f, "--channel2", g, *path,
+                 "--algebras", alg, *bad]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_cli_dl_rejects_a_triple_next_to_m_max(tmp_path, capsys):

@@ -30,7 +30,7 @@ from choimetric import (
     wasserstein_dual,
 )
 from choimetric import metrics, sdp
-from choimetric.errors import AlgebraMismatch, Infeasible, NotTraceChannel
+from choimetric.errors import AlgebraMismatch, ChoimetricError, Infeasible, NotTraceChannel
 from choimetric.experiments import (
     group_context,
     run_duality,
@@ -447,6 +447,26 @@ def test_dl_stabilized_monotone(rng, d2):
     assert per_m[1] >= per_m[0] - 1e-8
 
 
+def test_dl_rejects_no_starts_and_no_levels(d2):
+    # a start count or a truncation level below 1 is an input error, not a
+    # silent single start or an empty maximum
+    g = ChannelMap(d2, d2, np.array([[0.7, 0.3], [0.3, 0.7]], dtype=complex))
+    for starts in (0, -5):
+        with pytest.raises(ChoimetricError):
+            dl_distance(g, g, AmbientNormSeminorm(d2), starts=starts)
+    for m_max in (0, -1):
+        with pytest.raises(ChoimetricError):
+            dl_stabilized(g, g, m_max)
+
+
+def test_restricted_ball_rejects_an_objective_off_its_coordinates():
+    setup = group_context("Z3").setup
+    values = np.zeros(setup.algebra.dim, dtype=complex)
+    values[np.setdiff1d(np.arange(setup.algebra.dim), setup.keep)[0]] = 1e-3
+    with pytest.raises(AlgebraMismatch):
+        _maximize_linear(setup, values, 1e-7, sdp.MAX_ITER)
+
+
 def test_opposite_seminorm_has_the_same_mk_values(rng, m2):
     # L_{A^op}(a^op) = L_A(a): the same stack over the opposite algebra
     lip = CommutatorSeminorm(gradient_dirac_triple([X, np.diag([1.0, -1.0])],
@@ -634,7 +654,7 @@ def test_split_components_on_hand_made_stacks():
 
 def _every_block(setup):
     """The same ball with every block handed to the solver."""
-    return dataclasses.replace(setup, kept=setup.full, checked=[])
+    return dataclasses.replace(setup, kept=setup.full)
 
 
 def _counting_solver(monkeypatch):
@@ -707,7 +727,7 @@ def _setup(key):
 def test_kept_block_counts(build, kept, total):
     # classes of copies among the assembled blocks, before any block splits
     setup = build()
-    assert (len(_split_copies(setup.full)[0]), len(setup.full)) == (kept, total)
+    assert (len(_split_copies(setup.full)), len(setup.full)) == (kept, total)
 
 
 _PIECE_SIZES = {
@@ -722,13 +742,27 @@ _PIECE_SIZES = {
 
 
 @pytest.mark.parametrize("key", list(_PIECE_SIZES))
-def test_kept_piece_sizes(key):
+def test_kept_piece_sizes(key, monkeypatch):
     # every kept block goes to the solver as its irreducible pieces, and
-    # every block it does not see verbatim is checked
+    # `_solve_certified` checks every block of `full` it does not see verbatim
     setup = _setup(key)
     assert [len(cmat) for cmat, _ in setup.kept] == _PIECE_SIZES[key]
+    checked = []
+    violation = metrics._psd_violation
+
+    def counted(cmat, astack, y):
+        checked.append(astack)
+        return violation(cmat, astack, y)
+
+    monkeypatch.setattr(metrics, "_psd_violation", counted)
+    b = np.zeros(setup.full[0][1].shape[0])
+    b[0] = 1.0
+    _solve_certified(b, setup.kept, setup.full, 1e-9, 1)
     verbatim = [k for k in setup.kept if any(k is block for block in setup.full)]
-    assert len(verbatim) + len(setup.checked) == len(setup.full)
+    assert len(verbatim) + len(checked) == len(setup.full)
+    assert len({id(a) for a in checked}) == len(checked)
+    assert all(any(a is block[1] for block in setup.full)
+               and not any(a is k[1] for k in verbatim) for a in checked)
 
 
 def _lam_min(blocks, y):
@@ -803,10 +837,10 @@ def test_wrong_copy_falls_back_to_the_full_solve(monkeypatch):
     # as a dropped copy: the check rejects the reduced y and solves them all
     ctx = group_context("Z2")
     # Z2's blocks are copies of one block, which the solver is handed whole
-    (block,), _ = _split_copies(ctx.setup.full)
+    (block,) = _split_copies(ctx.setup.full)
     cmat, astack = block
     bad = (cmat, 2.0 * astack)
-    wrong = dataclasses.replace(ctx.setup, kept=[block], checked=[bad], full=[block, bad])
+    wrong = dataclasses.replace(ctx.setup, kept=[block], full=[block, bad])
     rng = np.random.default_rng(5)
     f, g = (multiplier_channel(random_pdf(rng, ctx.group), ctx.ga) for _ in range(2))
     right = delta_distance(f, g, ctx.tau, ctx.seminorm, tolerance=1e-9,
@@ -829,7 +863,7 @@ def test_solve_certified_passes_the_reason_through():
     b[0] = 1.0
     for checked in ([], [(cmat, 2.0 * astack)]):
         full = ctx.setup.kept + checked
-        res = _solve_certified(b, ctx.setup.kept, checked, full, 1e-9, sdp.MAX_ITER)
+        res = _solve_certified(b, ctx.setup.kept, full, 1e-9, sdp.MAX_ITER)
         assert (res.status, res.reason) == ("optimal", "converged")
-        capped = _solve_certified(b, ctx.setup.kept, checked, full, 1e-9, 1)
+        capped = _solve_certified(b, ctx.setup.kept, full, 1e-9, 1)
         assert (capped.status, capped.reason) == ("max_iter", "max_iter")
