@@ -153,35 +153,6 @@ class AlgebraElement:
         the algebra, since the span is a C*-subalgebra)."""
         return linalg.is_psd(self.ambient())
 
-    def norm(self) -> float:
-        return linalg.operator_norm(self.ambient())
-
-    def __add__(self, other):
-        _require_same_algebra(self, other)
-        return AlgebraElement(self.algebra, self.coords + other.coords)
-
-    def __sub__(self, other):
-        _require_same_algebra(self, other)
-        return AlgebraElement(self.algebra, self.coords - other.coords)
-
-    def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            _require_same_algebra(self, other)
-            return AlgebraElement(
-                self.algebra, self.algebra.multiply_coords(self.coords, other.coords))
-        return AlgebraElement(self.algebra, self.coords * complex(other))
-
-    def __rmul__(self, scalar):
-        return AlgebraElement(self.algebra, self.coords * complex(scalar))
-
-    def __neg__(self):
-        return AlgebraElement(self.algebra, -self.coords)
-
-
-def _require_same_algebra(a, b):
-    if not a.algebra.same_as(b.algebra):
-        raise AlgebraMismatch("elements of different algebras")
-
 
 @dataclass(frozen=True)
 class LinearFunctional:
@@ -189,15 +160,6 @@ class LinearFunctional:
 
     algebra: ConcreteAlgebra
     values: np.ndarray
-
-    def __call__(self, x) -> complex:
-        if isinstance(x, AlgebraElement):
-            if not x.algebra.same_as(self.algebra):
-                raise AlgebraMismatch("functional applied to element of another algebra")
-            coords = x.coords
-        else:
-            coords = np.asarray(x, dtype=complex)
-        return complex(self.values @ coords)
 
     def gns_gram(self) -> np.ndarray:
         """The matrix [phi(B_i^* B_j)]_{ij}; PSD exactly when phi is positive."""
@@ -224,17 +186,6 @@ class LinearFunctional:
 
     def is_state(self) -> bool:
         return self.is_positive() and abs(self.unit_value() - 1.0) <= EPS_STRUCT
-
-    def __add__(self, other):
-        return LinearFunctional(self.algebra, self.values + other.values)
-
-    def __sub__(self, other):
-        return LinearFunctional(self.algebra, self.values - other.values)
-
-    def __mul__(self, scalar):
-        return LinearFunctional(self.algebra, self.values * complex(scalar))
-
-    __rmul__ = __mul__
 
 
 class TraceFunctional(LinearFunctional):
@@ -510,8 +461,8 @@ def selfadjoint_basis(alg: ConcreteAlgebra,
     # c(w) = S (u + iv); c* = adj conj(S) (u - iv)
     # condition: adj conj(S) u - i adj conj(S) v - S u - i S v = 0
     top = np.hstack([a_on_s - s_mat, -1j * (a_on_s + s_mat)])
-    big = linalg.real_from_complex_columns(top)
-    null = linalg.null_space_real(big)     # columns (2k,)
+    null = linalg.row_and_null_space_real(
+        np.vstack([top.real, top.imag]))[1]     # columns (2k,)
     cols = []
     for c in null.T:
         w = c[:k] + 1j * c[k:]

@@ -42,7 +42,6 @@ class ChannelMap:
     source: ConcreteAlgebra
     target: ConcreteAlgebra
     matrix: np.ndarray
-    name: str = ""
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -52,32 +51,9 @@ class ChannelMap:
                 f"{self.source.dim} -> {self.target.dim}")
         object.__setattr__(self, "matrix", m)
 
-    def __call__(self, x: AlgebraElement) -> AlgebraElement:
-        if not x.algebra.same_as(self.source):
-            raise AlgebraMismatch("element not in the channel's source algebra")
-        return AlgebraElement(self.target, self.matrix @ x.coords)
-
-    def __add__(self, other):
-        _check_parallel(self, other)
-        return ChannelMap(self.source, self.target, self.matrix + other.matrix)
-
-    def __sub__(self, other):
-        _check_parallel(self, other)
-        return ChannelMap(self.source, self.target, self.matrix - other.matrix)
-
-    def __mul__(self, scalar):
-        return ChannelMap(self.source, self.target, self.matrix * complex(scalar))
-
-    __rmul__ = __mul__
-
-
-def _check_parallel(f, g):
-    if not (f.source.same_as(g.source) and f.target.same_as(g.target)):
-        raise AlgebraMismatch("channels with different source or target")
-
 
 def identity_channel(alg: ConcreteAlgebra) -> ChannelMap:
-    return ChannelMap(alg, alg, np.eye(alg.dim, dtype=complex), name="id")
+    return ChannelMap(alg, alg, np.eye(alg.dim, dtype=complex))
 
 
 def _omega_value_matrix(f: ChannelMap, tau: TraceFunctional) -> np.ndarray:
@@ -231,7 +207,7 @@ def trace_adjoint(f: ChannelMap, tau_src: TraceFunctional,
     ta = tau_src.bilinear_gram()
     w = _omega_value_matrix(f, tau_tgt)          # w[i, j] = tau_tgt(F(A_i) B_j)
     sharp = np.linalg.solve(ta, w)               # (d_A, d_B)
-    return ChannelMap(f.target, f.source, sharp, name=f"{f.name}#" if f.name else "")
+    return ChannelMap(f.target, f.source, sharp)
 
 
 # ---------------------------------------------------------------------------

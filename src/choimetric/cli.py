@@ -367,6 +367,14 @@ def main(argv=None) -> int:
         # SeedSequence and default_rng take no negative seed
         if getattr(args, "seed", 0) < 0:
             raise ChoimetricError(f"--seed {args.seed}: give a non-negative seed")
+        # every relative gap, that of the starting point too, is below 1, and
+        # no gap reaches 0 or nan
+        if not 0 < getattr(args, "tolerance", 1e-7) < 1:
+            raise ChoimetricError(f"--tolerance {args.tolerance}: give a relative "
+                                  "gap in (0, 1)")
+        if getattr(args, "max_iter", 1) < 1:
+            raise ChoimetricError(f"--max-iter {args.max_iter}: give at least one "
+                                  "iteration")
         return args.fn(args)
     except ChoimetricError as exc:
         print(f"error: {exc}", file=sys.stderr)

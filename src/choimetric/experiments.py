@@ -365,7 +365,7 @@ def run_cp_characterization(seed: int = 0, trials: int = 200) -> list[Experiment
     m2 = matrix_algebra(2)
     tr2 = standard_matrix_trace(m2)
     transpose = np.eye(4)[[0, 2, 1, 3]]          # e_pq -> e_qp
-    t_map = ChannelMap(m2, m2, transpose, name="transpose")
+    t_map = ChannelMap(m2, m2, transpose)
     verdict = is_completely_positive(t_map, tr2)
     rejected = not verdict.is_cp and not cp_oracle_npositivity(t_map)
     if verdict.witness is not None:
@@ -398,7 +398,8 @@ def run_embedding(seed: int = 0, trials: int = 100) -> list[ExperimentRecord]:
         f = generate.random_kraus_channel(rng, matrix_algebra(n), matrix_algebra(m),
                                           kraus_rank=rng.integers(1, 4))
         if i % 2:
-            f = (1.0 / trace_of_unit_image(f, traces[m]).real) * f
+            scale = 1.0 / trace_of_unit_image(f, traces[m]).real
+            f = ChannelMap(f.source, f.target, f.matrix * complex(scale))
         om = omega_tau(f, traces[m])
         density, _ = density_from_functional(om, carrier_traces[(n, m)])
         resid = float(np.abs(density.ambient() - choi_matrix(f).T).max())
@@ -604,8 +605,8 @@ def _stability_hypothesis_audit(ctx: StabilityContext, seed: int,
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     base = ctx.base
-    cond1 = _omega_seminorm(
-        right_tensor_seminorm(ctx.nn_carrier, base.seminorm.triple), ctx.to_omega)
+    cond1 = _omega_seminorm(right_tensor_seminorm(
+        ctx.nn_carrier, base.seminorm.triple, ctx.nn_carrier.basis), ctx.to_omega)
     x = complex_samples(rng, samples, ctx.seminorm_n.algebra.dim)
     worst1 = float((cond1.eval_coords(x) - ctx.seminorm_n.eval_coords(x)).max(initial=0.0))
     ms1 = (time.perf_counter() - t0) * 1000.0

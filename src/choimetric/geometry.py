@@ -22,13 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .algebra import (
-    AlgebraElement,
-    ConcreteAlgebra,
-    matrix_algebra,
-    tensor_algebra,
-)
-from .errors import AlgebraMismatch, InvalidSpectralTriple
+from .algebra import ConcreteAlgebra, matrix_algebra, tensor_algebra
+from .errors import InvalidSpectralTriple
 from .linalg import EPS_STRUCT, kron_stack, operator_norm
 
 
@@ -166,11 +161,6 @@ class Seminorm:
         self.algebra = algebra
         self.matrices = matrices
 
-    def __call__(self, x: AlgebraElement) -> float:
-        if not x.algebra.same_as(self.algebra):
-            raise AlgebraMismatch("seminorm applied outside its algebra")
-        return self.eval_coords(x.coords)
-
     def eval_coords(self, coords: np.ndarray):
         """L at one coordinate vector, as a float, or at each row of a (k, d)
         stack, as an array of k, by one contraction and one batched SVD."""
@@ -194,23 +184,19 @@ class AmbientNormSeminorm(Seminorm):
 
 
 def left_tensor_seminorm(triple_a: SpectralTriple, algebra_b: ConcreteAlgebra,
-                         rep_b: np.ndarray | None = None) -> Seminorm:
+                         rep_b: np.ndarray) -> Seminorm:
     """(L_A (x) 1) on A (x) B: the commutator seminorm of the Dirac D_A (x) 1
     on the tensor representation (the two agree as Lipschitz seminorms),
-    whose stack is [D_A, pi_A] (x) pi_B, since [D_A (x) 1, pi_A(a) (x)
-    pi_B(b)] = [D_A, pi_A(a)] (x) pi_B(b)."""
-    if rep_b is None:
-        rep_b = algebra_b.basis
+    whose stack is [D_A, pi_A] (x) pi_B for pi_B = `rep_b`, since
+    [D_A (x) 1, pi_A(a) (x) pi_B(b)] = [D_A, pi_A(a)] (x) pi_B(b)."""
     return Seminorm(tensor_algebra(triple_a.algebra, algebra_b),
                     kron_stack(triple_a.commutator_matrices(), rep_b))
 
 
 def right_tensor_seminorm(algebra_a: ConcreteAlgebra, triple_b: SpectralTriple,
-                          rep_a: np.ndarray | None = None) -> Seminorm:
+                          rep_a: np.ndarray) -> Seminorm:
     """(1 (x) L_B) on A (x) B, the mirror of `left_tensor_seminorm`: the
-    stack pi_A (x) [D_B, pi_B] of the Dirac 1 (x) D_B."""
-    if rep_a is None:
-        rep_a = algebra_a.basis
+    stack pi_A (x) [D_B, pi_B], for pi_A = `rep_a`, of the Dirac 1 (x) D_B."""
     return Seminorm(tensor_algebra(algebra_a, triple_b.algebra),
                     kron_stack(rep_a, triple_b.commutator_matrices()))
 
@@ -309,12 +295,10 @@ class DominationReport:
 
 
 def seminorm_domination_check(ta: SpectralTriple, tb: SpectralTriple,
-                              samples: int = 100,
-                              rng: np.random.Generator | None = None
+                              samples: int, rng: np.random.Generator
                               ) -> DominationReport:
     """Check (1 (x) L_B) <= L_{A x B} and (L_A (x) 1) <= L_{A x B} on random
     elements of the tensor algebra, up to the relative slack EPS_STRUCT."""
-    rng = rng or np.random.default_rng(0)
     big = CommutatorSeminorm(kasparov_product(ta, tb))
     left = left_tensor_seminorm(ta, tb.algebra, rep_b=tb.rep)
     right = right_tensor_seminorm(ta.algebra, tb, rep_a=ta.rep)

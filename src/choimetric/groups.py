@@ -306,9 +306,6 @@ class Cocycle:
         if np.abs(lhs - rhs).max() > 1e-10:
             raise InvalidCocycle("cocycle identity fails")
 
-    def __call__(self, a: int, b: int) -> complex:
-        return complex(self.table[a, b])
-
 
 def trivial_cocycle(g: FiniteGroup) -> Cocycle:
     return Cocycle(g, np.ones((g.order, g.order), dtype=complex))
@@ -335,7 +332,6 @@ class GroupAlgebra:
     left one is `algebra.basis`."""
 
     group: FiniteGroup
-    cocycle: Cocycle
     algebra: ConcreteAlgebra
     right_rep: np.ndarray            # (n, n, n); rho_g matrices
 
@@ -355,11 +351,11 @@ def twisted_group_algebra(g: FiniteGroup, sigma: Cocycle | None = None) -> Group
     right = np.zeros((n, n, n), dtype=complex)
     for a in range(n):
         for y in range(n):
-            left[a, g.mul(a, y), y] = sigma(a, y)
-            right[a, g.mul(y, a), y] = sigma(y, a)
+            left[a, g.mul(a, y), y] = sigma.table[a, y]
+            right[a, g.mul(y, a), y] = sigma.table[y, a]
     tag = "" if np.abs(sigma.table - 1.0).max() < 1e-14 else ",sigma"
     alg = build_algebra(left, name=f"C*({g.name}{tag})")
-    return GroupAlgebra(g, sigma, alg, right)
+    return GroupAlgebra(g, alg, right)
 
 
 def canonical_trace(ga: GroupAlgebra) -> TraceFunctional:
@@ -411,8 +407,7 @@ def multiplier_channel(phi: PositiveDefiniteFunction, ga: GroupAlgebra) -> Chann
     phi(e) = 1."""
     if not phi.group.same_as(ga.group):
         raise InvalidGroup("positive definite function on another group")
-    return ChannelMap(ga.algebra, ga.algebra, np.diag(phi.values),
-                      name="M_phi")
+    return ChannelMap(ga.algebra, ga.algebra, np.diag(phi.values))
 
 
 @dataclass(frozen=True)
@@ -423,14 +418,12 @@ class ContractionReport:
 
 
 def multiplier_contraction_check(phi: PositiveDefiniteFunction, triple,
-                                 samples: int = 200,
-                                 rng: np.random.Generator | None = None
+                                 samples: int, rng: np.random.Generator
                                  ) -> ContractionReport:
     """Check L(M_phi(x)) <= L(x) on random elements for a normalized phi,
     up to the relative slack EPS_STRUCT."""
     if not phi.is_normalized():
         raise NotPositiveDefinite("contraction check needs phi(e) = 1")
-    rng = rng or np.random.default_rng(0)
     lip = CommutatorSeminorm(triple)
     coords = complex_samples(rng, samples, triple.algebra.dim)
     lx = lip.eval_coords(coords)

@@ -53,16 +53,17 @@ def _as_complex(pair, where):
         raise ChoimetricError(f"{where}: {pair!r} is not a pair of numbers") from exc
 
 
-_KINDS = {list: "a list", str: "a string", (int, float): "a number"}
+_KINDS = {list: "a list", str: "a string", int: "an integer"}
 
 
 def _field(data, key, where, kind=None):
     """data[key], or a ChoimetricError naming the missing key or, when
-    `kind` is given, a value that is not a list, a string or a number."""
+    `kind` is given, a value that is not a list, a string or an integer (a
+    bool, or a float such as 0.7 or 2.0, is not an integer)."""
     if not isinstance(data, dict) or key not in data:
         raise ChoimetricError(f"{where}: missing key {key!r}")
     value = data[key]
-    if kind is not None and not isinstance(value, kind):
+    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
         raise ChoimetricError(f"{where}: {key!r} must be {_KINDS[kind]}")
     return value
 
@@ -111,7 +112,7 @@ def algebra_to_dict(alg: ConcreteAlgebra) -> dict:
 
 
 def algebra_from_dict(data: dict) -> ConcreteAlgebra:
-    n = int(_field(data, "ambient_dim", "algebra", (int, float)))
+    n = _field(data, "ambient_dim", "algebra", int)
     basis = _matrices(data, "basis", "algebra")
     if basis.shape[1:] != (n, n):
         raise ChoimetricError(f"basis matrices are not {n}x{n}")
@@ -155,7 +156,7 @@ def triple_to_dict(t: SpectralTriple) -> dict:
 
 def triple_from_dict(data: dict, registry: dict) -> SpectralTriple:
     alg = _algebra_ref(data, "algebra", registry, "triple")
-    h = int(_field(data, "hilbert_dim", "triple", (int, float)))
+    h = _field(data, "hilbert_dim", "triple", int)
     rep = _matrices(data, "rep", "triple")
     dirac = matrix_from_json(_field(data, "dirac", "triple"), "dirac")
     grading = (matrix_from_json(data["grading"], "grading")
@@ -182,7 +183,11 @@ def group_to_dict(g: FiniteGroup, cocycle: Cocycle | None = None,
 
 def group_from_dict(data: dict):
     table = _numbers(_field(data, "mult_table", "group", list), int, "mult_table")
-    identity = int(_field(data, "identity", "group", (int, float)))
+    identity = _field(data, "identity", "group", int)
+    # optional, but when given it must count the table's rows
+    if "order" in data and _field(data, "order", "group", int) != len(table):
+        raise ChoimetricError(f"group: 'order' {data['order']} does not match "
+                              f"the {len(table)}-row mult_table")
     generators = (_field(data, "generators", "group", list)
                   if "generators" in data else ())
     g = group_from_table(table, identity, name=str(data.get("name", "G")),

@@ -72,11 +72,6 @@ def is_psd(m: np.ndarray) -> bool:
     return psd_margin(m) >= -EPS_PSD
 
 
-def real_from_complex_columns(cols: np.ndarray) -> np.ndarray:
-    """Stack a (n, k) complex matrix into a (2n, k) real matrix."""
-    return np.vstack([cols.real, cols.imag])
-
-
 def row_and_null_space_real(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal bases of the row space and of the null space of a real
     matrix, as columns, from one SVD; singular values at most 1e-12 * s_max
@@ -89,8 +84,3 @@ def row_and_null_space_real(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     _, s, vh = np.linalg.svd(mat, full_matrices=full)
     rank = int(np.sum(s > s[0] * 1e-12 * max(mat.shape)))
     return vh[:rank].conj().T, vh[rank:].conj().T
-
-
-def null_space_real(mat: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the null space of a real matrix, columns."""
-    return row_and_null_space_real(mat)[1]

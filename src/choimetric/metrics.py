@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,7 +63,6 @@ from .geometry import AmbientNormSeminorm, Seminorm
 from .linalg import (
     contract_stack,
     hermitian_part,
-    null_space_real,
     row_and_null_space_real,
 )
 
@@ -424,7 +423,7 @@ def wasserstein_dual(rho1: np.ndarray, rho2: np.ndarray, l_mats,
         return mats.conj().swapaxes(-1, -2).reshape(mats.shape[:-3] + (nn * n, n))
 
     u0 = unpack(sol)
-    null_mats = unpack(null_space_real(tmat).T)
+    null_mats = unpack(row_and_null_space_real(tmat)[1].T)
     herm_p = _herm_param_basis(nn * n)
     herm_q = _herm_param_basis(n)
     npar, qpar = len(herm_p), len(herm_q)
@@ -456,7 +455,6 @@ class DLResult:
     value: float
     converged: bool
     status: str
-    per_start: list[float] = field(default_factory=list)
     optimizer: AlgebraElement | None = None
 
 
@@ -490,7 +488,6 @@ def dl_distance(f: ChannelMap, g: ChannelMap, seminorm: Seminorm,
     rng = np.random.default_rng(seed)
     best = 0.0
     best_opt = None
-    per_start = []
     all_converged = True
     for _ in range(starts):
         xi = rng.standard_normal(nb) + 1j * rng.standard_normal(nb)
@@ -518,7 +515,6 @@ def dl_distance(f: ChannelMap, g: ChannelMap, seminorm: Seminorm,
             if stop:
                 converged = not inexact
                 break
-        per_start.append(val)
         all_converged = all_converged and converged
         if val > best:
             best = val
@@ -528,7 +524,7 @@ def dl_distance(f: ChannelMap, g: ChannelMap, seminorm: Seminorm,
                       "solve; value is a lower bound", stacklevel=2)
     return DLResult(best, all_converged,
                     "optimal" if all_converged else "heuristic_nonconvergence",
-                    per_start, best_opt)
+                    best_opt)
 
 
 def dl_stabilized(f: ChannelMap, g: ChannelMap, m_max: int, **kw):

@@ -105,7 +105,7 @@ def transpose_channel(m2):
     mat = np.zeros((4, 4))
     mat[0, 0] = mat[3, 3] = 1.0
     mat[1, 2] = mat[2, 1] = 1.0
-    return ChannelMap(m2, m2, mat, name="transpose")
+    return ChannelMap(m2, m2, mat)
 
 
 def conjugation_channel(alg, u):
@@ -149,7 +149,7 @@ def test_omega_requires_target_trace(m2, m3, tr2):
 def test_omega_linear_in_channel(m2, tr2, rng):
     f = random_linear_map(rng, m2, m2)
     g = random_linear_map(rng, m2, m2)
-    lhs = omega_tau(f + g, tr2).values
+    lhs = omega_tau(ChannelMap(m2, m2, f.matrix + g.matrix), tr2).values
     rhs = omega_tau(f, tr2).values + omega_tau(g, tr2).values
     assert np.abs(lhs - rhs).max() < 1e-12
 
@@ -225,7 +225,7 @@ def test_check_trace_channel_message(m2, tr2):
         check_trace_channel(identity_channel(m2), tr2)
     with pytest.raises(NotTraceChannel, match="not completely positive"):
         t = transpose_channel(m2)
-        check_trace_channel(0.5 * t, tr2)
+        check_trace_channel(ChannelMap(m2, m2, 0.5 * t.matrix), tr2)
 
 
 def test_compose_preserves_classes(m2, tr2, rng):
@@ -237,7 +237,7 @@ def test_compose_preserves_classes(m2, tr2, rng):
     assert is_trace_channel(compose(tc, ucp), tr2)
     # trace-channel convexity: midpoints stay trace channels
     tc2 = random_trace_channel(rng, m2, m2, tr2)
-    mid = 0.5 * tc + 0.5 * tc2
+    mid = ChannelMap(m2, m2, 0.5 * tc.matrix + 0.5 * tc2.matrix)
     assert is_trace_channel(mid, tr2)
 
 
@@ -245,7 +245,7 @@ def test_omega_affine(m2, tr2, rng):
     f = random_trace_channel(rng, m2, m2, tr2)
     g = random_trace_channel(rng, m2, m2, tr2)
     t = 0.3
-    lhs = omega_tau(t * f + (1 - t) * g, tr2).values
+    lhs = omega_tau(ChannelMap(m2, m2, t * f.matrix + (1 - t) * g.matrix), tr2).values
     rhs = t * omega_tau(f, tr2).values + (1 - t) * omega_tau(g, tr2).values
     assert np.abs(lhs - rhs).max() < 1e-13
 

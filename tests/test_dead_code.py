@@ -3,8 +3,12 @@ module other than `__init__`, apart from its own definition, and every public
 method or property of a package class is read as an attribute there.  Tests
 and `__init__` re-exports do not count as readers: package code that only
 tests read belongs in the tests.  A name counts as read where it appears
-(`name`, `module.name`) or is imported.  And every name a package module
-other than `__init__` imports is read in that module."""
+(`name`, `module.name`) or is imported; an attribute of an imported module
+(`np.linalg.norm`) does not read a method of the same name.  No package class
+defines an operator: the only special methods are `__init__`,
+`__post_init__` and `__repr__`, since package code applies functionals,
+channels and seminorms through their arrays.  And every name a package
+module other than `__init__` imports is read in that module."""
 
 import ast
 from collections import Counter
@@ -38,8 +42,8 @@ def _trees(root: Path, skip=()) -> dict:
             if path.name not in skip}
 
 
-def _test_readers(tests: dict, name: str) -> str:
-    readers = [path.name for path, tree in tests.items() if _used_names(tree)[name]]
+def _test_readers(tests: dict, name: str, reads=_used_names) -> str:
+    readers = [path.name for path, tree in tests.items() if name in reads(tree)]
     return f", read only by {', '.join(readers)}" if readers else ""
 
 
@@ -68,12 +72,38 @@ def test_no_unused_top_level_definitions():
     assert unused_definitions() == []
 
 
+def _module_names(tree) -> set[str]:
+    """Names a module binds to imported modules: `import m`, `import m as n`
+    and `from . import m`."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module is None:
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+def _attributes_read(tree) -> set[str]:
+    """Attribute names read in a module, leaving out attributes of its
+    imported modules such as `np.linalg.norm`."""
+    modules = _module_names(tree)
+    read = set()
+    for sub in ast.walk(tree):
+        if isinstance(sub, ast.Attribute):
+            root = sub.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if not (isinstance(root, ast.Name) and root.id in modules):
+                read.add(sub.attr)
+    return read
+
+
 def unused_methods(package: Path = PACKAGE, tests: Path = TESTS) -> list[str]:
     """Public methods and properties that no package module reads, each with
     the test modules under `tests` that read it."""
     modules = _trees(package, skip={"__init__.py"})
-    read = {sub.attr for tree in modules.values() for sub in ast.walk(tree)
-            if isinstance(sub, ast.Attribute)}
+    read = set().union(*(_attributes_read(tree) for tree in modules.values()))
     test_trees = _trees(tests)
     unused = []
     for path, tree in modules.items():
@@ -86,12 +116,40 @@ def unused_methods(package: Path = PACKAGE, tests: Path = TESTS) -> list[str]:
                 if (isinstance(node, ast.FunctionDef)
                         and not node.name.startswith("_") and node.name not in read):
                     unused.append(f"{path.name}:{node.lineno} {cls.name}.{node.name}"
-                                  + _test_readers(test_trees, node.name))
+                                  + _test_readers(test_trees, node.name, _attributes_read))
     return unused
 
 
 def test_no_unused_public_methods():
     assert unused_methods() == []
+
+
+ALLOWED_SPECIAL = {"__init__", "__post_init__", "__repr__"}
+
+
+def operator_methods(package: Path = PACKAGE) -> list[str]:
+    """Special methods of package classes other than ALLOWED_SPECIAL, defined
+    or assigned (`__rmul__ = __mul__`) in the class body."""
+    found = []
+    for path, tree in _trees(package).items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    names = [node.name]
+                elif isinstance(node, ast.Assign):
+                    names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                found += [f"{path.name}:{node.lineno} {cls.name}.{name}" for name in names
+                          if name.startswith("__") and name.endswith("__")
+                          and name not in ALLOWED_SPECIAL]
+    return found
+
+
+def test_no_operator_methods():
+    assert operator_methods() == []
 
 
 def test_the_checker_names_what_only_tests_and_reexports_read(tmp_path):
@@ -102,19 +160,28 @@ def test_the_checker_names_what_only_tests_and_reexports_read(tmp_path):
     (package / "core.py").write_text(
         "def used():\n    return 1\n\n\n"
         "def helper():\n    return used()\n\n\n"
-        "class Thing:\n    def size(self):\n        return 2\n\n"
-        "    def method(self):\n        return 3\n")
+        "class Thing:\n    def __init__(self):\n        self.n = 2\n\n"
+        "    def size(self):\n        return self.n\n\n"
+        "    def method(self):\n        return 3\n\n"
+        "    def norm(self):\n        return 4\n\n"
+        "    def __add__(self, other):\n        return self.n + other.n\n\n"
+        "    __radd__ = __add__\n")
     (package / "cli.py").write_text(
+        "import numpy as np\n\n"
         "from .core import Thing, used\n\n\n"
-        "def main():\n    return used() + Thing().size()\n")
+        "def main():\n    return used() + Thing().size() + np.linalg.norm([0.0])\n")
     (tests / "test_core.py").write_text(
         "from pkg import Thing, helper, main\n\n\n"
-        "def test_core():\n    assert helper() + Thing().method() + main() == 7\n")
+        "def test_core():\n"
+        "    assert helper() + Thing().method() + main() + Thing().norm() == 11\n")
     assert unused_definitions(package, tests) == [
-        "cli.py:4 main, read only by test_core.py",
+        "cli.py:6 main, read only by test_core.py",
         "core.py:5 helper, read only by test_core.py"]
     assert unused_methods(package, tests) == [
-        "core.py:13 Thing.method, read only by test_core.py"]
+        "core.py:16 Thing.method, read only by test_core.py",
+        "core.py:19 Thing.norm, read only by test_core.py"]
+    assert operator_methods(package) == [
+        "core.py:22 Thing.__add__", "core.py:25 Thing.__radd__"]
 
 
 def unused_imports() -> list[str]:

@@ -360,7 +360,7 @@ def test_state_sup_is_lower_bound(rng):
     toys = _toy_triples()
     from choimetric import twisted_group_algebra, cyclic_group
     ga = twisted_group_algebra(cyclic_group(2))
-    lt = left_tensor_seminorm(toys["odd_m2"], ga.algebra)
+    lt = left_tensor_seminorm(toys["odd_m2"], ga.algebra, ga.algebra.basis)
     lip_a = CommutatorSeminorm(toys["odd_m2"])
     for _ in range(30):
         z = rng.standard_normal(8) + 1j * rng.standard_normal(8)

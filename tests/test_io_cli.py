@@ -207,6 +207,11 @@ def test_cli_bad_input_file_is_an_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+Z3_TABLE = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+DIAG2_BASIS = [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]],
+               [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]]
+
+
 @pytest.mark.parametrize("kind, data", [
     ("pdf", {"group": "Z2"}),
     ("pdf", {"group": "Z2", "values": [[1, 0], ["a", 0]]}),
@@ -218,6 +223,16 @@ def test_cli_bad_input_file_is_an_error(tmp_path, capsys):
     ("group", {"mult_table": [[0, 1], [1, 0]], "identity": 0, "generators": ["a"]}),
     ("group", {"mult_table": [[0, 1], [1, 0]], "identity": 0, "generators": [0.5]}),
     ("group", {"mult_table": [[0, 1], [1, 0]], "identity": 0, "generators": [-1]}),
+    # integer fields that are not integers, and an order that is not the
+    # table's, which a float or a mismatch must not pass truncated or unread
+    ("group", {"mult_table": Z3_TABLE, "identity": 0.7}),
+    ("group", {"mult_table": Z3_TABLE, "identity": False}),
+    ("group", {"mult_table": Z3_TABLE, "identity": 0, "order": 5}),
+    ("group", {"mult_table": Z3_TABLE, "identity": 0, "order": "x"}),
+    ("group", {"mult_table": Z3_TABLE, "identity": 0, "order": 3.0}),
+    ("algebra", {"ambient_dim": 2.9, "basis": DIAG2_BASIS, "name": "diag2"}),
+    ("triple", {"algebra": "diag2", "hilbert_dim": 2.5, "rep": DIAG2_BASIS,
+                "dirac": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]], "grading": None}),
     ("pdf", {"group": "Z2", "values": 5}),
     ("channel", {"source": "diag2", "target": "diag2"}),
     ("algebra", {"ambient_dim": 2, "name": "diag2"}),
@@ -280,6 +295,35 @@ def test_cli_rejects_flags_the_verb_does_not_read(argv, capsys):
 def test_cli_out_of_range_size_is_an_error(argv, capsys):
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+_SOLVE_ARGV = {
+    "delta": ["delta", "--group", "g.json", "--pdf", "p.json", "--pdf2", "q.json"],
+    "mk": ["mk", "--triple", "t.json", "--phi", "p.json", "--psi", "q.json"],
+    "wasserstein": ["wasserstein", "--problem", "w.json"],
+    "dl": ["dl", "--channel", "f.json", "--channel2", "g.json", "--m-max", "2"],
+}
+
+
+@pytest.mark.parametrize("verb, bad", [
+    # every relative gap is below 1, so a tolerance of 1 or more (inf too)
+    # passes at the starting point; 0 or nan is never reached
+    ("delta", ["--tolerance", "1"]),
+    ("delta", ["--tolerance", "0"]),
+    ("mk", ["--tolerance", "inf"]),
+    ("mk", ["--tolerance", "nan"]),
+    ("mk", ["--tolerance=-1e-7"]),
+    ("wasserstein", ["--tolerance", "inf"]),
+    ("dl", ["--tolerance", "2"]),
+    # a solve of no iteration
+    ("mk", ["--max-iter", "0"]),
+    ("mk", ["--max-iter", "-3"]),
+])
+def test_cli_solver_flags_outside_their_range_are_an_error(capsys, verb, bad):
+    # the flag is rejected before any input file is read
+    assert main(_SOLVE_ARGV[verb] + bad) == 1
+    out = capsys.readouterr()
+    assert out.err.startswith("error: " + bad[0].split("=")[0]) and out.out == ""
 
 
 def _dl_files(tmp_path):

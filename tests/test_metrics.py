@@ -218,7 +218,8 @@ def test_complex_vs_selfadjoint_optimization(rng, d2):
 def test_delta_requires_trace_channels(z2_algebra, z2_trace, z2_length):
     from choimetric import identity_channel
     ctx = group_context("Z2")
-    double = 2.0 * identity_channel(z2_algebra.algebra)
+    alg = z2_algebra.algebra
+    double = ChannelMap(alg, alg, 2.0 * identity_channel(alg).matrix)
     with pytest.raises(NotTraceChannel):
         delta_distance(double, double, ctx.tau, ctx.seminorm)
 
@@ -315,7 +316,7 @@ def test_delta_rejects_a_carrier_of_the_wrong_dimension(d2, monkeypatch):
 
 def test_delta_rejects_a_seminorm_on_another_algebra_of_the_same_dimension(m2, tr2):
     # M_2 (x) M_2^op and C*(Z4) (x) C*(Z4)^op are both 16-dimensional
-    half_id = 0.5 * ChannelMap(m2, m2, np.eye(4))
+    half_id = ChannelMap(m2, m2, 0.5 * np.eye(4))
     depolarizing = ChannelMap(m2, m2, 0.25 * np.outer(
         m2.unit_coords, np.trace(m2.basis, axis1=1, axis2=2)))
     with pytest.raises(AlgebraMismatch):
@@ -396,7 +397,7 @@ def test_delta_matches_wasserstein_on_m2(rng, m2, tr2):
                             opposite_algebra, standard_matrix_trace,
                             tensor_algebra)
     from choimetric.algebra import density_from_functional
-    idn = 0.5 * identity_channel(m2)
+    idn = ChannelMap(m2, m2, 0.5 * identity_channel(m2).matrix)
     dep_mat = 0.25 * np.outer(m2.unit_coords, np.trace(m2.basis, axis1=1, axis2=2))
     dep = ChannelMap(m2, m2, dep_mat)
     carrier = tensor_algebra(m2, opposite_algebra(m2))
@@ -536,7 +537,7 @@ def test_right_tensor_seminorm_kernel_witness(rng, m2):
     from choimetric.geometry import right_tensor_seminorm
     ga = twisted_group_algebra(cyclic_group(2))
     t_b = length_dirac(ga, word_length(cyclic_group(2)))
-    lip = right_tensor_seminorm(m2, t_b)
+    lip = right_tensor_seminorm(m2, t_b, m2.basis)
     s1, s2 = random_state(rng, m2), random_state(rng, m2)
     sb = random_state(rng, ga.algebra)
     phi = tensor_functional(s1, sb)
@@ -603,7 +604,7 @@ def test_state_sup_right_branch(rng):
     from choimetric.oracles import state_sup_lower_bound
     toys = _toy_triples()
     ga = twisted_group_algebra(cyclic_group(2))
-    rt = right_tensor_seminorm(ga.algebra, toys["odd_m2"])
+    rt = right_tensor_seminorm(ga.algebra, toys["odd_m2"], ga.algebra.basis)
     lip_b = CommutatorSeminorm(toys["odd_m2"])
     for _ in range(10):
         z = rng.standard_normal(8) + 1j * rng.standard_normal(8)
@@ -697,6 +698,31 @@ def test_reduced_solve_matches_full_solve(key, monkeypatch):
         assert abs(reduced.value - every.value) <= 1e-7
     # no checked block failed its check: one solve on the kept blocks each
     assert calls == [len(setup.kept), len(full.kept)] * 3
+
+
+_delta_context = functools.cache(group_context)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["Z3", "Z4"]), st.integers(0, 2**32 - 1))
+def test_delta_symmetry_triangle_and_kept_blocks(key, seed):
+    # three multipliers of one group from a drawn seed: Delta is symmetric
+    # bit for bit (the solver's canonical objective sign), satisfies the
+    # triangle inequality within the chaining floor, and the kept-block
+    # solve agrees with the solve on every block
+    ctx = _delta_context(key)
+    rng = np.random.default_rng(seed)
+    f, g, h = (multiplier_channel(random_pdf(rng, ctx.group), ctx.ga) for _ in range(3))
+
+    def delta(a, b, setup=ctx.setup):
+        res = delta_distance(a, b, ctx.tau, ctx.seminorm, tolerance=1e-9, setup=setup)
+        assert res.status == "optimal"
+        return res.value
+
+    fg = delta(f, g)
+    assert delta(g, f) == fg
+    assert delta(f, h) <= fg + delta(g, h) + 2e-7
+    assert abs(delta(f, g, setup=_every_block(ctx.setup)) - fg) <= 1e-7
 
 
 _SETUPS = {
