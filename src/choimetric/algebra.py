@@ -387,11 +387,11 @@ def _swap_factors(a: ConcreteAlgebra, i: int, j: int) -> list:
 
 
 def _swap_coords(a: ConcreteAlgebra, coords: np.ndarray, i: int, j: int) -> np.ndarray:
-    """Coordinates over `a` with the indices of factors i and j exchanged."""
+    """Coordinates over `a`, or a stack of them along the last axis, with
+    the indices of factors i and j exchanged: the flip Sigma_[ij]."""
     dims = a.factor_dims()
-    axes = list(range(len(dims)))
-    axes[i], axes[j] = axes[j], axes[i]
-    return coords.reshape(dims).transpose(axes).reshape(-1)
+    return coords.reshape(coords.shape[:-1] + dims).swapaxes(
+        i - len(dims), j - len(dims)).reshape(coords.shape)
 
 
 def swap_algebra(a: ConcreteAlgebra, i: int, j: int) -> ConcreteAlgebra:

@@ -20,6 +20,7 @@ import numpy as np
 from . import generate
 from .algebra import (
     LinearFunctional,
+    _swap_coords,
     as_trace,
     density_from_functional,
     diagonal_algebra,
@@ -214,10 +215,8 @@ def _char_restriction(seminorm, group, amp: int = 1) -> np.ndarray:
     (i, a, j, b), with i, j over `amp` amplification indices (amp=1: plain
     pairs (a, b)); the indices run over (i, j), then over the pairs.
     Checks on samples that every phase preserves the seminorm."""
-    commutators = commutator_subgroup(group)
     g = group.order
-    a, b = np.array([(a, b) for a in group.elements() for b in group.elements()
-                     if group.mul(a, b) in commutators]).T
+    a, b = np.nonzero(np.isin(group.mult, commutator_subgroup(group)))
     i, j = np.divmod(np.arange(amp * amp), amp)
     keep = (((i[:, None] * g + a) * amp + j[:, None]) * g + b).reshape(-1)
     rng = np.random.default_rng(99)
@@ -271,19 +270,18 @@ class StabilityContext:
     amp_trace: object
     seminorm_n: Seminorm             # over the omega-carrier
     setup_n: object
-    nn_carrier: object           # M_n (x) M_n^op
-    to_omega: np.ndarray         # Sigma_[23]: omega coordinate k is Kasparov
-                                 # coordinate to_omega[k]
 
 
-def _omega_seminorm(seminorm: Seminorm, to_omega) -> Seminorm:
+def _omega_seminorm(seminorm: Seminorm) -> Seminorm:
     """A seminorm over (M_n (x) M_n^op) (x) (A (x) B^op), read on the
     omega-carrier (M_n (x) A) (x) (M_n (x) B)^op through the factor flip
-    Sigma_[23]: the same norm stack with its rows reindexed."""
-    mn, _, a, b_op = seminorm.algebra.factors
+    Sigma_[23]: the same norm stack with its rows reindexed, omega
+    coordinate (i, a, j, b) reading coordinate (i, j, a, b)."""
+    alg = seminorm.algebra
+    mn, _, a, b_op = alg.factors
     carrier = tensor_algebra(tensor_algebra(mn, a), opposite_algebra(
         tensor_algebra(mn, opposite_algebra(b_op))))
-    return Seminorm(carrier, seminorm.matrices[to_omega])
+    return Seminorm(carrier, seminorm.matrices[_swap_coords(alg, np.arange(alg.dim), 1, 2)])
 
 
 def amplifier_triple(n: int) -> SpectralTriple:
@@ -314,15 +312,10 @@ def stability_context(key: str, n: int = 2, restrict: bool = True) -> StabilityC
         mn, np.trace(mn.basis, axis1=1, axis2=2) / n))
     amp_trace = tensor_trace(trace_n, base.tau)
 
-    # omega coordinate (i, a, j, b) reads Kasparov coordinate (i, j, a, b)
-    g_order = base.group.order
-    to_omega = np.arange(product_total.algebra.dim).reshape(
-        n * n, n * n, g_order, g_order).transpose(0, 2, 1, 3).reshape(-1)
-    seminorm_n = _omega_seminorm(CommutatorSeminorm(product_total), to_omega)
+    seminorm_n = _omega_seminorm(CommutatorSeminorm(product_total))
     keep = _char_restriction(seminorm_n, base.group, n * n) if restrict else None
-    setup_n = prepare_ball(seminorm_n, keep)
-    return StabilityContext(base, n, amp_trace, seminorm_n, setup_n,
-                            t_nn.algebra, to_omega)
+    return StabilityContext(base, n, amp_trace, seminorm_n,
+                            prepare_ball(seminorm_n, keep))
 
 
 def cp_corpus():
@@ -544,7 +537,7 @@ def run_stability(seed: int = 0, trials: int = 25, groups=("Z2", "Z3"),
                  for i in range(len(groups))]
     for gi, key in enumerate(groups):
         ctx = stability_context(key)
-        n_general = general_trials[gi] if gi < len(general_trials) else 0
+        n_general = min(per_group[gi], general_trials[gi]) if gi < len(general_trials) else 0
         ctx_full = stability_context(key, restrict=False) if n_general else None
 
         def one(i, rng, ctx=ctx, ctx_full=ctx_full, n_general=n_general):
@@ -605,8 +598,10 @@ def _stability_hypothesis_audit(ctx: StabilityContext, seed: int,
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     base = ctx.base
-    cond1 = _omega_seminorm(right_tensor_seminorm(
-        ctx.nn_carrier, base.seminorm.triple, ctx.nn_carrier.basis), ctx.to_omega)
+    mn, _, mn_op, _ = ctx.seminorm_n.algebra.factors
+    nn = tensor_algebra(mn, mn_op)
+    unflipped = right_tensor_seminorm(nn, base.seminorm.triple, nn.basis)
+    cond1 = _omega_seminorm(unflipped)
     x = complex_samples(rng, samples, ctx.seminorm_n.algebra.dim)
     worst1 = float((cond1.eval_coords(x) - ctx.seminorm_n.eval_coords(x)).max(initial=0.0))
     ms1 = (time.perf_counter() - t0) * 1000.0
@@ -615,8 +610,8 @@ def _stability_hypothesis_audit(ctx: StabilityContext, seed: int,
     l1 = base.seminorm.eval_coords(x)
     nonzero = l1 >= 1e-12
     x = x[nonzero] / l1[nonzero, None]
-    unit_nn = ctx.nn_carrier.unit_coords
-    omega_coords = (unit_nn[:, None] * x[:, None, :]).reshape(len(x), -1)[:, ctx.to_omega]
+    omega_coords = _swap_coords(
+        unflipped.algebra, (nn.unit_coords[:, None] * x[:, None, :]).reshape(len(x), -1), 1, 2)
     worst2 = float((ctx.seminorm_n.eval_coords(omega_coords) - 1.0).max(initial=0.0))
     ms2 = (time.perf_counter() - t0) * 1000.0
     tol = 1e-8

@@ -42,13 +42,9 @@ class FiniteGroup:
     def __post_init__(self):
         object.__setattr__(self, "mult", np.asarray(self.mult, dtype=int))
         _validate_group(self)
-        inv = np.empty(self.order, dtype=int)
-        for a in range(self.order):
-            hits = np.nonzero(self.mult[a] == self.identity)[0]
-            if len(hits) != 1:
-                raise InvalidGroup(f"element {a} has {len(hits)} inverses")
-            inv[a] = hits[0]
-        object.__setattr__(self, "inverse", inv)
+        # every row is a permutation: the identity sits once in each
+        object.__setattr__(self, "inverse",
+                           np.argmax(self.mult == self.identity, axis=1))
 
     def mul(self, a: int, b: int) -> int:
         return int(self.mult[a, b])
@@ -152,81 +148,46 @@ def group_from_table(table, identity: int, name="G",
 
 # -- structure ----------------------------------------------------------------
 
-def commutator_subgroup(g: FiniteGroup) -> set[int]:
-    gens = {g.mul(g.mul(a, b), g.mul(g.inv(a), g.inv(b)))
-            for a in g.elements() for b in g.elements()}
-    closure = {g.identity} | gens
-    frontier = list(closure)
-    while frontier:
-        a = frontier.pop()
-        for b in list(closure):
-            for c in (g.mul(a, b), g.mul(b, a)):
-                if c not in closure:
-                    closure.add(c)
-                    frontier.append(c)
-    return closure
+def commutator_subgroup(g: FiniteGroup) -> np.ndarray:
+    """[G, G], as sorted element indices: the closure of the commutators
+    aba^-1b^-1 under products, which in a finite group is a subgroup."""
+    t, inv = g.mult, g.inverse
+    sub = comms = np.unique(t[t, t[np.ix_(inv, inv)]])
+    while len(grown := np.unique(t[np.ix_(sub, comms)])) > len(sub):
+        sub = grown
+    return sub
 
 
 def one_dim_characters(g: FiniteGroup) -> np.ndarray:
     """All multiplicative characters G -> T, as rows of a (k, |G|) array.
 
-    Computed through the abelianization: characters of the quotient by the
-    commutator subgroup, found by joint diagonalization of its regular
-    representation, lifted back to G.
+    Built exactly from the trivial character of the commutator subgroup K.
+    A subgroup H >= K is normal and its characters are trivial on K, so for
+    x with x^m the least power in H, each character chi of H extends to
+    <H, x> = U_{j<m} x^j H in m ways: chi(x^j h) = w^j chi(h) with w over
+    the m-th roots of chi(x^m).
     """
-    comm = sorted(commutator_subgroup(g))
-    # left cosets of the commutator subgroup
-    coset_of = {}
-    reps = []
-    for a in g.elements():
-        if a in coset_of:
+    members = list(commutator_subgroup(g))      # H; chars[:, k] is at members[k]
+    chars = np.ones((1, len(members)), dtype=complex)
+    for x in g.elements():
+        col = {h: k for k, h in enumerate(members)}
+        if x in col:
             continue
-        reps.append(a)
-        for k in comm:
-            coset_of[g.mul(a, k)] = len(reps) - 1
-    q = len(reps)
-    qtable = np.array([[coset_of[g.mul(reps[i], reps[j])] for j in range(q)]
-                       for i in range(q)])
-    quotient = FiniteGroup(q, qtable, coset_of[g.identity], name="ab")
-    # regular representation of the abelian quotient commutes; a generic
-    # combination has simple joint eigenvectors
-    rng = np.random.default_rng(12345)
-    perms = np.zeros((q, q, q))
-    for a in range(q):
-        for x in range(q):
-            perms[a, quotient.mul(a, x), x] = 1.0
-    generic = np.tensordot(rng.standard_normal(q), perms, axes=1)
-    _, vecs = np.linalg.eig(generic)
-    chars = []
-    for c in range(q):
-        v = vecs[:, c]
-        pivot = int(np.argmax(np.abs(v)))
-        vals = np.empty(q, dtype=complex)
-        good = True
-        for a in range(q):
-            w = perms[a] @ v
-            lam = w[pivot] / v[pivot]
-            if np.abs(w - lam * v).max() > 1e-8:
-                good = False
-                break
-            vals[a] = lam
-        if good:
-            chars.append(vals / vals[quotient.identity])
-    # dedupe and lift
-    unique = []
-    for vals in chars:
-        if not any(np.abs(vals - u).max() < 1e-8 for u in unique):
-            unique.append(vals)
-    if len(unique) != q:
-        raise InvalidGroup("character extraction failed on the abelianization")
-    lifted = np.array([[u[coset_of[a]] for a in g.elements()] for u in unique])
+        powers = [g.identity]                   # x^j for j < m
+        while g.mul(powers[-1], x) not in col:
+            powers.append(g.mul(powers[-1], x))
+        m = len(powers)
+        top = chars[:, col[g.mul(powers[-1], x)]]
+        w = np.exp(1j * (np.angle(top)[:, None] + 2 * np.pi * np.arange(m)) / m)
+        chars = np.repeat(chars, m, axis=0)
+        chars = np.hstack([w.reshape(-1, 1) ** j * chars for j in range(m)])
+        members = [g.mul(p, h) for p in powers for h in members]
+    out = np.empty_like(chars)
+    out[:, members] = chars
     # exact multiplicativity check
-    for chi in lifted:
-        for a in g.elements():
-            for b in g.elements():
-                if abs(chi[a] * chi[b] - chi[g.mul(a, b)]) > 1e-10:
-                    raise InvalidGroup("non-multiplicative character")
-    return lifted
+    if np.abs(out[:, :, None] * out[:, None, :] - out[:, g.mult]).max() > 1e-10:
+        raise InvalidGroup("non-multiplicative character")
+    return out
 
 
 # -- length functions ----------------------------------------------------------

@@ -182,7 +182,12 @@ def group_to_dict(g: FiniteGroup, cocycle: Cocycle | None = None,
 
 
 def group_from_dict(data: dict):
-    table = _numbers(_field(data, "mult_table", "group", list), int, "mult_table")
+    rows = _field(data, "mult_table", "group", list)
+    # np.asarray(..., int) would truncate 0.7 and read False as 0
+    entries = [v for r in rows for v in (r if isinstance(r, list) else [r])]
+    if any(isinstance(v, bool) or not isinstance(v, int) for v in entries):
+        raise ChoimetricError("group: 'mult_table' entries must be integers")
+    table = _numbers(rows, int, "mult_table")
     identity = _field(data, "identity", "group", int)
     # optional, but when given it must count the table's rows
     if "order" in data and _field(data, "order", "group", int) != len(table):

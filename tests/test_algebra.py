@@ -19,7 +19,7 @@ from choimetric import (
     tensor_trace,
     twisted_group_algebra,
 )
-from choimetric.algebra import selfadjoint_basis
+from choimetric.algebra import _swap_coords, selfadjoint_basis
 from choimetric.channels import pullback_state
 from choimetric.errors import (
     LinearlyDependentBasis,
@@ -189,6 +189,10 @@ def test_swap_three_factors_index_permutation(m2, d2):
     tgt_idx = (1 * 2 + 0) * 4 + 2
     assert swapped.values[tgt_idx] == 1.0
     assert np.count_nonzero(swapped.values) == 1
+    # a (k, d) stack is swapped row by row
+    stack = np.arange(3 * t.dim).reshape(3, t.dim)
+    assert np.array_equal(_swap_coords(t, stack, 1, 2),
+                          [_swap_coords(t, row, 1, 2) for row in stack])
 
 
 def test_swap_preserves_positivity(m2, rng):

@@ -8,8 +8,18 @@ import pytest
 
 import choimetric.experiments as E
 from choimetric.cli import main
+from choimetric.algebra import _swap_coords, tensor_algebra
 from choimetric.errors import Infeasible, InvalidSpectralTriple
-from choimetric.groups import dihedral_group, one_dim_characters
+from choimetric.geometry import CommutatorSeminorm, kasparov_product
+from choimetric.groups import (
+    cyclic_group,
+    dihedral_group,
+    direct_product,
+    one_dim_characters,
+    symmetric_group_3,
+    twisted_group_algebra,
+    word_length,
+)
 from conftest import omega_triple
 
 
@@ -73,6 +83,23 @@ def test_stability_small():
     assert "stability-restriction-check" in kinds
 
 
+def test_stability_builds_an_unrestricted_context_only_for_a_generic_trial(monkeypatch):
+    # one trial over two groups: the first group runs it as its generic
+    # trial, the second runs no trial and needs no unrestricted context
+    calls = []
+    true_context = E.stability_context
+
+    def counted(key, **kwargs):
+        calls.append((key, kwargs.get("restrict", True)))
+        return true_context(key, **kwargs)
+
+    monkeypatch.setattr(E, "stability_context", counted)
+    recs = E.run_stability(seed=0, trials=1, groups=("Z2", "Z2"),
+                           general_trials=(1, 1), audit_samples=5)
+    assert calls == [("Z2", True), ("Z2", False), ("Z2", True)]
+    assert all(r.ok for r in recs)
+
+
 @pytest.mark.parametrize("key, order", [("Z2", 2), ("Z3", 3)])
 def test_amplified_triple_is_valid_on_the_omega_carrier(key, order):
     ctx = E.stability_context(key)
@@ -82,8 +109,10 @@ def test_amplified_triple_is_valid_on_the_omega_carrier(key, order):
     assert np.array_equal(relabelled.commutator_matrices(), ctx.seminorm_n.matrices)
     # omega coordinate (i, a, j, b) reads Kasparov coordinate (i, j, a, b),
     # with i, j over the 4 coordinates of M_2 and a, b over the group
+    kasparov = tensor_algebra(E.amplifier_triple(2).algebra, ctx.base.seminorm.algebra)
+    to_omega = _swap_coords(kasparov, np.arange(kasparov.dim), 1, 2)
     i, a, j, b = 1, order - 1, 2, 0
-    assert ctx.to_omega[((i * order + a) * 4 + j) * order + b] \
+    assert to_omega[((i * order + a) * 4 + j) * order + b] \
         == ((i * 4 + j) * order + a) * order + b
 
 
@@ -165,12 +194,21 @@ def _character_fixed_coordinates(group, amp):
             for i in range(amp) for j in range(amp) for a, b in pairs]
 
 
-@pytest.mark.parametrize("key", ["Z2", "Z3", "Z4", "S3", "Z2xZ2", "Z2xZ2-twisted", "D4"])
+_MORE_GROUPS = {"D4": lambda: dihedral_group(4), "D5": lambda: dihedral_group(5),
+                "S3xZ2": lambda: direct_product(symmetric_group_3(), cyclic_group(2))}
+
+
+@pytest.mark.parametrize("key", ["Z2", "Z3", "Z4", "S3", "Z2xZ2", "Z2xZ2-twisted",
+                                 "D4", "D5", "S3xZ2"])
 def test_char_restriction_keeps_the_character_fixed_coordinates(key):
     # the commutator subgroup is the common kernel of the 1-dimensional
     # characters, so its pairs are the pairs the characters fix
-    group, cocycle = (dihedral_group(4), None) if key == "D4" else E.builtin_group(key)
-    seminorm = E.build_group_context(group, cocycle, restrict=False).seminorm
+    group, cocycle = ((_MORE_GROUPS[key](), None) if key in _MORE_GROUPS
+                      else E.builtin_group(key))
+    # the Kasparov seminorm of the group context, without its solver setup
+    ga, length = twisted_group_algebra(group, cocycle), word_length(group)
+    seminorm = CommutatorSeminorm(kasparov_product(
+        E.length_dirac(ga, length), E.length_dirac_op(ga, length)))
     keep = E._char_restriction(seminorm, group)
     assert keep.tolist() == _character_fixed_coordinates(group, 1)
     # amplified coordinates; the indices do not depend on the seminorm, so

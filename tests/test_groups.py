@@ -28,7 +28,7 @@ from choimetric.errors import (
 )
 from choimetric.experiments import length_dirac, length_dirac_op
 from choimetric.generate import random_pdf
-from choimetric.groups import group_from_table, one_dim_characters
+from choimetric.groups import commutator_subgroup, group_from_table, one_dim_characters
 
 
 def test_group_laws_validated():
@@ -69,6 +69,24 @@ def test_characters():
             for a in g.elements():
                 for b in g.elements():
                     assert abs(chi[a] * chi[b] - chi[g.mul(a, b)]) < 1e-10
+    z2, s3 = cyclic_group(2), symmetric_group_3()
+    # group, order of its commutator subgroup
+    for g, k in ((dihedral_group(5), 5), (dihedral_group(6), 3),
+                 (direct_product(z2, cyclic_group(4)), 1),
+                 (direct_product(cyclic_group(3), cyclic_group(3)), 1),
+                 (direct_product(s3, z2), 3),
+                 (direct_product(dihedral_group(4), cyclic_group(3)), 2),
+                 (direct_product(direct_product(z2, z2), z2), 1)):
+        comm = commutator_subgroup(g)
+        assert len(comm) == k
+        chars = one_dim_characters(g)
+        # one character per element of the abelianization G / [G, G]
+        assert chars.shape == (g.order // k, g.order)
+        gaps = np.abs(chars[:, None, :] - chars[None, :, :]).max(axis=2)
+        assert (gaps + np.eye(len(chars)) > 0.5).all()          # pairwise distinct
+        assert np.abs(chars[:, :, None] * chars[:, None, :]
+                      - chars[:, g.mult]).max() < 1e-12          # multiplicative
+        assert np.abs(chars[:, comm] - 1.0).max() < 1e-12        # trivial on [G, G]
 
 
 def test_word_length():

@@ -223,13 +223,16 @@ DIAG2_BASIS = [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]],
     ("group", {"mult_table": [[0, 1], [1, 0]], "identity": 0, "generators": ["a"]}),
     ("group", {"mult_table": [[0, 1], [1, 0]], "identity": 0, "generators": [0.5]}),
     ("group", {"mult_table": [[0, 1], [1, 0]], "identity": 0, "generators": [-1]}),
-    # integer fields that are not integers, and an order that is not the
-    # table's, which a float or a mismatch must not pass truncated or unread
+    # integer fields and table entries that are not integers, and an order
+    # that is not the table's, which a float, a bool or a mismatch must not
+    # pass truncated or unread
     ("group", {"mult_table": Z3_TABLE, "identity": 0.7}),
     ("group", {"mult_table": Z3_TABLE, "identity": False}),
     ("group", {"mult_table": Z3_TABLE, "identity": 0, "order": 5}),
     ("group", {"mult_table": Z3_TABLE, "identity": 0, "order": "x"}),
     ("group", {"mult_table": Z3_TABLE, "identity": 0, "order": 3.0}),
+    ("group", {"mult_table": [[0, 1], [1, 0.7]], "identity": 0}),
+    ("group", {"mult_table": [[0, 1], [1, False]], "identity": 0}),
     ("algebra", {"ambient_dim": 2.9, "basis": DIAG2_BASIS, "name": "diag2"}),
     ("triple", {"algebra": "diag2", "hilbert_dim": 2.5, "rep": DIAG2_BASIS,
                 "dirac": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]], "grading": None}),
