@@ -3,7 +3,6 @@ finite-dimensional C*-algebras via Choi-Jamiolkowski functionals and
 spectral-triple seminorms."""
 
 from .algebra import (
-    AlgebraElement,
     ConcreteAlgebra,
     LinearFunctional,
     TraceFunctional,
@@ -37,7 +36,6 @@ from .channels import (
     trace_adjoint,
 )
 from .geometry import (
-    AmbientNormSeminorm,
     CommutatorSeminorm,
     Seminorm,
     SpectralTriple,

@@ -95,9 +95,6 @@ class ConcreteAlgebra:
     def coords_of(self, mat: np.ndarray) -> np.ndarray:
         return self._pinv @ np.asarray(mat, dtype=complex).ravel()
 
-    def zero(self) -> "AlgebraElement":
-        return AlgebraElement(self, np.zeros(self.dim, dtype=complex))
-
     # -- coordinate arithmetic ---------------------------------------------
 
     def multiply_coords(self, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
@@ -138,20 +135,6 @@ class ConcreteAlgebra:
         if not self.factors:
             raise NotATensorAlgebra(f"{self!r} records no tensor factor structure")
         return tuple(f.dim for f in self.factors)
-
-
-@dataclass(frozen=True)
-class AlgebraElement:
-    algebra: ConcreteAlgebra
-    coords: np.ndarray
-
-    def ambient(self) -> np.ndarray:
-        return self.algebra.realize(self.coords)
-
-    def is_positive(self) -> bool:
-        """Positivity of the ambient realization (equivalently, positivity in
-        the algebra, since the span is a C*-subalgebra)."""
-        return linalg.is_psd(self.ambient())
 
 
 @dataclass(frozen=True)
@@ -425,10 +408,11 @@ def tensor_trace(tau: TraceFunctional, sigma: TraceFunctional) -> TraceFunctiona
 # ---------------------------------------------------------------------------
 
 def density_from_functional(phi: LinearFunctional, tau: TraceFunctional):
-    """Solve phi(x) = tau(b x) for b; returns (b, in_D_tau).
+    """Solve phi(x) = tau(b x) for b; returns (coordinates of b, in_D_tau).
 
-    in_D_tau reports whether b has positive ambient realization and
-    tau(b) = 1, i.e. whether phi is a tau-density state.
+    in_D_tau reports whether b has positive ambient realization (positive
+    in the algebra, since the span is a C*-subalgebra) and tau(b) = 1, i.e.
+    whether phi is a tau-density state.
     """
     require_faithful(tau)
     alg = phi.algebra
@@ -436,10 +420,9 @@ def density_from_functional(phi: LinearFunctional, tau: TraceFunctional):
         raise AlgebraMismatch("functional and trace live on different algebras")
     gram = tau.bilinear_gram()            # gram[k, j] = tau(B_k B_j)
     coords = np.linalg.solve(gram.T, phi.values)
-    b = AlgebraElement(alg, coords)
-    trace_of_b = complex(tau.values @ coords)
-    member = b.is_positive() and abs(trace_of_b - 1.0) <= 1e-8
-    return b, member
+    member = (linalg.is_psd(alg.realize(coords))
+              and abs(complex(tau.values @ coords) - 1.0) <= 1e-8)
+    return coords, member
 
 
 def selfadjoint_basis(alg: ConcreteAlgebra,

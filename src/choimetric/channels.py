@@ -14,7 +14,6 @@ import numpy as np
 
 from . import linalg
 from .algebra import (
-    AlgebraElement,
     ConcreteAlgebra,
     LinearFunctional,
     TraceFunctional,
@@ -92,7 +91,7 @@ def channel_from_omega(values, source: ConcreteAlgebra, target: ConcreteAlgebra,
 class CPVerdict:
     is_cp: bool
     min_eigenvalue: float
-    witness: AlgebraElement | None
+    witness: np.ndarray | None       # coordinates on functional.algebra
     functional: LinearFunctional
 
 
@@ -100,15 +99,15 @@ def is_completely_positive(f: ChannelMap, tau: TraceFunctional) -> CPVerdict:
     """Complete positivity via positivity of the associated functional.
 
     Returns the verdict together with the most negative eigenvalue of the
-    GNS Gram matrix and, on failure, a witness x with omega(x^* x) < 0.
+    GNS Gram matrix and, on failure, the coordinates of a witness x with
+    omega(x^* x) < 0.
     """
     require_faithful(tau)
     om = omega_tau(f, tau)
     eig, vec = om.positivity_witness()
     gram_scale = max(1.0, float(np.abs(om.gns_gram()).max(initial=0.0)))
     ok = eig >= -EPS_PSD * gram_scale
-    witness = None if ok else AlgebraElement(om.algebra, vec)
-    return CPVerdict(ok, eig, witness, om)
+    return CPVerdict(ok, eig, None if ok else vec, om)
 
 
 def cp_oracle_npositivity(f: ChannelMap) -> bool:

@@ -63,10 +63,6 @@ def _result_json(value, status, gap, **extra):
                        "status": status, "gap": gap, **extra})
 
 
-def _load_group(path):
-    return io.group_from_dict(io.load_json(path))
-
-
 def cmd_validate(args):
     data = io.load_json(args.file)
     registry = _registry(args.algebras)
@@ -97,7 +93,7 @@ def cmd_validate(args):
     elif kind == "pdf":
         if not args.group:
             raise ChoimetricError("validating a pdf file needs --group")
-        group, _, _ = _load_group(args.group)
+        group, _, _ = io.group_from_dict(io.load_json(args.group))
         io.pdf_from_dict(data, group)
         print("valid positive definite function")
     return 0
@@ -160,7 +156,7 @@ def cmd_mk(args):
 
 
 def cmd_delta(args):
-    group, cocycle, length = _load_group(args.group)
+    group, cocycle, length = io.group_from_dict(io.load_json(args.group))
     phi = io.pdf_from_dict(io.load_json(args.pdf), group)
     psi = io.pdf_from_dict(io.load_json(args.pdf2), group)
     ctx = experiments.build_group_context(group, cocycle, length)

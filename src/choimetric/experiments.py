@@ -362,7 +362,7 @@ def run_cp_characterization(seed: int = 0, trials: int = 200) -> list[Experiment
     verdict = is_completely_positive(t_map, tr2)
     rejected = not verdict.is_cp and not cp_oracle_npositivity(t_map)
     if verdict.witness is not None:
-        quad = verdict.witness.coords
+        quad = verdict.witness
         om = verdict.functional
         # omega(x^* x) must reproduce the witness eigenvalue
         alg = om.algebra
@@ -395,7 +395,7 @@ def run_embedding(seed: int = 0, trials: int = 100) -> list[ExperimentRecord]:
             f = ChannelMap(f.source, f.target, f.matrix * complex(scale))
         om = omega_tau(f, traces[m])
         density, _ = density_from_functional(om, carrier_traces[(n, m)])
-        resid = float(np.abs(density.ambient() - choi_matrix(f).T).max())
+        resid = float(np.abs(om.algebra.realize(density) - choi_matrix(f).T).max())
         normalized = abs(trace_of_unit_image(f, traces[m]) - 1.0) <= 1e-9
         return [_within("embedding-density", i, resid, tolerance),
                 _agree("embedding-state", i, om.is_state(), normalized)]
@@ -505,12 +505,12 @@ def run_kasparov(seed: int = 0, samples: int = 500) -> list[ExperimentRecord]:
     l2 = word_length(cyclic_group(2))
     t_z2 = length_dirac(z2, LengthFunction(z2.group, l2.values))
     rng = np.random.default_rng(seed)
-    rep = seminorm_domination_check(toys["odd_m2"], t_z2, samples=samples // 2,
-                                    rng=rng)
-    rep2 = seminorm_domination_check(toys["even_m2"], t_z2,
-                                     samples=samples - samples // 2, rng=rng)
-    violations = rep.violations + rep2.violations
-    worst = max(rep.max_violation, rep2.max_violation)
+    v1, worst1 = seminorm_domination_check(toys["odd_m2"], t_z2,
+                                           samples=samples // 2, rng=rng)
+    v2, worst2 = seminorm_domination_check(toys["even_m2"], t_z2,
+                                           samples=samples - samples // 2, rng=rng)
+    violations = v1 + v2
+    worst = max(worst1, worst2)
     records.append(_record("kasparov-domination", 0, worst, 0.0, -float(violations),
                            seed=seed))
     return records
@@ -668,10 +668,10 @@ def run_contraction(seed: int = 0, pairs: int = 500) -> list[ExperimentRecord]:
         violations = 0
         for _ in range(n_funcs):
             phi = generate.random_pdf(rng, group)
-            rep = multiplier_contraction_check(phi, triple,
-                                               samples=pairs // n_funcs, rng=rng)
-            worst_ratio = max(worst_ratio, rep.max_ratio)
-            violations += rep.violations
+            count, ratio = multiplier_contraction_check(phi, triple,
+                                                        samples=pairs // n_funcs, rng=rng)
+            worst_ratio = max(worst_ratio, ratio)
+            violations += count
         records.append(_record("contraction", gi, worst_ratio, 1.0 + EPS_STRUCT,
                                -float(violations), seed=seed))
     return records

@@ -100,10 +100,9 @@ def random_pdf(rng, group: FiniteGroup) -> PositiveDefiniteFunction:
     for w in weights:
         xi = random_complex(rng, n)
         xi = xi / np.linalg.norm(xi)
-        for g in group.elements():
+        for g in range(n):
             shifted = np.zeros(n, dtype=complex)
-            for x in group.elements():
-                shifted[group.mul(g, x)] = xi[x]
+            shifted[group.mult[g]] = xi          # (lambda_g xi)(gx) = xi(x)
             vals[g] += w * np.vdot(xi, shifted)
     vals[group.identity] = 1.0
     return PositiveDefiniteFunction(group, vals)

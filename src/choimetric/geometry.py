@@ -175,14 +175,6 @@ class CommutatorSeminorm(Seminorm):
         self.triple = triple
 
 
-class AmbientNormSeminorm(Seminorm):
-    """The ambient operator norm (not Lipschitz: the unit is not in the
-    kernel); used by the stabilized metric on matrix amplifications."""
-
-    def __init__(self, algebra: ConcreteAlgebra):
-        super().__init__(algebra, algebra.basis)
-
-
 def left_tensor_seminorm(triple_a: SpectralTriple, algebra_b: ConcreteAlgebra,
                          rep_b: np.ndarray) -> Seminorm:
     """(L_A (x) 1) on A (x) B: the commutator seminorm of the Dirac D_A (x) 1
@@ -287,18 +279,13 @@ def gradient_dirac_triple(l_mats, algebra: ConcreteAlgebra | None = None) -> Spe
     return SpectralTriple(algebra, rep, dirac).validate()
 
 
-@dataclass(frozen=True)
-class DominationReport:
-    samples: int
-    violations: int
-    max_violation: float
-
-
 def seminorm_domination_check(ta: SpectralTriple, tb: SpectralTriple,
                               samples: int, rng: np.random.Generator
-                              ) -> DominationReport:
+                              ) -> tuple[int, float]:
     """Check (1 (x) L_B) <= L_{A x B} and (L_A (x) 1) <= L_{A x B} on random
-    elements of the tensor algebra, up to the relative slack EPS_STRUCT."""
+    elements of the tensor algebra, up to the relative slack EPS_STRUCT.
+    Returns the number of violations and the largest excess of a factor
+    seminorm over L_{A x B} (0 when none exceeds it)."""
     big = CommutatorSeminorm(kasparov_product(ta, tb))
     left = left_tensor_seminorm(ta, tb.algebra, rep_b=tb.rep)
     right = right_tensor_seminorm(ta.algebra, tb, rep_a=ta.rep)
@@ -306,4 +293,4 @@ def seminorm_domination_check(ta: SpectralTriple, tb: SpectralTriple,
     lprod = big.eval_coords(coords)
     gaps = np.stack([left.eval_coords(coords), right.eval_coords(coords)]) - lprod
     violations = int(np.count_nonzero(gaps > EPS_STRUCT * np.maximum(1.0, lprod)))
-    return DominationReport(samples, violations, float(gaps.max(initial=0.0)))
+    return violations, float(gaps.max(initial=0.0))

@@ -33,6 +33,9 @@ from .linalg import EPS_PSD, EPS_STRUCT, complex_samples, hermitian_part
 
 @dataclass(frozen=True)
 class FiniteGroup:
+    """A group is its table: mult[a, b] is the index of ab, and inverse[a]
+    (set on construction) that of a^-1."""
+
     order: int
     mult: np.ndarray                 # (n, n) index table
     identity: int
@@ -46,20 +49,11 @@ class FiniteGroup:
         object.__setattr__(self, "inverse",
                            np.argmax(self.mult == self.identity, axis=1))
 
-    def mul(self, a: int, b: int) -> int:
-        return int(self.mult[a, b])
-
-    def inv(self, a: int) -> int:
-        return int(self.inverse[a])
-
     def same_as(self, other: "FiniteGroup") -> bool:
         return (self is other
                 or (self.order == other.order
                     and self.identity == other.identity
                     and np.array_equal(self.mult, other.mult)))
-
-    def elements(self):
-        return range(self.order)
 
 
 def _validate_group(g: FiniteGroup):
@@ -100,10 +94,8 @@ def cyclic_group(n: int) -> FiniteGroup:
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     n, m = g.order, h.order
-    table = np.empty((n * m, n * m), dtype=int)
-    for a1, a2 in itertools.product(range(n), range(m)):
-        for b1, b2 in itertools.product(range(n), range(m)):
-            table[a1 * m + a2, b1 * m + b2] = g.mul(a1, b1) * m + h.mul(a2, b2)
+    # table[(a1, a2), (b1, b2)] = (a1 b1) * m + (a2 b2)
+    table = (g.mult[:, None, :, None] * m + h.mult[None, :, None, :]).reshape(n * m, n * m)
     gens = tuple(a * m + h.identity for a in g.generators) + \
         tuple(g.identity * m + b for b in h.generators)
     return FiniteGroup(n * m, table, g.identity * m + h.identity,
@@ -140,12 +132,6 @@ def symmetric_group_3() -> FiniteGroup:
     return FiniteGroup(6, table, e, name="S3", generators=transpositions)
 
 
-def group_from_table(table, identity: int, name="G",
-                     generators=()) -> FiniteGroup:
-    return FiniteGroup(len(table), np.asarray(table, int), identity,
-                       name=name, generators=tuple(generators))
-
-
 # -- structure ----------------------------------------------------------------
 
 def commutator_subgroup(g: FiniteGroup) -> np.ndarray:
@@ -167,21 +153,22 @@ def one_dim_characters(g: FiniteGroup) -> np.ndarray:
     <H, x> = U_{j<m} x^j H in m ways: chi(x^j h) = w^j chi(h) with w over
     the m-th roots of chi(x^m).
     """
+    t = g.mult
     members = list(commutator_subgroup(g))      # H; chars[:, k] is at members[k]
     chars = np.ones((1, len(members)), dtype=complex)
-    for x in g.elements():
+    for x in range(g.order):
         col = {h: k for k, h in enumerate(members)}
         if x in col:
             continue
         powers = [g.identity]                   # x^j for j < m
-        while g.mul(powers[-1], x) not in col:
-            powers.append(g.mul(powers[-1], x))
+        while t[powers[-1], x] not in col:
+            powers.append(t[powers[-1], x])
         m = len(powers)
-        top = chars[:, col[g.mul(powers[-1], x)]]
+        top = chars[:, col[t[powers[-1], x]]]
         w = np.exp(1j * (np.angle(top)[:, None] + 2 * np.pi * np.arange(m)) / m)
         chars = np.repeat(chars, m, axis=0)
         chars = np.hstack([w.reshape(-1, 1) ** j * chars for j in range(m)])
-        members = [g.mul(p, h) for p in powers for h in members]
+        members = [t[p, h] for p in powers for h in members]
     out = np.empty_like(chars)
     out[:, members] = chars
     # exact multiplicativity check
@@ -207,9 +194,9 @@ class LengthFunction:
             raise InvalidLength("negative length")
         if abs(vals[g.identity]) > EPS_STRUCT:
             raise InvalidLength("l(e) != 0")
-        for a in g.elements():
-            if abs(vals[a] - vals[g.inv(a)]) > EPS_STRUCT:
-                raise InvalidLength(f"l({a}) != l({a}^-1)")
+        asym = np.flatnonzero(np.abs(vals - vals[g.inverse]) > EPS_STRUCT)
+        if asym.size:
+            raise InvalidLength(f"l({asym[0]}) != l({asym[0]}^-1)")
         prod = g.mult
         bound = vals[:, None] + vals[None, :]
         if (vals[prod] - bound).max() > EPS_STRUCT:
@@ -223,8 +210,8 @@ def word_length(g: FiniteGroup) -> LengthFunction:
     """Word length over the symmetric closure of the group's generators (of
     every non-identity element when it names none), by breadth-first search
     from the identity."""
-    gens = list(g.generators) or [a for a in g.elements() if a != g.identity]
-    gens = sorted({*gens, *(g.inv(a) for a in gens)})
+    gens = list(g.generators) or [a for a in range(g.order) if a != g.identity]
+    gens = sorted({*gens, *g.inverse[gens]})
     dist = np.full(g.order, np.inf)
     dist[g.identity] = 0.0
     frontier = [g.identity]
@@ -232,7 +219,7 @@ def word_length(g: FiniteGroup) -> LengthFunction:
         reached = []
         for x in frontier:
             for a in gens:
-                y = g.mul(a, x)
+                y = g.mult[a, x]
                 if np.isinf(dist[y]):
                     dist[y] = dist[x] + 1.0
                     reached.append(y)
@@ -308,12 +295,11 @@ def twisted_group_algebra(g: FiniteGroup, sigma: Cocycle | None = None) -> Group
     if sigma.group is not g:
         raise InvalidCocycle("cocycle defined over another group")
     n = g.order
+    a, y = np.indices((n, n))
     left = np.zeros((n, n, n), dtype=complex)
     right = np.zeros((n, n, n), dtype=complex)
-    for a in range(n):
-        for y in range(n):
-            left[a, g.mul(a, y), y] = sigma.table[a, y]
-            right[a, g.mul(y, a), y] = sigma.table[y, a]
+    left[a, g.mult, y] = sigma.table
+    right[a, g.mult.T, y] = sigma.table.T
     tag = "" if np.abs(sigma.table - 1.0).max() < 1e-14 else ",sigma"
     alg = build_algebra(left, name=f"C*({g.name}{tag})")
     return GroupAlgebra(g, alg, right)
@@ -346,13 +332,9 @@ class PositiveDefiniteFunction:
                 witness_eigenvalue=float(lam[0]))
 
     def test_matrix(self) -> np.ndarray:
+        """The matrix [phi(j^-1 i)]_{ij}."""
         g = self.group
-        n = g.order
-        mat = np.empty((n, n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                mat[i, j] = self.values[g.mul(g.inv(j), i)]
-        return mat
+        return self.values[g.mult[g.inverse].T]
 
     def is_normalized(self) -> bool:
         return abs(self.values[self.group.identity] - 1.0) <= EPS_STRUCT
@@ -371,18 +353,12 @@ def multiplier_channel(phi: PositiveDefiniteFunction, ga: GroupAlgebra) -> Chann
     return ChannelMap(ga.algebra, ga.algebra, np.diag(phi.values))
 
 
-@dataclass(frozen=True)
-class ContractionReport:
-    samples: int
-    violations: int
-    max_ratio: float
-
-
 def multiplier_contraction_check(phi: PositiveDefiniteFunction, triple,
                                  samples: int, rng: np.random.Generator
-                                 ) -> ContractionReport:
+                                 ) -> tuple[int, float]:
     """Check L(M_phi(x)) <= L(x) on random elements for a normalized phi,
-    up to the relative slack EPS_STRUCT."""
+    up to the relative slack EPS_STRUCT.  Returns the number of violations
+    and the largest ratio L(M_phi(x)) / L(x) over the x with L(x) > 0."""
     if not phi.is_normalized():
         raise NotPositiveDefinite("contraction check needs phi(e) = 1")
     lip = CommutatorSeminorm(triple)
@@ -391,5 +367,4 @@ def multiplier_contraction_check(phi: PositiveDefiniteFunction, triple,
     lmx = lip.eval_coords(phi.values * coords)
     nonzero = lx > 1e-12
     violations = int(np.count_nonzero(lmx - lx > EPS_STRUCT * np.maximum(1.0, lx)))
-    return ContractionReport(samples, violations,
-                             float((lmx[nonzero] / lx[nonzero]).max(initial=0.0)))
+    return violations, float((lmx[nonzero] / lx[nonzero]).max(initial=0.0))

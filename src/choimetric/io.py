@@ -2,13 +2,16 @@
 positive definite functions and Wasserstein problems.
 
 Complex numbers are two-element arrays [re, im]; matrices are nested lists
-of rows.  Loading always re-validates: a corrupt file fails before any
-computation starts.
+of rows.  Every number must be finite: `NaN`, `Infinity` and numbers beyond
+the float range (1e400) are rejected.  Loading always re-validates: a
+corrupt file fails before any computation starts.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
+import math
 
 import numpy as np
 
@@ -27,7 +30,6 @@ from .groups import (
     FiniteGroup,
     LengthFunction,
     PositiveDefiniteFunction,
-    group_from_table,
 )
 from .linalg import is_hermitian
 
@@ -48,9 +50,12 @@ def _as_complex(pair, where):
     if (not isinstance(pair, (list, tuple))) or len(pair) != 2:
         raise ChoimetricError(f"{where}: complex numbers are [re, im] pairs")
     try:
-        return complex(float(pair[0]), float(pair[1]))
-    except (TypeError, ValueError) as exc:
+        z = complex(float(pair[0]), float(pair[1]))
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ChoimetricError(f"{where}: {pair!r} is not a pair of numbers") from exc
+    if not cmath.isfinite(z):
+        raise ChoimetricError(f"{where}: {pair!r} is not a pair of finite numbers")
+    return z
 
 
 _KINDS = {list: "a list", str: "a string", int: "an integer"}
@@ -77,10 +82,13 @@ def _algebra_ref(data, key, registry, where) -> ConcreteAlgebra:
 
 def _numbers(values, dtype, where) -> np.ndarray:
     try:
-        return np.asarray(values, dtype=dtype)
-    except (TypeError, ValueError) as exc:
+        out = np.asarray(values, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ChoimetricError(
             f"{where}: entries must be numbers, in rows of equal length") from exc
+    if not np.isfinite(out).all():
+        raise ChoimetricError(f"{where}: entries must be finite")
+    return out
 
 
 def matrix_from_json(rows, where="matrix") -> np.ndarray:
@@ -195,8 +203,8 @@ def group_from_dict(data: dict):
                               f"the {len(table)}-row mult_table")
     generators = (_field(data, "generators", "group", list)
                   if "generators" in data else ())
-    g = group_from_table(table, identity, name=str(data.get("name", "G")),
-                         generators=generators)
+    g = FiniteGroup(len(table), table, identity, name=str(data.get("name", "G")),
+                    generators=tuple(generators))
     cocycle = None
     if data.get("cocycle") is not None:
         cocycle = Cocycle(g, matrix_from_json(data["cocycle"], "cocycle"))
@@ -240,9 +248,17 @@ def save_json(obj: dict, path: str):
         fh.write("\n")
 
 
+def _finite(text: str) -> float:
+    """A JSON number or constant (NaN, Infinity, -Infinity) as a finite float."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
 def load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
+            return json.load(fh, parse_float=_finite, parse_constant=_finite)
+    except ValueError as exc:               # JSONDecodeError included
         raise ChoimetricError(f"{path}: malformed JSON ({exc})") from exc

@@ -44,13 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sdp
-from .algebra import (
-    AlgebraElement,
-    ConcreteAlgebra,
-    LinearFunctional,
-    TraceFunctional,
-    selfadjoint_basis,
-)
+from .algebra import LinearFunctional, TraceFunctional, selfadjoint_basis
 from .channels import (
     ChannelMap,
     amplify,
@@ -59,7 +53,7 @@ from .channels import (
     is_unital,
 )
 from .errors import AlgebraMismatch, ChoimetricError, Infeasible
-from .geometry import AmbientNormSeminorm, Seminorm
+from .geometry import Seminorm
 from .linalg import (
     contract_stack,
     hermitian_part,
@@ -69,11 +63,14 @@ from .linalg import (
 
 @dataclass
 class MKResult:
+    """`optimizer` holds coordinates on the seminorm's algebra: those of the
+    maximizer, or, when the distance is infinite, of a kernel element k
+    (L(k) = 0) on which the objective is nonzero, so that it is unbounded
+    along the multiples of k."""
     value: float                             # math.inf when the metric is infinite
-    optimizer: AlgebraElement | None
+    optimizer: np.ndarray
     dual_gap: float
     status: str                  # "optimal" | "infinite" | "max_iter" | "stalled"
-    kernel_witness: AlgebraElement | None = None
     iterations: int = 0
 
 
@@ -217,7 +214,7 @@ class _BallSetup:
     solves: the kernel split and the SDP blocks of the unit ball on the
     range.  The solver sees `kept`: one block per class of copies, each
     replaced by one piece per class of irreducible summands."""
-    algebra: ConcreteAlgebra
+    seminorm: Seminorm
     keep: np.ndarray | None          # coordinate indices of the ball; None: all
     rows: np.ndarray                 # (r, d) self-adjoint coordinate basis
     null_basis: np.ndarray           # (r, n0)
@@ -229,8 +226,7 @@ class _BallSetup:
 def prepare_ball(seminorm: Seminorm, keep: np.ndarray | None = None) -> _BallSetup:
     """The unit ball of `seminorm` on the self-adjoint elements supported on
     the coordinates `keep` (on all of them when None)."""
-    alg = seminorm.algebra
-    rows = selfadjoint_basis(alg, keep)
+    rows = selfadjoint_basis(seminorm.algebra, keep)
     # the norm stack on the self-adjoint directions
     stack = contract_stack(rows, seminorm.matrices)
     flat = stack.reshape(len(stack), -1)
@@ -238,7 +234,7 @@ def prepare_ball(seminorm: Seminorm, keep: np.ndarray | None = None) -> _BallSet
     blocks = _assemble_blocks(contract_stack(rng_basis.T, stack))
     kept = _split_copies([piece for block in _split_copies(blocks)
                           for piece in _irreducible_pieces(block)])
-    return _BallSetup(alg, keep, rows, null, rng_basis, kept, blocks)
+    return _BallSetup(seminorm, keep, rows, null, rng_basis, kept, blocks)
 
 
 def _psd_violation(cmat: np.ndarray, astack: np.ndarray, y: np.ndarray) -> float:
@@ -280,7 +276,6 @@ def _solve_certified(b: np.ndarray, kept: list, full: list,
 def _maximize_linear(setup: _BallSetup, values: np.ndarray, tol: float,
                      max_iter: int) -> MKResult:
     """sup { Re f(a) : a self-adjoint, L(a) <= 1 } for f given by `values`."""
-    alg = setup.algebra
     if setup.keep is not None:
         resid = float(np.abs(np.delete(values, setup.keep)).max(initial=0.0))
         if resid > 1e-8 * (1.0 + float(np.abs(values).max(initial=0.0))):
@@ -293,19 +288,18 @@ def _maximize_linear(setup: _BallSetup, values: np.ndarray, tol: float,
         along = setup.null_basis.T @ g
         if float(np.abs(along).max(initial=0.0)) > 1e-9 * max(1.0, float(np.abs(g).max())):
             pick = int(np.argmax(np.abs(along)))
-            wit = setup.rows.T @ setup.null_basis[:, pick]
-            return MKResult(math.inf, None, 0.0, "infinite",
-                            kernel_witness=AlgebraElement(alg, wit))
+            return MKResult(math.inf, setup.rows.T @ setup.null_basis[:, pick],
+                            0.0, "infinite")
     gred = setup.range_basis.T @ g
     scale = float(np.linalg.norm(gred))
     if scale <= 1e-14 * max(1.0, float(np.abs(values).max(initial=0.0))):
-        return MKResult(0.0, alg.zero(), 0.0, "optimal")
+        return MKResult(0.0, np.zeros(len(values), dtype=complex), 0.0, "optimal")
     # canonical sign so that mk(phi, psi) and mk(psi, phi) solve one program
     flip = -1.0 if gred[int(np.argmax(np.abs(gred)))] < 0 else 1.0
     res = _solve_certified(flip * gred / scale, setup.kept, setup.full, tol, max_iter)
     coords = setup.rows.T @ (setup.range_basis @ (flip * res.y))
-    return MKResult(res.value * scale, AlgebraElement(alg, coords),
-                    res.gap * scale, res.status, iterations=res.iterations)
+    return MKResult(res.value * scale, coords, res.gap * scale, res.status,
+                    iterations=res.iterations)
 
 
 def mk_between(phi: LinearFunctional, psi: LinearFunctional, seminorm: Seminorm,
@@ -334,7 +328,8 @@ def delta_distance(f: ChannelMap, g: ChannelMap, tau: TraceFunctional,
 
     Both arguments are checked for complete positivity on their omega-carrier
     A (x) B^op, which must be the seminorm's algebra, and solved with the
-    functionals the checks return."""
+    functionals the checks return, on `setup` when it is given, which must
+    be prepared from `seminorm` itself."""
     om_f = check_trace_channel(f, tau, label="first argument")
     om_g = check_trace_channel(g, tau, label="second argument")
     if not (om_f.algebra.same_as(seminorm.algebra)
@@ -342,6 +337,8 @@ def delta_distance(f: ChannelMap, g: ChannelMap, tau: TraceFunctional,
         raise AlgebraMismatch("seminorm not defined over source (x) target^op")
     if setup is None:
         setup = prepare_ball(seminorm)
+    elif setup.seminorm is not seminorm:
+        raise AlgebraMismatch("setup prepared from another seminorm")
     diff = np.asarray(om_f.values - om_g.values, dtype=complex)
     return _maximize_linear(setup, diff, tolerance, sdp.MAX_ITER)
 
@@ -353,7 +350,6 @@ def delta_distance(f: ChannelMap, g: ChannelMap, tau: TraceFunctional,
 @dataclass
 class WassersteinResult:
     value: float
-    u: list[np.ndarray]
     gap: float
     status: str
     iterations: int
@@ -422,17 +418,16 @@ def wasserstein_dual(rho1: np.ndarray, rho2: np.ndarray, l_mats,
         # aligns the operator-norm constraint with || stack(u_i^dagger) ||_1
         return mats.conj().swapaxes(-1, -2).reshape(mats.shape[:-3] + (nn * n, n))
 
-    u0 = unpack(sol)
-    null_mats = unpack(row_and_null_space_real(tmat)[1].T)
+    u0_stack = stack(unpack(sol))
+    null_stacks = stack(unpack(row_and_null_space_real(tmat)[1].T))
     herm_p = _herm_param_basis(nn * n)
     herm_q = _herm_param_basis(n)
     npar, qpar = len(herm_p), len(herm_q)
     top = nn * n
-    u0_stack, null_stacks = stack(u0), stack(null_mats)
     cmat = np.zeros((top + n, top + n), dtype=complex)
     cmat[:top, top:] = u0_stack
     cmat[top:, :top] = u0_stack.conj().T
-    astack = np.zeros((npar + qpar + len(null_mats), top + n, top + n), dtype=complex)
+    astack = np.zeros((npar + qpar + len(null_stacks), top + n, top + n), dtype=complex)
     astack[:npar, :top, :top] = -herm_p
     astack[npar:npar + qpar, top:, top:] = -herm_q
     astack[npar + qpar:, :top, top:] = -null_stacks
@@ -442,8 +437,7 @@ def wasserstein_dual(rho1: np.ndarray, rho2: np.ndarray, l_mats,
                                              np.trace(herm_q, axis1=1, axis2=2)]).real
     block = [(cmat, astack)]
     res = _solve_certified(b, block, block, tol, sdp.MAX_ITER)
-    u_final = u0 + sum(c * mats for c, mats in zip(res.y[npar + qpar:], null_mats))
-    return WassersteinResult(-res.value, list(u_final), res.gap, res.status, res.iterations)
+    return WassersteinResult(-res.value, res.gap, res.status, res.iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +449,6 @@ class DLResult:
     value: float
     converged: bool
     status: str
-    optimizer: AlgebraElement | None = None
 
 
 def dl_distance(f: ChannelMap, g: ChannelMap, seminorm: Seminorm,
@@ -487,22 +480,19 @@ def dl_distance(f: ChannelMap, g: ChannelMap, seminorm: Seminorm,
 
     rng = np.random.default_rng(seed)
     best = 0.0
-    best_opt = None
     all_converged = True
     for _ in range(starts):
         xi = rng.standard_normal(nb) + 1j * rng.standard_normal(nb)
         xi /= np.linalg.norm(xi)
         val = 0.0
         converged = False
-        opt = None
         for _ in range(40):
             psi = np.einsum("x,mxy,y->m", xi.conj(), target.basis, xi)
             res = _maximize_linear(setup, diffmat.T @ psi, tolerance, sdp.MAX_ITER)
             if res.status == "infinite":
-                return DLResult(math.inf, True, "infinite",
-                                optimizer=res.kernel_witness)
+                return DLResult(math.inf, True, "infinite")
             lam, vecs = np.linalg.eigh(hermitian_part(
-                target.realize(diffmat @ res.optimizer.coords)))
+                target.realize(diffmat @ res.optimizer)))
             idx = int(np.argmax(np.abs(lam)))
             new_val = float(np.abs(lam[idx]))
             xi = vecs[:, idx]
@@ -511,29 +501,27 @@ def dl_distance(f: ChannelMap, g: ChannelMap, seminorm: Seminorm,
             inexact = res.status != "optimal"
             stop = inexact or new_val <= val * (1 + 1e-9) + tolerance
             val = max(val, new_val)
-            opt = res.optimizer
             if stop:
                 converged = not inexact
                 break
         all_converged = all_converged and converged
-        if val > best:
-            best = val
-            best_opt = opt
+        best = max(best, val)
     if not all_converged:
         warnings.warn("D_L ascent hit the round cap or a non-optimal inner "
                       "solve; value is a lower bound", stacklevel=2)
     return DLResult(best, all_converged,
-                    "optimal" if all_converged else "heuristic_nonconvergence",
-                    best_opt)
+                    "optimal" if all_converged else "heuristic_nonconvergence")
 
 
 def dl_stabilized(f: ChannelMap, g: ChannelMap, m_max: int, **kw):
     """Truncated stabilization: max over m = 1..m_max of D on the m-fold
-    amplifications, with the operator norm as the seminorm on each level."""
+    amplifications, with the ambient operator norm as the seminorm on each
+    level (not Lipschitz: the unit is not in its kernel)."""
     if m_max < 1:
         raise ChoimetricError(f"m_max {m_max}: give at least one level")
     values = []
     for m in range(1, m_max + 1):
         fm, gm = amplify(m, f), amplify(m, g)
-        values.append(dl_distance(fm, gm, AmbientNormSeminorm(fm.source), **kw).value)
+        norm = Seminorm(fm.source, fm.source.basis)
+        values.append(dl_distance(fm, gm, norm, **kw).value)
     return max(values), values

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from choimetric import (
-    AlgebraElement,
     LinearFunctional,
     TraceFunctional,
     SpectralTriple,
@@ -51,9 +50,10 @@ def omega_triple(ctx) -> SpectralTriple:
                           product.dirac, product.grading)
 
 
-def functional_from_element(x: AlgebraElement, tau: TraceFunctional) -> LinearFunctional:
-    """The pairing functional y -> tau(x y)."""
-    return LinearFunctional(x.algebra, x.coords @ tau.bilinear_gram())
+def functional_from_element(x: np.ndarray, tau: TraceFunctional) -> LinearFunctional:
+    """The pairing functional y -> tau(x y) of the element with coordinates
+    x on the trace's algebra."""
+    return LinearFunctional(tau.algebra, x @ tau.bilinear_gram())
 
 
 def swap_op_algebra(a, i: int, j: int):

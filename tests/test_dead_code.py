@@ -1,14 +1,17 @@
 """Every top-level function and class of the package is read by some package
 module other than `__init__`, apart from its own definition, and every public
-method or property of a package class is read as an attribute there.  Tests
-and `__init__` re-exports do not count as readers: package code that only
-tests read belongs in the tests.  A name counts as read where it appears
-(`name`, `module.name`) or is imported; an attribute of an imported module
-(`np.linalg.norm`) does not read a method of the same name.  No package class
-defines an operator: the only special methods are `__init__`,
-`__post_init__` and `__repr__`, since package code applies functionals,
-channels and seminorms through their arrays.  And every name a package
-module other than `__init__` imports is read in that module."""
+method or property of a package class, and every field of a package
+dataclass, is read as an attribute there.  Tests and `__init__` re-exports
+do not count as readers: package code that only tests read belongs in the
+tests.  A name counts as read where it appears (`name`, `module.name`) or is
+imported; an attribute of an imported module (`np.linalg.norm`) does not
+read a method of the same name, and an assignment (`obj.field = x`) does
+not read a field.  Reads are matched by name, so a field is read wherever
+any class's attribute of that name is.  No package class defines an
+operator: the only special methods are `__init__`, `__post_init__` and
+`__repr__`, since package code applies functionals, channels and seminorms
+through their arrays.  And every name a package module other than
+`__init__` imports is read in that module."""
 
 import ast
 from collections import Counter
@@ -23,6 +26,11 @@ TESTS = ROOT / "tests"
 # that called an oracle would change the record count that
 # `benchmarks/references.json` pins, so only tests read them.
 EXEMPT_MODULES = {"oracles.py"}
+
+# The one field exemption.  `SDPResult` is the solver's whole report: its
+# rel_gap, primal_infeas, primal_value and reason say how a solve ended, and
+# the package does not surface them yet (ROADMAP items 1 and 5).
+EXEMPT_FIELDS = {"SDPResult"}
 
 
 def _used_names(node) -> Counter:
@@ -85,12 +93,12 @@ def _module_names(tree) -> set[str]:
 
 
 def _attributes_read(tree) -> set[str]:
-    """Attribute names read in a module, leaving out attributes of its
-    imported modules such as `np.linalg.norm`."""
+    """Attribute names read (not assigned) in a module, leaving out
+    attributes of its imported modules such as `np.linalg.norm`."""
     modules = _module_names(tree)
     read = set()
     for sub in ast.walk(tree):
-        if isinstance(sub, ast.Attribute):
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
             root = sub.value
             while isinstance(root, ast.Attribute):
                 root = root.value
@@ -122,6 +130,41 @@ def unused_methods(package: Path = PACKAGE, tests: Path = TESTS) -> list[str]:
 
 def test_no_unused_public_methods():
     assert unused_methods() == []
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    for dec in cls.decorator_list:
+        func = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(func, "id", getattr(func, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def unused_fields(package: Path = PACKAGE, tests: Path = TESTS) -> list[str]:
+    """Fields of package dataclasses that no package module reads, each
+    with the test modules under `tests` that read it."""
+    modules = _trees(package, skip={"__init__.py"})
+    read = set().union(*(_attributes_read(tree) for tree in modules.values()))
+    test_trees = _trees(tests)
+    unused = []
+    for path, tree in modules.items():
+        if path.name in EXEMPT_MODULES:
+            continue
+        for cls in tree.body:
+            if (not isinstance(cls, ast.ClassDef) or not _is_dataclass(cls)
+                    or cls.name in EXEMPT_FIELDS):
+                continue
+            for node in cls.body:
+                if (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+                        and node.target.id not in read):
+                    name = node.target.id
+                    unused.append(f"{path.name}:{node.lineno} {cls.name}.{name}"
+                                  + _test_readers(test_trees, name, _attributes_read))
+    return unused
+
+
+def test_no_unused_dataclass_fields():
+    assert unused_fields() == []
 
 
 ALLOWED_SPECIAL = {"__init__", "__post_init__", "__repr__"}
@@ -182,6 +225,36 @@ def test_the_checker_names_what_only_tests_and_reexports_read(tmp_path):
         "core.py:19 Thing.norm, read only by test_core.py"]
     assert operator_methods(package) == [
         "core.py:22 Thing.__add__", "core.py:25 Thing.__radd__"]
+
+
+def test_the_field_check_names_fields_only_tests_read(tmp_path):
+    package, tests = tmp_path / "pkg", tmp_path / "tests"
+    package.mkdir()
+    tests.mkdir()
+    (package / "__init__.py").write_text("from .core import Result, solve\n")
+    (package / "core.py").write_text(
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n\n\n"
+        "@dataclass(frozen=True)\n"
+        "class Result:\n    value: float\n    witness: list\n    note: str = ''\n\n\n"
+        "@dataclasses.dataclass\n"
+        "class Stats:\n    calls: int\n\n\n"
+        "class Plain:\n    size: int\n\n\n"
+        "def solve():\n"
+        "    stats = Stats(1)\n    stats.calls = 2\n"
+        "    return Result(1.0, [0.0])\n")
+    (package / "cli.py").write_text(
+        "from .core import solve\n\n\n"
+        "def main():\n    return solve().value\n")
+    (tests / "test_core.py").write_text(
+        "from pkg import solve\n\n\n"
+        "def test_core():\n    assert solve().witness == [0.0]\n")
+    # an assignment is not a read, and a class that is no dataclass has no
+    # fields to check
+    assert unused_fields(package, tests) == [
+        "core.py:8 Result.witness, read only by test_core.py",
+        "core.py:9 Result.note",
+        "core.py:14 Stats.calls"]
 
 
 def unused_imports() -> list[str]:

@@ -188,8 +188,8 @@ def _character_fixed_coordinates(group, amp):
     order."""
     chars = one_dim_characters(group)
     g = group.order
-    pairs = [(a, b) for a in group.elements() for b in group.elements()
-             if all(abs(chi[group.mul(a, b)] - 1.0) < 1e-9 for chi in chars)]
+    pairs = [(a, b) for a in range(g) for b in range(g)
+             if all(abs(chi[group.mult[a, b]] - 1.0) < 1e-9 for chi in chars)]
     return [((i * g + a) * amp + j) * g + b
             for i in range(amp) for j in range(amp) for a, b in pairs]
 

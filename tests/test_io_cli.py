@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -208,6 +209,8 @@ def test_cli_bad_input_file_is_an_error(tmp_path, capsys):
 
 
 Z3_TABLE = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+# the trivial cocycle on Z3 with one entry NaN
+Z3_NAN_COCYCLE = [[[1, 0]] * 3, [[1, 0]] * 3, [[1, 0], [1, 0], [math.nan, 0]]]
 DIAG2_BASIS = [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]],
                [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]]
 
@@ -248,11 +251,25 @@ DIAG2_BASIS = [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]],
     ("problem", {"l_matrices": [[[[0, 0], [1, 0]], [[1, 0], [0, 0]]]],
                  "rho1": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]],
                  "rho2": [[[0, 0], [0, 1]], [[0, 1], [1, 0]]]}),
+    # numbers that are not finite: NaN and Infinity, which Python's json
+    # reads, a float beyond the float range, which it reads as inf, and an
+    # integer beyond it (the last three written as raw JSON text)
+    ("group", {"mult_table": Z3_TABLE, "identity": 0, "cocycle": Z3_NAN_COCYCLE,
+               "length": [0, 1, 1]}),
+    ("group", {"mult_table": Z3_TABLE, "identity": 0, "length": [0, math.inf, math.inf]}),
+    pytest.param("group", '{"mult_table": %s, "identity": 0, "length": [0, 1e400, 1e400]}'
+                 % Z3_TABLE, id="group-length-1e400"),
+    pytest.param("group", '{"mult_table": %s, "identity": 0, "length": [0, %d, %d]}'
+                 % (Z3_TABLE, 10 ** 400, 10 ** 400), id="group-length-10**400"),
+    ("pdf", {"group": "Z2", "values": [[math.nan, 0], [0, 0]]}),
+    pytest.param("pdf", '{"group": "Z2", "values": [[1e400, 0], [0, 0]]}', id="pdf-1e400"),
+    pytest.param("pdf", '{"group": "Z2", "values": [[%d, 0], [0, 0]]}' % 10 ** 400,
+                 id="pdf-10**400"),
 ])
 def test_cli_malformed_input_file_is_an_error(tmp_path, capsys, kind, data):
-    # a missing key, a value of the wrong type or shape, a non-numeric
-    # entry or a rho that is not Hermitian is an input error, not a
-    # traceback or a solve of its Hermitian part
+    # a missing key, a value of the wrong type or shape, a non-numeric or
+    # non-finite entry or a rho that is not Hermitian is an input error, not
+    # a traceback or a solve of its Hermitian part
     from choimetric import diagonal_algebra
     gpath = str(tmp_path / "z2.json")
     assert main(["group-gen", "--kind", "cyclic", "--n", "2",
@@ -260,7 +277,11 @@ def test_cli_malformed_input_file_is_an_error(tmp_path, capsys, kind, data):
     d2 = diagonal_algebra(2)
     assert d2.name == "diag2"
     alg = write(tmp_path, "d2.json", io.algebra_to_dict(d2))
-    bad = write(tmp_path, "bad.json", data)
+    if isinstance(data, str):
+        bad = str(tmp_path / "bad.json")
+        (tmp_path / "bad.json").write_text(data)
+    else:
+        bad = write(tmp_path, "bad.json", data)
     if kind == "problem":
         argv = ["wasserstein", "--problem", bad]
     else:

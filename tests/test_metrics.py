@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choimetric import (
-    AmbientNormSeminorm,
     ChannelMap,
     CommutatorSeminorm,
     LinearFunctional,
@@ -73,8 +72,8 @@ def test_two_point_distance(dist, d2):
     assert res.status == "optimal"
     assert abs(res.value - dist) < 1e-7
     # primal witness is feasible and achieves the value
-    assert lip.eval_coords(res.optimizer.coords) <= 1 + 1e-6
-    attained = (dp.values - dq.values) @ res.optimizer.coords
+    assert lip.eval_coords(res.optimizer) <= 1 + 1e-6
+    attained = (dp.values - dq.values) @ res.optimizer
     assert attained.real >= res.value - 1e-6
 
 
@@ -83,7 +82,7 @@ def test_identical_states(d2):
     dp, _ = point_states(d2)
     res = mk_between(dp, dp, lip)
     assert res.value == 0.0 and res.status == "optimal"
-    assert np.abs(res.optimizer.coords).max() == 0.0
+    assert np.abs(res.optimizer).max() == 0.0
 
 
 def path_seminorm(w01, w12):
@@ -133,9 +132,9 @@ def test_infinite_distance_kernel_witness(m2, rng):
     res = mk_between(phi, psi, lip, warn_on_nonstates=False)
     assert res.status == "infinite"
     assert math.isinf(res.value)
-    k = res.kernel_witness
-    assert lip.eval_coords(k.coords) < 1e-9
-    assert abs((phi.values - psi.values) @ k.coords) > 1e-9
+    k = res.optimizer
+    assert lip.eval_coords(k) < 1e-9
+    assert abs((phi.values - psi.values) @ k) > 1e-9
 
 
 def test_nonstate_warning(d2):
@@ -407,7 +406,7 @@ def test_delta_matches_wasserstein_on_m2(rng, m2, tr2):
     carrier_trace = standard_matrix_trace(carrier)
     d1, _ = density_from_functional(omega_tau(idn, tr2), carrier_trace)
     d2_, _ = density_from_functional(omega_tau(dep, tr2), carrier_trace)
-    dual = wasserstein_dual(d1.ambient(), d2_.ambient(), ls, tol=1e-8)
+    dual = wasserstein_dual(carrier.realize(d1), carrier.realize(d2_), ls, tol=1e-8)
     assert abs(res.value - dual.value) < 1e-5
 
 
@@ -435,7 +434,7 @@ def test_dl_rejects_channels_on_other_algebras(m2):
     z4 = twisted_group_algebra(cyclic_group(4)).algebra
     with pytest.raises(AlgebraMismatch):
         dl_distance(identity_channel(m2), identity_channel(z4),
-                    AmbientNormSeminorm(m2), starts=1)
+                    Seminorm(m2, m2.basis), starts=1)
 
 
 def test_dl_stabilized_monotone(rng, d2):
@@ -443,7 +442,7 @@ def test_dl_stabilized_monotone(rng, d2):
     h = ChannelMap(d2, d2, np.array([[0.2, 0.8], [0.8, 0.2]], dtype=complex))
     top, per_m = dl_stabilized(g, h, 2, starts=4, seed=0)
     assert top == max(per_m)
-    base = dl_distance(g, h, AmbientNormSeminorm(d2), starts=4, seed=0)
+    base = dl_distance(g, h, Seminorm(d2, d2.basis), starts=4, seed=0)
     assert abs(per_m[0] - base.value) < 1e-8
     assert per_m[1] >= per_m[0] - 1e-8
 
@@ -454,16 +453,32 @@ def test_dl_rejects_no_starts_and_no_levels(d2):
     g = ChannelMap(d2, d2, np.array([[0.7, 0.3], [0.3, 0.7]], dtype=complex))
     for starts in (0, -5):
         with pytest.raises(ChoimetricError):
-            dl_distance(g, g, AmbientNormSeminorm(d2), starts=starts)
+            dl_distance(g, g, Seminorm(d2, d2.basis), starts=starts)
     for m_max in (0, -1):
         with pytest.raises(ChoimetricError):
             dl_stabilized(g, g, m_max)
 
 
+def test_delta_rejects_a_ball_of_another_seminorm():
+    # the ball of L must not answer for 2L: solved on it, Delta_{2L} would
+    # come back as Delta_L with status "optimal"
+    ctx = group_context("Z3")
+    rng = np.random.default_rng(3)
+    f, g = (multiplier_channel(random_pdf(rng, ctx.group), ctx.ga) for _ in range(2))
+    doubled = Seminorm(ctx.seminorm.algebra, 2 * ctx.seminorm.matrices)
+    with pytest.raises(AlgebraMismatch):
+        delta_distance(f, g, ctx.tau, doubled, setup=ctx.setup)
+    own = delta_distance(f, g, ctx.tau, doubled)
+    base = delta_distance(f, g, ctx.tau, ctx.seminorm, setup=ctx.setup)
+    assert own.status == base.status == "optimal"
+    assert abs(2 * own.value - base.value) < 1e-6
+
+
 def test_restricted_ball_rejects_an_objective_off_its_coordinates():
     setup = group_context("Z3").setup
-    values = np.zeros(setup.algebra.dim, dtype=complex)
-    values[np.setdiff1d(np.arange(setup.algebra.dim), setup.keep)[0]] = 1e-3
+    dim = setup.seminorm.algebra.dim
+    values = np.zeros(dim, dtype=complex)
+    values[np.setdiff1d(np.arange(dim), setup.keep)[0]] = 1e-3
     with pytest.raises(AlgebraMismatch):
         _maximize_linear(setup, values, 1e-7, sdp.MAX_ITER)
 
@@ -545,7 +560,7 @@ def test_right_tensor_seminorm_kernel_witness(rng, m2):
     assert phi.algebra is psi.algebra is lip.algebra
     res = mk_between(phi, psi, lip, warn_on_nonstates=False)
     assert res.status == "infinite"
-    witness = res.kernel_witness.coords.reshape(4, 2)
+    witness = res.optimizer.reshape(4, 2)
     # the witness lives in A (x) span(1_B): both columns proportional to 1_B
     unit_b = ga.algebra.unit_coords
     proj = np.outer(unit_b, unit_b) / (unit_b @ unit_b)
