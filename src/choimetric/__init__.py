@@ -70,6 +70,7 @@ from .metrics import (
     dl_distance,
     dl_stabilized,
     mk_between,
+    prepare_ball,
     wasserstein_dual,
 )
 

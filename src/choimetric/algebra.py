@@ -137,7 +137,7 @@ class ConcreteAlgebra:
         return tuple(f.dim for f in self.factors)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearFunctional:
     """A functional stored by its values on the basis elements."""
 

@@ -31,7 +31,7 @@ from .errors import (
 from .linalg import EPS_PSD, EPS_STRUCT
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelMap:
     """A linear map between algebras given by its coordinate matrix.
 
@@ -87,7 +87,7 @@ def channel_from_omega(values, source: ConcreteAlgebra, target: ConcreteAlgebra,
 # classification predicates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CPVerdict:
     is_cp: bool
     min_eigenvalue: float

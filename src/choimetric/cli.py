@@ -44,6 +44,7 @@ from .metrics import (
     dl_distance,
     dl_stabilized,
     mk_between,
+    prepare_ball,
     wasserstein_dual,
 )
 
@@ -149,7 +150,7 @@ def cmd_mk(args):
     triple = io.triple_from_dict(io.load_json(args.triple), registry)
     phi = io.functional_from_dict(io.load_json(args.phi), registry)
     psi = io.functional_from_dict(io.load_json(args.psi), registry)
-    res = mk_between(phi, psi, CommutatorSeminorm(triple),
+    res = mk_between(phi, psi, prepare_ball(CommutatorSeminorm(triple)),
                      tolerance=args.tolerance, max_iter=args.max_iter)
     print(_result_json(res.value, res.status, res.dual_gap))
     return 0 if res.status in ("optimal", "infinite") else 1
@@ -161,8 +162,8 @@ def cmd_delta(args):
     psi = io.pdf_from_dict(io.load_json(args.pdf2), group)
     ctx = experiments.build_group_context(group, cocycle, length)
     res = delta_distance(multiplier_channel(phi, ctx.ga),
-                         multiplier_channel(psi, ctx.ga), ctx.tau, ctx.seminorm,
-                         tolerance=args.tolerance, setup=ctx.setup)
+                         multiplier_channel(psi, ctx.ga), ctx.tau, ctx.ball,
+                         tolerance=args.tolerance)
     print(_result_json(res.value, res.status, res.dual_gap))
     return 0 if res.status in ("optimal", "infinite") else 1
 
@@ -182,8 +183,8 @@ def cmd_dl(args):
     if not args.triple:
         raise ChoimetricError("dl needs either --triple or --m-max")
     triple = io.triple_from_dict(io.load_json(args.triple), registry)
-    res = dl_distance(f, g, CommutatorSeminorm(triple), starts=args.starts,
-                      seed=args.seed, tolerance=args.tolerance)
+    res = dl_distance(f, g, prepare_ball(CommutatorSeminorm(triple)),
+                      starts=args.starts, seed=args.seed, tolerance=args.tolerance)
     print(_result_json(res.value, res.status, 0.0, seed=args.seed,
                        converged=res.converged))
     return 0 if res.status in ("optimal", "infinite") else 1

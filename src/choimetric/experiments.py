@@ -188,17 +188,16 @@ def builtin_group(key: str):
     return group, klein_twist_cocycle(group) if twisted else None
 
 
-@dataclass
+@dataclass(eq=False)
 class GroupContext:
     """Everything needed for Delta distances between multipliers on one
-    twisted group algebra: the length Dirac Kasparov product seminorm over
-    A (x) A^op, and the prepared (restricted) solver setup."""
+    twisted group algebra: the prepared (restricted) unit ball of the length
+    Dirac Kasparov product seminorm over A (x) A^op."""
 
     group: object
     ga: object
     tau: object
-    seminorm: CommutatorSeminorm
-    setup: object
+    ball: object
 
 
 def _check_phase_invariance(seminorm, weights, rng):
@@ -245,7 +244,7 @@ def length_dirac_op(ga, length: LengthFunction) -> SpectralTriple:
 def build_group_context(group, cocycle=None, length: LengthFunction | None = None,
                         restrict: bool = True) -> GroupContext:
     """The Kasparov product of the length Dirac triples of C*(G, sigma) and
-    its opposite (word length when `length` is None), with the solver setup
+    its opposite (word length when `length` is None), with its unit ball
     restricted to the character-fixed coordinates when `restrict` is set.
     The restriction is a sup over a phase-invariant subspace that holds the
     multiplier differences, so it loses nothing on multiplier pairs."""
@@ -255,21 +254,19 @@ def build_group_context(group, cocycle=None, length: LengthFunction | None = Non
     seminorm = CommutatorSeminorm(kasparov_product(
         length_dirac(ga, length), length_dirac_op(ga, length)))
     keep = _char_restriction(seminorm, group) if restrict else None
-    return GroupContext(group, ga, canonical_trace(ga), seminorm,
-                        prepare_ball(seminorm, keep))
+    return GroupContext(group, ga, canonical_trace(ga), prepare_ball(seminorm, keep))
 
 
 def group_context(key: str, restrict: bool = True) -> GroupContext:
     return build_group_context(*builtin_group(key), restrict=restrict)
 
 
-@dataclass
+@dataclass(eq=False)
 class StabilityContext:
     base: GroupContext
     n: int                           # amplification order
     amp_trace: object
-    seminorm_n: Seminorm             # over the omega-carrier
-    setup_n: object
+    ball_n: object                   # of the seminorm over the omega-carrier
 
 
 def _omega_seminorm(seminorm: Seminorm) -> Seminorm:
@@ -305,7 +302,7 @@ def stability_context(key: str, n: int = 2, restrict: bool = True) -> StabilityC
     """
     base = group_context(key, restrict=restrict)
     t_nn = amplifier_triple(n)
-    product_total = kasparov_product(t_nn, base.seminorm.triple)
+    product_total = kasparov_product(t_nn, base.ball.seminorm.triple)
 
     mn = matrix_algebra(n)
     trace_n = as_trace(LinearFunctional(
@@ -314,8 +311,7 @@ def stability_context(key: str, n: int = 2, restrict: bool = True) -> StabilityC
 
     seminorm_n = _omega_seminorm(CommutatorSeminorm(product_total))
     keep = _char_restriction(seminorm_n, base.group, n * n) if restrict else None
-    return StabilityContext(base, n, amp_trace, seminorm_n,
-                            prepare_ball(seminorm_n, keep))
+    return StabilityContext(base, n, amp_trace, prepare_ball(seminorm_n, keep))
 
 
 def cp_corpus():
@@ -551,11 +547,9 @@ def run_stability(seed: int = 0, trials: int = 25, groups=("Z2", "Z3"),
             else:
                 f, g = (multiplier_channel(generate.random_pdf(rng, base.group), base.ga)
                         for _ in range(2))
-            d1 = delta_distance(f, g, base.tau, base.seminorm,
-                                tolerance=SOLVER_TOL, setup=base.setup)
+            d1 = delta_distance(f, g, base.tau, base.ball, tolerance=SOLVER_TOL)
             dn = delta_distance(amplify(use.n, f), amplify(use.n, g), use.amp_trace,
-                                use.seminorm_n, tolerance=SOLVER_TOL,
-                                setup=use.setup_n)
+                                use.ball_n, tolerance=SOLVER_TOL)
             return [_record("stability-generic" if generic else "stability", i,
                             dn.value, d1.value, tolerance - abs(dn.value - d1.value),
                             _first_nonoptimal(dn.status, d1.status))]
@@ -580,10 +574,9 @@ def _restriction_cross_check(ctx: StabilityContext, ctx_full: StabilityContext,
     f = multiplier_channel(generate.random_pdf(rng, base.group), base.ga)
     g = multiplier_channel(generate.random_pdf(rng, base.group), base.ga)
     f_n, g_n = amplify(ctx.n, f), amplify(ctx.n, g)
-    d_res = delta_distance(f_n, g_n, ctx.amp_trace, ctx.seminorm_n,
-                           tolerance=SOLVER_TOL, setup=ctx.setup_n)
-    d_full = delta_distance(f_n, g_n, ctx_full.amp_trace, ctx_full.seminorm_n,
-                            tolerance=SOLVER_TOL, setup=ctx_full.setup_n)
+    d_res = delta_distance(f_n, g_n, ctx.amp_trace, ctx.ball_n, tolerance=SOLVER_TOL)
+    d_full = delta_distance(f_n, g_n, ctx_full.amp_trace, ctx_full.ball_n,
+                            tolerance=SOLVER_TOL)
     return _record("stability-restriction-check", 0, d_res.value, d_full.value,
                    1e-6 - abs(d_res.value - d_full.value),
                    _first_nonoptimal(d_res.status, d_full.status), seed,
@@ -597,22 +590,22 @@ def _stability_hypothesis_audit(ctx: StabilityContext, seed: int,
     whenever L_1(x) <= 1."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
-    base = ctx.base
-    mn, _, mn_op, _ = ctx.seminorm_n.algebra.factors
+    lip, lip_n = ctx.base.ball.seminorm, ctx.ball_n.seminorm
+    mn, _, mn_op, _ = lip_n.algebra.factors
     nn = tensor_algebra(mn, mn_op)
-    unflipped = right_tensor_seminorm(nn, base.seminorm.triple, nn.basis)
+    unflipped = right_tensor_seminorm(nn, lip.triple, nn.basis)
     cond1 = _omega_seminorm(unflipped)
-    x = complex_samples(rng, samples, ctx.seminorm_n.algebra.dim)
-    worst1 = float((cond1.eval_coords(x) - ctx.seminorm_n.eval_coords(x)).max(initial=0.0))
+    x = complex_samples(rng, samples, lip_n.algebra.dim)
+    worst1 = float((cond1.eval_coords(x) - lip_n.eval_coords(x)).max(initial=0.0))
     ms1 = (time.perf_counter() - t0) * 1000.0
     t0 = time.perf_counter()
-    x = complex_samples(rng, samples, base.seminorm.algebra.dim)
-    l1 = base.seminorm.eval_coords(x)
+    x = complex_samples(rng, samples, lip.algebra.dim)
+    l1 = lip.eval_coords(x)
     nonzero = l1 >= 1e-12
     x = x[nonzero] / l1[nonzero, None]
     omega_coords = _swap_coords(
         unflipped.algebra, (nn.unit_coords[:, None] * x[:, None, :]).reshape(len(x), -1), 1, 2)
-    worst2 = float((ctx.seminorm_n.eval_coords(omega_coords) - 1.0).max(initial=0.0))
+    worst2 = float((lip_n.eval_coords(omega_coords) - 1.0).max(initial=0.0))
     ms2 = (time.perf_counter() - t0) * 1000.0
     tol = 1e-8
     return [_record("stability-hypothesis-1", trial, worst1, 0.0, tol - worst1,
@@ -638,13 +631,12 @@ def run_chaining(seed: int = 0, quadruples: int = 100,
                 assert is_unital(mults[inner])
                 assert is_trace_channel(mults[outer], ctx.tau)
             lhs = delta_distance(compose(mults[0], mults[1]),
-                                 compose(mults[2], mults[3]), ctx.tau,
-                                 ctx.seminorm, tolerance=DEFAULT_TOL,
-                                 setup=ctx.setup)
-            d13 = delta_distance(mults[0], mults[2], ctx.tau, ctx.seminorm,
-                                 tolerance=DEFAULT_TOL, setup=ctx.setup)
-            d24 = delta_distance(mults[1], mults[3], ctx.tau, ctx.seminorm,
-                                 tolerance=DEFAULT_TOL, setup=ctx.setup)
+                                 compose(mults[2], mults[3]), ctx.tau, ctx.ball,
+                                 tolerance=DEFAULT_TOL)
+            d13 = delta_distance(mults[0], mults[2], ctx.tau, ctx.ball,
+                                 tolerance=DEFAULT_TOL)
+            d24 = delta_distance(mults[1], mults[3], ctx.tau, ctx.ball,
+                                 tolerance=DEFAULT_TOL)
             rhs = d13.value + d24.value
             return [_record("chaining", i, lhs.value, rhs, rhs - lhs.value,
                             _first_nonoptimal(lhs.status, d13.status, d24.status),
@@ -692,7 +684,7 @@ def run_duality(seed: int = 0, trials: int = 50) -> list[ExperimentRecord]:
         lip = CommutatorSeminorm(gradient_dirac_triple(ls, algebra=alg))
         phi1 = LinearFunctional(alg, np.einsum("xy,byx->b", rho1, alg.basis))
         phi2 = LinearFunctional(alg, np.einsum("xy,byx->b", rho2, alg.basis))
-        primal = mk_between(phi1, phi2, lip, tolerance=SOLVER_TOL,
+        primal = mk_between(phi1, phi2, prepare_ball(lip), tolerance=SOLVER_TOL,
                             warn_on_nonstates=False)
         try:
             dual = wasserstein_dual(rho1, rho2, ls, tol=SOLVER_TOL)
@@ -719,7 +711,7 @@ def run_mk_correctness(seed: int = 0) -> list[ExperimentRecord]:
         lip = CommutatorSeminorm(SpectralTriple(d2, d2.basis, x))
         delta_p = LinearFunctional(d2, np.array([1.0, 0.0], dtype=complex))
         delta_q = LinearFunctional(d2, np.array([0.0, 1.0], dtype=complex))
-        res = mk_between(delta_p, delta_q, lip, tolerance=SOLVER_TOL)
+        res = mk_between(delta_p, delta_q, prepare_ball(lip), tolerance=SOLVER_TOL)
         records.append(_record("mk-two-point", k, res.value, dist,
                                1e-7 - abs(res.value - dist), res.status, seed))
     # three-point path metric with unit edges (1,2), (2,3)
@@ -733,20 +725,21 @@ def run_mk_correctness(seed: int = 0) -> list[ExperimentRecord]:
     rep[2, 3, 3] = 1.0
     triple = SpectralTriple(d3, rep, h)
     lip = CommutatorSeminorm(triple)
+    ball = prepare_ball(lip)
     states = [LinearFunctional(d3, np.eye(3, dtype=complex)[i]) for i in range(3)]
     paths = classical_path_metric({(0, 1): 1.0, (1, 2): 1.0}, 3)
     expected = {(0, 1): paths[0, 1], (0, 2): paths[0, 2], (1, 2): paths[1, 2]}
     for trial, ((i, j), truth) in enumerate(expected.items()):
-        res = mk_between(states[i], states[j], lip, tolerance=SOLVER_TOL)
+        res = mk_between(states[i], states[j], ball, tolerance=SOLVER_TOL)
         # grid oracle over (t_1, t_2) with the third coordinate pinned to 0;
         # shifting by multiples of the unit does not change the objective
         diff = states[i].values - states[j].values
 
-        def ball(t):
+        def norm(t):
             return lip.eval_coords(np.array([t[0], t[1], 0.0], dtype=complex))
 
         oracle = grid_ball_maximize(np.array([diff[0].real, diff[1].real]),
-                                    ball, radius=4.0, rounds=6, pts=17)
+                                    norm, radius=4.0, rounds=6, pts=17)
         # the value must match both the grid oracle and the path metric
         err = max(abs(res.value - oracle), abs(res.value - truth))
         records.append(_record("mk-three-point", trial, res.value, oracle, 1e-5 - err,
@@ -760,7 +753,7 @@ def run_metric_axioms(seed: int = 0, triples: int = 10) -> list[ExperimentRecord
     alg = matrix_algebra(2)
     rng0 = np.random.default_rng(seed)
     ls = [generate.random_hermitian(rng0, 2) for _ in range(2)]
-    lip = CommutatorSeminorm(gradient_dirac_triple(ls, algebra=alg))
+    ball = prepare_ball(CommutatorSeminorm(gradient_dirac_triple(ls, algebra=alg)))
 
     def axioms(name, draw, dist):
         """Trials on three points from draw(rng), measured by dist."""
@@ -778,15 +771,15 @@ def run_metric_axioms(seed: int = 0, triples: int = 10) -> list[ExperimentRecord
 
     records = _run_trials(
         axioms("mk", lambda rng: [generate.random_state(rng, alg) for _ in range(3)],
-               lambda p, q: mk_between(p, q, lip, tolerance=SOLVER_TOL)),
+               lambda p, q: mk_between(p, q, ball, tolerance=SOLVER_TOL)),
         triples, seed)
     ctx = group_context("Z3")
     records.extend(_run_trials(
         axioms("delta",
                lambda rng: [multiplier_channel(generate.random_pdf(rng, ctx.group),
                                                ctx.ga) for _ in range(3)],
-               lambda f, g: delta_distance(f, g, ctx.tau, ctx.seminorm,
-                                           tolerance=SOLVER_TOL, setup=ctx.setup)),
+               lambda f, g: delta_distance(f, g, ctx.tau, ctx.ball,
+                                           tolerance=SOLVER_TOL)),
         max(1, triples // 2), seed + 5))
     return records
 

@@ -27,7 +27,7 @@ from .errors import InvalidSpectralTriple
 from .linalg import EPS_STRUCT, kron_stack, operator_norm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralTriple:
     algebra: ConcreteAlgebra
     rep: np.ndarray                  # (d, H, H)

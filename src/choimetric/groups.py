@@ -31,12 +31,13 @@ from .geometry import CommutatorSeminorm
 from .linalg import EPS_PSD, EPS_STRUCT, complex_samples, hermitian_part
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteGroup:
     """A group is its table: mult[a, b] is the index of ab, and inverse[a]
-    (set on construction) that of a^-1."""
+    (set on construction) that of a^-1; its order is the table's size.
+    `==` is identity, as for every class here that holds arrays: groups
+    compare with `same_as`."""
 
-    order: int
     mult: np.ndarray                 # (n, n) index table
     identity: int
     name: str = ""
@@ -49,20 +50,21 @@ class FiniteGroup:
         object.__setattr__(self, "inverse",
                            np.argmax(self.mult == self.identity, axis=1))
 
+    @property
+    def order(self) -> int:
+        return len(self.mult)
+
     def same_as(self, other: "FiniteGroup") -> bool:
         return (self is other
-                or (self.order == other.order
-                    and self.identity == other.identity
+                or (self.identity == other.identity
                     and np.array_equal(self.mult, other.mult)))
 
 
 def _validate_group(g: FiniteGroup):
-    n = g.order
     t = g.mult
-    if n < 1:
-        raise InvalidGroup(f"order {n}: a group has at least one element")
-    if t.shape != (n, n):
-        raise InvalidGroup("multiplication table shape mismatch")
+    if t.ndim != 2 or t.shape[0] != t.shape[1] or not t.size:
+        raise InvalidGroup(f"table of shape {t.shape}: not a nonempty square table")
+    n = len(t)
     if t.min() < 0 or t.max() >= n:
         raise InvalidGroup("table entries out of range")
     e = g.identity
@@ -89,7 +91,7 @@ def cyclic_group(n: int) -> FiniteGroup:
     idx = np.arange(n)
     table = (idx[:, None] + idx[None, :]) % n
     gens = (1,) if n > 1 else ()
-    return FiniteGroup(n, table, 0, name=f"Z{n}", generators=gens)
+    return FiniteGroup(table, 0, name=f"Z{n}", generators=gens)
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
@@ -98,7 +100,7 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     table = (g.mult[:, None, :, None] * m + h.mult[None, :, None, :]).reshape(n * m, n * m)
     gens = tuple(a * m + h.identity for a in g.generators) + \
         tuple(g.identity * m + b for b in h.generators)
-    return FiniteGroup(n * m, table, g.identity * m + h.identity,
+    return FiniteGroup(table, g.identity * m + h.identity,
                        name=f"{g.name}x{h.name}", generators=gens)
 
 
@@ -115,7 +117,7 @@ def dihedral_group(n: int) -> FiniteGroup:
         return (1 - fa) * n + (kb - ka) % n
 
     table = np.array([[mul(a, b) for b in range(order)] for a in range(order)])
-    return FiniteGroup(order, table, 0, name=f"D{n}", generators=(1, n))
+    return FiniteGroup(table, 0, name=f"D{n}", generators=(1, n))
 
 
 def symmetric_group_3() -> FiniteGroup:
@@ -129,7 +131,7 @@ def symmetric_group_3() -> FiniteGroup:
     e = index[(0, 1, 2)]
     transpositions = tuple(index[p] for p in perms
                            if sum(p[i] != i for i in range(3)) == 2)
-    return FiniteGroup(6, table, e, name="S3", generators=transpositions)
+    return FiniteGroup(table, e, name="S3", generators=transpositions)
 
 
 # -- structure ----------------------------------------------------------------
@@ -179,7 +181,7 @@ def one_dim_characters(g: FiniteGroup) -> np.ndarray:
 
 # -- length functions ----------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LengthFunction:
     group: FiniteGroup
     values: np.ndarray
@@ -190,8 +192,8 @@ class LengthFunction:
         g = self.group
         if vals.shape != (g.order,):
             raise InvalidLength("length vector size mismatch")
-        if vals.min() < 0:
-            raise InvalidLength("negative length")
+        if not (np.isfinite(vals) & (vals >= 0)).all():
+            raise InvalidLength("lengths must be finite and non-negative")
         if abs(vals[g.identity]) > EPS_STRUCT:
             raise InvalidLength("l(e) != 0")
         asym = np.flatnonzero(np.abs(vals - vals[g.inverse]) > EPS_STRUCT)
@@ -231,7 +233,7 @@ def word_length(g: FiniteGroup) -> LengthFunction:
 
 # -- cocycles -------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cocycle:
     group: FiniteGroup
     table: np.ndarray
@@ -243,8 +245,9 @@ class Cocycle:
         n = g.order
         if t.shape != (n, n):
             raise InvalidCocycle("cocycle table shape mismatch")
-        if np.abs(np.abs(t) - 1.0).max() > EPS_STRUCT:
-            raise InvalidCocycle("cocycle values must have unit modulus")
+        # written so that NaN, which fails every comparison, fails it too
+        if not (np.abs(np.abs(t) - 1.0) <= EPS_STRUCT).all():
+            raise InvalidCocycle("cocycle values must be finite, of unit modulus")
         e = g.identity
         if np.abs(t[e, :] - 1.0).max() > EPS_STRUCT or np.abs(t[:, e] - 1.0).max() > EPS_STRUCT:
             raise InvalidCocycle("cocycle is not normalized")
@@ -274,7 +277,7 @@ def klein_twist_cocycle(g: FiniteGroup) -> Cocycle:
 
 # -- the twisted algebra ---------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class GroupAlgebra:
     """Twisted group algebra with its right regular representation; the
     left one is `algebra.basis`."""
@@ -314,7 +317,7 @@ def canonical_trace(ga: GroupAlgebra) -> TraceFunctional:
 
 # -- positive definite functions and multipliers ----------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PositiveDefiniteFunction:
     group: FiniteGroup
     values: np.ndarray
@@ -322,6 +325,8 @@ class PositiveDefiniteFunction:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)
         object.__setattr__(self, "values", vals)
+        if not np.isfinite(vals).all():
+            raise NotPositiveDefinite("values must be finite")
         mat = self.test_matrix()
         lam = np.linalg.eigvalsh(hermitian_part(mat))
         scale = max(1.0, float(np.abs(lam).max(initial=0.0)))

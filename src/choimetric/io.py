@@ -203,7 +203,7 @@ def group_from_dict(data: dict):
                               f"the {len(table)}-row mult_table")
     generators = (_field(data, "generators", "group", list)
                   if "generators" in data else ())
-    g = FiniteGroup(len(table), table, identity, name=str(data.get("name", "G")),
+    g = FiniteGroup(table, identity, name=str(data.get("name", "G")),
                     generators=tuple(generators))
     cocycle = None
     if data.get("cocycle") is not None:

@@ -61,7 +61,7 @@ from .linalg import (
 )
 
 
-@dataclass
+@dataclass(eq=False)
 class MKResult:
     """`optimizer` holds coordinates on the seminorm's algebra: those of the
     maximizer, or, when the distance is infinite, of a kernel element k
@@ -208,11 +208,11 @@ def _irreducible_pieces(block) -> list:
 # the ball maximization core
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class _BallSetup:
-    """Cached reduction of a (seminorm, coordinates) pair for repeated
-    solves: the kernel split and the SDP blocks of the unit ball on the
-    range.  The solver sees `kept`: one block per class of copies, each
+    """The unit ball of a seminorm on some coordinates, reduced once for
+    every solve on it: the kernel split and the SDP blocks of the ball on
+    the range.  The solver sees `kept`: one block per class of copies, each
     replaced by one piece per class of irreducible summands."""
     seminorm: Seminorm
     keep: np.ndarray | None          # coordinate indices of the ball; None: all
@@ -225,7 +225,8 @@ class _BallSetup:
 
 def prepare_ball(seminorm: Seminorm, keep: np.ndarray | None = None) -> _BallSetup:
     """The unit ball of `seminorm` on the self-adjoint elements supported on
-    the coordinates `keep` (on all of them when None)."""
+    the coordinates `keep` (on all of them when None).  Every MK solve takes
+    it in place of the seminorm, so a caller prepares it once per seminorm."""
     rows = selfadjoint_basis(seminorm.algebra, keep)
     # the norm stack on the self-adjoint directions
     stack = contract_stack(rows, seminorm.matrices)
@@ -273,48 +274,48 @@ def _solve_certified(b: np.ndarray, kept: list, full: list,
     return res
 
 
-def _maximize_linear(setup: _BallSetup, values: np.ndarray, tol: float,
+def _maximize_linear(ball: _BallSetup, values: np.ndarray, tol: float,
                      max_iter: int) -> MKResult:
     """sup { Re f(a) : a self-adjoint, L(a) <= 1 } for f given by `values`."""
-    if setup.keep is not None:
-        resid = float(np.abs(np.delete(values, setup.keep)).max(initial=0.0))
+    if ball.keep is not None:
+        resid = float(np.abs(np.delete(values, ball.keep)).max(initial=0.0))
         if resid > 1e-8 * (1.0 + float(np.abs(values).max(initial=0.0))):
             raise AlgebraMismatch(
                 "objective not supported on the kept coordinates "
                 f"(residual {resid:.2e})")
-    g = (setup.rows @ values).real
+    g = (ball.rows @ values).real
     # kernel pre-pass
-    if setup.null_basis.shape[1]:
-        along = setup.null_basis.T @ g
+    if ball.null_basis.shape[1]:
+        along = ball.null_basis.T @ g
         if float(np.abs(along).max(initial=0.0)) > 1e-9 * max(1.0, float(np.abs(g).max())):
             pick = int(np.argmax(np.abs(along)))
-            return MKResult(math.inf, setup.rows.T @ setup.null_basis[:, pick],
+            return MKResult(math.inf, ball.rows.T @ ball.null_basis[:, pick],
                             0.0, "infinite")
-    gred = setup.range_basis.T @ g
+    gred = ball.range_basis.T @ g
     scale = float(np.linalg.norm(gred))
     if scale <= 1e-14 * max(1.0, float(np.abs(values).max(initial=0.0))):
         return MKResult(0.0, np.zeros(len(values), dtype=complex), 0.0, "optimal")
     # canonical sign so that mk(phi, psi) and mk(psi, phi) solve one program
     flip = -1.0 if gred[int(np.argmax(np.abs(gred)))] < 0 else 1.0
-    res = _solve_certified(flip * gred / scale, setup.kept, setup.full, tol, max_iter)
-    coords = setup.rows.T @ (setup.range_basis @ (flip * res.y))
+    res = _solve_certified(flip * gred / scale, ball.kept, ball.full, tol, max_iter)
+    coords = ball.rows.T @ (ball.range_basis @ (flip * res.y))
     return MKResult(res.value * scale, coords, res.gap * scale, res.status,
                     iterations=res.iterations)
 
 
-def mk_between(phi: LinearFunctional, psi: LinearFunctional, seminorm: Seminorm,
+def mk_between(phi: LinearFunctional, psi: LinearFunctional, ball: _BallSetup,
                tolerance: float = 1e-7, max_iter: int = sdp.MAX_ITER,
                warn_on_nonstates: bool = True) -> MKResult:
     """The Monge-Kantorovich extended metric between two functionals on the
-    seminorm's algebra."""
-    if not (phi.algebra.same_as(seminorm.algebra)
-            and psi.algebra.same_as(seminorm.algebra)):
+    algebra of the ball's seminorm, the sup over the prepared `ball`."""
+    algebra = ball.seminorm.algebra
+    if not (phi.algebra.same_as(algebra) and psi.algebra.same_as(algebra)):
         raise AlgebraMismatch("seminorm not defined over the functionals' algebra")
     if warn_on_nonstates and not (phi.is_state() and psi.is_state()):
         warnings.warn("mk_between applied to non-state functionals; "
                       "proceeding on the difference", stacklevel=2)
     diff = np.asarray(phi.values - psi.values, dtype=complex)
-    return _maximize_linear(prepare_ball(seminorm), diff, tolerance, max_iter)
+    return _maximize_linear(ball, diff, tolerance, max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -322,25 +323,20 @@ def mk_between(phi: LinearFunctional, psi: LinearFunctional, seminorm: Seminorm,
 # ---------------------------------------------------------------------------
 
 def delta_distance(f: ChannelMap, g: ChannelMap, tau: TraceFunctional,
-                   seminorm: Seminorm, tolerance: float = 1e-7,
-                   setup: _BallSetup | None = None) -> MKResult:
+                   ball: _BallSetup, tolerance: float = 1e-7) -> MKResult:
     """Delta(F, G) = mk_L(omega(F), omega(G)) on trace channels.
 
     Both arguments are checked for complete positivity on their omega-carrier
-    A (x) B^op, which must be the seminorm's algebra, and solved with the
-    functionals the checks return, on `setup` when it is given, which must
-    be prepared from `seminorm` itself."""
+    A (x) B^op, which must be the algebra of the ball's seminorm, and solved
+    on `ball` with the functionals the checks return.  Not through
+    `mk_between`, which would count each solve twice in a timing of both."""
     om_f = check_trace_channel(f, tau, label="first argument")
     om_g = check_trace_channel(g, tau, label="second argument")
-    if not (om_f.algebra.same_as(seminorm.algebra)
-            and om_g.algebra.same_as(seminorm.algebra)):
+    algebra = ball.seminorm.algebra
+    if not (om_f.algebra.same_as(algebra) and om_g.algebra.same_as(algebra)):
         raise AlgebraMismatch("seminorm not defined over source (x) target^op")
-    if setup is None:
-        setup = prepare_ball(seminorm)
-    elif setup.seminorm is not seminorm:
-        raise AlgebraMismatch("setup prepared from another seminorm")
     diff = np.asarray(om_f.values - om_g.values, dtype=complex)
-    return _maximize_linear(setup, diff, tolerance, sdp.MAX_ITER)
+    return _maximize_linear(ball, diff, tolerance, sdp.MAX_ITER)
 
 
 # ---------------------------------------------------------------------------
@@ -451,12 +447,13 @@ class DLResult:
     status: str
 
 
-def dl_distance(f: ChannelMap, g: ChannelMap, seminorm: Seminorm,
+def dl_distance(f: ChannelMap, g: ChannelMap, ball: _BallSetup,
                 starts: int = 8, seed: int = 0, tolerance: float = 1e-7) -> DLResult:
     """D_L(F, G) = sup_psi mk_L(F* psi, G* psi), reduced to the norm ascent
     sup { ||(F - G)(a)|| : L(a) <= 1 } and solved by alternating two steps.
     The inner step fixes a unit vector xi and solves the MK program between
-    the pullbacks F* psi and G* psi of its vector state psi; the outer step
+    the pullbacks F* psi and G* psi of its vector state psi over `ball`, the
+    prepared unit ball of L on the source; the outer step
     re-extremizes xi on (F - G)(a) at the optimizer a.
 
     The result is a certified lower bound; `converged` reports whether every
@@ -471,9 +468,8 @@ def dl_distance(f: ChannelMap, g: ChannelMap, seminorm: Seminorm,
             raise AlgebraMismatch(f"{name} argument is not completely positive")
     if not (g.source.same_as(f.source) and g.target.same_as(f.target)):
         raise AlgebraMismatch("the two channels have different sources or targets")
-    if not f.source.same_as(seminorm.algebra):
+    if not f.source.same_as(ball.seminorm.algebra):
         raise AlgebraMismatch("seminorm not over the channels' source")
-    setup = prepare_ball(seminorm)
     diffmat = f.matrix - g.matrix
     target = f.target
     nb = target.ambient_dim
@@ -488,7 +484,7 @@ def dl_distance(f: ChannelMap, g: ChannelMap, seminorm: Seminorm,
         converged = False
         for _ in range(40):
             psi = np.einsum("x,mxy,y->m", xi.conj(), target.basis, xi)
-            res = _maximize_linear(setup, diffmat.T @ psi, tolerance, sdp.MAX_ITER)
+            res = _maximize_linear(ball, diffmat.T @ psi, tolerance, sdp.MAX_ITER)
             if res.status == "infinite":
                 return DLResult(math.inf, True, "infinite")
             lam, vecs = np.linalg.eigh(hermitian_part(
@@ -522,6 +518,6 @@ def dl_stabilized(f: ChannelMap, g: ChannelMap, m_max: int, **kw):
     values = []
     for m in range(1, m_max + 1):
         fm, gm = amplify(m, f), amplify(m, g)
-        norm = Seminorm(fm.source, fm.source.basis)
-        values.append(dl_distance(fm, gm, norm, **kw).value)
+        ball = prepare_ball(Seminorm(fm.source, fm.source.basis))
+        values.append(dl_distance(fm, gm, ball, **kw).value)
     return max(values), values

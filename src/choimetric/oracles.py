@@ -185,10 +185,10 @@ def commutative_pure_states(alg: ConcreteAlgebra) -> list[LinearFunctional]:
     raise AlgebraMismatch("failed to separate the characters numerically")
 
 
-def dl_distance_pure_states(f: ChannelMap, g: ChannelMap, seminorm: Seminorm) -> MKResult:
+def dl_distance_pure_states(f: ChannelMap, g: ChannelMap, ball) -> MKResult:
     """Exact D_L for commutative targets: the outer supremum is attained at
     an extreme point of the state space, so it is the largest MK distance
-    between the pullbacks of a character."""
-    return max((mk_between(pullback_state(f, chi), pullback_state(g, chi), seminorm)
+    over the prepared `ball` between the pullbacks of a character."""
+    return max((mk_between(pullback_state(f, chi), pullback_state(g, chi), ball)
                 for chi in commutative_pure_states(f.target)),
                key=lambda res: res.value)

@@ -53,7 +53,7 @@ import numpy as np
 import scipy.linalg
 
 
-@dataclass
+@dataclass(eq=False)
 class SDPResult:
     y: np.ndarray
     value: float

@@ -44,9 +44,9 @@ def omega_triple(ctx) -> SpectralTriple:
     """The Kasparov product (d_n x d_n) x (d_A x d_B) of a stability context,
     with its representation read on the omega-carrier through the factor
     flip Sigma_[23] (not validated)."""
-    product = kasparov_product(amplifier_triple(ctx.n), ctx.base.seminorm.triple)
+    product = kasparov_product(amplifier_triple(ctx.n), ctx.base.ball.seminorm.triple)
     to_omega = _swap_coords(product.algebra, np.arange(product.algebra.dim), 1, 2)
-    return SpectralTriple(ctx.seminorm_n.algebra, product.rep[to_omega],
+    return SpectralTriple(ctx.ball_n.seminorm.algebra, product.rep[to_omega],
                           product.dirac, product.grading)
 
 

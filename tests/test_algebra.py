@@ -119,7 +119,7 @@ def test_tensor_associativity_reindex(m2, d2):
 @pytest.mark.parametrize("carrier", [
     lambda: tensor_algebra(matrix_algebra(2), opposite_algebra(matrix_algebra(3))),
     lambda: tensor_algebra(twisted_group_algebra(cyclic_group(3)).algebra, matrix_algebra(2)),
-    lambda: stability_context("Z2").seminorm_n.algebra,
+    lambda: stability_context("Z2").ball_n.seminorm.algebra,
 ], ids=["M2 x M3^op", "C*(Z3) x M2", "omega-carrier of amplified Z2"])
 def test_pairing_contracts_the_structure_tensor(carrier, rng):
     alg = carrier()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import choimetric.experiments as E
+from choimetric import metrics
 from choimetric.cli import main
 from choimetric.algebra import _swap_coords, tensor_algebra
 from choimetric.errors import Infeasible, InvalidSpectralTriple
@@ -106,10 +107,10 @@ def test_amplified_triple_is_valid_on_the_omega_carrier(key, order):
     relabelled = omega_triple(ctx)
     relabelled.validate()
     # the amplified seminorm is the relabelled triple's commutator seminorm
-    assert np.array_equal(relabelled.commutator_matrices(), ctx.seminorm_n.matrices)
+    assert np.array_equal(relabelled.commutator_matrices(), ctx.ball_n.seminorm.matrices)
     # omega coordinate (i, a, j, b) reads Kasparov coordinate (i, j, a, b),
     # with i, j over the 4 coordinates of M_2 and a, b over the group
-    kasparov = tensor_algebra(E.amplifier_triple(2).algebra, ctx.base.seminorm.algebra)
+    kasparov = tensor_algebra(E.amplifier_triple(2).algebra, ctx.base.ball.seminorm.algebra)
     to_omega = _swap_coords(kasparov, np.arange(kasparov.dim), 1, 2)
     i, a, j, b = 1, order - 1, 2, 0
     assert to_omega[((i * order + a) * 4 + j) * order + b] \
@@ -182,6 +183,34 @@ def test_metric_axioms_record_the_stalled_solve(monkeypatch):
         assert mk[kind, 1].status == "optimal" and mk[kind, 1].ok
 
 
+def _count_ball_preparations(monkeypatch):
+    """A list that grows by one for each prepare_ball call from now on,
+    made through either module that binds the name."""
+    calls = []
+    prepare = metrics.prepare_ball
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return prepare(*args, **kwargs)
+
+    for module in (metrics, E):
+        monkeypatch.setattr(module, "prepare_ball", counted)
+    return calls
+
+
+@pytest.mark.parametrize("suite, balls", [
+    # one mk ball for the 40 mk solves, and the ball of the Z3 context
+    (lambda: E.run_metric_axioms(2026, triples=10), 2),
+    # one ball per two-point seminorm, and one for the three-point path
+    (lambda: E.run_mk_correctness(2026), 4),
+], ids=["metric-axioms", "mk-correctness"])
+def test_suites_prepare_each_ball_once(suite, balls, monkeypatch):
+    calls = _count_ball_preparations(monkeypatch)
+    records = suite()
+    assert all(r.ok for r in records)
+    assert len(calls) == balls
+
+
 def _character_fixed_coordinates(group, amp):
     """The coordinates (i, a, j, b) with chi(ab) = 1 for every 1-dimensional
     character chi, found by testing the character values, in (i, j, pair)
@@ -205,7 +234,7 @@ def test_char_restriction_keeps_the_character_fixed_coordinates(key):
     # characters, so its pairs are the pairs the characters fix
     group, cocycle = ((_MORE_GROUPS[key](), None) if key in _MORE_GROUPS
                       else E.builtin_group(key))
-    # the Kasparov seminorm of the group context, without its solver setup
+    # the Kasparov seminorm of the group context, without its unit ball
     ga, length = twisted_group_algebra(group, cocycle), word_length(group)
     seminorm = CommutatorSeminorm(kasparov_product(
         E.length_dirac(ga, length), E.length_dirac_op(ga, length)))
@@ -233,7 +262,7 @@ def test_restriction_cross_check_records_the_stalled_solve(monkeypatch):
     ctx = E.stability_context("Z2")
     ctx_full = E.stability_context("Z2", restrict=False)
     monkeypatch.setattr(E, "delta_distance", _stall_call(
-        E.delta_distance, lambda *a, setup=None, **k: setup is ctx_full.setup_n))
+        E.delta_distance, lambda f, g, tau, ball, **k: ball is ctx_full.ball_n))
     rec = E._restriction_cross_check(ctx, ctx_full, seed=0)
     assert rec.status == "stalled" and not rec.ok
 

@@ -76,7 +76,7 @@ def test_faithfulness_rank_matches_matrix_rank():
     ctx = stability_context("Z2")
     relabelled = omega_triple(ctx)
     # the amplified seminorm is the relabelled triple's commutator seminorm
-    assert np.array_equal(relabelled.commutator_matrices(), ctx.seminorm_n.matrices)
+    assert np.array_equal(relabelled.commutator_matrices(), ctx.ball_n.seminorm.matrices)
     rep = relabelled.rep
     d, h, _ = rep.shape
     flat = rep.reshape(d, h * h)
@@ -149,7 +149,7 @@ def _suite_factors(case):
         return E.length_dirac(ga, length), E.length_dirac_op(ga, length)
     key, restrict = case
     return (E.amplifier_triple(2),
-            E.group_context(key, restrict=restrict).seminorm.triple)
+            E.group_context(key, restrict=restrict).ball.seminorm.triple)
 
 
 @pytest.mark.parametrize("case", ["S3", ("Z2", True), ("Z2", False), ("Z3", True)],
@@ -180,7 +180,7 @@ def test_kasparov_product_allocates_about_its_representation():
     # checked through its factors, the amplified Z3 product needs no
     # transient of its own size beyond the representation it returns
     t_nn = E.amplifier_triple(2)
-    t_z3 = E.group_context("Z3").seminorm.triple
+    t_z3 = E.group_context("Z3").ball.seminorm.triple
     tracemalloc.start()
     try:
         product = kasparov_product(t_nn, t_z3)

@@ -34,19 +34,61 @@ from choimetric.groups import commutator_subgroup, one_dim_characters
 
 def test_group_laws_validated():
     with pytest.raises(InvalidGroup):
-        FiniteGroup(2, [[0, 1], [1, 1]], 0)
+        FiniteGroup([[0, 1], [1, 1]], 0)
     with pytest.raises(InvalidGroup):
-        FiniteGroup(2, [[1, 0], [0, 1]], 0)
+        FiniteGroup([[1, 0], [0, 1]], 0)
     # the empty table: no identity, and no entry to range-check
     with pytest.raises(InvalidGroup):
-        FiniteGroup(0, np.zeros((0, 0), dtype=int), 0)
+        FiniteGroup(np.zeros((0, 0), dtype=int), 0)
     # a generator is an element index: no float, string, bool or index
     # outside [0, order), which word_length would read or wrap around
     z3 = cyclic_group(3).mult
     for gens in ([5], ["a"], [1.5], [-1], [True], [1, 3]):
         with pytest.raises(InvalidGroup):
-            FiniteGroup(3, z3, 0, generators=tuple(gens))
-    assert FiniteGroup(3, z3, 0, generators=(np.int64(2),)).generators == (2,)
+            FiniteGroup(z3, 0, generators=tuple(gens))
+    assert FiniteGroup(z3, 0, generators=(np.int64(2),)).generators == (2,)
+
+
+def test_order_is_read_from_the_table():
+    assert FiniteGroup(cyclic_group(4).mult, 0).order == 4
+    # a table that is not square, or not a matrix, is no group
+    for table in ([[0, 1]], [0, 1], np.zeros((2, 2, 2), dtype=int)):
+        with pytest.raises(InvalidGroup):
+            FiniteGroup(table, 0)
+
+
+def test_group_data_built_in_code_must_be_finite():
+    # NaN fails every comparison, so a bound checked as `deviation > tol`
+    # would let it through
+    z3 = cyclic_group(3)
+    table = np.ones((3, 3), dtype=complex)
+    table[1, 2] = np.nan
+    with pytest.raises(InvalidCocycle):
+        Cocycle(z3, table)
+    for bad in ([0.0, np.nan, np.nan], [0.0, np.inf, np.inf]):
+        with pytest.raises(InvalidLength):
+            LengthFunction(z3, bad)
+    for bad in ([1.0, np.nan, np.nan], [1.0, np.inf, np.inf]):
+        with pytest.raises(NotPositiveDefinite):
+            PositiveDefiniteFunction(z3, bad)
+
+
+def test_equality_is_identity():
+    # the objects hold arrays: `==` is identity and never raises, and they
+    # hash; equal groups are told apart from the same group by `same_as`
+    def family():
+        group = cyclic_group(3)
+        ga = twisted_group_algebra(group)
+        length = word_length(group)
+        phi = PositiveDefiniteFunction(group, [1.0, 0.5, 0.5])
+        return (group, length, Cocycle(group, np.ones((3, 3))), phi, ga,
+                canonical_trace(ga), multiplier_channel(phi, ga), length_dirac(ga, length))
+
+    ones, twos = family(), family()
+    assert ones[0].same_as(twos[0])
+    for a, b in zip(ones, twos):
+        assert a == a and a != b
+        assert len({a, b}) == 2
 
 
 def is_abelian(g) -> bool:

@@ -13,6 +13,7 @@ from choimetric import (
     io,
     kasparov_product,
     multiplier_channel,
+    prepare_ball,
     word_length,
 )
 from choimetric import cli
@@ -127,7 +128,7 @@ def test_cli_group_gen_and_delta(tmp_path, capsys):
                                                    length_dirac_op(ga, length)))
     pdfs = [io.pdf_from_dict(io.load_json(p), group) for p in (phi, psi)]
     full = delta_distance(*(multiplier_channel(p, ga) for p in pdfs),
-                          canonical_trace(ga), seminorm)
+                          canonical_trace(ga), prepare_ball(seminorm))
     assert full.status == "optimal"
     assert abs(rec["value"] - full.value) <= 1e-6
 

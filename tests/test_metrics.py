@@ -25,6 +25,7 @@ from choimetric import (
     multiplier_channel,
     omega_tau,
     opposite_algebra,
+    prepare_ball,
     selfadjoint_basis,
     wasserstein_dual,
 )
@@ -46,7 +47,6 @@ from choimetric.metrics import (
     _solve_certified,
     _split_components,
     _split_copies,
-    prepare_ball,
 )
 from choimetric.oracles import (
     classical_path_metric,
@@ -68,7 +68,7 @@ def point_states(alg):
 def test_two_point_distance(dist, d2):
     lip = CommutatorSeminorm(SpectralTriple(d2, d2.basis, X / dist))
     dp, dq = point_states(d2)
-    res = mk_between(dp, dq, lip, tolerance=1e-9)
+    res = mk_between(dp, dq, prepare_ball(lip), tolerance=1e-9)
     assert res.status == "optimal"
     assert abs(res.value - dist) < 1e-7
     # primal witness is feasible and achieves the value
@@ -80,7 +80,7 @@ def test_two_point_distance(dist, d2):
 def test_identical_states(d2):
     lip = CommutatorSeminorm(SpectralTriple(d2, d2.basis, X))
     dp, _ = point_states(d2)
-    res = mk_between(dp, dp, lip)
+    res = mk_between(dp, dp, prepare_ball(lip))
     assert res.value == 0.0 and res.status == "optimal"
     assert np.abs(res.optimizer).max() == 0.0
 
@@ -106,18 +106,19 @@ def cutting_plane_bracket(phi, psi, lip):
 
 def test_three_point_path_metric_and_grid_oracle():
     lip = path_seminorm(1.0, 1.0)
+    ball = prepare_ball(lip)
     states = point_states(lip.algebra)
     expected = {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 2.0}
     for (i, j), truth in expected.items():
-        res = mk_between(states[i], states[j], lip, tolerance=1e-9)
+        res = mk_between(states[i], states[j], ball, tolerance=1e-9)
         assert abs(res.value - truth) < 1e-7
         diff = states[i].values - states[j].values
 
-        def ball(t):
+        def norm(t):
             return lip.eval_coords(np.array([t[0], t[1], 0.0], dtype=complex))
 
         oracle = grid_ball_maximize(np.array([diff[0].real, diff[1].real]),
-                                    ball, radius=4.0, rounds=6, pts=17)
+                                    norm, radius=4.0, rounds=6, pts=17)
         assert abs(res.value - oracle) < 1e-5
 
 
@@ -129,7 +130,7 @@ def test_infinite_distance_kernel_witness(m2, rng):
         "xy,byx->b", np.diag([1.0, 0.0]).astype(complex), m2.basis))
     psi = LinearFunctional(m2, np.einsum(
         "xy,byx->b", np.diag([0.0, 1.0]).astype(complex), m2.basis))
-    res = mk_between(phi, psi, lip, warn_on_nonstates=False)
+    res = mk_between(phi, psi, prepare_ball(lip), warn_on_nonstates=False)
     assert res.status == "infinite"
     assert math.isinf(res.value)
     k = res.optimizer
@@ -142,38 +143,38 @@ def test_nonstate_warning(d2):
     phi = LinearFunctional(d2, np.array([2.0, 0.0], dtype=complex))
     psi = LinearFunctional(d2, np.array([0.0, 1.0], dtype=complex))
     with pytest.warns(UserWarning):
-        mk_between(phi, psi, lip)
+        mk_between(phi, psi, prepare_ball(lip))
 
 
 def test_mk_rejects_a_psi_on_another_algebra(m2, m3, rng):
-    lip = CommutatorSeminorm(gradient_dirac_triple([X], algebra=m2))
+    ball = prepare_ball(CommutatorSeminorm(gradient_dirac_triple([X], algebra=m2)))
     phi = random_state(rng, m2)
     # C*(Z4) has M_2's dimension; M_3 has another
     z4 = twisted_group_algebra(cyclic_group(4)).algebra
     for other in (z4, m3):
         psi = LinearFunctional(other, other.unit_coords / other.ambient_dim)
         with pytest.raises(AlgebraMismatch):
-            mk_between(phi, psi, lip)
+            mk_between(phi, psi, ball)
         with pytest.raises(AlgebraMismatch):
-            mk_between(psi, phi, lip)
+            mk_between(psi, phi, ball)
 
 
 def test_mk_symmetry_is_exact(m2, rng):
     ls = [random_hermitian(rng, 2) for _ in range(2)]
-    lip = CommutatorSeminorm(gradient_dirac_triple(ls, algebra=m2))
+    ball = prepare_ball(CommutatorSeminorm(gradient_dirac_triple(ls, algebra=m2)))
     a, b = random_state(rng, m2), random_state(rng, m2)
-    d_ab = mk_between(a, b, lip, tolerance=1e-9)
-    d_ba = mk_between(b, a, lip, tolerance=1e-9)
+    d_ab = mk_between(a, b, ball, tolerance=1e-9)
+    d_ba = mk_between(b, a, ball, tolerance=1e-9)
     assert d_ab.value == d_ba.value
 
 
 def test_mk_triangle(m2, rng):
     ls = [random_hermitian(rng, 2) for _ in range(2)]
-    lip = CommutatorSeminorm(gradient_dirac_triple(ls, algebra=m2))
+    ball = prepare_ball(CommutatorSeminorm(gradient_dirac_triple(ls, algebra=m2)))
     sts = [random_state(rng, m2) for _ in range(3)]
-    d01 = mk_between(sts[0], sts[1], lip, tolerance=1e-9).value
-    d12 = mk_between(sts[1], sts[2], lip, tolerance=1e-9).value
-    d02 = mk_between(sts[0], sts[2], lip, tolerance=1e-9).value
+    d01 = mk_between(sts[0], sts[1], ball, tolerance=1e-9).value
+    d12 = mk_between(sts[1], sts[2], ball, tolerance=1e-9).value
+    d02 = mk_between(sts[0], sts[2], ball, tolerance=1e-9).value
     assert d02 <= d01 + d12 + 2e-7
 
 
@@ -182,7 +183,7 @@ def test_complex_vs_selfadjoint_optimization(rng, d2):
     # program (phase alignment), checked on the two-point space
     lip = CommutatorSeminorm(SpectralTriple(d2, d2.basis, X))
     dp, dq = point_states(d2)
-    res = mk_between(dp, dq, lip, tolerance=1e-9)
+    res = mk_between(dp, dq, prepare_ball(lip), tolerance=1e-9)
     g = (dp.values - dq.values)
 
     def ball(t):
@@ -220,7 +221,7 @@ def test_delta_requires_trace_channels(z2_algebra, z2_trace, z2_length):
     alg = z2_algebra.algebra
     double = ChannelMap(alg, alg, 2.0 * identity_channel(alg).matrix)
     with pytest.raises(NotTraceChannel):
-        delta_distance(double, double, ctx.tau, ctx.seminorm)
+        delta_distance(double, double, ctx.tau, ctx.ball)
 
 
 def _count_algebra_builds(monkeypatch):
@@ -246,16 +247,14 @@ def test_delta_builds_no_algebra(amplified, monkeypatch):
         base = ctx.base
         f, g = (amplify(ctx.n, multiplier_channel(random_pdf(rng, base.group), base.ga))
                 for _ in range(2))
-        args = (f, g, ctx.amp_trace, ctx.seminorm_n)
-        setup = ctx.setup_n
+        args = (f, g, ctx.amp_trace, ctx.ball_n)
     else:
         base = group_context("Z2")
         f, g = (multiplier_channel(random_pdf(rng, base.group), base.ga)
                 for _ in range(2))
-        args = (f, g, base.tau, base.seminorm)
-        setup = base.setup
+        args = (f, g, base.tau, base.ball)
     builds = _count_algebra_builds(monkeypatch)
-    res = delta_distance(*args, tolerance=1e-9, setup=setup)
+    res = delta_distance(*args, tolerance=1e-9)
     assert res.status == "optimal"
     assert builds == []
 
@@ -272,7 +271,7 @@ def test_delta_rejects_a_non_cp_amplified_argument():
     m = amplify(ctx.n, multiplier_channel(
         PositiveDefiniteFunction(cyclic_group(2), [1.0, 0.5]), base.ga))
     with pytest.raises(NotTraceChannel, match="second argument: not completely positive$"):
-        delta_distance(m, partial_t, ctx.amp_trace, ctx.seminorm_n, setup=ctx.setup_n)
+        delta_distance(m, partial_t, ctx.amp_trace, ctx.ball_n)
 
 
 def test_delta_rejects_a_map_that_is_not_star_preserving():
@@ -286,18 +285,18 @@ def test_delta_rejects_a_map_that_is_not_star_preserving():
     assert not is_trace_channel(f, ctx.tau)
     assert omega_tau(f, ctx.tau).is_state() == is_trace_channel(f, ctx.tau)
     with pytest.raises(NotTraceChannel, match="first argument: not completely positive$"):
-        delta_distance(f, g, ctx.tau, ctx.seminorm, setup=ctx.setup)
+        delta_distance(f, g, ctx.tau, ctx.ball)
 
 
 def test_delta_leaves_the_omega_carrier_structure_unbuilt():
     # the CP checks contract the omega functionals with the factors'
     # structure tensors, not with the 144^3 one of the carrier
     ctx = stability_context("Z3")
-    alg = ctx.seminorm_n.algebra
+    alg = ctx.ball_n.seminorm.algebra
     rng = np.random.default_rng(11)
     f, g = (amplify(ctx.n, multiplier_channel(random_pdf(rng, ctx.base.group), ctx.base.ga))
             for _ in range(2))
-    res = delta_distance(f, g, ctx.amp_trace, ctx.seminorm_n, setup=ctx.setup_n)
+    res = delta_distance(f, g, ctx.amp_trace, ctx.ball_n)
     assert callable(alg._structure)
     assert res.status == "optimal"
     assert abs(res.value - 0.5843053396587482) <= 1e-9
@@ -306,10 +305,10 @@ def test_delta_leaves_the_omega_carrier_structure_unbuilt():
 def test_delta_rejects_a_carrier_of_the_wrong_dimension(d2, monkeypatch):
     ctx = group_context("Z2")
     m = multiplier_channel(PositiveDefiniteFunction(cyclic_group(2), [1.0, 0.5]), ctx.ga)
-    lip = CommutatorSeminorm(SpectralTriple(d2, d2.basis, X).validate())
+    ball = prepare_ball(CommutatorSeminorm(SpectralTriple(d2, d2.basis, X).validate()))
     builds = _count_algebra_builds(monkeypatch)
     with pytest.raises(AlgebraMismatch):
-        delta_distance(m, m, ctx.tau, lip)
+        delta_distance(m, m, ctx.tau, ball)
     assert builds == []
 
 
@@ -319,14 +318,14 @@ def test_delta_rejects_a_seminorm_on_another_algebra_of_the_same_dimension(m2, t
     depolarizing = ChannelMap(m2, m2, 0.25 * np.outer(
         m2.unit_coords, np.trace(m2.basis, axis1=1, axis2=2)))
     with pytest.raises(AlgebraMismatch):
-        delta_distance(half_id, depolarizing, tr2, group_context("Z4").seminorm)
+        delta_distance(half_id, depolarizing, tr2, group_context("Z4").ball)
 
 
 def test_delta_zero_on_equal_channels():
     ctx = group_context("Z2")
     phi = PositiveDefiniteFunction(cyclic_group(2), [1.0, 0.5])
     m = multiplier_channel(phi, ctx.ga)
-    res = delta_distance(m, m, ctx.tau, ctx.seminorm, setup=ctx.setup)
+    res = delta_distance(m, m, ctx.tau, ctx.ball)
     assert res.value == 0.0
 
 
@@ -337,8 +336,7 @@ def test_delta_multiplier_family_linear():
     for (t, s) in ((0.9, 0.3), (0.5, -0.5), (0.2, 0.1)):
         mt = multiplier_channel(PositiveDefiniteFunction(cyclic_group(2), [1, t]), ctx.ga)
         ms = multiplier_channel(PositiveDefiniteFunction(cyclic_group(2), [1, s]), ctx.ga)
-        res = delta_distance(mt, ms, ctx.tau, ctx.seminorm,
-                             tolerance=1e-9, setup=ctx.setup)
+        res = delta_distance(mt, ms, ctx.tau, ctx.ball, tolerance=1e-9)
         vals[(t, s)] = res.value / abs(t - s)
     kappas = list(vals.values())
     assert max(kappas) - min(kappas) < 1e-7
@@ -346,21 +344,21 @@ def test_delta_multiplier_family_linear():
     # doubled product Dirac stretches it by exactly sqrt(2)
     assert abs(kappas[0] - 1.0 / np.sqrt(2.0)) < 1e-7
     # the same constant from the grid oracle on the restricted program
-    setup = ctx.setup
-    g = np.zeros(ctx.seminorm.algebra.dim)
+    ball = ctx.ball
+    g = np.zeros(ball.seminorm.algebra.dim)
     # difference functional sits on the lambda_1 (x) lambda_1^op coordinate
     mt = multiplier_channel(PositiveDefiniteFunction(cyclic_group(2), [1, 1.0]), ctx.ga)
     ms = multiplier_channel(PositiveDefiniteFunction(cyclic_group(2), [1, 0.0]), ctx.ga)
     from choimetric.channels import omega_tau
     om_t, om_s = omega_tau(mt, ctx.tau), omega_tau(ms, ctx.tau)
-    assert om_t.algebra is om_s.algebra is ctx.seminorm.algebra
+    assert om_t.algebra is om_s.algebra is ball.seminorm.algebra
     diff = om_t.values - om_s.values
-    gvec = (setup.rows @ diff).real
+    gvec = (ball.rows @ diff).real
 
-    def ball(t):
-        return ctx.seminorm.eval_coords(setup.rows.T @ t)
+    def norm(t):
+        return ball.seminorm.eval_coords(ball.rows.T @ t)
 
-    oracle = grid_ball_maximize(gvec, ball, radius=3.0, rounds=6, pts=9)
+    oracle = grid_ball_maximize(gvec, norm, radius=3.0, rounds=6, pts=9)
     assert abs(oracle - kappas[0]) < 1e-4
 
 
@@ -385,7 +383,8 @@ def test_wasserstein_matches_primal(rng):
         lip = CommutatorSeminorm(gradient_dirac_triple(ls, algebra=alg))
         f1 = LinearFunctional(alg, np.einsum("xy,byx->b", r1, alg.basis))
         f2 = LinearFunctional(alg, np.einsum("xy,byx->b", r2, alg.basis))
-        primal = mk_between(f1, f2, lip, tolerance=1e-8, warn_on_nonstates=False)
+        primal = mk_between(f1, f2, prepare_ball(lip), tolerance=1e-8,
+                            warn_on_nonstates=False)
         dual = wasserstein_dual(r1, r2, ls, tol=1e-8)
         assert abs(primal.value - dual.value) < 1e-5
 
@@ -402,7 +401,7 @@ def test_delta_matches_wasserstein_on_m2(rng, m2, tr2):
     carrier = tensor_algebra(m2, opposite_algebra(m2))
     ls = [random_hermitian(rng, 4) for _ in range(2)]
     lip = CommutatorSeminorm(gradient_dirac_triple(ls, algebra=carrier))
-    res = delta_distance(idn, dep, tr2, lip, tolerance=1e-8)
+    res = delta_distance(idn, dep, tr2, prepare_ball(lip), tolerance=1e-8)
     carrier_trace = standard_matrix_trace(carrier)
     d1, _ = density_from_functional(omega_tau(idn, tr2), carrier_trace)
     d2_, _ = density_from_functional(omega_tau(dep, tr2), carrier_trace)
@@ -411,15 +410,15 @@ def test_delta_matches_wasserstein_on_m2(rng, m2, tr2):
 
 
 def test_dl_zero_and_commutative_target(rng, d2):
-    lip = CommutatorSeminorm(SpectralTriple(d2, d2.basis, X))
+    ball = prepare_ball(CommutatorSeminorm(SpectralTriple(d2, d2.basis, X)))
     f = ChannelMap(d2, d2, np.eye(2, dtype=complex))
-    res = dl_distance(f, f, lip, starts=2, seed=0)
+    res = dl_distance(f, f, ball, starts=2, seed=0)
     assert res.value < 1e-9
     # two stochastic maps on the two-point space
     g = ChannelMap(d2, d2, np.array([[0.7, 0.3], [0.3, 0.7]], dtype=complex))
     h = ChannelMap(d2, d2, np.array([[0.2, 0.8], [0.8, 0.2]], dtype=complex))
-    ascent = dl_distance(g, h, lip, starts=6, seed=1)
-    exact = dl_distance_pure_states(g, h, lip)
+    ascent = dl_distance(g, h, ball, starts=6, seed=1)
+    exact = dl_distance_pure_states(g, h, ball)
     assert ascent.value <= exact.value + 1e-6
     assert abs(ascent.value - exact.value) < 1e-6
     # closed form: both pure-state pullback differences are (1/2)(d_p - d_q)
@@ -434,7 +433,7 @@ def test_dl_rejects_channels_on_other_algebras(m2):
     z4 = twisted_group_algebra(cyclic_group(4)).algebra
     with pytest.raises(AlgebraMismatch):
         dl_distance(identity_channel(m2), identity_channel(z4),
-                    Seminorm(m2, m2.basis), starts=1)
+                    prepare_ball(Seminorm(m2, m2.basis)), starts=1)
 
 
 def test_dl_stabilized_monotone(rng, d2):
@@ -442,7 +441,7 @@ def test_dl_stabilized_monotone(rng, d2):
     h = ChannelMap(d2, d2, np.array([[0.2, 0.8], [0.8, 0.2]], dtype=complex))
     top, per_m = dl_stabilized(g, h, 2, starts=4, seed=0)
     assert top == max(per_m)
-    base = dl_distance(g, h, Seminorm(d2, d2.basis), starts=4, seed=0)
+    base = dl_distance(g, h, prepare_ball(Seminorm(d2, d2.basis)), starts=4, seed=0)
     assert abs(per_m[0] - base.value) < 1e-8
     assert per_m[1] >= per_m[0] - 1e-8
 
@@ -451,36 +450,36 @@ def test_dl_rejects_no_starts_and_no_levels(d2):
     # a start count or a truncation level below 1 is an input error, not a
     # silent single start or an empty maximum
     g = ChannelMap(d2, d2, np.array([[0.7, 0.3], [0.3, 0.7]], dtype=complex))
+    ball = prepare_ball(Seminorm(d2, d2.basis))
     for starts in (0, -5):
         with pytest.raises(ChoimetricError):
-            dl_distance(g, g, Seminorm(d2, d2.basis), starts=starts)
+            dl_distance(g, g, ball, starts=starts)
     for m_max in (0, -1):
         with pytest.raises(ChoimetricError):
             dl_stabilized(g, g, m_max)
 
 
 def test_delta_rejects_a_ball_of_another_seminorm():
-    # the ball of L must not answer for 2L: solved on it, Delta_{2L} would
-    # come back as Delta_L with status "optimal"
+    # the ball of L must not answer for 2L: the ball carries its seminorm,
+    # so Delta_{2L} is solved on the ball of 2L and comes back halved
     ctx = group_context("Z3")
     rng = np.random.default_rng(3)
     f, g = (multiplier_channel(random_pdf(rng, ctx.group), ctx.ga) for _ in range(2))
-    doubled = Seminorm(ctx.seminorm.algebra, 2 * ctx.seminorm.matrices)
-    with pytest.raises(AlgebraMismatch):
-        delta_distance(f, g, ctx.tau, doubled, setup=ctx.setup)
+    lip = ctx.ball.seminorm
+    doubled = prepare_ball(Seminorm(lip.algebra, 2 * lip.matrices))
     own = delta_distance(f, g, ctx.tau, doubled)
-    base = delta_distance(f, g, ctx.tau, ctx.seminorm, setup=ctx.setup)
+    base = delta_distance(f, g, ctx.tau, ctx.ball)
     assert own.status == base.status == "optimal"
     assert abs(2 * own.value - base.value) < 1e-6
 
 
 def test_restricted_ball_rejects_an_objective_off_its_coordinates():
-    setup = group_context("Z3").setup
-    dim = setup.seminorm.algebra.dim
+    ball = group_context("Z3").ball
+    dim = ball.seminorm.algebra.dim
     values = np.zeros(dim, dtype=complex)
-    values[np.setdiff1d(np.arange(dim), setup.keep)[0]] = 1e-3
+    values[np.setdiff1d(np.arange(dim), ball.keep)[0]] = 1e-3
     with pytest.raises(AlgebraMismatch):
-        _maximize_linear(setup, values, 1e-7, sdp.MAX_ITER)
+        _maximize_linear(ball, values, 1e-7, sdp.MAX_ITER)
 
 
 def test_opposite_seminorm_has_the_same_mk_values(rng, m2):
@@ -488,12 +487,13 @@ def test_opposite_seminorm_has_the_same_mk_values(rng, m2):
     lip = CommutatorSeminorm(gradient_dirac_triple([X, np.diag([1.0, -1.0])],
                                                    algebra=m2))
     lop = Seminorm(opposite_algebra(m2), lip.matrices)
+    ball, ball_op = prepare_ball(lip), prepare_ball(lop)
     for _ in range(3):
         phi, psi = random_state(rng, m2), random_state(rng, m2)
         phi_op = LinearFunctional(lop.algebra, phi.values)
         psi_op = LinearFunctional(lop.algebra, psi.values)
-        want = mk_between(phi, psi, lip, tolerance=1e-9)
-        got = mk_between(phi_op, psi_op, lop, tolerance=1e-9)
+        want = mk_between(phi, psi, ball, tolerance=1e-9)
+        got = mk_between(phi_op, psi_op, ball_op, tolerance=1e-9)
         assert want.status == got.status == "optimal"
         assert abs(got.value - want.value) < 1e-8
 
@@ -521,7 +521,7 @@ def test_cutting_planes_bracket_the_sdp_value(m2, rng):
         ls = [random_hermitian(rng, 2) for _ in range(3)]
         lip = CommutatorSeminorm(gradient_dirac_triple(ls, algebra=m2))
         phi, psi = random_state(rng, m2), random_state(rng, m2)
-        value = mk_between(phi, psi, lip, tolerance=1e-10).value
+        value = mk_between(phi, psi, prepare_ball(lip), tolerance=1e-10).value
         lower, upper = cutting_plane_bracket(phi, psi, lip)
         assert lower - 1e-8 <= value <= upper + 1e-8
         assert upper - lower <= 1e-6 * value
@@ -531,11 +531,12 @@ def test_cutting_planes_bracket_the_sdp_value(m2, rng):
 @given(st.floats(0.2, 5.0), st.floats(0.2, 5.0))
 def test_path_metric_properties(w01, w12):
     lip = path_seminorm(w01, w12)
+    ball = prepare_ball(lip)
     states = point_states(lip.algebra)
     truth = classical_path_metric({(0, 1): w01, (1, 2): w12}, 3)
     for i, j in ((0, 1), (1, 2), (0, 2)):
-        there = mk_between(states[i], states[j], lip, tolerance=1e-9)
-        back = mk_between(states[j], states[i], lip, tolerance=1e-9)
+        there = mk_between(states[i], states[j], ball, tolerance=1e-9)
+        back = mk_between(states[j], states[i], ball, tolerance=1e-9)
         assert there.status == "optimal"
         assert abs(there.value - truth[i, j]) <= 1e-6 * truth[i, j]
         assert there.value == back.value
@@ -558,7 +559,7 @@ def test_right_tensor_seminorm_kernel_witness(rng, m2):
     phi = tensor_functional(s1, sb)
     psi = tensor_functional(s2, sb)
     assert phi.algebra is psi.algebra is lip.algebra
-    res = mk_between(phi, psi, lip, warn_on_nonstates=False)
+    res = mk_between(phi, psi, prepare_ball(lip), warn_on_nonstates=False)
     assert res.status == "infinite"
     witness = res.optimizer.reshape(4, 2)
     # the witness lives in A (x) span(1_B): both columns proportional to 1_B
@@ -578,10 +579,9 @@ def test_chaining_on_twisted_group():
     rng = np.random.default_rng(12)
     phis = [random_pdf(rng, ctx.group) for _ in range(4)]
     ms = [multiplier_channel(p, ctx.ga) for p in phis]
-    lhs = delta_distance(compose(ms[0], ms[1]), compose(ms[2], ms[3]),
-                         ctx.tau, ctx.seminorm, setup=ctx.setup)
-    d13 = delta_distance(ms[0], ms[2], ctx.tau, ctx.seminorm, setup=ctx.setup)
-    d24 = delta_distance(ms[1], ms[3], ctx.tau, ctx.seminorm, setup=ctx.setup)
+    lhs = delta_distance(compose(ms[0], ms[1]), compose(ms[2], ms[3]), ctx.tau, ctx.ball)
+    d13 = delta_distance(ms[0], ms[2], ctx.tau, ctx.ball)
+    d24 = delta_distance(ms[1], ms[3], ctx.tau, ctx.ball)
     assert lhs.status == d13.status == d24.status == "optimal"
     assert lhs.value <= d13.value + d24.value + 2e-7
 
@@ -590,7 +590,7 @@ def test_solver_cap_propagates_to_mk(rng, m2):
     ls = [random_hermitian(rng, 2) for _ in range(2)]
     lip = CommutatorSeminorm(gradient_dirac_triple(ls, algebra=m2))
     a, b = random_state(rng, m2), random_state(rng, m2)
-    res = mk_between(a, b, lip, max_iter=1)
+    res = mk_between(a, b, prepare_ball(lip), max_iter=1)
     assert res.status == "max_iter"
 
 
@@ -607,7 +607,7 @@ def test_dl_infinite_when_difference_sees_the_kernel(m2, rng):
                   [np.sin(theta), np.cos(theta)]], dtype=complex)
     cols = [m2.coords_of(u @ b @ u.conj().T) for b in m2.basis]
     rot = ChannelMap(m2, m2, np.array(cols).T)
-    res = dl_distance(idc, rot, lip, starts=2, seed=0)
+    res = dl_distance(idc, rot, prepare_ball(lip), starts=2, seed=0)
     assert res.status == "infinite"
     assert math.isinf(res.value)
 
@@ -630,7 +630,7 @@ def test_state_sup_right_branch(rng):
 
 def test_dl_flags_nonoptimal_inner_solves(monkeypatch, d2):
     # an inner solve that stops short of optimal leaves its start unconverged
-    lip = CommutatorSeminorm(SpectralTriple(d2, d2.basis, X))
+    ball = prepare_ball(CommutatorSeminorm(SpectralTriple(d2, d2.basis, X)))
     g = ChannelMap(d2, d2, np.array([[0.7, 0.3], [0.3, 0.7]], dtype=complex))
     h = ChannelMap(d2, d2, np.array([[0.2, 0.8], [0.8, 0.2]], dtype=complex))
     solve = sdp.solve_sdp
@@ -642,7 +642,7 @@ def test_dl_flags_nonoptimal_inner_solves(monkeypatch, d2):
 
     monkeypatch.setattr(sdp, "solve_sdp", capped)
     with pytest.warns(UserWarning):
-        res = dl_distance(g, h, lip, starts=2, seed=1)
+        res = dl_distance(g, h, ball, starts=2, seed=1)
     assert not res.converged
     assert res.status == "heuristic_nonconvergence"
     assert res.value <= 0.5 + 1e-6          # still a lower bound
@@ -668,9 +668,9 @@ def test_split_components_on_hand_made_stacks():
 # one solved copy per class of equivalent blocks
 # ---------------------------------------------------------------------------
 
-def _every_block(setup):
+def _every_block(ball):
     """The same ball with every block handed to the solver."""
-    return dataclasses.replace(setup, kept=setup.full)
+    return dataclasses.replace(ball, kept=ball.full)
 
 
 def _counting_solver(monkeypatch):
@@ -692,27 +692,27 @@ def test_reduced_solve_matches_full_solve(key, monkeypatch):
         base = ctx.base
 
         def args(f, g):
-            return amplify(ctx.n, f), amplify(ctx.n, g), ctx.amp_trace, ctx.seminorm_n
+            return amplify(ctx.n, f), amplify(ctx.n, g), ctx.amp_trace
 
-        setup = ctx.setup_n
+        ball = ctx.ball_n
     else:
         base = group_context(key)
 
         def args(f, g):
-            return f, g, base.tau, base.seminorm
+            return f, g, base.tau
 
-        setup = base.setup
-    full = _every_block(setup)
+        ball = base.ball
+    full = _every_block(ball)
     calls = _counting_solver(monkeypatch)
     rng = np.random.default_rng(31)
     for _ in range(3):
         f, g = (multiplier_channel(random_pdf(rng, base.group), base.ga) for _ in range(2))
-        reduced = delta_distance(*args(f, g), tolerance=1e-9, setup=setup)
-        every = delta_distance(*args(f, g), tolerance=1e-9, setup=full)
+        reduced = delta_distance(*args(f, g), ball, tolerance=1e-9)
+        every = delta_distance(*args(f, g), full, tolerance=1e-9)
         assert reduced.status == every.status == "optimal"
         assert abs(reduced.value - every.value) <= 1e-7
     # no checked block failed its check: one solve on the kept blocks each
-    assert calls == [len(setup.kept), len(full.kept)] * 3
+    assert calls == [len(ball.kept), len(full.kept)] * 3
 
 
 _delta_context = functools.cache(group_context)
@@ -729,46 +729,46 @@ def test_delta_symmetry_triangle_and_kept_blocks(key, seed):
     rng = np.random.default_rng(seed)
     f, g, h = (multiplier_channel(random_pdf(rng, ctx.group), ctx.ga) for _ in range(3))
 
-    def delta(a, b, setup=ctx.setup):
-        res = delta_distance(a, b, ctx.tau, ctx.seminorm, tolerance=1e-9, setup=setup)
+    def delta(a, b, ball=ctx.ball):
+        res = delta_distance(a, b, ctx.tau, ball, tolerance=1e-9)
         assert res.status == "optimal"
         return res.value
 
     fg = delta(f, g)
     assert delta(g, f) == fg
     assert delta(f, h) <= fg + delta(g, h) + 2e-7
-    assert abs(delta(f, g, setup=_every_block(ctx.setup)) - fg) <= 1e-7
+    assert abs(delta(f, g, ball=_every_block(ctx.ball)) - fg) <= 1e-7
 
 
-_SETUPS = {
-    "Z2": lambda: group_context("Z2").setup,
-    "Z3": lambda: group_context("Z3").setup,
-    "Z4": lambda: group_context("Z4").setup,
-    "S3": lambda: group_context("S3").setup,
-    "amplified Z2": lambda: stability_context("Z2").setup_n,
-    "amplified Z3": lambda: stability_context("Z3").setup_n,
-    "amplified Z2, unrestricted": lambda: stability_context("Z2", restrict=False).setup_n,
+_BALLS = {
+    "Z2": lambda: group_context("Z2").ball,
+    "Z3": lambda: group_context("Z3").ball,
+    "Z4": lambda: group_context("Z4").ball,
+    "S3": lambda: group_context("S3").ball,
+    "amplified Z2": lambda: stability_context("Z2").ball_n,
+    "amplified Z3": lambda: stability_context("Z3").ball_n,
+    "amplified Z2, unrestricted": lambda: stability_context("Z2", restrict=False).ball_n,
 }
 
 
 @functools.cache
-def _setup(key):
-    return _SETUPS[key]()
+def _ball(key):
+    return _BALLS[key]()
 
 
 @pytest.mark.parametrize("build, kept, total", [
-    (lambda: group_context("Z2").setup, 1, 8),
-    (lambda: group_context("Z3").setup, 2, 8),
-    (lambda: group_context("Z4").setup, 2, 8),
-    (lambda: group_context("S3").setup, 2, 4),
-    (lambda: stability_context("Z2").setup_n, 1, 4),
-    (lambda: stability_context("Z3").setup_n, 2, 6),
-    (lambda: stability_context("Z2", restrict=False).setup_n, 1, 2),
+    (lambda: group_context("Z2").ball, 1, 8),
+    (lambda: group_context("Z3").ball, 2, 8),
+    (lambda: group_context("Z4").ball, 2, 8),
+    (lambda: group_context("S3").ball, 2, 4),
+    (lambda: stability_context("Z2").ball_n, 1, 4),
+    (lambda: stability_context("Z3").ball_n, 2, 6),
+    (lambda: stability_context("Z2", restrict=False).ball_n, 1, 2),
 ])
 def test_kept_block_counts(build, kept, total):
     # classes of copies among the assembled blocks, before any block splits
-    setup = build()
-    assert (len(_split_copies(setup.full)), len(setup.full)) == (kept, total)
+    ball = build()
+    assert (len(_split_copies(ball.full)), len(ball.full)) == (kept, total)
 
 
 _PIECE_SIZES = {
@@ -786,8 +786,8 @@ _PIECE_SIZES = {
 def test_kept_piece_sizes(key, monkeypatch):
     # every kept block goes to the solver as its irreducible pieces, and
     # `_solve_certified` checks every block of `full` it does not see verbatim
-    setup = _setup(key)
-    assert [len(cmat) for cmat, _ in setup.kept] == _PIECE_SIZES[key]
+    ball = _ball(key)
+    assert [len(cmat) for cmat, _ in ball.kept] == _PIECE_SIZES[key]
     checked = []
     violation = metrics._psd_violation
 
@@ -796,13 +796,13 @@ def test_kept_piece_sizes(key, monkeypatch):
         return violation(cmat, astack, y)
 
     monkeypatch.setattr(metrics, "_psd_violation", counted)
-    b = np.zeros(setup.full[0][1].shape[0])
+    b = np.zeros(ball.full[0][1].shape[0])
     b[0] = 1.0
-    _solve_certified(b, setup.kept, setup.full, 1e-9, 1)
-    verbatim = [k for k in setup.kept if any(k is block for block in setup.full)]
-    assert len(verbatim) + len(checked) == len(setup.full)
+    _solve_certified(b, ball.kept, ball.full, 1e-9, 1)
+    verbatim = [k for k in ball.kept if any(k is block for block in ball.full)]
+    assert len(verbatim) + len(checked) == len(ball.full)
     assert len({id(a) for a in checked}) == len(checked)
-    assert all(any(a is block[1] for block in setup.full)
+    assert all(any(a is block[1] for block in ball.full)
                and not any(a is k[1] for k in verbatim) for a in checked)
 
 
@@ -811,15 +811,15 @@ def _lam_min(blocks, y):
     return min(np.linalg.eigvalsh(c - contract_stack(y[None], a)[0])[0] for c, a in blocks)
 
 
-@pytest.mark.parametrize("key", list(_SETUPS))
+@pytest.mark.parametrize("key", list(_BALLS))
 def test_kept_pieces_give_the_smallest_slack_eigenvalue(key):
     # the pieces are the summands of each block up to unitary equivalence,
     # so at any y they carry the smallest eigenvalue of every slack
-    setup = _setup(key)
+    ball = _ball(key)
     rng = np.random.default_rng(7)
     for _ in range(5):
-        y = rng.standard_normal(setup.full[0][1].shape[0])
-        assert abs(_lam_min(setup.kept, y) - _lam_min(setup.full, y)) <= 1e-9
+        y = rng.standard_normal(ball.full[0][1].shape[0])
+        assert abs(_lam_min(ball.kept, y) - _lam_min(ball.full, y)) <= 1e-9
 
 
 def test_gradient_dirac_blocks_split_without_losing_the_slack():
@@ -828,8 +828,8 @@ def test_gradient_dirac_blocks_split_without_losing_the_slack():
     rng = np.random.default_rng(3)
     alg = matrix_algebra(2)
     ls = [random_hermitian(rng, 2) for _ in range(3)]
-    setup = prepare_ball(CommutatorSeminorm(gradient_dirac_triple(ls, algebra=alg)))
-    for block in setup.full:
+    ball = prepare_ball(CommutatorSeminorm(gradient_dirac_triple(ls, algebra=alg)))
+    for block in ball.full:
         pieces = _irreducible_pieces(block)
         for _ in range(5):
             y = rng.standard_normal(block[1].shape[0])
@@ -859,16 +859,15 @@ def test_wrong_piece_falls_back_to_the_full_solve(monkeypatch):
     # program than the blocks they came from: the check of the split blocks
     # rejects the reduced y and the full program is solved
     ctx = stability_context("Z2")
-    setup = ctx.setup_n
-    wrong = dataclasses.replace(setup, kept=[(c, 0.5 * a) for c, a in setup.kept])
+    ball = ctx.ball_n
+    wrong = dataclasses.replace(ball, kept=[(c, 0.5 * a) for c, a in ball.kept])
     rng = np.random.default_rng(5)
     f, g = (amplify(ctx.n, multiplier_channel(random_pdf(rng, ctx.base.group), ctx.base.ga))
             for _ in range(2))
-    args = (f, g, ctx.amp_trace, ctx.seminorm_n)
-    every = delta_distance(*args, tolerance=1e-9, setup=_every_block(setup))
+    every = delta_distance(f, g, ctx.amp_trace, _every_block(ball), tolerance=1e-9)
     calls = _counting_solver(monkeypatch)
-    res = delta_distance(*args, tolerance=1e-9, setup=wrong)
-    assert calls == [len(setup.kept), len(setup.full)]
+    res = delta_distance(f, g, ctx.amp_trace, wrong, tolerance=1e-9)
+    assert calls == [len(ball.kept), len(ball.full)]
     assert res.status == every.status == "optimal"
     assert abs(res.value - every.value) <= 1e-9
 
@@ -878,18 +877,16 @@ def test_wrong_copy_falls_back_to_the_full_solve(monkeypatch):
     # as a dropped copy: the check rejects the reduced y and solves them all
     ctx = group_context("Z2")
     # Z2's blocks are copies of one block, which the solver is handed whole
-    (block,) = _split_copies(ctx.setup.full)
+    (block,) = _split_copies(ctx.ball.full)
     cmat, astack = block
     bad = (cmat, 2.0 * astack)
-    wrong = dataclasses.replace(ctx.setup, kept=[block], full=[block, bad])
+    wrong = dataclasses.replace(ctx.ball, kept=[block], full=[block, bad])
     rng = np.random.default_rng(5)
     f, g = (multiplier_channel(random_pdf(rng, ctx.group), ctx.ga) for _ in range(2))
-    right = delta_distance(f, g, ctx.tau, ctx.seminorm, tolerance=1e-9,
-                           setup=ctx.setup)
-    every = delta_distance(f, g, ctx.tau, ctx.seminorm, tolerance=1e-9,
-                           setup=_every_block(wrong))
+    right = delta_distance(f, g, ctx.tau, ctx.ball, tolerance=1e-9)
+    every = delta_distance(f, g, ctx.tau, _every_block(wrong), tolerance=1e-9)
     calls = _counting_solver(monkeypatch)
-    res = delta_distance(f, g, ctx.tau, ctx.seminorm, tolerance=1e-9, setup=wrong)
+    res = delta_distance(f, g, ctx.tau, wrong, tolerance=1e-9)
     assert calls == [1, 2]
     assert res.status == every.status == "optimal"
     assert abs(res.value - every.value) <= 1e-9
@@ -899,12 +896,12 @@ def test_wrong_copy_falls_back_to_the_full_solve(monkeypatch):
 def test_solve_certified_passes_the_reason_through():
     # the reduced solve, and the full solve after a wrong copy fails its check
     ctx = group_context("Z2")
-    cmat, astack = ctx.setup.kept[0]
+    cmat, astack = ctx.ball.kept[0]
     b = np.zeros(astack.shape[0])
     b[0] = 1.0
     for checked in ([], [(cmat, 2.0 * astack)]):
-        full = ctx.setup.kept + checked
-        res = _solve_certified(b, ctx.setup.kept, full, 1e-9, sdp.MAX_ITER)
+        full = ctx.ball.kept + checked
+        res = _solve_certified(b, ctx.ball.kept, full, 1e-9, sdp.MAX_ITER)
         assert (res.status, res.reason) == ("optimal", "converged")
-        capped = _solve_certified(b, ctx.setup.kept, full, 1e-9, 1)
+        capped = _solve_certified(b, ctx.ball.kept, full, 1e-9, 1)
         assert (capped.status, capped.reason) == ("max_iter", "max_iter")
