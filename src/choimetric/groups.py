@@ -44,7 +44,14 @@ class FiniteGroup:
     generators: tuple = ()           # canonical generating set, may be empty
 
     def __post_init__(self):
-        object.__setattr__(self, "mult", np.asarray(self.mult, dtype=int))
+        # np.asarray(..., dtype=int) would truncate a fractional entry
+        try:
+            table = np.asarray(self.mult)
+        except ValueError:
+            raise InvalidGroup("table rows differ in length") from None
+        if table.dtype.kind not in "iu":
+            raise InvalidGroup(f"table entries of type {table.dtype}: not integers")
+        object.__setattr__(self, "mult", table.astype(int))
         _validate_group(self)
         # every row is a permutation: the identity sits once in each
         object.__setattr__(self, "inverse",
@@ -60,6 +67,12 @@ class FiniteGroup:
                     and np.array_equal(self.mult, other.mult)))
 
 
+def _is_index(a, n: int) -> bool:
+    """Whether `a` is an element index: an integer, not a bool, in [0, n)."""
+    return (not isinstance(a, bool) and isinstance(a, (int, np.integer))
+            and 0 <= a < n)
+
+
 def _validate_group(g: FiniteGroup):
     t = g.mult
     if t.ndim != 2 or t.shape[0] != t.shape[1] or not t.size:
@@ -68,8 +81,8 @@ def _validate_group(g: FiniteGroup):
     if t.min() < 0 or t.max() >= n:
         raise InvalidGroup("table entries out of range")
     e = g.identity
-    if not 0 <= e < n:
-        raise InvalidGroup("identity out of range")
+    if not _is_index(e, n):
+        raise InvalidGroup(f"identity {e!r} is not an element index in [0, {n})")
     if not (np.array_equal(t[e], np.arange(n)) and np.array_equal(t[:, e], np.arange(n))):
         raise InvalidGroup("identity law fails")
     # associativity over the full table
@@ -81,7 +94,7 @@ def _validate_group(g: FiniteGroup):
         if len(set(t[a])) != n:
             raise InvalidGroup(f"row {a} is not a permutation")
     for a in g.generators:
-        if isinstance(a, bool) or not isinstance(a, (int, np.integer)) or not 0 <= a < n:
+        if not _is_index(a, n):
             raise InvalidGroup(f"generator {a!r} is not an element index in [0, {n})")
 
 
@@ -132,51 +145,6 @@ def symmetric_group_3() -> FiniteGroup:
     transpositions = tuple(index[p] for p in perms
                            if sum(p[i] != i for i in range(3)) == 2)
     return FiniteGroup(table, e, name="S3", generators=transpositions)
-
-
-# -- structure ----------------------------------------------------------------
-
-def commutator_subgroup(g: FiniteGroup) -> np.ndarray:
-    """[G, G], as sorted element indices: the closure of the commutators
-    aba^-1b^-1 under products, which in a finite group is a subgroup."""
-    t, inv = g.mult, g.inverse
-    sub = comms = np.unique(t[t, t[np.ix_(inv, inv)]])
-    while len(grown := np.unique(t[np.ix_(sub, comms)])) > len(sub):
-        sub = grown
-    return sub
-
-
-def one_dim_characters(g: FiniteGroup) -> np.ndarray:
-    """All multiplicative characters G -> T, as rows of a (k, |G|) array.
-
-    Built exactly from the trivial character of the commutator subgroup K.
-    A subgroup H >= K is normal and its characters are trivial on K, so for
-    x with x^m the least power in H, each character chi of H extends to
-    <H, x> = U_{j<m} x^j H in m ways: chi(x^j h) = w^j chi(h) with w over
-    the m-th roots of chi(x^m).
-    """
-    t = g.mult
-    members = list(commutator_subgroup(g))      # H; chars[:, k] is at members[k]
-    chars = np.ones((1, len(members)), dtype=complex)
-    for x in range(g.order):
-        col = {h: k for k, h in enumerate(members)}
-        if x in col:
-            continue
-        powers = [g.identity]                   # x^j for j < m
-        while t[powers[-1], x] not in col:
-            powers.append(t[powers[-1], x])
-        m = len(powers)
-        top = chars[:, col[t[powers[-1], x]]]
-        w = np.exp(1j * (np.angle(top)[:, None] + 2 * np.pi * np.arange(m)) / m)
-        chars = np.repeat(chars, m, axis=0)
-        chars = np.hstack([w.reshape(-1, 1) ** j * chars for j in range(m)])
-        members = [t[p, h] for p in powers for h in members]
-    out = np.empty_like(chars)
-    out[:, members] = chars
-    # exact multiplicativity check
-    if np.abs(out[:, :, None] * out[:, None, :] - out[:, g.mult]).max() > 1e-10:
-        raise InvalidGroup("non-multiplicative character")
-    return out
 
 
 # -- length functions ----------------------------------------------------------

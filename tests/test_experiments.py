@@ -11,12 +11,13 @@ from choimetric import metrics
 from choimetric.cli import main
 from choimetric.algebra import _swap_coords, tensor_algebra
 from choimetric.errors import Infeasible, InvalidSpectralTriple
-from choimetric.geometry import CommutatorSeminorm, kasparov_product
+from choimetric.generate import random_pdf
+from choimetric.geometry import CommutatorSeminorm, SpectralTriple, kasparov_product
 from choimetric.groups import (
     cyclic_group,
     dihedral_group,
     direct_product,
-    one_dim_characters,
+    multiplier_channel,
     symmetric_group_3,
     twisted_group_algebra,
     word_length,
@@ -211,14 +212,12 @@ def test_suites_prepare_each_ball_once(suite, balls, monkeypatch):
     assert len(calls) == balls
 
 
-def _character_fixed_coordinates(group, amp):
-    """The coordinates (i, a, j, b) with chi(ab) = 1 for every 1-dimensional
-    character chi, found by testing the character values, in (i, j, pair)
-    order."""
-    chars = one_dim_characters(group)
+def _coset_coordinates(group, amp):
+    """The coordinates (i, a, j, b) with ab = e, found pair by pair, in
+    (i, j, pair) order."""
     g = group.order
     pairs = [(a, b) for a in range(g) for b in range(g)
-             if all(abs(chi[group.mult[a, b]] - 1.0) < 1e-9 for chi in chars)]
+             if group.mult[a, b] == group.identity]
     return [((i * g + a) * amp + j) * g + b
             for i in range(amp) for j in range(amp) for a, b in pairs]
 
@@ -227,35 +226,54 @@ _MORE_GROUPS = {"D4": lambda: dihedral_group(4), "D5": lambda: dihedral_group(5)
                 "S3xZ2": lambda: direct_product(symmetric_group_3(), cyclic_group(2))}
 
 
+def _kasparov_seminorm(group, cocycle=None, dirac=None):
+    """The Kasparov seminorm of the group context, without its unit ball;
+    `dirac` replaces the length Dirac of the first factor."""
+    ga, length = twisted_group_algebra(group, cocycle), word_length(group)
+    first = (E.length_dirac(ga, length) if dirac is None
+             else SpectralTriple(ga.algebra, ga.algebra.basis, dirac).validate())
+    return CommutatorSeminorm(kasparov_product(first, E.length_dirac_op(ga, length)))
+
+
 @pytest.mark.parametrize("key", ["Z2", "Z3", "Z4", "S3", "Z2xZ2", "Z2xZ2-twisted",
                                  "D4", "D5", "S3xZ2"])
-def test_char_restriction_keeps_the_character_fixed_coordinates(key):
-    # the commutator subgroup is the common kernel of the 1-dimensional
-    # characters, so its pairs are the pairs the characters fix
+def test_coset_restriction_keeps_the_pairs_with_product_e(key):
     group, cocycle = ((_MORE_GROUPS[key](), None) if key in _MORE_GROUPS
                       else E.builtin_group(key))
-    # the Kasparov seminorm of the group context, without its unit ball
-    ga, length = twisted_group_algebra(group, cocycle), word_length(group)
-    seminorm = CommutatorSeminorm(kasparov_product(
-        E.length_dirac(ga, length), E.length_dirac_op(ga, length)))
-    keep = E._char_restriction(seminorm, group)
-    assert keep.tolist() == _character_fixed_coordinates(group, 1)
+    keep = E._coset_restriction(_kasparov_seminorm(group, cocycle), group)
+    assert keep.tolist() == _coset_coordinates(group, 1)
     # amplified coordinates; the indices do not depend on the seminorm, so
-    # a zero seminorm, which every phase preserves, stands in for it
-    dim = 16 * group.order ** 2
-    zero = SimpleNamespace(algebra=SimpleNamespace(dim=dim),
-                           eval_coords=lambda x: np.zeros(len(x)))
-    keep = E._char_restriction(zero, group, 4)
-    assert keep.tolist() == _character_fixed_coordinates(group, 4)
+    # a zero seminorm on a 1-dimensional space, which mixes no cosets,
+    # stands in for it
+    zero = SimpleNamespace(matrices=np.zeros((16 * group.order ** 2, 1, 1)))
+    keep = E._coset_restriction(zero, group, 4)
+    assert keep.tolist() == _coset_coordinates(group, 4)
 
 
-def test_char_restriction_checks_the_phase_invariance():
-    # |x_(0,0) + x_(0,1)| on C*(Z3) (x) C*(Z3)^op: a phase moves x_(0,1) only
-    group, _ = E.builtin_group("Z3")
-    norm = SimpleNamespace(algebra=SimpleNamespace(dim=9),
-                           eval_coords=lambda x: np.abs(x[:, 0] + x[:, 1]))
+def test_coset_restriction_checks_the_cosets_exactly():
+    # a length Dirac with one entry between x = 0 and x = 1 moves the
+    # kept commutators across the cosets
+    group = symmetric_group_3()
+    dirac = np.diag(word_length(group).values).astype(complex)
+    dirac[0, 1] = dirac[1, 0] = 0.3
     with pytest.raises(AssertionError):
-        E._char_restriction(norm, group)
+        E._coset_restriction(_kasparov_seminorm(group, dirac=dirac), group)
+
+
+@pytest.mark.parametrize("group", [symmetric_group_3(), dihedral_group(4)],
+                         ids=["S3", "D4"])
+def test_coset_restriction_loses_nothing_on_nonabelian_groups(group):
+    # the restricted ball and the full ball of the same seminorm give the
+    # same Delta between multipliers
+    ctx = E.build_group_context(group)
+    full = metrics.prepare_ball(ctx.ball.seminorm)
+    rng = np.random.default_rng(11)
+    for _ in range(2):
+        f, g = (multiplier_channel(random_pdf(rng, group), ctx.ga) for _ in range(2))
+        res, ref = (E.delta_distance(f, g, ctx.tau, ball, tolerance=E.SOLVER_TOL)
+                    for ball in (ctx.ball, full))
+        assert res.status == ref.status == "optimal"
+        assert abs(res.value - ref.value) <= 1e-6
 
 
 def test_restriction_cross_check_records_the_stalled_solve(monkeypatch):

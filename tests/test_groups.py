@@ -29,7 +29,6 @@ from choimetric.errors import (
 )
 from choimetric.experiments import length_dirac, length_dirac_op
 from choimetric.generate import random_pdf
-from choimetric.groups import commutator_subgroup, one_dim_characters
 
 
 def test_group_laws_validated():
@@ -47,6 +46,15 @@ def test_group_laws_validated():
         with pytest.raises(InvalidGroup):
             FiniteGroup(z3, 0, generators=tuple(gens))
     assert FiniteGroup(z3, 0, generators=(np.int64(2),)).generators == (2,)
+
+
+def test_group_data_built_in_code_raises_invalid_group():
+    # an identity that is no element index, a ragged table, and a
+    # fractional entry that an integer cast would truncate to Z2
+    for table, identity in (([[0, 1], [1, 0]], 0.5), ([[0, 1], [1]], 0),
+                            ([[0, 1], [1, 0.7]], 0)):
+        with pytest.raises(InvalidGroup):
+            FiniteGroup(table, identity)
 
 
 def test_order_is_read_from_the_table():
@@ -119,35 +127,6 @@ def test_tables_match_their_elementwise_definitions(rng):
     for i in range(6):
         for j in range(6):
             assert mat[i, j] == phi.values[s3.mult[s3.inverse[j], i]]
-
-
-def test_characters():
-    for g, count in ((cyclic_group(4), 4), (symmetric_group_3(), 2),
-                     (dihedral_group(4), 4)):
-        chars = one_dim_characters(g)
-        assert len(chars) == count
-        for chi in chars:
-            for a in range(g.order):
-                for b in range(g.order):
-                    assert abs(chi[a] * chi[b] - chi[g.mult[a, b]]) < 1e-10
-    z2, s3 = cyclic_group(2), symmetric_group_3()
-    # group, order of its commutator subgroup
-    for g, k in ((dihedral_group(5), 5), (dihedral_group(6), 3),
-                 (direct_product(z2, cyclic_group(4)), 1),
-                 (direct_product(cyclic_group(3), cyclic_group(3)), 1),
-                 (direct_product(s3, z2), 3),
-                 (direct_product(dihedral_group(4), cyclic_group(3)), 2),
-                 (direct_product(direct_product(z2, z2), z2), 1)):
-        comm = commutator_subgroup(g)
-        assert len(comm) == k
-        chars = one_dim_characters(g)
-        # one character per element of the abelianization G / [G, G]
-        assert chars.shape == (g.order // k, g.order)
-        gaps = np.abs(chars[:, None, :] - chars[None, :, :]).max(axis=2)
-        assert (gaps + np.eye(len(chars)) > 0.5).all()          # pairwise distinct
-        assert np.abs(chars[:, :, None] * chars[:, None, :]
-                      - chars[:, g.mult]).max() < 1e-12          # multiplicative
-        assert np.abs(chars[:, comm] - 1.0).max() < 1e-12        # trivial on [G, G]
 
 
 def test_word_length():

@@ -120,7 +120,7 @@ def test_cli_group_gen_and_delta(tmp_path, capsys):
     rec = json.loads(capsys.readouterr().out.strip())
     assert rec["status"] == "optimal"
     assert rec["value"] > 0
-    # the CLI solves on the character-restricted subspace; the unrestricted
+    # the CLI solves on the pairs ab = e; the unrestricted
     # Kasparov seminorm gives the same value
     group, _, length = io.group_from_dict(io.load_json(gpath))
     ga = twisted_group_algebra(group)

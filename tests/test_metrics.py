@@ -760,7 +760,7 @@ def _ball(key):
     (lambda: group_context("Z2").ball, 1, 8),
     (lambda: group_context("Z3").ball, 2, 8),
     (lambda: group_context("Z4").ball, 2, 8),
-    (lambda: group_context("S3").ball, 2, 4),
+    (lambda: group_context("S3").ball, 5, 12),
     (lambda: stability_context("Z2").ball_n, 1, 4),
     (lambda: stability_context("Z3").ball_n, 2, 6),
     (lambda: stability_context("Z2", restrict=False).ball_n, 1, 2),
@@ -775,7 +775,7 @@ _PIECE_SIZES = {
     "Z2": [1, 1],
     "Z3": [3, 3, 3],
     "Z4": [4] + [1] * 8,
-    "S3": [36, 18, 18],
+    "S3": [6, 6, 6, 12, 6],
     "amplified Z2": [8, 8],
     "amplified Z3": [24, 24, 24],
     "amplified Z2, unrestricted": [16, 16],
