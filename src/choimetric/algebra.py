@@ -427,33 +427,24 @@ def density_from_functional(phi: LinearFunctional, tau: TraceFunctional):
 
 def selfadjoint_basis(alg: ConcreteAlgebra,
                       keep: np.ndarray | None = None) -> np.ndarray:
-    """Real basis of the self-adjoint part, as rows of complex coordinates.
+    """Real basis of the self-adjoint part, as rows of complex coordinates,
+    orthonormal in the real inner product Re <r_i, r_j>.
 
     With `keep` (indices of coordinates that span a *-closed subspace) the
-    basis parametrizes only self-adjoint elements supported on them.
+    basis parametrizes only self-adjoint elements supported on them; the
+    self-adjoint parts of B_i and i B_i over i in `keep` span exactly those.
+    Raises AlgebraMismatch when the adjoint of a kept basis element has
+    coordinates outside `keep`.
     """
     d = alg.dim
-    s_mat = np.eye(d, dtype=complex)
-    if keep is not None:
-        s_mat = s_mat[:, keep]
-    k = s_mat.shape[1]
-    # element c = S w, w in C^k ~ R^{2k}; require adjoint(c) = c.
-    adj = alg.adjoint_coords.T      # coords(x^*) = adj @ conj(coords(x))
-    # map w -> adjoint(Sw) - Sw as a real-linear map on (Re w, Im w)
-    a_on_s = adj @ np.conj(s_mat)   # image of conj-part
-    # c(w) = S (u + iv); c* = adj conj(S) (u - iv)
-    # condition: adj conj(S) u - i adj conj(S) v - S u - i S v = 0
-    top = np.hstack([a_on_s - s_mat, -1j * (a_on_s + s_mat)])
-    null = linalg.row_and_null_space_real(
-        np.vstack([top.real, top.imag]))[1]     # columns (2k,)
-    cols = []
-    for c in null.T:
-        w = c[:k] + 1j * c[k:]
-        cols.append(s_mat @ w)
-    if not cols:
-        return np.zeros((0, d), dtype=complex)
-    rows = np.asarray(cols)
-    # orthonormalize over R (real combinations preserve self-adjointness)
-    emb = np.hstack([rows.real, rows.imag]).T        # (2d, r)
-    q, _ = np.linalg.qr(emb)
-    return (q[:d, :] + 1j * q[d:, :]).T
+    keep = np.arange(d) if keep is None else np.asarray(keep)
+    adj = alg.adjoint_coords[keep]          # row i: coords(B_i^*)
+    if float(np.abs(np.delete(adj, keep, axis=1)).max(initial=0.0)) > EPS_STRUCT:
+        raise AlgebraMismatch("kept coordinates do not span a *-closed subspace")
+    k, adj = len(keep), adj[:, keep]
+    # 2 (x + x^*)/2 for x = B_i and x = i B_i, on the kept coordinates
+    gens = np.vstack([np.eye(k) + adj, 1j * (np.eye(k) - adj)])
+    frame = linalg.row_and_null_space_real(np.hstack([gens.real, gens.imag]))[0]
+    rows = np.zeros((frame.shape[1], d), dtype=complex)
+    rows[:, keep] = frame[:k].T + 1j * frame[k:].T
+    return rows

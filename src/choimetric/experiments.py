@@ -592,9 +592,9 @@ def _stability_hypothesis_audit(ctx: StabilityContext, seed: int,
     mn, _, mn_op, _ = lip_n.algebra.factors
     nn = tensor_algebra(mn, mn_op)
     unflipped = right_tensor_seminorm(nn, lip.triple, nn.basis)
-    cond1 = _omega_seminorm(unflipped)
     x = complex_samples(rng, samples, lip_n.algebra.dim)
-    worst1 = float((cond1.eval_coords(x) - lip_n.eval_coords(x)).max(initial=0.0))
+    worst1 = float((unflipped.eval_coords(_swap_coords(lip_n.algebra, x, 1, 2))
+                    - lip_n.eval_coords(x)).max(initial=0.0))
     ms1 = (time.perf_counter() - t0) * 1000.0
     t0 = time.perf_counter()
     x = complex_samples(rng, samples, lip.algebra.dim)
@@ -682,8 +682,7 @@ def run_duality(seed: int = 0, trials: int = 50) -> list[ExperimentRecord]:
         lip = CommutatorSeminorm(gradient_dirac_triple(ls, algebra=alg))
         phi1 = LinearFunctional(alg, np.einsum("xy,byx->b", rho1, alg.basis))
         phi2 = LinearFunctional(alg, np.einsum("xy,byx->b", rho2, alg.basis))
-        primal = mk_between(phi1, phi2, prepare_ball(lip), tolerance=SOLVER_TOL,
-                            warn_on_nonstates=False)
+        primal = mk_between(phi1, phi2, prepare_ball(lip), tolerance=SOLVER_TOL)
         try:
             dual = wasserstein_dual(rho1, rho2, ls, tol=SOLVER_TOL)
             dual_value, dual_status = dual.value, dual.status

@@ -71,7 +71,6 @@ class MKResult:
     optimizer: np.ndarray
     dual_gap: float
     status: str                  # "optimal" | "infinite" | "max_iter" | "stalled"
-    iterations: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -299,19 +298,17 @@ def _maximize_linear(ball: _BallSetup, values: np.ndarray, tol: float,
     flip = -1.0 if gred[int(np.argmax(np.abs(gred)))] < 0 else 1.0
     res = _solve_certified(flip * gred / scale, ball.kept, ball.full, tol, max_iter)
     coords = ball.rows.T @ (ball.range_basis @ (flip * res.y))
-    return MKResult(res.value * scale, coords, res.gap * scale, res.status,
-                    iterations=res.iterations)
+    return MKResult(res.value * scale, coords, res.gap * scale, res.status)
 
 
 def mk_between(phi: LinearFunctional, psi: LinearFunctional, ball: _BallSetup,
-               tolerance: float = 1e-7, max_iter: int = sdp.MAX_ITER,
-               warn_on_nonstates: bool = True) -> MKResult:
+               tolerance: float = 1e-7, max_iter: int = sdp.MAX_ITER) -> MKResult:
     """The Monge-Kantorovich extended metric between two functionals on the
     algebra of the ball's seminorm, the sup over the prepared `ball`."""
     algebra = ball.seminorm.algebra
     if not (phi.algebra.same_as(algebra) and psi.algebra.same_as(algebra)):
         raise AlgebraMismatch("seminorm not defined over the functionals' algebra")
-    if warn_on_nonstates and not (phi.is_state() and psi.is_state()):
+    if not (phi.is_state() and psi.is_state()):
         warnings.warn("mk_between applied to non-state functionals; "
                       "proceeding on the difference", stacklevel=2)
     diff = np.asarray(phi.values - psi.values, dtype=complex)
@@ -348,7 +345,6 @@ class WassersteinResult:
     value: float
     gap: float
     status: str
-    iterations: int
 
 
 def _herm_param_basis(n: int) -> np.ndarray:
@@ -433,7 +429,7 @@ def wasserstein_dual(rho1: np.ndarray, rho2: np.ndarray, l_mats,
                                              np.trace(herm_q, axis1=1, axis2=2)]).real
     block = [(cmat, astack)]
     res = _solve_certified(b, block, block, tol, sdp.MAX_ITER)
-    return WassersteinResult(-res.value, res.gap, res.status, res.iterations)
+    return WassersteinResult(-res.value, res.gap, res.status)
 
 
 # ---------------------------------------------------------------------------

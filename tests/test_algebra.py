@@ -12,6 +12,8 @@ from choimetric import (
     cyclic_group,
     density_from_functional,
     diagonal_algebra,
+    direct_product,
+    klein_twist_cocycle,
     matrix_algebra,
     opposite_algebra,
     swap_functional,
@@ -22,6 +24,7 @@ from choimetric import (
 from choimetric.algebra import _swap_coords, selfadjoint_basis
 from choimetric.channels import pullback_state
 from choimetric.errors import (
+    AlgebraMismatch,
     LinearlyDependentBasis,
     NoUnit,
     NotATrace,
@@ -29,7 +32,7 @@ from choimetric.errors import (
     NotClosedUnderProduct,
     NotFaithful,
 )
-from choimetric.experiments import stability_context
+from choimetric.experiments import group_context, stability_context
 from choimetric.linalg import is_psd
 from conftest import evaluate_mu_tau, functional_from_element, swap_op_functional
 
@@ -288,12 +291,44 @@ def test_tensor_trace_factorizes(m2, tr2, d2):
             assert abs(vals[i, j] - tr2.values[i] * tau_d.values[j]) < 1e-12
 
 
-def test_selfadjoint_basis_dimension(m3):
-    rows = selfadjoint_basis(m3)
-    assert rows.shape == (9, 9)
-    for r in rows:
-        amb = m3.realize(r)
-        assert np.abs(amb - amb.conj().T).max() < 1e-10
+def _klein_twisted():
+    k4 = direct_product(cyclic_group(2), cyclic_group(2))
+    return twisted_group_algebra(k4, klein_twist_cocycle(k4)).algebra, None
+
+
+def _ball_frame(ball):
+    return ball.seminorm.algebra, ball.keep
+
+
+@pytest.mark.parametrize("case", [
+    lambda: (matrix_algebra(3), None),
+    lambda: _ball_frame(group_context("S3").ball),
+    lambda: _ball_frame(stability_context("Z2").ball_n),
+    _klein_twisted,
+], ids=["M3", "S3 coset keep", "amplified Z2 coset keep", "Z2xZ2 twisted"])
+def test_selfadjoint_basis_contract(case, rng):
+    alg, keep = case()
+    keep = np.arange(alg.dim) if keep is None else keep
+    rows = selfadjoint_basis(alg, keep)
+    assert rows.shape == (len(keep), alg.dim)
+    assert np.abs(np.delete(rows, keep, axis=1)).max(initial=0.0) == 0.0
+    # self-adjoint and orthonormal in Re <r_i, r_j>
+    assert np.abs(np.array([alg.adjoint_of_coords(r) for r in rows]) - rows).max() < 1e-12
+    assert np.abs((rows.conj() @ rows.T).real - np.eye(len(rows))).max() < 1e-12
+    # random self-adjoint elements supported on keep lie in the real span
+    for _ in range(3):
+        x = np.zeros(alg.dim, dtype=complex)
+        x[keep] = rng.standard_normal(len(keep)) + 1j * rng.standard_normal(len(keep))
+        x = 0.5 * (x + alg.adjoint_of_coords(x))
+        along = (rows.conj() @ x).real
+        assert np.abs(rows.T @ along - x).max() < 1e-10 * max(1.0, np.abs(x).max())
+
+
+def test_selfadjoint_basis_rejects_a_keep_that_is_not_star_closed():
+    # lambda_1^* = lambda_2 in C*(Z3): coordinate 2 is not kept
+    z3 = twisted_group_algebra(cyclic_group(3)).algebra
+    with pytest.raises(AlgebraMismatch):
+        selfadjoint_basis(z3, [1])
 
 
 def test_pullback_functional(m2, rng):

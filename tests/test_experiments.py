@@ -12,7 +12,12 @@ from choimetric.cli import main
 from choimetric.algebra import _swap_coords, tensor_algebra
 from choimetric.errors import Infeasible, InvalidSpectralTriple
 from choimetric.generate import random_pdf
-from choimetric.geometry import CommutatorSeminorm, SpectralTriple, kasparov_product
+from choimetric.geometry import (
+    CommutatorSeminorm,
+    SpectralTriple,
+    kasparov_product,
+    right_tensor_seminorm,
+)
 from choimetric.groups import (
     cyclic_group,
     dihedral_group,
@@ -291,6 +296,20 @@ def test_stability_side_records_time_their_own_work():
     assert E._restriction_cross_check(ctx, ctx_full, seed=0).ms > 0
     audit = E._stability_hypothesis_audit(ctx, seed=0, samples=2, trial=0)
     assert [r.ms > 0 for r in audit] == [True, True]
+
+
+@pytest.mark.parametrize("key", ["Z2", "Z3"])
+def test_audit_sample_flip_reads_the_reindexed_stack(key, rng):
+    # condition 1 of the audit flips its samples instead of reindexing the stack
+    ctx = E.stability_context(key)
+    lip, lip_n = ctx.base.ball.seminorm, ctx.ball_n.seminorm
+    mn, _, mn_op, _ = lip_n.algebra.factors
+    nn = tensor_algebra(mn, mn_op)
+    unflipped = right_tensor_seminorm(nn, lip.triple, nn.basis)
+    x = rng.standard_normal((4, lip_n.algebra.dim)) + 1j * rng.standard_normal(
+        (4, lip_n.algebra.dim))
+    flipped = unflipped.eval_coords(_swap_coords(lip_n.algebra, x, 1, 2))
+    assert np.abs(flipped - E._omega_seminorm(unflipped).eval_coords(x)).max() <= 1e-12
 
 
 def test_kasparov_record_fails_on_an_invalid_product(monkeypatch):

@@ -130,7 +130,7 @@ def test_infinite_distance_kernel_witness(m2, rng):
         "xy,byx->b", np.diag([1.0, 0.0]).astype(complex), m2.basis))
     psi = LinearFunctional(m2, np.einsum(
         "xy,byx->b", np.diag([0.0, 1.0]).astype(complex), m2.basis))
-    res = mk_between(phi, psi, prepare_ball(lip), warn_on_nonstates=False)
+    res = mk_between(phi, psi, prepare_ball(lip))
     assert res.status == "infinite"
     assert math.isinf(res.value)
     k = res.optimizer
@@ -383,8 +383,7 @@ def test_wasserstein_matches_primal(rng):
         lip = CommutatorSeminorm(gradient_dirac_triple(ls, algebra=alg))
         f1 = LinearFunctional(alg, np.einsum("xy,byx->b", r1, alg.basis))
         f2 = LinearFunctional(alg, np.einsum("xy,byx->b", r2, alg.basis))
-        primal = mk_between(f1, f2, prepare_ball(lip), tolerance=1e-8,
-                            warn_on_nonstates=False)
+        primal = mk_between(f1, f2, prepare_ball(lip), tolerance=1e-8)
         dual = wasserstein_dual(r1, r2, ls, tol=1e-8)
         assert abs(primal.value - dual.value) < 1e-5
 
@@ -559,7 +558,7 @@ def test_right_tensor_seminorm_kernel_witness(rng, m2):
     phi = tensor_functional(s1, sb)
     psi = tensor_functional(s2, sb)
     assert phi.algebra is psi.algebra is lip.algebra
-    res = mk_between(phi, psi, prepare_ball(lip), warn_on_nonstates=False)
+    res = mk_between(phi, psi, prepare_ball(lip))
     assert res.status == "infinite"
     witness = res.optimizer.reshape(4, 2)
     # the witness lives in A (x) span(1_B): both columns proportional to 1_B
