@@ -39,6 +39,7 @@ from .geometry import (
     CommutatorSeminorm,
     Seminorm,
     SpectralTriple,
+    kasparov_commutators,
     kasparov_product,
     left_tensor_seminorm,
     right_tensor_seminorm,

@@ -65,9 +65,11 @@ def _result_json(value, status, gap, **extra):
 
 
 def cmd_validate(args):
+    kind = args.kind
+    if args.group is not None and kind != "pdf":
+        raise ChoimetricError(f"--kind {kind} does not read --group")
     data = io.load_json(args.file)
     registry = _registry(args.algebras)
-    kind = args.kind
     if kind == "algebra":
         alg = io.algebra_from_dict(data)
         print(f"valid algebra: dim {alg.dim} in M_{alg.ambient_dim}")
@@ -217,15 +219,25 @@ def cmd_kasparov(args):
     return 0
 
 
+# the order flags each group kind reads
+_ORDERS = {"cyclic": ("n",), "dihedral": ("n",), "product": ("n", "m")}
+
+
 def cmd_group_gen(args):
+    reads = _ORDERS.get(args.kind, ())
+    for flag in ("n", "m"):
+        if getattr(args, flag) is not None and flag not in reads:
+            raise ChoimetricError(f"--kind {args.kind} does not read --{flag}")
+    n = 2 if args.n is None else args.n
+    m = 2 if args.m is None else args.m
     if args.kind == "cyclic":
-        group = cyclic_group(args.n)
+        group = cyclic_group(n)
     elif args.kind == "dihedral":
-        group = dihedral_group(args.n)
+        group = dihedral_group(n)
     elif args.kind == "symmetric3":
         group = symmetric_group_3()
     elif args.kind == "product":
-        group = direct_product(cyclic_group(args.n), cyclic_group(args.m))
+        group = direct_product(cyclic_group(n), cyclic_group(m))
     elif args.kind == "klein-twisted":
         group = direct_product(cyclic_group(2), cyclic_group(2))
     else:
@@ -347,8 +359,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kind", required=True,
                     choices=["cyclic", "dihedral", "symmetric3", "product",
                              "klein-twisted"])
-    sp.add_argument("--n", type=int, default=2)
-    sp.add_argument("--m", type=int, default=2)
+    sp.add_argument("--n", type=int, default=None,
+                    help="order (cyclic, dihedral, product; default 2)")
+    sp.add_argument("--m", type=int, default=None,
+                    help="order of the second factor (product; default 2)")
 
     for name in ("stability", "chaining", "embedding"):
         verb(name, cmd_suite, f"run the {name} acceptance suite",

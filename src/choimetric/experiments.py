@@ -53,6 +53,7 @@ from .geometry import (
     Seminorm,
     SpectralTriple,
     gradient_dirac_triple,
+    kasparov_commutators,
     kasparov_product,
     right_tensor_seminorm,
     seminorm_domination_check,
@@ -301,15 +302,16 @@ def stability_context(key: str, n: int = 2, restrict: bool = True) -> StabilityC
     equality requires.
     """
     base = group_context(key, restrict=restrict)
-    t_nn = amplifier_triple(n)
-    product_total = kasparov_product(t_nn, base.ball.seminorm.triple)
+    t_nn, t_base = amplifier_triple(n), base.ball.seminorm.triple
 
     mn = matrix_algebra(n)
     trace_n = as_trace(LinearFunctional(
         mn, np.trace(mn.basis, axis1=1, axis2=2) / n))
     amp_trace = tensor_trace(trace_n, base.tau)
 
-    seminorm_n = _omega_seminorm(CommutatorSeminorm(product_total))
+    # the (alpha, beta) stack lives only until its omega copy is made
+    seminorm_n = _omega_seminorm(Seminorm(tensor_algebra(t_nn.algebra, t_base.algebra),
+                                          kasparov_commutators(t_nn, t_base)))
     keep = _coset_restriction(seminorm_n, base.group, n * n) if restrict else None
     return StabilityContext(base, n, amp_trace, prepare_ball(seminorm_n, keep))
 

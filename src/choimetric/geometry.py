@@ -13,6 +13,8 @@ commuting with the grading).  A Kasparov product is checked through its
 factors: both pass the full check, the product passes the operator laws,
 and its faithfulness is read from the factors' singular values; its other
 representation laws follow from the factors' (see `kasparov_product`).
+`kasparov_commutators` gives the product's commutator stack from the
+factors' commutators, under the same check, without its representation.
 """
 
 from __future__ import annotations
@@ -55,30 +57,13 @@ class SpectralTriple:
     def validate(self):
         """Raise InvalidSpectralTriple unless this is a faithful unital
         *-representation with a Hermitian Dirac (and a grading), to EPS_STRUCT:
-        the operator laws, then the representation laws."""
-        self._check_operators()
+        the shapes, the operator laws, then the representation laws."""
+        d, h, _ = self.rep.shape
+        if d != self.algebra.dim or self.dirac.shape != (h, h):
+            raise InvalidSpectralTriple("shape mismatch between rep and dirac")
+        _check_operator_laws(self.dirac, self.grading)
         self._check_representation()
         return self
-
-    def _check_operators(self):
-        """The laws on the Hilbert space alone, O(h^3): the Dirac is Hermitian,
-        and a grading is a Hermitian involution that anticommutes with it."""
-        tol = EPS_STRUCT
-        d, h, _ = self.rep.shape
-        dirac = self.dirac
-        if d != self.algebra.dim or dirac.shape != (h, h):
-            raise InvalidSpectralTriple("shape mismatch between rep and dirac")
-        if not linalg.is_hermitian(dirac):
-            raise InvalidSpectralTriple("Dirac matrix is not Hermitian")
-        if self.grading is not None:
-            g = self.grading
-            if linalg.frobenius(g - linalg.dagger(g)) > tol * h:
-                raise InvalidSpectralTriple("grading is not Hermitian")
-            if linalg.frobenius(g @ g - np.eye(h)) > tol * h:
-                raise InvalidSpectralTriple("grading does not square to one")
-            scale = max(1.0, float(np.abs(dirac).max(initial=0.0)))
-            if float(np.abs(g @ dirac + dirac @ g).max()) > 1e3 * tol * scale:
-                raise InvalidSpectralTriple("grading does not anticommute with the Dirac matrix")
 
     def _check_representation(self):
         """The laws of the representation: unital, multiplicative,
@@ -119,6 +104,25 @@ class SpectralTriple:
             g = self.grading
             if float(np.abs(g @ rep - rep @ g).max()) > 1e3 * tol * rscale:
                 raise InvalidSpectralTriple("grading does not commute with the representation")
+
+
+def _check_operator_laws(dirac: np.ndarray, grading: np.ndarray | None):
+    """The laws on the Hilbert space alone, O(h^3): raise
+    InvalidSpectralTriple unless the Dirac is Hermitian and a grading is a
+    Hermitian involution that anticommutes with it, to EPS_STRUCT."""
+    tol = EPS_STRUCT
+    h = dirac.shape[0]
+    if not linalg.is_hermitian(dirac):
+        raise InvalidSpectralTriple("Dirac matrix is not Hermitian")
+    if grading is not None:
+        g = grading
+        if linalg.frobenius(g - linalg.dagger(g)) > tol * h:
+            raise InvalidSpectralTriple("grading is not Hermitian")
+        if linalg.frobenius(g @ g - np.eye(h)) > tol * h:
+            raise InvalidSpectralTriple("grading does not square to one")
+        scale = max(1.0, float(np.abs(dirac).max(initial=0.0)))
+        if float(np.abs(g @ dirac + dirac @ g).max()) > 1e3 * tol * scale:
+            raise InvalidSpectralTriple("grading does not anticommute with the Dirac matrix")
 
 
 # a representation is faithful when every singular value of its flattened
@@ -197,6 +201,36 @@ def right_tensor_seminorm(algebra_a: ConcreteAlgebra, triple_b: SpectralTriple,
 # Kasparov exterior products
 # ---------------------------------------------------------------------------
 
+def _checked_product(ta: SpectralTriple, tb: SpectralTriple):
+    """The carrier, Dirac and grading of the exterior Kasparov product of
+    `ta` and `tb`, after the one check of a product (see `kasparov_product`):
+    both factors pass the full `validate`, the product's Dirac and grading
+    pass the operator laws, and `_tensor_rank` finds it faithful."""
+    ta.validate()
+    tb.validate()
+    carrier = tensor_algebra(ta.algebra, tb.algebra)
+    ia, ib = np.eye(ta.hilbert_dim), np.eye(tb.hilbert_dim)
+    grading = None
+    copies = 1
+    if ta.even:
+        dirac = np.kron(ta.dirac, ib) + np.kron(ta.grading, tb.dirac)
+        if tb.even:
+            grading = np.kron(ta.grading, tb.grading)
+    elif tb.even:
+        dirac = np.kron(ta.dirac, tb.grading) + np.kron(ia, tb.dirac)
+    else:
+        copies = 2
+        h0 = len(ia) * len(ib)
+        dirac = np.zeros((2 * h0, 2 * h0), dtype=complex)
+        dirac[:h0, h0:] = np.kron(ta.dirac, ib) + 1j * np.kron(ia, tb.dirac)
+        dirac[h0:, :h0] = np.kron(ta.dirac, ib) - 1j * np.kron(ia, tb.dirac)
+        grading = np.kron(np.diag([1.0, -1.0]), np.eye(h0)).astype(complex)
+    _check_operator_laws(dirac, grading)
+    if _tensor_rank(ta, tb, copies) < carrier.dim:
+        raise InvalidSpectralTriple("representation is not faithful")
+    return carrier, dirac, grading
+
+
 def kasparov_product(ta: SpectralTriple, tb: SpectralTriple) -> SpectralTriple:
     """Exterior Kasparov product over the tensor algebra, in all four parity
     combinations; raises InvalidSpectralTriple unless it is a spectral triple.
@@ -217,40 +251,56 @@ def kasparov_product(ta: SpectralTriple, tb: SpectralTriple) -> SpectralTriple:
     gamma_A (x) gamma_B, or diag(1, -1) (x) 1, commutes with it when the
     factor gradings commute with their representations.
     """
-    ta.validate()
-    tb.validate()
-    carrier = tensor_algebra(ta.algebra, tb.algebra)
-    ha, hb = ta.hilbert_dim, tb.hilbert_dim
-    ia, ib = np.eye(ha), np.eye(hb)
-    rep0 = kron_stack(ta.rep, tb.rep)
+    carrier, dirac, grading = _checked_product(ta, tb)
+    rep = kron_stack(ta.rep, tb.rep)
+    if not (ta.even or tb.even):
+        h0 = rep.shape[1]
+        doubled = np.zeros((len(rep), 2 * h0, 2 * h0), dtype=complex)
+        doubled[:, :h0, :h0] = rep
+        doubled[:, h0:, h0:] = rep
+        rep = doubled
+    return SpectralTriple(carrier, rep, dirac, grading)
 
-    if ta.even and tb.even:
-        dirac = np.kron(ta.dirac, ib) + np.kron(ta.grading, tb.dirac)
-        grading = np.kron(ta.grading, tb.grading)
-        out = SpectralTriple(carrier, rep0, dirac, grading)
-    elif not ta.even and not tb.even:
-        h0 = ha * hb
-        d = carrier.dim
-        rep = np.zeros((d, 2 * h0, 2 * h0), dtype=complex)
-        rep[:, :h0, :h0] = rep0
-        rep[:, h0:, h0:] = rep0
-        dplus = np.kron(ta.dirac, ib) + 1j * np.kron(ia, tb.dirac)
-        dminus = np.kron(ta.dirac, ib) - 1j * np.kron(ia, tb.dirac)
-        dirac = np.zeros((2 * h0, 2 * h0), dtype=complex)
-        dirac[:h0, h0:] = dplus
-        dirac[h0:, :h0] = dminus
-        grading = np.kron(np.diag([1.0, -1.0]), np.eye(h0)).astype(complex)
-        out = SpectralTriple(carrier, rep, dirac, grading)
-    elif not ta.even and tb.even:
-        dirac = np.kron(ta.dirac, tb.grading) + np.kron(ia, tb.dirac)
-        out = SpectralTriple(carrier, rep0, dirac, None)
+
+def kasparov_commutators(ta: SpectralTriple, tb: SpectralTriple) -> np.ndarray:
+    """The commutator stack [D, pi(B_a (x) C_b)] of `kasparov_product(ta, tb)`,
+    over its carrier's coordinates (a, b) in row-major order, assembled from
+    the factors' commutators: neither the product's representation nor
+    D pi and pi D is formed.  The checks are `kasparov_product`'s.
+
+    A grading commutes with its factor's representation, so
+    even x even, even x odd : [D_A, pi_A] (x) pi_B + gamma_A pi_A (x) [D_B, pi_B]
+    odd  x even : [D_A, pi_A] (x) gamma_B pi_B + pi_A (x) [D_B, pi_B]
+    odd  x odd  : off-diagonal blocks [D_A, pi_A] (x) pi_B +- i pi_A (x) [D_B, pi_B]
+    The first term is one Kronecker stack; the second is added into it one
+    coordinate of A at a time."""
+    _checked_product(ta, tb)
+    ca, cb = ta.commutator_matrices(), tb.commutator_matrices()
+    if ta.even:
+        out = kron_stack(ca, tb.rep)
+        _add_kron_rows(out, ta.grading @ ta.rep, cb)
+    elif tb.even:
+        out = kron_stack(ca, tb.grading @ tb.rep)
+        _add_kron_rows(out, ta.rep, cb)
     else:
-        dirac = np.kron(ta.dirac, ib) + np.kron(ta.grading, tb.dirac)
-        out = SpectralTriple(carrier, rep0, dirac, None)
-    out._check_operators()
-    if _tensor_rank(ta, tb, out.hilbert_dim // (ha * hb)) < carrier.dim:
-        raise InvalidSpectralTriple("representation is not faithful")
+        first = kron_stack(ca, tb.rep)
+        h0 = first.shape[1]
+        out = np.zeros((len(first), 2 * h0, 2 * h0), dtype=complex)
+        out[:, :h0, h0:] = first
+        out[:, h0:, :h0] = first
+        del first
+        irep = 1j * ta.rep
+        _add_kron_rows(out[:, :h0, h0:], irep, cb)
+        _add_kron_rows(out[:, h0:, :h0], -irep, cb)
     return out
+
+
+def _add_kron_rows(out: np.ndarray, stack_a: np.ndarray, stack_b: np.ndarray):
+    """Add `kron_stack(stack_a, stack_b)` into `out` in place, one row of
+    `stack_a` at a time, so no temporary of the size of `out` exists."""
+    db = len(stack_b)
+    for i in range(len(stack_a)):
+        out[i * db:(i + 1) * db] += kron_stack(stack_a[i:i + 1], stack_b)
 
 
 def gradient_dirac_triple(l_mats, algebra: ConcreteAlgebra | None = None) -> SpectralTriple:
@@ -286,7 +336,7 @@ def seminorm_domination_check(ta: SpectralTriple, tb: SpectralTriple,
     elements of the tensor algebra, up to the relative slack EPS_STRUCT.
     Returns the number of violations and the largest excess of a factor
     seminorm over L_{A x B} (0 when none exceeds it)."""
-    big = CommutatorSeminorm(kasparov_product(ta, tb))
+    big = Seminorm(tensor_algebra(ta.algebra, tb.algebra), kasparov_commutators(ta, tb))
     left = left_tensor_seminorm(ta, tb.algebra, rep_b=tb.rep)
     right = right_tensor_seminorm(ta.algebra, tb, rep_a=ta.rep)
     coords = linalg.complex_samples(rng, samples, big.algebra.dim)

@@ -75,12 +75,17 @@ def is_psd(m: np.ndarray) -> bool:
 def row_and_null_space_real(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal bases of the row space and of the null space of a real
     matrix, as columns, from one SVD; singular values at most 1e-12 * s_max
-    * max(shape) count as zero."""
+    * max(shape) count as zero.
+
+    A tall matrix is first reduced to the R factor of its QR decomposition,
+    which has the same singular values and right factor (Chan, ACM TOMS 8,
+    1982), so the unused tall left factor is never formed."""
     if mat.size == 0:
         return np.zeros((mat.shape[1], 0)), np.eye(mat.shape[1])
-    # the economy SVD already carries the complete right factor when the
-    # matrix has at least as many rows as columns
-    full = mat.shape[0] < mat.shape[1]
-    _, s, vh = np.linalg.svd(mat, full_matrices=full)
-    rank = int(np.sum(s > s[0] * 1e-12 * max(mat.shape)))
+    shape = mat.shape
+    if shape[0] > shape[1]:
+        mat = np.linalg.qr(mat, mode="r")
+    # the economy SVD of a square matrix carries the complete right factor
+    _, s, vh = np.linalg.svd(mat, full_matrices=shape[0] < shape[1])
+    rank = int(np.sum(s > s[0] * 1e-12 * max(shape)))
     return vh[:rank].conj().T, vh[rank:].conj().T

@@ -1,6 +1,7 @@
 import csv
 import itertools
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -121,6 +122,21 @@ def test_amplified_triple_is_valid_on_the_omega_carrier(key, order):
     i, a, j, b = 1, order - 1, 2, 0
     assert to_omega[((i * order + a) * 4 + j) * order + b] \
         == ((i * 4 + j) * order + a) * order + b
+
+
+def test_stability_context_allocates_about_its_omega_stack():
+    # assembled from the factors' commutators, the amplified Z3 set-up holds
+    # the (alpha, beta) stack and its omega copy, and little besides
+    E.group_context("Z3")
+    tracemalloc.start()
+    try:
+        ctx = E.stability_context("Z3")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stack = ctx.ball_n.seminorm.matrices
+    assert stack.shape == (144, 144, 144)
+    assert peak <= 2.5 * stack.nbytes
 
 
 def test_chaining_small():

@@ -8,6 +8,7 @@ from choimetric import (
     Seminorm,
     SpectralTriple,
     diagonal_algebra,
+    kasparov_commutators,
     kasparov_product,
     left_tensor_seminorm,
     matrix_algebra,
@@ -125,17 +126,19 @@ CORRUPTIONS = [(law, parity)
     ("does not commute", "even"), ("does not anticommute", "even")]
 
 
+@pytest.mark.parametrize("build", [kasparov_product, kasparov_commutators],
+                         ids=["product", "commutators"])
 @pytest.mark.parametrize("partner", ["odd", "even"])
 @pytest.mark.parametrize("position", ["first", "second"])
 @pytest.mark.parametrize("law, parity", CORRUPTIONS)
-def test_kasparov_product_rejects_a_corrupted_factor(law, parity, position, partner):
+def test_kasparov_product_rejects_a_corrupted_factor(law, parity, position, partner, build):
     bad = _corrupt_factor(law, parity)
     with pytest.raises(InvalidSpectralTriple, match=law):
         bad.validate()
     good = _toy_triples()[partner]
     factors = (bad, good) if position == "first" else (good, bad)
     with pytest.raises(InvalidSpectralTriple, match=law):
-        kasparov_product(*factors)
+        build(*factors)
 
 
 def _suite_factors(case):
@@ -164,6 +167,52 @@ def test_suite_products_pass_the_full_check(case):
     tol = _FAITHFUL_TOL * max(1.0, float(np.abs(product.rep).max()) ** 2)
     copies = 1 if ta.even or tb.even else 2
     assert _tensor_rank(ta, tb, copies) == _rank(product.rep.reshape(d, h * h), tol) == d
+
+
+def _rotated(t: SpectralTriple, rng) -> SpectralTriple:
+    """`t` conjugated by a random unitary: a unitarily equivalent triple
+    whose entries floating point no longer multiplies exactly."""
+    h = t.hilbert_dim
+    u, _ = np.linalg.qr(rng.standard_normal((h, h)) + 1j * rng.standard_normal((h, h)))
+
+    def conj(m):
+        return u @ m @ u.conj().T
+
+    return SpectralTriple(t.algebra, conj(t.rep), conj(t.dirac),
+                          None if t.grading is None else conj(t.grading))
+
+
+TOYS = ("odd", "even", "odd_m2", "even_m2")
+
+
+@pytest.mark.parametrize("rotate", [False, True], ids=["exact", "rotated"])
+@pytest.mark.parametrize("pb", TOYS)
+@pytest.mark.parametrize("pa", TOYS)
+def test_kasparov_commutators_are_the_products_commutators(pa, pb, rotate):
+    # every parity; on integer toys the arithmetic is exact and so is the
+    # agreement, on rotated ones it agrees to rounding
+    toys = _toy_triples()
+    ta, tb = toys[pa], toys[pb]
+    if rotate:
+        rng = np.random.default_rng(TOYS.index(pa) * 4 + TOYS.index(pb))
+        ta, tb = _rotated(ta, rng), _rotated(tb, rng)
+    stack = kasparov_commutators(ta, tb)
+    reference = kasparov_product(ta, tb).commutator_matrices()
+    assert stack.shape == reference.shape
+    if rotate:
+        # even_m2's Dirac commutes with its representation: a zero stack
+        assert np.abs(stack - reference).max() <= 1e-13 * max(1.0, np.abs(reference).max())
+    else:
+        assert np.array_equal(stack, reference)
+
+
+@pytest.mark.parametrize("case", ["S3", ("Z2", True), ("Z2", False), ("Z3", True)],
+                         ids=["S3", "amplified Z2", "amplified Z2 unrestricted",
+                              "amplified Z3"])
+def test_kasparov_commutators_of_the_suite_factors_are_exact(case):
+    ta, tb = _suite_factors(case)
+    assert np.array_equal(kasparov_commutators(ta, tb),
+                          kasparov_product(ta, tb).commutator_matrices())
 
 
 @pytest.mark.parametrize("copies", [1, 2])

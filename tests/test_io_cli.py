@@ -286,7 +286,9 @@ def test_cli_malformed_input_file_is_an_error(tmp_path, capsys, kind, data):
     if kind == "problem":
         argv = ["wasserstein", "--problem", bad]
     else:
-        argv = ["validate", bad, "--kind", kind, "--group", gpath, "--algebras", alg]
+        argv = ["validate", bad, "--kind", kind, "--algebras", alg]
+        if kind == "pdf":
+            argv += ["--group", gpath]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error:")
 
@@ -320,6 +322,43 @@ def test_cli_rejects_flags_the_verb_does_not_read(argv, capsys):
 def test_cli_out_of_range_size_is_an_error(argv, capsys):
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["group-gen", "--kind", "symmetric3", "--n", "5"],
+    ["group-gen", "--kind", "symmetric3", "--n", "5", "--m", "9"],
+    ["group-gen", "--kind", "klein-twisted", "--m", "3"],
+    ["group-gen", "--kind", "cyclic", "--n", "3", "--m", "9"],
+    ["group-gen", "--kind", "dihedral", "--m", "3"],
+])
+def test_cli_group_gen_rejects_an_order_its_kind_does_not_read(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "does not read" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("kind, n, m, order", [
+    ("cyclic", None, None, 2), ("cyclic", 5, None, 5), ("dihedral", None, None, 4),
+    ("product", None, None, 4), ("product", 3, None, 6), ("product", 2, 3, 6),
+    ("symmetric3", None, None, 6), ("klein-twisted", None, None, 4),
+])
+def test_cli_group_gen_reads_the_orders_of_its_kind(kind, n, m, order, capsys):
+    argv = ["group-gen", "--kind", kind]
+    argv += ["--n", str(n)] if n is not None else []
+    argv += ["--m", str(m)] if m is not None else []
+    assert main(argv) == 0
+    assert len(json.loads(capsys.readouterr().out)["mult_table"]) == order
+
+
+@pytest.mark.parametrize("kind", ["group", "algebra", "triple"])
+def test_cli_validate_rejects_a_group_file_outside_kind_pdf(tmp_path, capsys, kind):
+    gpath = str(tmp_path / "z2.json")
+    assert main(["group-gen", "--kind", "cyclic", "--out", gpath]) == 0
+    assert main(["validate", gpath, "--kind", kind, "--group", gpath]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "does not read --group" in captured.err
+    assert captured.out == ""
 
 
 _SOLVE_ARGV = {

@@ -40,7 +40,7 @@ from choimetric.experiments import (
 from choimetric.generate import random_density, random_hermitian, random_pdf, random_state
 from choimetric.geometry import gradient_dirac_triple
 from choimetric.groups import PositiveDefiniteFunction, cyclic_group, twisted_group_algebra
-from choimetric.linalg import contract_stack
+from choimetric.linalg import contract_stack, row_and_null_space_real
 from choimetric.metrics import (
     _irreducible_pieces,
     _maximize_linear,
@@ -470,6 +470,40 @@ def test_delta_rejects_a_ball_of_another_seminorm():
     base = delta_distance(f, g, ctx.tau, ctx.ball)
     assert own.status == base.status == "optimal"
     assert abs(2 * own.value - base.value) < 1e-6
+
+
+def _svd_row_and_null_space(mat):
+    """The row and null space bases from the full SVD of `mat`, at the rank
+    threshold of `row_and_null_space_real`."""
+    _, s, vh = np.linalg.svd(mat, full_matrices=True)
+    rank = int(np.sum(s > s[0] * 1e-12 * max(mat.shape)))
+    return vh[:rank].T, vh[rank:].T
+
+
+@pytest.mark.parametrize("shape, rank", [((300, 12), 12), ((300, 12), 7), ((3000, 40), 40),
+                                         ((3000, 40), 25), ((41, 40), 3)])
+def test_row_space_of_a_tall_matrix_comes_from_its_r_factor(shape, rank):
+    # the R factor has the singular values and right factor of the matrix
+    rng = np.random.default_rng(rank)
+    mat = rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1]))
+    row, null = row_and_null_space_real(mat)
+    row_svd, null_svd = _svd_row_and_null_space(mat)
+    assert row.shape[1] == row_svd.shape[1] == rank
+    assert null.shape[1] == null_svd.shape[1] == shape[1] - rank
+    assert np.abs(row @ row.T - row_svd @ row_svd.T).max() <= 1e-12
+    assert np.abs(null @ null.T - null_svd @ null_svd.T).max() <= 1e-12
+    assert np.abs(row.T @ null).max(initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("key, restrict, amplified, sizes", [
+    ("Z2", True, False, (1, 1)), ("Z3", True, False, (2, 1)), ("Z4", True, False, (3, 1)),
+    ("S3", True, False, (5, 1)), ("Z2", True, True, (28, 4)), ("Z2", False, True, (60, 4)),
+    ("Z3", True, True, (44, 4))])
+def test_ball_range_and_kernel_sizes(key, restrict, amplified, sizes):
+    # (q, n0): the range and kernel dimensions of every suite's ball
+    ball = (stability_context(key, restrict=restrict).ball_n if amplified
+            else group_context(key, restrict=restrict).ball)
+    assert (ball.range_basis.shape[1], ball.null_basis.shape[1]) == sizes
 
 
 def test_restricted_ball_rejects_an_objective_off_its_coordinates():
