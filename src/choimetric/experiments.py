@@ -70,7 +70,7 @@ from .groups import (
     twisted_group_algebra,
     word_length,
 )
-from .linalg import EPS_STRUCT, complex_samples
+from .linalg import EPS_STRUCT, complex_samples, components
 from .metrics import delta_distance, mk_between, prepare_ball, wasserstein_dual
 from .oracles import classical_path_metric, grid_ball_maximize
 
@@ -192,7 +192,7 @@ class GroupContext:
     """Everything needed for Delta distances between multipliers on one
     twisted group algebra: the prepared unit ball of the length Dirac
     Kasparov product seminorm over A (x) A^op, restricted to the pairs
-    ab = e (see `_coset_restriction`)."""
+    ab = e (see `_pinching_restriction`, at n = 1)."""
 
     group: object
     ga: object
@@ -200,29 +200,42 @@ class GroupContext:
     ball: object
 
 
-def _coset_restriction(seminorm, group, amp: int = 1) -> np.ndarray:
-    """The coordinates (i, a, j, b) with ab = e, the span of the subgroup
-    H = {(a, a^-1)} of G x G^op that holds every multiplier difference.
-    i, j run over `amp` amplification indices (amp=1: plain pairs (a, b));
-    the indices run over (i, j), then over the pairs.
+def _pinching_restriction(seminorm, group, n: int = 1) -> np.ndarray:
+    """The coordinates (i, a, j, b) with ab = e and i = pn + q, j = rn + s
+    fixed by the torus, {p, r} = {q, s} as multisets: (2n^2 - n) |G| of
+    them, in (i, j), then pair, order; n = 1 gives the plain pairs (a, b).
+    The pairs ab = e span the subgroup H = {(a, a^-1)} of G x G^op, which
+    holds every multiplier difference, and the torus pairs hold the support
+    of omega(id_n).
 
-    pi(a, b) sends delta_x (x) delta_y to delta_ax (x) delta_yb, so yx
-    labels the coset of H of a Hilbert basis vector; (x, y) is the
-    innermost Hilbert index.  Checks exactly that every kept matrix stays
-    within the cosets and every dropped one moves across them.  Then the
-    seminorm of the kept part of x is the norm of a pinching over the
-    cosets of the stack at x, so it is at most L(x), and a sup over
-    functionals supported on H loses nothing by the restriction."""
+    Checks exactly, from the zero pattern of the stack alone, that dropping
+    the other coordinates is a pinching.  The classes are the connected
+    components of the kept matrices' joint support, and every dropped
+    matrix must have no entry inside a class.  Then [D, pi(Px)] is the
+    pinching of [D, pi(x)] over the classes, so L(Px) <= L(x), and a sup
+    over functionals supported on the kept coordinates loses nothing by
+    the restriction.  It holds because the length Dirac is diagonal and
+    pi(a, b) sends delta_x (x) delta_y to delta_ax (x) delta_yb, and
+    because the amplifier's Diracs are diagonal and pi(e_pq (x) e_rs^op) =
+    e_pq (x) e_sr: the torus unitaries u (x) conj(u) commute with D and
+    scale coordinate (i, j) by u_p conj(u_q) u_r conj(u_s)."""
     g = group.order
     a, b = np.nonzero(group.mult == group.identity)
-    i, j = np.divmod(np.arange(amp * amp), amp)
-    keep = (((i[:, None] * g + a) * amp + j[:, None]) * g + b).reshape(-1)
-    kept = np.zeros(len(seminorm.matrices), dtype=bool)
+    p, q, r, s = np.unravel_index(np.arange(n ** 4), (n,) * 4)
+    torus = ((p == q) & (r == s)) | ((p == s) & (r == q))
+    i, j = (p * n + q)[torus], (r * n + s)[torus]
+    keep = (((i[:, None] * g + a) * n * n + j[:, None]) * g + b).reshape(-1)
+    support = seminorm.matrices != 0
+    kept = np.zeros(len(support), dtype=bool)
     kept[keep] = True
-    label = np.resize(group.mult.T.reshape(-1), seminorm.matrices.shape[1])
-    same = label[:, None] == label[None, :]
-    if ((seminorm.matrices != 0) & (same != kept[:, None, None])).any():
-        raise AssertionError("the seminorm mixes the cosets of {(a, a^-1)}")
+    joint = support[kept].any(axis=0)
+    label = np.empty(len(joint), dtype=int)
+    for c, comp in enumerate(components(joint | joint.T | np.eye(len(joint), dtype=bool))):
+        label[comp] = c
+    # the kept matrices lie inside the classes by construction
+    if (support[~kept] & (label[:, None] == label[None, :])).any():
+        raise AssertionError("a dropped commutator has an entry inside a class "
+                             "of the kept ones")
     return keep
 
 
@@ -246,15 +259,15 @@ def build_group_context(group, cocycle=None, length: LengthFunction | None = Non
     """The Kasparov product of the length Dirac triples of C*(G, sigma) and
     its opposite (word length when `length` is None), with its unit ball
     restricted to the pairs ab = e when `restrict` is set.  Those pairs
-    hold every multiplier difference, and dropping the others is a pinching
-    that cannot raise the seminorm, so the restriction loses nothing on
-    multiplier pairs."""
+    hold every multiplier difference, and set-up checks exactly that
+    dropping the others is a pinching, which cannot raise the seminorm, so
+    the restriction loses nothing on multiplier pairs."""
     ga = twisted_group_algebra(group, cocycle)
     if length is None:
         length = word_length(group)
     seminorm = CommutatorSeminorm(kasparov_product(
         length_dirac(ga, length), length_dirac_op(ga, length)))
-    keep = _coset_restriction(seminorm, group) if restrict else None
+    keep = _pinching_restriction(seminorm, group) if restrict else None
     return GroupContext(group, ga, canonical_trace(ga), prepare_ball(seminorm, keep))
 
 
@@ -264,6 +277,11 @@ def group_context(key: str, restrict: bool = True) -> GroupContext:
 
 @dataclass(eq=False)
 class StabilityContext:
+    """The group context and the prepared unit ball of its amplified
+    seminorm L_n over the omega-carrier, restricted (when the base is) to
+    the pairs ab = e times the torus-fixed amplifier pairs (see
+    `_pinching_restriction`), with the amplification trace."""
+
     base: GroupContext
     n: int                           # amplification order
     amp_trace: object
@@ -300,6 +318,12 @@ def stability_context(key: str, n: int = 2, restrict: bool = True) -> StabilityC
     amplified identity map id_n (x) F stays a trace channel and the
     associated functional of id_n is a state, which is what the stability
     equality requires.
+
+    With `restrict`, the ball keeps the (2n^2 - n) |G| coordinates (i, a,
+    j, b) with ab = e and (i, j) fixed by the torus u (x) conj(u) of the
+    amplifier, which hold every difference of amplified multipliers; the
+    exact check of `_pinching_restriction` proves that dropping the others
+    cannot raise L_n.
     """
     base = group_context(key, restrict=restrict)
     t_nn, t_base = amplifier_triple(n), base.ball.seminorm.triple
@@ -312,7 +336,7 @@ def stability_context(key: str, n: int = 2, restrict: bool = True) -> StabilityC
     # the (alpha, beta) stack lives only until its omega copy is made
     seminorm_n = _omega_seminorm(Seminorm(tensor_algebra(t_nn.algebra, t_base.algebra),
                                           kasparov_commutators(t_nn, t_base)))
-    keep = _coset_restriction(seminorm_n, base.group, n * n) if restrict else None
+    keep = _pinching_restriction(seminorm_n, base.group, n) if restrict else None
     return StabilityContext(base, n, amp_trace, prepare_ball(seminorm_n, keep))
 
 
@@ -521,11 +545,13 @@ def run_stability(seed: int = 0, trials: int = 25, groups=("Z2", "Z3"),
     trace-channel pairs (multipliers plus a few fully generic ones), with
     the sampled hypothesis audit, at n = 2.
 
-    Multiplier differences are supported on the pairs ab = e, and
-    dropping the other coordinates cannot raise the Kasparov seminorms
-    (checked exactly at setup), so those solves are restricted to that
-    subspace at no loss.  Generic trace channels run unrestricted, and one
-    trial cross-checks the two paths against each other.
+    Multiplier differences are supported on the pairs ab = e, amplified
+    ones also on the torus-fixed amplifier pairs, and dropping the other
+    coordinates cannot raise the Kasparov seminorms (checked exactly at
+    setup, as a pinching), so those solves are restricted to that subspace
+    at no loss.  Generic trace channels run unrestricted, and one
+    multiplier pair (the stability-restriction-check record) cross-checks
+    the restricted amplified ball against the unrestricted one.
     """
     tolerance = 1e-5
     records = []

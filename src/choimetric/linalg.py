@@ -51,6 +51,21 @@ def kron_stack(stack_a: np.ndarray, stack_b: np.ndarray) -> np.ndarray:
     return np.einsum("aij,bkl->abikjl", stack_a, stack_b).reshape(da * db, p * r, q * s)
 
 
+def components(adjacency: np.ndarray) -> list[np.ndarray]:
+    """Connected components of a symmetric boolean adjacency matrix, in the
+    order of their first nodes; a node without a self-loop is in none."""
+    # closed under chains by squaring until stable
+    while not np.array_equal(adjacency, wider := adjacency @ adjacency):
+        adjacency = wider
+    comps = []
+    seen = np.zeros(len(adjacency), dtype=bool)
+    for i in np.flatnonzero(adjacency.diagonal()):
+        if not seen[i]:
+            comps.append(np.flatnonzero(adjacency[i]))
+            seen[comps[-1]] = True
+    return comps
+
+
 def hermitian_part(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + dagger(m))
 

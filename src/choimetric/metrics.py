@@ -55,6 +55,7 @@ from .channels import (
 from .errors import AlgebraMismatch, ChoimetricError, Infeasible
 from .geometry import Seminorm
 from .linalg import (
+    components,
     contract_stack,
     hermitian_part,
     row_and_null_space_real,
@@ -77,21 +78,6 @@ class MKResult:
 # seminorm encodings
 # ---------------------------------------------------------------------------
 
-def _components(adjacency: np.ndarray) -> list[np.ndarray]:
-    """Connected components of a symmetric boolean adjacency matrix, in the
-    order of their first nodes; a node without a self-loop is in none."""
-    # closed under chains by squaring until stable
-    while not np.array_equal(adjacency, wider := adjacency @ adjacency):
-        adjacency = wider
-    comps = []
-    seen = np.zeros(len(adjacency), dtype=bool)
-    for i in np.flatnonzero(adjacency.diagonal()):
-        if not seen[i]:
-            comps.append(np.flatnonzero(adjacency[i]))
-            seen[comps[-1]] = True
-    return comps
-
-
 def _split_components(kstack: np.ndarray):
     """Connected components of the joint row/column support of a stack of
     matrices, in the order of their first rows; each component yields an
@@ -102,7 +88,7 @@ def _split_components(kstack: np.ndarray):
     support = (np.abs(kstack) > 1e-12 * scale).any(axis=0)
     # rows that share a column
     return [(rows, np.flatnonzero(support[rows].any(axis=0)))
-            for rows in _components(support @ support.T)]
+            for rows in components(support @ support.T)]
 
 
 def _assemble_blocks(kstack: np.ndarray) -> list:
@@ -182,7 +168,7 @@ def _irreducible_pieces(block) -> list:
     joined = onehot.T @ (coupling > 1e-9 * float(coupling.max())) @ onehot
     b_gen = _generic_element(gens, rng)
     bases = []
-    for comp in _components(joined | np.eye(nclusters, dtype=bool)):
+    for comp in components(joined | np.eye(nclusters, dtype=bool)):
         cols = [vecs[:, label == c] for c in comp]
         if len({v.shape[1] for v in cols}) == 1 and cols[0].shape[1] > 1:
             u0 = cols[0][:, 0]

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import choimetric.experiments as E
-from choimetric import metrics
+from choimetric import amplify, metrics
 from choimetric.cli import main
-from choimetric.algebra import _swap_coords, tensor_algebra
+from choimetric.algebra import _swap_coords, matrix_algebra, opposite_algebra, tensor_algebra
 from choimetric.errors import Infeasible, InvalidSpectralTriple
 from choimetric.generate import random_pdf
 from choimetric.geometry import (
@@ -233,14 +233,16 @@ def test_suites_prepare_each_ball_once(suite, balls, monkeypatch):
     assert len(calls) == balls
 
 
-def _coset_coordinates(group, amp):
+def _coset_coordinates(group, n, torus=True):
     """The coordinates (i, a, j, b) with ab = e, found pair by pair, in
-    (i, j, pair) order."""
+    (i, j, pair) order; with `torus`, only the (i, j) = (pn + q, rn + s)
+    with {p, r} = {q, s}."""
     g = group.order
     pairs = [(a, b) for a in range(g) for b in range(g)
              if group.mult[a, b] == group.identity]
-    return [((i * g + a) * amp + j) * g + b
-            for i in range(amp) for j in range(amp) for a, b in pairs]
+    amps = [(p * n + q, r * n + s) for p, q, r, s in itertools.product(range(n), repeat=4)
+            if not torus or sorted((p, r)) == sorted((q, s))]
+    return [((i * g + a) * n * n + j) * g + b for i, j in amps for a, b in pairs]
 
 
 _MORE_GROUPS = {"D4": lambda: dihedral_group(4), "D5": lambda: dihedral_group(5),
@@ -261,14 +263,14 @@ def _kasparov_seminorm(group, cocycle=None, dirac=None):
 def test_coset_restriction_keeps_the_pairs_with_product_e(key):
     group, cocycle = ((_MORE_GROUPS[key](), None) if key in _MORE_GROUPS
                       else E.builtin_group(key))
-    keep = E._coset_restriction(_kasparov_seminorm(group, cocycle), group)
+    keep = E._pinching_restriction(_kasparov_seminorm(group, cocycle), group)
     assert keep.tolist() == _coset_coordinates(group, 1)
-    # amplified coordinates; the indices do not depend on the seminorm, so
-    # a zero seminorm on a 1-dimensional space, which mixes no cosets,
-    # stands in for it
+    # amplified coordinates, the torus-fixed pairs (i, j) only; the indices
+    # do not depend on the seminorm, so a zero seminorm on a 1-dimensional
+    # space, which mixes no classes, stands in for it
     zero = SimpleNamespace(matrices=np.zeros((16 * group.order ** 2, 1, 1)))
-    keep = E._coset_restriction(zero, group, 4)
-    assert keep.tolist() == _coset_coordinates(group, 4)
+    keep = E._pinching_restriction(zero, group, 2)
+    assert keep.tolist() == _coset_coordinates(group, 2)
 
 
 def test_coset_restriction_checks_the_cosets_exactly():
@@ -278,7 +280,7 @@ def test_coset_restriction_checks_the_cosets_exactly():
     dirac = np.diag(word_length(group).values).astype(complex)
     dirac[0, 1] = dirac[1, 0] = 0.3
     with pytest.raises(AssertionError):
-        E._coset_restriction(_kasparov_seminorm(group, dirac=dirac), group)
+        E._pinching_restriction(_kasparov_seminorm(group, dirac=dirac), group)
 
 
 @pytest.mark.parametrize("group", [symmetric_group_3(), dihedral_group(4)],
@@ -295,6 +297,46 @@ def test_coset_restriction_loses_nothing_on_nonabelian_groups(group):
                     for ball in (ctx.ball, full))
         assert res.status == ref.status == "optimal"
         assert abs(res.value - ref.value) <= 1e-6
+
+
+@pytest.mark.parametrize("key", ["Z2", "Z3"])
+def test_torus_restriction_loses_nothing_against_the_coset_ball(key):
+    # the amplified ball on the torus-fixed pairs and the one on every
+    # pair (i, j) with ab = e give the same Delta between amplified
+    # multipliers
+    ctx = E.stability_context(key)
+    group = ctx.base.group
+    coset = metrics.prepare_ball(ctx.ball_n.seminorm,
+                                 np.array(_coset_coordinates(group, 2, torus=False)))
+    assert len(ctx.ball_n.keep) < len(coset.keep)
+    rng = np.random.default_rng(11)
+    for _ in range(2):
+        f, g = (amplify(ctx.n, multiplier_channel(random_pdf(rng, group), ctx.base.ga))
+                for _ in range(2))
+        res, ref = (E.delta_distance(f, g, ctx.amp_trace, ball, tolerance=1e-10)
+                    for ball in (ctx.ball_n, coset))
+        assert res.status == ref.status == "optimal"
+        assert abs(res.value - ref.value) <= 1e-9
+
+
+def test_torus_restriction_at_amplification_3():
+    # (2n^2 - n) |G| = 15 * 2 coordinates, and the exact check passes
+    ctx = E.stability_context("Z2", n=3)
+    assert ctx.ball_n.keep.tolist() == _coset_coordinates(ctx.base.group, 3)
+    assert len(ctx.ball_n.keep) == 30
+
+
+def test_torus_restriction_checks_the_amplifier_exactly(monkeypatch):
+    # an amplifier Dirac diag(1, -1) with entries between its two basis
+    # vectors breaks the torus symmetry
+    mn = matrix_algebra(2)
+    mn_op = opposite_algebra(mn)
+    dirac = np.array([[1.0, 0.3], [0.3, -1.0]], dtype=complex)
+    amplifier = kasparov_product(SpectralTriple(mn, mn.basis, dirac),
+                                 SpectralTriple(mn_op, mn_op.basis, dirac))
+    monkeypatch.setattr(E, "amplifier_triple", lambda n: amplifier)
+    with pytest.raises(AssertionError):
+        E.stability_context("Z2")
 
 
 def test_restriction_cross_check_records_the_stalled_solve(monkeypatch):
