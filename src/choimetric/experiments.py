@@ -70,7 +70,7 @@ from .groups import (
     twisted_group_algebra,
     word_length,
 )
-from .linalg import EPS_STRUCT, complex_samples, components
+from .linalg import EPS_STRUCT, complex_samples
 from .metrics import delta_distance, mk_between, prepare_ball, wasserstein_dual
 from .oracles import classical_path_metric, grid_ball_maximize
 
@@ -191,52 +191,13 @@ def builtin_group(key: str):
 class GroupContext:
     """Everything needed for Delta distances between multipliers on one
     twisted group algebra: the prepared unit ball of the length Dirac
-    Kasparov product seminorm over A (x) A^op, restricted to the pairs
-    ab = e (see `_pinching_restriction`, at n = 1)."""
+    Kasparov product seminorm over A (x) A^op, restricted to the pinching
+    closure of the pairs ab = e."""
 
     group: object
     ga: object
     tau: object
     ball: object
-
-
-def _pinching_restriction(seminorm, group, n: int = 1) -> np.ndarray:
-    """The coordinates (i, a, j, b) with ab = e and i = pn + q, j = rn + s
-    fixed by the torus, {p, r} = {q, s} as multisets: (2n^2 - n) |G| of
-    them, in (i, j), then pair, order; n = 1 gives the plain pairs (a, b).
-    The pairs ab = e span the subgroup H = {(a, a^-1)} of G x G^op, which
-    holds every multiplier difference, and the torus pairs hold the support
-    of omega(id_n).
-
-    Checks exactly, from the zero pattern of the stack alone, that dropping
-    the other coordinates is a pinching.  The classes are the connected
-    components of the kept matrices' joint support, and every dropped
-    matrix must have no entry inside a class.  Then [D, pi(Px)] is the
-    pinching of [D, pi(x)] over the classes, so L(Px) <= L(x), and a sup
-    over functionals supported on the kept coordinates loses nothing by
-    the restriction.  It holds because the length Dirac is diagonal and
-    pi(a, b) sends delta_x (x) delta_y to delta_ax (x) delta_yb, and
-    because the amplifier's Diracs are diagonal and pi(e_pq (x) e_rs^op) =
-    e_pq (x) e_sr: the torus unitaries u (x) conj(u) commute with D and
-    scale coordinate (i, j) by u_p conj(u_q) u_r conj(u_s)."""
-    g = group.order
-    a, b = np.nonzero(group.mult == group.identity)
-    p, q, r, s = np.unravel_index(np.arange(n ** 4), (n,) * 4)
-    torus = ((p == q) & (r == s)) | ((p == s) & (r == q))
-    i, j = (p * n + q)[torus], (r * n + s)[torus]
-    keep = (((i[:, None] * g + a) * n * n + j[:, None]) * g + b).reshape(-1)
-    support = seminorm.matrices != 0
-    kept = np.zeros(len(support), dtype=bool)
-    kept[keep] = True
-    joint = support[kept].any(axis=0)
-    label = np.empty(len(joint), dtype=int)
-    for c, comp in enumerate(components(joint | joint.T | np.eye(len(joint), dtype=bool))):
-        label[comp] = c
-    # the kept matrices lie inside the classes by construction
-    if (support[~kept] & (label[:, None] == label[None, :])).any():
-        raise AssertionError("a dropped commutator has an entry inside a class "
-                             "of the kept ones")
-    return keep
 
 
 def length_dirac(ga, length: LengthFunction) -> SpectralTriple:
@@ -258,17 +219,16 @@ def build_group_context(group, cocycle=None, length: LengthFunction | None = Non
                         restrict: bool = True) -> GroupContext:
     """The Kasparov product of the length Dirac triples of C*(G, sigma) and
     its opposite (word length when `length` is None), with its unit ball
-    restricted to the pairs ab = e when `restrict` is set.  Those pairs
-    hold every multiplier difference, and set-up checks exactly that
-    dropping the others is a pinching, which cannot raise the seminorm, so
-    the restriction loses nothing on multiplier pairs."""
+    restricted, when `restrict` is set, to the closure of the pairs ab = e:
+    omega(M_phi)(a, b) = phi(a) tau(lambda_a lambda_b) of a multiplier
+    vanishes off them."""
     ga = twisted_group_algebra(group, cocycle)
     if length is None:
         length = word_length(group)
     seminorm = CommutatorSeminorm(kasparov_product(
         length_dirac(ga, length), length_dirac_op(ga, length)))
-    keep = _pinching_restriction(seminorm, group) if restrict else None
-    return GroupContext(group, ga, canonical_trace(ga), prepare_ball(seminorm, keep))
+    support = np.flatnonzero(group.mult == group.identity) if restrict else None
+    return GroupContext(group, ga, canonical_trace(ga), prepare_ball(seminorm, support))
 
 
 def group_context(key: str, restrict: bool = True) -> GroupContext:
@@ -278,9 +238,8 @@ def group_context(key: str, restrict: bool = True) -> GroupContext:
 @dataclass(eq=False)
 class StabilityContext:
     """The group context and the prepared unit ball of its amplified
-    seminorm L_n over the omega-carrier, restricted (when the base is) to
-    the pairs ab = e times the torus-fixed amplifier pairs (see
-    `_pinching_restriction`), with the amplification trace."""
+    seminorm L_n over the omega-carrier, restricted when the base is (see
+    `stability_context`), with the amplification trace."""
 
     base: GroupContext
     n: int                           # amplification order
@@ -298,6 +257,18 @@ def _omega_seminorm(seminorm: Seminorm) -> Seminorm:
     carrier = tensor_algebra(tensor_algebra(mn, a), opposite_algebra(
         tensor_algebra(mn, opposite_algebra(b_op))))
     return Seminorm(carrier, seminorm.matrices[_swap_coords(alg, np.arange(alg.dim), 1, 2)])
+
+
+def _omega_support(pairs: np.ndarray, g: int, n: int) -> np.ndarray:
+    """supp omega(id_n) times the base `pairs` (flat a g + b), in omega
+    order (i, a, j, b): omega(id_n)(e_pq (x) e_rs^op) = tr(e_pq e_rs) / n
+    is nonzero at i = pn + q, j = qn + p, so by the flip omega(id_n (x) F)
+    = Sigma*_[23](omega(id_n) (x) omega(F)) this holds omega(id_n (x) F)
+    for every F with omega(F) supported on `pairs`."""
+    p, q = np.divmod(np.arange(n * n), n)
+    a, b = np.divmod(np.asarray(pairs), g)
+    return ((((p * n + q)[:, None] * g + a) * n * n + (q * n + p)[:, None]) * g
+            + b).reshape(-1)
 
 
 def amplifier_triple(n: int) -> SpectralTriple:
@@ -319,11 +290,8 @@ def stability_context(key: str, n: int = 2, restrict: bool = True) -> StabilityC
     associated functional of id_n is a state, which is what the stability
     equality requires.
 
-    With `restrict`, the ball keeps the (2n^2 - n) |G| coordinates (i, a,
-    j, b) with ab = e and (i, j) fixed by the torus u (x) conj(u) of the
-    amplifier, which hold every difference of amplified multipliers; the
-    exact check of `_pinching_restriction` proves that dropping the others
-    cannot raise L_n.
+    With `restrict`, the ball keeps the closure of `_omega_support` of the
+    pairs ab = e, which holds every amplified multiplier difference.
     """
     base = group_context(key, restrict=restrict)
     t_nn, t_base = amplifier_triple(n), base.ball.seminorm.triple
@@ -336,8 +304,9 @@ def stability_context(key: str, n: int = 2, restrict: bool = True) -> StabilityC
     # the (alpha, beta) stack lives only until its omega copy is made
     seminorm_n = _omega_seminorm(Seminorm(tensor_algebra(t_nn.algebra, t_base.algebra),
                                           kasparov_commutators(t_nn, t_base)))
-    keep = _pinching_restriction(seminorm_n, base.group, n) if restrict else None
-    return StabilityContext(base, n, amp_trace, prepare_ball(seminorm_n, keep))
+    support = None if base.ball.keep is None else _omega_support(
+        base.ball.keep, base.group.order, n)
+    return StabilityContext(base, n, amp_trace, prepare_ball(seminorm_n, support))
 
 
 def cp_corpus():
@@ -545,11 +514,10 @@ def run_stability(seed: int = 0, trials: int = 25, groups=("Z2", "Z3"),
     trace-channel pairs (multipliers plus a few fully generic ones), with
     the sampled hypothesis audit, at n = 2.
 
-    Multiplier differences are supported on the pairs ab = e, amplified
-    ones also on the torus-fixed amplifier pairs, and dropping the other
-    coordinates cannot raise the Kasparov seminorms (checked exactly at
-    setup, as a pinching), so those solves are restricted to that subspace
-    at no loss.  Generic trace channels run unrestricted, and one
+    Every ball keeps the pinching closure of its objectives' support, which
+    loses nothing: multiplier pairs use the restricted contexts, generic
+    ones the unrestricted group context and, amplified, the closure of
+    `_omega_support` of all pairs (a, b).  On the first group, one
     multiplier pair (the stability-restriction-check record) cross-checks
     the restricted amplified ball against the unrestricted one.
     """
@@ -560,12 +528,14 @@ def run_stability(seed: int = 0, trials: int = 25, groups=("Z2", "Z3"),
     for gi, key in enumerate(groups):
         ctx = stability_context(key)
         n_general = min(per_group[gi], general_trials[gi]) if gi < len(general_trials) else 0
-        ctx_full = stability_context(key, restrict=False) if n_general else None
+        if n_general:
+            base_full, order = group_context(key, restrict=False), ctx.base.group.order
+            ball_generic = prepare_ball(ctx.ball_n.seminorm, _omega_support(
+                np.arange(order * order), order, ctx.n))
 
-        def one(i, rng, ctx=ctx, ctx_full=ctx_full, n_general=n_general):
+        def one(i, rng, ctx=ctx, n_general=n_general):
             generic = i < n_general
-            use = ctx_full if generic else ctx
-            base = use.base
+            base, ball_n = (base_full, ball_generic) if generic else (ctx.base, ctx.ball_n)
             if generic:
                 f, g = (generate.random_trace_channel(rng, base.ga.algebra,
                                                       base.ga.algebra, base.tau)
@@ -574,8 +544,8 @@ def run_stability(seed: int = 0, trials: int = 25, groups=("Z2", "Z3"),
                 f, g = (multiplier_channel(generate.random_pdf(rng, base.group), base.ga)
                         for _ in range(2))
             d1 = delta_distance(f, g, base.tau, base.ball, tolerance=SOLVER_TOL)
-            dn = delta_distance(amplify(use.n, f), amplify(use.n, g), use.amp_trace,
-                                use.ball_n, tolerance=SOLVER_TOL)
+            dn = delta_distance(amplify(ctx.n, f), amplify(ctx.n, g), ctx.amp_trace,
+                                ball_n, tolerance=SOLVER_TOL)
             return [_record("stability-generic" if generic else "stability", i,
                             dn.value, d1.value, tolerance - abs(dn.value - d1.value),
                             _first_nonoptimal(dn.status, d1.status))]
@@ -584,8 +554,9 @@ def run_stability(seed: int = 0, trials: int = 25, groups=("Z2", "Z3"),
                                    first=sum(per_group[:gi])))
         records.extend(_stability_hypothesis_audit(ctx, seed + 7 + gi,
                                                    audit_samples, gi))
-        if gi == 0 and ctx_full is not None:
-            records.append(_restriction_cross_check(ctx, ctx_full, seed))
+        if gi == 0 and n_general:
+            records.append(_restriction_cross_check(
+                ctx, stability_context(key, restrict=False), seed))
     return records
 
 

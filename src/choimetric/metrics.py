@@ -208,10 +208,38 @@ class _BallSetup:
     full: list                       # every block: the program of the fallback
 
 
-def prepare_ball(seminorm: Seminorm, keep: np.ndarray | None = None) -> _BallSetup:
+def _pinching_closure(matrices: np.ndarray, support) -> np.ndarray:
+    """The smallest sorted set K of coordinates that holds `support` and
+    whose other coordinates a pinching drops, from the zero pattern of the
+    stack alone: K grows by every matrix with an entry inside a class, a
+    connected component of the joint support of K's matrices, until none
+    is left.  Then, with P the projection onto K, [D, pi(Px)] is the
+    pinching of [D, pi(x)] over the classes, so L(Px) <= L(x), and a sup
+    over functionals supported on K loses nothing by the restriction.  Any
+    such K' that holds the support has classes that hold K's, so it holds
+    every matrix the growth adds (cf. Permenter and Parrilo, Math. Program.
+    181, 2020: the smallest reduction that holds the objective)."""
+    pattern = matrices != 0
+    eye = np.eye(pattern.shape[1], dtype=bool)
+    kept = np.zeros(len(pattern), dtype=bool)
+    kept[support] = True
+    while True:
+        joint = pattern[kept].any(axis=0)
+        label = np.empty(len(joint), dtype=int)
+        for c, comp in enumerate(components(joint | joint.T | eye)):
+            label[comp] = c
+        grown = kept | (pattern & (label[:, None] == label[None, :])).any(axis=(1, 2))
+        if np.array_equal(grown, kept):
+            return np.flatnonzero(kept)
+        kept = grown
+
+
+def prepare_ball(seminorm: Seminorm, support: np.ndarray | None = None) -> _BallSetup:
     """The unit ball of `seminorm` on the self-adjoint elements supported on
-    the coordinates `keep` (on all of them when None).  Every MK solve takes
-    it in place of the seminorm, so a caller prepares it once per seminorm."""
+    the pinching closure of the coordinates `support` (on all of them when
+    None), exact for objectives on `support`.  Every MK solve takes it in
+    place of the seminorm, so a caller prepares it once per seminorm."""
+    keep = None if support is None else _pinching_closure(seminorm.matrices, support)
     rows = selfadjoint_basis(seminorm.algebra, keep)
     # the norm stack on the self-adjoint directions
     stack = contract_stack(rows, seminorm.matrices)

@@ -2,7 +2,6 @@ import csv
 import itertools
 import math
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from choimetric import amplify, metrics
 from choimetric.cli import main
 from choimetric.algebra import _swap_coords, matrix_algebra, opposite_algebra, tensor_algebra
 from choimetric.errors import Infeasible, InvalidSpectralTriple
-from choimetric.generate import random_pdf
+from choimetric.generate import random_pdf, random_trace_channel
 from choimetric.geometry import (
     CommutatorSeminorm,
     SpectralTriple,
@@ -105,6 +104,15 @@ def test_stability_builds_an_unrestricted_context_only_for_a_generic_trial(monke
     recs = E.run_stability(seed=0, trials=1, groups=("Z2", "Z2"),
                            general_trials=(1, 1), audit_samples=5)
     assert calls == [("Z2", True), ("Z2", False), ("Z2", True)]
+    assert all(r.ok for r in recs)
+    # a generic trial on each group: only the first group's cross-check
+    # builds an unrestricted context; Z3's generic trial runs on the
+    # pinching closure of its support over the restricted context's seminorm
+    calls.clear()
+    recs = E.run_stability(seed=0, trials=2, groups=("Z2", "Z3"),
+                           general_trials=(1, 1), audit_samples=5)
+    assert calls == [("Z2", True), ("Z2", False), ("Z3", True)]
+    assert [r.trial for r in recs if r.experiment == "stability-generic"] == [0, 1]
     assert all(r.ok for r in recs)
 
 
@@ -233,15 +241,15 @@ def test_suites_prepare_each_ball_once(suite, balls, monkeypatch):
     assert len(calls) == balls
 
 
-def _coset_coordinates(group, n, torus=True):
+def _coset_coordinates(group, n, omega=True):
     """The coordinates (i, a, j, b) with ab = e, found pair by pair, in
-    (i, j, pair) order; with `torus`, only the (i, j) = (pn + q, rn + s)
-    with {p, r} = {q, s}."""
+    (i, j, pair) order; with `omega`, only the (i, j) = (pn + q, qn + p) of
+    supp omega(id_n)."""
     g = group.order
     pairs = [(a, b) for a in range(g) for b in range(g)
              if group.mult[a, b] == group.identity]
     amps = [(p * n + q, r * n + s) for p, q, r, s in itertools.product(range(n), repeat=4)
-            if not torus or sorted((p, r)) == sorted((q, s))]
+            if not omega or (r, s) == (q, p)]
     return [((i * g + a) * n * n + j) * g + b for i, j in amps for a, b in pairs]
 
 
@@ -258,29 +266,60 @@ def _kasparov_seminorm(group, cocycle=None, dirac=None):
     return CommutatorSeminorm(kasparov_product(first, E.length_dirac_op(ga, length)))
 
 
+def _product_e(group):
+    return np.flatnonzero(group.mult == group.identity)
+
+
 @pytest.mark.parametrize("key", ["Z2", "Z3", "Z4", "S3", "Z2xZ2", "Z2xZ2-twisted",
                                  "D4", "D5", "S3xZ2"])
 def test_coset_restriction_keeps_the_pairs_with_product_e(key):
+    # the pinching closure of the pairs ab = e is those pairs
     group, cocycle = ((_MORE_GROUPS[key](), None) if key in _MORE_GROUPS
                       else E.builtin_group(key))
-    keep = E._pinching_restriction(_kasparov_seminorm(group, cocycle), group)
+    keep = metrics._pinching_closure(_kasparov_seminorm(group, cocycle).matrices,
+                                     _product_e(group))
     assert keep.tolist() == _coset_coordinates(group, 1)
-    # amplified coordinates, the torus-fixed pairs (i, j) only; the indices
-    # do not depend on the seminorm, so a zero seminorm on a 1-dimensional
-    # space, which mixes no classes, stands in for it
-    zero = SimpleNamespace(matrices=np.zeros((16 * group.order ** 2, 1, 1)))
-    keep = E._pinching_restriction(zero, group, 2)
+    # amplified coordinates, supp omega(id_2) times the pairs; a zero stack
+    # on a 1-dimensional space mixes no classes, so its closure is the seed
+    zero = np.zeros((16 * group.order ** 2, 1, 1))
+    keep = metrics._pinching_closure(zero, E._omega_support(_product_e(group), group.order, 2))
     assert keep.tolist() == _coset_coordinates(group, 2)
+
+
+@pytest.mark.parametrize("key, size", [("Z2", 8), ("Z3", 12)])
+def test_amplified_seed_is_its_own_pinching_closure(key, size):
+    # n^2 |G| coordinates: supp omega(id_2) times the pairs ab = e
+    ctx = E.stability_context(key)
+    seed = E._omega_support(_product_e(ctx.base.group), ctx.base.group.order, ctx.n)
+    assert ctx.ball_n.keep.tolist() == seed.tolist() == _coset_coordinates(ctx.base.group, 2)
+    assert len(ctx.ball_n.keep) == size
+
+
+def _repaired_closure_loses_nothing(seminorm, seed, pairs):
+    """The closure of `seed` strictly holds it, and Delta on its ball equals
+    Delta on the full ball for each (f, g, tau) of `pairs`."""
+    closure, full = metrics.prepare_ball(seminorm, seed), metrics.prepare_ball(seminorm)
+    assert set(seed.tolist()) < set(closure.keep.tolist())
+    for f, g, tau in pairs:
+        res, ref = (E.delta_distance(f, g, tau, ball, tolerance=1e-10)
+                    for ball in (closure, full))
+        assert res.status == ref.status == "optimal"
+        assert abs(res.value - ref.value) <= 1e-9
 
 
 def test_coset_restriction_checks_the_cosets_exactly():
     # a length Dirac with one entry between x = 0 and x = 1 moves the
-    # kept commutators across the cosets
+    # commutators of the pairs ab = e across the cosets: the closure adds
+    # the pairs they reach, and the restriction still loses nothing
     group = symmetric_group_3()
     dirac = np.diag(word_length(group).values).astype(complex)
     dirac[0, 1] = dirac[1, 0] = 0.3
-    with pytest.raises(AssertionError):
-        E._pinching_restriction(_kasparov_seminorm(group, dirac=dirac), group)
+    ga = twisted_group_algebra(group)
+    rng = np.random.default_rng(11)
+    pairs = [(*(multiplier_channel(random_pdf(rng, group), ga) for _ in range(2)),
+              E.canonical_trace(ga)) for _ in range(2)]
+    _repaired_closure_loses_nothing(_kasparov_seminorm(group, dirac=dirac),
+                                    _product_e(group), pairs)
 
 
 @pytest.mark.parametrize("group", [symmetric_group_3(), dihedral_group(4)],
@@ -301,13 +340,13 @@ def test_coset_restriction_loses_nothing_on_nonabelian_groups(group):
 
 @pytest.mark.parametrize("key", ["Z2", "Z3"])
 def test_torus_restriction_loses_nothing_against_the_coset_ball(key):
-    # the amplified ball on the torus-fixed pairs and the one on every
-    # pair (i, j) with ab = e give the same Delta between amplified
-    # multipliers
+    # the amplified ball on supp omega(id_2) times the pairs ab = e and the
+    # one on every pair (i, j) with ab = e give the same Delta between
+    # amplified multipliers
     ctx = E.stability_context(key)
     group = ctx.base.group
     coset = metrics.prepare_ball(ctx.ball_n.seminorm,
-                                 np.array(_coset_coordinates(group, 2, torus=False)))
+                                 np.array(_coset_coordinates(group, 2, omega=False)))
     assert len(ctx.ball_n.keep) < len(coset.keep)
     rng = np.random.default_rng(11)
     for _ in range(2):
@@ -319,24 +358,54 @@ def test_torus_restriction_loses_nothing_against_the_coset_ball(key):
         assert abs(res.value - ref.value) <= 1e-9
 
 
+@pytest.mark.parametrize("key, pairs, size", [("Z2", 2, 16), ("Z3", 1, 36)])
+def test_generic_amplified_pairs_lose_nothing_on_the_closure_ball(key, pairs, size):
+    # generic trace channels, amplified: the closure of supp omega(id_2)
+    # times every pair (a, b) gives the full ball's Delta_n, and Delta_1
+    ctx = E.stability_context(key)
+    base = E.group_context(key, restrict=False)
+    order = base.group.order
+    closure = metrics.prepare_ball(ctx.ball_n.seminorm, E._omega_support(
+        np.arange(order * order), order, ctx.n))
+    full = metrics.prepare_ball(ctx.ball_n.seminorm)
+    assert len(closure.keep) == size
+    rng = np.random.default_rng(13)
+    alg = base.ga.algebra
+    for _ in range(pairs):
+        f, g = (random_trace_channel(rng, alg, alg, base.tau) for _ in range(2))
+        d1 = E.delta_distance(f, g, base.tau, base.ball, tolerance=1e-10)
+        res, ref = (E.delta_distance(amplify(ctx.n, f), amplify(ctx.n, g), ctx.amp_trace,
+                                     ball, tolerance=1e-10) for ball in (closure, full))
+        assert res.status == ref.status == d1.status == "optimal"
+        assert abs(res.value - ref.value) <= 1e-9
+        assert abs(res.value - d1.value) <= 1e-9
+
+
 def test_torus_restriction_at_amplification_3():
-    # (2n^2 - n) |G| = 15 * 2 coordinates, and the exact check passes
+    # n^2 |G| = 9 * 2 coordinates, and the seed is its own closure
     ctx = E.stability_context("Z2", n=3)
     assert ctx.ball_n.keep.tolist() == _coset_coordinates(ctx.base.group, 3)
-    assert len(ctx.ball_n.keep) == 30
+    assert len(ctx.ball_n.keep) == 18
 
 
 def test_torus_restriction_checks_the_amplifier_exactly(monkeypatch):
     # an amplifier Dirac diag(1, -1) with entries between its two basis
-    # vectors breaks the torus symmetry
+    # vectors breaks the torus symmetry: the closure adds the amplifier
+    # pairs it reaches, and the restriction still loses nothing
     mn = matrix_algebra(2)
     mn_op = opposite_algebra(mn)
     dirac = np.array([[1.0, 0.3], [0.3, -1.0]], dtype=complex)
     amplifier = kasparov_product(SpectralTriple(mn, mn.basis, dirac),
                                  SpectralTriple(mn_op, mn_op.basis, dirac))
     monkeypatch.setattr(E, "amplifier_triple", lambda n: amplifier)
-    with pytest.raises(AssertionError):
-        E.stability_context("Z2")
+    ctx = E.stability_context("Z2")
+    group = ctx.base.group
+    rng = np.random.default_rng(11)
+    pairs = [(*(amplify(ctx.n, multiplier_channel(random_pdf(rng, group), ctx.base.ga))
+                for _ in range(2)), ctx.amp_trace) for _ in range(2)]
+    _repaired_closure_loses_nothing(ctx.ball_n.seminorm,
+                                    E._omega_support(_product_e(group), group.order, ctx.n),
+                                    pairs)
 
 
 def test_restriction_cross_check_records_the_stalled_solve(monkeypatch):

@@ -299,7 +299,7 @@ def test_delta_leaves_the_omega_carrier_structure_unbuilt():
     res = delta_distance(f, g, ctx.amp_trace, ctx.ball_n)
     assert callable(alg._structure)
     assert res.status == "optimal"
-    assert abs(res.value - 0.584305337461361) <= 1e-9
+    assert abs(res.value - 0.5843053351775908) <= 1e-9
 
 
 def test_delta_rejects_a_carrier_of_the_wrong_dimension(d2, monkeypatch):
@@ -497,8 +497,8 @@ def test_row_space_of_a_tall_matrix_comes_from_its_r_factor(shape, rank):
 
 @pytest.mark.parametrize("key, restrict, amplified, sizes", [
     ("Z2", True, False, (1, 1)), ("Z3", True, False, (2, 1)), ("Z4", True, False, (3, 1)),
-    ("S3", True, False, (5, 1)), ("Z2", True, True, (8, 4)), ("Z2", False, True, (60, 4)),
-    ("Z3", True, True, (14, 4))])
+    ("S3", True, False, (5, 1)), ("Z2", True, True, (6, 2)), ("Z2", False, True, (60, 4)),
+    ("Z3", True, True, (10, 2))])
 def test_ball_range_and_kernel_sizes(key, restrict, amplified, sizes):
     # (q, n0): the range and kernel dimensions of every suite's ball
     ball = (stability_context(key, restrict=restrict).ball_n if amplified
@@ -794,8 +794,8 @@ def _ball(key):
     (lambda: group_context("Z3").ball, 2, 8),
     (lambda: group_context("Z4").ball, 2, 8),
     (lambda: group_context("S3").ball, 5, 12),
-    (lambda: stability_context("Z2").ball_n, 3, 36),
-    (lambda: stability_context("Z3").ball_n, 6, 38),
+    (lambda: stability_context("Z2").ball_n, 1, 4),
+    (lambda: stability_context("Z3").ball_n, 2, 6),
     (lambda: stability_context("Z2", restrict=False).ball_n, 1, 2),
 ])
 def test_kept_block_counts(build, kept, total):
@@ -809,8 +809,8 @@ _PIECE_SIZES = {
     "Z3": [3, 3, 3],
     "Z4": [4] + [1] * 8,
     "S3": [6, 6, 6, 12, 6],
-    "amplified Z2": [4, 1, 1, 1, 1],
-    "amplified Z3": [6, 6, 12] + [3] * 6,
+    "amplified Z2": [4],
+    "amplified Z3": [6, 6, 12],
     "amplified Z2, unrestricted": [16, 16],
 }
 
