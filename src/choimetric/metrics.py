@@ -361,19 +361,6 @@ class WassersteinResult:
     status: str
 
 
-def _herm_param_basis(n: int) -> np.ndarray:
-    """A real basis of the n x n Hermitian matrices: the diagonal units, then
-    for each entry (a, b) above the diagonal E_ab + E_ba and i E_ab - i E_ba."""
-    a, b = np.triu_indices(n, 1)
-    sym = n + 2 * np.arange(len(a))
-    out = np.zeros((n + 2 * len(a), n, n), dtype=complex)
-    out[np.arange(n), np.arange(n), np.arange(n)] = 1.0
-    out[sym, a, b] = out[sym, b, a] = 1.0
-    out[sym + 1, a, b] = 1j
-    out[sym + 1, b, a] = -1j
-    return out
-
-
 def _vec_herm(mats: np.ndarray) -> np.ndarray:
     """Real coordinates of the Hermitian parts of a stack of square
     matrices: the diagonal, then Re and Im of each entry above it."""
@@ -397,6 +384,16 @@ def wasserstein_dual(rho1: np.ndarray, rho2: np.ndarray, l_mats,
     to anti-Hermitian u_i recovers the exact commutator equation.  Raises
     Infeasible when the difference is outside the range of the constraint
     map, which is exactly when the primal distance is infinite.
+
+    The trace norm is the nuclear-norm SDP (Fazel, Hindi and Boyd 2001),
+    min (tr P + tr Q) / 2 over [[P, U], [U^*, Q]] >= 0, posed as the
+    solver's primal with C = I / 2 and one equality per row-space direction
+    S_k of the constraint map: Re <S_k, U> = Re <S_k, U_0> for a particular
+    solution U_0.  There are at most n^2 - 1 of them, since a commutator has
+    trace 0.  The reported value is the primal objective, which meets the
+    equalities to the solver's residual tolerance, not exactly.  When every
+    L_i is scalar the map is 0, so past the Infeasible check rho1 = rho2,
+    and the value is 0 with no solve.
     """
     ls = np.asarray(l_mats, dtype=complex)
     nn, n, _ = ls.shape
@@ -413,6 +410,9 @@ def wasserstein_dual(rho1: np.ndarray, rho2: np.ndarray, l_mats,
     if resid > 1e-8 * (1.0 + float(np.linalg.norm(rhs))):
         raise Infeasible(
             f"rho1 - rho2 outside the commutator range (residual {resid:.2e})")
+    rows = row_and_null_space_real(tmat)[0]
+    if not rows.shape[1]:
+        return WassersteinResult(0.0, 0.0, "optimal")
 
     def unpack(realvecs):
         """Real coordinate vectors (last axis) as (nn, n, n) stacks of u_i."""
@@ -421,29 +421,18 @@ def wasserstein_dual(rho1: np.ndarray, rho2: np.ndarray, l_mats,
 
     def stack(mats):
         # the pairing tr(U^dagger stack([L_i, a])) = sum_i tr(u_i [L_i, a])
-        # aligns the operator-norm constraint with || stack(u_i^dagger) ||_1
+        # aligns the operator-norm constraint with || stack(u_i^dagger) ||_1;
+        # a real isometry, so Re <stack(unpack(r)), stack(unpack(v))> = r . v
         return mats.conj().swapaxes(-1, -2).reshape(mats.shape[:-3] + (nn * n, n))
 
-    u0_stack = stack(unpack(sol))
-    null_stacks = stack(unpack(row_and_null_space_real(tmat)[1].T))
-    herm_p = _herm_param_basis(nn * n)
-    herm_q = _herm_param_basis(n)
-    npar, qpar = len(herm_p), len(herm_q)
+    row_stacks = 0.5 * stack(unpack(rows.T))
     top = nn * n
-    cmat = np.zeros((top + n, top + n), dtype=complex)
-    cmat[:top, top:] = u0_stack
-    cmat[top:, :top] = u0_stack.conj().T
-    astack = np.zeros((npar + qpar + len(null_stacks), top + n, top + n), dtype=complex)
-    astack[:npar, :top, :top] = -herm_p
-    astack[npar:npar + qpar, top:, top:] = -herm_q
-    astack[npar + qpar:, :top, top:] = -null_stacks
-    astack[npar + qpar:, top:, :top] = -null_stacks.conj().swapaxes(1, 2)
-    b = np.zeros(len(astack))
-    b[:npar + qpar] = -0.5 * np.concatenate([np.trace(herm_p, axis1=1, axis2=2),
-                                             np.trace(herm_q, axis1=1, axis2=2)]).real
-    block = [(cmat, astack)]
-    res = _solve_certified(b, block, block, tol, sdp.MAX_ITER)
-    return WassersteinResult(-res.value, res.gap, res.status)
+    astack = np.zeros((len(row_stacks), top + n, top + n), dtype=complex)
+    astack[:, :top, top:] = row_stacks
+    astack[:, top:, :top] = row_stacks.conj().swapaxes(1, 2)
+    block = [(0.5 * np.eye(top + n, dtype=complex), astack)]
+    res = _solve_certified(rows.T @ sol, block, block, tol, sdp.MAX_ITER)
+    return WassersteinResult(res.primal_value, res.gap, res.status)
 
 
 # ---------------------------------------------------------------------------

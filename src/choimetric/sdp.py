@@ -28,6 +28,9 @@ and `dpotrs` factor the Schur matrix and solve with it.
 The reported `value` is the dual objective b'y of the returned iterate,
 whose slack Z is kept positive definite throughout, so for the metric
 programs in this package it is always the value of a feasible point.
+`metrics.wasserstein_dual` poses its program on the primal side and reads
+`primal_value` <C, X> instead, whose X meets A(X) = b only to the residual
+tolerance.
 `status` is "optimal" when the returned iterate meets the relative-gap and
 both residual tolerances, "max_iter" when the iteration reached the cap, and
 "stalled" when it stopped earlier; the better of the final and the best

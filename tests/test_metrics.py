@@ -37,7 +37,13 @@ from choimetric.experiments import (
     run_mk_correctness,
     stability_context,
 )
-from choimetric.generate import random_density, random_hermitian, random_pdf, random_state
+from choimetric.generate import (
+    random_complex,
+    random_density,
+    random_hermitian,
+    random_pdf,
+    random_state,
+)
 from choimetric.geometry import gradient_dirac_triple
 from choimetric.groups import PositiveDefiniteFunction, cyclic_group, twisted_group_algebra
 from choimetric.linalg import contract_stack, row_and_null_space_real
@@ -369,17 +375,26 @@ def test_wasserstein_dual_basics(rng):
     assert abs(res.value - 1.0) < 1e-7
     same = wasserstein_dual(rho1, rho1, [X])
     assert abs(same.value) < 1e-7
+    # a scalar L: the constraint map is 0, so the value is exactly 0 with no
+    # solve when rho1 = rho2, and the program is infeasible otherwise
+    scalar = wasserstein_dual(rho1, rho1, [np.eye(2)])
+    assert (scalar.value, scalar.status) == (0.0, "optimal")
     with pytest.raises(Infeasible):
         wasserstein_dual(rho1, rho2, [np.eye(2, dtype=complex)])
     with pytest.raises(Infeasible):
         wasserstein_dual(rho1, rho2, [np.diag([1.0, -1.0]).astype(complex)])
 
 
-def test_wasserstein_matches_primal(rng):
-    alg = matrix_algebra(2)
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("draw", [random_hermitian, lambda rng, n: random_complex(rng, n, n)],
+                         ids=["hermitian", "complex"])
+def test_wasserstein_matches_primal(rng, n, draw):
+    # io.problem_from_dict accepts non-Hermitian L_i, so both sides must
+    # agree on them as well
+    alg = matrix_algebra(n)
     for _ in range(5):
-        ls = [random_hermitian(rng, 2) for _ in range(2)]
-        r1, r2 = random_density(rng, 2), random_density(rng, 2)
+        ls = [draw(rng, n) for _ in range(2)]
+        r1, r2 = random_density(rng, n), random_density(rng, n)
         lip = CommutatorSeminorm(gradient_dirac_triple(ls, algebra=alg))
         f1 = LinearFunctional(alg, np.einsum("xy,byx->b", r1, alg.basis))
         f2 = LinearFunctional(alg, np.einsum("xy,byx->b", r2, alg.basis))
