@@ -215,30 +215,30 @@ def length_dirac_op(ga, length: LengthFunction) -> SpectralTriple:
     return SpectralTriple(op, ga.right_rep, dirac).validate()
 
 
-def build_group_context(group, cocycle=None, length: LengthFunction | None = None,
-                        restrict: bool = True) -> GroupContext:
+def build_group_context(group, cocycle=None,
+                        length: LengthFunction | None = None) -> GroupContext:
     """The Kasparov product of the length Dirac triples of C*(G, sigma) and
     its opposite (word length when `length` is None), with its unit ball
-    restricted, when `restrict` is set, to the closure of the pairs ab = e:
-    omega(M_phi)(a, b) = phi(a) tau(lambda_a lambda_b) of a multiplier
-    vanishes off them."""
+    restricted to the closure of the pairs ab = e: omega(M_phi)(a, b) =
+    phi(a) tau(lambda_a lambda_b) of a multiplier vanishes off them.  The
+    unrestricted ball is `prepare_ball(ctx.ball.seminorm)`."""
     ga = twisted_group_algebra(group, cocycle)
     if length is None:
         length = word_length(group)
     seminorm = CommutatorSeminorm(kasparov_product(
         length_dirac(ga, length), length_dirac_op(ga, length)))
-    support = np.flatnonzero(group.mult == group.identity) if restrict else None
+    support = np.flatnonzero(group.mult == group.identity)
     return GroupContext(group, ga, canonical_trace(ga), prepare_ball(seminorm, support))
 
 
-def group_context(key: str, restrict: bool = True) -> GroupContext:
-    return build_group_context(*builtin_group(key), restrict=restrict)
+def group_context(key: str) -> GroupContext:
+    return build_group_context(*builtin_group(key))
 
 
 @dataclass(eq=False)
 class StabilityContext:
     """The group context and the prepared unit ball of its amplified
-    seminorm L_n over the omega-carrier, restricted when the base is (see
+    seminorm L_n over the omega-carrier, restricted or not (see
     `stability_context`), with the amplification trace."""
 
     base: GroupContext
@@ -291,9 +291,11 @@ def stability_context(key: str, n: int = 2, restrict: bool = True) -> StabilityC
     equality requires.
 
     With `restrict`, the ball keeps the closure of `_omega_support` of the
-    pairs ab = e, which holds every amplified multiplier difference.
+    pairs ab = e, which holds every amplified multiplier difference.  The
+    base is the restricted group context either way: its triple and trace
+    do not depend on its ball.
     """
-    base = group_context(key, restrict=restrict)
+    base = group_context(key)
     t_nn, t_base = amplifier_triple(n), base.ball.seminorm.triple
 
     mn = matrix_algebra(n)
@@ -304,8 +306,7 @@ def stability_context(key: str, n: int = 2, restrict: bool = True) -> StabilityC
     # the (alpha, beta) stack lives only until its omega copy is made
     seminorm_n = _omega_seminorm(Seminorm(tensor_algebra(t_nn.algebra, t_base.algebra),
                                           kasparov_commutators(t_nn, t_base)))
-    support = None if base.ball.keep is None else _omega_support(
-        base.ball.keep, base.group.order, n)
+    support = _omega_support(base.ball.keep, base.group.order, n) if restrict else None
     return StabilityContext(base, n, amp_trace, prepare_ball(seminorm_n, support))
 
 
@@ -516,8 +517,8 @@ def run_stability(seed: int = 0, trials: int = 25, groups=("Z2", "Z3"),
 
     Every ball keeps the pinching closure of its objectives' support, which
     loses nothing: multiplier pairs use the restricted contexts, generic
-    ones the unrestricted group context and, amplified, the closure of
-    `_omega_support` of all pairs (a, b).  On the first group, one
+    ones the group context's seminorm on its full ball and, amplified, the
+    closure of `_omega_support` of all pairs (a, b).  On the first group, one
     multiplier pair (the stability-restriction-check record) cross-checks
     the restricted amplified ball against the unrestricted one.
     """
@@ -529,13 +530,15 @@ def run_stability(seed: int = 0, trials: int = 25, groups=("Z2", "Z3"),
         ctx = stability_context(key)
         n_general = min(per_group[gi], general_trials[gi]) if gi < len(general_trials) else 0
         if n_general:
-            base_full, order = group_context(key, restrict=False), ctx.base.group.order
+            order = ctx.base.group.order
+            ball_full = prepare_ball(ctx.base.ball.seminorm)
             ball_generic = prepare_ball(ctx.ball_n.seminorm, _omega_support(
                 np.arange(order * order), order, ctx.n))
 
         def one(i, rng, ctx=ctx, n_general=n_general):
             generic = i < n_general
-            base, ball_n = (base_full, ball_generic) if generic else (ctx.base, ctx.ball_n)
+            base = ctx.base
+            ball, ball_n = (ball_full, ball_generic) if generic else (base.ball, ctx.ball_n)
             if generic:
                 f, g = (generate.random_trace_channel(rng, base.ga.algebra,
                                                       base.ga.algebra, base.tau)
@@ -543,7 +546,7 @@ def run_stability(seed: int = 0, trials: int = 25, groups=("Z2", "Z3"),
             else:
                 f, g = (multiplier_channel(generate.random_pdf(rng, base.group), base.ga)
                         for _ in range(2))
-            d1 = delta_distance(f, g, base.tau, base.ball, tolerance=SOLVER_TOL)
+            d1 = delta_distance(f, g, base.tau, ball, tolerance=SOLVER_TOL)
             dn = delta_distance(amplify(ctx.n, f), amplify(ctx.n, g), ctx.amp_trace,
                                 ball_n, tolerance=SOLVER_TOL)
             return [_record("stability-generic" if generic else "stability", i,
@@ -732,7 +735,7 @@ def run_mk_correctness(seed: int = 0) -> list[ExperimentRecord]:
         diff = states[i].values - states[j].values
 
         def norm(t):
-            return lip.eval_coords(np.array([t[0], t[1], 0.0], dtype=complex))
+            return lip.eval_coords(np.pad(t, ((0, 0), (0, 1))).astype(complex))
 
         oracle = grid_ball_maximize(np.array([diff[0].real, diff[1].real]),
                                     norm, radius=4.0, rounds=6, pts=17)

@@ -136,20 +136,18 @@ def _rank(flat: np.ndarray, tol: float) -> int:
     return int(np.linalg.matrix_rank(np.linalg.qr(flat.T, mode="r"), tol=tol))
 
 
-def _tensor_rank(ta: SpectralTriple, tb: SpectralTriple, copies: int) -> int:
-    """The rank `_rank` gives the flattened pi_A (x) pi_B, repeated on
-    `copies` diagonal blocks, at the threshold of the product triple, read
-    from the factors' singular values.
+def _tensor_rank(ta: SpectralTriple, tb: SpectralTriple) -> int:
+    """The rank `_rank` gives the flattened pi_A (x) pi_B at the threshold
+    of the product triple, read from the factors' singular values.
 
     Up to a permutation of columns the flattened pi_A (x) pi_B is
     kron(flat_A, flat_B), whose singular values are the products
-    sigma_A,i sigma_B,j; `copies` repeats of its columns scale them by
-    sqrt(copies).  Its largest entry is the product of the factors'."""
+    sigma_A,i sigma_B,j.  Its largest entry is the product of the factors'."""
     sa, sb = (np.linalg.svd(t.rep.reshape(t.rep.shape[0], -1), compute_uv=False)
               for t in (ta, tb))
     amax = float(np.abs(ta.rep).max()) * float(np.abs(tb.rep).max())
     tol = _FAITHFUL_TOL * max(1.0, amax ** 2)
-    return int(np.count_nonzero(np.sqrt(copies) * np.multiply.outer(sa, sb) > tol))
+    return int(np.count_nonzero(np.multiply.outer(sa, sb) > tol))
 
 
 # ---------------------------------------------------------------------------
@@ -201,34 +199,42 @@ def right_tensor_seminorm(algebra_a: ConcreteAlgebra, triple_b: SpectralTriple,
 # Kasparov exterior products
 # ---------------------------------------------------------------------------
 
+# the doubling of an odd triple: Dirac sigma_x (x) D, grading -sigma_y (x) 1
+_SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_MINUS_SIGMA_Y = np.array([[0, 1j], [-1j, 0]])
+
+
 def _checked_product(ta: SpectralTriple, tb: SpectralTriple):
-    """The carrier, Dirac and grading of the exterior Kasparov product of
-    `ta` and `tb`, after the one check of a product (see `kasparov_product`):
-    both factors pass the full `validate`, the product's Dirac and grading
-    pass the operator laws, and `_tensor_rank` finds it faithful."""
+    """The one parity rule of the exterior Kasparov product: its Dirac is
+    D = D_A (x) R + L (x) D_B, with L = gamma_A and R = 1 for an even first
+    factor, L = 1 and R = gamma_B for an odd one before an even `tb`.  When
+    both are odd, the first factor is `ta` doubled to the even triple
+    (C^2 (x) H_A, sigma_x (x) D_A, -sigma_y (x) 1, 1 (x) pi_A) and the
+    grading is diag(1, -1) (x) 1.  Returns the first factor, L, R, the
+    Dirac and the grading, after the one check of a product (see
+    `kasparov_product`): both factors pass the full `validate`, the Dirac
+    and grading pass the operator laws, and `_tensor_rank` finds the
+    product faithful."""
     ta.validate()
     tb.validate()
-    carrier = tensor_algebra(ta.algebra, tb.algebra)
-    ia, ib = np.eye(ta.hilbert_dim), np.eye(tb.hilbert_dim)
-    grading = None
-    copies = 1
-    if ta.even:
-        dirac = np.kron(ta.dirac, ib) + np.kron(ta.grading, tb.dirac)
+    first, grading = ta, None
+    if not (ta.even or tb.even):
+        ha = ta.hilbert_dim
+        first = SpectralTriple(ta.algebra, kron_stack(np.eye(2)[None], ta.rep),
+                               np.kron(_SIGMA_X, ta.dirac), np.kron(_MINUS_SIGMA_Y, np.eye(ha)))
+        grading = np.kron(np.diag([1.0, -1.0]),
+                          np.eye(ha * tb.hilbert_dim)).astype(complex)
+    if first.even:
+        left, right = first.grading, np.eye(tb.hilbert_dim)
         if tb.even:
-            grading = np.kron(ta.grading, tb.grading)
-    elif tb.even:
-        dirac = np.kron(ta.dirac, tb.grading) + np.kron(ia, tb.dirac)
+            grading = np.kron(first.grading, tb.grading)
     else:
-        copies = 2
-        h0 = len(ia) * len(ib)
-        dirac = np.zeros((2 * h0, 2 * h0), dtype=complex)
-        dirac[:h0, h0:] = np.kron(ta.dirac, ib) + 1j * np.kron(ia, tb.dirac)
-        dirac[h0:, :h0] = np.kron(ta.dirac, ib) - 1j * np.kron(ia, tb.dirac)
-        grading = np.kron(np.diag([1.0, -1.0]), np.eye(h0)).astype(complex)
+        left, right = np.eye(ta.hilbert_dim), tb.grading
+    dirac = np.kron(first.dirac, right) + np.kron(left, tb.dirac)
     _check_operator_laws(dirac, grading)
-    if _tensor_rank(ta, tb, copies) < carrier.dim:
+    if _tensor_rank(first, tb) < ta.algebra.dim * tb.algebra.dim:
         raise InvalidSpectralTriple("representation is not faithful")
-    return carrier, dirac, grading
+    return first, left, right, dirac, grading
 
 
 def kasparov_product(ta: SpectralTriple, tb: SpectralTriple) -> SpectralTriple:
@@ -241,25 +247,21 @@ def kasparov_product(ta: SpectralTriple, tb: SpectralTriple) -> SpectralTriple:
     odd  x even : D_A (x) gamma_B + 1 (x) D_B, no grading
     even x odd  : D_A (x) 1 + gamma_A (x) D_B, no grading
 
-    The check costs what the factors cost, not the product: both factors
-    pass the full `validate`, the product passes the operator laws, and its
-    faithfulness is decided from the factors (`_tensor_rank`).  The other
-    representation laws follow from the factors': the carrier's unit,
-    structure constants and adjoint are the tensor products of the factors',
-    so pi_A (x) pi_B (on each diagonal copy of the doubled space) is unital,
-    multiplicative and *-preserving when pi_A and pi_B are, and the grading
-    gamma_A (x) gamma_B, or diag(1, -1) (x) 1, commutes with it when the
-    factor gradings commute with their representations.
+    Every case is D_A (x) R + L (x) D_B of `_checked_product`, odd x odd
+    through the doubled first factor.  The check costs what the factors
+    cost, not the product: both factors pass the full `validate`, the
+    product passes the operator laws, and its faithfulness is decided from
+    the factors (`_tensor_rank`).  The other representation laws follow
+    from the factors': the carrier's unit, structure constants and adjoint
+    are the tensor products of the factors', so pi_A (x) pi_B (on each
+    diagonal copy of the doubled space) is unital, multiplicative and
+    *-preserving when pi_A and pi_B are, and the grading gamma_A (x)
+    gamma_B, or diag(1, -1) (x) 1, commutes with it when the factor
+    gradings commute with their representations.
     """
-    carrier, dirac, grading = _checked_product(ta, tb)
-    rep = kron_stack(ta.rep, tb.rep)
-    if not (ta.even or tb.even):
-        h0 = rep.shape[1]
-        doubled = np.zeros((len(rep), 2 * h0, 2 * h0), dtype=complex)
-        doubled[:, :h0, :h0] = rep
-        doubled[:, h0:, h0:] = rep
-        rep = doubled
-    return SpectralTriple(carrier, rep, dirac, grading)
+    first, _, _, dirac, grading = _checked_product(ta, tb)
+    return SpectralTriple(tensor_algebra(ta.algebra, tb.algebra),
+                          kron_stack(first.rep, tb.rep), dirac, grading)
 
 
 def kasparov_commutators(ta: SpectralTriple, tb: SpectralTriple) -> np.ndarray:
@@ -268,39 +270,18 @@ def kasparov_commutators(ta: SpectralTriple, tb: SpectralTriple) -> np.ndarray:
     the factors' commutators: neither the product's representation nor
     D pi and pi D is formed.  The checks are `kasparov_product`'s.
 
-    A grading commutes with its factor's representation, so
-    even x even, even x odd : [D_A, pi_A] (x) pi_B + gamma_A pi_A (x) [D_B, pi_B]
-    odd  x even : [D_A, pi_A] (x) gamma_B pi_B + pi_A (x) [D_B, pi_B]
-    odd  x odd  : off-diagonal blocks [D_A, pi_A] (x) pi_B +- i pi_A (x) [D_B, pi_B]
+    A grading commutes with its factor's representation, so for the
+    D_A (x) R + L (x) D_B of `_checked_product` (odd x odd on the doubled
+    first factor) the stack is [D_A, pi_A] (x) R pi_B + L pi_A (x) [D_B, pi_B].
     The first term is one Kronecker stack; the second is added into it one
-    coordinate of A at a time."""
-    _checked_product(ta, tb)
-    ca, cb = ta.commutator_matrices(), tb.commutator_matrices()
-    if ta.even:
-        out = kron_stack(ca, tb.rep)
-        _add_kron_rows(out, ta.grading @ ta.rep, cb)
-    elif tb.even:
-        out = kron_stack(ca, tb.grading @ tb.rep)
-        _add_kron_rows(out, ta.rep, cb)
-    else:
-        first = kron_stack(ca, tb.rep)
-        h0 = first.shape[1]
-        out = np.zeros((len(first), 2 * h0, 2 * h0), dtype=complex)
-        out[:, :h0, h0:] = first
-        out[:, h0:, :h0] = first
-        del first
-        irep = 1j * ta.rep
-        _add_kron_rows(out[:, :h0, h0:], irep, cb)
-        _add_kron_rows(out[:, h0:, :h0], -irep, cb)
+    coordinate of A at a time, so no temporary of the stack's size exists."""
+    first, left, right, _, _ = _checked_product(ta, tb)
+    out = kron_stack(first.commutator_matrices(), right @ tb.rep)
+    left_rep, cb = left @ first.rep, tb.commutator_matrices()
+    db = len(cb)
+    for i in range(len(left_rep)):
+        out[i * db:(i + 1) * db] += kron_stack(left_rep[i:i + 1], cb)
     return out
-
-
-def _add_kron_rows(out: np.ndarray, stack_a: np.ndarray, stack_b: np.ndarray):
-    """Add `kron_stack(stack_a, stack_b)` into `out` in place, one row of
-    `stack_a` at a time, so no temporary of the size of `out` exists."""
-    db = len(stack_b)
-    for i in range(len(stack_a)):
-        out[i * db:(i + 1) * db] += kron_stack(stack_a[i:i + 1], stack_b)
 
 
 def gradient_dirac_triple(l_mats, algebra: ConcreteAlgebra | None = None) -> SpectralTriple:

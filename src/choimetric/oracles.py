@@ -11,7 +11,6 @@ a new record of the acceptance report.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -29,8 +28,11 @@ def grid_ball_maximize(objective: np.ndarray, ball_eval, radius: float,
     """Multiresolution exhaustive grid for sup { g . t : N(t) <= 1 } with a
     positively homogeneous N; independent of the SDP path.
 
-    Infeasible grid points are rescaled onto the sphere N(t) = 1, so every
-    evaluated direction contributes.  Intended for <= 4 variables.
+    `ball_eval` maps a (k, r) stack of points to their k norms; each
+    round's grid goes to it as one stack.  Points with N(t) <= 1 count as
+    they are, infeasible ones are rescaled onto the sphere N(t) = 1, so
+    every evaluated direction contributes, and points with a NaN norm are
+    skipped; the first maximum wins.  Intended for <= 4 variables.
     """
     g = np.asarray(objective, dtype=float)
     r = g.shape[0]
@@ -38,23 +40,15 @@ def grid_ball_maximize(objective: np.ndarray, ball_eval, radius: float,
     best = 0.0
     span = float(radius)
     for _ in range(rounds):
-        axes = [np.linspace(center[i] - span, center[i] + span, pts)
-                for i in range(r)]
-        best_here = center
-        for point in itertools.product(*axes):
-            t = np.asarray(point)
-            norm = ball_eval(t)
-            if norm <= 1.0 + 1e-12:
-                val = float(g @ t)
-            elif norm > 0:
-                t = t / norm
-                val = float(g @ t)
-            else:
-                continue
-            if val > best:
-                best = val
-                best_here = t
-        center = best_here
+        axes = [np.linspace(c - span, c + span, pts) for c in center]
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, r)
+        norms = np.asarray(ball_eval(grid), dtype=float)
+        outside = norms > 1.0 + 1e-12
+        grid[outside] /= norms[outside, None]
+        vals = np.where(np.isnan(norms), -np.inf, grid @ g)
+        k = int(np.argmax(vals))
+        if vals[k] > best:
+            best, center = float(vals[k]), grid[k]
         span = span * 3.0 / (pts - 1)
     return best
 

@@ -366,17 +366,18 @@ def test_generic_amplified_pairs_lose_nothing_on_the_closure_ball(key, pairs, si
     # generic trace channels, amplified: the closure of supp omega(id_2)
     # times every pair (a, b) gives the full ball's Delta_n, and Delta_1
     ctx = E.stability_context(key)
-    base = E.group_context(key, restrict=False)
+    base = ctx.base
     order = base.group.order
     closure = metrics.prepare_ball(ctx.ball_n.seminorm, E._omega_support(
         np.arange(order * order), order, ctx.n))
     full = metrics.prepare_ball(ctx.ball_n.seminorm)
+    ball_1 = metrics.prepare_ball(base.ball.seminorm)
     assert len(closure.keep) == size
     rng = np.random.default_rng(13)
     alg = base.ga.algebra
     for _ in range(pairs):
         f, g = (random_trace_channel(rng, alg, alg, base.tau) for _ in range(2))
-        d1 = E.delta_distance(f, g, base.tau, base.ball, tolerance=1e-10)
+        d1 = E.delta_distance(f, g, base.tau, ball_1, tolerance=1e-10)
         res, ref = (E.delta_distance(amplify(ctx.n, f), amplify(ctx.n, g), ctx.amp_trace,
                                      ball, tolerance=1e-10) for ball in (closure, full))
         assert res.status == ref.status == d1.status == "optimal"

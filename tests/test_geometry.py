@@ -24,6 +24,7 @@ from choimetric.errors import InvalidSpectralTriple
 from choimetric.experiments import _toy_triples
 from choimetric.geometry import (
     _FAITHFUL_TOL,
+    _checked_product,
     _rank,
     _tensor_rank,
     gradient_dirac_triple,
@@ -144,29 +145,31 @@ def test_kasparov_product_rejects_a_corrupted_factor(law, parity, position, part
 def _suite_factors(case):
     """The factors of a Kasparov product that the suites build: the length
     Dirac triples of the S3 group context, or d_2 x d_2 and a group
-    context's product for the amplified contexts."""
+    context's product for the amplified contexts (restricted or not, the
+    amplified contexts share their factors)."""
     if case == "S3":
         group, cocycle = E.builtin_group("S3")
         ga = twisted_group_algebra(group, cocycle)
         length = word_length(group)
         return E.length_dirac(ga, length), E.length_dirac_op(ga, length)
-    key, restrict = case
-    return (E.amplifier_triple(2),
-            E.group_context(key, restrict=restrict).ball.seminorm.triple)
+    return E.amplifier_triple(2), E.group_context(case).ball.seminorm.triple
 
 
-@pytest.mark.parametrize("case", ["S3", ("Z2", True), ("Z2", False), ("Z3", True)],
-                         ids=["S3", "amplified Z2", "amplified Z2 unrestricted",
-                              "amplified Z3"])
+SUITE_CASES = ["S3", "Z2", "Z3"]
+SUITE_IDS = ["S3", "amplified Z2", "amplified Z3"]
+
+
+@pytest.mark.parametrize("case", SUITE_CASES, ids=SUITE_IDS)
 def test_suite_products_pass_the_full_check(case):
     ta, tb = _suite_factors(case)
     product = kasparov_product(ta, tb)
     product.validate()
-    # the faithfulness decision read from the factors is the full check's
+    # the faithfulness decision read from the factors is the full check's,
+    # with the doubled first factor on the odd x odd S3 product
     d, h, _ = product.rep.shape
     tol = _FAITHFUL_TOL * max(1.0, float(np.abs(product.rep).max()) ** 2)
-    copies = 1 if ta.even or tb.even else 2
-    assert _tensor_rank(ta, tb, copies) == _rank(product.rep.reshape(d, h * h), tol) == d
+    first, *_ = _checked_product(ta, tb)
+    assert _tensor_rank(first, tb) == _rank(product.rep.reshape(d, h * h), tol) == d
 
 
 def _rotated(t: SpectralTriple, rng) -> SpectralTriple:
@@ -206,23 +209,46 @@ def test_kasparov_commutators_are_the_products_commutators(pa, pb, rotate):
         assert np.array_equal(stack, reference)
 
 
-@pytest.mark.parametrize("case", ["S3", ("Z2", True), ("Z2", False), ("Z3", True)],
-                         ids=["S3", "amplified Z2", "amplified Z2 unrestricted",
-                              "amplified Z3"])
+@pytest.mark.parametrize("case", SUITE_CASES, ids=SUITE_IDS)
 def test_kasparov_commutators_of_the_suite_factors_are_exact(case):
     ta, tb = _suite_factors(case)
     assert np.array_equal(kasparov_commutators(ta, tb),
                           kasparov_product(ta, tb).commutator_matrices())
 
 
-@pytest.mark.parametrize("copies", [1, 2])
-def test_tensor_rank_matches_rank_on_an_unfaithful_factor(copies):
+def test_tensor_rank_matches_rank_on_an_unfaithful_factor():
     bad = _corrupt_factor("not faithful", "odd")
     good = _toy_triples()["odd_m2"]
     rep = kron_stack(bad.rep, good.rep)
-    flat = np.concatenate([rep.reshape(len(rep), -1)] * copies, axis=1)
     tol = _FAITHFUL_TOL * max(1.0, float(np.abs(rep).max()) ** 2)
-    assert _tensor_rank(bad, good, copies) == _rank(flat, tol) == 4
+    assert _tensor_rank(bad, good) == _rank(rep.reshape(len(rep), -1), tol) == 4
+
+
+_PLUS, _MINUS = (np.kron(X, np.eye(2)) + s * 1j * np.kron(np.eye(2), X) for s in (1, -1))
+# (Dirac, grading) of the product of the d2 toys, from kasparov_product's
+# table: odd is (d2, X), even is (d2, X, Z)
+PARITY_TABLE = {
+    ("odd", "odd"): (np.block([[np.zeros((4, 4)), _PLUS], [_MINUS, np.zeros((4, 4))]]),
+                     np.kron(Z, np.eye(4))),
+    ("odd", "even"): (np.kron(X, Z) + np.kron(np.eye(2), X), None),
+    ("even", "odd"): (np.kron(X, np.eye(2)) + np.kron(Z, X), None),
+    ("even", "even"): (np.kron(X, np.eye(2)) + np.kron(Z, X), np.kron(Z, Z)),
+}
+
+
+@pytest.mark.parametrize("pa, pb", list(PARITY_TABLE))
+def test_kasparov_product_follows_the_parity_table(pa, pb):
+    dirac, grading = PARITY_TABLE[pa, pb]
+    basis = diagonal_algebra(2).basis
+    rep = np.array([np.kron(a, b) for a in basis for b in basis])
+    if pa == pb == "odd":
+        rep = np.array([np.kron(np.eye(2), r) for r in rep])
+    toys = _toy_triples()
+    product = kasparov_product(toys[pa], toys[pb])
+    assert np.array_equal(product.dirac, dirac)
+    assert np.array_equal(product.rep, rep)
+    assert (product.grading is None if grading is None
+            else np.array_equal(product.grading, grading))
 
 
 def test_kasparov_product_allocates_about_its_representation():

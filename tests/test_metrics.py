@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -121,11 +122,59 @@ def test_three_point_path_metric_and_grid_oracle():
         diff = states[i].values - states[j].values
 
         def norm(t):
-            return lip.eval_coords(np.array([t[0], t[1], 0.0], dtype=complex))
+            return lip.eval_coords(np.pad(t, ((0, 0), (0, 1))).astype(complex))
 
         oracle = grid_ball_maximize(np.array([diff[0].real, diff[1].real]),
                                     norm, radius=4.0, rounds=6, pts=17)
         assert abs(res.value - oracle) < 1e-5
+
+
+def _grid_loop(objective, ball_eval, radius, rounds, pts):
+    """The grid of `grid_ball_maximize` one point and one norm call at a
+    time, in `itertools.product` order: the reference for its batched
+    rounds."""
+    g = np.asarray(objective, dtype=float)
+    center, best, span = np.zeros(len(g)), 0.0, float(radius)
+    for _ in range(rounds):
+        best_here = center
+        for point in itertools.product(*(np.linspace(c - span, c + span, pts)
+                                         for c in center)):
+            t = np.asarray(point)
+            norm = ball_eval(t[None])[0]
+            if norm > 1.0 + 1e-12:
+                t = t / norm
+            elif not norm <= 1.0 + 1e-12:       # a NaN norm
+                continue
+            if float(g @ t) > best:
+                best, best_here = float(g @ t), t
+        center = best_here
+        span = span * 3.0 / (pts - 1)
+    return best
+
+
+def _path_norm_nan_left(t):
+    # the path seminorm on (t_1, t_2, 0), NaN where t_1 < -3
+    norms = path_seminorm(1.0, 1.0).eval_coords(np.pad(t, ((0, 0), (0, 1))).astype(complex))
+    return np.where(t[:, 0] < -3.0, np.nan, norms)
+
+
+@pytest.mark.parametrize("objective, ball_eval, exact", [
+    ([1.0, -1.0], _path_norm_nan_left, True),
+    ([-1.0, 1.0], _path_norm_nan_left, True),
+    ([0.0, 1.0], _path_norm_nan_left, True),
+    # zero norm off the origin: kept as they are
+    ([1.0, 0.5], lambda t: np.abs(t[:, 0]), True),
+    ([0.3, 0.7], _path_norm_nan_left, False),
+], ids=["path-1", "path-2", "path-3", "kernel", "path-rounded"])
+def test_grid_oracle_matches_the_per_point_loop(objective, ball_eval, exact):
+    # with entries 0, +-1 and 1/2 every g . t rounds once, so the batched
+    # products agree exactly; otherwise to a few ulps
+    args = (np.array(objective), ball_eval, 4.0, 6, 17)
+    ref, got = _grid_loop(*args), grid_ball_maximize(*args)
+    if exact:
+        assert got == ref
+    else:
+        assert abs(got - ref) <= 8 * np.finfo(float).eps * max(1.0, abs(ref))
 
 
 def test_infinite_distance_kernel_witness(m2, rng):
@@ -362,7 +411,7 @@ def test_delta_multiplier_family_linear():
     gvec = (ball.rows @ diff).real
 
     def norm(t):
-        return ball.seminorm.eval_coords(ball.rows.T @ t)
+        return ball.seminorm.eval_coords(t @ ball.rows)
 
     oracle = grid_ball_maximize(gvec, norm, radius=3.0, rounds=6, pts=9)
     assert abs(oracle - kappas[0]) < 1e-4
@@ -517,7 +566,7 @@ def test_row_space_of_a_tall_matrix_comes_from_its_r_factor(shape, rank):
 def test_ball_range_and_kernel_sizes(key, restrict, amplified, sizes):
     # (q, n0): the range and kernel dimensions of every suite's ball
     ball = (stability_context(key, restrict=restrict).ball_n if amplified
-            else group_context(key, restrict=restrict).ball)
+            else group_context(key).ball)
     assert (ball.range_basis.shape[1], ball.null_basis.shape[1]) == sizes
 
 
