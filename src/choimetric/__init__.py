@@ -37,9 +37,9 @@ from .channels import (
 )
 from .geometry import (
     CommutatorSeminorm,
+    KasparovSeminorm,
     Seminorm,
     SpectralTriple,
-    kasparov_commutators,
     kasparov_product,
     left_tensor_seminorm,
     right_tensor_seminorm,

@@ -50,10 +50,9 @@ from .errors import Infeasible, InvalidSpectralTriple
 from .generate import child_rngs
 from .geometry import (
     CommutatorSeminorm,
-    Seminorm,
+    KasparovSeminorm,
     SpectralTriple,
     gradient_dirac_triple,
-    kasparov_commutators,
     kasparov_product,
     right_tensor_seminorm,
     seminorm_domination_check,
@@ -247,18 +246,6 @@ class StabilityContext:
     ball_n: object                   # of the seminorm over the omega-carrier
 
 
-def _omega_seminorm(seminorm: Seminorm) -> Seminorm:
-    """A seminorm over (M_n (x) M_n^op) (x) (A (x) B^op), read on the
-    omega-carrier (M_n (x) A) (x) (M_n (x) B)^op through the factor flip
-    Sigma_[23]: the same norm stack with its rows reindexed, omega
-    coordinate (i, a, j, b) reading coordinate (i, j, a, b)."""
-    alg = seminorm.algebra
-    mn, _, a, b_op = alg.factors
-    carrier = tensor_algebra(tensor_algebra(mn, a), opposite_algebra(
-        tensor_algebra(mn, opposite_algebra(b_op))))
-    return Seminorm(carrier, seminorm.matrices[_swap_coords(alg, np.arange(alg.dim), 1, 2)])
-
-
 def _omega_support(pairs: np.ndarray, g: int, n: int) -> np.ndarray:
     """supp omega(id_n) times the base `pairs` (flat a g + b), in omega
     order (i, a, j, b): omega(id_n)(e_pq (x) e_rs^op) = tr(e_pq e_rs) / n
@@ -303,9 +290,13 @@ def stability_context(key: str, n: int = 2, restrict: bool = True) -> StabilityC
         mn, np.trace(mn.basis, axis1=1, axis2=2) / n))
     amp_trace = tensor_trace(trace_n, base.tau)
 
-    # the (alpha, beta) stack lives only until its omega copy is made
-    seminorm_n = _omega_seminorm(Seminorm(tensor_algebra(t_nn.algebra, t_base.algebra),
-                                          kasparov_commutators(t_nn, t_base)))
+    # omega coordinate (i, a, j, b) reads Kasparov coordinate (i, j, a, b)
+    kasparov = tensor_algebra(t_nn.algebra, t_base.algebra)
+    _, _, a, b_op = kasparov.factors
+    carrier = tensor_algebra(tensor_algebra(mn, a), opposite_algebra(
+        tensor_algebra(mn, opposite_algebra(b_op))))
+    seminorm_n = KasparovSeminorm(carrier, t_nn, t_base,
+                                  _swap_coords(kasparov, np.arange(kasparov.dim), 1, 2))
     support = _omega_support(base.ball.keep, base.group.order, n) if restrict else None
     return StabilityContext(base, n, amp_trace, prepare_ball(seminorm_n, support))
 

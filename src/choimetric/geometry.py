@@ -13,8 +13,9 @@ commuting with the grading).  A Kasparov product is checked through its
 factors: both pass the full check, the product passes the operator laws,
 and its faithfulness is read from the factors' singular values; its other
 representation laws follow from the factors' (see `kasparov_product`).
-`kasparov_commutators` gives the product's commutator stack from the
-factors' commutators, under the same check, without its representation.
+`KasparovSeminorm` is the product's commutator seminorm kept as the
+factors' commutators, under the same check: neither its representation
+nor its commutator stack is formed, only the rows a ball reads.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import linalg
 from .algebra import ConcreteAlgebra, matrix_algebra, tensor_algebra
-from .errors import InvalidSpectralTriple
+from .errors import AlgebraMismatch, InvalidSpectralTriple
 from .linalg import EPS_STRUCT, kron_stack, operator_norm
 
 
@@ -156,12 +157,21 @@ def _tensor_rank(ta: SpectralTriple, tb: SpectralTriple) -> int:
 
 class Seminorm:
     """A seminorm over a fixed algebra in the one form the Monge-Kantorovich
-    solver reads: L(x) = || sum_i x_i M[i] || for `matrices`, a complex
-    stack M of shape (d, p, q)."""
+    solver reads: L(x) = || sum_i x_i M[i] || for a complex stack M of shape
+    (d, p, q), read through `rows` and `pattern`.  This class holds M as
+    `matrices`; `KasparovSeminorm` keeps it factored."""
 
     def __init__(self, algebra: ConcreteAlgebra, matrices: np.ndarray):
         self.algebra = algebra
         self.matrices = matrices
+
+    def rows(self, idx: np.ndarray | None = None) -> np.ndarray:
+        """The stack M[idx] of the coordinates `idx`, all of M when None."""
+        return self.matrices if idx is None else self.matrices[idx]
+
+    def pattern(self) -> np.ndarray:
+        """A Boolean (d, p, q) superset of the entries where M is nonzero."""
+        return self.matrices != 0
 
     def eval_coords(self, coords: np.ndarray):
         """L at one coordinate vector, as a float, or at each row of a (k, d)
@@ -264,24 +274,72 @@ def kasparov_product(ta: SpectralTriple, tb: SpectralTriple) -> SpectralTriple:
                           kron_stack(first.rep, tb.rep), dirac, grading)
 
 
-def kasparov_commutators(ta: SpectralTriple, tb: SpectralTriple) -> np.ndarray:
-    """The commutator stack [D, pi(B_a (x) C_b)] of `kasparov_product(ta, tb)`,
-    over its carrier's coordinates (a, b) in row-major order, assembled from
-    the factors' commutators: neither the product's representation nor
-    D pi and pi D is formed.  The checks are `kasparov_product`'s.
+class KasparovSeminorm(Seminorm):
+    """The commutator seminorm of `kasparov_product(ta, tb)` over `algebra`,
+    whose coordinate k is the product's coordinate `order[k]` (identity
+    order when None), the pair (a, b) in row-major order.  The checks are
+    `kasparov_product`'s, and the stack is never formed.
 
     A grading commutes with its factor's representation, so for the
     D_A (x) R + L (x) D_B of `_checked_product` (odd x odd on the doubled
-    first factor) the stack is [D_A, pi_A] (x) R pi_B + L pi_A (x) [D_B, pi_B].
-    The first term is one Kronecker stack; the second is added into it one
-    coordinate of A at a time, so no temporary of the stack's size exists."""
-    first, left, right, _, _ = _checked_product(ta, tb)
-    out = kron_stack(first.commutator_matrices(), right @ tb.rep)
-    left_rep, cb = left @ first.rep, tb.commutator_matrices()
-    db = len(cb)
-    for i in range(len(left_rep)):
-        out[i * db:(i + 1) * db] += kron_stack(left_rep[i:i + 1], cb)
-    return out
+    first factor) row (a, b) of the stack is the sum of two Kronecker terms,
+    [D_A, pi_A(a)] (x) R pi_B(b) + L pi_A(a) (x) [D_B, pi_B(b)].  `rows`
+    forms only the rows it is asked for, `pattern` ORs the terms' Boolean
+    Kronecker patterns (a superset of the stack's: a cancellation between
+    the terms is not seen), and `eval_coords` contracts the factors."""
+
+    def __init__(self, algebra: ConcreteAlgebra, ta: SpectralTriple, tb: SpectralTriple,
+                 order: np.ndarray | None = None):
+        first, left, right, _, _ = _checked_product(ta, tb)
+        d = ta.algebra.dim * tb.algebra.dim
+        self.order = np.arange(d) if order is None else np.asarray(order)
+        if algebra.dim != d or not np.array_equal(np.sort(self.order), np.arange(d)):
+            raise AlgebraMismatch("order is not a permutation of the product's coordinates")
+        self.algebra = algebra
+        # the (first, second) factor stacks of the two Kronecker terms
+        self.terms = ((first.commutator_matrices(), right @ tb.rep),
+                      (left @ first.rep, tb.commutator_matrices()))
+
+    def _kron_rows(self, idx, entries) -> np.ndarray:
+        """Sum over the terms of entries(A[a]) (x) entries(B[b]) at the
+        product coordinates (a, b) of `idx`, all when None."""
+        (_, rb), _ = self.terms
+        a, b = np.divmod(self.order if idx is None else self.order[idx], len(rb))
+        out = None
+        for fa, fb in self.terms:
+            term = np.einsum("kij,kpq->kipjq", entries(fa[a]), entries(fb[b]))
+            if out is None:
+                out = term
+            else:
+                out += term
+        k, p, r, q, s = out.shape
+        return out.reshape(k, p * r, q * s)
+
+    def rows(self, idx: np.ndarray | None = None) -> np.ndarray:
+        return self._kron_rows(idx, lambda m: m)
+
+    def pattern(self) -> np.ndarray:
+        return self._kron_rows(None, lambda m: m != 0)
+
+    def eval_coords(self, coords: np.ndarray):
+        """L as `Seminorm.eval_coords` gives it, with the sum over (a, b)
+        taken as two matrix products per term: sum_b x_ab B[b], then
+        sum_a A[a] (x) (that sum)."""
+        x = np.asarray(coords)
+        flat = x.reshape(-1, x.shape[-1])
+        k = len(flat)
+        (ca, rb), _ = self.terms
+        (da, pa, _), (db, pb, _) = ca.shape, rb.shape
+        y = np.zeros((k, da * db), dtype=complex)
+        y[:, self.order] = flat
+        y = y.reshape(k * da, db)
+        total = 0.0
+        for fa, fb in self.terms:
+            inner = (y @ fb.reshape(db, pb * pb)).reshape(k, da, pb * pb)
+            total = total + fa.reshape(da, pa * pa).T @ inner
+        m = total.reshape(k, pa, pa, pb, pb).transpose(0, 1, 3, 2, 4).reshape(
+            k, pa * pb, pa * pb)
+        return operator_norm(m if x.ndim > 1 else m[0])
 
 
 def gradient_dirac_triple(l_mats, algebra: ConcreteAlgebra | None = None) -> SpectralTriple:
@@ -317,7 +375,7 @@ def seminorm_domination_check(ta: SpectralTriple, tb: SpectralTriple,
     elements of the tensor algebra, up to the relative slack EPS_STRUCT.
     Returns the number of violations and the largest excess of a factor
     seminorm over L_{A x B} (0 when none exceeds it)."""
-    big = Seminorm(tensor_algebra(ta.algebra, tb.algebra), kasparov_commutators(ta, tb))
+    big = KasparovSeminorm(tensor_algebra(ta.algebra, tb.algebra), ta, tb)
     left = left_tensor_seminorm(ta, tb.algebra, rep_b=tb.rep)
     right = right_tensor_seminorm(ta.algebra, tb, rep_a=ta.rep)
     coords = linalg.complex_samples(rng, samples, big.algebra.dim)

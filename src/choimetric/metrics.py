@@ -218,7 +218,11 @@ def _pinching_closure(matrices: np.ndarray, support) -> np.ndarray:
     over functionals supported on K loses nothing by the restriction.  Any
     such K' that holds the support has classes that hold K's, so it holds
     every matrix the growth adds (cf. Permenter and Parrilo, Math. Program.
-    181, 2020: the smallest reduction that holds the objective)."""
+    181, 2020: the smallest reduction that holds the objective).
+
+    `matrices` is the stack or a Boolean superset of its nonzero pattern
+    (`Seminorm.pattern`).  A superset only coarsens the classes and widens
+    the dropped matrices, so its K holds the exact one and is as sound."""
     pattern = matrices != 0
     eye = np.eye(pattern.shape[1], dtype=bool)
     kept = np.zeros(len(pattern), dtype=bool)
@@ -239,10 +243,10 @@ def prepare_ball(seminorm: Seminorm, support: np.ndarray | None = None) -> _Ball
     the pinching closure of the coordinates `support` (on all of them when
     None), exact for objectives on `support`.  Every MK solve takes it in
     place of the seminorm, so a caller prepares it once per seminorm."""
-    keep = None if support is None else _pinching_closure(seminorm.matrices, support)
+    keep = None if support is None else _pinching_closure(seminorm.pattern(), support)
     rows = selfadjoint_basis(seminorm.algebra, keep)
-    # the norm stack on the self-adjoint directions
-    stack = contract_stack(rows, seminorm.matrices)
+    # the norm stack on the self-adjoint directions, from the kept rows alone
+    stack = contract_stack(rows if keep is None else rows[:, keep], seminorm.rows(keep))
     flat = stack.reshape(len(stack), -1)
     rng_basis, null = row_and_null_space_real(np.hstack([flat.real, flat.imag]).T)
     blocks = _assemble_blocks(contract_stack(rng_basis.T, stack))

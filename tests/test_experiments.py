@@ -14,6 +14,7 @@ from choimetric.errors import Infeasible, InvalidSpectralTriple
 from choimetric.generate import random_pdf, random_trace_channel
 from choimetric.geometry import (
     CommutatorSeminorm,
+    Seminorm,
     SpectralTriple,
     kasparov_product,
     right_tensor_seminorm,
@@ -122,7 +123,7 @@ def test_amplified_triple_is_valid_on_the_omega_carrier(key, order):
     relabelled = omega_triple(ctx)
     relabelled.validate()
     # the amplified seminorm is the relabelled triple's commutator seminorm
-    assert np.array_equal(relabelled.commutator_matrices(), ctx.ball_n.seminorm.matrices)
+    assert np.array_equal(relabelled.commutator_matrices(), ctx.ball_n.seminorm.rows())
     # omega coordinate (i, a, j, b) reads Kasparov coordinate (i, j, a, b),
     # with i, j over the 4 coordinates of M_2 and a, b over the group
     kasparov = tensor_algebra(E.amplifier_triple(2).algebra, ctx.base.ball.seminorm.algebra)
@@ -132,9 +133,9 @@ def test_amplified_triple_is_valid_on_the_omega_carrier(key, order):
         == ((i * 4 + j) * order + a) * order + b
 
 
-def test_stability_context_allocates_about_its_omega_stack():
-    # assembled from the factors' commutators, the amplified Z3 set-up holds
-    # the (alpha, beta) stack and its omega copy, and little besides
+def test_stability_context_stays_below_half_its_omega_stack():
+    # the amplified Z3 seminorm stays factored: the set-up forms the 12 kept
+    # rows and a Boolean pattern, never the 144 x 144 x 144 complex stack
     E.group_context("Z3")
     tracemalloc.start()
     try:
@@ -142,9 +143,8 @@ def test_stability_context_allocates_about_its_omega_stack():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    stack = ctx.ball_n.seminorm.matrices
-    assert stack.shape == (144, 144, 144)
-    assert peak <= 2.5 * stack.nbytes
+    assert ctx.ball_n.seminorm.algebra.dim == 144 and len(ctx.ball_n.keep) == 12
+    assert peak <= 144 ** 3 * 16 / 2
 
 
 def test_chaining_small():
@@ -440,7 +440,9 @@ def test_audit_sample_flip_reads_the_reindexed_stack(key, rng):
     x = rng.standard_normal((4, lip_n.algebra.dim)) + 1j * rng.standard_normal(
         (4, lip_n.algebra.dim))
     flipped = unflipped.eval_coords(_swap_coords(lip_n.algebra, x, 1, 2))
-    assert np.abs(flipped - E._omega_seminorm(unflipped).eval_coords(x)).max() <= 1e-12
+    to_omega = _swap_coords(unflipped.algebra, np.arange(unflipped.algebra.dim), 1, 2)
+    reindexed = Seminorm(lip_n.algebra, unflipped.matrices[to_omega])
+    assert np.abs(flipped - reindexed.eval_coords(x)).max() <= 1e-12
 
 
 def test_kasparov_record_fails_on_an_invalid_product(monkeypatch):

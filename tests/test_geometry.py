@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 
 import numpy as np
@@ -5,10 +6,10 @@ import pytest
 
 from choimetric import (
     CommutatorSeminorm,
+    KasparovSeminorm,
     Seminorm,
     SpectralTriple,
     diagonal_algebra,
-    kasparov_commutators,
     kasparov_product,
     left_tensor_seminorm,
     matrix_algebra,
@@ -20,7 +21,8 @@ from choimetric import (
     word_length,
 )
 from choimetric import experiments as E
-from choimetric.errors import InvalidSpectralTriple
+from choimetric import metrics
+from choimetric.errors import AlgebraMismatch, InvalidSpectralTriple
 from choimetric.experiments import _toy_triples
 from choimetric.geometry import (
     _FAITHFUL_TOL,
@@ -78,7 +80,7 @@ def test_faithfulness_rank_matches_matrix_rank():
     ctx = stability_context("Z2")
     relabelled = omega_triple(ctx)
     # the amplified seminorm is the relabelled triple's commutator seminorm
-    assert np.array_equal(relabelled.commutator_matrices(), ctx.ball_n.seminorm.matrices)
+    assert np.array_equal(relabelled.commutator_matrices(), ctx.ball_n.seminorm.rows())
     rep = relabelled.rep
     d, h, _ = rep.shape
     flat = rep.reshape(d, h * h)
@@ -87,6 +89,12 @@ def test_faithfulness_rank_matches_matrix_rank():
     # and on a rank-deficient stack: the last row a combination of two others
     flat[-1] = flat[0] - 2.0 * flat[1]
     assert _rank(flat, tol) == np.linalg.matrix_rank(flat, tol=tol) == d - 1
+
+
+def kasparov_commutators(ta: SpectralTriple, tb: SpectralTriple) -> np.ndarray:
+    """The commutator stack of `kasparov_product(ta, tb)` over its carrier's
+    coordinates, as `KasparovSeminorm.rows` forms it."""
+    return KasparovSeminorm(tensor_algebra(ta.algebra, tb.algebra), ta, tb).rows()
 
 
 def _corrupt_factor(law: str, parity: str) -> SpectralTriple:
@@ -214,6 +222,88 @@ def test_kasparov_commutators_of_the_suite_factors_are_exact(case):
     ta, tb = _suite_factors(case)
     assert np.array_equal(kasparov_commutators(ta, tb),
                           kasparov_product(ta, tb).commutator_matrices())
+
+
+def _dense_omega_stack(ctx) -> np.ndarray:
+    """The amplified seminorm's whole stack, as the Kronecker stacks of its
+    two terms, with its rows read on the omega-carrier."""
+    first, left, right, _, _ = _checked_product(*_suite_factors(ctx.base.group.name))
+    tb = ctx.base.ball.seminorm.triple
+    dense = kron_stack(first.commutator_matrices(), right @ tb.rep)
+    dense += kron_stack(left @ first.rep, tb.commutator_matrices())
+    return dense[ctx.ball_n.seminorm.order]
+
+
+AMPLIFIED = [("Z2", 8, 16), ("Z3", 12, 36)]
+
+
+@pytest.mark.parametrize("key, restricted, generic", AMPLIFIED)
+def test_factored_seminorm_rows_are_the_dense_rows(key, restricted, generic):
+    ctx = E.stability_context(key)
+    seminorm, dense = ctx.ball_n.seminorm, _dense_omega_stack(ctx)
+    assert isinstance(seminorm, KasparovSeminorm) and not hasattr(seminorm, "matrices")
+    keep = ctx.ball_n.keep
+    assert len(keep) == restricted
+    # unrestricted (every row) and restricted (the ball's rows), bit for bit
+    assert np.array_equal(seminorm.rows(), dense)
+    assert np.array_equal(seminorm.rows(np.arange(len(dense))), dense)
+    assert np.array_equal(seminorm.rows(keep), dense[keep])
+
+
+@pytest.mark.parametrize("key, restricted, generic", AMPLIFIED)
+def test_factored_pattern_holds_the_dense_pattern_and_its_closures(key, restricted, generic):
+    ctx = E.stability_context(key)
+    seminorm, dense = ctx.ball_n.seminorm, _dense_omega_stack(ctx)
+    pattern = seminorm.pattern()
+    assert pattern.dtype == bool and pattern.shape == dense.shape
+    assert np.all(pattern >= (dense != 0))
+    g = ctx.base.group.order
+    pairs = np.flatnonzero(ctx.base.group.mult == ctx.base.group.identity)
+    for support, size in ((E._omega_support(pairs, g, ctx.n), restricted),
+                          (E._omega_support(np.arange(g * g), g, ctx.n), generic)):
+        keep = metrics._pinching_closure(pattern, support)
+        assert np.array_equal(keep, metrics._pinching_closure(dense, support))
+        assert len(keep) == size
+
+
+@pytest.mark.parametrize("key, restricted, generic", AMPLIFIED)
+def test_factored_pattern_without_a_term_misses_the_dense_pattern(key, restricted, generic):
+    ctx = E.stability_context(key)
+    seminorm, nonzero = ctx.ball_n.seminorm, _dense_omega_stack(ctx) != 0
+    for dropped in range(2):
+        # the dropped term's factor stacks zeroed: its pattern is empty
+        mutant = copy.copy(seminorm)
+        mutant.terms = tuple((0 * fa, 0 * fb) if t == dropped else (fa, fb)
+                             for t, (fa, fb) in enumerate(seminorm.terms))
+        assert not np.all(mutant.pattern() >= nonzero)
+
+
+@pytest.mark.parametrize("key, restricted, generic", AMPLIFIED)
+def test_factored_eval_matches_the_dense_eval(key, restricted, generic, rng):
+    ctx = E.stability_context(key)
+    seminorm = ctx.ball_n.seminorm
+    dense = Seminorm(seminorm.algebra, _dense_omega_stack(ctx))
+    x = rng.standard_normal((25, dense.algebra.dim)) + 1j * rng.standard_normal(
+        (25, dense.algebra.dim))
+    reference = dense.eval_coords(x)
+    assert np.all(reference > 0)
+    assert np.abs(seminorm.eval_coords(x) - reference).max() <= 1e-12 * reference.max()
+    single = seminorm.eval_coords(x[0])
+    assert isinstance(single, float) and abs(single - reference[0]) <= 1e-12 * reference[0]
+    assert seminorm.eval_coords(np.zeros((0, dense.algebra.dim))).shape == (0,)
+
+
+def test_factored_seminorm_rejects_an_order_that_is_no_permutation():
+    ta, tb = _toy_triples()["odd_m2"], _toy_triples()["even"]
+    carrier = tensor_algebra(ta.algebra, tb.algebra)
+    order = np.arange(carrier.dim)
+    assert np.array_equal(KasparovSeminorm(carrier, ta, tb, order[::-1]).rows(),
+                          kasparov_commutators(ta, tb)[::-1])
+    order[0] = order[1]
+    with pytest.raises(AlgebraMismatch, match="permutation"):
+        KasparovSeminorm(carrier, ta, tb, order)
+    with pytest.raises(AlgebraMismatch, match="permutation"):
+        KasparovSeminorm(ta.algebra, ta, tb)
 
 
 def test_tensor_rank_matches_rank_on_an_unfaithful_factor():
