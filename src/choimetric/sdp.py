@@ -22,8 +22,9 @@ give the Schur matrix M_ij = Re tr(A_i X A_j Z^{-1}), Z^{-1} and the step
 factors, with no eigendecomposition.  The Schur matrix and A(X) are real:
 M is one real SYRK on the float64 view of the G_i = R_Z A_i L_X, and A(X)
 one real matvec.  The step lengths of a size group come from one `eigvalsh`
-of its scaled X and Z directions stacked together, and LAPACK's `dpotrf`
-and `dpotrs` factor the Schur matrix and solve with it.
+of its scaled X and Z directions stacked together.  numpy's Cholesky
+factor L of the Schur matrix, M = L L', turns each Schur solve M dy = r
+into the two triangular systems L u = r and L' dy = u.
 
 The reported `value` is the dual objective b'y of the returned iterate,
 whose slack Z is kept positive definite throughout, so for the metric
@@ -53,7 +54,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 
 @dataclass(eq=False)
@@ -151,10 +151,10 @@ def _schur_factor(schur: np.ndarray):
     jitter = 1e-13 * max(schur.diagonal().max(initial=0.0), 1.0)
     eye = np.eye(len(schur))
     for _ in range(8):
-        factor, info = scipy.linalg.lapack.dpotrf(schur + jitter * eye, lower=1)
-        if info == 0:
-            return factor
-        jitter *= 100
+        try:
+            return np.linalg.cholesky(schur + jitter * eye)
+        except np.linalg.LinAlgError:
+            jitter *= 100
     return None
 
 
@@ -162,10 +162,7 @@ def _smallest_eigenvalues(rinv: np.ndarray, ds: np.ndarray) -> np.ndarray:
     """lam_min(R dS R*) for each matrix of the stacks; s + a ds stays PSD for
     every a <= -1 / lam_min when R* R = s^{-1} and lam_min < 0."""
     inner = rinv @ ds @ rinv.conj().swapaxes(-1, -2)
-    # eigvalsh reads the lower triangle alone, so inner needs no Hermitian
-    # part.  numpy's eigvalsh, not scipy's one-eigenvalue heevr: with more
-    # than one BLAS thread, the spinning threads of scipy's separate OpenBLAS
-    # pool made every solve several times slower
+    # eigvalsh reads the lower triangle alone, so inner needs no Hermitian part
     lam = np.linalg.eigvalsh(inner)[:, 0]
     if not np.all(np.isfinite(lam)):
         raise np.linalg.LinAlgError("the step direction is not finite")
@@ -275,7 +272,7 @@ def solve_sdp(b, blocks, tol=1e-7, max_iter=MAX_ITER) -> SDPResult:
             break
 
         def schur_solve(rhs):
-            return scipy.linalg.lapack.dpotrs(schur_f, rhs, lower=1)[0]
+            return np.linalg.solve(schur_f.T, np.linalg.solve(schur_f, rhs))
 
         # dX = herm(sigma_mu Z^{-1} - X - left Z^{-1} + X A*(dy) Z^{-1}), where
         # left is X R_d plus the corrector's second-order term
@@ -318,8 +315,9 @@ def solve_sdp(b, blocks, tol=1e-7, max_iter=MAX_ITER) -> SDPResult:
         except np.linalg.LinAlgError:
             reason = "factorization_failed"
             break
-        xs = [_herm(x + ap * dx) for x, dx in zip(xs, dxs)]
-        zs = [_herm(z + ad * dz) for z, dz in zip(zs, dzs)]
+        # dX and dZ are exactly Hermitian, so the new X and Z are too
+        xs = [x + ap * dx for x, dx in zip(xs, dxs)]
+        zs = [z + ad * dz for z, dz in zip(zs, dzs)]
         y = y + ad * dy
 
         if max(ap, ad) < 1e-5:

@@ -33,6 +33,7 @@ from choimetric import (
 from choimetric import metrics, sdp
 from choimetric.errors import AlgebraMismatch, ChoimetricError, Infeasible, NotTraceChannel
 from choimetric.experiments import (
+    build_group_context,
     group_context,
     run_duality,
     run_mk_correctness,
@@ -46,7 +47,14 @@ from choimetric.generate import (
     random_state,
 )
 from choimetric.geometry import gradient_dirac_triple
-from choimetric.groups import PositiveDefiniteFunction, cyclic_group, twisted_group_algebra
+from choimetric.groups import (
+    FiniteGroup,
+    LengthFunction,
+    PositiveDefiniteFunction,
+    cyclic_group,
+    twisted_group_algebra,
+    word_length,
+)
 from choimetric.linalg import contract_stack, row_and_null_space_real
 from choimetric.metrics import (
     _irreducible_pieces,
@@ -835,6 +843,51 @@ def test_delta_symmetry_triangle_and_kept_blocks(key, seed):
     assert delta(g, f) == fg
     assert delta(f, h) <= fg + delta(g, h) + 2e-7
     assert abs(delta(f, g, ball=_every_block(ctx.ball)) - fg) <= 1e-7
+
+
+def _delta_at_1e9(ctx, phi, psi):
+    res = delta_distance(multiplier_channel(phi, ctx.ga), multiplier_channel(psi, ctx.ga),
+                         ctx.tau, ctx.ball, tolerance=1e-9)
+    assert res.status == "optimal"
+    return res.value
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["Z4", "S3"]), st.floats(0.2, 5.0), st.integers(0, 2**32 - 1))
+def test_delta_scales_inversely_with_the_length(key, c, seed):
+    # the length c l scales the Dirac and every commutator by c, so the
+    # unit ball shrinks by c and c Delta_{c l} = Delta_l: the scaled
+    # program's blocks and iterates share no bits with the original's
+    ctx = _delta_context(key)
+    scaled = build_group_context(ctx.group, None,
+                                 LengthFunction(ctx.group, c * word_length(ctx.group).values))
+    rng = np.random.default_rng(seed)
+    phi, psi = random_pdf(rng, ctx.group), random_pdf(rng, ctx.group)
+    assert abs(c * _delta_at_1e9(scaled, phi, psi) - _delta_at_1e9(ctx, phi, psi)) <= 1e-8
+
+
+def _relabelled(group, perm):
+    """The group with element a renamed perm[a]."""
+    inv = np.argsort(perm)
+    return FiniteGroup(perm[group.mult[inv][:, inv]], int(perm[group.identity]),
+                       generators=tuple(int(perm[a]) for a in group.generators))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["Z4", "S3"]), st.integers(0, 2**32 - 1))
+def test_delta_is_invariant_under_relabelling(key, seed):
+    # renaming the elements by one permutation (table, identity, generators
+    # and both positive definite functions) permutes the coordinates that
+    # the pinching closure, the copy classes and the block split see, but
+    # leaves Delta as it is
+    ctx = _delta_context(key)
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(ctx.group.order)
+    group = _relabelled(ctx.group, perm)
+    relabelled = build_group_context(group)
+    phi, psi = random_pdf(rng, ctx.group), random_pdf(rng, ctx.group)
+    moved = (PositiveDefiniteFunction(group, f.values[np.argsort(perm)]) for f in (phi, psi))
+    assert abs(_delta_at_1e9(relabelled, *moved) - _delta_at_1e9(ctx, phi, psi)) <= 1e-8
 
 
 _BALLS = {

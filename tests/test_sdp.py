@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import choimetric
 from choimetric import sdp
 from choimetric.sdp import _factor, _group_by_size, _smallest_eigenvalues, solve_sdp
 
@@ -307,14 +312,40 @@ def test_failed_step_length_reports_stalled(monkeypatch):
 
 
 def test_failed_schur_factorization_reports_stalled(monkeypatch):
-    # dpotrf reports every jittered Schur matrix indefinite
+    # numpy's Cholesky finds every jittered Schur matrix (the one 2-D input)
+    # indefinite and still factors the 3-D X and Z stacks
     calls = []
+    cholesky = np.linalg.cholesky
 
-    def indefinite(a, lower=0):
-        calls.append(1)
-        return a, 1
+    def indefinite(a):
+        if a.ndim == 2:
+            calls.append(1)
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return cholesky(a)
 
-    monkeypatch.setattr(sdp.scipy.linalg.lapack, "dpotrf", indefinite)
+    monkeypatch.setattr(np.linalg, "cholesky", indefinite)
     res = solve_sdp(*_random_program(5), tol=1e-12)
     assert (res.status, res.reason, res.iterations) == ("stalled", "schur_failed", 1)
     assert len(calls) == 8
+
+
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+import choimetric.cli
+from choimetric.experiments import run_chaining, run_duality, run_mk_correctness
+records = run_mk_correctness(0) + run_duality(0, trials=5) + run_chaining(0, quadruples=1)
+failed = [r for r in records if not r.ok]
+print(len(records), "records,", len(failed), "failed:", failed)
+sys.exit(1 if failed or not records else 0)
+"""
+
+
+def test_the_solver_runs_without_scipy():
+    # numpy is the one runtime dependency: a child interpreter in which
+    # every scipy import fails still solves MK, the trace-norm dual and Delta
+    src = os.path.dirname(os.path.dirname(choimetric.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300)
+    assert run.returncode == 0, run.stdout + run.stderr
