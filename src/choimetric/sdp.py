@@ -14,17 +14,24 @@ in SDPT3: one Schur build and two solves per iteration, the second with the
 predictor's second-order term dX dZ.  Intended problem sizes: a few hundred
 scalar variables and blocks up to a few hundred rows.
 
-Blocks of one size are held as one stack: C, X and Z of shape (k, n, n) and
-A of shape (m, k, n, n).  So each iteration does its work once per block
-size, not once per block.  It takes the Cholesky factors of the X and Z of
-a size group and their triangular inverses in one stacked call each, which
-give the Schur matrix M_ij = Re tr(A_i X A_j Z^{-1}), Z^{-1} and the step
-factors, with no eigendecomposition.  The Schur matrix and A(X) are real:
-M is one real SYRK on the float64 view of the G_i = R_Z A_i L_X, and A(X)
-one real matvec.  The step lengths of a size group come from one `eigvalsh`
-of its scaled X and Z directions stacked together.  numpy's Cholesky
-factor L of the Schur matrix, M = L L', turns each Schur solve M dy = r
-into the two triangular systems L u = r and L' dy = u.
+Every block sits in the top-left corner of its slot of one stack padded to
+the largest block size N: C, X and Z of shape (k, N, N), A of shape
+(m, k, N, N).  The pad has C = I and A = 0, and X and Z hold I there for
+the whole solve (dZ is exactly 0 on it and dX is zeroed).  The gap, <C, X>,
+the floor's ||Z^{-1}||_F, the norms of C and the start's shift read the
+blocks alone.  So an iteration makes a fixed number of numpy calls, however
+many blocks of whatever sizes.  Padding multiplies the flops by
+sum N^3 / sum n^3 (3.4 on the chaining programs at seed 2026, 2.1 on the
+stability ones), but blocks of a few dozen rows cost per call, not per flop.
+
+Each iteration takes the Cholesky factors of X and Z and their triangular
+inverses in one call each, which give Z^{-1}, the step factors and the
+Schur matrix M_ij = Re tr(A_i X A_j Z^{-1}): one real SYRK on the float64
+view of the G_i = R_Z A_i L_X.  A(X) is one real matvec, and the step
+lengths come from one `eigvalsh` of the scaled X and Z directions.  One
+`eigh`, M = V diag(lam) V', gives each Schur solve as
+V ((r' V) / (lam + jitter)): backward stable like a Cholesky solve, in one
+LAPACK call where a Cholesky factor needs eight triangular solves besides.
 
 The reported `value` is the dual objective b'y of the returned iterate,
 whose slack Z is kept positive definite throughout, so for the metric
@@ -45,7 +52,8 @@ iterate is returned.  `reason` says why the iteration ended:
   rounding level, where further steps only inject noise;
 - "factorization_failed": a Cholesky factor of X or Z, or a smallest
   eigenvalue of a step, failed;
-- "schur_failed": the Schur matrix stayed indefinite under jitter;
+- "schur_failed": the Schur matrix stayed indefinite under jitter, or its
+  eigendecomposition failed;
 - "non_finite": the gap, the dual objective or the Schur matrix is not finite.
 """
 
@@ -81,11 +89,6 @@ def _real(a: np.ndarray) -> np.ndarray:
     return a.view(np.float64)
 
 
-def _dot(u: np.ndarray, v: np.ndarray) -> float:
-    """Re <u, v> of two complex stacks of one shape."""
-    return float(_real(u.reshape(-1)) @ _real(v.reshape(-1)))
-
-
 def _norms(s: np.ndarray) -> np.ndarray:
     """The Frobenius norm of each matrix of a complex stack."""
     v = _real(s.reshape(len(s), -1))
@@ -96,19 +99,35 @@ def _herm(s: np.ndarray) -> np.ndarray:
     return 0.5 * (s + s.conj().swapaxes(-1, -2))
 
 
-class _SizeGroup:
-    """The k blocks of one size n as stacks: C of shape (k, n, n) and A of
-    shape (m, k, n, n), with A's float64 view flattened per A_i for A(X)
-    and A*(y), and the two work arrays of the Schur build."""
+class _Stack:
+    """The k blocks padded to the largest size N: C (I on the pad) and A (0
+    on it), A's float64 view flattened per A_i for A(X) and A*(y), and the
+    two work arrays of the Schur build.  `inner` is 1 on the block entries,
+    `eye` the identity on the blocks and `pad` the identity on the pad."""
 
     def __init__(self, blocks):
-        self.c = np.asarray([cmat for cmat, _ in blocks], dtype=complex)
-        self.a = np.asarray(np.stack([astack for _, astack in blocks], axis=1), dtype=complex)
+        sizes = [len(cmat) for cmat, _ in blocks]
+        n = max(sizes)
+        self.ntot = sum(sizes)
+        self.a = np.zeros((len(blocks[0][1]), len(blocks), n, n), dtype=complex)
+        self.inner = np.zeros((len(blocks), n, n))
+        c = np.zeros_like(self.a[0])
+        for j, ((cmat, astack), size) in enumerate(zip(blocks, sizes)):
+            c[j, :size, :size] = cmat
+            self.a[:, j, :size, :size] = astack
+            self.inner[j, :size, :size] = 1.0
+        self.cnorm = 1.0 + _norms(c)
+        self.eye = self.inner * np.eye(n)
+        self.pad = np.eye(n) - self.eye
+        self.c = c + self.pad
         self.rows = _real(self.a.reshape(len(self.a), -1))
-        self.cnorm = 1.0 + _norms(self.c)
         # reused: a fresh array per iteration costs page faults once A passes
         # about a megabyte
         self._left, self._g = np.empty_like(self.a), np.empty_like(self.a)
+
+    def dot(self, u: np.ndarray, v: np.ndarray) -> float:
+        """Re <u, v> over the block entries alone."""
+        return float(_real((u * self.inner).reshape(-1)) @ _real(v.reshape(-1)))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """A(X)_i = sum_k Re tr(A_ik X_k*), which is Re tr(A_ik X_k) for
@@ -120,22 +139,13 @@ class _SizeGroup:
         return (y @ self.rows).view(complex).reshape(self.c.shape)
 
     def schur(self, lx: np.ndarray, rz: np.ndarray) -> np.ndarray:
-        """The group's term of the Schur matrix, M_ij = Re tr(A_i X A_j
-        Z^{-1}) = Re <G_i, G_j> summed over its blocks, for G_i = R_Z A_i L_X:
-        one SYRK on the float64 view of the G_i."""
+        """The Schur matrix M_ij = Re tr(A_i X A_j Z^{-1}) = Re <G_i, G_j>
+        summed over the blocks, for G_i = R_Z A_i L_X: one SYRK on the
+        float64 view of the G_i."""
         np.matmul(rz, self.a, out=self._left)
         np.matmul(self._left, lx, out=self._g)
         g = _real(self._g.reshape(len(self.a), -1))
         return g @ g.T
-
-
-def _group_by_size(blocks) -> list:
-    """The (C, A) blocks as one `_SizeGroup` per block size, in the order of
-    their first blocks."""
-    by_size: dict[int, list] = {}
-    for block in blocks:
-        by_size.setdefault(len(block[0]), []).append(block)
-    return [_SizeGroup(group) for group in by_size.values()]
 
 
 def _factor(s: np.ndarray):
@@ -145,16 +155,19 @@ def _factor(s: np.ndarray):
     return lower, np.linalg.inv(lower)
 
 
-def _schur_factor(schur: np.ndarray):
-    """The lower Cholesky factor of the Schur matrix plus the smallest of 8
-    growing jitters that makes it positive definite, or None."""
+def _schur_eigh(schur: np.ndarray):
+    """The eigenvalues of the Schur matrix plus the smallest of 8 growing
+    jitters that makes them all positive, and its eigenvectors; None when
+    no jitter does or `eigh` fails."""
+    try:
+        lam, vec = np.linalg.eigh(schur)
+    except np.linalg.LinAlgError:
+        return None
     jitter = 1e-13 * max(schur.diagonal().max(initial=0.0), 1.0)
-    eye = np.eye(len(schur))
     for _ in range(8):
-        try:
-            return np.linalg.cholesky(schur + jitter * eye)
-        except np.linalg.LinAlgError:
-            jitter *= 100
+        if lam.min(initial=np.inf) + jitter > 0:
+            return lam + jitter, vec
+        jitter *= 100
     return None
 
 
@@ -185,41 +198,32 @@ def solve_sdp(b, blocks, tol=1e-7, max_iter=MAX_ITER) -> SDPResult:
     b = np.asarray(b, dtype=float)
     m = b.shape[0]
     feas_tol = feasibility_tolerance(tol)
-    groups = _group_by_size(blocks)
-    cs = [group.c for group in groups]
-    ntot = sum(c.shape[0] * c.shape[1] for c in cs)
+    stack = _Stack(blocks)
+    c, k = stack.c, len(stack.c)
 
-    def a_apply(mats):
-        return sum(group.apply(x) for group, x in zip(groups, mats))
-
-    def a_adjoint(y):
-        return [group.adjoint(y) for group in groups]
-
-    # feasible-on-the-dual-side start: shift C into the cone if needed
-    zs = []
-    for c in cs:
-        h = _herm(c)
-        lam_min = np.linalg.eigvalsh(h)[:, 0]
-        scale = np.maximum(1.0, np.abs(c).max(axis=(1, 2)))
-        shift = np.maximum(0.0, 0.1 * scale - lam_min)
-        zs.append(h + shift[:, None, None] * np.eye(c.shape[1]))
+    # feasible-on-the-dual-side start: shift C into the cone if needed; the
+    # pad's eigenvalue `scale` is at least the block's smallest, so the pad
+    # never enters the shift, and X and Z hold I on the pad throughout
+    h = _herm(c)
+    scale = np.maximum(1.0, np.abs(c).max(axis=(1, 2)))
+    lam_min = np.linalg.eigvalsh(h + (scale - 1.0)[:, None, None] * stack.pad)[:, 0]
+    shift = np.maximum(0.0, 0.1 * scale - lam_min)
+    z = h + shift[:, None, None] * stack.eye
     scale_x = max(1.0, float(np.abs(b).max(initial=0.0)))
-    xs = [np.broadcast_to(scale_x * np.eye(c.shape[1], dtype=complex), c.shape).copy()
-          for c in cs]
+    x = (scale_x * stack.eye + stack.pad).astype(complex)
     bnorm = 1.0 + float(np.sqrt(b @ b))
     y = np.zeros(m)
 
     def diagnostics():
-        rp = b - a_apply(xs)
-        rds = [c - ay - z for c, ay, z in zip(cs, a_adjoint(y), zs)]
-        gap = sum(_dot(x, z) for x, z in zip(xs, zs))
+        rp = b - stack.apply(x)
+        rd = c - stack.adjoint(y) - z
+        gap = stack.dot(x, z)
         obj_d = float(b @ y)
-        obj_p = sum(_dot(c, x) for c, x in zip(cs, xs))
+        obj_p = stack.dot(c, x)
         rel_gap = abs(gap) / (1.0 + abs(obj_d) + abs(obj_p))
         pinf = float(np.sqrt(rp @ rp)) / bnorm
-        dinf = max((float((_norms(rd) / group.cnorm).max())
-                    for rd, group in zip(rds, groups)), default=0.0)
-        return rp, rds, gap, obj_d, obj_p, rel_gap, pinf, dinf
+        dinf = float((_norms(rd) / stack.cnorm).max())
+        return rp, rd, gap, obj_d, obj_p, rel_gap, pinf, dinf
 
     best = None
     reason = "max_iter"
@@ -227,7 +231,7 @@ def solve_sdp(b, blocks, tol=1e-7, max_iter=MAX_ITER) -> SDPResult:
     small_steps = 0
     stall = 0
     for it in range(1, max_iter + 1):
-        rp, rds, gap, obj_d, obj_p, rel_gap, pinf, dinf = diagnostics()
+        rp, rd, gap, obj_d, obj_p, rel_gap, pinf, dinf = diagnostics()
         if not np.isfinite(gap) or not np.isfinite(obj_d):
             reason = "non_finite"
             break
@@ -243,81 +247,72 @@ def solve_sdp(b, blocks, tol=1e-7, max_iter=MAX_ITER) -> SDPResult:
         if stall >= 8:
             reason = "no_progress"
             break
-        # X = L_X L_X*, Z = L_Z L_Z*, and R = L^{-1}: one stack per group
+        # X = L_X L_X*, Z = L_Z L_Z*, and R = L^{-1}: one stack
         try:
-            factors = [_factor(np.concatenate([x, z])) for x, z in zip(xs, zs)]
+            lower, rinv = _factor(np.concatenate([x, z]))
         except np.linalg.LinAlgError:
             reason = "factorization_failed"
             break
-        lxs = [lower[:len(x)] for (lower, _), x in zip(factors, xs)]
-        rzs = [rinv[len(x):] for (_, rinv), x in zip(factors, xs)]
-        zinvs = [rz.conj().swapaxes(1, 2) @ rz for rz in rzs]
+        lx, rz = lower[:k], rinv[k:]
+        zinv = rz.conj().swapaxes(1, 2) @ rz
         # 1 / ||Z^{-1}||_F, a lower bound on lam_min(Z), relative to max |Z_ij|
-        floor = min(float((1.0 / _norms(zinv)
-                           / np.maximum(1.0, np.abs(z).max(axis=(1, 2)))).min())
-                    for zinv, z in zip(zinvs, zs))
+        floor = float((1.0 / _norms(zinv * stack.inner)
+                       / np.maximum(1.0, np.abs(z).max(axis=(1, 2)))).min())
         # iterates at the numerical floor: further steps only inject noise
         if gap <= 1e-13 * (1.0 + abs(obj_d)) or floor < 1e-14:
             reason = "numerical_floor"
             break
 
         # Schur complement of the HKM system: M_ij = Re tr(A_i X A_j Z^{-1})
-        schur = sum(group.schur(lx, rz) for group, lx, rz in zip(groups, lxs, rzs))
+        schur = stack.schur(lx, rz)
         if not np.all(np.isfinite(schur)):
             reason = "non_finite"
             break
-        schur_f = _schur_factor(schur)
-        if schur_f is None:
+        eig = _schur_eigh(schur)
+        if eig is None:
             reason = "schur_failed"
             break
+        lam, vec = eig
 
         def schur_solve(rhs):
-            return np.linalg.solve(schur_f.T, np.linalg.solve(schur_f, rhs))
+            return vec @ ((rhs @ vec) / lam)
 
         # dX = herm(sigma_mu Z^{-1} - X - left Z^{-1} + X A*(dy) Z^{-1}), where
-        # left is X R_d plus the corrector's second-order term
-        def solve_direction(sigma_mu, lefts):
-            raux = [sigma_mu * zinv - x - left @ zinv
-                    for x, left, zinv in zip(xs, lefts, zinvs)]
-            rhs = rp - a_apply(raux)
+        # left is X R_d plus the corrector's second-order term; its pad,
+        # (sigma_mu - 1) I, is zeroed, and dZ's is exactly 0
+        def solve_direction(sigma_mu, left):
+            raux = sigma_mu * zinv - x - left @ zinv
+            rhs = rp - stack.apply(raux)
             # Schur solve with one step of iterative refinement
             dy = schur_solve(rhs)
             dy += schur_solve(rhs - schur @ dy)
-            adys = a_adjoint(dy)
-            dxs = [_herm(ra + x @ ady @ zinv) for ra, x, ady, zinv in zip(raux, xs, adys, zinvs)]
-            dzs = [_herm(rd - ady) for rd, ady in zip(rds, adys)]
-            return dy, dxs, dzs
+            ady = stack.adjoint(dy)
+            return dy, _herm(raux + x @ ady @ zinv) * stack.inner, rd - ady
 
-        def steps(dxs, dzs):
-            """Primal and dual step lengths: one eigvalsh per size group."""
-            lam_x = lam_z = np.inf
-            for (_, rinv), dx, dz in zip(factors, dxs, dzs):
-                lam = _smallest_eigenvalues(rinv, np.concatenate([dx, dz]))
-                lam_x = min(lam_x, float(lam[:len(dx)].min()))
-                lam_z = min(lam_z, float(lam[len(dx):].min()))
-            return _step(lam_x), _step(lam_z)
+        def steps(dx, dz):
+            """Primal and dual step lengths from one eigvalsh."""
+            lam = _smallest_eigenvalues(rinv, np.concatenate([dx, dz]))
+            return _step(float(lam[:k].min())), _step(float(lam[k:].min()))
 
-        mu = gap / ntot
-        xrds = [x @ rd for x, rd in zip(xs, rds)]
+        mu = gap / stack.ntot
+        xrd = x @ rd
         try:
             # predictor: pure affine step fixes the centering weight
-            _, dxs_a, dzs_a = solve_direction(0.0, xrds)
-            ap, ad = steps(dxs_a, dzs_a)
-            gap_aff = sum(_dot(x + ap * dx, z + ad * dz)
-                          for x, dx, z, dz in zip(xs, dxs_a, zs, dzs_a))
+            _, dx_a, dz_a = solve_direction(0.0, xrd)
+            ap, ad = steps(dx_a, dz_a)
+            gap_aff = stack.dot(x + ap * dx_a, z + ad * dz_a)
             ratio = max(gap_aff, 0.0) / max(gap, 1e-300)
             sigma = float(np.clip(min(ratio, 1.0) ** 3, 1e-8, 0.9))
 
             # corrector: Mehrotra's second-order term dX_a dZ_a
-            dy, dxs, dzs = solve_direction(
-                sigma * mu, [xr + dx @ dz for xr, dx, dz in zip(xrds, dxs_a, dzs_a)])
-            ap, ad = steps(dxs, dzs)
+            dy, dx, dz = solve_direction(sigma * mu, xrd + dx_a @ dz_a)
+            ap, ad = steps(dx, dz)
         except np.linalg.LinAlgError:
             reason = "factorization_failed"
             break
         # dX and dZ are exactly Hermitian, so the new X and Z are too
-        xs = [x + ap * dx for x, dx in zip(xs, dxs)]
-        zs = [z + ad * dz for z, dz in zip(zs, dzs)]
+        x = x + ap * dx
+        z = z + ad * dz
         y = y + ad * dy
 
         if max(ap, ad) < 1e-5:

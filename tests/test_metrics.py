@@ -35,6 +35,8 @@ from choimetric.errors import AlgebraMismatch, ChoimetricError, Infeasible, NotT
 from choimetric.experiments import (
     build_group_context,
     group_context,
+    length_dirac,
+    length_dirac_op,
     run_duality,
     run_mk_correctness,
     stability_context,
@@ -46,7 +48,7 @@ from choimetric.generate import (
     random_pdf,
     random_state,
 )
-from choimetric.geometry import gradient_dirac_triple
+from choimetric.geometry import gradient_dirac_triple, kasparov_product
 from choimetric.groups import (
     FiniteGroup,
     LengthFunction,
@@ -888,6 +890,39 @@ def test_delta_is_invariant_under_relabelling(key, seed):
     phi, psi = random_pdf(rng, ctx.group), random_pdf(rng, ctx.group)
     moved = (PositiveDefiniteFunction(group, f.values[np.argsort(perm)]) for f in (phi, psi))
     assert abs(_delta_at_1e9(relabelled, *moved) - _delta_at_1e9(ctx, phi, psi)) <= 1e-8
+
+
+def _unitary(rng, n):
+    """A random n x n unitary: the Q of a complex Gaussian matrix, its
+    columns' phases fixed by R's diagonal."""
+    q, r = np.linalg.qr(random_complex(rng, n, n))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _conjugated(triple, u):
+    return SpectralTriple(triple.algebra, u @ triple.rep @ u.conj().T,
+                          u @ triple.dirac @ u.conj().T)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["Z3", "Z4", "S3"]), st.integers(0, 2**32 - 1))
+def test_delta_is_invariant_under_unitary_conjugation(key, seed):
+    # conjugating both length-Dirac factors by unitaries (U D U*, U pi U*)
+    # leaves every commutator norm, so Delta, as it is, but fills the zero
+    # pattern: the pinching closure keeps every coordinate, and the copy
+    # classes and the block split see another program (Z4's mixed [4, 1 x 8]
+    # pieces become one 16-row block, S3's [6, 6, 6, 6, 12] one of 72 rows)
+    ctx = _delta_context(key)
+    rng = np.random.default_rng(seed)
+    length = word_length(ctx.group)
+    factors = (length_dirac(ctx.ga, length), length_dirac_op(ctx.ga, length))
+    seminorm = CommutatorSeminorm(kasparov_product(
+        *(_conjugated(t, _unitary(rng, t.hilbert_dim)) for t in factors)))
+    ball = prepare_ball(seminorm, np.flatnonzero(ctx.group.mult == ctx.group.identity))
+    assert len(ball.keep) == seminorm.algebra.dim > len(ctx.ball.keep)
+    conjugated = dataclasses.replace(ctx, ball=ball)
+    phi, psi = random_pdf(rng, ctx.group), random_pdf(rng, ctx.group)
+    assert abs(_delta_at_1e9(conjugated, phi, psi) - _delta_at_1e9(ctx, phi, psi)) <= 1e-8
 
 
 _BALLS = {

@@ -7,7 +7,7 @@ import pytest
 
 import choimetric
 from choimetric import sdp
-from choimetric.sdp import _factor, _group_by_size, _smallest_eigenvalues, solve_sdp
+from choimetric.sdp import _factor, _smallest_eigenvalues, _Stack, solve_sdp
 
 
 def _random_pd(rng, n):
@@ -143,38 +143,70 @@ def test_factor_raises_on_an_indefinite_block():
         _factor(s)
 
 
+def _padded(mats, n):
+    """The matrices in the top-left corners of a stack of n x n identities."""
+    out = np.broadcast_to(np.eye(n, dtype=complex), (len(mats), n, n)).copy()
+    for slot, mat in zip(out, mats):
+        slot[:len(mat), :len(mat)] = mat
+    return out
+
+
 def test_hkm_schur_matches_the_dense_formula():
-    # one size group of k blocks: M_ij = sum_k Re tr(A_ik X_k A_jk Z_k^{-1})
+    # one padded stack of blocks of three sizes, X and Z holding I on the
+    # pad: M_ij = sum_k Re tr(A_ik X_k A_jk Z_k^{-1}) over the blocks alone
     rng = np.random.default_rng(12)
-    for n, m, k in ((1, 2, 3), (5, 3, 1), (8, 6, 2)):
+    for m, sizes in ((2, (1, 3, 2, 1)), (3, (5, 2, 8)), (6, (8, 1, 4, 8))):
         blocks = [(np.eye(n, dtype=complex), _random_hermitian_stack(rng, m, n))
-                  for _ in range(k)]
-        (group,) = _group_by_size(blocks)
-        xs = np.stack([_random_pd(rng, n) for _ in range(k)])
-        zs = np.stack([_random_pd(rng, n) for _ in range(k)])
-        lower, rinv = _factor(np.concatenate([xs, zs]))
-        schur = group.schur(lower[:k], rinv[k:])
+                  for n in sizes]
+        stack = _Stack(blocks)
+        xs = [_random_pd(rng, n) for n in sizes]
+        zs = [_random_pd(rng, n) for n in sizes]
+        lower, rinv = _factor(np.concatenate([_padded(xs, max(sizes)), _padded(zs, max(sizes))]))
+        schur = stack.schur(lower[:len(sizes)], rinv[len(sizes):])
         dense = sum(np.array([[np.trace(ai @ x @ aj @ np.linalg.inv(z)).real for aj in mats]
                               for ai in mats])
                     for (_, mats), x, z in zip(blocks, xs, zs))
         assert np.abs(schur - dense).max() <= 1e-10 * max(1.0, np.abs(dense).max())
 
 
-def test_size_groups_apply_the_constraint_map():
-    # A(X)_i = sum_k Re tr(A_ik X_k) and A*(y)_k = sum_i y_i A_ik per group
+def test_the_stack_applies_the_constraint_map():
+    # blocks of three sizes padded to the largest: C holds I and A holds 0
+    # on the pad; A(X)_i = sum_k Re tr(A_ik X_k), A*(y)_k = sum_i y_i A_ik,
+    # and the inner product, C's norms and the size count read the blocks
     rng = np.random.default_rng(13)
-    m = 3
-    blocks = [(np.eye(n, dtype=complex), _random_hermitian_stack(rng, m, n)) for n in (2, 3, 2)]
-    groups = _group_by_size(blocks)
-    assert [group.c.shape for group in groups] == [(2, 2, 2), (1, 3, 3)]
-    xs = [_random_pd(rng, n) for n in (2, 3, 2)]
+    m, sizes = 3, (2, 3, 1, 2)
+    blocks = [(_random_pd(rng, n), _random_hermitian_stack(rng, m, n)) for n in sizes]
+    stack = _Stack(blocks)
+    assert stack.c.shape == (4, 3, 3) and stack.a.shape == (3, 4, 3, 3)
+    assert stack.ntot == 8
+    assert np.array_equal(stack.c, _padded([c for c, _ in blocks], 3))
+    assert np.array_equal(stack.cnorm, 1.0 + np.array([np.linalg.norm(c) for c, _ in blocks]))
+    xs = [_random_pd(rng, n) for n in sizes]
     y = rng.standard_normal(m)
-    applied = groups[0].apply(np.stack([xs[0], xs[2]])) + groups[1].apply(xs[1][None])
+    applied = stack.apply(_padded(xs, 3))
     dense = sum(np.array([np.trace(a @ x).real for a in mats]) for (_, mats), x in zip(blocks, xs))
     assert _close(applied, dense, 1e-12)
-    adjoint = groups[0].adjoint(y)
-    for got, (_, mats) in zip(adjoint, [blocks[0], blocks[2]]):
-        assert _close(got, np.tensordot(y, mats, axes=1), 1e-12)
+    for got, (_, mats), n in zip(stack.adjoint(y), blocks, sizes):
+        assert _close(got[:n, :n], np.tensordot(y, mats, axes=1), 1e-12)
+        assert not got[n:].any() and not got[:, n:].any()
+    inner = sum(np.vdot(x, x).real for x in xs)
+    assert abs(stack.dot(_padded(xs, 3), _padded(xs, 3)) - inner) <= 1e-12 * inner
+
+
+def test_the_start_leaves_the_pad_out_of_the_shift():
+    # C = 20 I of 2 rows beside C = I of 3 rows: both are already deep in
+    # the cone, so the start is Z = C on each block and I on the 2 x 2
+    # block's pad; a pad eigenvalue of 1 seen by the shift would move
+    # 0.1 * 20 - 1 = 1 onto the first block.  X starts at I on the blocks
+    # (|b| <= 1) and its pad is not counted in <C, X> = 2 * 20 + 3
+    rng = np.random.default_rng(14)
+    blocks = [(20 * np.eye(2, dtype=complex), _random_hermitian_stack(rng, 2, 2)),
+              (np.eye(3, dtype=complex), _random_hermitian_stack(rng, 2, 3))]
+    start = solve_sdp(np.array([0.5, -1.0]), blocks, max_iter=0)
+    assert (start.status, start.iterations) == ("max_iter", 0)
+    assert start.dual_infeas == 0.0
+    assert start.primal_value == 43.0
+    assert solve_sdp(np.array([0.5, -1.0]), blocks).status == "optimal"
 
 
 def test_smallest_eigenvalues_reach_the_cone_boundary():
@@ -212,8 +244,8 @@ def _mixed_program(seed):
 
 @pytest.mark.parametrize("seed", [21, 22, 23])
 def test_block_order_does_not_change_the_solve(seed):
-    # the blocks regroup by size, so any order is the same program up to the
-    # order of floating-point sums; the Schur matrix of the last iteration
+    # the blocks share one padded stack, so any order is the same program up
+    # to the order of floating-point sums; the Schur matrix of the last iteration
     # has a condition number of 1e6 to 1e8, which turns those into a few
     # 1e-12 of value
     b, blocks = _mixed_program(seed)
@@ -241,8 +273,8 @@ def _block_diagonal(blocks):
 
 @pytest.mark.parametrize("seed", [21, 22, 23])
 def test_block_diagonal_merge_gives_the_same_value(seed):
-    # one dense block holding every block on its diagonal: one size group of
-    # one block, solved with no stacking at all
+    # one dense block holding every block on its diagonal: a stack of one
+    # block with no pad
     b, blocks = _mixed_program(seed)
     stacked = solve_sdp(b, blocks, tol=1e-10)
     merged = solve_sdp(b, [_block_diagonal(blocks)], tol=1e-10)
@@ -293,7 +325,7 @@ def _check_stalled_iterate(res, blocks):
 
 
 def test_failed_factorization_reports_stalled(monkeypatch):
-    # one factorization of the X and Z stack per size group and iteration
+    # one factorization of the X and Z stack per iteration
     b, blocks = _random_program(5)
     _fail_call(monkeypatch, "_factor", 4)
     res = solve_sdp(b, blocks, tol=1e-12)
@@ -302,8 +334,8 @@ def test_failed_factorization_reports_stalled(monkeypatch):
 
 
 def test_failed_step_length_reports_stalled(monkeypatch):
-    # two step-length calls per size group and iteration, for the predictor
-    # and the corrector: the 2nd is iteration 1's last
+    # two step-length calls per iteration, for the predictor and the
+    # corrector: the 2nd is iteration 1's last
     b, blocks = _random_program(5)
     _fail_call(monkeypatch, "_smallest_eigenvalues", 2)
     res = solve_sdp(b, blocks, tol=1e-12)
@@ -312,21 +344,28 @@ def test_failed_step_length_reports_stalled(monkeypatch):
 
 
 def test_failed_schur_factorization_reports_stalled(monkeypatch):
-    # numpy's Cholesky finds every jittered Schur matrix (the one 2-D input)
-    # indefinite and still factors the 3-D X and Z stacks
+    # numpy's eigh of the Schur matrix (its one 2-D input) either fails or
+    # returns a smallest eigenvalue that no rung of the jitter ladder lifts
+    # above 0; both stop the first iteration
+    eigh = np.linalg.eigh
     calls = []
-    cholesky = np.linalg.cholesky
+
+    def failing(a):
+        calls.append(1)
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     def indefinite(a):
-        if a.ndim == 2:
-            calls.append(1)
-            raise np.linalg.LinAlgError("Matrix is not positive definite")
-        return cholesky(a)
+        calls.append(1)
+        lam, vec = eigh(a)
+        return np.concatenate([[-1e3 * max(1.0, np.abs(lam).max())], lam[1:]]), vec
 
-    monkeypatch.setattr(np.linalg, "cholesky", indefinite)
-    res = solve_sdp(*_random_program(5), tol=1e-12)
-    assert (res.status, res.reason, res.iterations) == ("stalled", "schur_failed", 1)
-    assert len(calls) == 8
+    for broken in (failing, indefinite):
+        calls.clear()
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a, broken=broken: broken(a) if a.ndim == 2 else eigh(a))
+        res = solve_sdp(*_random_program(5), tol=1e-12)
+        assert (res.status, res.reason, res.iterations) == ("stalled", "schur_failed", 1)
+        assert len(calls) == 1
 
 
 _WITHOUT_SCIPY = """
