@@ -182,7 +182,7 @@ class TraceFunctional(LinearFunctional):
             object.__setattr__(self, "_bilinear_cache", cached)
         return cached
 
-    @property
+    @cached_property
     def faithful(self) -> bool:
         return linalg.psd_margin(self.gns_gram()) > EPS_PSD
 

@@ -35,6 +35,7 @@ from .algebra import (
 from .channels import (
     ChannelMap,
     amplify,
+    check_trace_channel,
     choi_matrix,
     compose,
     cp_oracle_npositivity,
@@ -46,7 +47,7 @@ from .channels import (
     trace_adjoint,
     trace_of_unit_image,
 )
-from .errors import Infeasible, InvalidSpectralTriple
+from .errors import AlgebraMismatch, Infeasible, InvalidSpectralTriple
 from .generate import child_rngs
 from .geometry import (
     CommutatorSeminorm,
@@ -617,10 +618,12 @@ def run_chaining(seed: int = 0, quadruples: int = 100,
         def one(i, rng, ctx=ctx):
             phis = [generate.random_pdf(rng, ctx.group) for _ in range(4)]
             mults = [multiplier_channel(p, ctx.ga) for p in phis]
-            # composability: the outer maps are UCP, the inner trace channels
-            for outer, inner in ((0, 1), (2, 3), (0, 3)):
-                assert is_unital(mults[inner])
-                assert is_trace_channel(mults[outer], ctx.tau)
+            # the hypotheses of the inequality, checked once per map: the
+            # outer maps are trace channels, the inner ones unital
+            for outer, inner in ((0, 1), (2, 3)):
+                check_trace_channel(mults[outer], ctx.tau, label=f"chaining map {outer}")
+                if not is_unital(mults[inner]):
+                    raise AlgebraMismatch(f"chaining map {inner} is not unital")
             lhs = delta_distance(compose(mults[0], mults[1]),
                                  compose(mults[2], mults[3]), ctx.tau, ctx.ball,
                                  tolerance=DEFAULT_TOL)

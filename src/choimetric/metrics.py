@@ -16,8 +16,8 @@ irreducible pieces: the *-algebra that its C and A_i generate is, up to a
 unitary, a direct sum of full matrix algebras, each repeated some number of
 times, and the block becomes the compressions (W*CW, W*A_iW) onto one copy
 of each summand.  Equal pieces are again kept once.  Small blocks split
-too: the solver stacks the blocks of one size, so pieces save flops and
-cost calls only for each new size.
+too: the solver packs the pieces onto the diagonals of slots of the
+largest piece's size, so smaller pieces save flops and cost no calls.
 
 Every solve goes through `_solve_certified`: the interior-point solver sees
 the kept blocks and pieces only, and the exact slack of every block it did

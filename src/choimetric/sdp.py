@@ -14,15 +14,23 @@ in SDPT3: one Schur build and two solves per iteration, the second with the
 predictor's second-order term dX dZ.  Intended problem sizes: a few hundred
 scalar variables and blocks up to a few hundred rows.
 
-Every block sits in the top-left corner of its slot of one stack padded to
-the largest block size N: C, X and Z of shape (k, N, N), A of shape
-(m, k, N, N).  The pad has C = I and A = 0, and X and Z hold I there for
-the whole solve (dZ is exactly 0 on it and dX is zeroed).  The gap, <C, X>,
-the floor's ||Z^{-1}||_F, the norms of C and the start's shift read the
-blocks alone.  So an iteration makes a fixed number of numpy calls, however
-many blocks of whatever sizes.  Padding multiplies the flops by
-sum N^3 / sum n^3 (3.4 on the chaining programs at seed 2026, 2.1 on the
-stability ones), but blocks of a few dozen rows cost per call, not per flop.
+The blocks are packed onto the diagonals of the slots of one stack of the
+largest block size N: C, X and Z of shape (k, N, N), A of shape
+(m, k, N, N).  Largest first, each block takes the first slot with room,
+after the blocks already there (S3's pieces [6, 6, 6, 12, 6] fill three
+slots, [12], [6, 6] and [6, 6]).  A block-diagonal slot is PSD exactly when
+each of its blocks is, so the program is the one posed.  The rest of a
+slot's diagonal is its pad: C = I and A = 0 there, and X and Z hold I
+there for the whole solve (dZ is exactly 0 on it and dX is zeroed); every
+entry between two blocks is 0 in C, A, X and Z.  The gap, <C, X>, A(X),
+A*(y), the Schur build and the step lengths need no block map; the dual
+infeasibility ||rd_j||_F / (1 + ||C_j||_F), the floor's ||Z_j^{-1}||_F and
+max |Z_j| and the start's shift are read per block, through one matrix
+of block memberships.  So an iteration makes a fixed number of numpy
+calls, however many blocks of whatever sizes.  The pad multiplies the
+flops by sum N^3 / sum n^3 over the slots and the blocks (about 2.0 on
+the chaining programs at seed 2026 and 1.5 on the stability ones), but
+blocks of a few dozen rows cost per call, not per flop.
 
 Each iteration takes the Cholesky factors of X and Z and their triangular
 inverses in one call each, which give Z^{-1}, the step factors and the
@@ -89,41 +97,68 @@ def _real(a: np.ndarray) -> np.ndarray:
     return a.view(np.float64)
 
 
-def _norms(s: np.ndarray) -> np.ndarray:
-    """The Frobenius norm of each matrix of a complex stack."""
-    v = _real(s.reshape(len(s), -1))
-    return np.sqrt((v * v).sum(axis=1))
-
-
 def _herm(s: np.ndarray) -> np.ndarray:
     return 0.5 * (s + s.conj().swapaxes(-1, -2))
 
 
 class _Stack:
-    """The k blocks padded to the largest size N: C (I on the pad) and A (0
-    on it), A's float64 view flattened per A_i for A(X) and A*(y), and the
-    two work arrays of the Schur build.  `inner` is 1 on the block entries,
-    `eye` the identity on the blocks and `pad` the identity on the pad."""
+    """The blocks packed onto the diagonals of slots of the largest size N:
+    largest first (ties in input order), each in the first slot with room,
+    after the blocks already there.  C (I on the pad) and A (0 off the
+    blocks), A's float64 view flattened per A_i for A(X) and A*(y), and the
+    two work arrays of the Schur build.  Row j of `member` is 1 on the
+    entries of block j, the slots flattened, and reads every per-block
+    quantity; block j lies in slot `slot[j]`, on the rows where `span[j]`
+    is 1.  `inner` is 1 on the block entries, `eye` the identity on the
+    blocks and `pad` the identity on the rest of the diagonal."""
 
     def __init__(self, blocks):
         sizes = [len(cmat) for cmat, _ in blocks]
         n = max(sizes)
-        self.ntot = sum(sizes)
-        self.a = np.zeros((len(blocks[0][1]), len(blocks), n, n), dtype=complex)
-        self.inner = np.zeros((len(blocks), n, n))
+        filled, place = [], []          # rows taken per slot; (block, slot, first row)
+        for j in sorted(range(len(blocks)), key=sizes.__getitem__, reverse=True):
+            for slot, rows in enumerate(filled):
+                if rows + sizes[j] <= n:
+                    break
+            else:
+                slot = len(filled)
+                filled.append(0)
+            place.append((j, slot, filled[slot]))
+            filled[slot] += sizes[j]
+        self.a = np.zeros((len(blocks[0][1]), len(filled), n, n), dtype=complex)
         c = np.zeros_like(self.a[0])
-        for j, ((cmat, astack), size) in enumerate(zip(blocks, sizes)):
-            c[j, :size, :size] = cmat
-            self.a[:, j, :size, :size] = astack
-            self.inner[j, :size, :size] = 1.0
-        self.cnorm = 1.0 + _norms(c)
-        self.eye = self.inner * np.eye(n)
-        self.pad = np.eye(n) - self.eye
-        self.c = c + self.pad
+        self.inner = np.zeros(c.shape)
+        member = np.zeros((len(blocks),) + c.shape)
+        self.span = np.zeros((len(blocks), n))
+        self.slot = np.empty(len(blocks), dtype=int)
+        for j, slot, first in place:
+            rows = slice(first, first + sizes[j])
+            c[slot, rows, rows] = blocks[j][0]
+            self.a[:, slot, rows, rows] = blocks[j][1]
+            self.inner[slot, rows, rows] = member[j, slot, rows, rows] = 1.0
+            self.span[j, rows] = 1.0
+            self.slot[j] = slot
+        self.member = member.reshape(len(blocks), -1)
+        self.ntot = sum(sizes)
+        unit = np.eye(n)
+        self.eye = self.inner * unit
+        self.pad = unit - self.eye
+        self.cnorm = 1.0 + self.norms(c)
+        c += self.pad
+        self.c = c
         self.rows = _real(self.a.reshape(len(self.a), -1))
         # reused: a fresh array per iteration costs page faults once A passes
         # about a megabyte
         self._left, self._g = np.empty_like(self.a), np.empty_like(self.a)
+
+    def norms(self, s: np.ndarray) -> np.ndarray:
+        """The Frobenius norm of each block of a stack."""
+        v = np.abs(s).reshape(-1)
+        return np.sqrt(self.member @ (v * v))
+
+    def maxabs(self, s: np.ndarray) -> np.ndarray:
+        """The largest |s_pq| of each block of a stack."""
+        return (self.member * np.abs(s).reshape(-1)).max(axis=1)
 
     def dot(self, u: np.ndarray, v: np.ndarray) -> float:
         """Re <u, v> over the block entries alone."""
@@ -201,14 +236,19 @@ def solve_sdp(b, blocks, tol=1e-7, max_iter=MAX_ITER) -> SDPResult:
     stack = _Stack(blocks)
     c, k = stack.c, len(stack.c)
 
-    # feasible-on-the-dual-side start: shift C into the cone if needed; the
-    # pad's eigenvalue `scale` is at least the block's smallest, so the pad
-    # never enters the shift, and X and Z hold I on the pad throughout
+    # feasible-on-the-dual-side start: shift each block into the cone if
+    # needed, by its own smallest eigenvalue and `scale`, read with the block
+    # alone in its slot and `scale` on the rest of the diagonal; `scale` is
+    # at least the block's smallest eigenvalue, so the rest never enters the
+    # shift, and X and Z hold I on the pad throughout
     h = _herm(c)
-    scale = np.maximum(1.0, np.abs(c).max(axis=(1, 2)))
-    lam_min = np.linalg.eigvalsh(h + (scale - 1.0)[:, None, None] * stack.pad)[:, 0]
+    alone = h[stack.slot] * (stack.span[:, :, None] * stack.span[:, None, :])
+    scale = np.maximum(1.0, np.abs(alone).max(axis=(1, 2)))
+    diagonal = alone.reshape(len(alone), -1)[:, ::len(c[0]) + 1]
+    diagonal += scale[:, None] * (1.0 - stack.span)
+    lam_min = np.linalg.eigvalsh(alone)[:, 0]
     shift = np.maximum(0.0, 0.1 * scale - lam_min)
-    z = h + shift[:, None, None] * stack.eye
+    z = h + (shift @ stack.member).reshape(c.shape) * stack.eye
     scale_x = max(1.0, float(np.abs(b).max(initial=0.0)))
     x = (scale_x * stack.eye + stack.pad).astype(complex)
     bnorm = 1.0 + float(np.sqrt(b @ b))
@@ -222,7 +262,7 @@ def solve_sdp(b, blocks, tol=1e-7, max_iter=MAX_ITER) -> SDPResult:
         obj_p = stack.dot(c, x)
         rel_gap = abs(gap) / (1.0 + abs(obj_d) + abs(obj_p))
         pinf = float(np.sqrt(rp @ rp)) / bnorm
-        dinf = float((_norms(rd) / stack.cnorm).max())
+        dinf = float((stack.norms(rd) / stack.cnorm).max())
         return rp, rd, gap, obj_d, obj_p, rel_gap, pinf, dinf
 
     best = None
@@ -256,8 +296,8 @@ def solve_sdp(b, blocks, tol=1e-7, max_iter=MAX_ITER) -> SDPResult:
         lx, rz = lower[:k], rinv[k:]
         zinv = rz.conj().swapaxes(1, 2) @ rz
         # 1 / ||Z^{-1}||_F, a lower bound on lam_min(Z), relative to max |Z_ij|
-        floor = float((1.0 / _norms(zinv * stack.inner)
-                       / np.maximum(1.0, np.abs(z).max(axis=(1, 2)))).min())
+        floor = float((1.0 / stack.norms(zinv)
+                       / np.maximum(1.0, stack.maxabs(z))).min())
         # iterates at the numerical floor: further steps only inject noise
         if gap <= 1e-13 * (1.0 + abs(obj_d)) or floor < 1e-14:
             reason = "numerical_floor"

@@ -21,7 +21,8 @@ from choimetric import (
     tensor_trace,
     twisted_group_algebra,
 )
-from choimetric.algebra import _swap_coords, selfadjoint_basis
+from choimetric import linalg
+from choimetric.algebra import _swap_coords, require_faithful, selfadjoint_basis
 from choimetric.channels import pullback_state
 from choimetric.errors import (
     AlgebraMismatch,
@@ -249,6 +250,27 @@ def test_trace_predicates(m2, tr2):
     assert not tau.faithful
     with pytest.raises(NotFaithful):
         density_from_functional(tau, tau)
+
+
+def test_faithfulness_is_decided_once(m2, monkeypatch):
+    # a trace keeps its faithfulness like its Grams: a second
+    # require_faithful reads no eigenvalue, and an unfaithful trace raises
+    # NotFaithful on every call
+    margin = linalg.psd_margin
+    calls = []
+    monkeypatch.setattr(linalg, "psd_margin", lambda m: calls.append(1) or margin(m))
+    faithful = as_trace(LinearFunctional(m2, np.array([0.5, 0, 0, 0.5], dtype=complex)))
+    unfaithful = as_trace(LinearFunctional(diagonal_algebra(2),
+                                           np.array([1.0, 0.0], dtype=complex)))
+    calls.clear()
+    require_faithful(faithful)
+    assert len(calls) == 1
+    require_faithful(faithful)
+    assert len(calls) == 1
+    for _ in range(2):
+        with pytest.raises(NotFaithful):
+            require_faithful(unfaithful)
+    assert len(calls) == 2
 
 
 def test_density_rank_one(m2, tr2):

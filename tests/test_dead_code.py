@@ -10,8 +10,10 @@ not read a field.  Reads are matched by name, so a field is read wherever
 any class's attribute of that name is.  No package class defines an
 operator: the only special methods are `__init__`, `__post_init__` and
 `__repr__`, since package code applies functionals, channels and seminorms
-through their arrays.  And every name a package module other than
-`__init__` imports is read in that module."""
+through their arrays.  Every name a package module other than `__init__`
+imports is read in that module.  And no package module holds an `assert`
+statement, which `python -O` deletes: a check the package relies on
+raises."""
 
 import ast
 from collections import Counter
@@ -276,3 +278,13 @@ def unused_imports() -> list[str]:
 
 def test_no_unused_imports():
     assert unused_imports() == []
+
+
+def assert_statements(package: Path = PACKAGE) -> list[str]:
+    """The `assert` statements of the package modules, as file:line."""
+    return [f"{path.name}:{node.lineno}" for path, tree in _trees(package).items()
+            for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+def test_no_assert_statements():
+    assert assert_statements() == []

@@ -1,6 +1,9 @@
 import csv
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -151,6 +154,54 @@ def test_chaining_small():
     recs = E.run_chaining(seed=0, quadruples=2, groups=("Z2", "S3"))
     assert all(r.ok for r in recs)
     assert all(r.slack >= -2e-7 for r in recs)
+
+
+def test_chaining_checks_each_hypothesis_once(monkeypatch):
+    # per quadruple, maps 0 and 2 are checked as trace channels and maps 1
+    # and 3 as unital, each once
+    checked = []
+    true_trace, true_unital = E.check_trace_channel, E.is_unital
+
+    def trace(f, tau, label):
+        checked.append(("trace", label))
+        return true_trace(f, tau, label=label)
+
+    def unital(f):
+        checked.append(("unital", f))
+        return true_unital(f)
+
+    monkeypatch.setattr(E, "check_trace_channel", trace)
+    monkeypatch.setattr(E, "is_unital", unital)
+    assert all(r.ok for r in E.run_chaining(seed=0, quadruples=2, groups=("Z2",)))
+    assert [kind for kind, _ in checked] == ["trace", "unital"] * 4
+    assert [label for kind, label in checked if kind == "trace"] == ["chaining map 0",
+                                                                   "chaining map 2"] * 2
+    assert len({id(f) for kind, f in checked if kind == "unital"}) == 4
+
+
+_CHAINING_UNDER_O = """
+import choimetric.experiments as E
+from choimetric.errors import AlgebraMismatch
+assert False, "this line runs only without -O"
+E.is_unital = lambda f: False
+try:
+    E.run_chaining(0, quadruples=1)
+except AlgebraMismatch as err:
+    print("raised:", err)
+else:
+    raise SystemExit("run_chaining accepted a map that is not unital")
+"""
+
+
+def test_chaining_checks_its_hypotheses_under_python_O():
+    # python -O deletes assert statements; the hypotheses are checks that
+    # still raise there
+    src = os.path.dirname(os.path.dirname(E.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-O", "-c", _CHAINING_UNDER_O], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert "raised: chaining map 1 is not unital" in run.stdout
 
 
 def test_duality_record_takes_the_status_of_the_nonoptimal_solve(monkeypatch):

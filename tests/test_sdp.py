@@ -143,26 +143,59 @@ def test_factor_raises_on_an_indefinite_block():
         _factor(s)
 
 
-def _padded(mats, n):
-    """The matrices in the top-left corners of a stack of n x n identities."""
-    out = np.broadcast_to(np.eye(n, dtype=complex), (len(mats), n, n)).copy()
-    for slot, mat in zip(out, mats):
-        slot[:len(mat), :len(mat)] = mat
+def _packed(stack, mats):
+    """The matrices on the rows of their blocks in the stack's slots, I on
+    the rest of the diagonal and 0 between the blocks."""
+    out = stack.pad.astype(complex)
+    for mat, slot, span in zip(mats, stack.slot, stack.span):
+        rows = np.flatnonzero(span)
+        out[slot][np.ix_(rows, rows)] = mat
     return out
 
 
+@pytest.mark.parametrize("sizes, slots", [
+    ((12, 6, 6, 6, 6), (0, 1, 1, 2, 2)),
+    ((4,) + (1,) * 8, (0, 1, 1, 1, 1, 2, 2, 2, 2)),
+    ((2, 3, 1, 2), (1, 0, 1, 2)),
+])
+def test_blocks_are_packed_largest_first_into_the_first_slot_with_room(sizes, slots):
+    # S3's pieces, Z4's and a mixed set each fill 3 slots of the largest
+    # size; every block's entries lie in one slot, on rows of its own, and C
+    # is I and A is 0 off the blocks
+    rng = np.random.default_rng(15)
+    blocks = [(_random_pd(rng, n), _random_hermitian_stack(rng, 2, n)) for n in sizes]
+    stack = _Stack(blocks)
+    n = max(sizes)
+    assert stack.c.shape == (3, n, n) and stack.a.shape == (2, 3, n, n)
+    assert tuple(stack.slot) == slots
+    taken = np.zeros(stack.c.shape)
+    for (cmat, astack), slot, span in zip(blocks, stack.slot, stack.span):
+        rows = np.flatnonzero(span)
+        assert len(rows) == len(cmat) and np.all(np.diff(rows) == 1)
+        assert np.array_equal(stack.c[slot][np.ix_(rows, rows)], cmat)
+        assert np.array_equal(stack.a[:, slot][:, rows][:, :, rows], astack)
+        taken[slot][np.ix_(rows, rows)] += 1
+    assert taken.max() == 1
+    assert np.array_equal(stack.inner, taken)
+    assert np.array_equal(stack.member.sum(axis=0), taken.reshape(-1))
+    off = taken == 0
+    assert np.array_equal(stack.c[off], np.broadcast_to(np.eye(n), taken.shape)[off])
+    assert not stack.a[:, off].any()
+
+
 def test_hkm_schur_matches_the_dense_formula():
-    # one padded stack of blocks of three sizes, X and Z holding I on the
-    # pad: M_ij = sum_k Re tr(A_ik X_k A_jk Z_k^{-1}) over the blocks alone
+    # blocks of three sizes sharing slots, X and Z holding I on the pad:
+    # M_ij = sum_k Re tr(A_ik X_k A_jk Z_k^{-1}) over the blocks alone
     rng = np.random.default_rng(12)
     for m, sizes in ((2, (1, 3, 2, 1)), (3, (5, 2, 8)), (6, (8, 1, 4, 8))):
         blocks = [(np.eye(n, dtype=complex), _random_hermitian_stack(rng, m, n))
                   for n in sizes]
         stack = _Stack(blocks)
+        assert len(stack.c) < len(sizes)
         xs = [_random_pd(rng, n) for n in sizes]
         zs = [_random_pd(rng, n) for n in sizes]
-        lower, rinv = _factor(np.concatenate([_padded(xs, max(sizes)), _padded(zs, max(sizes))]))
-        schur = stack.schur(lower[:len(sizes)], rinv[len(sizes):])
+        lower, rinv = _factor(np.concatenate([_packed(stack, xs), _packed(stack, zs)]))
+        schur = stack.schur(lower[:len(stack.c)], rinv[len(stack.c):])
         dense = sum(np.array([[np.trace(ai @ x @ aj @ np.linalg.inv(z)).real for aj in mats]
                               for ai in mats])
                     for (_, mats), x, z in zip(blocks, xs, zs))
@@ -170,27 +203,34 @@ def test_hkm_schur_matches_the_dense_formula():
 
 
 def test_the_stack_applies_the_constraint_map():
-    # blocks of three sizes padded to the largest: C holds I and A holds 0
-    # on the pad; A(X)_i = sum_k Re tr(A_ik X_k), A*(y)_k = sum_i y_i A_ik,
-    # and the inner product, C's norms and the size count read the blocks
+    # blocks of three sizes packed into 3 slots of the largest: A(X)_i =
+    # sum_k Re tr(A_ik X_k), A*(y)_k = sum_i y_i A_ik and 0 off the blocks,
+    # and the inner product, the norms, the largest entries and the size
+    # count read each block alone
     rng = np.random.default_rng(13)
     m, sizes = 3, (2, 3, 1, 2)
     blocks = [(_random_pd(rng, n), _random_hermitian_stack(rng, m, n)) for n in sizes]
     stack = _Stack(blocks)
-    assert stack.c.shape == (4, 3, 3) and stack.a.shape == (3, 4, 3, 3)
+    assert stack.c.shape == (3, 3, 3) and stack.a.shape == (3, 3, 3, 3)
     assert stack.ntot == 8
-    assert np.array_equal(stack.c, _padded([c for c, _ in blocks], 3))
-    assert np.array_equal(stack.cnorm, 1.0 + np.array([np.linalg.norm(c) for c, _ in blocks]))
+    assert np.array_equal(stack.c, _packed(stack, [c for c, _ in blocks]))
+    assert np.allclose(stack.cnorm, 1.0 + np.array([np.linalg.norm(c) for c, _ in blocks]),
+                       rtol=1e-15, atol=0)
     xs = [_random_pd(rng, n) for n in sizes]
+    x = _packed(stack, xs)
     y = rng.standard_normal(m)
-    applied = stack.apply(_padded(xs, 3))
+    applied = stack.apply(x)
     dense = sum(np.array([np.trace(a @ x).real for a in mats]) for (_, mats), x in zip(blocks, xs))
     assert _close(applied, dense, 1e-12)
-    for got, (_, mats), n in zip(stack.adjoint(y), blocks, sizes):
-        assert _close(got[:n, :n], np.tensordot(y, mats, axes=1), 1e-12)
-        assert not got[n:].any() and not got[:, n:].any()
+    adjoint = stack.adjoint(y)
+    assert not adjoint[stack.inner == 0].any()
+    for (_, mats), slot, span in zip(blocks, stack.slot, stack.span):
+        rows = np.flatnonzero(span)
+        assert _close(adjoint[slot][np.ix_(rows, rows)], np.tensordot(y, mats, axes=1), 1e-12)
     inner = sum(np.vdot(x, x).real for x in xs)
-    assert abs(stack.dot(_padded(xs, 3), _padded(xs, 3)) - inner) <= 1e-12 * inner
+    assert abs(stack.dot(x, x) - inner) <= 1e-12 * inner
+    assert np.allclose(stack.norms(x), [np.linalg.norm(x) for x in xs], rtol=1e-14, atol=0)
+    assert np.array_equal(stack.maxabs(x), [np.abs(x).max() for x in xs])
 
 
 def test_the_start_leaves_the_pad_out_of_the_shift():
@@ -207,6 +247,23 @@ def test_the_start_leaves_the_pad_out_of_the_shift():
     assert start.dual_infeas == 0.0
     assert start.primal_value == 43.0
     assert solve_sdp(np.array([0.5, -1.0]), blocks).status == "optimal"
+
+
+def test_the_start_shifts_each_block_of_a_shared_slot_by_its_own():
+    # C = 20 I of 2 rows and C = -I of 1 row share a slot beside C = I of 3
+    # rows.  The -I block alone is shifted, by 0.1 * 1 + 1 = 1.1, so its
+    # residual -I - Z is -1.1, over 1 + ||C||_F = 2; a shift read from the
+    # whole slot, 0.1 * 20 + 1 = 3, would give 1.5.  <C, X> = 3 + 40 - 1
+    rng = np.random.default_rng(16)
+    blocks = [(np.eye(3, dtype=complex), _random_hermitian_stack(rng, 2, 3)),
+              (20 * np.eye(2, dtype=complex), _random_hermitian_stack(rng, 2, 2)),
+              (-np.eye(1, dtype=complex), _random_hermitian_stack(rng, 2, 1))]
+    stack = _Stack(blocks)
+    assert len(stack.c) == 2 and stack.slot[1] == stack.slot[2] != stack.slot[0]
+    start = solve_sdp(np.array([0.5, -1.0]), blocks, max_iter=0)
+    assert (start.status, start.iterations) == ("max_iter", 0)
+    assert start.dual_infeas == 0.55
+    assert start.primal_value == 42.0
 
 
 def test_smallest_eigenvalues_reach_the_cone_boundary():
@@ -235,7 +292,11 @@ def test_smallest_eigenvalues_raise_on_a_non_finite_direction():
 
 
 def _mixed_program(seed):
-    """A bounded program of blocks of three sizes, two of them twice."""
+    """A bounded program of blocks of three sizes, two of them twice.  They
+    pack into the slots [5], [5], [3, 1] and [3], so a 1-row block shares a
+    slot with the first 3-row block: reordering the blocks changes which
+    3-row block that is, and the stalling 1-row block below joins that
+    slot."""
     rng = np.random.default_rng(seed)
     m = 4
     blocks = [(_random_pd(rng, n), _random_hermitian_stack(rng, m, n)) for n in (3, 5, 3, 1, 5)]
@@ -244,7 +305,7 @@ def _mixed_program(seed):
 
 @pytest.mark.parametrize("seed", [21, 22, 23])
 def test_block_order_does_not_change_the_solve(seed):
-    # the blocks share one padded stack, so any order is the same program up
+    # the blocks share one packed stack, so any order is the same program up
     # to the order of floating-point sums; the Schur matrix of the last iteration
     # has a condition number of 1e6 to 1e8, which turns those into a few
     # 1e-12 of value
