@@ -70,20 +70,54 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + dagger(m))
 
 
+def _checked_hermitian_part(m: np.ndarray) -> np.ndarray | None:
+    """The Hermitian part of m, or None when m is not Hermitian:
+    ||m - m^*||_F above 10 EPS_PSD max(1, max |m_ij|) min(n, 100)."""
+    scale = max(1.0, float(np.abs(m).max(initial=0.0)))
+    skew = m - dagger(m)
+    if frobenius(skew) > 10 * EPS_PSD * scale * min(m.shape[0], 100):
+        return None
+    return m - 0.5 * skew
+
+
 def psd_margin(m: np.ndarray) -> float:
     """Smallest eigenvalue over max(1, largest eigenvalue magnitude), or -inf
-    when m is not Hermitian: ||m - m^*||_F above 10 EPS_PSD max(1, max |m_ij|)
-    min(n, 100)."""
-    scale = max(1.0, float(np.abs(m).max(initial=0.0)))
-    if frobenius(m - dagger(m)) > 10 * EPS_PSD * scale * min(m.shape[0], 100):
+    when m is not Hermitian (see `_checked_hermitian_part`)."""
+    herm = _checked_hermitian_part(m)
+    if herm is None:
         return -np.inf
-    lam = np.linalg.eigvalsh(hermitian_part(m))
+    lam = np.linalg.eigvalsh(herm)
     return float(lam[0]) / max(float(np.abs(lam).max(initial=0.0)), 1.0)
 
 
 def is_psd(m: np.ndarray) -> bool:
     """Hermitian, with no eigenvalue below -EPS_PSD relative to the largest
-    magnitude one (or to 1)."""
+    magnitude one (or to 1): psd_margin(m) >= -EPS_PSD.
+
+    Decided first by one Cholesky factorization of H + delta I, with H the
+    Hermitian part and delta = EPS_PSD s / 2, s = max(1, max |h_ij|).  A
+    factorization that completes in floating point proves H + delta I + E
+    positive definite for some ||E|| <= (n + 1)^2 u s, u the unit roundoff
+    (Demmel, 1989; Rump, BIT 46, 2006).  It is tried only when (n + 1)^2
+    times machine epsilon, 2u, is at most EPS_PSD / 2 (n up to about 1500),
+    so the spare half of the floor covers E.  Then lambda_min(H) >
+    -EPS_PSD s, and since |h_ij| <= max |lambda|, s <= max(1, max |lambda|)
+    and the margin is above -EPS_PSD: no eigenvalue is computed.  A failed
+    factorization falls back to the margin itself, so the verdict is the
+    margin's except for a smallest eigenvalue within rounding of the
+    floor."""
+    shifted = _checked_hermitian_part(m)
+    if shifted is None:
+        return False
+    n = len(shifted)
+    if (n + 1) ** 2 * np.finfo(float).eps <= 0.5 * EPS_PSD:
+        shifted.flat[::n + 1] += 0.5 * EPS_PSD * max(
+            1.0, float(np.abs(shifted).max(initial=0.0)))
+        try:
+            np.linalg.cholesky(shifted)
+            return True
+        except np.linalg.LinAlgError:
+            pass
     return psd_margin(m) >= -EPS_PSD
 
 

@@ -22,7 +22,8 @@ largest piece's size, so smaller pieces save flops and cost no calls.
 Every solve goes through `_solve_certified`: the interior-point solver sees
 the kept blocks and pieces only, and the exact slack of every block it did
 not see verbatim, the dropped copies and the split blocks, is checked at
-the returned y.  A compression W*ZW of a PSD Z is PSD, so the reduced
+the returned y, with one Cholesky factorization per stack of blocks of
+one size.  A compression W*ZW of a PSD Z is PSD, so the reduced
 program is a relaxation; its primal lifts to the sum of W X W* over the
 pieces of a split block and to 0 on a dropped copy, a primal of the full
 program with the same objective.  So a y that passes is a primal-dual pair
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -93,15 +94,25 @@ def _split_components(kstack: np.ndarray):
 
 def _assemble_blocks(kstack: np.ndarray) -> list:
     """Blocks (I, -[[0, K], [K*, 0]]) for { ||sum_i y_i K_i|| <= 1 }, one per
-    support component of the stack, with K the slices of that component."""
+    support component of the stack, with K the slices of that component.
+    The blocks of one size are the rows of one pair of stacks, which the
+    check of the blocks the solver does not see reads in place
+    (`_stack_unseen`)."""
+    comps = _split_components(kstack)
+    sizes = [len(rows) + len(cols) for rows, cols in comps]
+    stacks = {n: (np.repeat(np.eye(n, dtype=complex)[None], sizes.count(n), axis=0),
+                  np.zeros((sizes.count(n), len(kstack), n, n), dtype=complex))
+              for n in set(sizes)}
     blocks = []
-    for rows, cols in _split_components(kstack):
+    for i, (rows, cols) in enumerate(comps):
+        eyes, norms = stacks[sizes[i]]
+        j = sizes[:i].count(sizes[i])
         kslice = kstack[:, rows][:, :, cols]
-        r, nr, nc = kslice.shape
-        norm = np.zeros((r, nr + nc, nr + nc), dtype=complex)
-        norm[:, :nr, nr:] = kslice
-        norm[:, nr:, :nr] = kslice.conj().transpose(0, 2, 1)
-        blocks.append((np.eye(nr + nc, dtype=complex), -norm))
+        norms[j][:, :len(rows), len(rows):] = kslice
+        norms[j][:, len(rows):, :len(rows)] = kslice.conj().transpose(0, 2, 1)
+        blocks.append((eyes[j], norms[j]))
+    for _, norms in stacks.values():
+        np.negative(norms, out=norms)
     return blocks
 
 
@@ -206,6 +217,12 @@ class _BallSetup:
     range_basis: np.ndarray          # (r, q)
     kept: list                       # (C, Astack) blocks passed to the solver
     full: list                       # every block: the program of the fallback
+    # the blocks of `full` the solver does not see verbatim, stacked by
+    # size once (`_stack_unseen`) for the check after every solve
+    unseen: list = field(init=False)
+
+    def __post_init__(self):
+        self.unseen = _stack_unseen(self.kept, self.full)
 
 
 def _pinching_closure(matrices: np.ndarray, support) -> np.ndarray:
@@ -268,11 +285,48 @@ def _psd_violation(cmat: np.ndarray, astack: np.ndarray, y: np.ndarray) -> float
     return 0.0
 
 
-def _solve_certified(b: np.ndarray, kept: list, full: list,
-                     tol: float, max_iter: int) -> sdp.SDPResult:
+def _stack_unseen(kept: list, full: list) -> list:
+    """The blocks of `full` that are not in `kept`, grouped by size, each
+    group as (blocks, C stack (k, n, n), A stack (k, m, n, n)), so that the
+    slacks of a group at y are one matrix product."""
+    groups = {}
+    for block in full:
+        if not any(block is k for k in kept):
+            groups.setdefault(block[0].shape, []).append(block)
+    return [(blocks, *(_rows_of(part) for part in zip(*blocks))) for blocks in groups.values()]
+
+
+def _rows_of(arrays) -> np.ndarray:
+    """The array whose rows are `arrays`, in order: the one they are views
+    of when there is one, as for every block of one size of
+    `_assemble_blocks`, so a ball holds its blocks once; else a copy."""
+    base = arrays[0].base
+    if (base is not None and base.ndim == arrays[0].ndim + 1
+            and len(base) == len(arrays)) and all(
+            a.base is base and a.__array_interface__ == row.__array_interface__
+            for a, row in zip(arrays, base)):
+        return base
+    return np.stack(arrays)
+
+
+def _stack_violations(stack, y: np.ndarray) -> np.ndarray:
+    """The `_psd_violation` of each block of a `_stack_unseen` group at y:
+    all 0 when one Cholesky factors every slack, else each block's own."""
+    blocks, cstack, astack = stack
+    slacks = cstack - (y @ astack.reshape(len(astack), len(y), -1)).reshape(cstack.shape)
+    try:
+        np.linalg.cholesky(slacks)
+    except np.linalg.LinAlgError:
+        return np.array([_psd_violation(*block, y) for block in blocks])
+    return np.zeros(len(blocks))
+
+
+def _solve_certified(b: np.ndarray, kept: list, full: list, tol: float,
+                     max_iter: int, unseen: list | None = None) -> sdp.SDPResult:
     """The one SDP solve path of this module: solve on the kept blocks,
     then check at the returned y every block of the full program that is
-    not a kept block: the dropped copies and the split blocks.
+    not a kept block: the dropped copies and the split blocks, stacked by
+    size as `unseen` (built from `kept` and `full` when not given).
 
     Each kept block is a block of `full` or a compression W*ZW of one, so
     the kept program is a relaxation, and its primal X lifts to W X W*, a
@@ -281,10 +335,12 @@ def _solve_certified(b: np.ndarray, kept: list, full: list,
     same gap.  Their violation is folded into the dual infeasibility; past
     the feasibility tolerance the full program is solved instead.
     """
+    if unseen is None:
+        unseen = _stack_unseen(kept, full)
     feas_tol = sdp.feasibility_tolerance(tol)
     res = sdp.solve_sdp(b, kept, tol=tol, max_iter=max_iter)
-    violation = max((_psd_violation(*block, res.y) for block in full
-                     if not any(block is k for k in kept)), default=0.0)
+    violation = max((float(_stack_violations(stack, res.y).max()) for stack in unseen),
+                    default=0.0)
     if violation > feas_tol:
         return sdp.solve_sdp(b, full, tol=tol, max_iter=max_iter)
     res.dual_infeas = max(res.dual_infeas, violation)
@@ -314,7 +370,8 @@ def _maximize_linear(ball: _BallSetup, values: np.ndarray, tol: float,
         return MKResult(0.0, np.zeros(len(values), dtype=complex), 0.0, "optimal")
     # canonical sign so that mk(phi, psi) and mk(psi, phi) solve one program
     flip = -1.0 if gred[int(np.argmax(np.abs(gred)))] < 0 else 1.0
-    res = _solve_certified(flip * gred / scale, ball.kept, ball.full, tol, max_iter)
+    res = _solve_certified(flip * gred / scale, ball.kept, ball.full, tol, max_iter,
+                           ball.unseen)
     coords = ball.rows.T @ (ball.range_basis @ (flip * res.y))
     return MKResult(res.value * scale, coords, res.gap * scale, res.status)
 

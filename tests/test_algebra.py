@@ -104,6 +104,19 @@ def test_gns_gram_matches_ambient_products(m2, rng):
     assert np.abs(phi.gns_gram() - ref).max() < 1e-12
 
 
+@pytest.mark.parametrize("key", ["Z2", "Z3", None], ids=["amplified Z2", "amplified Z3",
+                                                        "M2 (x) M2^op"])
+def test_gns_gram_applies_the_adjoint_one_factor_at_a_time(key, m2, rng):
+    # on a tensor carrier the Gram applies the operands' adjoint coordinates
+    # in turn, and equals the product with their Kronecker product
+    carrier = (tensor_algebra(m2, opposite_algebra(m2)) if key is None
+               else stability_context(key).ball_n.seminorm.algebra)
+    assert carrier._operands is not None
+    values = rng.standard_normal(carrier.dim) + 1j * rng.standard_normal(carrier.dim)
+    ref = carrier.adjoint_coords @ carrier.pairing(values)
+    assert np.abs(LinearFunctional(carrier, values).gns_gram() - ref).max() <= 1e-12
+
+
 def test_tensor_algebra_kron_order(m2, d2):
     t = tensor_algebra(m2, d2)
     assert t.dim == 8

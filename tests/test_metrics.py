@@ -970,25 +970,52 @@ _PIECE_SIZES = {
 @pytest.mark.parametrize("key", list(_PIECE_SIZES))
 def test_kept_piece_sizes(key, monkeypatch):
     # every kept block goes to the solver as its irreducible pieces, and
-    # `_solve_certified` checks every block of `full` it does not see verbatim
+    # `_solve_certified` checks every block of `full` it does not see
+    # verbatim, in stacks of one size whose rows are those blocks
     ball = _ball(key)
     assert [len(cmat) for cmat, _ in ball.kept] == _PIECE_SIZES[key]
     checked = []
-    violation = metrics._psd_violation
+    violations = metrics._stack_violations
 
-    def counted(cmat, astack, y):
-        checked.append(astack)
-        return violation(cmat, astack, y)
+    def counted(stack, y):
+        checked.extend(stack[0])
+        return violations(stack, y)
 
-    monkeypatch.setattr(metrics, "_psd_violation", counted)
+    monkeypatch.setattr(metrics, "_stack_violations", counted)
     b = np.zeros(ball.full[0][1].shape[0])
     b[0] = 1.0
-    _solve_certified(b, ball.kept, ball.full, 1e-9, 1)
+    _solve_certified(b, ball.kept, ball.full, 1e-9, 1, ball.unseen)
     verbatim = [k for k in ball.kept if any(k is block for block in ball.full)]
     assert len(verbatim) + len(checked) == len(ball.full)
-    assert len({id(a) for a in checked}) == len(checked)
-    assert all(any(a is block[1] for block in ball.full)
-               and not any(a is k[1] for k in verbatim) for a in checked)
+    assert len({id(block) for block in checked}) == len(checked)
+    assert all(any(block is full for full in ball.full)
+               and not any(block is k for k in verbatim) for block in checked)
+    for blocks, cstack, astack in ball.unseen:
+        assert np.array_equal(cstack, np.stack([c for c, _ in blocks]))
+        assert np.array_equal(astack, np.stack([a for _, a in blocks]))
+        # a size with no verbatim block is read in place, not copied
+        in_place = not any(len(k[0]) == len(cstack[0]) for k in verbatim)
+        assert all(a.base is astack for _, a in blocks) == in_place
+
+
+@pytest.mark.parametrize("key", ["Z2", "S3", "amplified Z3"])
+def test_stacked_check_names_the_violated_block(key):
+    # the blocks of the largest size, at a y where every slack is definite
+    # and the least definite has lambda_min 1/4: with that block's A-stack
+    # doubled, its slack is indefinite, and the stacked check returns its own
+    # violation and 0 for every other block
+    full = _ball(key).full
+    size = max(len(c) for c, _ in full)
+    blocks = [block for block in full if len(block[0]) == size]
+    y = np.random.default_rng(3).standard_normal(blocks[0][1].shape[0])
+    tops = [np.linalg.eigvalsh(contract_stack(y[None], a)[0])[-1] for _, a in blocks]
+    y *= 0.75 / max(tops)
+    bad = int(np.argmax(tops))
+    blocks[bad] = (blocks[bad][0], 2.0 * blocks[bad][1])
+    (stack,) = metrics._stack_unseen([], blocks)
+    got = metrics._stack_violations(stack, y)
+    assert got[bad] == metrics._psd_violation(*blocks[bad], y) > 0
+    assert np.array_equal(np.delete(got, bad), np.zeros(len(blocks) - 1))
 
 
 def _lam_min(blocks, y):
