@@ -128,10 +128,6 @@ class ConcreteAlgebra:
     def adjoint_of_coords(self, c: np.ndarray) -> np.ndarray:
         return self.adjoint_coords.T @ np.conj(c)
 
-    def is_commutative(self) -> bool:
-        s = self.structure
-        return float(np.abs(s - s.transpose(1, 0, 2)).max()) <= EPS_STRUCT
-
     def same_as(self, other: "ConcreteAlgebra") -> bool:
         """Structural equality: identical ambient basis and unit, to 1e-10."""
         if self is other:

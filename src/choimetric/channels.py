@@ -238,13 +238,3 @@ def choi_matrix(f: ChannelMap) -> np.ndarray:
             out[i * m:(i + 1) * m, j * m:(j + 1) * m] = img
     return out
 
-
-# ---------------------------------------------------------------------------
-# state pullback
-# ---------------------------------------------------------------------------
-
-def pullback_state(f: ChannelMap, psi: LinearFunctional) -> LinearFunctional:
-    """F^* psi = psi o F on the source algebra."""
-    if not psi.algebra.same_as(f.target):
-        raise AlgebraMismatch("functional not on the channel target")
-    return LinearFunctional(f.source, f.matrix.T @ psi.values)

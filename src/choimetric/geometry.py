@@ -62,6 +62,9 @@ class SpectralTriple:
         d, h, _ = self.rep.shape
         if d != self.algebra.dim or self.dirac.shape != (h, h):
             raise InvalidSpectralTriple("shape mismatch between rep and dirac")
+        if self.grading is not None and self.grading.shape != (h, h):
+            raise InvalidSpectralTriple(f"grading of shape {self.grading.shape} "
+                                        f"on a Hilbert space of dimension {h}")
         _check_operator_laws(self.dirac, self.grading)
         self._check_representation()
         return self

@@ -20,15 +20,15 @@ too: the solver packs the pieces onto the diagonals of slots of the
 largest piece's size, so smaller pieces save flops and cost no calls.
 
 Every solve goes through `_solve_certified`: the interior-point solver sees
-the kept blocks and pieces only, and the exact slack of every block it did
-not see verbatim, the dropped copies and the split blocks, is checked at
-the returned y, with one Cholesky factorization per stack of blocks of
-one size.  A compression W*ZW of a PSD Z is PSD, so the reduced
-program is a relaxation; its primal lifts to the sum of W X W* over the
-pieces of a split block and to 0 on a dropped copy, a primal of the full
-program with the same objective.  So a y that passes is a primal-dual pair
-of the full program with the reduced gap, whatever W the split found; a y
-that fails is discarded and the full program solved.  A wrong grouping or split costs
+the kept blocks and pieces only, and the exact slack of every assembled
+block is checked at the returned y, read from the stacks of blocks of one
+size that the ball was assembled in, with one Cholesky factorization per
+stack.  A compression W*ZW of a PSD Z is PSD, so the reduced program is a
+relaxation; its primal lifts to the sum of W X W* over the pieces of a
+split block and to 0 on a dropped copy, a primal of the full program with
+the same objective.  So a y that passes is a primal-dual pair of the full
+program with the reduced gap, whatever W the split found; a y that fails
+is discarded and the full program solved.  A wrong grouping or split costs
 time, never a wrong value.
 
 Restricting the optimization to self-adjoint elements loses nothing: the
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,12 +92,11 @@ def _split_components(kstack: np.ndarray):
             for rows in components(support @ support.T)]
 
 
-def _assemble_blocks(kstack: np.ndarray) -> list:
+def _assemble_blocks(kstack: np.ndarray) -> tuple[list, list]:
     """Blocks (I, -[[0, K], [K*, 0]]) for { ||sum_i y_i K_i|| <= 1 }, one per
     support component of the stack, with K the slices of that component.
-    The blocks of one size are the rows of one pair of stacks, which the
-    check of the blocks the solver does not see reads in place
-    (`_stack_unseen`)."""
+    Returns the blocks in component order and the stacks (C (k, n, n),
+    A (k, m, n, n)), one per size n, whose rows they are, in order."""
     comps = _split_components(kstack)
     sizes = [len(rows) + len(cols) for rows, cols in comps]
     stacks = {n: (np.repeat(np.eye(n, dtype=complex)[None], sizes.count(n), axis=0),
@@ -113,7 +112,7 @@ def _assemble_blocks(kstack: np.ndarray) -> list:
         blocks.append((eyes[j], norms[j]))
     for _, norms in stacks.values():
         np.negative(norms, out=norms)
-    return blocks
+    return blocks, list(stacks.values())
 
 
 def _split_copies(blocks):
@@ -124,8 +123,8 @@ def _split_copies(blocks):
     change of basis turns one into the other, so both impose the same
     constraint on y.
     Returns the kept blocks.  A wrong match costs a second solve, never a
-    wrong value: `_solve_certified` checks every dropped block of the
-    assembled program at the solution.
+    wrong value: `_solve_certified` checks every block of the assembled
+    program at the solution, the dropped ones among them.
     """
     if len(blocks) < 2:
         return list(blocks)
@@ -216,13 +215,9 @@ class _BallSetup:
     null_basis: np.ndarray           # (r, n0)
     range_basis: np.ndarray          # (r, q)
     kept: list                       # (C, Astack) blocks passed to the solver
-    full: list                       # every block: the program of the fallback
-    # the blocks of `full` the solver does not see verbatim, stacked by
-    # size once (`_stack_unseen`) for the check after every solve
-    unseen: list = field(init=False)
-
-    def __post_init__(self):
-        self.unseen = _stack_unseen(self.kept, self.full)
+    # every assembled block, as stacks (C (k, n, n), A (k, m, n, n)) of one
+    # size each: the program of the check and of the fallback
+    stacks: list
 
 
 def _pinching_closure(matrices: np.ndarray, support) -> np.ndarray:
@@ -266,82 +261,48 @@ def prepare_ball(seminorm: Seminorm, support: np.ndarray | None = None) -> _Ball
     stack = contract_stack(rows if keep is None else rows[:, keep], seminorm.rows(keep))
     flat = stack.reshape(len(stack), -1)
     rng_basis, null = row_and_null_space_real(np.hstack([flat.real, flat.imag]).T)
-    blocks = _assemble_blocks(contract_stack(rng_basis.T, stack))
+    blocks, stacks = _assemble_blocks(contract_stack(rng_basis.T, stack))
     kept = _split_copies([piece for block in _split_copies(blocks)
                           for piece in _irreducible_pieces(block)])
-    return _BallSetup(seminorm, keep, rows, null, rng_basis, kept, blocks)
+    return _BallSetup(seminorm, keep, rows, null, rng_basis, kept, stacks)
 
 
-def _psd_violation(cmat: np.ndarray, astack: np.ndarray, y: np.ndarray) -> float:
-    """Distance of the slack C - sum y_i A_i from the PSD cone, normalised
-    as `sdp.solve_sdp` normalises its dual infeasibility; 0 when the slack
-    has a Cholesky factor."""
-    slack = cmat - (y @ astack.reshape(len(y), -1)).reshape(cmat.shape)
-    try:
-        np.linalg.cholesky(slack)
-    except np.linalg.LinAlgError:
-        negative = float(np.linalg.norm(np.minimum(np.linalg.eigvalsh(slack), 0.0)))
-        return negative / (1.0 + float(np.linalg.norm(cmat)))
-    return 0.0
-
-
-def _stack_unseen(kept: list, full: list) -> list:
-    """The blocks of `full` that are not in `kept`, grouped by size, each
-    group as (blocks, C stack (k, n, n), A stack (k, m, n, n)), so that the
-    slacks of a group at y are one matrix product."""
-    groups = {}
-    for block in full:
-        if not any(block is k for k in kept):
-            groups.setdefault(block[0].shape, []).append(block)
-    return [(blocks, *(_rows_of(part) for part in zip(*blocks))) for blocks in groups.values()]
-
-
-def _rows_of(arrays) -> np.ndarray:
-    """The array whose rows are `arrays`, in order: the one they are views
-    of when there is one, as for every block of one size of
-    `_assemble_blocks`, so a ball holds its blocks once; else a copy."""
-    base = arrays[0].base
-    if (base is not None and base.ndim == arrays[0].ndim + 1
-            and len(base) == len(arrays)) and all(
-            a.base is base and a.__array_interface__ == row.__array_interface__
-            for a, row in zip(arrays, base)):
-        return base
-    return np.stack(arrays)
-
-
-def _stack_violations(stack, y: np.ndarray) -> np.ndarray:
-    """The `_psd_violation` of each block of a `_stack_unseen` group at y:
-    all 0 when one Cholesky factors every slack, else each block's own."""
-    blocks, cstack, astack = stack
+def _stack_violations(cstack: np.ndarray, astack: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The distance of each slack C - sum y_i A_i of a stack from the PSD
+    cone, normalised as `sdp.solve_sdp` normalises its dual infeasibility:
+    all 0 when one Cholesky factors every slack, else read from one
+    batched `eigvalsh`."""
     slacks = cstack - (y @ astack.reshape(len(astack), len(y), -1)).reshape(cstack.shape)
     try:
         np.linalg.cholesky(slacks)
     except np.linalg.LinAlgError:
-        return np.array([_psd_violation(*block, y) for block in blocks])
-    return np.zeros(len(blocks))
+        negative = np.linalg.norm(np.minimum(np.linalg.eigvalsh(slacks), 0.0), axis=1)
+        return negative / (1.0 + np.linalg.norm(cstack, axis=(1, 2)))
+    return np.zeros(len(cstack))
 
 
-def _solve_certified(b: np.ndarray, kept: list, full: list, tol: float,
-                     max_iter: int, unseen: list | None = None) -> sdp.SDPResult:
+def _solve_certified(b: np.ndarray, kept: list, stacks: list, tol: float,
+                     max_iter: int) -> sdp.SDPResult:
     """The one SDP solve path of this module: solve on the kept blocks,
-    then check at the returned y every block of the full program that is
-    not a kept block: the dropped copies and the split blocks, stacked by
-    size as `unseen` (built from `kept` and `full` when not given).
+    then check at the returned y every assembled block, the rows of
+    `stacks`.
 
-    Each kept block is a block of `full` or a compression W*ZW of one, so
+    Each kept block is an assembled block or a compression W*ZW of one, so
     the kept program is a relaxation, and its primal X lifts to W X W*, a
-    primal of the full program with the same objective.  A y whose checked
-    slacks pass is therefore a primal-dual pair of the full program with the
+    primal of the full program with the same objective.  A y whose slacks
+    all pass is therefore a primal-dual pair of the full program with the
     same gap.  Their violation is folded into the dual infeasibility; past
-    the feasibility tolerance the full program is solved instead.
+    the feasibility tolerance the full program is solved instead.  A kept
+    block that is an assembled block verbatim has the slack Z + R_d of the
+    solve, Z positive definite, so its violation is at most the reported
+    dual infeasibility: checking it changes nothing.
     """
-    if unseen is None:
-        unseen = _stack_unseen(kept, full)
     feas_tol = sdp.feasibility_tolerance(tol)
     res = sdp.solve_sdp(b, kept, tol=tol, max_iter=max_iter)
-    violation = max((float(_stack_violations(stack, res.y).max()) for stack in unseen),
-                    default=0.0)
+    violation = max(float(_stack_violations(cstack, astack, res.y).max())
+                    for cstack, astack in stacks)
     if violation > feas_tol:
+        full = [block for cstack, astack in stacks for block in zip(cstack, astack)]
         return sdp.solve_sdp(b, full, tol=tol, max_iter=max_iter)
     res.dual_infeas = max(res.dual_infeas, violation)
     return res
@@ -370,8 +331,7 @@ def _maximize_linear(ball: _BallSetup, values: np.ndarray, tol: float,
         return MKResult(0.0, np.zeros(len(values), dtype=complex), 0.0, "optimal")
     # canonical sign so that mk(phi, psi) and mk(psi, phi) solve one program
     flip = -1.0 if gred[int(np.argmax(np.abs(gred)))] < 0 else 1.0
-    res = _solve_certified(flip * gred / scale, ball.kept, ball.full, tol, max_iter,
-                           ball.unseen)
+    res = _solve_certified(flip * gred / scale, ball.kept, ball.stacks, tol, max_iter)
     coords = ball.rows.T @ (ball.range_basis @ (flip * res.y))
     return MKResult(res.value * scale, coords, res.gap * scale, res.status)
 
@@ -491,8 +451,9 @@ def wasserstein_dual(rho1: np.ndarray, rho2: np.ndarray, l_mats,
     astack = np.zeros((len(row_stacks), top + n, top + n), dtype=complex)
     astack[:, :top, top:] = row_stacks
     astack[:, top:, :top] = row_stacks.conj().swapaxes(1, 2)
-    block = [(0.5 * np.eye(top + n, dtype=complex), astack)]
-    res = _solve_certified(rows.T @ sol, block, block, tol, sdp.MAX_ITER)
+    cmat = 0.5 * np.eye(top + n, dtype=complex)
+    res = _solve_certified(rows.T @ sol, [(cmat, astack)], [(cmat[None], astack[None])],
+                           tol, sdp.MAX_ITER)
     return WassersteinResult(res.primal_value, res.gap, res.status)
 
 

@@ -1,8 +1,9 @@
 """Fixtures, and the constructs of the paper that only tests use: the
 multiplication functional mu_tau, the pairing functional of an element, the
-flip Sigma^op that trades a plain and an opposite tensor factor, and the
-amplified Kasparov triple relabelled onto the omega-carrier.  Test modules
-import the functions with `from conftest import ...`."""
+flip Sigma^op that trades a plain and an opposite tensor factor, the
+amplified Kasparov triple relabelled onto the omega-carrier, the pullback
+F* psi of a functional and the commutativity test of an algebra.  Test
+modules import the functions with `from conftest import ...`."""
 
 from functools import reduce
 
@@ -27,6 +28,7 @@ from choimetric import (
 from choimetric.algebra import _swap_coords, _swap_factors
 from choimetric.errors import AlgebraMismatch, FactorMismatch, NotATrace
 from choimetric.experiments import amplifier_triple
+from choimetric.linalg import EPS_STRUCT
 
 
 def evaluate_mu_tau(b, tau: TraceFunctional) -> LinearFunctional:
@@ -73,6 +75,19 @@ def swap_op_functional(phi: LinearFunctional, i: int, j: int) -> LinearFunctiona
     """Sigma^op_[ij](... a ... b^op ...) = ... b ... a^op ... on the values."""
     return LinearFunctional(swap_op_algebra(phi.algebra, i, j),
                             _swap_coords(phi.algebra, phi.values, i, j))
+
+
+def pullback_state(f, psi: LinearFunctional) -> LinearFunctional:
+    """F^* psi = psi o F on the source algebra."""
+    if not psi.algebra.same_as(f.target):
+        raise AlgebraMismatch("functional not on the channel target")
+    return LinearFunctional(f.source, f.matrix.T @ psi.values)
+
+
+def is_commutative(alg) -> bool:
+    """Whether the structure constants are symmetric in their two factors."""
+    s = alg.structure
+    return float(np.abs(s - s.transpose(1, 0, 2)).max()) <= EPS_STRUCT
 
 
 @pytest.fixture(scope="session")

@@ -23,7 +23,6 @@ from choimetric import (
 )
 from choimetric import linalg
 from choimetric.algebra import _swap_coords, require_faithful, selfadjoint_basis
-from choimetric.channels import pullback_state
 from choimetric.errors import (
     AlgebraMismatch,
     LinearlyDependentBasis,
@@ -35,7 +34,13 @@ from choimetric.errors import (
 )
 from choimetric.experiments import group_context, stability_context
 from choimetric.linalg import is_psd
-from conftest import evaluate_mu_tau, functional_from_element, swap_op_functional
+from conftest import (
+    evaluate_mu_tau,
+    functional_from_element,
+    is_commutative,
+    pullback_state,
+    swap_op_functional,
+)
 
 
 def unit_matrix(n, i, j):
@@ -52,7 +57,7 @@ def test_matrix_algebra_units(m2):
 def test_diagonal_algebra(d2):
     assert d2.dim == 2
     assert np.allclose(d2.unit_coords, [1, 1])
-    assert d2.is_commutative()
+    assert is_commutative(d2)
 
 
 def test_rejects_non_closed_adjoint():

@@ -11,9 +11,10 @@ any class's attribute of that name is.  No package class defines an
 operator: the only special methods are `__init__`, `__post_init__` and
 `__repr__`, since package code applies functionals, channels and seminorms
 through their arrays.  Every name a package module other than `__init__`
-imports is read in that module.  And no package module holds an `assert`
+imports is read in that module.  No package module holds an `assert`
 statement, which `python -O` deletes: a check the package relies on
-raises."""
+raises.  And no package module imports scipy, at module level or inside a
+function: numpy is the one runtime dependency."""
 
 import ast
 from collections import Counter
@@ -22,12 +23,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "choimetric"
 TESTS = ROOT / "tests"
-
-# The one exemption.  `oracles` holds the reference implementations that do
-# not use the SDP path, and tests compare the solver against them.  A record
-# that called an oracle would change the record count that
-# `benchmarks/references.json` pins, so only tests read them.
-EXEMPT_MODULES = {"oracles.py"}
 
 # The one field exemption.  `SDPResult` is the solver's whole report: its
 # rel_gap, primal_infeas, primal_value and reason say how a solve ended, and
@@ -67,8 +62,6 @@ def unused_definitions(package: Path = PACKAGE, tests: Path = TESTS) -> list[str
     test_trees = _trees(tests)
     unused = []
     for path, tree in modules.items():
-        if path.name in EXEMPT_MODULES:
-            continue
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 # uses inside its own definition (recursion) do not count
@@ -117,8 +110,6 @@ def unused_methods(package: Path = PACKAGE, tests: Path = TESTS) -> list[str]:
     test_trees = _trees(tests)
     unused = []
     for path, tree in modules.items():
-        if path.name in EXEMPT_MODULES:
-            continue
         for cls in tree.body:
             if not isinstance(cls, ast.ClassDef):
                 continue
@@ -150,8 +141,6 @@ def unused_fields(package: Path = PACKAGE, tests: Path = TESTS) -> list[str]:
     test_trees = _trees(tests)
     unused = []
     for path, tree in modules.items():
-        if path.name in EXEMPT_MODULES:
-            continue
         for cls in tree.body:
             if (not isinstance(cls, ast.ClassDef) or not _is_dataclass(cls)
                     or cls.name in EXEMPT_FIELDS):
@@ -288,3 +277,35 @@ def assert_statements(package: Path = PACKAGE) -> list[str]:
 
 def test_no_assert_statements():
     assert assert_statements() == []
+
+
+def scipy_imports(package: Path = PACKAGE) -> list[str]:
+    """The imports of scipy in the package modules, lazy ones inside a
+    function too, as file:line."""
+    found = []
+    for path, tree in _trees(package).items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_no_scipy_imports():
+    assert scipy_imports() == []
+
+
+def test_the_scipy_check_finds_lazy_and_aliased_imports(tmp_path):
+    (tmp_path / "core.py").write_text(
+        "import numpy as np\n"
+        "import scipy.linalg as sla\n\n\n"
+        "def solve():\n"
+        "    from scipy.optimize import linprog\n"
+        "    from .scipy import helper\n"
+        "    return linprog, helper, np, sla\n")
+    assert scipy_imports(tmp_path) == ["core.py:2", "core.py:6"]

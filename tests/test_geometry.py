@@ -32,8 +32,8 @@ from choimetric.geometry import (
     gradient_dirac_triple,
 )
 from choimetric.linalg import kron_stack
-from choimetric.oracles import state_sup_lower_bound
 from conftest import omega_triple
+from reference_oracles import state_sup_lower_bound
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -57,6 +57,10 @@ def test_triple_validation_catches_bad_grading(d2):
     # Z does not anticommute with a diagonal Dirac
     with pytest.raises(InvalidSpectralTriple):
         SpectralTriple(d2, d2.basis, Z, Z).validate()
+    # a grading whose shape is not the Dirac's, whether or not it broadcasts
+    for shape in (3, 1):
+        with pytest.raises(InvalidSpectralTriple, match=f"grading of shape \\({shape}, {shape}\\)"):
+            SpectralTriple(d2, d2.basis, X, np.eye(shape)).validate()
 
 
 def test_triple_validation_catches_the_adjoint_law(m2):

@@ -240,6 +240,14 @@ DIAG2_BASIS = [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]],
     ("algebra", {"ambient_dim": 2.9, "basis": DIAG2_BASIS, "name": "diag2"}),
     ("triple", {"algebra": "diag2", "hilbert_dim": 2.5, "rep": DIAG2_BASIS,
                 "dirac": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]], "grading": None}),
+    # a grading whose shape is not the Dirac's: 3 x 3 does not broadcast
+    # against it, 1 x 1 does
+    ("triple", {"algebra": "diag2", "hilbert_dim": 2, "rep": DIAG2_BASIS,
+                "dirac": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]],
+                "grading": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [-1, 0], [0, 0]],
+                            [[0, 0], [0, 0], [1, 0]]]}),
+    ("triple", {"algebra": "diag2", "hilbert_dim": 2, "rep": DIAG2_BASIS,
+                "dirac": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]], "grading": [[[1, 0]]]}),
     ("pdf", {"group": "Z2", "values": 5}),
     ("channel", {"source": "diag2", "target": "diag2"}),
     ("algebra", {"ambient_dim": 2, "name": "diag2"}),

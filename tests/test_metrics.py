@@ -37,8 +37,10 @@ from choimetric.experiments import (
     group_context,
     length_dirac,
     length_dirac_op,
+    run_chaining,
     run_duality,
     run_mk_correctness,
+    run_stability,
     stability_context,
 )
 from choimetric.generate import (
@@ -65,12 +67,12 @@ from choimetric.metrics import (
     _split_components,
     _split_copies,
 )
-from choimetric.oracles import (
-    classical_path_metric,
+from choimetric.oracles import classical_path_metric, grid_ball_maximize
+from reference_oracles import (
     commutative_pure_states,
     cutting_plane_maximize,
     dl_distance_pure_states,
-    grid_ball_maximize,
+    state_sup_lower_bound,
 )
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -723,7 +725,6 @@ def test_state_sup_right_branch(rng):
     from choimetric.experiments import _toy_triples
     from choimetric import cyclic_group, twisted_group_algebra
     from choimetric.geometry import right_tensor_seminorm
-    from choimetric.oracles import state_sup_lower_bound
     toys = _toy_triples()
     ga = twisted_group_algebra(cyclic_group(2))
     rt = right_tensor_seminorm(ga.algebra, toys["odd_m2"], ga.algebra.basis)
@@ -775,9 +776,21 @@ def test_split_components_on_hand_made_stacks():
 # one solved copy per class of equivalent blocks
 # ---------------------------------------------------------------------------
 
+def _blocks(stacks):
+    """The assembled blocks of a ball: the rows of its stacks."""
+    return [block for cstack, astack in stacks for block in zip(cstack, astack)]
+
+
+def _stacked(blocks):
+    """Blocks stacked by size, as a ball holds them."""
+    sizes = sorted({len(cmat) for cmat, _ in blocks})
+    return [tuple(np.stack([block[part] for block in blocks if len(block[0]) == n])
+                  for part in (0, 1)) for n in sizes]
+
+
 def _every_block(ball):
     """The same ball with every block handed to the solver."""
-    return dataclasses.replace(ball, kept=ball.full)
+    return dataclasses.replace(ball, kept=_blocks(ball.stacks))
 
 
 def _counting_solver(monkeypatch):
@@ -952,8 +965,8 @@ def _ball(key):
 ])
 def test_kept_block_counts(build, kept, total):
     # classes of copies among the assembled blocks, before any block splits
-    ball = build()
-    assert (len(_split_copies(ball.full)), len(ball.full)) == (kept, total)
+    blocks = _blocks(build().stacks)
+    assert (len(_split_copies(blocks)), len(blocks)) == (kept, total)
 
 
 _PIECE_SIZES = {
@@ -970,52 +983,118 @@ _PIECE_SIZES = {
 @pytest.mark.parametrize("key", list(_PIECE_SIZES))
 def test_kept_piece_sizes(key, monkeypatch):
     # every kept block goes to the solver as its irreducible pieces, and
-    # `_solve_certified` checks every block of `full` it does not see
-    # verbatim, in stacks of one size whose rows are those blocks
+    # `_solve_certified` checks every assembled block, one call per stack of
+    # one size, on the ball's own stacks
     ball = _ball(key)
     assert [len(cmat) for cmat, _ in ball.kept] == _PIECE_SIZES[key]
     checked = []
     violations = metrics._stack_violations
 
-    def counted(stack, y):
-        checked.extend(stack[0])
-        return violations(stack, y)
+    def counted(cstack, astack, y):
+        checked.append((cstack, astack))
+        return violations(cstack, astack, y)
 
     monkeypatch.setattr(metrics, "_stack_violations", counted)
-    b = np.zeros(ball.full[0][1].shape[0])
+    b = np.zeros(ball.stacks[0][1].shape[1])
     b[0] = 1.0
-    _solve_certified(b, ball.kept, ball.full, 1e-9, 1, ball.unseen)
-    verbatim = [k for k in ball.kept if any(k is block for block in ball.full)]
-    assert len(verbatim) + len(checked) == len(ball.full)
-    assert len({id(block) for block in checked}) == len(checked)
-    assert all(any(block is full for full in ball.full)
-               and not any(block is k for k in verbatim) for block in checked)
-    for blocks, cstack, astack in ball.unseen:
-        assert np.array_equal(cstack, np.stack([c for c, _ in blocks]))
-        assert np.array_equal(astack, np.stack([a for _, a in blocks]))
-        # a size with no verbatim block is read in place, not copied
-        in_place = not any(len(k[0]) == len(cstack[0]) for k in verbatim)
-        assert all(a.base is astack for _, a in blocks) == in_place
+    _solve_certified(b, ball.kept, ball.stacks, 1e-9, 1)
+    assert len(checked) == len(ball.stacks)
+    assert all(c is cstack and a is astack
+               for (c, a), (cstack, astack) in zip(checked, ball.stacks))
+
+
+def _verbatim(ball):
+    """The kept blocks that are assembled blocks verbatim, as (stack, row)
+    pairs: those whose arrays are row views of the ball's stacks."""
+    found = []
+    for cmat, astack in ball.kept:
+        for cs, stack in ball.stacks:
+            if np.shares_memory(astack, stack):
+                row = next(j for j in range(len(stack))
+                           if astack.__array_interface__ == stack[j].__array_interface__)
+                assert cmat.base is cs and astack.base is stack
+                assert cmat.__array_interface__ == cs[row].__array_interface__
+                found.append(((cs, stack), row))
+    return found
+
+
+@pytest.mark.parametrize("key", list(_BALLS))
+def test_ball_holds_each_block_once(key):
+    # a ball holds every assembled block once: each stack owns its arrays,
+    # one size per stack, and a kept block that is an assembled block is a
+    # row view of its stack, not a copy; only Z3 (a 3-row block) and S3 (a
+    # 12-row block) keep one
+    ball = _ball(key)
+    sizes = [cstack.shape[1] for cstack, _ in ball.stacks]
+    assert len(set(sizes)) == len(sizes)
+    assert all(part.base is None for stack in ball.stacks for part in stack)
+    verbatim = [stack[0].shape[1] for stack, _ in _verbatim(ball)]
+    assert verbatim == {"Z3": [3], "S3": [12]}.get(key, [])
+
+
+def test_assembled_blocks_are_rows_of_the_stacks():
+    # the blocks come back in component order, each a row view of the stack
+    # of its size, in order, and the stacks hold nothing else
+    stack = np.zeros((2, 6, 5), dtype=complex)
+    stack[0, 3, 4] = 1.0
+    stack[1, 0, 4] = -2.0
+    stack[1, 0, 1] = 0.5
+    stack[0, 4, 1] = 3.0
+    stack[1, 1, 2] = 1.0
+    stack[1, 5, 0] = 2.0j
+    blocks, stacks = metrics._assemble_blocks(stack)
+    assert [len(cmat) for cmat, _ in blocks] == [5, 2, 2]
+    assert sorted(cstack.shape[1] for cstack, _ in stacks) == [2, 5]
+    rows = {cstack.shape[1]: 0 for cstack, _ in stacks}
+    for cmat, astack in blocks:
+        cs, stk = next(s for s in stacks if s[0].shape[1] == len(cmat))
+        j = rows[len(cmat)]
+        assert cmat.base is cs and astack.base is stk
+        assert cmat.__array_interface__ == cs[j].__array_interface__
+        assert astack.__array_interface__ == stk[j].__array_interface__
+        rows[len(cmat)] += 1
+    assert rows == {cstack.shape[1]: len(cstack) for cstack, _ in stacks}
+    np.testing.assert_array_equal(blocks[1][1][1], -np.array([[0, 1], [1, 0]]))
+
+
+@pytest.mark.parametrize("key", ["Z3", "S3"])
+@pytest.mark.parametrize("max_iter", [1, 2, 3])
+def test_kept_verbatim_blocks_pass_within_the_dual_infeasibility(key, max_iter):
+    # a kept block that is an assembled block verbatim has the slack Z + R_d
+    # of the solve, Z positive definite, so even a capped solve leaves its
+    # violation within the reported dual infeasibility
+    ball = _ball(key)
+    (((cstack, astack), row),) = _verbatim(ball)
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        b = rng.standard_normal(astack.shape[1])
+        res = sdp.solve_sdp(b, ball.kept, tol=1e-9, max_iter=max_iter)
+        violation = metrics._stack_violations(cstack, astack, res.y)[row]
+        assert violation <= res.dual_infeas * (1 + 1e-9) + 1e-15
 
 
 @pytest.mark.parametrize("key", ["Z2", "S3", "amplified Z3"])
 def test_stacked_check_names_the_violated_block(key):
-    # the blocks of the largest size, at a y where every slack is definite
-    # and the least definite has lambda_min 1/4: with that block's A-stack
-    # doubled, its slack is indefinite, and the stacked check returns its own
-    # violation and 0 for every other block
-    full = _ball(key).full
-    size = max(len(c) for c, _ in full)
-    blocks = [block for block in full if len(block[0]) == size]
-    y = np.random.default_rng(3).standard_normal(blocks[0][1].shape[0])
-    tops = [np.linalg.eigvalsh(contract_stack(y[None], a)[0])[-1] for _, a in blocks]
+    # the ball's stack of its largest blocks, at a y where every slack is
+    # definite and the least definite has lambda_min 1/4: with one block's
+    # A-stack doubled, its slack is indefinite, and the stacked check
+    # returns that block's distance from the PSD cone, normalised as the
+    # solver's dual infeasibility, and 0 for every other block
+    cstack, astack = max(_ball(key).stacks, key=lambda stack: stack[0].shape[1])
+    assert len(cstack) > 1
+    y = np.random.default_rng(3).standard_normal(astack.shape[1])
+    tops = [np.linalg.eigvalsh(contract_stack(y[None], a)[0])[-1] for a in astack]
     y *= 0.75 / max(tops)
     bad = int(np.argmax(tops))
-    blocks[bad] = (blocks[bad][0], 2.0 * blocks[bad][1])
-    (stack,) = metrics._stack_unseen([], blocks)
-    got = metrics._stack_violations(stack, y)
-    assert got[bad] == metrics._psd_violation(*blocks[bad], y) > 0
-    assert np.array_equal(np.delete(got, bad), np.zeros(len(blocks) - 1))
+    astack = astack.copy()
+    astack[bad] *= 2.0
+    got = metrics._stack_violations(cstack, astack, y)
+    slack = cstack[bad] - contract_stack(y[None], astack[bad])[0]
+    lam = np.linalg.eigvalsh(slack)
+    assert lam[0] < -0.4
+    want = np.linalg.norm(np.minimum(lam, 0.0)) / (1.0 + np.linalg.norm(cstack[bad]))
+    assert abs(got[bad] - want) <= 1e-12
+    assert np.array_equal(np.delete(got, bad), np.zeros(len(cstack) - 1))
 
 
 def _lam_min(blocks, y):
@@ -1030,8 +1109,8 @@ def test_kept_pieces_give_the_smallest_slack_eigenvalue(key):
     ball = _ball(key)
     rng = np.random.default_rng(7)
     for _ in range(5):
-        y = rng.standard_normal(ball.full[0][1].shape[0])
-        assert abs(_lam_min(ball.kept, y) - _lam_min(ball.full, y)) <= 1e-9
+        y = rng.standard_normal(ball.stacks[0][1].shape[1])
+        assert abs(_lam_min(ball.kept, y) - _lam_min(_blocks(ball.stacks), y)) <= 1e-9
 
 
 def test_gradient_dirac_blocks_split_without_losing_the_slack():
@@ -1041,18 +1120,24 @@ def test_gradient_dirac_blocks_split_without_losing_the_slack():
     alg = matrix_algebra(2)
     ls = [random_hermitian(rng, 2) for _ in range(3)]
     ball = prepare_ball(CommutatorSeminorm(gradient_dirac_triple(ls, algebra=alg)))
-    for block in ball.full:
+    for block in _blocks(ball.stacks):
         pieces = _irreducible_pieces(block)
         for _ in range(5):
             y = rng.standard_normal(block[1].shape[0])
             assert abs(_lam_min(pieces, y) - _lam_min([block], y)) <= 1e-9
 
 
-@pytest.mark.parametrize("suite", [lambda: run_duality(2026, trials=5),
-                                   lambda: run_mk_correctness(2026)],
-                         ids=["duality", "mk-correctness"])
+@pytest.mark.parametrize("suite", [
+    lambda: run_duality(2026, trials=5),
+    lambda: run_mk_correctness(2026),
+    lambda: run_chaining(2026, quadruples=1),
+    lambda: run_stability(2026, trials=2, groups=("Z2",), general_trials=(1,),
+                          audit_samples=2),
+], ids=["duality", "mk-correctness", "chaining", "stability"])
 def test_small_balls_solve_once(suite, monkeypatch):
-    # no reduced solve of the duality or MK suites falls back to the full one
+    # no reduced solve of these suites falls back to the full one, though
+    # every assembled block is checked, the kept verbatim ones of Z3 and S3
+    # among them
     certified = []
     solve_certified = metrics._solve_certified
 
@@ -1079,7 +1164,7 @@ def test_wrong_piece_falls_back_to_the_full_solve(monkeypatch):
     every = delta_distance(f, g, ctx.amp_trace, _every_block(ball), tolerance=1e-9)
     calls = _counting_solver(monkeypatch)
     res = delta_distance(f, g, ctx.amp_trace, wrong, tolerance=1e-9)
-    assert calls == [len(ball.kept), len(ball.full)]
+    assert calls == [len(ball.kept), len(_blocks(ball.stacks))]
     assert res.status == every.status == "optimal"
     assert abs(res.value - every.value) <= 1e-9
 
@@ -1089,10 +1174,10 @@ def test_wrong_copy_falls_back_to_the_full_solve(monkeypatch):
     # as a dropped copy: the check rejects the reduced y and solves them all
     ctx = group_context("Z2")
     # Z2's blocks are copies of one block, which the solver is handed whole
-    (block,) = _split_copies(ctx.ball.full)
+    (block,) = _split_copies(_blocks(ctx.ball.stacks))
     cmat, astack = block
     bad = (cmat, 2.0 * astack)
-    wrong = dataclasses.replace(ctx.ball, kept=[block], full=[block, bad])
+    wrong = dataclasses.replace(ctx.ball, kept=[block], stacks=_stacked([block, bad]))
     rng = np.random.default_rng(5)
     f, g = (multiplier_channel(random_pdf(rng, ctx.group), ctx.ga) for _ in range(2))
     right = delta_distance(f, g, ctx.tau, ctx.ball, tolerance=1e-9)
@@ -1112,8 +1197,8 @@ def test_solve_certified_passes_the_reason_through():
     b = np.zeros(astack.shape[0])
     b[0] = 1.0
     for checked in ([], [(cmat, 2.0 * astack)]):
-        full = ctx.ball.kept + checked
-        res = _solve_certified(b, ctx.ball.kept, full, 1e-9, sdp.MAX_ITER)
+        stacks = _stacked(ctx.ball.kept + checked)
+        res = _solve_certified(b, ctx.ball.kept, stacks, 1e-9, sdp.MAX_ITER)
         assert (res.status, res.reason) == ("optimal", "converged")
-        capped = _solve_certified(b, ctx.ball.kept, full, 1e-9, 1)
+        capped = _solve_certified(b, ctx.ball.kept, stacks, 1e-9, 1)
         assert (capped.status, capped.reason) == ("max_iter", "max_iter")
