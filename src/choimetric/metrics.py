@@ -295,7 +295,8 @@ def _solve_certified(b: np.ndarray, kept: list, stacks: list, tol: float,
     the feasibility tolerance the full program is solved instead.  A kept
     block that is an assembled block verbatim has the slack Z + R_d of the
     solve, Z positive definite, so its violation is at most the reported
-    dual infeasibility: checking it changes nothing.
+    dual infeasibility: checking it changes nothing.  A closed-form y leaves
+    its binding slacks singular, for the eigenvalues to decide.
     """
     feas_tol = sdp.feasibility_tolerance(tol)
     res = sdp.solve_sdp(b, kept, tol=tol, max_iter=max_iter)

@@ -14,6 +14,12 @@ in SDPT3: one Schur build and two solves per iteration, the second with the
 predictor's second-order term dX dZ.  Intended problem sizes: a few hundred
 scalar variables and blocks up to a few hundred rows.
 
+Every block has C_k = c_k I with c_k > 0, as the package's unit balls
+[[I, K(a)], [K(a)*, I]] >= 0 do (ValueError names a block that has not), so
+y = 0, Z = C and X = max(1, |b|) I start exactly dual feasible.  A program
+with one variable and a finite b != 0 that some block bounds is solved in
+closed form (`_closed_form`) without iterating.
+
 The blocks are packed onto the diagonals of the slots of one stack of the
 largest block size N: C, X and Z of shape (k, N, N), A of shape
 (m, k, N, N).  Largest first, each block takes the first slot with room,
@@ -24,10 +30,10 @@ slot's diagonal is its pad: C = I and A = 0 there, and X and Z hold I
 there for the whole solve (dZ is exactly 0 on it and dX is zeroed); every
 entry between two blocks is 0 in C, A, X and Z.  The gap, <C, X>, A(X),
 A*(y), the Schur build and the step lengths need no block map; the dual
-infeasibility ||rd_j||_F / (1 + ||C_j||_F), the floor's ||Z_j^{-1}||_F and
-max |Z_j| and the start's shift are read per block, through one matrix
-of block memberships.  So an iteration makes a fixed number of numpy
-calls, however many blocks of whatever sizes.  The pad multiplies the
+infeasibility ||rd_j||_F / (1 + ||C_j||_F), with ||C_j||_F = c_j sqrt(n_j),
+and the floor's ||Z_j^{-1}||_F and max |Z_j| are read per block, through
+one matrix of block memberships.  So an iteration makes a fixed number of
+numpy calls, however many blocks of whatever sizes.  The pad multiplies the
 flops by sum N^3 / sum n^3 over the slots and the blocks (about 2.0 on
 the chaining programs at seed 2026 and 1.5 on the stability ones), but
 blocks of a few dozen rows cost per call, not per flop.
@@ -42,8 +48,9 @@ V ((r' V) / (lam + jitter)): backward stable like a Cholesky solve, in one
 LAPACK call where a Cholesky factor needs eight triangular solves besides.
 
 The reported `value` is the dual objective b'y of the returned iterate,
-whose slack Z is kept positive definite throughout, so for the metric
-programs in this package it is always the value of a feasible point.
+whose slack Z is kept positive definite throughout (the closed form's is
+singular), so for the metric programs in this package it is always the
+value of a feasible point.
 `metrics.wasserstein_dual` poses its program on the primal side and reads
 `primal_value` <C, X> instead, whose X meets A(X) = b only to the residual
 tolerance.
@@ -52,6 +59,7 @@ both residual tolerances, "max_iter" when the iteration reached the cap, and
 "stalled" when it stopped earlier; the better of the final and the best
 iterate is returned.  `reason` says why the iteration ended:
 
+- "closed_form": the one-variable closed form, status "optimal";
 - "converged": the returned iterate meets the tolerances (status "optimal");
 - "max_iter": the iteration cap;
 - "no_progress": 8 iterations without a better merit max(rel_gap, pinf, dinf);
@@ -97,22 +105,22 @@ def _real(a: np.ndarray) -> np.ndarray:
     return a.view(np.float64)
 
 
-def _herm(s: np.ndarray) -> np.ndarray:
-    return 0.5 * (s + s.conj().swapaxes(-1, -2))
-
-
 class _Stack:
-    """The blocks packed onto the diagonals of slots of the largest size N:
-    largest first (ties in input order), each in the first slot with room,
-    after the blocks already there.  C (I on the pad) and A (0 off the
-    blocks), A's float64 view flattened per A_i for A(X) and A*(y), and the
-    two work arrays of the Schur build.  Row j of `member` is 1 on the
-    entries of block j, the slots flattened, and reads every per-block
-    quantity; block j lies in slot `slot[j]`, on the rows where `span[j]`
-    is 1.  `inner` is 1 on the block entries, `eye` the identity on the
-    blocks and `pad` the identity on the rest of the diagonal."""
+    """The blocks packed onto the diagonals of slots of the largest size N,
+    as the module docstring says, ties in input order: C (I on the pad) and
+    A (0 off the blocks), A's float64 view flattened per A_i for A(X) and
+    A*(y), and the two work arrays of the Schur build.  Row j of `member` is
+    1 on the entries of block j, the slots flattened, and reads every
+    per-block quantity.  `inner` is 1 on the block entries, `eye` the
+    identity on the blocks and `pad` the identity on the rest of the
+    diagonal.  Raises ValueError naming the first block whose C is not c I
+    with c > 0, to 1e-12 relative."""
 
     def __init__(self, blocks):
+        for j, (cmat, _) in enumerate(blocks):
+            cj = cmat[0, 0].real
+            if not (cj > 0 and np.abs(cmat - cj * np.eye(len(cmat))).max() <= 1e-12 * cj):
+                raise ValueError(f"block {j}: C is not a positive multiple of the identity")
         sizes = [len(cmat) for cmat, _ in blocks]
         n = max(sizes)
         filled, place = [], []          # rows taken per slot; (block, slot, first row)
@@ -129,21 +137,17 @@ class _Stack:
         c = np.zeros_like(self.a[0])
         self.inner = np.zeros(c.shape)
         member = np.zeros((len(blocks),) + c.shape)
-        self.span = np.zeros((len(blocks), n))
-        self.slot = np.empty(len(blocks), dtype=int)
         for j, slot, first in place:
             rows = slice(first, first + sizes[j])
             c[slot, rows, rows] = blocks[j][0]
             self.a[:, slot, rows, rows] = blocks[j][1]
             self.inner[slot, rows, rows] = member[j, slot, rows, rows] = 1.0
-            self.span[j, rows] = 1.0
-            self.slot[j] = slot
         self.member = member.reshape(len(blocks), -1)
         self.ntot = sum(sizes)
         unit = np.eye(n)
         self.eye = self.inner * unit
         self.pad = unit - self.eye
-        self.cnorm = 1.0 + self.norms(c)
+        self.cnorm = 1.0 + np.array([cmat[0, 0].real for cmat, _ in blocks]) * np.sqrt(sizes)
         c += self.pad
         self.c = c
         self.rows = _real(self.a.reshape(len(self.a), -1))
@@ -227,32 +231,48 @@ def feasibility_tolerance(tol: float) -> float:
     return max(10 * tol, 1e-8)
 
 
+def _closed_form(stack: _Stack, b: float):
+    """(y, X, Z) solving max b y s.t. C - y A >= 0: with s the sign of b,
+    D = C^{-1/2} and w the eigenvector of the largest eigenvalue mu > 0 of
+    D (s A) D (mu = max_k lam_max(s A_k) / c_k), y = s / mu and
+    X = (|b| / mu) D w w* D, and Z = C - y A, the slack.  None when b = 0, b
+    or A is not finite, there is no such mu or the value overflows."""
+    if not (np.isfinite(b) and b != 0.0 and np.isfinite(stack.a).all()):
+        return None
+    s = 1.0 if b > 0 else -1.0
+    d = 1.0 / np.sqrt(stack.c.diagonal(axis1=1, axis2=2).real)
+    lam, vec = np.linalg.eigh(d[:, :, None] * (s * stack.a[0]) * d[:, None, :])
+    q = int(np.argmax(lam[:, -1]))
+    t = 1.0 / float(lam[q, -1]) if lam[q, -1] > 0 else np.inf
+    if not np.isfinite(abs(b) * t):
+        return None
+    u = d[q] * vec[q, :, -1]
+    x = np.zeros_like(stack.c)
+    x[q] = abs(b) * t * np.outer(u, u.conj())
+    y = np.array([s * t])
+    return y, x, stack.c - stack.adjoint(y)
+
+
 def solve_sdp(b, blocks, tol=1e-7, max_iter=MAX_ITER) -> SDPResult:
-    """Solve the block SDP; `blocks` is a list of (C, Astack) pairs with C of
-    shape (n, n) and Astack of shape (m, n, n), all Hermitian."""
+    """Solve the block SDP; `blocks` is a list of (C, Astack) pairs with C = c I
+    of shape (n, n), c > 0, and Astack of shape (m, n, n), all Hermitian."""
     b = np.asarray(b, dtype=float)
     m = b.shape[0]
     feas_tol = feasibility_tolerance(tol)
     stack = _Stack(blocks)
     c, k = stack.c, len(stack.c)
 
-    # feasible-on-the-dual-side start: shift each block into the cone if
-    # needed, by its own smallest eigenvalue and `scale`, read with the block
-    # alone in its slot and `scale` on the rest of the diagonal; `scale` is
-    # at least the block's smallest eigenvalue, so the rest never enters the
-    # shift, and X and Z hold I on the pad throughout
-    h = _herm(c)
-    alone = h[stack.slot] * (stack.span[:, :, None] * stack.span[:, None, :])
-    scale = np.maximum(1.0, np.abs(alone).max(axis=(1, 2)))
-    diagonal = alone.reshape(len(alone), -1)[:, ::len(c[0]) + 1]
-    diagonal += scale[:, None] * (1.0 - stack.span)
-    lam_min = np.linalg.eigvalsh(alone)[:, 0]
-    shift = np.maximum(0.0, 0.1 * scale - lam_min)
-    z = h + (shift @ stack.member).reshape(c.shape) * stack.eye
+    # y = 0 and Z = C are exactly dual feasible; X and Z hold I on the pad
+    # throughout
+    z = c.copy()
     scale_x = max(1.0, float(np.abs(b).max(initial=0.0)))
     x = (scale_x * stack.eye + stack.pad).astype(complex)
     bnorm = 1.0 + float(np.sqrt(b @ b))
     y = np.zeros(m)
+    reason = "max_iter"
+    closed = _closed_form(stack, float(b[0])) if m == 1 else None
+    if closed is not None:              # reported as it is, with no iteration
+        (y, x, z), reason, max_iter = closed, "closed_form", 0
 
     def diagnostics():
         rp = b - stack.apply(x)
@@ -266,7 +286,6 @@ def solve_sdp(b, blocks, tol=1e-7, max_iter=MAX_ITER) -> SDPResult:
         return rp, rd, gap, obj_d, obj_p, rel_gap, pinf, dinf
 
     best = None
-    reason = "max_iter"
     it = 0
     small_steps = 0
     stall = 0
@@ -327,7 +346,8 @@ def solve_sdp(b, blocks, tol=1e-7, max_iter=MAX_ITER) -> SDPResult:
             dy = schur_solve(rhs)
             dy += schur_solve(rhs - schur @ dy)
             ady = stack.adjoint(dy)
-            return dy, _herm(raux + x @ ady @ zinv) * stack.inner, rd - ady
+            dx = raux + x @ ady @ zinv
+            return dy, 0.5 * (dx + dx.conj().swapaxes(1, 2)) * stack.inner, rd - ady
 
         def steps(dx, dz):
             """Primal and dual step lengths from one eigvalsh."""
@@ -365,7 +385,8 @@ def solve_sdp(b, blocks, tol=1e-7, max_iter=MAX_ITER) -> SDPResult:
 
     # the final iterate; after an early stop, the best one if that is better
     _, _, gap, obj_d, obj_p, rel_gap, pinf, dinf = diagnostics()
-    status = {"converged": "optimal", "max_iter": "max_iter"}.get(reason, "stalled")
+    status = {"converged": "optimal", "closed_form": "optimal",
+              "max_iter": "max_iter"}.get(reason, "stalled")
     if status != "optimal":
         final = (max(rel_gap, pinf, dinf), y, obj_d, obj_p, rel_gap, pinf, dinf)
         if best is None or (np.isfinite(gap) and final[0] < best[0]):

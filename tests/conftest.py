@@ -2,8 +2,9 @@
 multiplication functional mu_tau, the pairing functional of an element, the
 flip Sigma^op that trades a plain and an opposite tensor factor, the
 amplified Kasparov triple relabelled onto the omega-carrier, the pullback
-F* psi of a functional and the commutativity test of an algebra.  Test
-modules import the functions with `from conftest import ...`."""
+F* psi of a functional, the commutativity test of an algebra and an SDP
+posed with one more, unused variable.  Test modules import the functions
+with `from conftest import ...`."""
 
 from functools import reduce
 
@@ -133,3 +134,10 @@ def z2_length():
 @pytest.fixture
 def rng():
     return np.random.default_rng(2024)
+
+
+def with_zero_variable(b, blocks):
+    """The SDP (b, blocks) with one more variable that no block reads and the
+    objective ignores: the same program, which a one-variable `solve_sdp`
+    solves in closed form and this one by iterating."""
+    return np.append(b, 0.0), [(c, np.concatenate([a, np.zeros_like(a[:1])])) for c, a in blocks]

@@ -68,6 +68,7 @@ from choimetric.metrics import (
     _split_copies,
 )
 from choimetric.oracles import classical_path_metric, grid_ball_maximize
+from conftest import with_zero_variable
 from reference_oracles import (
     commutative_pure_states,
     cutting_plane_maximize,
@@ -1190,15 +1191,85 @@ def test_wrong_copy_falls_back_to_the_full_solve(monkeypatch):
     assert abs(res.value - 0.5 * right.value) <= 1e-7
 
 
-def test_solve_certified_passes_the_reason_through():
-    # the reduced solve, and the full solve after a wrong copy fails its check
-    ctx = group_context("Z2")
-    cmat, astack = ctx.ball.kept[0]
-    b = np.zeros(astack.shape[0])
+@pytest.mark.parametrize("key, reason, capped_reason", [
+    ("Z2", "closed_form", "closed_form"),
+    ("Z3", "converged", "max_iter"),
+])
+def test_solve_certified_passes_the_reason_through(key, reason, capped_reason, monkeypatch):
+    # the reduced solve, and the full solve after wrong copies (each kept
+    # block with twice its A-stack) fail their check: Z2's one variable has
+    # the closed form, whatever the cap, and Z3's two iterate
+    ctx = group_context(key)
+    b = np.zeros(ctx.ball.kept[0][1].shape[0])
     b[0] = 1.0
-    for checked in ([], [(cmat, 2.0 * astack)]):
+    for checked in ([], [(c, 2.0 * a) for c, a in ctx.ball.kept]):
         stacks = _stacked(ctx.ball.kept + checked)
+        calls = _counting_solver(monkeypatch)
         res = _solve_certified(b, ctx.ball.kept, stacks, 1e-9, sdp.MAX_ITER)
-        assert (res.status, res.reason) == ("optimal", "converged")
+        assert (res.status, res.reason) == ("optimal", reason)
+        assert calls == [len(ctx.ball.kept)] + ([len(_blocks(stacks))] if checked else [])
         capped = _solve_certified(b, ctx.ball.kept, stacks, 1e-9, 1)
-        assert (capped.status, capped.reason) == ("max_iter", "max_iter")
+        assert (capped.status, capped.reason) == (
+            "optimal" if capped_reason == "closed_form" else "max_iter", capped_reason)
+
+
+def _wasserstein_row(monkeypatch):
+    """The first row of the trace-norm dual for L = sigma_x between
+    diag(1, 0) and diag(0, 1), with its C = I / 2: a one-variable program."""
+    captured = []
+    solve = sdp.solve_sdp
+
+    def capture(b, blocks, **kwargs):
+        captured.append((b, blocks))
+        return solve(b, blocks, **kwargs)
+
+    monkeypatch.setattr(sdp, "solve_sdp", capture)
+    wasserstein_dual(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), [X])
+    monkeypatch.undo()
+    ((b, ((cmat, astack),)),) = captured
+    assert np.array_equal(cmat, 0.5 * np.eye(len(cmat))) and b[0] != 0
+    return [(b[:1], [(cmat, astack[:1])])]
+
+
+def _ball_programs(ball):
+    """One-variable programs on a ball: its kept blocks at b = 1, -1 and
+    0.37, and every assembled block at b = 1."""
+    assert ball.kept[0][1].shape[0] == 1
+    return ([(np.array([b]), ball.kept) for b in (1.0, -1.0, 0.37)]
+            + [(np.array([1.0]), _blocks(ball.stacks))])
+
+
+def _two_point_ball(dist):
+    """The ball of `run_mk_correctness`'s two-point distance `dist`."""
+    d2 = diagonal_algebra(2)
+    return prepare_ball(CommutatorSeminorm(SpectralTriple(d2, d2.basis, X / dist)))
+
+
+@pytest.mark.parametrize("programs", [
+    lambda mp: _ball_programs(group_context("Z2").ball),
+    lambda mp: _ball_programs(_two_point_ball(0.5)),
+    lambda mp: _ball_programs(_two_point_ball(1.0)),
+    lambda mp: _ball_programs(_two_point_ball(2.0)),
+    _wasserstein_row,
+], ids=["Z2", "two-point 0.5", "two-point 1", "two-point 2", "wasserstein row"])
+def test_closed_form_matches_the_iteration_on_every_one_variable_ball(programs, monkeypatch):
+    # the balls on which run-all poses one-variable programs, and a row of
+    # the trace-norm dual: the closed form agrees with the iteration on the
+    # same program with a second, unused variable
+    for b, blocks in programs(monkeypatch):
+        closed = sdp.solve_sdp(b, blocks, tol=1e-10)
+        iterated = sdp.solve_sdp(*with_zero_variable(b, blocks), tol=1e-10)
+        assert (closed.status, closed.reason, closed.iterations) == ("optimal", "closed_form", 0)
+        assert (iterated.status, iterated.reason) == ("optimal", "converged")
+        assert abs(closed.value - iterated.value) <= 1e-8 * abs(iterated.value)
+
+
+def test_z2_delta_is_exact():
+    # Delta between the Z2 multipliers of p = (1, 0.5) and q = (1, 0) is
+    # 0.5 / sqrt(2), read from the closed form to rounding
+    ctx = group_context("Z2")
+    p, q = (multiplier_channel(PositiveDefiniteFunction(ctx.group, values), ctx.ga)
+            for values in ([1.0, 0.5], [1.0, 0.0]))
+    res = delta_distance(p, q, ctx.tau, ctx.ball)
+    assert res.status == "optimal"
+    assert abs(res.value - 0.5 / math.sqrt(2)) <= 1e-12

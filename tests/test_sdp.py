@@ -8,6 +8,7 @@ import pytest
 import choimetric
 from choimetric import sdp
 from choimetric.sdp import _factor, _smallest_eigenvalues, _Stack, solve_sdp
+from conftest import with_zero_variable
 
 
 def _random_pd(rng, n):
@@ -19,41 +20,52 @@ def _close(a, b, rel):
     return np.linalg.norm(a - b) <= rel * np.linalg.norm(b)
 
 
+# maximize y subject to y <= 3, encoded as a 1x1 block
+_SCALAR_LP = (np.array([1.0]), [(np.array([[3.0]], dtype=complex),
+                                 np.array([[[1.0]]], dtype=complex))])
+
+
 def test_scalar_lp():
-    # maximize y subject to y <= 3, encoded as a 1x1 block
-    b = np.array([1.0])
-    blocks = [(np.array([[3.0]], dtype=complex), np.array([[[1.0]]], dtype=complex))]
-    res = solve_sdp(b, blocks, tol=1e-10)
+    # in closed form with one variable, and iterated with a second one
+    res = solve_sdp(*_SCALAR_LP, tol=1e-10)
+    assert (res.status, res.reason, res.iterations) == ("optimal", "closed_form", 0)
+    assert abs(res.value - 3.0) <= 1e-15 * 3 and res.y[0] == res.value
+    res = solve_sdp(*with_zero_variable(*_SCALAR_LP), tol=1e-10)
     assert (res.status, res.reason) == ("optimal", "converged")
     assert abs(res.value - 3.0) < 1e-8
 
 
 def test_early_stop_reports_stalled():
     # with a zero gap tolerance the LP stops making progress before the cap
-    b = np.array([1.0])
-    blocks = [(np.array([[3.0]], dtype=complex), np.array([[[1.0]]], dtype=complex))]
-    res = solve_sdp(b, blocks, tol=0.0, max_iter=200)
+    res = solve_sdp(*with_zero_variable(*_SCALAR_LP), tol=0.0, max_iter=200)
     assert (res.status, res.reason) == ("stalled", "numerical_floor")
     assert res.iterations < 200
     assert abs(res.value - 3.0) < 1e-8
 
 
-def test_non_finite_start_reports_stalled():
-    # b'y overflows at the first iterate, before any iterate is recorded
-    blocks = [(np.array([[3.0]], dtype=complex), np.array([[[1.0]]], dtype=complex))]
+@pytest.mark.parametrize("pose", [lambda b, blocks: (b, blocks), with_zero_variable],
+                         ids=["one variable", "two variables"])
+def test_non_finite_start_reports_stalled(pose):
+    # b'y overflows at the first iterate, before any iterate is recorded; with
+    # one variable the closed form's value 3e308 overflows, so it iterates too
+    b, blocks = pose(np.array([1e308]), _SCALAR_LP[1])
     with np.errstate(over="ignore", invalid="ignore"):
-        res = solve_sdp(np.array([1e308]), blocks)
+        res = solve_sdp(b, blocks)
     assert (res.status, res.reason, res.iterations) == ("stalled", "non_finite", 1)
 
 
 def test_largest_eigenvalue():
-    # max y s.t. y I <= A  gives the smallest eigenvalue of A
+    # max y s.t. I - y A >= 0 gives 1 / lam_max(A) for A positive definite,
+    # in closed form and iterated
     rng = np.random.default_rng(3)
     m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     a = m @ m.conj().T
-    blocks = [(a, np.eye(5, dtype=complex)[None])]
-    res = solve_sdp(np.array([1.0]), blocks, tol=1e-10)
-    assert abs(res.value - np.linalg.eigvalsh(a)[0]) < 1e-7
+    want = 1.0 / np.linalg.eigvalsh(a)[-1]
+    program = (np.array([1.0]), [(np.eye(5, dtype=complex), a[None])])
+    closed = solve_sdp(*program, tol=1e-10)
+    assert closed.reason == "closed_form" and abs(closed.value - want) <= 1e-12 * want
+    iterated = solve_sdp(*with_zero_variable(*program), tol=1e-10)
+    assert iterated.reason == "converged" and abs(iterated.value - want) < 1e-7
 
 
 def test_operator_norm_via_lmi():
@@ -75,6 +87,64 @@ def test_multi_block():
               (np.array([[1.0]], dtype=complex), np.array([[[1.0]]], dtype=complex))]
     res = solve_sdp(np.array([1.0]), blocks, tol=1e-10)
     assert abs(res.value - 1.0) < 1e-8
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_one_variable_programs_are_solved_in_closed_form(sign):
+    # blocks of three sizes, each with its own c, one of them not bounding y
+    # along s = sign(b): y = s min_k c_k / lam_max(s A_k) over the others,
+    # X = (|b| / lam) v v* on the binding block, and the report reads its gap
+    # and residuals from that pair: the slack is PSD and singular there
+    rng = np.random.default_rng(18)
+    blocks = [(c * np.eye(n, dtype=complex), _random_hermitian_stack(rng, 1, n))
+              for c, n in ((1.0, 3), (0.5, 1), (2.0, 2))]
+    blocks.append((np.eye(2, dtype=complex), -sign * np.eye(2, dtype=complex)[None]))
+    ratios = [c[0, 0].real / np.linalg.eigvalsh(sign * a[0])[-1] for c, a in blocks[:3]]
+    want = min(r for r in ratios if r > 0)
+    res = solve_sdp(np.array([2.0 * sign]), blocks)
+    assert (res.status, res.reason, res.iterations) == ("optimal", "closed_form", 0)
+    assert abs(res.value - 2.0 * want) <= 1e-14 * want
+    assert abs(res.y[0] - sign * want) <= 1e-14 * want
+    assert abs(res.primal_value - res.value) <= 1e-14 * want
+    assert 0 <= res.gap <= 1e-14 * want
+    assert max(res.rel_gap, res.primal_infeas, res.dual_infeas) <= 1e-14
+    lam = [np.linalg.eigvalsh(c - res.y[0] * a[0])[0] for c, a in blocks]
+    assert min(lam) >= -1e-14 and abs(lam[ratios.index(want)]) <= 1e-14
+    iterated = solve_sdp(*with_zero_variable(np.array([2.0 * sign]), blocks), tol=1e-10)
+    assert iterated.reason == "converged"
+    assert abs(iterated.value - res.value) <= 1e-8 * res.value
+
+
+@pytest.mark.parametrize("b, a, status, reason", [
+    (1.0, -np.eye(2), "stalled", "numerical_floor"),          # no block bounds y
+    (0.0, np.diag([1.0, -2.0]), "optimal", "converged"),
+    (np.nan, np.diag([1.0, -2.0]), "stalled", "non_finite"),
+], ids=["unbounded", "zero", "nan"])
+def test_one_variable_programs_without_a_closed_form_iterate(b, a, status, reason):
+    res = solve_sdp(np.array([b]), [(np.eye(2, dtype=complex), a[None].astype(complex))])
+    assert (res.status, res.reason) == (status, reason) and res.iterations > 0
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("cmat", [
+    np.diag([1.0, 2.0]),
+    np.array([[1.0, 1e-9], [1e-9, 1.0]]),
+    np.zeros((2, 2)),
+    -np.eye(2),
+    np.full((2, 2), np.nan),
+], ids=["not scalar", "off-diagonal", "zero", "negative", "nan"])
+def test_c_must_be_a_positive_multiple_of_the_identity(cmat, m):
+    # the third block's C is rejected by name, with one variable (before the
+    # closed form) and with two; a C within 1e-12 of 2 I is accepted
+    rng = np.random.default_rng(17)
+    blocks = [(np.eye(2, dtype=complex), _random_hermitian_stack(rng, m, 2)),
+              (0.5 * np.eye(3, dtype=complex), _random_hermitian_stack(rng, m, 3)),
+              (cmat.astype(complex), _random_hermitian_stack(rng, m, 2))]
+    b = rng.standard_normal(m)
+    with pytest.raises(ValueError, match="^block 2: C is not a positive multiple of the identity$"):
+        solve_sdp(b, blocks)
+    blocks[2] = (2.0 * np.eye(2, dtype=complex) + 1e-14, blocks[2][1])
+    assert solve_sdp(b, blocks).status == "optimal"
 
 
 def test_gap_certificate_and_feasibility():
@@ -143,14 +213,31 @@ def test_factor_raises_on_an_indefinite_block():
         _factor(s)
 
 
+def _placement(stack, j):
+    """The slot and the rows of block j in the stack, read from its row of
+    `member`, which must be one square of consecutive rows in one slot."""
+    cells = stack.member[j].reshape(stack.c.shape)
+    (slot,) = np.flatnonzero(cells.any(axis=(1, 2)))
+    rows = np.flatnonzero(cells[slot].any(axis=1))
+    assert np.all(np.diff(rows) == 1)
+    assert np.array_equal(cells[slot], np.isin(np.arange(len(cells[slot])), rows)[:, None]
+                          & np.isin(np.arange(len(cells[slot])), rows)[None, :])
+    return slot, rows
+
+
 def _packed(stack, mats):
     """The matrices on the rows of their blocks in the stack's slots, I on
     the rest of the diagonal and 0 between the blocks."""
     out = stack.pad.astype(complex)
-    for mat, slot, span in zip(mats, stack.slot, stack.span):
-        rows = np.flatnonzero(span)
+    for j, mat in enumerate(mats):
+        slot, rows = _placement(stack, j)
         out[slot][np.ix_(rows, rows)] = mat
     return out
+
+
+def _scaled_eye(rng, n):
+    """c I for a random c in [0.5, 2]."""
+    return rng.uniform(0.5, 2.0) * np.eye(n, dtype=complex)
 
 
 @pytest.mark.parametrize("sizes, slots", [
@@ -163,15 +250,15 @@ def test_blocks_are_packed_largest_first_into_the_first_slot_with_room(sizes, sl
     # size; every block's entries lie in one slot, on rows of its own, and C
     # is I and A is 0 off the blocks
     rng = np.random.default_rng(15)
-    blocks = [(_random_pd(rng, n), _random_hermitian_stack(rng, 2, n)) for n in sizes]
+    blocks = [(_scaled_eye(rng, n), _random_hermitian_stack(rng, 2, n)) for n in sizes]
     stack = _Stack(blocks)
     n = max(sizes)
     assert stack.c.shape == (3, n, n) and stack.a.shape == (2, 3, n, n)
-    assert tuple(stack.slot) == slots
+    placed = [_placement(stack, j) for j in range(len(blocks))]
+    assert tuple(slot for slot, _ in placed) == slots
     taken = np.zeros(stack.c.shape)
-    for (cmat, astack), slot, span in zip(blocks, stack.slot, stack.span):
-        rows = np.flatnonzero(span)
-        assert len(rows) == len(cmat) and np.all(np.diff(rows) == 1)
+    for (cmat, astack), (slot, rows) in zip(blocks, placed):
+        assert len(rows) == len(cmat)
         assert np.array_equal(stack.c[slot][np.ix_(rows, rows)], cmat)
         assert np.array_equal(stack.a[:, slot][:, rows][:, :, rows], astack)
         taken[slot][np.ix_(rows, rows)] += 1
@@ -209,7 +296,7 @@ def test_the_stack_applies_the_constraint_map():
     # count read each block alone
     rng = np.random.default_rng(13)
     m, sizes = 3, (2, 3, 1, 2)
-    blocks = [(_random_pd(rng, n), _random_hermitian_stack(rng, m, n)) for n in sizes]
+    blocks = [(_scaled_eye(rng, n), _random_hermitian_stack(rng, m, n)) for n in sizes]
     stack = _Stack(blocks)
     assert stack.c.shape == (3, 3, 3) and stack.a.shape == (3, 3, 3, 3)
     assert stack.ntot == 8
@@ -224,8 +311,8 @@ def test_the_stack_applies_the_constraint_map():
     assert _close(applied, dense, 1e-12)
     adjoint = stack.adjoint(y)
     assert not adjoint[stack.inner == 0].any()
-    for (_, mats), slot, span in zip(blocks, stack.slot, stack.span):
-        rows = np.flatnonzero(span)
+    for j, (_, mats) in enumerate(blocks):
+        slot, rows = _placement(stack, j)
         assert _close(adjoint[slot][np.ix_(rows, rows)], np.tensordot(y, mats, axes=1), 1e-12)
     inner = sum(np.vdot(x, x).real for x in xs)
     assert abs(stack.dot(x, x) - inner) <= 1e-12 * inner
@@ -233,37 +320,24 @@ def test_the_stack_applies_the_constraint_map():
     assert np.array_equal(stack.maxabs(x), [np.abs(x).max() for x in xs])
 
 
-def test_the_start_leaves_the_pad_out_of_the_shift():
-    # C = 20 I of 2 rows beside C = I of 3 rows: both are already deep in
-    # the cone, so the start is Z = C on each block and I on the 2 x 2
-    # block's pad; a pad eigenvalue of 1 seen by the shift would move
-    # 0.1 * 20 - 1 = 1 onto the first block.  X starts at I on the blocks
-    # (|b| <= 1) and its pad is not counted in <C, X> = 2 * 20 + 3
-    rng = np.random.default_rng(14)
-    blocks = [(20 * np.eye(2, dtype=complex), _random_hermitian_stack(rng, 2, 2)),
-              (np.eye(3, dtype=complex), _random_hermitian_stack(rng, 2, 3))]
-    start = solve_sdp(np.array([0.5, -1.0]), blocks, max_iter=0)
-    assert (start.status, start.iterations) == ("max_iter", 0)
-    assert start.dual_infeas == 0.0
-    assert start.primal_value == 43.0
-    assert solve_sdp(np.array([0.5, -1.0]), blocks).status == "optimal"
-
-
-def test_the_start_shifts_each_block_of_a_shared_slot_by_its_own():
-    # C = 20 I of 2 rows and C = -I of 1 row share a slot beside C = I of 3
-    # rows.  The -I block alone is shifted, by 0.1 * 1 + 1 = 1.1, so its
-    # residual -I - Z is -1.1, over 1 + ||C||_F = 2; a shift read from the
-    # whole slot, 0.1 * 20 + 1 = 3, would give 1.5.  <C, X> = 3 + 40 - 1
+def test_the_start_is_exactly_dual_feasible():
+    # C = 20 I of 2 rows and C = 0.5 I of 1 row share a slot beside C = I of
+    # 3 rows: y = 0 and Z = C leave no residual on any block.  X starts at I
+    # on the blocks (|b| <= 1) and its pad is not counted in
+    # <C, X> = 3 + 2 * 20 + 0.5
     rng = np.random.default_rng(16)
     blocks = [(np.eye(3, dtype=complex), _random_hermitian_stack(rng, 2, 3)),
               (20 * np.eye(2, dtype=complex), _random_hermitian_stack(rng, 2, 2)),
-              (-np.eye(1, dtype=complex), _random_hermitian_stack(rng, 2, 1))]
+              (0.5 * np.eye(1, dtype=complex), _random_hermitian_stack(rng, 2, 1))]
     stack = _Stack(blocks)
-    assert len(stack.c) == 2 and stack.slot[1] == stack.slot[2] != stack.slot[0]
+    slots = [_placement(stack, j)[0] for j in range(3)]
+    assert len(stack.c) == 2 and slots[1] == slots[2] != slots[0]
+    # the dual infeasibility's norms 1 + ||C_j||_F = 1 + c_j sqrt(n_j)
+    assert np.array_equal(stack.cnorm, 1.0 + np.array([1.0, 20.0, 0.5]) * np.sqrt([3, 2, 1]))
     start = solve_sdp(np.array([0.5, -1.0]), blocks, max_iter=0)
-    assert (start.status, start.iterations) == ("max_iter", 0)
-    assert start.dual_infeas == 0.55
-    assert start.primal_value == 42.0
+    assert (start.status, start.reason, start.iterations) == ("max_iter", "max_iter", 0)
+    assert (start.value, start.dual_infeas, start.primal_value) == (0.0, 0.0, 43.5)
+    assert solve_sdp(np.array([0.5, -1.0]), blocks).status == "optimal"
 
 
 def test_smallest_eigenvalues_reach_the_cone_boundary():
@@ -292,14 +366,14 @@ def test_smallest_eigenvalues_raise_on_a_non_finite_direction():
 
 
 def _mixed_program(seed):
-    """A bounded program of blocks of three sizes, two of them twice.  They
-    pack into the slots [5], [5], [3, 1] and [3], so a 1-row block shares a
-    slot with the first 3-row block: reordering the blocks changes which
-    3-row block that is, and the stalling 1-row block below joins that
-    slot."""
+    """A bounded program of blocks of three sizes, two of them twice, each
+    with its own C = c I.  They pack into the slots [5], [5], [3, 1] and
+    [3], so a 1-row block shares a slot with the first 3-row block:
+    reordering the blocks changes which 3-row block that is, and the
+    stalling 1-row block below joins that slot."""
     rng = np.random.default_rng(seed)
     m = 4
-    blocks = [(_random_pd(rng, n), _random_hermitian_stack(rng, m, n)) for n in (3, 5, 3, 1, 5)]
+    blocks = [(_scaled_eye(rng, n), _random_hermitian_stack(rng, m, n)) for n in (3, 5, 3, 1, 5)]
     return rng.standard_normal(m), blocks
 
 
@@ -335,28 +409,38 @@ def _block_diagonal(blocks):
 @pytest.mark.parametrize("seed", [21, 22, 23])
 def test_block_diagonal_merge_gives_the_same_value(seed):
     # one dense block holding every block on its diagonal: a stack of one
-    # block with no pad
+    # block with no pad, each block scaled by 1 / c to C = I, which keeps
+    # its constraint c I - A*(y) >= 0
     b, blocks = _mixed_program(seed)
     stacked = solve_sdp(b, blocks, tol=1e-10)
-    merged = solve_sdp(b, [_block_diagonal(blocks)], tol=1e-10)
+    scaled = [(np.eye(len(c), dtype=complex), a / c[0, 0].real) for c, a in blocks]
+    merged = solve_sdp(b, [_block_diagonal(scaled)], tol=1e-10)
     assert stacked.status == merged.status == "optimal"
     assert abs(stacked.value - merged.value) <= 1e-9 * max(1.0, abs(merged.value))
 
 
-def test_a_stalling_block_stalls_the_solve_among_converging_ones():
-    # C = -1 with A = 0 can never be made PSD: the dual is infeasible, so
-    # the steps shrink and the solve stops early, wherever the 1-row block
-    # sits among 1-row and larger blocks that converge without it
+@pytest.mark.parametrize("scale, reason", [(1.0, "numerical_floor"), (1e8, "small_steps")])
+def test_a_stalling_block_stalls_the_solve_among_converging_ones(scale, reason):
+    # a fifth variable, in the objective with weight 1, that only a 1-row
+    # block reads, with A = -scale: y_5 grows without bound, so the primal
+    # is infeasible (its X >= 0 on that block needs -scale X = 1), and the
+    # solve stops early, wherever the 1-row block sits among 1-row and
+    # larger blocks that converge without it.  At scale 1 the iterates run
+    # into the numerical floor; at scale 1e8 the Schur matrix's condition
+    # number climbs to about 1e13, its directions turn to noise, and both
+    # step lengths stay below 1e-5
     b, blocks = _mixed_program(21)
     assert solve_sdp(b, blocks).status == "optimal"
-    bad = (-np.eye(1, dtype=complex), np.zeros((len(b), 1, 1), dtype=complex))
+    b = np.append(b, 1.0)
+    blocks = [(c, np.concatenate([a, np.zeros_like(a[:1])])) for c, a in blocks]
+    bad = (np.eye(1, dtype=complex), -scale * np.eye(len(b))[:, -1:, None].astype(complex))
     runs = [solve_sdp(b, order) for order in
             (blocks + [bad], [bad] + blocks, blocks[:3] + [bad] + blocks[3:])]
     for res in runs:
-        assert (res.status, res.reason) == ("stalled", "small_steps")
+        assert (res.status, res.reason) == ("stalled", reason)
         assert res.iterations == runs[0].iterations < sdp.MAX_ITER
-        # the residual of -1 - Z <= -1 in that block, over 1 + ||C|| = 2
-        assert res.dual_infeas >= 0.5 - 1e-6
+        # b_5 - A(X)_5 = 1 + scale X >= 1 on that block
+        assert res.primal_infeas >= (1 - 1e-9) / (1.0 + np.linalg.norm(b))
 
 
 def _random_program(seed, n=6, m=4):
