@@ -38,6 +38,7 @@ from .channels import (
 from .geometry import (
     CommutatorSeminorm,
     KasparovSeminorm,
+    KroneckerSeminorm,
     Seminorm,
     SpectralTriple,
     kasparov_product,

@@ -13,9 +13,10 @@ commuting with the grading).  A Kasparov product is checked through its
 factors: both pass the full check, the product passes the operator laws,
 and its faithfulness is read from the factors' singular values; its other
 representation laws follow from the factors' (see `kasparov_product`).
-`KasparovSeminorm` is the product's commutator seminorm kept as the
-factors' commutators, under the same check: neither its representation
-nor its commutator stack is formed, only the rows a ball reads.
+A `KroneckerSeminorm` keeps its stack as Kronecker terms of factor
+stacks, forming only the rows a ball reads: the tensor seminorms are one
+term, and `KasparovSeminorm`, the product's commutator seminorm under the
+product's check, is two, so the product is never formed.
 """
 
 from __future__ import annotations
@@ -162,7 +163,7 @@ class Seminorm:
     """A seminorm over a fixed algebra in the one form the Monge-Kantorovich
     solver reads: L(x) = || sum_i x_i M[i] || for a complex stack M of shape
     (d, p, q), read through `rows` and `pattern`.  This class holds M as
-    `matrices`; `KasparovSeminorm` keeps it factored."""
+    `matrices`; `KroneckerSeminorm` keeps it factored."""
 
     def __init__(self, algebra: ConcreteAlgebra, matrices: np.ndarray):
         self.algebra = algebra
@@ -178,7 +179,8 @@ class Seminorm:
 
     def eval_coords(self, coords: np.ndarray):
         """L at one coordinate vector, as a float, or at each row of a (k, d)
-        stack, as an array of k, by one contraction and one batched SVD."""
+        stack, as an array of k, by one contraction and the norms of the
+        support blocks of its result (`linalg.operator_norm`)."""
         return operator_norm(np.tensordot(coords, self.matrices, axes=1))
 
 
@@ -190,22 +192,75 @@ class CommutatorSeminorm(Seminorm):
         self.triple = triple
 
 
+class KroneckerSeminorm(Seminorm):
+    """The seminorm over `algebra` whose stack has row (a, b), row-major, the
+    sum over `terms` of A[a] (x) B[b] for factor stacks (A, B), and whose
+    coordinate k is row `order[k]` (identity order when None).  `rows`
+    forms only the rows it is asked for, `pattern` ORs the terms' Boolean
+    Kronecker patterns (a superset of the stack's: a cancellation between
+    terms is not seen), and `eval_coords` contracts the factors."""
+
+    def __init__(self, algebra: ConcreteAlgebra, terms, order: np.ndarray | None = None):
+        d = len(terms[0][0]) * len(terms[0][1])
+        self.order = np.arange(d) if order is None else np.asarray(order)
+        if algebra.dim != d or not np.array_equal(np.sort(self.order), np.arange(d)):
+            raise AlgebraMismatch("order is not a permutation of the product's coordinates")
+        self.algebra = algebra
+        self.terms = terms
+
+    def _kron_rows(self, idx, entries) -> np.ndarray:
+        """Sum over the terms of entries(A[a]) (x) entries(B[b]) at the
+        product coordinates (a, b) of `idx`, all when None."""
+        a, b = np.divmod(self.order if idx is None else self.order[idx],
+                         len(self.terms[0][1]))
+        terms = (np.einsum("kij,kpq->kipjq", entries(fa[a]), entries(fb[b]))
+                 for fa, fb in self.terms)
+        out = next(terms)
+        for term in terms:
+            out += term
+        k, p, r, q, s = out.shape
+        return out.reshape(k, p * r, q * s)
+
+    def rows(self, idx: np.ndarray | None = None) -> np.ndarray:
+        return self._kron_rows(idx, lambda m: m)
+
+    def pattern(self) -> np.ndarray:
+        return self._kron_rows(None, lambda m: m != 0)
+
+    def eval_coords(self, coords: np.ndarray):
+        """L as `Seminorm.eval_coords` gives it, with the sum over (a, b)
+        taken as two matrix products per term: sum_b x_ab B[b], then
+        sum_a A[a] (x) (that sum)."""
+        x = np.asarray(coords)
+        k = x.size // x.shape[-1]
+        (da, p, q), (db, r, s) = (f.shape for f in self.terms[0])
+        y = np.zeros((k, da * db), dtype=complex)
+        y[:, self.order] = x.reshape(k, x.shape[-1])
+        y = y.reshape(k * da, db)
+        total = 0.0
+        for fa, fb in self.terms:
+            inner = (y @ fb.reshape(db, r * s)).reshape(k, da, r * s)
+            total = total + fa.reshape(da, p * q).T @ inner
+        m = total.reshape(k, p, q, r, s).transpose(0, 1, 3, 2, 4).reshape(k, p * r, q * s)
+        return operator_norm(m if x.ndim > 1 else m[0])
+
+
 def left_tensor_seminorm(triple_a: SpectralTriple, algebra_b: ConcreteAlgebra,
-                         rep_b: np.ndarray) -> Seminorm:
+                         rep_b: np.ndarray) -> KroneckerSeminorm:
     """(L_A (x) 1) on A (x) B: the commutator seminorm of the Dirac D_A (x) 1
     on the tensor representation (the two agree as Lipschitz seminorms),
     whose stack is [D_A, pi_A] (x) pi_B for pi_B = `rep_b`, since
     [D_A (x) 1, pi_A(a) (x) pi_B(b)] = [D_A, pi_A(a)] (x) pi_B(b)."""
-    return Seminorm(tensor_algebra(triple_a.algebra, algebra_b),
-                    kron_stack(triple_a.commutator_matrices(), rep_b))
+    return KroneckerSeminorm(tensor_algebra(triple_a.algebra, algebra_b),
+                             ((triple_a.commutator_matrices(), rep_b),))
 
 
 def right_tensor_seminorm(algebra_a: ConcreteAlgebra, triple_b: SpectralTriple,
-                          rep_a: np.ndarray) -> Seminorm:
+                          rep_a: np.ndarray) -> KroneckerSeminorm:
     """(1 (x) L_B) on A (x) B, the mirror of `left_tensor_seminorm`: the
     stack pi_A (x) [D_B, pi_B], for pi_A = `rep_a`, of the Dirac 1 (x) D_B."""
-    return Seminorm(tensor_algebra(algebra_a, triple_b.algebra),
-                    kron_stack(rep_a, triple_b.commutator_matrices()))
+    return KroneckerSeminorm(tensor_algebra(algebra_a, triple_b.algebra),
+                             ((rep_a, triple_b.commutator_matrices()),))
 
 
 # ---------------------------------------------------------------------------
@@ -277,72 +332,18 @@ def kasparov_product(ta: SpectralTriple, tb: SpectralTriple) -> SpectralTriple:
                           kron_stack(first.rep, tb.rep), dirac, grading)
 
 
-class KasparovSeminorm(Seminorm):
+class KasparovSeminorm(KroneckerSeminorm):
     """The commutator seminorm of `kasparov_product(ta, tb)` over `algebra`,
-    whose coordinate k is the product's coordinate `order[k]` (identity
-    order when None), the pair (a, b) in row-major order.  The checks are
-    `kasparov_product`'s, and the stack is never formed.
-
-    A grading commutes with its factor's representation, so for the
-    D_A (x) R + L (x) D_B of `_checked_product` (odd x odd on the doubled
-    first factor) row (a, b) of the stack is the sum of two Kronecker terms,
-    [D_A, pi_A(a)] (x) R pi_B(b) + L pi_A(a) (x) [D_B, pi_B(b)].  `rows`
-    forms only the rows it is asked for, `pattern` ORs the terms' Boolean
-    Kronecker patterns (a superset of the stack's: a cancellation between
-    the terms is not seen), and `eval_coords` contracts the factors."""
+    under its checks, as two Kronecker terms: a grading commutes with its
+    factor's representation, so for the D_A (x) R + L (x) D_B of
+    `_checked_product` (odd x odd on the doubled first factor) row (a, b)
+    of the stack is [D_A, pi_A(a)] (x) R pi_B(b) + L pi_A(a) (x) [D_B, pi_B(b)]."""
 
     def __init__(self, algebra: ConcreteAlgebra, ta: SpectralTriple, tb: SpectralTriple,
                  order: np.ndarray | None = None):
         first, left, right, _, _ = _checked_product(ta, tb)
-        d = ta.algebra.dim * tb.algebra.dim
-        self.order = np.arange(d) if order is None else np.asarray(order)
-        if algebra.dim != d or not np.array_equal(np.sort(self.order), np.arange(d)):
-            raise AlgebraMismatch("order is not a permutation of the product's coordinates")
-        self.algebra = algebra
-        # the (first, second) factor stacks of the two Kronecker terms
-        self.terms = ((first.commutator_matrices(), right @ tb.rep),
-                      (left @ first.rep, tb.commutator_matrices()))
-
-    def _kron_rows(self, idx, entries) -> np.ndarray:
-        """Sum over the terms of entries(A[a]) (x) entries(B[b]) at the
-        product coordinates (a, b) of `idx`, all when None."""
-        (_, rb), _ = self.terms
-        a, b = np.divmod(self.order if idx is None else self.order[idx], len(rb))
-        out = None
-        for fa, fb in self.terms:
-            term = np.einsum("kij,kpq->kipjq", entries(fa[a]), entries(fb[b]))
-            if out is None:
-                out = term
-            else:
-                out += term
-        k, p, r, q, s = out.shape
-        return out.reshape(k, p * r, q * s)
-
-    def rows(self, idx: np.ndarray | None = None) -> np.ndarray:
-        return self._kron_rows(idx, lambda m: m)
-
-    def pattern(self) -> np.ndarray:
-        return self._kron_rows(None, lambda m: m != 0)
-
-    def eval_coords(self, coords: np.ndarray):
-        """L as `Seminorm.eval_coords` gives it, with the sum over (a, b)
-        taken as two matrix products per term: sum_b x_ab B[b], then
-        sum_a A[a] (x) (that sum)."""
-        x = np.asarray(coords)
-        flat = x.reshape(-1, x.shape[-1])
-        k = len(flat)
-        (ca, rb), _ = self.terms
-        (da, pa, _), (db, pb, _) = ca.shape, rb.shape
-        y = np.zeros((k, da * db), dtype=complex)
-        y[:, self.order] = flat
-        y = y.reshape(k * da, db)
-        total = 0.0
-        for fa, fb in self.terms:
-            inner = (y @ fb.reshape(db, pb * pb)).reshape(k, da, pb * pb)
-            total = total + fa.reshape(da, pa * pa).T @ inner
-        m = total.reshape(k, pa, pa, pb, pb).transpose(0, 1, 3, 2, 4).reshape(
-            k, pa * pb, pa * pb)
-        return operator_norm(m if x.ndim > 1 else m[0])
+        super().__init__(algebra, ((first.commutator_matrices(), right @ tb.rep),
+                                   (left @ first.rep, tb.commutator_matrices())), order)
 
 
 def gradient_dirac_triple(l_mats, algebra: ConcreteAlgebra | None = None) -> SpectralTriple:

@@ -24,11 +24,45 @@ def is_hermitian(m: np.ndarray) -> bool:
     return frobenius(m - dagger(m)) <= EPS_STRUCT * scale * m.shape[0]
 
 
+# below this many rows or columns, finding blocks costs more than it saves
+SPLIT_MIN = 32
+
+
 def operator_norm(m: np.ndarray):
     """Largest singular value of a matrix, as a float, or of each matrix of
-    a (k, p, q) stack, as an array of k, from one batched SVD."""
-    norms = np.linalg.norm(m, 2, axis=(-2, -1)) if m.size else np.zeros(m.shape[:-2])
-    return float(norms) if m.ndim == 2 else norms
+    a (k, p, q) stack, as an array of k.  A matrix on disjoint row x column
+    blocks is their direct sum, of norm the largest of theirs: from
+    SPLIT_MIN rows and columns on, a stack is split along the
+    `support_blocks` of its joint nonzero pattern, with one batched SVD per
+    block shape; a stack of one block is taken whole."""
+    stack = m if m.ndim == 3 else m[None]
+    blocks = ([] if min(stack.shape[1:]) < SPLIT_MIN
+              else support_blocks((stack != 0).any(axis=0)))
+    if len(blocks) < 2:
+        norms = np.linalg.norm(stack, 2, axis=(-2, -1)) if stack.size else np.zeros(len(stack))
+    else:
+        norms = np.zeros(len(stack))
+        for shape in {tuple(map(len, b)) for b in blocks}:
+            rows, cols = map(np.array, zip(*[b for b in blocks if tuple(map(len, b)) == shape]))
+            sub = stack[:, rows[:, :, None], cols[:, None, :]]
+            norms = np.maximum(norms, np.linalg.norm(sub, 2, axis=(-2, -1)).max(axis=1))
+    return float(norms[0]) if m.ndim == 2 else norms
+
+
+def support_blocks(support: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The connected components of the bipartite row/column graph of a
+    Boolean (p, q) support, as sorted (rows, cols) pairs in the order of
+    their first rows; an empty row or column is in none.  The 0/1 matrix
+    of rows that share a column is squared until it stops growing, in
+    float32 BLAS products, exact below 2**24 rows and columns."""
+    s = support.astype(np.float32)
+    reach = np.minimum(s @ s.T, 1)
+    while not np.array_equal(reach, wider := np.minimum(reach @ reach, 1)):
+        reach = wider
+    # the rows that reach themselves and no earlier row
+    first = np.flatnonzero(reach.cumsum(axis=1).diagonal() == 1)
+    return [(rows := np.flatnonzero(reach[i]), np.flatnonzero(s[rows].any(axis=0)))
+            for i in first]
 
 
 def complex_samples(rng: np.random.Generator, k: int, d: int) -> np.ndarray:
@@ -49,21 +83,6 @@ def kron_stack(stack_a: np.ndarray, stack_b: np.ndarray) -> np.ndarray:
     row-major order, as one (len(a) len(b), p r, q s) stack."""
     (da, p, q), (db, r, s) = stack_a.shape, stack_b.shape
     return np.einsum("aij,bkl->abikjl", stack_a, stack_b).reshape(da * db, p * r, q * s)
-
-
-def components(adjacency: np.ndarray) -> list[np.ndarray]:
-    """Connected components of a symmetric boolean adjacency matrix, in the
-    order of their first nodes; a node without a self-loop is in none."""
-    # closed under chains by squaring until stable
-    while not np.array_equal(adjacency, wider := adjacency @ adjacency):
-        adjacency = wider
-    comps = []
-    seen = np.zeros(len(adjacency), dtype=bool)
-    for i in np.flatnonzero(adjacency.diagonal()):
-        if not seen[i]:
-            comps.append(np.flatnonzero(adjacency[i]))
-            seen[comps[-1]] = True
-    return comps
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:

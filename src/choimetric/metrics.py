@@ -56,10 +56,10 @@ from .channels import (
 from .errors import AlgebraMismatch, ChoimetricError, Infeasible
 from .geometry import Seminorm
 from .linalg import (
-    components,
     contract_stack,
     hermitian_part,
     row_and_null_space_real,
+    support_blocks,
 )
 
 
@@ -84,12 +84,7 @@ def _split_components(kstack: np.ndarray):
     matrices, in the order of their first rows; each component yields an
     independent operator-norm block."""
     scale = float(np.abs(kstack).max(initial=0.0))
-    if scale == 0.0:
-        return []
-    support = (np.abs(kstack) > 1e-12 * scale).any(axis=0)
-    # rows that share a column
-    return [(rows, np.flatnonzero(support[rows].any(axis=0)))
-            for rows in components(support @ support.T)]
+    return support_blocks((np.abs(kstack) > 1e-12 * scale).any(axis=0))
 
 
 def _assemble_blocks(kstack: np.ndarray) -> tuple[list, list]:
@@ -178,7 +173,7 @@ def _irreducible_pieces(block) -> list:
     joined = onehot.T @ (coupling > 1e-9 * float(coupling.max())) @ onehot
     b_gen = _generic_element(gens, rng)
     bases = []
-    for comp in components(joined | np.eye(nclusters, dtype=bool)):
+    for comp, _ in support_blocks(joined | np.eye(nclusters, dtype=bool)):
         cols = [vecs[:, label == c] for c in comp]
         if len({v.shape[1] for v in cols}) == 1 and cols[0].shape[1] > 1:
             u0 = cols[0][:, 0]
@@ -242,7 +237,7 @@ def _pinching_closure(matrices: np.ndarray, support) -> np.ndarray:
     while True:
         joint = pattern[kept].any(axis=0)
         label = np.empty(len(joint), dtype=int)
-        for c, comp in enumerate(components(joint | joint.T | eye)):
+        for c, (comp, _) in enumerate(support_blocks(joint | joint.T | eye)):
             label[comp] = c
         grown = kept | (pattern & (label[:, None] == label[None, :])).any(axis=(1, 2))
         if np.array_equal(grown, kept):

@@ -150,6 +150,20 @@ def test_stability_context_stays_below_half_its_omega_stack():
     assert peak <= 144 ** 3 * 16 / 2
 
 
+def test_stability_audit_keeps_its_tensor_seminorm_factored():
+    # the dense 1 (x) L_1 stack of Z3's audit is (144, 72, 72) complex,
+    # 11.9 MB: formed again, it lifts the audit's peak above the bound
+    ctx = E.stability_context("Z3")
+    tracemalloc.start()
+    try:
+        audit = E._stability_hypothesis_audit(ctx, seed=0, samples=10, trial=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [r.ok for r in audit] == [True, True]
+    assert peak < 18e6
+
+
 def test_chaining_small():
     recs = E.run_chaining(seed=0, quadruples=2, groups=("Z2", "S3"))
     assert all(r.ok for r in recs)
@@ -492,7 +506,7 @@ def test_audit_sample_flip_reads_the_reindexed_stack(key, rng):
         (4, lip_n.algebra.dim))
     flipped = unflipped.eval_coords(_swap_coords(lip_n.algebra, x, 1, 2))
     to_omega = _swap_coords(unflipped.algebra, np.arange(unflipped.algebra.dim), 1, 2)
-    reindexed = Seminorm(lip_n.algebra, unflipped.matrices[to_omega])
+    reindexed = Seminorm(lip_n.algebra, unflipped.rows()[to_omega])
     assert np.abs(flipped - reindexed.eval_coords(x)).max() <= 1e-12
 
 

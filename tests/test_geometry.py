@@ -482,7 +482,31 @@ def test_tensor_seminorms_are_the_tensor_dirac_commutators(pa, pb):
              np.kron(np.eye(ha), tb.dirac))):
         reference = CommutatorSeminorm(SpectralTriple(carrier, rep, dirac))
         assert tensor.algebra is carrier
-        assert np.abs(tensor.matrices - reference.matrices).max() < 1e-12
+        assert np.abs(tensor.rows() - reference.matrices).max() < 1e-12
+
+
+@pytest.mark.parametrize("pa, pb", [("odd_m2", "odd"), ("odd_m2", "even"),
+                                    ("even_m2", "odd"), ("even_m2", "even")])
+def test_tensor_seminorms_stay_factored_and_read_their_kron_stacks(pa, pb, rng):
+    toys = _toy_triples()
+    ta, tb = toys[pa], toys[pb]
+    for tensor, stack in (
+            (left_tensor_seminorm(ta, tb.algebra, rep_b=tb.rep),
+             kron_stack(ta.commutator_matrices(), tb.rep)),
+            (right_tensor_seminorm(ta.algebra, tb, rep_a=ta.rep),
+             kron_stack(ta.rep, tb.commutator_matrices()))):
+        assert not hasattr(tensor, "matrices") and len(tensor.terms) == 1
+        dense = Seminorm(tensor.algebra, stack)
+        idx = rng.permutation(len(stack))[:5]
+        assert np.abs(tensor.rows() - stack).max() <= 1e-12
+        assert np.abs(tensor.rows(idx) - stack[idx]).max() <= 1e-12
+        assert np.array_equal(tensor.pattern(), dense.pattern())
+        x = rng.standard_normal((7, len(stack))) + 1j * rng.standard_normal((7, len(stack)))
+        reference = dense.eval_coords(x)
+        scale = 1e-12 * max(1.0, reference.max())
+        assert np.abs(tensor.eval_coords(x) - reference).max() <= scale
+        single = tensor.eval_coords(x[0])
+        assert isinstance(single, float) and abs(single - reference[0]) <= scale
 
 
 def _as_opposite_triple(t: SpectralTriple) -> SpectralTriple:
