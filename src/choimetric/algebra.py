@@ -4,10 +4,12 @@ An algebra is an ordered basis of ambient N x N complex matrices whose span
 is closed under products and adjoints, together with derived data: structure
 constants, adjoint coordinates, and the coordinates of the two-sided unit.
 Elements and linear functionals are coordinate vectors over that basis.
-Everything is immutable after construction.  `matrix_algebra` returns one
-shared object per size, and `tensor_algebra` and `opposite_algebra` one per
-operand tuple for as long as it is in use, so nothing may mutate an algebra
-once it is built.
+A tensor product or an opposite forms its basis, structure constants and
+adjoint coordinates the first time each is read; its dimensions, unit and
+factors are known at once.  Everything is immutable after construction.
+`matrix_algebra` returns one shared object per size, and `tensor_algebra`
+and `opposite_algebra` one per operand tuple for as long as it is in use,
+so nothing may mutate an algebra once it is built.
 """
 
 from __future__ import annotations
@@ -40,10 +42,12 @@ class ConcreteAlgebra:
     ----------
     basis : (d, N, N) array; the ordered basis.
     structure : (d, d, d) array; B_i B_j = sum_k structure[i, j, k] B_k.
-        The constructor also takes a function that returns it; the function
-        is called the first time `structure` is read.
     adjoint_coords : (d, d) array; row i holds the coordinates of B_i^*.
+        For each of these three the constructor also takes a function of no
+        arguments that returns it, called the first time the array is read;
+        a function basis needs `ambient_dim` = N.
     unit_coords : (d,) array; coordinates of the two-sided identity.
+    dim, ambient_dim : d and N.
     factors : tuple of atomic tensor factors when built by tensor_algebra.
     op_of : the underlying algebra when built by opposite_algebra.
     """
@@ -52,36 +56,32 @@ class ConcreteAlgebra:
     _operands = None
 
     def __init__(self, basis, structure, adjoint_coords, unit_coords,
-                 name="", factors=(), op_of=None):
-        self.basis = np.asarray(basis, dtype=complex)
-        self._structure = (structure if callable(structure)
-                           else np.asarray(structure, dtype=complex))
-        self.adjoint_coords = np.asarray(adjoint_coords, dtype=complex)
+                 name="", factors=(), op_of=None, ambient_dim=None):
+        self._basis, self._structure, self._adjoint_coords = (
+            x if callable(x) else np.asarray(x, dtype=complex)
+            for x in (basis, structure, adjoint_coords))
         self.unit_coords = np.asarray(unit_coords, dtype=complex)
+        self.dim = len(self.unit_coords)
+        self.ambient_dim = self.basis.shape[1] if ambient_dim is None else ambient_dim
         self.name = name
         self.factors = tuple(factors)
         self.op_of = op_of
+
+    def _formed(self, slot: str) -> np.ndarray:
+        value = getattr(self, slot)
+        if callable(value):
+            value = np.asarray(value(), dtype=complex)
+            setattr(self, slot, value)
+        return value
+
+    basis = property(lambda self: self._formed("_basis"))
+    structure = property(lambda self: self._formed("_structure"))
+    adjoint_coords = property(lambda self: self._formed("_adjoint_coords"))
 
     @cached_property
     def _pinv(self) -> np.ndarray:
         d, n, _ = self.basis.shape
         return np.linalg.pinv(self.basis.reshape(d, n * n).T)
-
-    @property
-    def structure(self) -> np.ndarray:
-        if callable(self._structure):
-            self._structure = np.asarray(self._structure(), dtype=complex)
-        return self._structure
-
-    # -- basic shape -----------------------------------------------------
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.basis.shape[1]
 
     def __repr__(self):
         label = self.name or "algebra"
@@ -132,7 +132,7 @@ class ConcreteAlgebra:
         """Structural equality: identical ambient basis and unit, to 1e-10."""
         if self is other:
             return True
-        if self.basis.shape != other.basis.shape:
+        if (self.dim, self.ambient_dim) != (other.dim, other.ambient_dim):
             return False
         return (np.abs(self.basis - other.basis).max() <= 1e-10
                 and np.abs(self.unit_coords - other.unit_coords).max() <= 1e-10)
@@ -325,18 +325,18 @@ def tensor_algebra(a: ConcreteAlgebra, b: ConcreteAlgebra) -> ConcreteAlgebra:
     out = _BUILT.get(key)
     if out is not None:
         return out
-    da, db = a.dim, b.dim
-    basis = linalg.kron_stack(a.basis, b.basis)
-    adjoint = np.einsum("ac,bd->abcd", a.adjoint_coords, b.adjoint_coords).reshape(
-        da * db, da * db)
-    unit = np.outer(a.unit_coords, b.unit_coords).reshape(da * db)
+    d = a.dim * b.dim
     factors = (a.factors or (a,)) + (b.factors or (b,))
-    # the structure tensor is cubic in the dimension and unread by most
-    # callers: ConcreteAlgebra builds it the first time it is read
+    # most products only label coordinates and never read their basis,
+    # structure or adjoint coordinates: each is formed the first time it is
+    # read, by functions that hold the operands, never the product
     out = ConcreteAlgebra(
-        basis, lambda: np.einsum("ace,bdf->abcdef", a.structure, b.structure).reshape(
-            da * db, da * db, da * db),
-        adjoint, unit, name=f"({a.name})@({b.name})", factors=factors)
+        lambda: linalg.kron_stack(a.basis, b.basis),
+        lambda: np.einsum("ace,bdf->abcdef", a.structure, b.structure).reshape(d, d, d),
+        lambda: np.einsum("ac,bd->abcd", a.adjoint_coords, b.adjoint_coords).reshape(d, d),
+        np.outer(a.unit_coords, b.unit_coords).reshape(d),
+        name=f"({a.name})@({b.name})", factors=factors,
+        ambient_dim=a.ambient_dim * b.ambient_dim)
     out._operands = (a, b)
     _BUILT[key] = out
     return out
@@ -355,12 +355,12 @@ def opposite_algebra(a: ConcreteAlgebra) -> ConcreteAlgebra:
     out = _BUILT.get(key)
     if out is not None:
         return out
-    basis = a.basis.transpose(0, 2, 1)
     factors = tuple(opposite_algebra(f) for f in a.factors) if a.factors else ()
-    out = ConcreteAlgebra(basis, lambda: a.structure.transpose(1, 0, 2),
-                          a.adjoint_coords.copy(),
-                          a.unit_coords.copy(), name=f"{a.name}^op",
-                          factors=factors, op_of=a)
+    out = ConcreteAlgebra(lambda: a.basis.transpose(0, 2, 1),
+                          lambda: a.structure.transpose(1, 0, 2),
+                          lambda: a.adjoint_coords.copy(), a.unit_coords.copy(),
+                          name=f"{a.name}^op", factors=factors, op_of=a,
+                          ambient_dim=a.ambient_dim)
     _BUILT[key] = out
     return out
 

@@ -13,7 +13,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -199,6 +199,11 @@ class GroupContext:
     tau: object
     ball: object
 
+    @cached_property
+    def ball_full(self):
+        """The unrestricted ball of the same seminorm, built on first read."""
+        return prepare_ball(self.ball.seminorm)
+
 
 def length_dirac(ga, length: LengthFunction) -> SpectralTriple:
     """Odd triple (C*(G, sigma), l2(G), diag(l)) with the left regular
@@ -221,7 +226,7 @@ def build_group_context(group, cocycle=None,
     its opposite (word length when `length` is None), with its unit ball
     restricted to the closure of the pairs ab = e: omega(M_phi)(a, b) =
     phi(a) tau(lambda_a lambda_b) of a multiplier vanishes off them.  The
-    unrestricted ball is `prepare_ball(ctx.ball.seminorm)`."""
+    unrestricted ball is `ctx.ball_full`, held once read."""
     ga = twisted_group_algebra(group, cocycle)
     if length is None:
         length = word_length(group)
@@ -245,6 +250,13 @@ class StabilityContext:
     n: int                           # amplification order
     amp_trace: object
     ball_n: object                   # of the seminorm over the omega-carrier
+
+    @cached_property
+    def ball_generic(self):
+        """The amplified ball of every pair (a, b), built on first read."""
+        order = self.base.group.order
+        return prepare_ball(self.ball_n.seminorm, _omega_support(
+            np.arange(order * order), order, self.n))
 
 
 def _omega_support(pairs: np.ndarray, g: int, n: int) -> np.ndarray:
@@ -521,16 +533,12 @@ def run_stability(seed: int = 0, trials: int = 25, groups=("Z2", "Z3"),
     for gi, key in enumerate(groups):
         ctx = stability_context(key)
         n_general = min(per_group[gi], general_trials[gi]) if gi < len(general_trials) else 0
-        if n_general:
-            order = ctx.base.group.order
-            ball_full = prepare_ball(ctx.base.ball.seminorm)
-            ball_generic = prepare_ball(ctx.ball_n.seminorm, _omega_support(
-                np.arange(order * order), order, ctx.n))
 
         def one(i, rng, ctx=ctx, n_general=n_general):
             generic = i < n_general
             base = ctx.base
-            ball, ball_n = (ball_full, ball_generic) if generic else (base.ball, ctx.ball_n)
+            ball, ball_n = ((base.ball_full, ctx.ball_generic) if generic
+                            else (base.ball, ctx.ball_n))
             if generic:
                 f, g = (generate.random_trace_channel(rng, base.ga.algebra,
                                                       base.ga.algebra, base.tau)

@@ -156,16 +156,57 @@ def test_tensor_and_opposite_are_one_object_per_operand(m2, d2):
 
 
 def test_an_unheld_tensor_product_is_freed_at_once():
-    # nothing but its holders keeps a product alive, not even a cycle
+    # nothing but its holders keeps a product alive, not even a cycle: a
+    # deferred function that held its own product would keep an unread
+    # product and one whose structure and adjoint coordinates are unread
     a, b = matrix_algebra(2), diagonal_algebra(2)
+
+    def read_basis(alg):
+        alg.basis
+        return alg
+
     gc.disable()
     try:
         product = weakref.ref(tensor_algebra(a, b))
         assert product() is None
+        product = weakref.ref(read_basis(tensor_algebra(a, b)))
+        assert product() is None
         opposite = weakref.ref(opposite_algebra(tensor_algebra(a, b)))
+        assert opposite() is None
+        held = tensor_algebra(a, b)
+        opposite = weakref.ref(opposite_algebra(held))
         assert opposite() is None
     finally:
         gc.enable()
+
+
+def test_a_product_and_its_opposite_form_their_basis_on_first_read(monkeypatch):
+    a, b = matrix_algebra(2), diagonal_algebra(2)
+    with monkeypatch.context() as patch:
+        def refuse(*args):
+            raise AssertionError("a Kronecker basis was formed")
+
+        patch.setattr(linalg, "kron_stack", refuse)
+        product = tensor_algebra(a, b)
+        op = opposite_algebra(product)
+        for alg, name, factors in (
+                (product, "(M2)@(diag2)", (a, b)),
+                (op, "(M2)@(diag2)^op", (opposite_algebra(a), opposite_algebra(b)))):
+            assert (alg.dim, alg.ambient_dim) == (8, 4)
+            assert alg.factors == factors
+            assert (alg.unit_coords == np.outer(a.unit_coords, b.unit_coords).ravel()).all()
+            assert repr(alg) == f"<{name}: dim 8 in M_4>"
+    assert (product.basis == linalg.kron_stack(a.basis, b.basis)).all()
+    assert (product.adjoint_coords == np.einsum(
+        "ac,bd->abcd", a.adjoint_coords, b.adjoint_coords).reshape(8, 8)).all()
+    assert (op.basis == product.basis.transpose(0, 2, 1)).all()
+    assert (op.adjoint_coords == product.adjoint_coords).all()
+    assert (op.structure == product.structure.transpose(1, 0, 2)).all()
+    # two distinct products of equal operands are the same algebra
+    twin = tensor_algebra(a, diagonal_algebra(2))
+    assert twin is not product and twin.same_as(product)
+    assert not tensor_algebra(diagonal_algebra(2), a).same_as(product)
+    assert not product.same_as(a)
 
 
 def test_opposite_realizes_transpose(m2):

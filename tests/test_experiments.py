@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import choimetric.experiments as E
-from choimetric import amplify, metrics
+from choimetric import amplify, linalg, metrics
 from choimetric.cli import main
 from choimetric.algebra import _swap_coords, matrix_algebra, opposite_algebra, tensor_algebra
 from choimetric.errors import Infeasible, InvalidSpectralTriple
@@ -281,6 +281,30 @@ def test_metric_axioms_record_the_stalled_solve(monkeypatch):
         assert mk[kind, 1].status == "optimal" and mk[kind, 1].ok
 
 
+def test_flip_suite_forms_no_product_basis(monkeypatch):
+    # the flip's carriers only label coordinates: a 256-dimensional omega
+    # carrier with its (256, 16, 16) Kronecker basis, 1 MB, is never formed
+    shapes = []
+    kron_stack = linalg.kron_stack
+
+    def recorded(*args):
+        out = kron_stack(*args)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(linalg, "kron_stack", recorded)
+    E.run_flip(0, trials=1)             # first-call imports, about 0.9 MB
+    tracemalloc.start()
+    try:
+        records = E.run_flip(0, trials=6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.ok for r in records)
+    assert all(rows <= 16 for rows, _, _ in shapes), shapes
+    assert peak < 2 ** 20
+
+
 def _count_ball_preparations(monkeypatch):
     """A list that grows by one for each prepare_ball call from now on,
     made through either module that binds the name."""
@@ -307,6 +331,31 @@ def test_suites_prepare_each_ball_once(suite, balls, monkeypatch):
     records = suite()
     assert all(r.ok for r in records)
     assert len(calls) == balls
+
+
+def test_stability_prepares_its_generic_balls_once_per_held_context(monkeypatch):
+    # the full and generic balls of a generic trial belong to the contexts:
+    # a second run on the same held contexts prepares no ball and gives the
+    # same records
+    held = {}
+    true_context = E.stability_context
+
+    def holding(key, n=2, restrict=True):
+        if (key, n, restrict) not in held:
+            held[key, n, restrict] = true_context(key, n=n, restrict=restrict)
+        return held[key, n, restrict]
+
+    monkeypatch.setattr(E, "stability_context", holding)
+    calls = _count_ball_preparations(monkeypatch)
+    runs = [[(r.experiment, r.trial, r.lhs, r.rhs, r.status, r.ok)
+             for r in E.run_stability(seed=0, trials=2, groups=("Z2",),
+                                      general_trials=(1,), audit_samples=5)]
+            for _ in range(2)]
+    # the two contexts and the cross-check's group context, and on first
+    # read the full and the generic ball
+    assert len(calls) == 6
+    assert runs[0] == runs[1] and all(r[-1] for r in runs[0])
+    assert "stability-generic" in {r[0] for r in runs[0]}
 
 
 def _coset_coordinates(group, n, omega=True):
@@ -428,15 +477,14 @@ def test_torus_restriction_loses_nothing_against_the_coset_ball(key):
 
 @pytest.mark.parametrize("key, pairs, size", [("Z2", 2, 16), ("Z3", 1, 36)])
 def test_generic_amplified_pairs_lose_nothing_on_the_closure_ball(key, pairs, size):
-    # generic trace channels, amplified: the closure of supp omega(id_2)
-    # times every pair (a, b) gives the full ball's Delta_n, and Delta_1
+    # generic trace channels, amplified: the context's generic ball, the
+    # closure of supp omega(id_2) times every pair (a, b), gives the full
+    # ball's Delta_n, and the group context's full ball gives Delta_1
     ctx = E.stability_context(key)
     base = ctx.base
-    order = base.group.order
-    closure = metrics.prepare_ball(ctx.ball_n.seminorm, E._omega_support(
-        np.arange(order * order), order, ctx.n))
+    closure = ctx.ball_generic
     full = metrics.prepare_ball(ctx.ball_n.seminorm)
-    ball_1 = metrics.prepare_ball(base.ball.seminorm)
+    ball_1 = base.ball_full
     assert len(closure.keep) == size
     rng = np.random.default_rng(13)
     alg = base.ga.algebra
